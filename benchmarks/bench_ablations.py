@@ -3,7 +3,7 @@
 Each class isolates one knob of the runtime and benchmarks its settings
 on identical workloads, quantifying the design decisions the paper makes
 qualitatively: in-place reduction vs materialized pairs, chunk/block
-granularity, the vectorized fast path, seeded reduction maps, serialized
+granularity, the batch kernel, seeded reduction maps, serialized
 global combination, and in-transit vs hybrid placement.
 """
 
@@ -60,22 +60,22 @@ class TestBlockSizeAblation:
     @pytest.mark.parametrize("block_size", [256, 4096, None])
     def test_bench_histogram_blocks(self, benchmark, block_size):
         app = Histogram(
-            SchedArgs(vectorized=True, block_size=block_size),
+            SchedArgs(block_size=block_size),
             lo=-4, hi=4, num_buckets=64,
         )
         benchmark(lambda: (app.reset(), app.run(DATA)))
 
 
-class TestVectorizedPathAblation:
-    """The compiled-equivalent fast path vs the paper-faithful chunk loop."""
+class TestMapPathAblation:
+    """The compiled-equivalent batch kernel vs the paper-faithful chunk loop."""
 
     def test_bench_scalar_path(self, benchmark):
-        app = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=64)
+        app = Histogram(SchedArgs(map_path="scalar"), lo=-4, hi=4, num_buckets=64)
         data = DATA[:5000]
         benchmark(lambda: (app.reset(), app.run(data)))
 
-    def test_bench_vectorized_path(self, benchmark):
-        app = Histogram(SchedArgs(vectorized=True), lo=-4, hi=4, num_buckets=64)
+    def test_bench_batch_path(self, benchmark):
+        app = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=64)
         data = DATA[:5000]
         benchmark(lambda: (app.reset(), app.run(data)))
 
@@ -88,10 +88,10 @@ class TestReductionVsShuffleAblation:
     decisive differences are memory (the emit path materializes one pair
     per element before any grouping; the in-place path holds one object
     per key) and that only the in-place path admits the compiled
-    vectorized fast path (see TestVectorizedPathAblation: ~70x)."""
+    batch kernel (see TestMapPathAblation: ~70x)."""
 
     def test_bench_in_place_reduction(self, benchmark):
-        app = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=64)
+        app = Histogram(SchedArgs(map_path="scalar"), lo=-4, hi=4, num_buckets=64)
         data = DATA[:5000]
         benchmark(lambda: (app.reset(), app.run(data)))
 
@@ -124,8 +124,7 @@ class TestSeededMapAblation:
     def test_bench_seeding_cost(self, benchmark, kmeans_workload, threads):
         flat, init = kmeans_workload
         app = KMeans(
-            SchedArgs(chunk_size=8, num_iters=5, extra_data=init,
-                      vectorized=True, num_threads=threads),
+            SchedArgs(chunk_size=8, num_iters=5, extra_data=init, num_threads=threads),
             dims=8,
         )
         benchmark(lambda: (app.reset(), app.run(flat)))
@@ -172,13 +171,13 @@ class TestPlacementAblation:
             staging = split_staging_comm(comm, 1)
             if driver.placement.is_staging:
                 app = Histogram(
-                    SchedArgs(vectorized=True), staging, lo=-4, hi=4, num_buckets=32
+                    SchedArgs(), staging, lo=-4, hi=4, num_buckets=32
                 )
                 driver.run_staging_side(app)
                 return 0
             sim = GaussianEmulator(2000, seed=502 + comm.rank)
             local = (
-                Histogram(SchedArgs(vectorized=True), lo=-4, hi=4, num_buckets=32)
+                Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=32)
                 if mode == "hybrid"
                 else None
             )

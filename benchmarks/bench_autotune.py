@@ -2,11 +2,11 @@
 
 For every workload in the conformance registry, times the advised policy
 against a small pool of hand-picked single-rank configurations (the
-paper-default serial scalar loop, a 2-worker thread pool, and — where the
-analytic implements one — the serial vectorized fast path).  The advisor
+paper's serial scalar loop, a 2-worker thread pool over it, and — where
+the analytic implements one — the serial batch kernel).  The advisor
 "matches" a workload when its policy is within tolerance of the best
 hand-picked time; the gate requires it to match or beat the best
-hand-picked config on at least 3 of the 9 registry workloads.
+hand-picked config on at least 3 of the registry workloads.
 
 Writes ``BENCH_autotune.json`` at the repo root::
 
@@ -37,13 +37,14 @@ def hand_picked(w) -> dict[str, ExecutionPolicy]:
     """The configurations a careful user would try by hand (ranks=1)."""
     base = dict(chunk_size=w.chunk_size, num_iters=w.num_iters)
     pool = {
-        "serial_scalar": ExecutionPolicy.parse("engine=serial").evolve(**base),
+        "serial_scalar": ExecutionPolicy.parse(
+            "engine=serial,map=scalar").evolve(**base),
         "thread2_scalar": ExecutionPolicy.parse(
-            "engine=thread,threads=2").evolve(**base),
+            "engine=thread,threads=2,map=scalar").evolve(**base),
     }
-    if w.has_vector_path:
-        pool["serial_vectorized"] = ExecutionPolicy.parse(
-            "engine=serial,vec=1").evolve(**base)
+    if w.has_batch_path:
+        pool["serial_batch"] = ExecutionPolicy.parse(
+            "engine=serial,map=batch").evolve(**base)
     return pool
 
 
@@ -56,7 +57,7 @@ def advised(w, elements: int) -> ExecutionPolicy:
         num_iters=w.num_iters,
         key_estimate=w.key_estimate,
         schema_mergeable=w.schema_mergeable,
-        has_vector_path=w.has_vector_path,
+        has_batch_path=w.has_batch_path,
     )
 
 

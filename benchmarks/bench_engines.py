@@ -31,9 +31,9 @@ def blob_flat() -> np.ndarray:
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_bench_histogram_vectorized(benchmark, scalars, engine):
+def test_bench_histogram_batch(benchmark, scalars, engine):
     with Histogram(
-        SchedArgs(num_threads=THREADS, engine=engine, vectorized=True),
+        SchedArgs(num_threads=THREADS, engine=engine),
         lo=-4, hi=4, num_buckets=1200,
     ) as app:
         app.run(scalars)  # warm-up creates the pool outside the timed region
@@ -47,12 +47,12 @@ def test_bench_histogram_vectorized(benchmark, scalars, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_bench_kmeans_vectorized(benchmark, blob_flat, engine):
+def test_bench_kmeans_batch(benchmark, blob_flat, engine):
     init = blob_flat.reshape(-1, 4)[:8].copy()
     with KMeans(
         SchedArgs(
             chunk_size=4, num_iters=2, extra_data=init,
-            num_threads=THREADS, engine=engine, vectorized=True,
+            num_threads=THREADS, engine=engine,
         ),
         dims=4,
     ) as app:
@@ -70,11 +70,12 @@ def test_bench_histogram_scalar_loop(benchmark, scalars, engine):
     """The chunk loop the GIL serializes — the process engine's target.
 
     Scaled down (the Python loop is ~1000x slower per element than the
-    vectorized path).
+    batch kernel).
     """
     data = scalars[:40_000]
     with Histogram(
-        SchedArgs(num_threads=THREADS, engine=engine), lo=-4, hi=4, num_buckets=100
+        SchedArgs(num_threads=THREADS, engine=engine, map_path="scalar"),
+        lo=-4, hi=4, num_buckets=100,
     ) as app:
         app.run(data)
 

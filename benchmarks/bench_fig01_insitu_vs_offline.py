@@ -20,7 +20,7 @@ def make_kmeans(iters=4):
     probe = Heat3D(GRID)
     init = probe.advance().reshape(-1, 4)[:8].copy()
     return KMeans(
-        SchedArgs(chunk_size=4, num_iters=iters, extra_data=init, vectorized=True),
+        SchedArgs(chunk_size=4, num_iters=iters, extra_data=init),
         dims=4,
     )
 

@@ -30,12 +30,12 @@ def test_fig05_regenerate(figure_results, benchmark):
 
 class TestHistogram:
     def test_bench_smart(self, benchmark, emulator_stream):
-        app = Histogram(SchedArgs(vectorized=True), lo=-4, hi=4, num_buckets=100)
+        app = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=100)
         benchmark(lambda: (app.reset(), app.run(emulator_stream)))
 
     def test_bench_smart_scalar_chunk_loop(self, benchmark, emulator_stream):
         data = emulator_stream[:8000]
-        app = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=100)
+        app = Histogram(SchedArgs(map_path="scalar"), lo=-4, hi=4, num_buckets=100)
         benchmark(lambda: (app.reset(), app.run(data)))
 
     def test_bench_minispark(self, benchmark, emulator_stream):
@@ -56,7 +56,7 @@ class TestKMeans:
         init = points.reshape(-1, self.DIMS)[: self.K].copy()
         app = KMeans(
             SchedArgs(chunk_size=self.DIMS, num_iters=self.ITERS,
-                      extra_data=init, vectorized=True),
+                      extra_data=init),
             dims=self.DIMS,
         )
         benchmark(lambda: (app.reset(), app.run(points)))
@@ -83,8 +83,7 @@ class TestLogisticRegression:
 
     def test_bench_smart(self, benchmark, samples):
         app = LogisticRegression(
-            SchedArgs(chunk_size=self.DIMS + 1, num_iters=self.ITERS,
-                      vectorized=True),
+            SchedArgs(chunk_size=self.DIMS + 1, num_iters=self.ITERS),
             dims=self.DIMS,
         )
         benchmark(lambda: (app.reset(), app.run(samples)))

@@ -35,7 +35,7 @@ class TestKMeansKernels:
     def test_bench_smart(self, benchmark, data):
         flat, init = data
         app = KMeans(
-            SchedArgs(chunk_size=64, num_iters=10, extra_data=init, vectorized=True),
+            SchedArgs(chunk_size=64, num_iters=10, extra_data=init),
             dims=64,
         )
         benchmark(lambda: (app.reset(), app.run(flat)))
@@ -53,7 +53,7 @@ class TestLogRegKernels:
 
     def test_bench_smart(self, benchmark, data):
         app = LogisticRegression(
-            SchedArgs(chunk_size=16, num_iters=10, vectorized=True), dims=15
+            SchedArgs(chunk_size=16, num_iters=10), dims=15
         )
         benchmark(lambda: (app.reset(), app.run(data)))
 
@@ -71,7 +71,7 @@ class TestSerializationOverheadSource:
         flat, _ = make_blobs(500, 64, 8, seed=63)
         init = flat.reshape(-1, 64)[:8].copy()
         app = KMeans(
-            SchedArgs(chunk_size=64, num_iters=1, extra_data=init, vectorized=True),
+            SchedArgs(chunk_size=64, num_iters=1, extra_data=init),
             dims=64,
         )
         app.run(flat)

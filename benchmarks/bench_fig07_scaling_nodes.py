@@ -38,11 +38,11 @@ def test_bench_heat3d_step(benchmark):
     "name,factory",
     [
         ("grid_aggregation",
-         lambda: GridAggregation(SchedArgs(vectorized=True), grid_size=1000)),
+         lambda: GridAggregation(SchedArgs(), grid_size=1000)),
         ("histogram",
-         lambda: Histogram(SchedArgs(vectorized=True), lo=-4, hi=4, num_buckets=1200)),
+         lambda: Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=1200)),
         ("mutual_information",
-         lambda: MutualInformation(SchedArgs(chunk_size=2, vectorized=True),
+         lambda: MutualInformation(SchedArgs(chunk_size=2),
                                    x_range=(-4, 4), y_range=(-4, 4), bins=100)),
     ],
 )

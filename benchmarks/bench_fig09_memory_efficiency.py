@@ -41,7 +41,7 @@ def lr_data():
 
 def _make_lr(copy_input):
     return LogisticRegression(
-        SchedArgs(chunk_size=16, num_iters=3, vectorized=True, copy_input=copy_input),
+        SchedArgs(chunk_size=16, num_iters=3, copy_input=copy_input),
         dims=15,
     )
 

@@ -26,7 +26,7 @@ def test_fig10_regenerate(figure_results, benchmark):
 
 def _make_histogram():
     return Histogram(
-        SchedArgs(vectorized=True, buffer_capacity=2),
+        SchedArgs(buffer_capacity=2),
         lo=-1.0, hi=60.0, num_buckets=64,
     )
 

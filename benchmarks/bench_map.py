@@ -1,4 +1,4 @@
-"""Map-phase microbenchmarks: scalar loop vs vector path vs batch path.
+"""Map-phase microbenchmarks: scalar loop vs batch kernel.
 
 Times the reduction (map) hot loop — the paper's Algorithm 2 per-chunk
 ``gen_key``/``accumulate`` — under each ``map_path`` on the analytics
@@ -57,26 +57,26 @@ CASES = {
         "make": lambda args, n: Histogram(args, lo=-4.0, hi=4.0,
                                           num_buckets=1200),
         "multi": False,
-        "paths": ("scalar", "vector", "batch"),
+        "paths": ("scalar", "batch"),
     },
     "grid_aggregation": {
         "sizes": (100_000, 1_000_000),
         "make": lambda args, n: GridAggregation(args, grid_size=1000),
         "multi": False,
-        "paths": ("scalar", "vector", "batch"),
+        "paths": ("scalar", "batch"),
     },
     "minmax": {
         "sizes": (100_000, 1_000_000),
         "make": lambda args, n: MinMax(args),
         "multi": False,
-        "paths": ("scalar", "vector", "batch"),
+        "paths": ("scalar", "batch"),
     },
     "moving_average": {
         "sizes": (50_000, 200_000),
         "make": lambda args, n: MovingAverage(args, win_size=7),
         "multi": True,
         "out_len": lambda n: n,
-        "paths": ("scalar", "vector", "batch"),
+        "paths": ("scalar", "batch"),
     },
     "kde_grid": {
         "sizes": (10_000, 30_000),
@@ -84,20 +84,14 @@ CASES = {
                                              bandwidth=0.2),
         "multi": True,
         "out_len": lambda n: KDE_GRID.shape[0],
-        "paths": ("scalar", "batch"),  # no vector_reduce on this one
+        "paths": ("scalar", "batch"),
     },
 }
 
 
-def _args_for(path: str) -> SchedArgs:
-    if path == "vector":
-        return SchedArgs(vectorized=True)
-    return SchedArgs(map_path=path)
-
-
 def _run_case(case: dict, path: str, data: np.ndarray):
     """One full run under ``path``; returns (seconds, result array)."""
-    app = case["make"](_args_for(path), len(data))
+    app = case["make"](SchedArgs(map_path=path), len(data))
     with app:
         t0 = time.perf_counter()
         if case["multi"]:
@@ -131,8 +125,8 @@ def bench_case(name: str, case: dict, *, quick: bool) -> dict:
             results[path] = result
         for path, result in results.items():
             # Value-level spot check (bit-level agreement is the
-            # conformance kit's job; kde_grid's np.exp drift and the
-            # vector path's regrouping are both below 1e-9 here).
+            # conformance kit's job; kde_grid's np.exp drift is below
+            # 1e-9 here).
             if not np.allclose(results["scalar"], result,
                                rtol=1e-9, atol=0, equal_nan=True):
                 raise AssertionError(
@@ -143,16 +137,13 @@ def bench_case(name: str, case: dict, *, quick: bool) -> dict:
         "sizes": list(sizes),
         "seconds": per_size,
         "speedup": largest["scalar"] / largest["batch"],
-        "vector_speedup": (
-            largest["scalar"] / largest["vector"]
-            if "vector" in largest else None),
     }
 
 
 def main(argv: list[str] | None = None) -> dict:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/bench_map.py",
-        description="map-path (scalar vs vector vs batch) benchmarks")
+        description="map-path (scalar vs batch) benchmarks")
     parser.add_argument("--quick", action="store_true",
                         help="largest size only, single repeat")
     args = parser.parse_args(argv)
@@ -161,9 +152,7 @@ def main(argv: list[str] | None = None) -> dict:
     for name, case in CASES.items():
         workloads[name] = bench_case(name, case, quick=args.quick)
         r = workloads[name]
-        vec = (f"  vector {r['vector_speedup']:6.1f}x"
-               if r["vector_speedup"] else "")
-        print(f"{name:18s} batch {r['speedup']:6.1f}x{vec}  "
+        print(f"{name:18s} batch {r['speedup']:6.1f}x  "
               f"(largest size {r['sizes'][-1]})")
 
     results = {

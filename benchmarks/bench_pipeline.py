@@ -152,7 +152,10 @@ def measure_pipeline(steps: int, elements: int) -> dict:
 
     def run(driver_cls):
         sim = StallingEmulator(step_elements=elements, seed=29)
-        app = Histogram(SchedArgs(num_threads=2), lo=-4, hi=4, num_buckets=32)
+        # Scalar: the overlap needs an analytics phase long enough to
+        # fill the stall window; the batch kernel finishes in ~1 ms.
+        app = Histogram(SchedArgs(num_threads=2, map_path="scalar"),
+                        lo=-4, hi=4, num_buckets=32)
         with app:
             t0 = time.perf_counter()
             result = driver_cls(sim, app).run(steps)

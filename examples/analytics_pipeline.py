@@ -29,7 +29,7 @@ def pipeline(comm):
     simulation = LuleshProxy(EDGE, comm)
 
     # Job 1: discover the global value range of the energy field.
-    minmax = MinMax(SchedArgs(vectorized=True), comm)
+    minmax = MinMax(SchedArgs(), comm)
     for _ in range(STEPS):
         minmax.run(simulation.advance())
     lo, hi = minmax.value_range
@@ -37,7 +37,7 @@ def pipeline(comm):
     # Job 2: histogram over the discovered range (fresh pass over new
     # steps, as a persistent in-situ deployment would).
     histogram = Histogram(
-        SchedArgs(vectorized=True), comm,
+        SchedArgs(), comm,
         lo=lo, hi=np.nextafter(hi, np.inf), num_buckets=16,
     )
     simulation.reset()
@@ -63,7 +63,7 @@ def pipeline(comm):
     log_lo, log_hi = np.log10(lo + 1e-9), np.log10(hi + 1e-9)
     pairs = np.column_stack([log_raw, log_smooth]).reshape(-1)
     mi = MutualInformation(
-        SchedArgs(chunk_size=2, vectorized=True), comm,
+        SchedArgs(chunk_size=2), comm,
         x_range=(log_lo, log_hi), y_range=(log_lo, log_hi), bins=12,
     )
     mi.run(pairs)

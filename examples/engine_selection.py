@@ -3,7 +3,7 @@
 The per-split reduction loop — the paper's intra-rank OpenMP region —
 is pluggable: ``SchedArgs(engine=...)`` selects ``"serial"`` (default,
 deterministic), ``"thread"`` (persistent thread pool; profitable when
-the vectorized path hands the GIL to numpy), or ``"process"``
+the batch kernel hands the GIL to numpy), or ``"process"``
 (persistent process pool over a shared-memory copy of the partition;
 the GIL-free path for scalar chunk loops).  All three produce
 bit-identical results; this example demonstrates that, shows the pooled
@@ -27,7 +27,7 @@ def histogram_counts(engine: str, data: np.ndarray) -> tuple[dict, dict]:
     """Run the histogram under one engine; return (counts, snapshot)."""
     # Schedulers are context managers: closing releases the engine pool.
     with Histogram(
-        SchedArgs(num_threads=3, engine=engine, vectorized=True),
+        SchedArgs(num_threads=3, engine=engine),
         lo=-4, hi=4, num_buckets=64,
     ) as app:
         app.run(data)
@@ -61,7 +61,7 @@ def main() -> None:
     init = flat.reshape(-1, 4)[:6].copy()
     with KMeans(
         SchedArgs(chunk_size=4, num_iters=4, extra_data=init,
-                  num_threads=2, engine="thread", vectorized=True),
+                  num_threads=2, engine="thread"),
         dims=4,
     ) as app:
         for _ in range(3):
@@ -75,14 +75,6 @@ def main() -> None:
             f"iterations={snap['counters']['run.iterations_run']}, "
             f"state={snap['counters']['run.state_nbytes']} bytes"
         )
-
-    # The deprecated alias still works (emits a DeprecationWarning).
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = SchedArgs(use_threads=True)
-    print(f"SchedArgs(use_threads=True) resolves to engine={legacy.resolved_engine!r}")
 
 
 if __name__ == "__main__":

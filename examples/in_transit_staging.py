@@ -31,7 +31,7 @@ def job(comm, mode):
 
     if driver.placement.is_staging:
         app = Histogram(
-            SchedArgs(vectorized=True), staging_comm,
+            SchedArgs(), staging_comm,
             lo=-4.0, hi=4.0, num_buckets=24,
         )
         driver.run_staging_side(app)
@@ -39,7 +39,7 @@ def job(comm, mode):
 
     simulation = GaussianEmulator(STEP_ELEMENTS, seed=900 + comm.rank)
     local_scheduler = (
-        Histogram(SchedArgs(vectorized=True), lo=-4.0, hi=4.0, num_buckets=24)
+        Histogram(SchedArgs(), lo=-4.0, hi=4.0, num_buckets=24)
         if mode == "hybrid"
         else None
     )

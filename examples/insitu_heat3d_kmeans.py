@@ -37,7 +37,7 @@ def simulation_with_insitu_analytics(comm):
 
     args = SchedArgs(
         num_threads=2, chunk_size=DIMS, num_iters=3,
-        extra_data=init_centroids, vectorized=True,
+        extra_data=init_centroids,
     )
     smart = KMeans(args, comm, dims=DIMS)
 

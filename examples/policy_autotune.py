@@ -40,10 +40,10 @@ def launch_advice() -> None:
     for label, hints in [
         ("small histogram, 1 rank",
          dict(elements=2048, ranks=1, key_estimate=32,
-              schema_mergeable=True, has_vector_path=True)),
+              schema_mergeable=True, has_batch_path=True)),
         ("wide window, 4 ranks",
          dict(elements=1 << 16, ranks=4, threads=2, key_estimate=1 << 16,
-              schema_mergeable=True, has_vector_path=True)),
+              schema_mergeable=True, has_batch_path=True)),
         ("big scalar loop, 4 threads",
          dict(elements=1 << 20, ranks=1, threads=4, key_estimate=16)),
     ]:
@@ -52,7 +52,7 @@ def launch_advice() -> None:
         print(f"  {label}:")
         print(f"    engine={p.engine.backend} threads={p.num_threads} "
               f"algo={p.combine.algorithm} wire={p.wire_format} "
-              f"vec={int(p.vectorized)}")
+              f"map={p.map_path}")
         print(f"    crossover={advice.crossover_keys} keys  "
               f"(gather {advice.gather_seconds * 1e3:.3f} ms vs "
               f"allreduce {advice.allreduce_seconds * 1e3:.3f} ms at the "

@@ -25,7 +25,7 @@ BUFFER_CELLS = 3
 def main() -> None:
     simulation = LuleshProxy(EDGE)
     histogram = Histogram(
-        SchedArgs(num_threads=1, vectorized=True, buffer_capacity=BUFFER_CELLS),
+        SchedArgs(num_threads=1, buffer_capacity=BUFFER_CELLS),
         lo=0.0, hi=float(EDGE), num_buckets=24,
     )
     driver = SpaceSharingDriver(

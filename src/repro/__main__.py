@@ -86,7 +86,7 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     def fresh():
         return (
             GaussianEmulator(elements, seed=1),
-            Histogram(SchedArgs(vectorized=True, buffer_capacity=2),
+            Histogram(SchedArgs(buffer_capacity=2),
                       lo=-4, hi=4, num_buckets=32),
         )
 

@@ -14,8 +14,9 @@ window-based              :class:`MovingAverage`, :class:`MovingMedian`,
 ========================  ==========================================
 
 Every application ships a pure-numpy ``reference_*`` ground-truth
-implementation used by the tests and a vectorized fast path where the
-reduction is algebraic.
+implementation used by the tests and a numpy batch kernel
+(``make_accumulator`` + ``batch_reduce``) where the reduction is
+algebraic.
 """
 
 from .grid_aggregation import GridAggregation, reference_grid_aggregation

@@ -81,26 +81,6 @@ class GridAggregation(Scheduler):
     def convert(self, red_obj: RedObj, out: np.ndarray, key: int) -> None:
         out[key] = red_obj.total / red_obj.count
 
-    def vector_reduce(
-        self, data: np.ndarray, start: int, stop: int, red_map: KeyedMap
-    ) -> None:
-        block = data[start:stop]
-        positions = np.arange(self.global_offset_ + start, self.global_offset_ + stop)
-        keys = positions // self.grid_size
-        first = int(keys[0])
-        rel = keys - first
-        sums = np.bincount(rel, weights=block)
-        counts = np.bincount(rel)
-        for i in np.nonzero(counts)[0]:
-            key = first + int(i)
-            obj = red_map.get(key)
-            if obj is None:
-                obj = SumCountObj()
-                red_map[key] = obj
-            obj.total += float(sums[i])
-            obj.count += int(counts[i])
-
-
     # -- batch-map path ------------------------------------------------------
     def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
         g0 = (self.global_offset_ + start) // self.grid_size

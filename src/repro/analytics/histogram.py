@@ -100,21 +100,6 @@ class Histogram(Scheduler):
     def convert(self, red_obj: RedObj, out: np.ndarray, key: int) -> None:
         out[key] = red_obj.count
 
-    # -- vectorized fast path ------------------------------------------------
-    def vector_reduce(
-        self, data: np.ndarray, start: int, stop: int, red_map: KeyedMap
-    ) -> None:
-        block = data[start:stop]
-        keys = ((block - self.lo) / self.width).astype(np.int64)
-        np.clip(keys, 0, self.num_buckets - 1, out=keys)
-        counts = np.bincount(keys, minlength=self.num_buckets)
-        for key in np.nonzero(counts)[0]:
-            obj = red_map.get(int(key))
-            if obj is None:
-                obj = CountObj()
-                red_map[int(key)] = obj
-            obj.count += int(counts[key])
-
     # -- batch-map path ------------------------------------------------------
     def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
         return ColumnarAccumulator(CountObj(), 0, self.num_buckets)

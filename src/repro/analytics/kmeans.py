@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
+from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
@@ -124,11 +125,20 @@ class KMeans(Scheduler):
     def load_state(self, state: dict) -> None:
         self.last_shift = state["last_shift"]
 
-    def vector_reduce(
-        self, data: np.ndarray, start: int, stop: int, red_map: KeyedMap
+    # -- batch-map path ------------------------------------------------------
+    def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
+        # Centroid keys are 0..k-1 (process_extra_data enumerates them).
+        return ColumnarAccumulator(
+            ClusterObj(np.zeros(self.dims)), 0, len(self.combination_map_)
+        )
+
+    def batch_reduce(
+        self, data: np.ndarray, start: int, stop: int, acc: ColumnarAccumulator
     ) -> None:
         points = data[start:stop].reshape(-1, self.dims)
-        centroids, keys = self._centroid_matrix(red_map)
+        # A contiguous copy: the strided column view would take matmul
+        # off the BLAS path.
+        centroids = np.ascontiguousarray(acc.column("centroid"))
         # Squared distances via the expansion trick; argmin ties resolve to
         # the lowest index, matching gen_key's tie-break on sorted keys.
         d2 = (
@@ -137,12 +147,15 @@ class KMeans(Scheduler):
             + np.sum(centroids**2, axis=1)[None, :]
         )
         assign = np.argmin(d2, axis=1)
-        for idx, key in enumerate(keys):
+        vec_sum = acc.column("vec_sum")
+        for idx in range(len(acc)):
             members = points[assign == idx]
             if members.shape[0]:
-                obj = red_map[key]
-                obj.vec_sum += members.sum(axis=0)
-                obj.size += members.shape[0]
+                vec_sum[idx] += members.sum(axis=0)
+        counts = np.bincount(assign, minlength=len(acc))
+        size = acc.column("size")
+        size += counts
+        acc.contrib += counts
 
     # -- result ----------------------------------------------------------------
     def centroids(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
+from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
@@ -109,17 +110,22 @@ class LogisticRegression(Scheduler):
     def convert(self, red_obj: RedObj, out: np.ndarray, key: int) -> None:
         out[:] = red_obj.weights
 
-    def vector_reduce(
-        self, data: np.ndarray, start: int, stop: int, red_map: KeyedMap
+    # -- batch-map path ------------------------------------------------------
+    def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
+        return ColumnarAccumulator(GradientObj(np.zeros(self.dims)), 0, 1)
+
+    def batch_reduce(
+        self, data: np.ndarray, start: int, stop: int, acc: ColumnarAccumulator
     ) -> None:
-        obj = red_map.get(0)
-        assert obj is not None, "seeded reduction maps guarantee the object"
         block = data[start:stop].reshape(-1, self.dims + 1)
         X = block[:, : self.dims]
         y = block[:, self.dims]
-        p = _sigmoid(X @ obj.weights)
-        obj.grad += X.T @ (p - y)
-        obj.count += X.shape[0]
+        # Row 0 was seeded from the reduction map, so it carries the
+        # current weights (Algorithm 1 line 6).
+        p = _sigmoid(X @ acc.column("weights")[0])
+        acc.column("grad")[0] += X.T @ (p - y)
+        acc.column("count")[0] += X.shape[0]
+        acc.contrib[0] += X.shape[0]
 
     # -- result ----------------------------------------------------------------
     @property

@@ -13,7 +13,6 @@ import numpy as np
 
 from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
-from ..core.maps import KeyedMap
 from ..core.red_obj import Field, RedObj
 from ..core.scheduler import Scheduler
 
@@ -57,17 +56,6 @@ class MinMax(Scheduler):
     def convert(self, red_obj: RedObj, out: np.ndarray, key: int) -> None:
         out[0] = red_obj.lo
         out[1] = red_obj.hi
-
-    def vector_reduce(
-        self, data: np.ndarray, start: int, stop: int, red_map: KeyedMap
-    ) -> None:
-        block = data[start:stop]
-        obj = red_map.get(0)
-        if obj is None:
-            obj = MinMaxObj()
-            red_map[0] = obj
-        obj.lo = min(obj.lo, float(block.min()))
-        obj.hi = max(obj.hi, float(block.max()))
 
     # -- batch-map path ------------------------------------------------------
     def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:

@@ -11,7 +11,6 @@ import numpy as np
 
 from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
-from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
 from .objects import WindowSumObj
 from .window import WindowScheduler, sliding_window_apply
@@ -37,33 +36,6 @@ class MovingAverage(WindowScheduler):
     def convert(self, red_obj: RedObj, out: np.ndarray, key: int) -> None:
         out[key] = red_obj.total / red_obj.count
 
-    def vector_reduce(
-        self, data: np.ndarray, start: int, stop: int, red_map: KeyedMap
-    ) -> None:
-        """Bulk path: per-offset shifted adds over the affected key range."""
-        block = data[start:stop]
-        half = self.win_size // 2
-        g0 = self.global_offset_ + start
-        key_lo = max(g0 - half, 0)
-        key_hi = min(self.global_offset_ + stop - 1 + half, self.total_len_ - 1)
-        n_keys = key_hi - key_lo + 1
-        sums = np.zeros(n_keys)
-        counts = np.zeros(n_keys, dtype=np.int64)
-        for offset in range(-half, half + 1):
-            keys = np.arange(g0, g0 + block.shape[0]) + offset
-            valid = (keys >= 0) & (keys < self.total_len_)
-            np.add.at(sums, keys[valid] - key_lo, block[valid])
-            np.add.at(counts, keys[valid] - key_lo, 1)
-        for i in np.nonzero(counts)[0]:
-            key = key_lo + int(i)
-            obj = red_map.get(key)
-            if obj is None:
-                obj = WindowSumObj(self.win_size)
-                red_map[key] = obj
-            obj.total += float(sums[i])
-            obj.count += int(counts[i])
-
-
     # -- batch-map path ------------------------------------------------------
     def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
         half = self.win_size // 2
@@ -87,11 +59,7 @@ class MovingAverage(WindowScheduler):
         # its contributing elements in ascending element order, matching
         # the scalar loop's float grouping bit-for-bit: element g lands
         # on key g + o, so for a fixed key k the contributing element is
-        # g = k - o — descending o gives ascending g.  (The object-path
-        # vector_reduce above iterates ascending and is therefore only
-        # value-equal, not bit-exact, which is why ``vectorized`` is a
-        # structure axis in the conformance kit while ``map_path`` is
-        # transparent.)
+        # g = k - o — descending o gives ascending g.
         for offset in range(half, -half - 1, -1):
             lo = max(g0, -offset)
             hi = min(g1, self.total_len_ - offset)

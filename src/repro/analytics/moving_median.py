@@ -20,7 +20,7 @@ from .window import WindowScheduler, sliding_window_apply
 class MovingMedian(WindowScheduler):
     """Sliding-window median; use with ``run2`` (multi-key).
 
-    No vectorized fast path is provided: the holistic object defeats
+    No batch kernel is provided: the holistic object defeats
     bulk accumulation, which is faithful to why the paper treats this
     application as the compute- and memory-heavy end of the spectrum.
     """

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
+from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
@@ -84,22 +85,22 @@ class MutualInformation(Scheduler):
     def convert(self, red_obj: RedObj, out: np.ndarray, key: int) -> None:
         out[key] = red_obj.count
 
-    def vector_reduce(
-        self, data: np.ndarray, start: int, stop: int, red_map: KeyedMap
+    # -- batch-map path ------------------------------------------------------
+    def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
+        return ColumnarAccumulator(CountObj(), 0, self.bins * self.bins)
+
+    def batch_reduce(
+        self, data: np.ndarray, start: int, stop: int, acc: ColumnarAccumulator
     ) -> None:
         block = data[start:stop].reshape(-1, 2)
         ix = ((block[:, 0] - self.x_lo) / self.x_width).astype(np.int64)
         iy = ((block[:, 1] - self.y_lo) / self.y_width).astype(np.int64)
         np.clip(ix, 0, self.bins - 1, out=ix)
         np.clip(iy, 0, self.bins - 1, out=iy)
-        keys = ix * self.bins + iy
-        counts = np.bincount(keys, minlength=self.bins * self.bins)
-        for key in np.nonzero(counts)[0]:
-            obj = red_map.get(int(key))
-            if obj is None:
-                obj = CountObj()
-                red_map[int(key)] = obj
-            obj.count += int(counts[key])
+        counts = np.bincount(ix * self.bins + iy, minlength=len(acc))
+        count_col = acc.column("count")
+        count_col += counts
+        acc.contrib += counts
 
     # -- result --------------------------------------------------------------
     def joint_counts(self) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
+from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
@@ -107,27 +108,35 @@ class TileAggregation3D(_Field3D):
     def convert(self, red_obj: RedObj, out: np.ndarray, key: int) -> None:
         out[key] = red_obj.total / red_obj.count
 
-    def vector_reduce(self, data: np.ndarray, start: int, stop: int,
-                      red_map: KeyedMap) -> None:
-        nz, ny, nx = self.shape
+    # -- batch-map path ------------------------------------------------------
+    def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
+        # Tile keys are monotone in z, so the tile layers the split's
+        # z-range spans bound every key it can touch.
+        _nz, ny, nx = self.shape
+        _mz, my, mx = self.tiles_per_axis
+        z_lo = (self.global_offset_ + start) // (ny * nx)
+        z_hi = (self.global_offset_ + stop - 1) // (ny * nx)
+        tz = self.tile[0]
+        return ColumnarAccumulator(
+            SumCountObj(), (z_lo // tz) * my * mx, (z_hi // tz + 1) * my * mx
+        )
+
+    def batch_reduce(self, data: np.ndarray, start: int, stop: int,
+                     acc: ColumnarAccumulator) -> None:
+        _nz, ny, nx = self.shape
         tz, ty, tx = self.tile
         _mz, my, mx = self.tiles_per_axis
         g = np.arange(self.global_offset_ + start, self.global_offset_ + stop)
         z, rem = np.divmod(g, ny * nx)
         y, x = np.divmod(rem, nx)
-        keys = ((z // tz) * my + (y // ty)) * mx + (x // tx)
-        first = int(keys.min())
-        rel = keys - first
-        sums = np.bincount(rel, weights=data[start:stop])
-        counts = np.bincount(rel)
-        for i in np.nonzero(counts)[0]:
-            key = first + int(i)
-            obj = red_map.get(key)
-            if obj is None:
-                obj = SumCountObj()
-                red_map[key] = obj
-            obj.total += float(sums[i])
-            obj.count += int(counts[i])
+        rel = ((z // tz) * my + (y // ty)) * mx + (x // tx) - acc.key_lo
+        # ufunc.at adds element by element in position order onto the
+        # seeded totals: the scalar loop's float grouping, bit for bit.
+        np.add.at(acc.column("total"), rel, data[start:stop])
+        counts = np.bincount(rel, minlength=len(acc))
+        count_col = acc.column("count")
+        count_col += counts
+        acc.contrib += counts
 
     def means(self) -> np.ndarray:
         """Dense tile-mean field, shaped ``tiles_per_axis``."""

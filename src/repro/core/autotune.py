@@ -91,7 +91,6 @@ class PolicyAdvisor:
         num_iters: int = 1,
         key_estimate: int = 16,
         schema_mergeable: bool = False,
-        has_vector_path: bool = False,
         has_batch_path: bool = False,
         extra_data: Any = None,
         block_size: int | None = None,
@@ -117,13 +116,12 @@ class PolicyAdvisor:
             :class:`~repro.core.red_obj.Field` schema (drives the wire
             format; the runtime falls back transparently if a hint is
             optimistic).
-        has_vector_path:
-            Whether the application implements ``vector_reduce``.
         has_batch_path:
             Whether the application implements the batch-map path
             (``make_accumulator`` / ``batch_reduce``); when it does the
-            advisor forces ``map_path="batch"`` — the strongest
-            per-element-overhead elimination the runtime offers.
+            advisor treats the map loop as numpy-bound when choosing
+            the engine.  The map path itself stays ``auto``, so an
+            optimistic hint falls back to the scalar loop.
         overrides:
             Passed through to the policy verbatim (``copy_input``,
             ``fault``, ``residency``, ...).
@@ -132,8 +130,8 @@ class PolicyAdvisor:
             elements=elements, ranks=ranks, threads=threads,
             chunk_size=chunk_size, num_iters=num_iters,
             key_estimate=key_estimate, schema_mergeable=schema_mergeable,
-            has_vector_path=has_vector_path, has_batch_path=has_batch_path,
-            extra_data=extra_data, block_size=block_size, **overrides,
+            has_batch_path=has_batch_path, extra_data=extra_data,
+            block_size=block_size, **overrides,
         ).policy
 
     def advise_with_detail(
@@ -146,7 +144,6 @@ class PolicyAdvisor:
         num_iters: int = 1,
         key_estimate: int = 16,
         schema_mergeable: bool = False,
-        has_vector_path: bool = False,
         has_batch_path: bool = False,
         extra_data: Any = None,
         block_size: int | None = None,
@@ -160,19 +157,13 @@ class PolicyAdvisor:
         )
 
         residency = overrides.pop("residency", "auto")
-        # Map path: the batch path (whole-split columnar scatters)
-        # dominates the per-object vector path wherever both exist, so
-        # an application exposing batch_reduce gets it unconditionally.
-        map_path = "batch" if has_batch_path else "auto"
-        vectorized = has_vector_path and not has_batch_path
-        # Engine: the vectorized/batch fast paths make the serial/thread
-        # loop numpy-bound, so process pools only pay off on large scalar
+        # Engine: a batch kernel makes the serial/thread loop
+        # numpy-bound, so process pools only pay off on large scalar
         # loops where shipping splits beats holding the GIL.
-        numpy_bound = vectorized or has_batch_path
         if threads > 1:
             backend = "thread"
             if (
-                not numpy_bound
+                not has_batch_path
                 and elements // max(chunk_size, 1) >= PROCESS_ENGINE_MIN_ELEMENTS
             ):
                 backend = "process"
@@ -196,14 +187,13 @@ class PolicyAdvisor:
         policy = ExecutionPolicy(
             engine=EnginePolicy(
                 backend=backend, num_threads=num_threads,
-                residency=residency, map_path=map_path,
+                residency=residency,
             ),
             combine=CombinePolicy(algorithm=algorithm, wire_format=wire),
             chunk_size=chunk_size,
             num_iters=num_iters,
             block_size=block_size,
             extra_data=extra_data,
-            vectorized=vectorized,
             **overrides,
         )
         if self.telemetry is not None:
@@ -211,7 +201,6 @@ class PolicyAdvisor:
             self.telemetry.inc(f"policy.advice.engine.{backend}")
             self.telemetry.inc(f"policy.advice.algo.{algorithm}")
             self.telemetry.inc(f"policy.advice.wire.{wire}")
-            self.telemetry.inc(f"policy.advice.map.{map_path}")
             self.telemetry.set_gauge("policy.crossover_keys", crossover)
         return Advice(
             policy=policy,

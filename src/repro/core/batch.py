@@ -10,7 +10,7 @@ the MapReduce Framework on Intel Xeon Phi" (PAPERS.md): eliminate the
 intermediate per-element key-value emission entirely and scatter whole
 splits into preallocated, SIMD-friendly columns.
 
-Applications opt in by implementing
+Applications provide a kernel by implementing
 :meth:`~repro.core.scheduler.Scheduler.batch_reduce`, which receives a
 :class:`ColumnarAccumulator` — one dense row per key in a declared key
 window, one numpy column per :class:`~repro.core.red_obj.Field` of the
@@ -233,9 +233,7 @@ class ColumnarAccumulator:
         :meth:`fold_into`, letting the process engine ship the split's
         result onto the columnar wire without materializing objects.
         """
-        keys = np.asarray(
-            keys if not isinstance(keys, np.ndarray) else keys, dtype=np.int64
-        )
+        keys = np.asarray(keys, dtype=np.int64)
         records = self.records[keys - self.key_lo].copy()
         return PackedMap(
             self.cls, keys, records, [f.merge for f in self.fields]

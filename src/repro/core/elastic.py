@@ -354,10 +354,14 @@ class ElasticTier:
             name=f"elastic-worker-{worker.id}",
             daemon=True,
         )
+        # STARTING goes in before the fork: a child that wins the race to
+        # HELLO is marked LIVE by the attach thread, and setting the state
+        # afterwards would overwrite that and strand the registration.
+        with self._cond:
+            worker.state = _STARTING
         proc.start()
         with self._cond:
             worker.proc = proc
-            worker.state = _STARTING
             if self.telemetry is not None:
                 self.telemetry.inc("elastic.spawns")
 

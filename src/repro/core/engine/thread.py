@@ -24,7 +24,7 @@ class ThreadEngine(ExecutionEngine):
     Each split writes only its own thread-private reduction map
     (``red_maps[split.thread_id]``), so no locking is needed beyond the
     telemetry recorder's.  Python threads still share the GIL; the win
-    is real for the vectorized paths (numpy releases the GIL) and for
+    is real for the batch kernels (numpy releases the GIL) and for
     eliminating per-block executor churn on the scalar path.
     """
 

@@ -11,8 +11,8 @@ per-concern policy objects rather than one flat knob bag:
 * :class:`ExecutionPolicy` — the complete runtime configuration: an
   engine policy, a combine policy, a
   :class:`~repro.faults.FaultPolicy`, and the iteration/block shape
-  (chunk size, iterations, block size, vectorization, the space-sharing
-  buffer capacity, and the paper's Fig-9/Fig-11 comparison toggles).
+  (chunk size, iterations, block size, the space-sharing buffer
+  capacity, and the paper's Fig-9/Fig-11 comparison toggles).
 
 Every policy owns its own ``validate()`` / ``fingerprint()`` /
 ``parse()``; validity rules live here and **only** here — the
@@ -38,7 +38,7 @@ hand-picking them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..faults import FaultPolicy
@@ -63,7 +63,7 @@ ENGINE_BACKENDS = ("serial", "thread", "process")
 #: Process-engine input-residency modes.
 RESIDENCY_MODES = ("auto", "off")
 #: Map-phase execution paths (:attr:`EnginePolicy.map_path`).
-MAP_PATHS = ("auto", "scalar", "vector", "batch")
+MAP_PATHS = ("auto", "scalar", "batch")
 #: Global-combination algorithms.
 COMBINE_ALGORITHMS = ("gather", "tree", "allreduce")
 #: Map wire formats (the single source; ``repro.core.serialization``
@@ -174,15 +174,14 @@ class EnginePolicy:
         segment-per-run.
     map_path:
         Which map-phase implementation reduces a split: ``"auto"``
-        (the default — the scheduler picks the fastest path the
-        application implements, honouring ``vectorized``),
-        ``"scalar"`` (the paper's per-chunk ``gen_key``/``accumulate``
-        loop), ``"vector"`` (the application's ``vector_reduce`` numpy
-        path), or ``"batch"`` (the application's ``batch_reduce``
-        scatter kernels over a preallocated
+        (the default — the application's batch kernel when it has one
+        that still describes it, else the scalar loop), ``"scalar"``
+        (the paper's per-chunk ``gen_key``/``accumulate`` loop), or
+        ``"batch"`` (the application's ``batch_reduce`` scatter kernels
+        over a preallocated
         :class:`~repro.core.batch.ColumnarAccumulator` — zero
-        per-element emission).  Forcing a path the application does not
-        implement raises at run time with the subclass named.
+        per-element emission).  Forcing ``"batch"`` on an application
+        without a kernel raises at run time with the subclass named.
     """
 
     backend: str = "serial"
@@ -295,7 +294,6 @@ class ExecutionPolicy:
     num_iters: int = 1
     block_size: int | None = None
     extra_data: Any = None
-    vectorized: bool = False
     buffer_capacity: int = 4
     copy_input: bool = False
     disable_early_emission: bool = False
@@ -340,7 +338,6 @@ class ExecutionPolicy:
             f"chunk={self.chunk_size}",
             f"iters={self.num_iters}",
             f"block={self.block_size if self.block_size is not None else 0}",
-            f"vec={int(self.vectorized)}",
             f"capacity={self.buffer_capacity}",
             f"copy={int(self.copy_input)}",
             f"hold={int(self.disable_early_emission)}",
@@ -363,7 +360,6 @@ class ExecutionPolicy:
             "chunk": (top, "chunk_size", int),
             "iters": (top, "num_iters", int),
             "block": (top, "block_size", lambda v: int(v) or None),
-            "vec": (top, "vectorized", _parse_bool),
             "capacity": (top, "buffer_capacity", int),
             "copy": (top, "copy_input", _parse_bool),
             "hold": (top, "disable_early_emission", _parse_bool),
@@ -406,7 +402,7 @@ class ExecutionPolicy:
         Delegates to :class:`repro.core.autotune.PolicyAdvisor` — see
         its ``advise()`` for the accepted workload hints (``elements``,
         ``ranks``, ``threads``, ``key_estimate``, ``schema_mergeable``,
-        ``has_vector_path``, ...).
+        ``has_batch_path``, ...).
         """
         from .autotune import PolicyAdvisor  # deferred: autotune imports perfmodel
 
@@ -476,7 +472,3 @@ def _tokens(text: str, casts: dict) -> dict:
         name, cast = casts[key]
         kwargs[name] = cast(value.strip())
     return kwargs
-
-
-def _policy_field_names() -> tuple[str, ...]:  # pragma: no cover - introspection aid
-    return tuple(f.name for f in fields(ExecutionPolicy))

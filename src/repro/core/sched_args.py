@@ -2,8 +2,8 @@
 
 ``SchedArgs(int num_threads, size_t chunk_size, const void* extra_data,
 int num_iters)`` from the C++ API, extended with the knobs this
-reproduction adds (block streaming, real threading, vectorized fast path,
-space-sharing buffer capacity, and the Fig-9 extra-copy toggle).
+reproduction adds (block streaming, real threading, the map-path
+selector, space-sharing buffer capacity, and the Fig-9 extra-copy toggle).
 
 .. deprecated::
     ``SchedArgs`` is now a thin facade over the layered
@@ -22,17 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..faults import FaultPolicy
-from .policy import (
-    ENGINE_BACKENDS,
-    CombinePolicy,
-    EnginePolicy,
-    ExecutionPolicy,
-    warn_once,
-)
-
-#: Engine backends accepted by :attr:`SchedArgs.engine` (the policy
-#: layer's :data:`~repro.core.policy.ENGINE_BACKENDS`).
-ENGINE_NAMES = ENGINE_BACKENDS
+from .policy import CombinePolicy, EnginePolicy, ExecutionPolicy, warn_once
 
 
 @dataclass
@@ -63,18 +53,10 @@ class SchedArgs:
         loop, deterministic — the default), ``"thread"`` (persistent
         thread pool owned by the scheduler), or ``"process"``
         (persistent process pool over shared-memory input, GIL-free).
-        ``None`` derives the backend from the deprecated ``use_threads``
-        flag.  All backends produce identical results.
-    use_threads:
-        Deprecated alias: ``use_threads=True`` maps to
-        ``engine="thread"``.  Prefer ``engine=``.
-    vectorized:
-        Use the application's numpy ``vector_reduce`` fast path when it
-        provides one (semantically identical to the chunk loop; tests
-        assert the equivalence).
+        All backends produce identical results.
     map_path:
-        Map-phase implementation selector (``"auto"``, ``"scalar"``,
-        ``"vector"``, or ``"batch"``) — see
+        Map-phase implementation selector (``"auto"``, ``"scalar"``, or
+        ``"batch"``) — see
         :attr:`repro.core.policy.EnginePolicy.map_path`.
     buffer_capacity:
         Cells in the space-sharing circular buffer (paper Figure 4).
@@ -131,9 +113,7 @@ class SchedArgs:
     extra_data: Any = None
     num_iters: int = 1
     block_size: int | None = None
-    engine: str | None = None
-    use_threads: bool = False
-    vectorized: bool = False
+    engine: str = "serial"
     map_path: str = "auto"
     buffer_capacity: int = 4
     copy_input: bool = False
@@ -144,19 +124,6 @@ class SchedArgs:
     fault_policy: str | FaultPolicy = "fail_fast"
 
     def __post_init__(self) -> None:
-        # The one check the policy layer cannot express: the facade's
-        # nullable engine field (None = "derive from use_threads").
-        if self.engine is not None and self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"engine must be one of {ENGINE_NAMES} or None, got {self.engine!r}"
-            )
-        if self.use_threads:
-            warn_once(
-                "sched_args.use_threads",
-                "SchedArgs(use_threads=True) is deprecated; pass engine='thread'",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         warn_once(
             "sched_args.facade",
             "SchedArgs is a facade over repro.core.policy.ExecutionPolicy; "
@@ -170,14 +137,9 @@ class SchedArgs:
 
     def to_policy(self) -> ExecutionPolicy:
         """Lower the flat knobs onto the layered policy object."""
-        backend = (
-            self.engine
-            if self.engine is not None
-            else ("thread" if self.use_threads else "serial")
-        )
         return ExecutionPolicy(
             engine=EnginePolicy(
-                backend=backend,
+                backend=self.engine,
                 num_threads=self.num_threads,
                 residency=self.residency,
                 map_path=self.map_path,
@@ -191,7 +153,6 @@ class SchedArgs:
             num_iters=self.num_iters,
             block_size=self.block_size,
             extra_data=self.extra_data,
-            vectorized=self.vectorized,
             buffer_capacity=self.buffer_capacity,
             copy_input=self.copy_input,
             disable_early_emission=self.disable_early_emission,
@@ -205,7 +166,7 @@ class SchedArgs:
 
     @property
     def resolved_engine(self) -> str:
-        """The effective backend name (``engine`` or the legacy alias)."""
+        """The effective backend name."""
         return self._policy.resolved_engine
 
     @property

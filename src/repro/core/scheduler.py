@@ -85,7 +85,6 @@ class RunStats:
 
     chunks_processed = _run_counter("chunks_processed")
     accumulate_calls = _run_counter("accumulate_calls")
-    vector_reduce_calls = _run_counter("vector_reduce_calls")
     batch_reduce_calls = _run_counter("batch_reduce_calls")
     early_emissions = _run_counter("early_emissions")
     iterations_run = _run_counter("iterations_run")
@@ -106,13 +105,16 @@ class RunStats:
         fields = ", ".join(
             f"{name}={getattr(self, name)}"
             for name in (
-                "chunks_processed", "accumulate_calls", "vector_reduce_calls",
+                "chunks_processed", "accumulate_calls", "batch_reduce_calls",
                 "early_emissions", "iterations_run", "runs", "peak_red_objects",
                 "global_combinations",
             )
         )
         return f"RunStats({fields})"
 
+
+#: The paper's Table-1 map callbacks a batch kernel stands in for.
+_MAP_CALLBACKS = frozenset({"gen_key", "gen_keys", "accumulate"})
 
 #: Scheduler attributes that never ship to engine workers: parent-owned
 #: infrastructure (locks, pools, arrays viewed through shared memory) and
@@ -288,7 +290,6 @@ class Scheduler:
             "implement convert()"
         )
 
-    # Optional vectorized fast path -------------------------------------
     def converged(self, combination_map: KeyedMap, iteration: int) -> bool:
         """Early-termination test for iterative applications (optional).
 
@@ -301,22 +302,6 @@ class Scheduler:
         SPMD ranks in lockstep.  Default: never converge early.
         """
         return False
-
-    def vector_reduce(
-        self, data: np.ndarray, start: int, stop: int, red_map: KeyedMap
-    ) -> None:
-        """Numpy fast path equivalent to the chunk loop over ``[start, stop)``.
-
-        Applications may override; enabled via ``SchedArgs.vectorized``.
-        Must produce exactly the state the scalar loop would (tests in
-        this repository assert the equivalence for every bundled
-        application).
-        """
-        raise NotImplementedError
-
-    @property
-    def has_vector_path(self) -> bool:
-        return type(self).vector_reduce is not Scheduler.vector_reduce
 
     # Optional batch fast path ------------------------------------------
     def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
@@ -347,42 +332,40 @@ class Scheduler:
         ``acc.contrib``.  Must produce exactly the state the scalar loop
         would: present contributions to each key in ascending element
         order (``np.bincount`` and ``np.add.at`` apply updates in input
-        order, so this also fixes the float grouping).  Enabled via
-        ``EnginePolicy(map_path="batch")`` or the policy advisor; the
-        conformance kit diffs it against the scalar oracle.
+        order, so this also fixes the float grouping).  ``map_path="auto"``
+        runs it whenever it still describes the application (see
+        :meth:`_resolve_map_path`); the conformance kit diffs it against
+        the scalar oracle.
         """
         raise NotImplementedError
-
-    @property
-    def has_batch_path(self) -> bool:
-        return type(self).batch_reduce is not Scheduler.batch_reduce
 
     def _resolve_map_path(self) -> str:
         """The map-phase implementation this run uses for each split.
 
-        ``"auto"`` preserves the historical dispatch — the vector path
-        when ``policy.vectorized`` and the application provides one,
-        else the scalar loop; batch is opt-in (forced here, or advised
-        by :class:`~repro.core.autotune.PolicyAdvisor`).  Forcing a path
-        the application does not implement fails with the subclass
-        named.
+        ``"auto"`` is the application's batch kernel when it has one,
+        else the scalar loop.  A subclass that overrides ``gen_key`` /
+        ``gen_keys`` / ``accumulate`` *below* the class defining
+        ``batch_reduce`` changed the map semantics the kernel encodes,
+        so ``auto`` falls back to the scalar loop for it.  Forcing
+        ``"batch"`` on an application without a kernel fails with the
+        subclass named.
         """
         path = self.policy.engine.map_path
-        if path == "auto":
-            if self.policy.vectorized and self.has_vector_path:
-                return "vector"
-            return "scalar"
-        if path == "vector" and not self.has_vector_path:
-            raise TypeError(
-                f"map_path='vector' but {type(self).__name__} does not "
-                "implement vector_reduce()"
-            )
-        if path == "batch" and not self.has_batch_path:
+        if path == "scalar":
+            return path
+        for cls in type(self).__mro__:
+            if cls is Scheduler:
+                break
+            if "batch_reduce" in vars(cls):
+                return "batch"
+            if path == "auto" and _MAP_CALLBACKS & vars(cls).keys():
+                return "scalar"
+        if path == "batch":
             raise TypeError(
                 f"map_path='batch' but {type(self).__name__} does not "
                 "implement batch_reduce()"
             )
-        return path
+        return "scalar"
 
     # Optional state-delta hooks ----------------------------------------
     def mutable_state(self) -> dict:
@@ -740,31 +723,52 @@ class Scheduler:
         multi_key: bool,
         emitted_objs: list[tuple[int, RedObj]] | None = None,
     ) -> list[int]:
-        """Reduce one split chunk by chunk (Algorithm 2); return emitted keys.
+        """Reduce one split on the resolved map path; return emitted keys.
 
         ``emitted_objs`` is the process engine's capture hook: when given,
         early-emitted objects are appended to it instead of converted here
         (the parent process converts them into its output array).
         """
         self._batch_export = None
-        path = self._resolve_map_path()
-        if path == "batch":
-            return self._reduce_split_batch(split, red_map, data, out, emitted_objs)
-        if path == "vector":
-            return self._reduce_split_vectorized(split, red_map, data, out, emitted_objs)
-        com_map = self.combination_map_
         emitted: list[int] = []
+
+        def emit(key: int, red_obj: RedObj) -> None:
+            # Early emission (Algorithm 2 lines 5-7).
+            if emitted_objs is not None:
+                emitted_objs.append((key, red_obj))
+            elif out is not None:
+                self.convert(red_obj, out, key)
+            del red_map[key]
+            emitted.append(key)
+
+        if self.policy.disable_early_emission:
+            emit = None
+        if self._resolve_map_path() == "batch":
+            self._reduce_split_batch(split, red_map, data, emit)
+        else:
+            self._reduce_split_scalar(split, red_map, data, multi_key, emit)
+        self.telemetry.inc(
+            "run.chunks_processed", -(-len(split) // self.policy.chunk_size)
+        )
+        if emitted:
+            self.telemetry.inc("run.early_emissions", len(emitted))
+        return emitted
+
+    def _reduce_split_scalar(
+        self, split: Split, red_map: KeyedMap, data: np.ndarray,
+        multi_key: bool, emit,
+    ) -> None:
+        """The paper's map loop (Algorithm 2): ``gen_key`` → ``accumulate``
+        chunk by chunk, ``emit`` as soon as an object triggers."""
+        com_map = self.combination_map_
         key_buf: list[int] = []
         # Hot loop: stats are batched per split and map writes skip the
         # dict update when accumulate mutated the existing object in place
         # (the overwhelmingly common case) — a measured ~25% win on the
         # scalar path without changing semantics.
-        chunks_n = 0
         accumulates_n = 0
-        allow_emission = not self.policy.disable_early_emission
         get_existing = red_map.get
         for chunk in split.chunks(self.policy.chunk_size):
-            chunks_n += 1
             if multi_key:
                 key_buf.clear()
                 self.gen_keys(chunk, data, key_buf, com_map)
@@ -783,61 +787,14 @@ class Scheduler:
                 if red_obj is not existing:
                     red_map[key] = ensure_red_obj(red_obj)
                 accumulates_n += 1
-                if allow_emission and red_obj.trigger():
-                    # Early emission (Algorithm 2 lines 5-7).
-                    if emitted_objs is not None:
-                        emitted_objs.append((key, red_obj))
-                    elif out is not None:
-                        self.convert(red_obj, out, key)
-                    del red_map[key]
-                    emitted.append(key)
-        self.telemetry.inc("run.chunks_processed", chunks_n)
+                if emit is not None and red_obj.trigger():
+                    emit(key, red_obj)
         self.telemetry.inc("run.accumulate_calls", accumulates_n)
-        if emitted:
-            self.telemetry.inc("run.early_emissions", len(emitted))
-        return emitted
-
-    def _reduce_split_vectorized(
-        self,
-        split: Split,
-        red_map: KeyedMap,
-        data: np.ndarray,
-        out: np.ndarray | None,
-        emitted_objs: list[tuple[int, RedObj]] | None = None,
-    ) -> list[int]:
-        """Vectorized fast path: app-provided bulk reduction + trigger sweep."""
-        self.vector_reduce(data, split.start, split.stop, red_map)
-        n_chunks = -(-len(split) // self.policy.chunk_size)
-        self.telemetry.inc("run.chunks_processed", n_chunks)
-        # One bulk vector_reduce call covered the whole split; counting it
-        # as n_chunks accumulate calls would fake scalar-path activity.
-        # Publishing the counter at 0 lets telemetry consumers tell "no
-        # scalar work ran" from "counter never recorded".
-        self.telemetry.inc("run.vector_reduce_calls")
-        self.telemetry.inc("run.accumulate_calls", 0)
-        emitted: list[int] = []
-        if self.policy.disable_early_emission:
-            return emitted
-        for key in [k for k, obj in red_map.items() if obj.trigger()]:
-            if emitted_objs is not None:
-                emitted_objs.append((key, red_map[key]))
-            elif out is not None:
-                self.convert(red_map[key], out, key)
-            del red_map[key]
-            emitted.append(key)
-        if emitted:
-            self.telemetry.inc("run.early_emissions", len(emitted))
-        return emitted
 
     def _reduce_split_batch(
-        self,
-        split: Split,
-        red_map: KeyedMap,
-        data: np.ndarray,
-        out: np.ndarray | None,
-        emitted_objs: list[tuple[int, RedObj]] | None = None,
-    ) -> list[int]:
-        """Batch fast path: scatter the whole split into a preallocated
+        self, split: Split, red_map: KeyedMap, data: np.ndarray, emit
+    ) -> None:
+        """Batch kernel: scatter the whole split into a preallocated
         columnar accumulator, then fold touched rows back into the map.
 
         Bit-exactness: the accumulator is seeded from ``red_map`` before
@@ -850,33 +807,22 @@ class Scheduler:
         acc = self.make_accumulator(split.start, split.stop)
         acc.load_from(red_map)
         self.batch_reduce(data, split.start, split.stop, acc)
-        n_chunks = -(-len(split) // self.policy.chunk_size)
-        self.telemetry.inc("run.chunks_processed", n_chunks)
         self.telemetry.inc("run.batch_reduce_calls")
         self.telemetry.inc("run.batch_elements", len(split))
-        # Explicit zero: no scalar accumulate() ran on this path (same
-        # telemetry contract as the vectorized path above).
+        # Published at 0 so telemetry consumers can tell "no scalar
+        # accumulate() ran" from "counter never recorded".
         self.telemetry.inc("run.accumulate_calls", 0)
         touched = acc.fold_into(red_map)
         # When the window covered every pre-existing key, the columns now
         # hold the complete post-fold map state; the process engine can
         # ship them onto the columnar wire without repacking objects.
         self._batch_export = acc if acc.complete else None
-        emitted: list[int] = []
-        if self.policy.disable_early_emission:
-            return emitted
+        if emit is None:
+            return
         for key in touched.tolist():
-            obj = red_map.get(key)
-            if obj is not None and obj.trigger():
-                if emitted_objs is not None:
-                    emitted_objs.append((key, obj))
-                elif out is not None:
-                    self.convert(obj, out, key)
-                del red_map[key]
-                emitted.append(key)
-        if emitted:
-            self.telemetry.inc("run.early_emissions", len(emitted))
-        return emitted
+            obj = red_map[key]  # fold_into just (re)placed every touched key
+            if obj.trigger():
+                emit(key, obj)
 
 
 def merge_distributed_output(comm: Communicator, out: np.ndarray) -> np.ndarray:

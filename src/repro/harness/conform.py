@@ -111,7 +111,6 @@ def _policy_configs(tokens: list[str], seed: int) -> list[Config]:
             map_path=policy.engine.map_path,
             num_threads=policy.engine.num_threads,
             block_size=policy.block_size or 0,
-            vectorized=policy.vectorized,
             ranks=ranks,
             seed=seed,
         ))
@@ -125,14 +124,12 @@ def _list_workloads() -> None:
         rows.append((
             name,
             "multi" if w.multi_key else "single",
-            "yes" if w.has_vector_path else "no",
             "yes" if w.has_batch_path else "no",
             ",".join(applicable_properties(w)) or "-",
             w.description,
         ))
     print_table("conformance workloads",
-                ("workload", "keys", "vector", "batch", "invariants",
-                 "description"),
+                ("workload", "keys", "batch", "invariants", "description"),
                 rows)
     axes = axis_values(smoke=True)
     print_table("smoke axis values", ("axis", "values"),

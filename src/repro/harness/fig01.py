@@ -25,7 +25,7 @@ K = 8
 def _make_kmeans(num_iters: int, seed_data: np.ndarray) -> KMeans:
     init = seed_data.reshape(-1, DIMS)[:K].copy()
     args = SchedArgs(
-        chunk_size=DIMS, num_iters=num_iters, extra_data=init, vectorized=True
+        chunk_size=DIMS, num_iters=num_iters, extra_data=init
     )
     return KMeans(args, dims=DIMS)
 

@@ -8,7 +8,7 @@ iters, 64 dims; histogram 100 buckets.
 What is measured here vs. modeled:
 
 * The engine-vs-engine time ratio is **measured** at one thread on this
-  host.  Smart's vectorized path stands in for the paper's compiled C++
+  host.  Smart's batch kernel stands in for the paper's compiled C++
   runtime; mini-Spark structurally reproduces Spark's materialize/
   shuffle/serialize pipeline.  (The pure-interpreter scalar path is also
   reported, as the apples-to-apples interpreted comparison.)
@@ -63,11 +63,11 @@ def run(elements: int = 60_000, threads: tuple[int, ...] = (1, 2, 4, 8)) -> dict
     results: dict[str, dict] = {}
 
     # ---------------- histogram (100 buckets) ----------------
-    smart_hist = Histogram(
-        SchedArgs(vectorized=True), lo=-4.0, hi=4.0, num_buckets=100
-    )
+    smart_hist = Histogram(SchedArgs(), lo=-4.0, hi=4.0, num_buckets=100)
     t_smart = _measure(lambda: (smart_hist.reset(), smart_hist.run(stream)))
-    smart_scalar = Histogram(SchedArgs(), lo=-4.0, hi=4.0, num_buckets=100)
+    smart_scalar = Histogram(
+        SchedArgs(map_path="scalar"), lo=-4.0, hi=4.0, num_buckets=100
+    )
     t_scalar = _measure(lambda: (smart_scalar.reset(), smart_scalar.run(stream)))
     with MiniSparkContext(1) as ctx:
         t_spark = _measure(lambda: spark_histogram(ctx, stream, -4.0, 4.0, 100))
@@ -85,7 +85,7 @@ def run(elements: int = 60_000, threads: tuple[int, ...] = (1, 2, 4, 8)) -> dict
     flat = points.reshape(-1)
     init = points[:k].copy()
     km = KMeans(
-        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init, vectorized=True),
+        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init),
         dims=dims,
     )
     t_smart = _measure(lambda: (km.reset(), km.run(flat)))
@@ -104,7 +104,7 @@ def run(elements: int = 60_000, threads: tuple[int, ...] = (1, 2, 4, 8)) -> dict
     y = (rng.random(n_samples) < 0.5).astype(np.float64)
     flat = np.concatenate([X, y[:, None]], axis=1).reshape(-1)
     lr = LogisticRegression(
-        SchedArgs(chunk_size=dims + 1, num_iters=iters, vectorized=True), dims=dims
+        SchedArgs(chunk_size=dims + 1, num_iters=iters), dims=dims
     )
     t_smart = _measure(lambda: (lr.reset(), lr.run(flat)))
     with MiniSparkContext(1) as ctx:

@@ -5,7 +5,7 @@ and finds Smart within 9% (k-means) / indistinguishable (LR) of manual
 MPI/OpenMP code, the difference being the serialization of noncontiguous
 reduction objects during global combination.
 
-Here the per-node compute is **measured** (Smart's vectorized kernel vs.
+Here the per-node compute is **measured** (Smart's numpy batch kernel vs.
 the low-level numpy kernel on identical data) and the node axis enters
 through the **modeled** synchronization term: Smart serializes its
 combination map (measured payload) through a gather+bcast tree, the
@@ -72,7 +72,7 @@ def run(
     flat = points.reshape(-1)
     init = points[:k].copy()
     km = KMeans(
-        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init, vectorized=True),
+        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init),
         dims=dims,
     )
     t_smart = _measure(lambda: (km.reset(), km.run(flat)))
@@ -94,7 +94,7 @@ def run(
     y = (rng.random(X.shape[0]) < 0.5).astype(np.float64)
     flat = np.concatenate([X, y[:, None]], axis=1).reshape(-1)
     lr = LogisticRegression(
-        SchedArgs(chunk_size=dims + 1, num_iters=iters, vectorized=True), dims=dims
+        SchedArgs(chunk_size=dims + 1, num_iters=iters), dims=dims
     )
     t_smart = _measure(lambda: (lr.reset(), lr.run(flat)))
     t_low = _measure(lambda: lowlevel_logreg(flat, dims, iters))

@@ -93,7 +93,7 @@ def run_measured(
         measured[engine] = {}
         for t in threads:
             with Histogram(
-                SchedArgs(num_threads=t, engine=engine, vectorized=True),
+                SchedArgs(num_threads=t, engine=engine),
                 lo=-4, hi=4, num_buckets=1200,
             ) as app:
                 app.run(data)

@@ -140,8 +140,10 @@ def _measured_copy_overhead(mib: int = 32) -> dict:
     data.reshape(-1, dims + 1)[:, dims] = (data.reshape(-1, dims + 1)[:, dims] > 0)
 
     def run_once(copy_input: bool) -> float:
+        # The batch kernel on purpose: against the scalar loop's seconds
+        # of interpreter time a 32 MiB memcpy is below run-to-run noise.
         lr = LogisticRegression(
-            SchedArgs(chunk_size=dims + 1, num_iters=3, vectorized=True,
+            SchedArgs(chunk_size=dims + 1, num_iters=3,
                       copy_input=copy_input),
             dims=dims,
         )

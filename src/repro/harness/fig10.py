@@ -64,7 +64,7 @@ def _functional_check() -> dict:
     """Real concurrent producer/consumer run through the circular buffer."""
     sim = LuleshProxy(12)
     hist = Histogram(
-        SchedArgs(vectorized=True, buffer_capacity=3), lo=-1.0, hi=60.0,
+        SchedArgs(buffer_capacity=3), lo=-1.0, hi=60.0,
         num_buckets=32,
     )
     driver = SpaceSharingDriver(sim, hist, CoreSplit(1, 1))
@@ -90,7 +90,7 @@ def _pipelined_check() -> dict:
     def counts(driver_cls):
         sim = LuleshProxy(12)
         hist = Histogram(
-            SchedArgs(vectorized=True), lo=-1.0, hi=60.0, num_buckets=32
+            SchedArgs(), lo=-1.0, hi=60.0, num_buckets=32
         )
         with hist:
             result = driver_cls(sim, hist).run(6)

@@ -49,8 +49,10 @@ def _measured(win_size: int = 7, steps: int = 4) -> dict:
 
     def one(disable: bool) -> tuple[float, int, np.ndarray]:
         sim = Heat3D(grid)
+        # Scalar: the figure measures Algorithm 2's per-chunk trigger.
         ma = MovingAverage(
-            SchedArgs(disable_early_emission=disable), win_size=win_size
+            SchedArgs(disable_early_emission=disable, map_path="scalar"),
+            win_size=win_size,
         )
         driver = TimeSharingDriver(
             sim,

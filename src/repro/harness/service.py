@@ -6,9 +6,11 @@ claims the service makes:
 
 * **throughput** — completed jobs per second as tenants grow (the
   admission/dispatch overhead stays small relative to kernels);
-* **fairness** — Jain's index over per-tenant engine-seconds at the
-  largest tenant count (deficit-round-robin keeps it near 1.0; the CI
-  gate requires >= ``--min-fairness``, default 0.8);
+* **fairness** — Jain's index over the elements each tenant had
+  dispatched while every tenant was still backlogged, at the largest
+  tenant count.  Tenants submit their whole batch one after another,
+  so first-come-first-served would score 0.5; deficit round robin keeps
+  it at 1.0 (the CI gate requires >= ``--min-fairness``, default 0.8);
 * **shared residency** — every tier runs against exactly one resident
   shm segment regardless of tenant count, and the hit rate
   (attaches / (attaches + copies)) approaches 1 as tenants grow.
@@ -54,6 +56,21 @@ def fairness_index(values: list[float]) -> float:
     return float(np.sum(arr)) ** 2 / denom
 
 
+def backlogged_shares(svc: AnalyticsService, handles: list) -> list[float]:
+    """Per-tenant elements dispatched in the first half of the dispatch
+    order — while the tenants still have jobs queued, which is where
+    deficit round robin promises equal service.  (Once every queue has
+    drained the totals are equal under any discipline, and per-tenant
+    engine *seconds* mostly measure which worker thread waited for the
+    GIL.)"""
+    half = len(handles) // 2
+    shares = {h.spec.tenant: 0.0 for h in handles}
+    for h in handles:
+        if h.dispatch_index <= half:
+            shares[h.spec.tenant] += svc.step_elements(h.spec.step)
+    return list(shares.values())
+
+
 def _solo_oracles(data: np.ndarray) -> dict[str, tuple[dict, dict]]:
     """One solo (result, run.* counters) per mixed workload."""
     oracles = {}
@@ -93,9 +110,11 @@ def _run_tier(tenants: int, jobs_per_tenant: int, data: np.ndarray,
     handles = []
     try:
         # Queue everything first, then start: throughput measures the
-        # dispatch+execute pipeline, not the submission loop.
-        for j in range(jobs_per_tenant):
-            for t in range(tenants):
+        # dispatch+execute pipeline, not the submission loop, and the
+        # dispatch order is the dispatcher's alone.  Tenant-major, so
+        # only a fair dispatcher interleaves the tenants.
+        for t in range(tenants):
+            for j in range(jobs_per_tenant):
                 workload = MIXED_WORKLOADS[(t + j) % len(MIXED_WORKLOADS)]
                 handles.append(svc.submit(JobSpec(
                     tenant=f"t{t}", workload=workload, step="step0")))
@@ -118,7 +137,7 @@ def _run_tier(tenants: int, jobs_per_tenant: int, data: np.ndarray,
             "jobs": len(handles),
             "wall_seconds": wall,
             "throughput_jobs_per_s": len(handles) / wall if wall else 0.0,
-            "fairness_index": fairness_index(per_tenant_seconds),
+            "fairness_index": fairness_index(backlogged_shares(svc, handles)),
             "per_tenant_engine_seconds": per_tenant_seconds,
             "bit_exact_jobs": int(exact),
             "bit_exact_fraction": exact / len(handles),

@@ -7,9 +7,10 @@ this repository over a small workload.  Costs are then rescaled to the
 paper's machines by clock ratio and core efficiency
 (:meth:`~repro.perfmodel.machine.MachineSpec.core_seconds_scale`).
 
-The vectorized analytics paths are used for calibration because they are
-the fair stand-in for the paper's compiled C++ kernels; the scalar
-chunk-loop path measures Python interpreter overhead, not the algorithm.
+The applications' numpy batch kernels (what the default ``map_path``
+runs) are used for calibration because they are the fair stand-in for the
+paper's compiled C++ kernels; the scalar chunk-loop path measures Python
+interpreter overhead, not the algorithm.
 """
 
 from __future__ import annotations
@@ -107,41 +108,40 @@ def _app_cost(name: str, scheduler, data: np.ndarray, multi_key: bool,
 
 
 def calibrate_analytics(scale: int = 200_000, seed: int = 7) -> dict[str, KernelCost]:
-    """Measure per-element costs of all nine applications (vectorized path
+    """Measure per-element costs of all nine applications (batch kernel
     where one exists, scalar otherwise — i.e. the best available kernel,
     as the paper's C++ would be)."""
     rng = np.random.default_rng(seed)
     scalars = rng.normal(size=scale)
     costs: dict[str, KernelCost] = {}
 
-    vec = dict(vectorized=True)
     costs["grid_aggregation"] = _app_cost(
         "grid_aggregation",
-        GridAggregation(SchedArgs(**vec), grid_size=1000),
+        GridAggregation(SchedArgs(), grid_size=1000),
         scalars, False,
     )
     costs["histogram"] = _app_cost(
         "histogram",
-        Histogram(SchedArgs(**vec), lo=-4, hi=4, num_buckets=1200),
+        Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=1200),
         scalars, False,
     )
     costs["mutual_information"] = _app_cost(
         "mutual_information",
-        MutualInformation(SchedArgs(chunk_size=2, **vec),
+        MutualInformation(SchedArgs(chunk_size=2),
                           x_range=(-4, 4), y_range=(-4, 4), bins=100),
         scalars, False, record_len=2,
     )
     lr_flat, _ = make_logreg_samples(scale // 16, 15, seed=seed)
     costs["logistic_regression"] = _app_cost(
         "logistic_regression",
-        LogisticRegression(SchedArgs(chunk_size=16, num_iters=1, **vec), dims=15),
+        LogisticRegression(SchedArgs(chunk_size=16, num_iters=1), dims=15),
         lr_flat, False, record_len=16,
     )
     km_flat, _ = make_blobs(scale // 4, 4, 8, seed=seed)
     init = km_flat.reshape(-1, 4)[:8].copy()
     costs["kmeans"] = _app_cost(
         "kmeans",
-        KMeans(SchedArgs(chunk_size=4, num_iters=1, extra_data=init, **vec), dims=4),
+        KMeans(SchedArgs(chunk_size=4, num_iters=1, extra_data=init), dims=4),
         km_flat, False, record_len=4,
     )
     costs.update(calibrate_window_kernels(scale=scale, seed=seed))

@@ -43,6 +43,7 @@ class DeficitRoundRobin:
         #: keep fitting the deficit; the grant must fire once).
         self._visit_granted = False
         self._size = 0
+        self._released = 0
         self._closed = False
 
     def __len__(self) -> int:
@@ -124,6 +125,10 @@ class DeficitRoundRobin:
                 self._deficits[tenant] = 0.0
                 self._advance_locked()
             self._size -= 1
+            # Stamped under the lock: with several workers popping, the
+            # index is the release order, not the order they woke up in.
+            self._released += 1
+            handle.dispatch_index = self._released
             return handle
         return None
 

@@ -148,7 +148,6 @@ class AnalyticsService:
         self._idle = threading.Condition(self._lock)
         self._outstanding = 0
         self._job_ids = itertools.count(1)
-        self._dispatch_ids = itertools.count(1)
         self._seat_ids = itertools.count(1)
         #: (tenant, workload, policy fingerprint) -> free warm seats
         self._seats: dict[tuple, list[_Seat]] = {}
@@ -233,7 +232,7 @@ class AnalyticsService:
         spec = handle.spec
         scope = self.tenant_scope(spec.tenant)
         self.admission.on_dispatch(spec.tenant)
-        handle._mark_running(next(self._dispatch_ids))
+        handle._mark_running()
         scope.inc("dispatched")
         self.telemetry.set_gauge("service.queue_depth",
                                  self.admission.queued())

@@ -199,9 +199,8 @@ class JobHandle:
         return self._result
 
     # -- service-side transitions (not part of the client API) ---------
-    def _mark_running(self, dispatch_index: int) -> None:
+    def _mark_running(self) -> None:
         self.status = RUNNING
-        self.dispatch_index = dispatch_index
 
     def _finish(self, result: Any, counters: dict[str, int],
                 seconds: float) -> None:

@@ -3,19 +3,20 @@
 A :class:`Config` names one point in the runtime's configuration space.
 Its axes split into two groups:
 
-* **structure axes** (workload, threads, block size, vectorization,
-  rank count, data seed) legitimately change how float summation is
-  grouped, so candidate and oracle must agree on them;
+* **structure axes** (workload, threads, block size, rank count, data
+  seed) legitimately change how float summation is grouped, so
+  candidate and oracle must agree on them;
 * **transparent axes** (engine, wire format, combine algorithm,
-  residency, fault plan, driver) are the paper's "transparent to the
-  analytics programmer" claim — flipping any of them must leave the
-  final combination map bit-identical.
+  residency, fault plan, driver, map path) are the paper's
+  "transparent to the analytics programmer" claim — flipping any of
+  them must leave the final combination map bit-identical.
 
 ``oracle_of`` resets the transparent axes to the reference execution
 (serial engine, pickle wire, gather combine, default residency, no
-faults, direct driver).  ``build_matrix`` enumerates the valid space
-and prunes it with greedy pairwise covering so every pair of axis
-values involving a transparent axis appears in at least one config.
+faults, direct driver, the scalar ``gen_key``/``accumulate`` loop).
+``build_matrix`` enumerates the valid space and prunes it with greedy
+pairwise covering so every pair of axis values involving a transparent
+axis appears in at least one config.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from ..core.policy import (
     COMBINE_ALGORITHMS,
     ENGINE_BACKENDS,
+    MAP_PATHS,
     RESIDENCY_MODES,
     WIRE_FORMATS,
     CombinePolicy,
@@ -47,13 +49,13 @@ __all__ = [
 
 # Axes whose value must match between candidate and oracle.
 STRUCTURE_AXES = (
-    "workload", "num_threads", "block_size", "vectorized", "ranks", "seed",
+    "workload", "num_threads", "block_size", "ranks", "seed",
 )
 # Axes the runtime promises are invisible in the result.  ``map_path``
 # is transparent with one declared exception: a workload may carry a
-# positive ``batch_ulp`` bound for known vector-math last-ulp drift
-# (np.exp vs math.exp), which the differ applies only under
-# ``map_path=batch``.
+# positive ``batch_ulp`` bound for known vector-math drift (np.exp vs
+# math.exp, pairwise vs sequential sums), which the differ applies only
+# when the candidate ran the workload's batch kernel.
 TRANSPARENT_AXES = (
     "engine", "wire_format", "combine_algorithm", "residency", "fault",
     "driver", "map_path", "comm", "sharing",
@@ -66,10 +68,9 @@ _ORACLE_VALUES = {
     "residency": "auto",
     "fault": "none",
     "driver": "direct",
-    # "auto", not "scalar": the oracle must retain the structure axis
-    # ``vectorized`` (auto resolves to scalar whenever vectorized is
-    # False, which it always is for a forced map_path — see is_valid).
-    "map_path": "auto",
+    # The paper's Algorithm-2 loop is the reference every kernel is
+    # diffed against.
+    "map_path": "scalar",
     "comm": "inproc",
     "sharing": "solo",
 }
@@ -88,7 +89,6 @@ _SHORT = {
     "sharing": "sharing",
     "num_threads": "threads",
     "block_size": "block",
-    "vectorized": "vec",
     "ranks": "ranks",
     "seed": "seed",
 }
@@ -119,18 +119,12 @@ class Config:
     sharing: str = "solo"
     num_threads: int = 1
     block_size: int = 0  # 0 = whole partition in one block
-    vectorized: bool = False
     ranks: int = 1
     seed: int = DEFAULT_SEED
 
     def fingerprint(self) -> str:
-        parts = []
-        for axis in _SHORT:
-            value = getattr(self, axis)
-            if axis == "vectorized":
-                value = int(value)
-            parts.append(f"{_SHORT[axis]}={value}")
-        return ",".join(parts)
+        return ",".join(
+            f"{short}={getattr(self, axis)}" for axis, short in _SHORT.items())
 
     @classmethod
     def parse(cls, text: str) -> "Config":
@@ -144,9 +138,7 @@ class Config:
             axis = _LONG.get(key, key)
             if axis not in _SHORT:
                 raise ValueError(f"unknown config axis {key!r} in {text!r}")
-            if axis == "vectorized":
-                kwargs[axis] = value.strip() not in ("0", "False", "false")
-            elif axis in _INT_AXES:
+            if axis in _INT_AXES:
                 kwargs[axis] = int(value)
             else:
                 kwargs[axis] = value.strip()
@@ -187,7 +179,6 @@ class Config:
             chunk_size=w.chunk_size,
             num_iters=w.num_iters,
             block_size=block,
-            vectorized=self.vectorized,
         )
 
     def policy_fingerprint(self, fault_policy: str = "fail_fast") -> str:
@@ -250,14 +241,12 @@ def axis_values(smoke: bool = True) -> dict[str, tuple]:
         # Multi-tenant shared-read residency: N concurrent service jobs
         # over one resident step must reproduce the solo run bit-exactly.
         "sharing": ("solo", "shared"),
-        # "vector" is deliberately absent: forcing the vector path is
-        # covered by the (structural) ``vectorized`` axis, and the full
-        # matrix's explicit "scalar" only documents that forcing the
-        # default is a no-op.
-        "map_path": ("auto", "batch") if smoke else ("auto", "scalar", "batch"),
+        # "auto" and "batch" run the same kernel wherever one exists;
+        # the full matrix's explicit "batch" only documents that forcing
+        # the default is a no-op.
+        "map_path": ("auto", "scalar") if smoke else MAP_PATHS,
         "num_threads": (1, 3) if smoke else (1, 2, 3),
         "block_size": (0, 256),
-        "vectorized": (False, True),
         "ranks": (1, 2) if smoke else (1, 2, 3),
     }
 
@@ -271,15 +260,8 @@ def is_valid(config: Config, smoke: bool = True) -> bool:
     longer a runtime promise.
     """
     w = get_workload(config.workload)
-    if config.vectorized and not w.has_vector_path:
+    if config.map_path == "batch" and not w.has_batch_path:
         return False
-    if config.map_path != "auto":
-        # A forced map path overrides the vectorized toggle; keep the
-        # axes orthogonal so every config names exactly one execution.
-        if config.vectorized:
-            return False
-        if config.map_path == "batch" and not w.has_batch_path:
-            return False
     if config.driver == "pipelined" and not (w.steps_ok and config.ranks == 1):
         return False
     if config.fault == "engine-kill" and not (
@@ -345,7 +327,7 @@ def _pair_axes() -> list[tuple[str, str]]:
     structure combination costs an extra oracle run.
     """
     axes = ("workload",) + TRANSPARENT_AXES + (
-        "num_threads", "block_size", "vectorized", "ranks",
+        "num_threads", "block_size", "ranks",
     )
     pairs = []
     for a, b in itertools.combinations(axes, 2):

@@ -356,17 +356,20 @@ def diff_results(
     """Bit-compare two extracted runs; one mismatch per divergent field
     (anchored at the first divergent flat index).
 
-    Under ``map_path=batch`` two declared allowances apply: the
-    ``run.accumulate_calls`` stat is masked from both sides (the batch
-    path performs zero scalar accumulate calls by design), and a
-    workload's positive ``batch_ulp`` bound tolerates known vector-math
-    last-ulp drift per float entry.  Everything else stays bit-exact.
+    When the candidate ran the workload's batch kernel (any
+    ``map_path`` but ``scalar``, on a workload that has one) two
+    declared allowances apply: the ``run.accumulate_calls`` stat is
+    masked from both sides (the kernel performs zero scalar accumulate
+    calls by design), and a workload's positive ``batch_ulp`` bound
+    tolerates known vector-math drift per float entry.  Everything else
+    stays bit-exact.
     """
     fp = config.fingerprint()
     repro = repro_command(config)
     mismatches: list[Mismatch] = []
-    batch = getattr(config, "map_path", "auto") == "batch"
-    ulp_tol = get_workload(workload_name).batch_ulp if batch else 0
+    workload = get_workload(workload_name)
+    batch = config.map_path != "scalar" and workload.has_batch_path
+    ulp_tol = workload.batch_ulp if batch else 0
     if "run.stats" not in expected or "run.stats" not in actual:
         # Stats are advisory (dropped on replayed-fault runs); compare
         # them only when both executions considered them meaningful.
@@ -437,7 +440,7 @@ def diff_results(
 
 class OracleCache:
     """Reference results keyed by structure axes — one oracle execution
-    per (workload, threads, block, vectorized, ranks, seed) combination
+    per (workload, threads, block, ranks, seed) combination
     no matter how many transparent-axis candidates share it."""
 
     def __init__(self, telemetry: Recorder | None = None):

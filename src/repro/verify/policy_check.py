@@ -63,7 +63,6 @@ def advised_config(
         num_iters=w.num_iters,
         key_estimate=w.key_estimate,
         schema_mergeable=w.schema_mergeable,
-        has_vector_path=w.has_vector_path,
         has_batch_path=w.has_batch_path,
     )
     return Config(
@@ -74,7 +73,6 @@ def advised_config(
         residency=policy.engine.residency,
         map_path=policy.engine.map_path,
         num_threads=policy.engine.num_threads,
-        vectorized=policy.vectorized,
         ranks=ranks,
         seed=seed,
     )

@@ -8,9 +8,11 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def run_app(data, grid_size, vectorized=False, threads=1):
+def run_app(data, grid_size, kernel=False, threads=1):
+    """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     app = GridAggregation(
-        SchedArgs(vectorized=vectorized, num_threads=threads), grid_size=grid_size
+        SchedArgs(map_path="auto" if kernel else "scalar", num_threads=threads),
+        grid_size=grid_size,
     )
     app.run(data)
     out = np.zeros(-(-len(data) // grid_size))
@@ -28,8 +30,8 @@ class TestCorrectness:
     def test_vectorized_equals_scalar(self, rng):
         data = rng.normal(size=500)
         _, scalar = run_app(data, 10)
-        _, vector = run_app(data, 10, vectorized=True)
-        assert np.allclose(scalar, vector)
+        _, vector = run_app(data, 10, kernel=True)
+        assert np.array_equal(scalar, vector)
 
     def test_partial_trailing_grid(self):
         data = np.array([1.0, 2.0, 3.0, 10.0])
@@ -43,8 +45,8 @@ class TestCorrectness:
         assert np.allclose(out, data)
 
     @pytest.mark.parametrize("ranks", [2, 3])
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_rank_invariant_with_global_positions(self, rng, ranks, vectorized):
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_rank_invariant_with_global_positions(self, rng, ranks, kernel):
         """Grids spanning rank boundaries must still aggregate correctly —
         this is the positional-information property Section 5.8 claims."""
         data = rng.normal(size=400)
@@ -54,7 +56,8 @@ class TestCorrectness:
             parts = np.array_split(data, comm.size)
             offset = sum(len(p) for p in parts[: comm.rank])
             app = GridAggregation(
-                SchedArgs(vectorized=vectorized), comm, grid_size=37
+                SchedArgs(map_path="auto" if kernel else "scalar"), comm,
+                grid_size=37,
             )
             app.run(parts[comm.rank], global_offset=offset, total_len=len(data))
             out = np.zeros(len(expected))

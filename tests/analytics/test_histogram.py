@@ -10,9 +10,10 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def build(vectorized=False, threads=1, lo=-4.0, hi=4.0, buckets=32):
+def build(kernel=False, threads=1, lo=-4.0, hi=4.0, buckets=32):
+    """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     return Histogram(
-        SchedArgs(vectorized=vectorized, num_threads=threads),
+        SchedArgs(map_path="auto" if kernel else "scalar", num_threads=threads),
         lo=lo, hi=hi, num_buckets=buckets,
     )
 
@@ -26,10 +27,11 @@ class TestCorrectness:
 
     def test_vectorized_equals_scalar(self, rng):
         data = rng.normal(size=2000)
-        scalar, vector = build(), build(vectorized=True)
+        scalar, vector = build(), build(kernel=True)
         scalar.run(data)
         vector.run(data)
         assert np.array_equal(scalar.counts(), vector.counts())
+        assert vector.stats.batch_reduce_calls and not scalar.stats.batch_reduce_calls
 
     def test_out_of_range_clamps(self):
         app = build(lo=0.0, hi=1.0, buckets=4)
@@ -52,15 +54,16 @@ class TestCorrectness:
         assert app.bucket_of(-1.0) == 0
 
     @pytest.mark.parametrize("ranks", [1, 2, 4])
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_rank_invariant(self, rng, ranks, vectorized):
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_rank_invariant(self, rng, ranks, kernel):
         data = rng.normal(size=1000)
         expected = reference_histogram(data, -4, 4, 32)
 
         def body(comm):
             part = np.array_split(data, comm.size)[comm.rank]
             app = Histogram(
-                SchedArgs(vectorized=vectorized), comm, lo=-4, hi=4, num_buckets=32
+                SchedArgs(map_path="auto" if kernel else "scalar"), comm,
+                lo=-4, hi=4, num_buckets=32,
             )
             app.run(part)
             return app.counts()

@@ -36,7 +36,7 @@ class TestKMeansLloydInvariants:
         init = points[:3].copy()
         prev = sse(points, init)
         app = KMeans(
-            SchedArgs(chunk_size=2, num_iters=1, extra_data=init, vectorized=True),
+            SchedArgs(chunk_size=2, num_iters=1, extra_data=init),
             dims=2,
         )
         for _ in range(6):
@@ -57,14 +57,13 @@ class TestKMeansLloydInvariants:
         init = flat.reshape(-1, 2)[:3].copy()
 
         once = KMeans(
-            SchedArgs(chunk_size=2, num_iters=iters, extra_data=init,
-                      vectorized=True),
+            SchedArgs(chunk_size=2, num_iters=iters, extra_data=init),
             dims=2,
         )
         once.run(flat)
 
         stepped = KMeans(
-            SchedArgs(chunk_size=2, num_iters=1, extra_data=init, vectorized=True),
+            SchedArgs(chunk_size=2, num_iters=1, extra_data=init),
             dims=2,
         )
         for _ in range(iters):

@@ -8,12 +8,13 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def build(init, iters=5, vectorized=False, comm=None, threads=1):
+def build(init, iters=5, kernel=False, comm=None, threads=1):
+    """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     dims = init.shape[1]
     return KMeans(
         SchedArgs(
             chunk_size=dims, num_iters=iters, extra_data=init,
-            vectorized=vectorized, num_threads=threads,
+            map_path="auto" if kernel else "scalar", num_threads=threads,
         ),
         comm, dims=dims,
     )
@@ -35,14 +36,14 @@ class TestCorrectness:
 
     def test_vectorized_equals_scalar(self, blobs):
         flat, init, _ = blobs
-        scalar, vector = build(init), build(init, vectorized=True)
+        scalar, vector = build(init), build(init, kernel=True)
         scalar.run(flat)
         vector.run(flat)
         assert np.allclose(scalar.centroids(), vector.centroids(), atol=1e-10)
 
     def test_recovers_blob_centers(self, blobs):
         flat, init, centers = blobs
-        app = build(init, iters=25, vectorized=True)
+        app = build(init, iters=25, kernel=True)
         app.run(flat)
         found = app.centroids()
         # Each true centre has a recovered centroid nearby.
@@ -58,21 +59,21 @@ class TestCorrectness:
 
     def test_converged_assignment_is_fixed_point(self, blobs):
         flat, init, _ = blobs
-        app = build(init, iters=40, vectorized=True)
+        app = build(init, iters=40, kernel=True)
         app.run(flat)
         c40 = app.centroids()
         assert np.allclose(c40, reference_kmeans(flat, init, 41), atol=1e-8)
 
     @pytest.mark.parametrize("ranks", [2, 4])
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_rank_invariant(self, blobs, ranks, vectorized):
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_rank_invariant(self, blobs, ranks, kernel):
         flat, init, _ = blobs
         expected = reference_kmeans(flat, init, 4)
 
         def body(comm):
             pts = flat.reshape(-1, 3)
             part = np.array_split(pts, comm.size)[comm.rank].reshape(-1)
-            app = build(init, iters=4, vectorized=vectorized, comm=comm)
+            app = build(init, iters=4, kernel=kernel, comm=comm)
             app.run(part)
             return app.centroids()
 

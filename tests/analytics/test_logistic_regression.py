@@ -8,9 +8,11 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def build(dims=5, iters=6, vectorized=False, comm=None, lr=0.1):
+def build(dims=5, iters=6, kernel=False, comm=None, lr=0.1):
+    """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     return LogisticRegression(
-        SchedArgs(chunk_size=dims + 1, num_iters=iters, vectorized=vectorized),
+        SchedArgs(chunk_size=dims + 1, num_iters=iters,
+                  map_path="auto" if kernel else "scalar"),
         comm, dims=dims, learning_rate=lr,
     )
 
@@ -24,8 +26,8 @@ class TestCorrectness:
 
     def test_vectorized_equals_scalar(self):
         flat, _ = make_logreg_samples(400, 4, seed=2)
-        scalar = build(dims=4, vectorized=False)
-        vector = build(dims=4, vectorized=True)
+        scalar = build(dims=4)
+        vector = build(dims=4, kernel=True)
         scalar.run(flat)
         vector.run(flat)
         assert np.allclose(scalar.weights, vector.weights, atol=1e-10)
@@ -43,7 +45,7 @@ class TestCorrectness:
     def test_learns_the_generating_weights(self):
         true_w = np.array([2.0, -1.5, 0.8])
         flat, _ = make_logreg_samples(8000, 3, true_weights=true_w, seed=4)
-        app = build(dims=3, iters=150, vectorized=True, lr=0.5)
+        app = build(dims=3, iters=150, kernel=True, lr=0.5)
         app.run(flat)
         # Direction recovered (magnitude shrinks with finite data/steps).
         cosine = app.weights @ true_w / (
@@ -61,22 +63,22 @@ class TestCorrectness:
             eps = 1e-12
             return -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
 
-        one = build(dims=4, iters=1, vectorized=True)
+        one = build(dims=4, iters=1, kernel=True)
         one.run(flat)
-        ten = build(dims=4, iters=10, vectorized=True)
+        ten = build(dims=4, iters=10, kernel=True)
         ten.run(flat)
         assert loss(ten.weights) < loss(one.weights) < loss(np.zeros(4))
 
     @pytest.mark.parametrize("ranks", [2, 3])
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_rank_invariant(self, ranks, vectorized):
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_rank_invariant(self, ranks, kernel):
         flat, _ = make_logreg_samples(600, 4, seed=6)
         expected = reference_logreg(flat, 4, 5)
 
         def body(comm):
             rows = flat.reshape(-1, 5)
             part = np.array_split(rows, comm.size)[comm.rank].reshape(-1)
-            app = build(dims=4, iters=5, vectorized=vectorized, comm=comm)
+            app = build(dims=4, iters=5, kernel=kernel, comm=comm)
             app.run(part)
             return app.weights
 

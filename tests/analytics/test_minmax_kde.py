@@ -19,7 +19,7 @@ class TestMinMax:
 
     def test_vectorized_equals_scalar(self, rng):
         data = rng.normal(size=300)
-        s, v = MinMax(SchedArgs()), MinMax(SchedArgs(vectorized=True))
+        s, v = MinMax(SchedArgs(map_path="scalar")), MinMax(SchedArgs())
         s.run(data)
         v.run(data)
         assert s.value_range == v.value_range

@@ -14,9 +14,10 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def build(bins=16, vectorized=False, comm=None):
+def build(bins=16, kernel=False, comm=None):
+    """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     return MutualInformation(
-        SchedArgs(chunk_size=2, vectorized=vectorized), comm,
+        SchedArgs(chunk_size=2, map_path="auto" if kernel else "scalar"), comm,
         x_range=(-4, 4), y_range=(-4, 4), bins=bins,
     )
 
@@ -38,7 +39,7 @@ class TestCorrectness:
 
     def test_vectorized_equals_scalar(self, rng):
         xy = correlated_pairs(rng, 1500)
-        scalar, vector = build(), build(vectorized=True)
+        scalar, vector = build(), build(kernel=True)
         scalar.run(xy)
         vector.run(xy)
         assert np.array_equal(scalar.joint_counts(), vector.joint_counts())

@@ -37,13 +37,13 @@ class TestTileAggregation:
         assert np.allclose(app.means(), reference_tile_aggregation_3d(field, (2, 2, 2)))
 
     def test_vectorized_equals_scalar(self, field):
-        scalar = TileAggregation3D(SchedArgs(), shape=SHAPE, tile=(3, 2, 2))
-        vector = TileAggregation3D(
-            SchedArgs(vectorized=True), shape=SHAPE, tile=(3, 2, 2)
-        )
+        scalar = TileAggregation3D(
+            SchedArgs(map_path="scalar"), shape=SHAPE, tile=(3, 2, 2))
+        vector = TileAggregation3D(SchedArgs(), shape=SHAPE, tile=(3, 2, 2))
         scalar.run(field.reshape(-1))
         vector.run(field.reshape(-1))
-        assert np.allclose(scalar.means(), vector.means())
+        assert np.array_equal(scalar.means(), vector.means())
+        assert vector.stats.batch_reduce_calls and not scalar.stats.batch_reduce_calls
 
     def test_partial_edge_tiles(self, field):
         # 5 and 4 are not multiples of 3: edge tiles must average only the
@@ -149,9 +149,7 @@ class TestMovingAverage3D:
 )
 def test_tile_means_property(seed, tz, ty, tx):
     field = np.random.default_rng(seed).normal(size=(4, 5, 3))
-    app = TileAggregation3D(
-        SchedArgs(vectorized=True), shape=(4, 5, 3), tile=(tz, ty, tx)
-    )
+    app = TileAggregation3D(SchedArgs(), shape=(4, 5, 3), tile=(tz, ty, tx))
     app.run(field.reshape(-1))
     assert np.allclose(
         app.means(), reference_tile_aggregation_3d(field, (tz, ty, tx))

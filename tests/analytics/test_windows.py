@@ -102,9 +102,9 @@ class TestSpecificBehaviours:
         data = rng.normal(size=200)
         out_s = np.full(200, np.nan)
         out_v = np.full(200, np.nan)
-        MovingAverage(SchedArgs(), win_size=9).run2(data, out_s)
-        MovingAverage(SchedArgs(vectorized=True), win_size=9).run2(data, out_v)
-        assert np.allclose(out_s, out_v, atol=1e-9)
+        MovingAverage(SchedArgs(map_path="scalar"), win_size=9).run2(data, out_s)
+        MovingAverage(SchedArgs(), win_size=9).run2(data, out_v)
+        assert np.array_equal(out_s, out_v)
 
     def test_median_robust_to_outlier(self):
         data = np.zeros(21)

@@ -94,7 +94,7 @@ class TestAgreementWithSmart:
         flat, _ = make_blobs(200, 2, 3, seed=35)
         init = flat.reshape(-1, 2)[:3].copy()
         smart = KMeans(
-            SchedArgs(chunk_size=2, num_iters=7, extra_data=init, vectorized=True),
+            SchedArgs(chunk_size=2, num_iters=7, extra_data=init),
             dims=2,
         )
         smart.run(flat)

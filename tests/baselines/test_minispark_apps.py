@@ -49,7 +49,7 @@ class TestKMeans:
         with MiniSparkContext(1) as ctx:
             spark_c = spark_kmeans(ctx, flat, init, 5)
         smart = KMeans(
-            SchedArgs(chunk_size=2, num_iters=5, extra_data=init, vectorized=True),
+            SchedArgs(chunk_size=2, num_iters=5, extra_data=init),
             dims=2,
         )
         smart.run(flat)
@@ -71,7 +71,7 @@ class TestLogisticRegression:
         with MiniSparkContext(1) as ctx:
             spark_w = spark_logistic_regression(ctx, flat, 3, 4)
         smart = LogisticRegression(
-            SchedArgs(chunk_size=4, num_iters=4, vectorized=True), dims=3
+            SchedArgs(chunk_size=4, num_iters=4), dims=3
         )
         smart.run(flat)
         assert np.allclose(spark_w, smart.weights, atol=1e-8)

@@ -87,8 +87,7 @@ class TestIterativeAnalytics:
         def make_km():
             init = GaussianEmulator(64, seed=48, dims=2).advance().reshape(-1, 2)[:3]
             return KMeans(
-                SchedArgs(chunk_size=2, num_iters=3, extra_data=init.copy(),
-                          vectorized=True),
+                SchedArgs(chunk_size=2, num_iters=3, extra_data=init.copy()),
                 dims=2,
             )
 

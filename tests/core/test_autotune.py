@@ -54,7 +54,7 @@ class TestCombineModels:
 class TestPolicyAdvisor:
     def test_deterministic(self):
         hints = dict(elements=4096, ranks=4, threads=2, key_estimate=500,
-                     schema_mergeable=True, has_vector_path=True)
+                     schema_mergeable=True, has_batch_path=True)
         a = PolicyAdvisor().advise(**hints)
         b = PolicyAdvisor().advise(**hints)
         assert a == b
@@ -71,9 +71,9 @@ class TestPolicyAdvisor:
         assert adv.advise(elements=1000, threads=4).engine.backend == "thread"
         big = PROCESS_ENGINE_MIN_ELEMENTS
         assert adv.advise(elements=big, threads=4).engine.backend == "process"
-        # The vectorized fast path keeps large loops numpy-bound.
+        # A batch kernel keeps large loops numpy-bound.
         assert adv.advise(elements=big, threads=4,
-                          has_vector_path=True).engine.backend == "thread"
+                          has_batch_path=True).engine.backend == "thread"
 
     def test_combine_choice_tracks_crossover(self):
         adv = PolicyAdvisor()

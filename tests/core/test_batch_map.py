@@ -25,17 +25,21 @@ from repro.core import (
     Scheduler,
 )
 from repro.core.serialization import pack_map
-from repro.telemetry import Recorder
-from repro.verify import Config, execute, get_workload
+from repro.verify import Config, execute, get_workload, workload_names
 from tests.workloads import assert_conforms, mismatch_report
 
-BATCH_WORKLOADS = (
-    "histogram", "grid_aggregation", "minmax", "moving_average", "kde_grid",
+#: Kernels the scalar loop must reproduce bit for bit (integer counts,
+#: min/max, in-order ``np.add.at`` scatters).
+EXACT_WORKLOADS = (
+    "histogram", "grid_aggregation", "minmax", "moving_average",
+    "mutual_information", "tile_aggregation",
 )
+#: Float kernels diffed at their declared ``batch_ulp`` bound.
+BATCH_WORKLOADS = EXACT_WORKLOADS + ("kde_grid", "kmeans", "logreg")
 
 
 class ScalarOnly(Scheduler):
-    """Minimal app with neither vector_reduce nor batch_reduce."""
+    """Minimal app without a batch kernel."""
 
     def gen_key(self, chunk, data, combination_map):
         return 0
@@ -128,7 +132,7 @@ class TestColumnarAccumulator:
 
 class TestMapPathPolicy:
     def test_axis_values(self):
-        assert MAP_PATHS == ("auto", "scalar", "vector", "batch")
+        assert MAP_PATHS == ("auto", "scalar", "batch")
         with pytest.raises(ValueError, match="map_path"):
             EnginePolicy(map_path="bogus")
 
@@ -149,23 +153,39 @@ class TestMapPathPolicy:
                 app.run(np.zeros(4))
 
     def test_forced_vector_without_impl_raises(self):
-        app = ScalarOnly(SchedArgs(map_path="vector"))
-        with pytest.raises(TypeError, match="ScalarOnly"):
-            with app:
-                app.run(np.zeros(4))
+        # No application has a "vector" path any more: the value is out
+        # of domain, rejected at construction with the axis named.
+        with pytest.raises(ValueError, match="map_path"):
+            SchedArgs(map_path="vector")
+        with pytest.raises(ValueError, match="map_path"):
+            ExecutionPolicy.parse("map=vector")
+
+    def test_vec_token_rejected(self):
+        with pytest.raises(ValueError, match="unknown policy axis 'vec'"):
+            ExecutionPolicy.parse("vec=1")
+        with pytest.raises(TypeError, match="vectorized"):
+            ExecutionPolicy(vectorized=True)
 
     def test_advisor_picks_batch(self):
-        rec = Recorder()
-        policy = PolicyAdvisor(telemetry=rec).advise(
-            elements=1000, threads=2,
-            has_vector_path=True, has_batch_path=True)
-        assert policy.engine.map_path == "batch"
-        assert policy.vectorized is False
-        assert rec.counters("policy.")["policy.advice.map.batch"] == 1
+        # The advised policy reaches the kernel through `auto`: the
+        # has_batch_path hint only steers the engine choice, so an
+        # optimistic one falls back to the scalar loop instead of
+        # raising the forced-batch error.
+        policy = PolicyAdvisor().advise(
+            elements=1000, threads=2, has_batch_path=True)
+        assert policy.engine.map_path == "auto"
+        with Histogram(policy, lo=-4, hi=4, num_buckets=8) as app:
+            app.run(np.linspace(-3, 3, 64))
+            assert app.telemetry_snapshot()["counters"][
+                "run.batch_reduce_calls"] > 0
+        with ScalarOnly(policy) as app:
+            app.run(np.arange(8.0))
+            assert app.telemetry_snapshot()["counters"][
+                "run.accumulate_calls"] == 8
 
     def test_advised_config_carries_map_path(self):
         from repro.verify.policy_check import advised_config
-        assert advised_config("histogram").map_path == "batch"
+        assert advised_config("histogram").map_path == "auto"
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +209,17 @@ def test_batch_conforms_with_blocks(name, block_size):
     assert_conforms(name, block_size=block_size, map_path="batch")
 
 
-@pytest.mark.parametrize("name", ("histogram", "moving_average"))
+@pytest.mark.parametrize("name", BATCH_WORKLOADS)
 def test_batch_conforms_spmd(name):
     assert_conforms(name, ranks=2, map_path="batch")
+
+
+def test_registry_matches_kernel_lists():
+    # The two lists above are the whole registry's kernels, and the
+    # exact ones are held to 0 ULP — no allowance to hide behind.
+    with_kernel = {n for n in workload_names() if get_workload(n).has_batch_path}
+    assert with_kernel == set(BATCH_WORKLOADS)
+    assert all(get_workload(n).batch_ulp == 0 for n in EXACT_WORKLOADS)
 
 
 def test_batch_zero_copy_wire_export():
@@ -218,7 +246,7 @@ def test_batch_with_early_emission_disabled():
             counters = app.telemetry_snapshot()["counters"]
         return out, counters
 
-    scalar_out, _ = run()
+    scalar_out, _ = run(map_path="scalar")
     batch_out, counters = run(map_path="batch")
     assert np.array_equal(scalar_out, batch_out)
     assert counters.get("run.early_emissions", 0) == 0
@@ -242,14 +270,66 @@ def test_batch_reports_zero_accumulate_calls_explicitly():
     assert counters["run.batch_elements"] == 2048
 
 
-def test_vector_reports_zero_accumulate_calls_explicitly():
-    counters = _run_histogram_counters(vectorized=True)
+def test_scalar_counts_accumulate_calls():
+    counters = _run_histogram_counters(map_path="scalar")
+    assert counters["run.accumulate_calls"] == 2048
+    assert counters.get("run.batch_reduce_calls", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# map_path="auto": the kernel when it describes the app, else scalar
+# ---------------------------------------------------------------------------
+
+def test_default_policy_runs_batch_kernel():
+    app = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=8)
+    app.run(np.random.default_rng(0).normal(size=256))
+    assert app.stats.batch_reduce_calls > 0
+    assert app.stats.accumulate_calls == 0
+
+
+@pytest.mark.parametrize("name", BATCH_WORKLOADS)
+def test_every_kernel_is_reached_by_default(name):
+    counters = execute(get_workload(name), Config(workload=name)).counters
+    assert counters["run.batch_reduce_calls"] > 0
     assert counters["run.accumulate_calls"] == 0
 
 
-def test_scalar_counts_accumulate_calls():
-    counters = _run_histogram_counters()
-    assert counters["run.accumulate_calls"] == 2048
+def test_auto_without_kernel_runs_scalar():
+    app = ScalarOnly(ExecutionPolicy())
+    app.run(np.ones(8))
+    assert app.stats.accumulate_calls == 8
+    assert app.stats.batch_reduce_calls == 0
+
+
+def test_auto_falls_back_when_subclass_overrides_accumulate():
+    class DoubleCount(Histogram):
+        """Changes the map semantics below the kernel's class."""
+
+        def accumulate(self, chunk, data, red_obj, key):
+            red_obj = super().accumulate(chunk, data, red_obj, key)
+            red_obj.count += 1
+            return red_obj
+
+    data = np.random.default_rng(1).normal(size=64)
+    app = DoubleCount(ExecutionPolicy(), lo=-4, hi=4, num_buckets=8)
+    app.run(data)
+    assert app.stats.batch_reduce_calls == 0
+    assert app.stats.accumulate_calls == 64
+    assert app.counts().sum() == 128
+    # Forcing the inherited kernel stays possible (and ignores the override).
+    forced = DoubleCount(SchedArgs(map_path="batch"), lo=-4, hi=4, num_buckets=8)
+    forced.run(data)
+    assert forced.counts().sum() == 64
+
+
+def test_subclass_that_keeps_the_map_callbacks_keeps_the_kernel():
+    class Renamed(Histogram):
+        def counts(self):
+            return super().counts()
+
+    app = Renamed(ExecutionPolicy(), lo=-4, hi=4, num_buckets=8)
+    app.run(np.zeros(16))
+    assert app.stats.batch_reduce_calls > 0
 
 
 # ---------------------------------------------------------------------------

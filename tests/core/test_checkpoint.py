@@ -58,8 +58,7 @@ class TestRoundTrip:
 
         def make_km():
             return KMeans(
-                SchedArgs(chunk_size=2, num_iters=2, extra_data=init,
-                          vectorized=True),
+                SchedArgs(chunk_size=2, num_iters=2, extra_data=init),
                 dims=2,
             )
 

@@ -55,7 +55,7 @@ class TestThroughTheScheduler:
         def body(comm):
             part = np.array_split(data, comm.size)[comm.rank]
             app = Histogram(
-                SchedArgs(vectorized=True, combine_algorithm=algo), comm,
+                SchedArgs(combine_algorithm=algo), comm,
                 lo=-4, hi=4, num_buckets=12,
             )
             app.run(part)

@@ -1,4 +1,4 @@
-"""Edge-path coverage: vector paths across block boundaries, failure
+"""Edge-path coverage: batch kernels across block boundaries, failure
 propagation out of user callbacks, and degenerate inputs."""
 
 import numpy as np
@@ -17,24 +17,23 @@ from repro.core import SchedArgs, Scheduler
 class TestVectorPathAcrossBlocks:
     @pytest.mark.parametrize("block", [16, 50, 128, None])
     def test_moving_average_vectorized_with_blocks(self, rng, block):
-        """The vector fast path must be correct when the scheduler streams
+        """The batch kernel must be correct when the scheduler streams
         the partition block by block — window contributions routinely
         cross block boundaries."""
         data = rng.normal(size=300)
-        app = MovingAverage(
-            SchedArgs(vectorized=True, block_size=block), win_size=9
-        )
+        app = MovingAverage(SchedArgs(block_size=block), win_size=9)
         out = np.full(300, np.nan)
         app.run2(data, out)
+        assert app.stats.batch_reduce_calls > 0
         assert np.allclose(out, reference_moving_average(data, 9), atol=1e-9)
 
     @pytest.mark.parametrize("block", [7, 100])
     def test_histogram_vectorized_with_blocks_and_threads(self, rng, block):
         data = rng.normal(size=500)
-        base = Histogram(SchedArgs(vectorized=True), lo=-4, hi=4, num_buckets=16)
+        base = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=16)
         base.run(data)
         blocked = Histogram(
-            SchedArgs(vectorized=True, block_size=block, num_threads=3),
+            SchedArgs(block_size=block, num_threads=3),
             lo=-4, hi=4, num_buckets=16,
         )
         blocked.run(data)
@@ -76,7 +75,7 @@ class TestFailurePropagation:
         )
 
     def test_exception_in_threaded_split_propagates(self):
-        app = self.ExplodingApp(SchedArgs(num_threads=4, use_threads=True))
+        app = self.ExplodingApp(SchedArgs(num_threads=4, engine="thread"))
         data = np.zeros(100)
         data[77] = 1.0
         with pytest.raises(RuntimeError, match="poison"):

@@ -7,11 +7,14 @@ disconnects; degrade conserves mass with exact loss accounting;
 corrupted snapshot falls back to the previous CRC-good one.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.analytics.histogram import Histogram
 from repro.core import ElasticTier, SchedArgs, StagingWorkerError
+from repro.core import elastic
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
 from repro.telemetry import Recorder
 
@@ -204,6 +207,39 @@ class TestElasticity:
         assert np.array_equal(result, baseline)
         snap = telemetry.snapshot()["counters"]
         assert snap.get("elastic.spawns") == 4
+
+    def test_worker_registering_before_spawn_returns_stays_live(
+            self, partitions, baseline, monkeypatch):
+        """A forked worker can HELLO before ``Process.start()`` returns
+        to the coordinator; ``_spawn`` must not put it back to STARTING
+        afterwards (the registration wait would then time out)."""
+        monkeypatch.setattr(elastic, "SPAWN_TIMEOUT", 3.0)
+        with ElasticTier(factory, 1, worker_timeout=SUSPECT_TIMEOUT) as tier:
+            fork = tier._mp
+
+            class HelloBeforeStartReturns:
+                @staticmethod
+                def Process(**kw):
+                    proc = fork.Process(**kw)
+                    worker = tier._workers[kw["args"][0]]
+                    start = proc.start
+
+                    def start_and_wait_for_hello():
+                        start()
+                        limit = time.monotonic() + 10.0
+                        while (worker.state != elastic._LIVE
+                               and time.monotonic() < limit):
+                            time.sleep(0.01)
+                        assert worker.state == elastic._LIVE
+
+                    proc.start = start_and_wait_for_hello
+                    return proc
+
+            tier._mp = HelloBeforeStartReturns
+            tier.scale_to(2)
+            for part in partitions:
+                tier.submit(part)
+            assert np.array_equal(counts(tier.drain()), baseline)
 
     def test_scale_to_rejects_zero(self, partitions):
         with ElasticTier(factory, 1) as tier:

@@ -13,7 +13,11 @@ import pytest
 
 from repro.analytics import Histogram
 from repro.core import SchedArgs
-from tests.workloads import ENGINES, assert_conforms
+from tests.workloads import (
+    ENGINES,
+    assert_conforms,
+    assert_kernel_transparent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,18 +39,23 @@ class TestColumnarEquivalenceMatrix:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_histogram(self, engine):
-        assert_conforms("histogram", engine=engine, wire_format="columnar",
-                        vectorized=True, num_threads=3)
+        assert_conforms("histogram", engine=engine, wire_format="columnar", num_threads=3)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_kmeans_seeded_iterative(self, engine):
-        assert_conforms("kmeans", engine=engine, wire_format="columnar",
-                        vectorized=True, num_threads=2)
+        assert_conforms("kmeans", engine=engine, wire_format="columnar", num_threads=2)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_logistic_regression_iterative(self, engine):
-        assert_conforms("logreg", engine=engine, wire_format="columnar",
-                        vectorized=True, num_threads=2)
+        assert_conforms("logreg", engine=engine, wire_format="columnar", num_threads=2)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("workload", ["kmeans", "logreg"])
+    def test_float_kernel_bit_exact_on_columnar_wire(self, engine, workload):
+        """Kernel on engine x columnar vs the same kernel on
+        serial/pickle, with no ulp allowance."""
+        assert_kernel_transparent(workload, engine=engine,
+                                  wire_format="columnar", num_threads=2)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("workload", ["moving_average", "moving_median"])
@@ -60,8 +69,7 @@ class TestColumnarEquivalenceMatrix:
 class TestProcessEngineWireAccounting:
     def test_columnar_maps_cross_worker_boundary(self, scalars):
         app = Histogram(
-            SchedArgs(num_threads=2, engine="process",
-                      vectorized=True, wire_format="columnar"),
+            SchedArgs(num_threads=2, engine="process", wire_format="columnar"),
             lo=-4, hi=4, num_buckets=64,
         )
         app.run(scalars)
@@ -79,8 +87,7 @@ class TestProcessEngineWireAccounting:
 
         def run(engine, wire_format):
             app = Histogram(
-                SchedArgs(num_threads=2, engine=engine,
-                          vectorized=True, wire_format=wire_format),
+                SchedArgs(num_threads=2, engine=engine, wire_format=wire_format),
                 lo=-4, hi=4, num_buckets=buckets,
             )
             app.run(data)
@@ -94,7 +101,7 @@ class TestProcessEngineWireAccounting:
         """The full optimized stack: process engine, columnar boundary
         payloads, and allreduce global combination on one rank."""
         app = Histogram(
-            SchedArgs(num_threads=2, engine="process", vectorized=True,
+            SchedArgs(num_threads=2, engine="process",
                       wire_format="columnar", combine_algorithm="allreduce"),
             lo=-4, hi=4, num_buckets=32,
         )

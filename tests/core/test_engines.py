@@ -3,7 +3,7 @@
 Every backend (serial / thread / process) must produce bit-identical
 combination maps, outputs, and consistent run statistics for every
 bundled analytics — including the early-emission (``run2`` window) and
-``seed_reduction_maps`` (iterative) paths, scalar and vectorized alike.
+``seed_reduction_maps`` (iterative) paths, scalar loop and batch kernel alike.
 
 The equivalence matrix is a thin wrapper over the ``repro.verify``
 conformance kit (shared via ``tests/workloads.py``): each test names a
@@ -15,8 +15,12 @@ import numpy as np
 import pytest
 
 from repro.analytics import CountObj, Histogram
-from repro.core import SchedArgs, Scheduler, SerialEngine, ThreadEngine, create_engine
-from tests.workloads import ENGINES, assert_conforms
+from repro.core import SchedArgs, Scheduler, SerialEngine, create_engine
+from tests.workloads import (
+    ENGINES,
+    assert_conforms,
+    assert_kernel_transparent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -28,21 +32,28 @@ class TestEquivalenceMatrix:
     """Serial is ground truth; thread and process must match it exactly."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vector"])
-    def test_histogram(self, engine, vectorized):
-        assert_conforms("histogram", engine=engine, vectorized=vectorized,
+    @pytest.mark.parametrize("map_path", ["scalar", "auto"], ids=["scalar", "vector"])
+    def test_histogram(self, engine, map_path):
+        assert_conforms("histogram", engine=engine, map_path=map_path,
                         num_threads=3)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vector"])
-    def test_kmeans_seeded_iterative(self, engine, vectorized):
-        assert_conforms("kmeans", engine=engine, vectorized=vectorized,
+    @pytest.mark.parametrize("map_path", ["scalar", "auto"], ids=["scalar", "vector"])
+    def test_kmeans_seeded_iterative(self, engine, map_path):
+        assert_conforms("kmeans", engine=engine, map_path=map_path,
                         num_threads=2)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_logistic_regression_iterative(self, engine):
-        assert_conforms("logreg", engine=engine, vectorized=True,
+        assert_conforms("logreg", engine=engine,
                         num_threads=2)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("workload", ["kmeans", "logreg"])
+    def test_float_kernel_bit_exact_across_engines(self, engine, workload):
+        """The scalar-loop diff above tolerates the kernels' declared
+        ulp drift; kernel vs kernel there is none to tolerate."""
+        assert_kernel_transparent(workload, engine=engine, num_threads=2)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("workload", ["moving_average", "moving_median"])
@@ -117,20 +128,6 @@ class TestEngineLifecycle:
 
 
 class TestEngineSelection:
-    def test_use_threads_alias_resolves_to_thread_engine(self):
-        with pytest.deprecated_call():
-            args = SchedArgs(num_threads=2, use_threads=True)
-        assert args.resolved_engine == "thread"
-        app = Histogram(args, lo=-1, hi=1, num_buckets=4)
-        app.run(np.zeros(16))
-        assert isinstance(app.engine, ThreadEngine)
-        app.close()
-
-    def test_explicit_engine_wins_over_alias(self):
-        with pytest.deprecated_call():
-            args = SchedArgs(engine="serial", use_threads=True)
-        assert args.resolved_engine == "serial"
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             SchedArgs(engine="gpu")

@@ -68,13 +68,13 @@ def _histogram_body(mode):
         staging = split_staging_comm(comm, 2)
         if driver.placement.is_staging:
             app = Histogram(
-                SchedArgs(vectorized=True), staging, lo=-4, hi=4, num_buckets=16
+                SchedArgs(), staging, lo=-4, hi=4, num_buckets=16
             )
             driver.run_staging_side(app)
             return ("staging", app.counts())
         sim = GaussianEmulator(400, seed=70 + comm.rank)
         local = (
-            Histogram(SchedArgs(vectorized=True), lo=-4, hi=4, num_buckets=16)
+            Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=16)
             if mode == "hybrid"
             else None
         )
@@ -131,8 +131,7 @@ class TestEndToEnd:
             if driver.placement.is_staging:
                 init = np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])
                 app = KMeans(
-                    SchedArgs(chunk_size=dims, num_iters=1, extra_data=init,
-                              vectorized=True),
+                    SchedArgs(chunk_size=dims, num_iters=1, extra_data=init),
                     staging, dims=dims,
                 )
                 driver.run_staging_side(app)

@@ -66,7 +66,7 @@ class TestAutoLayout:
         prof = TrafficProfiler()
 
         def body(comm):
-            app = Histogram(SchedArgs(vectorized=True), comm,
+            app = Histogram(SchedArgs(), comm,
                             lo=-4, hi=4, num_buckets=8)
             app.run(np.random.default_rng(comm.rank).normal(size=100))
 

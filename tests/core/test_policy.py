@@ -105,7 +105,6 @@ class TestFingerprint:
             chunk_size=3,
             num_iters=7,
             block_size=128,
-            vectorized=True,
             buffer_capacity=2,
             copy_input=True,
             disable_early_emission=True,
@@ -147,7 +146,7 @@ class TestFacade:
     def test_every_knob_lowers(self):
         args = SchedArgs(
             num_threads=4, chunk_size=3, num_iters=2, block_size=99,
-            engine="process", vectorized=True, combine_algorithm="tree",
+            engine="process", combine_algorithm="tree",
             wire_format="columnar", residency="off",
             fault_policy=FaultPolicy.retry(), buffer_capacity=8,
             copy_input=True, disable_early_emission=True,
@@ -157,13 +156,8 @@ class TestFacade:
         assert p.combine == CombinePolicy("tree", "columnar")
         assert p.resolved_fault_policy.mode == "retry"
         assert (p.chunk_size, p.num_iters, p.block_size) == (3, 2, 99)
-        assert p.vectorized and p.copy_input and p.disable_early_emission
+        assert p.copy_input and p.disable_early_emission
         assert p.buffer_capacity == 8
-
-    def test_use_threads_lowers_to_thread_backend(self):
-        with pytest.deprecated_call():
-            args = SchedArgs(num_threads=2, use_threads=True)
-        assert args.policy.engine.backend == "thread"
 
     def test_facade_notice_fires_once_per_process(self):
         reset_warn_once()
@@ -175,17 +169,6 @@ class TestFacade:
         notices = [w for w in caught
                    if issubclass(w.category, PendingDeprecationWarning)]
         assert len(notices) == 1
-
-    def test_use_threads_warns_once_per_process(self):
-        reset_warn_once()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            SchedArgs(num_threads=2, use_threads=True)
-            SchedArgs(num_threads=3, use_threads=True)
-        dep = [w for w in caught
-               if issubclass(w.category, DeprecationWarning)
-               and "use_threads" in str(w.message)]
-        assert len(dep) == 1
 
 
 class TestWarnOnce:
@@ -207,6 +190,10 @@ class TestEvolveAndCoerce:
         q = p.evolve(combine=CombinePolicy(algorithm="allreduce"))
         assert q.combine_algorithm == "allreduce"
         assert p.combine_algorithm == "gather"  # immutable original
+        # One spelling: the flat read-only views are not fields.
+        for flat in (dict(num_threads=4), dict(wire_format="columnar")):
+            with pytest.raises(TypeError):
+                p.evolve(**flat)
 
     def test_coerce_accepts_facade_and_policy(self):
         p = ExecutionPolicy()

@@ -16,9 +16,8 @@ class TestDefaults:
     def test_repro_extension_defaults(self):
         args = SchedArgs()
         assert args.block_size is None
-        assert args.engine is None
-        assert args.use_threads is False
-        assert args.vectorized is False
+        assert args.engine == "serial"
+        assert args.map_path == "auto"
         assert args.copy_input is False
         assert args.disable_early_emission is False
         assert args.buffer_capacity == 4
@@ -36,15 +35,10 @@ class TestEngineField:
         with pytest.raises(ValueError, match="engine"):
             SchedArgs(engine="cuda")
 
-    def test_use_threads_alias_warns_and_resolves_to_thread(self):
-        with pytest.deprecated_call():
-            args = SchedArgs(use_threads=True)
-        assert args.resolved_engine == "thread"
-
-    def test_explicit_engine_overrides_alias(self):
-        with pytest.deprecated_call():
-            args = SchedArgs(engine="process", use_threads=True)
-        assert args.resolved_engine == "process"
+    @pytest.mark.parametrize("spelling", ["use_threads", "vectorized"])
+    def test_removed_spellings_rejected(self, spelling):
+        with pytest.raises(TypeError, match=spelling):
+            SchedArgs(**{spelling: True})
 
 
 class TestValidation:

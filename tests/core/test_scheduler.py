@@ -126,7 +126,7 @@ class TestPartitioningKnobs:
     def test_real_thread_pool_matches_sequential(self):
         data = np.arange(200, dtype=float)
         seq = ParityCount(SchedArgs(num_threads=4))
-        par = ParityCount(SchedArgs(num_threads=4, use_threads=True))
+        par = ParityCount(SchedArgs(num_threads=4, engine="thread"))
         seq.run(data)
         par.run(data)
         assert {k: v.count for k, v in seq.get_combination_map().items()} == {

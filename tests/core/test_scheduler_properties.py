@@ -1,5 +1,5 @@
 """Scheduler-level properties: results are invariant to every execution
-knob (threads, blocks, vectorization, rank count, combine algorithm).
+knob (threads, blocks, map path, engine, rank count, combine algorithm).
 
 The paper's core correctness claim is that parallelization details are
 transparent to the application; these tests state it as a property and
@@ -15,11 +15,11 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def run_config(data, *, ranks=1, threads=1, block=None, vectorized=False,
-               use_threads=False, algo="gather"):
+def run_config(data, *, ranks=1, threads=1, block=None, map_path="auto",
+               engine="serial", algo="gather"):
     args = dict(
-        num_threads=threads, block_size=block, vectorized=vectorized,
-        use_threads=use_threads, combine_algorithm=algo,
+        num_threads=threads, block_size=block, map_path=map_path,
+        engine=engine, combine_algorithm=algo,
     )
 
     def body(comm):
@@ -38,17 +38,17 @@ def run_config(data, *, ranks=1, threads=1, block=None, vectorized=False,
     ranks=st.integers(min_value=1, max_value=3),
     threads=st.integers(min_value=1, max_value=5),
     block=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
-    vectorized=st.booleans(),
+    map_path=st.sampled_from(["scalar", "batch"]),
     algo=st.sampled_from(["gather", "tree"]),
 )
 def test_every_execution_knob_is_result_invariant(
-    seed, n, ranks, threads, block, vectorized, algo
+    seed, n, ranks, threads, block, map_path, algo
 ):
     data = np.random.default_rng(seed).normal(size=n)
     expected = reference_histogram(data, -4, 4, 16) if n else np.zeros(16, np.int64)
     counts = run_config(
         data, ranks=ranks, threads=threads, block=block,
-        vectorized=vectorized, algo=algo,
+        map_path=map_path, algo=algo,
     )
     assert np.array_equal(counts, expected)
 
@@ -56,15 +56,13 @@ def test_every_execution_knob_is_result_invariant(
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
-    use_threads=st.booleans(),
+    engine=st.sampled_from(["serial", "thread"]),
 )
-def test_real_thread_pool_with_vectorized_path(seed, use_threads):
-    """The thread pool and the vectorized fast path compose."""
+def test_real_thread_pool_with_vectorized_path(seed, engine):
+    """The thread pool and the batch kernel compose."""
     data = np.random.default_rng(seed).normal(size=500)
     expected = reference_histogram(data, -4, 4, 16)
-    counts = run_config(
-        data, threads=4, vectorized=True, use_threads=use_threads
-    )
+    counts = run_config(data, threads=4, engine=engine)
     assert np.array_equal(counts, expected)
 
 

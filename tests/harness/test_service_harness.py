@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.harness import service
+from repro.service import JobHandle, JobSpec
 
 
 class TestServiceHarness:
@@ -42,3 +43,19 @@ class TestServiceHarness:
         # One tenant hogging everything: index -> 1/n.
         assert service.fairness_index([1.0, 0.0, 0.0, 0.0]) == pytest.approx(
             0.25)
+
+    def test_backlogged_shares_tell_round_robin_from_fifo(self):
+        class Steps:
+            step_elements = staticmethod(lambda step: 100)
+
+        # 4 tenants x 4 jobs, submitted tenant-major like the harness.
+        handles = [JobHandle(job_id=i, spec=JobSpec(
+            tenant=f"t{i // 4}", workload="minmax", step="s"))
+            for i in range(16)]
+        for i, h in enumerate(handles):      # first come, first served
+            h.dispatch_index = i + 1
+        assert service.fairness_index(
+            service.backlogged_shares(Steps, handles)) == pytest.approx(0.5)
+        for i, h in enumerate(handles):      # one job per tenant per round
+            h.dispatch_index = (i % 4) * 4 + i // 4 + 1
+        assert service.backlogged_shares(Steps, handles) == [200.0] * 4

@@ -54,20 +54,20 @@ class TestNineApplicationsOnHeat3D:
 
     def test_grid_aggregation(self, field_steps):
         app = self._run_in_situ(
-            GridAggregation(SchedArgs(vectorized=True), grid_size=100)
+            GridAggregation(SchedArgs(), grid_size=100)
         )
         total = sum(obj.count for obj in app.get_combination_map().values())
         assert total == self.STEPS * 12**3
 
     def test_histogram_and_minmax_agree_on_range(self, field_steps):
-        minmax = self._run_in_situ(MinMax(SchedArgs(vectorized=True)))
+        minmax = self._run_in_situ(MinMax(SchedArgs()))
         lo, hi = minmax.value_range
         data = np.concatenate(field_steps)
         assert lo == data.min() and hi == data.max()
 
     def test_mutual_information_of_field_with_itself(self, field_steps):
         app = MutualInformation(
-            SchedArgs(chunk_size=2, vectorized=True),
+            SchedArgs(chunk_size=2),
             x_range=(0, 100), y_range=(0, 100), bins=10,
         )
         sim = Heat3D(self.GRID)
@@ -83,14 +83,13 @@ class TestNineApplicationsOnHeat3D:
     def test_kmeans_and_logreg_run_iteratively(self, field_steps):
         init = np.array([[0.0], [50.0], [100.0]])
         km = self._run_in_situ(
-            KMeans(SchedArgs(chunk_size=1, num_iters=3, extra_data=init,
-                             vectorized=True), dims=1)
+            KMeans(SchedArgs(chunk_size=1, num_iters=3, extra_data=init), dims=1)
         )
         assert km.centroids().shape == (3, 1)
         assert np.isfinite(km.centroids()).all()
 
         lr = LogisticRegression(
-            SchedArgs(chunk_size=2, num_iters=2, vectorized=True), dims=1
+            SchedArgs(chunk_size=2, num_iters=2), dims=1
         )
         sim = Heat3D(self.GRID)
         for _ in range(self.STEPS):
@@ -139,7 +138,7 @@ class TestPlacementModesAgree:
         return total
 
     def _make_app(self, **kw):
-        return Histogram(SchedArgs(vectorized=True, **kw), lo=-4, hi=4, num_buckets=12)
+        return Histogram(SchedArgs(**kw), lo=-4, hi=4, num_buckets=12)
 
     def test_all_single_node_modes_agree(self, tmp_path):
         expected = self._expected()
@@ -164,7 +163,7 @@ class TestPlacementModesAgree:
         def body(comm):
             part = np.array_split(data, comm.size)[comm.rank]
             smart = Histogram(
-                SchedArgs(vectorized=True), comm, lo=-4, hi=4, num_buckets=10
+                SchedArgs(), comm, lo=-4, hi=4, num_buckets=10
             )
             smart.run(part)
             manual = lowlevel_histogram(part, -4, 4, 10, comm)
@@ -217,7 +216,7 @@ class TestTrafficAccounting:
         def body(comm, buckets):
             data = np.random.default_rng(comm.rank).normal(size=300)
             app = Histogram(
-                SchedArgs(vectorized=True), comm, lo=-4, hi=4, num_buckets=buckets
+                SchedArgs(), comm, lo=-4, hi=4, num_buckets=buckets
             )
             app.run(data)
 

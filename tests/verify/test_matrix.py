@@ -31,13 +31,13 @@ class TestConfigFingerprint:
         cfg = Config(workload="kmeans", engine="process",
                      wire_format="columnar", combine_algorithm="allreduce",
                      residency="off", fault="comm-delay", num_threads=3,
-                     block_size=256, vectorized=True, ranks=2, seed=7)
+                     block_size=256, ranks=2, seed=7)
         assert Config.parse(cfg.fingerprint()) == cfg
 
     def test_parse_accepts_sparse_tokens(self):
-        cfg = Config.parse("workload=histogram,engine=thread,vec=1")
+        cfg = Config.parse("workload=histogram,engine=thread,map=scalar")
         assert cfg.engine == "thread"
-        assert cfg.vectorized is True
+        assert cfg.map_path == "scalar"
         assert cfg.wire_format == "pickle"  # default preserved
 
     def test_parse_requires_workload(self):
@@ -45,12 +45,13 @@ class TestConfigFingerprint:
             Config.parse("engine=thread")
 
     def test_parse_rejects_unknown_axis(self):
-        with pytest.raises(ValueError, match="unknown config axis"):
-            Config.parse("workload=histogram,gpu=1")
+        for axis in ("gpu", "vec"):
+            with pytest.raises(ValueError, match=f"unknown config axis '{axis}'"):
+                Config.parse(f"workload=histogram,{axis}=1")
 
     def test_oracle_of_resets_only_transparent_axes(self):
         cfg = Config(workload="histogram", engine="process",
-                     wire_format="columnar", num_threads=3, vectorized=True,
+                     wire_format="columnar", num_threads=3,
                      ranks=2, seed=3)
         oracle = cfg.oracle_of()
         assert oracle.is_oracle
@@ -60,8 +61,9 @@ class TestConfigFingerprint:
 
 class TestMatrixGeneration:
     def test_validity_rules(self):
-        # moving_median has no vector path.
-        assert not is_valid(Config(workload="moving_median", vectorized=True))
+        # moving_median has no batch kernel to force.
+        assert not is_valid(Config(workload="moving_median", map_path="batch"))
+        assert is_valid(Config(workload="moving_median"))
         # engine-kill needs the process engine with >= 2 workers on 1 rank.
         assert not is_valid(Config(workload="histogram", fault="engine-kill"))
         assert is_valid(Config(workload="histogram", fault="engine-kill",

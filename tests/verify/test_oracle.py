@@ -135,7 +135,8 @@ class TestExecute:
 
         monkeypatch.setattr(SerialEngine, "deterministic", False)
         with pytest.raises(ConformanceError, match="non-deterministic"):
-            execute(get_workload("histogram"), Config(workload="histogram"))
+            execute(get_workload("histogram"),
+                    Config(workload="histogram").oracle_of())
 
     def test_pipelined_driver_matches_direct(self):
         w = get_workload("histogram")

@@ -54,8 +54,8 @@ class TestFingerprintRoundTrip:
 EQUIVALENT_SPELLINGS = [
     ("histogram", dict(num_threads=2, engine="thread"),
      "engine=thread,threads=2"),
-    ("histogram", dict(num_threads=2, use_threads=True, vectorized=True),
-     "engine=thread,threads=2,vec=1"),
+    ("histogram", dict(num_threads=2, engine="thread", map_path="scalar"),
+     "engine=thread,threads=2,map=scalar"),
     ("minmax", dict(wire_format="columnar", disable_early_emission=True),
      "wire=columnar,hold=1"),
     ("kmeans", dict(chunk_size=3, num_iters=3, block_size=90),

@@ -1,5 +1,7 @@
 """The ``sharing`` axis: multi-tenant shared residency vs the solo oracle."""
 
+import dataclasses
+
 import numpy as np
 
 from repro.verify import (
@@ -66,7 +68,7 @@ class TestSharedExecution:
 
     def test_shared_runinfo_matches_solo_execute(self):
         shared_cfg = Config(workload="minmax", sharing="shared")
-        solo = execute("minmax", shared_cfg.oracle_of())
+        solo = execute("minmax", dataclasses.replace(shared_cfg, sharing="solo"))
         shared = execute("minmax", shared_cfg)
         assert set(shared.result) == set(solo.result)
         for name in solo.result:

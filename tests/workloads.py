@@ -10,6 +10,8 @@ builders (``tests/core/test_engines.py``,
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.verify import (
@@ -25,6 +27,7 @@ ENGINES = ("serial", "thread", "process")
 __all__ = [
     "ENGINES",
     "assert_conforms",
+    "assert_kernel_transparent",
     "mismatch_report",
     "run_workload",
     "workload_names",
@@ -53,3 +56,27 @@ def assert_conforms(name: str, **axes) -> None:
     failing with the kit's structured mismatch report."""
     mismatches = mismatch_report(name, **axes)
     assert not mismatches, "\n".join(m.describe() for m in mismatches)
+
+
+def assert_kernel_transparent(name: str, **axes) -> None:
+    """Assert the batch kernel's result does not depend on engine or
+    wire: ``map_path="auto"`` under ``axes`` vs the same kernel on the
+    serial engine and pickle wire, every field bit for bit.
+
+    :func:`assert_conforms` diffs a float kernel against the scalar
+    loop, where the workload's ``batch_ulp`` allowance applies; this is
+    the check that allowance must not loosen.
+    """
+    config = Config(workload=name, map_path="auto", **axes)
+    workload = get_workload(name)
+    assert workload.has_batch_path, name
+    reference = dataclasses.replace(config.oracle_of(), map_path="auto")
+    expected = execute(workload, reference).result
+    actual = execute(workload, config).result
+    assert set(actual) == set(expected)
+    for field, e in expected.items():
+        e, a = np.asarray(e), np.asarray(actual[field])
+        assert e.dtype == a.dtype and e.shape == a.shape, field
+        assert np.array_equal(
+            e, a, equal_nan=bool(np.issubdtype(e.dtype, np.floating))
+        ), f"{name}: field {field!r} differs from the serial/pickle kernel run"
