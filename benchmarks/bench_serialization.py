@@ -30,8 +30,7 @@ import pytest
 
 from repro.analytics import SumCountObj
 from repro.comm import TrafficProfiler, spmd_launch
-from repro.core import KeyedMap, global_combine, serialize_map
-from repro.core.serialization import _decode, PackedMap
+from repro.core import KeyedMap, deserialize_map, global_combine, serialize_map
 
 NUM_KEYS = 10_000
 RANKS = 4
@@ -62,20 +61,16 @@ def make_rank_maps(num_keys: int = NUM_KEYS, ranks: int = RANKS) -> list[KeyedMa
 def serialize_and_merge(rank_maps: list[KeyedMap], wire_format: str) -> KeyedMap:
     """The gather master's work: encode every rank map, decode, merge.
 
-    Mirrors ``_combine_gather`` exactly — pickle payloads merge object
-    by object, columnar payloads merge through the vectorized kernel and
-    materialize objects once.
+    Mirrors ``_combine_gather`` — pickle payloads merge object by
+    object, columnar payloads merge through the vectorized kernel — and
+    then reads the result, so the columnar side pays for materializing
+    its objects once.
     """
-    payloads = [serialize_map(m, wire_format) for m in rank_maps]
-    decoded = [_decode(p) for p in payloads]
-    head = decoded[0]
-    if isinstance(head, PackedMap):
-        for d in decoded[1:]:
-            head.merge_from(d)
-        return head.to_map()
-    merged = head
-    for rank_map in decoded[1:]:
+    maps = [deserialize_map(serialize_map(m, wire_format)) for m in rank_maps]
+    merged = maps[0]
+    for rank_map in maps[1:]:
         merged.merge_map(rank_map, merge_sumcount)
+    merged.items()
     return merged
 
 

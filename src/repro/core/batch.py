@@ -17,8 +17,10 @@ window, one numpy column per :class:`~repro.core.red_obj.Field` of the
 application's reduction-object schema — and updates it with
 ``np.bincount`` / ``np.add.at``-style scatter kernels.  Zero per-element
 ``gen_key``/``accumulate`` calls, zero ``KeyedMap`` dict writes on the
-hot path; the scheduler folds touched rows back into the reduction map
-(or ships them straight onto the columnar wire) afterwards.
+hot path.  Afterwards :meth:`ColumnarAccumulator.fold_into` hands the
+rows to the reduction map as its ``PackedMap`` backing whenever they are
+its whole state (see :class:`~repro.core.maps.KeyedMap`), so combination
+and the columnar wire stay on arrays and build no reduction object.
 
 Bit-exactness contract: ``np.bincount`` and ``np.add.at`` apply their
 updates sequentially in input order, so per-key floating-point sums are
@@ -39,7 +41,7 @@ fallback even when numba is installed.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -88,9 +90,9 @@ class ColumnarAccumulator:
     Row ``k - key_lo`` holds key ``k``'s reduction state as one record of
     the application's :class:`~repro.core.red_obj.Field` schema — the
     same structured dtype :func:`~repro.core.serialization.pack_map`
-    produces, so a finished accumulator converts to a
-    :class:`~repro.core.serialization.PackedMap` without copying through
-    objects.
+    produces, so a finished accumulator's rows become a reduction map's
+    :class:`~repro.core.serialization.PackedMap` backing without going
+    through objects.
 
     ``batch_reduce`` kernels read/write columns via :meth:`column` (a
     writable ndarray view) and must record every key they touch in
@@ -115,7 +117,6 @@ class ColumnarAccumulator:
         "records",
         "contrib",
         "_seeded",
-        "complete",
     )
 
     def __init__(self, prototype: RedObj, key_lo: int, key_hi: int):
@@ -139,11 +140,6 @@ class ColumnarAccumulator:
         #: Contributions scattered into each row by ``batch_reduce``.
         self.contrib = np.zeros(n, dtype=np.int64)
         self._seeded = np.zeros(n, dtype=bool)
-        #: True while every key of the source reduction map lies inside
-        #: the window (set by :meth:`load_from`); only then does the
-        #: accumulator hold the *complete* map state and qualify for the
-        #: zero-copy wire export.
-        self.complete = True
 
     def __len__(self) -> int:
         return self.key_hi - self.key_lo
@@ -164,50 +160,30 @@ class ColumnarAccumulator:
     def load_from(self, red_map) -> None:
         """Seed rows from an existing reduction map.
 
-        Keys inside the window overwrite their row (so subsequent
+        Keys inside the window overwrite their row, so subsequent
         scatters continue from the prior total exactly like scalar
-        in-place mutation); any key outside the window clears
-        :attr:`complete` — the accumulator then no longer represents the
-        whole map and the scheduler folds through objects instead of
-        exporting columns wholesale.
+        in-place mutation; keys outside it are left to :meth:`fold_into`.
+        A map backed by this schema seeds by array copy.
         """
         lo, hi = self.key_lo, self.key_hi
         records = self.records
-        seeded = self._seeded
+        packed = red_map.packed
+        if (packed is not None and packed.cls is self.cls
+                and packed.records.dtype == records.dtype):
+            inside = (packed.keys >= lo) & (packed.keys < hi)
+            rows = packed.keys[inside] - lo
+            records[rows] = packed.records[inside]
+            self._seeded[rows] = True
+            return
         for key, obj in red_map.items():
             if lo <= key < hi:
                 obj.pack_into(records[key - lo])
-                seeded[key - lo] = True
-            else:
-                self.complete = False
+                self._seeded[key - lo] = True
 
     # -- fold-back ------------------------------------------------------
-    def touched_keys(self) -> np.ndarray:
-        """Sorted int64 keys that received contributions this split."""
-        return np.nonzero(self.contrib)[0] + self.key_lo
-
-    def make_objects(self, keys: np.ndarray) -> list[RedObj]:
-        """Materialize reduction objects for ``keys`` (bulk, C-speed
-        column extraction — the :meth:`PackedMap.to_map` technique)."""
-        rel = np.asarray(keys, dtype=np.int64) - self.key_lo
-        records = self.records[rel]
-        cls = self.cls
-        n = len(records)
-        if cls.unpack_from.__func__ is RedObj.unpack_from.__func__:
-            names = records.dtype.names
-            columns = []
-            for name in names:
-                col = records[name]
-                columns.append(col.tolist() if col.ndim == 1 else list(col.copy()))
-            objs = []
-            new = cls.__new__
-            for i in range(n):
-                obj = new(cls)
-                for name, col in zip(names, columns):
-                    setattr(obj, name, col[i])
-                objs.append(obj)
-            return objs
-        return [cls.unpack_from(records[i]) for i in range(n)]
+    def _pack_rows(self, rows: np.ndarray) -> PackedMap:
+        merges = [f.merge for f in self.fields]
+        return PackedMap(self.cls, rows + self.key_lo, self.records[rows], merges)
 
     def fold_into(self, red_map) -> np.ndarray:
         """Replace ``red_map`` entries for every touched key.
@@ -217,24 +193,20 @@ class ColumnarAccumulator:
         holds exactly what scalar in-place mutation would; merging a
         subtotal instead would regroup the float additions.  Returns the
         touched keys (sorted).
+
+        When the map is empty, or backed with every key seeded (inside
+        the window), the touched and seeded rows *are* the post-fold map
+        and become its backing — no objects.  Otherwise the touched rows
+        materialize and replace their entries.
         """
-        keys = self.touched_keys()
-        if len(keys):
-            red_map.replace_items(
-                keys.tolist(), self.make_objects(keys))
+        rows = np.nonzero(self.contrib)[0]
+        keys = rows + self.key_lo
+        if not len(rows):
+            return keys
+        n = len(red_map)
+        if not n or (red_map.packed is not None and np.count_nonzero(self._seeded) == n):
+            rows = np.nonzero((self.contrib != 0) | self._seeded)[0]
+            red_map.replace_contents(self._pack_rows(rows).to_map())
+        else:
+            red_map.replace_items(keys.tolist(), self._pack_rows(rows).objects())
         return keys
-
-    # -- zero-copy wire export ------------------------------------------
-    def to_packed(self, keys: Iterable[int] | np.ndarray) -> PackedMap:
-        """A :class:`PackedMap` over ``keys`` straight from the columns.
-
-        ``keys`` must be the reduction map's sorted key list; the result
-        is byte-identical to ``pack_map(red_map)`` after
-        :meth:`fold_into`, letting the process engine ship the split's
-        result onto the columnar wire without materializing objects.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        records = self.records[keys - self.key_lo].copy()
-        return PackedMap(
-            self.cls, keys, records, [f.merge for f in self.fields]
-        )

@@ -284,22 +284,7 @@ def _run_split_task(task: tuple) -> tuple:
         if wants_emitted and emitted_objs
         else b""
     )
-    export = getattr(sched, "_batch_export", None)
-    if (
-        export is not None
-        and sched.policy.wire_format == "columnar"
-        and len(red_map)
-    ):
-        # Batch-map zero-copy handoff: the split's accumulator columns
-        # already hold the complete post-fold map state in PackedMap
-        # layout, so encode them directly — byte-identical to packing
-        # the materialized objects, without the object round-trip.
-        keys = np.fromiter(sorted(red_map.keys()), dtype=np.int64,
-                           count=len(red_map))
-        map_payload = export.to_packed(keys).to_bytes()
-        sched.telemetry.inc("run.batch_wire_exports")
-    else:
-        map_payload = serialize_map(red_map, sched.policy.wire_format)
+    map_payload = serialize_map(red_map, sched.policy.wire_format)
     _beat()
     return (
         _export_payload(map_payload),

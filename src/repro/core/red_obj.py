@@ -15,6 +15,7 @@ Algorithm 2).
 from __future__ import annotations
 
 import copy
+import functools
 import pickle
 import sys
 from typing import Any, NamedTuple
@@ -50,6 +51,12 @@ class Field(NamedTuple):
     dtype: Any
     merge: str | None = None
     shape: tuple[int, ...] = ()
+
+
+@functools.cache
+def _slot_names(cls: type) -> tuple[str, ...]:
+    """Every ``__slots__`` name along ``cls``'s MRO (walked once per class)."""
+    return tuple(n for c in cls.__mro__ for n in getattr(c, "__slots__", ()))
 
 
 class RedObj:
@@ -89,12 +96,11 @@ class RedObj:
         object) should override with an exact count.
         """
         total = sys.getsizeof(self)
-        for slot_holder in type(self).__mro__:
-            for name in getattr(slot_holder, "__slots__", ()):
-                try:
-                    total += sys.getsizeof(getattr(self, name))
-                except AttributeError:
-                    pass
+        for name in _slot_names(type(self)):
+            try:
+                total += sys.getsizeof(getattr(self, name))
+            except AttributeError:
+                pass
         if hasattr(self, "__dict__"):
             total += sum(sys.getsizeof(v) for v in self.__dict__.values())
         return total

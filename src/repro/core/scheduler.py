@@ -138,7 +138,6 @@ _ENGINE_LOCAL_ATTRS = frozenset(
         "_engine",
         "_fed",
         "_data_version",
-        "_batch_export",
     }
 )
 
@@ -201,11 +200,6 @@ class Scheduler:
         # process engine can tell "same array, same contents" (skip the
         # shared-memory copy) from "same array, rewritten in place".
         self._data_version = 0
-        # Set by _reduce_split_batch when the split's accumulator still
-        # holds the complete reduction-map state: the process engine then
-        # ships its columns straight onto the columnar wire instead of
-        # repacking objects.
-        self._batch_export: ColumnarAccumulator | None = None
         # Per-run context visible to user callbacks (paper exposes the same
         # names with trailing underscores).
         self.data_: np.ndarray | None = None
@@ -729,7 +723,6 @@ class Scheduler:
         early-emitted objects are appended to it instead of converted here
         (the parent process converts them into its output array).
         """
-        self._batch_export = None
         emitted: list[int] = []
 
         def emit(key: int, red_obj: RedObj) -> None:
@@ -802,7 +795,8 @@ class Scheduler:
         exactly like scalar in-place mutation, and the fold *replaces*
         touched entries rather than merging subtotals (merging would
         regroup the float additions).  Early emission sweeps the touched
-        keys only — the same keys the scalar loop could newly trigger.
+        keys only — the same keys the scalar loop could newly trigger — and
+        only when the object overrides ``trigger`` (else the map stays columns).
         """
         acc = self.make_accumulator(split.start, split.stop)
         acc.load_from(red_map)
@@ -813,11 +807,7 @@ class Scheduler:
         # accumulate() ran" from "counter never recorded".
         self.telemetry.inc("run.accumulate_calls", 0)
         touched = acc.fold_into(red_map)
-        # When the window covered every pre-existing key, the columns now
-        # hold the complete post-fold map state; the process engine can
-        # ship them onto the columnar wire without repacking objects.
-        self._batch_export = acc if acc.complete else None
-        if emit is None:
+        if emit is None or acc.cls.trigger is RedObj.trigger:
             return
         for key in touched.tolist():
             obj = red_map[key]  # fold_into just (re)placed every touched key

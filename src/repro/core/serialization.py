@@ -21,7 +21,10 @@ both sides of that comparison:
   ufunc, the gather algorithm short-circuits to a contiguous allreduce
   through :mod:`repro.comm.reduce_ops`, the exact shape of the paper's
   hand-written baseline.  Schemaless or heterogeneous maps fall back to
-  pickle transparently.
+  pickle transparently.  Decoded and reduced maps stay columns: they come
+  back as a :class:`~repro.core.maps.KeyedMap` *backed* by the arrays,
+  which :func:`pack_map` hands out again without a copy, so a map nobody
+  reads object by object never becomes objects.
 
 Payloads are self-describing (columnar ones carry a magic prefix), so
 ``deserialize_map`` accepts either format — including pickle payloads
@@ -175,29 +178,35 @@ class PackedMap:
         return records
 
     # -- object materialization ----------------------------------------
+    def copy(self) -> "PackedMap":
+        return PackedMap(self.cls, self.keys.copy(), self.records.copy(), self.merges)
+
     def to_map(self) -> KeyedMap:
-        """Materialize reduction objects (trusted bulk construction)."""
+        """A :class:`KeyedMap` backed by (and now owning) this packed map."""
+        return KeyedMap.from_packed(self)
+
+    def objects(self) -> list[RedObj]:
+        """One object per record: the runtime's only columns-to-objects step."""
         cls = self.cls
         records = self.records
         n = len(records)
-        if cls.unpack_from.__func__ is RedObj.unpack_from.__func__:
-            # Default attribute-mapped unpacking: extract each column once
-            # (C-speed) instead of introspecting per record.
-            names = records.dtype.names
-            columns = []
-            for name in names:
-                col = records[name]
-                columns.append(col.tolist() if col.ndim == 1 else list(col.copy()))
-            objs = []
-            new = cls.__new__
-            for i in range(n):
-                obj = new(cls)
-                for name, col in zip(names, columns):
-                    setattr(obj, name, col[i])
-                objs.append(obj)
-        else:
-            objs = [cls.unpack_from(records[i]) for i in range(n)]
-        return KeyedMap.from_trusted_items(zip(self.keys.tolist(), objs))
+        if cls.unpack_from.__func__ is not RedObj.unpack_from.__func__:
+            return [cls.unpack_from(records[i]) for i in range(n)]
+        # Default attribute-mapped unpacking: extract each column once
+        # (C-speed) instead of introspecting per record.
+        names = records.dtype.names
+        columns = []
+        for name in names:
+            col = records[name]
+            columns.append(col.tolist() if col.ndim == 1 else list(col.copy()))
+        objs = []
+        new = cls.__new__
+        for i in range(n):
+            obj = new(cls)
+            for name, col in zip(names, columns):
+                setattr(obj, name, col[i])
+            objs.append(obj)
+        return objs
 
     # -- wire encoding --------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -242,8 +251,12 @@ def pack_map(com_map: KeyedMap) -> PackedMap | None:
     Returns ``None`` when the map is empty, holds objects of mixed
     classes, is schemaless (``fields()`` is ``None``), or the objects'
     state does not fit the declared dtype (e.g. ragged vector fields) —
-    callers then fall back to the pickle wire format.
+    callers then fall back to the pickle wire format.  A backed map
+    returns its live backing: no copy, no objects, read-only by convention.
     """
+    packed = com_map.packed
+    if packed is not None:
+        return packed if len(packed) else None
     n = len(com_map)
     if n == 0:
         return None
@@ -296,16 +309,12 @@ def wire_format_of(payload: bytes) -> str:
     return "columnar" if payload.startswith(_COLUMNAR_MAGIC) else "pickle"
 
 
-def _decode(payload: bytes) -> KeyedMap | PackedMap:
-    if payload.startswith(_COLUMNAR_MAGIC):
-        return PackedMap.from_bytes(payload)
-    return KeyedMap.from_trusted_items(pickle.loads(payload))
-
-
 def deserialize_map(payload: bytes) -> KeyedMap:
-    """Inverse of :func:`serialize_map` (accepts either wire format)."""
-    decoded = _decode(payload)
-    return decoded.to_map() if isinstance(decoded, PackedMap) else decoded
+    """Inverse of :func:`serialize_map` (accepts either wire format); a
+    columnar payload decodes to a map backed by its arrays."""
+    if payload.startswith(_COLUMNAR_MAGIC):
+        return PackedMap.from_bytes(payload).to_map()
+    return KeyedMap.from_trusted_items(pickle.loads(payload))
 
 
 def _record_wire(comm: "Communicator", payload: bytes) -> None:
@@ -399,9 +408,7 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
     ):
         return None
     _cls, _dtype, _merges = ref[1], ref[2], ref[3]
-    union = schema_votes[0][4]
-    for v in schema_votes[1:]:
-        union = np.union1d(union, v[4])
+    union = _key_union([v[4] for v in schema_votes])
     if packed is not None:
         contribution = packed.expand_to(union)
     else:
@@ -410,6 +417,19 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
     op = structured_reduce_op(_dtype.names, _merges)
     reduced = comm.allreduce(contribution, op=op)
     return PackedMap(_cls, union, reduced, _merges).to_map()
+
+
+def _key_union(votes: list[np.ndarray]) -> np.ndarray:
+    """Sorted union of the ranks' (sorted, unique, non-empty) key arrays."""
+    first = votes[0]
+    if all(np.array_equal(first, v) for v in votes[1:]):
+        return first.copy()  # the result map must not alias a rank's vote
+    if all(a[-1] < b[0] for a, b in zip(votes, votes[1:])):
+        return np.concatenate(votes)  # position-keyed: rank order is key order
+    union = first
+    for v in votes[1:]:
+        union = np.union1d(union, v)
+    return union
 
 
 def _record_wire_allreduce(comm: "Communicator", records: np.ndarray) -> None:
@@ -426,23 +446,13 @@ def _combine_gather(
     gathered = comm.gather(payload, root=0)
     if comm.is_master:
         assert gathered is not None
-        decoded = [_decode(p) for p in gathered]
-        head = decoded[0]
-        if isinstance(head, PackedMap) and all(
-            isinstance(d, PackedMap) and head.mergeable_with(d) for d in decoded[1:]
-        ):
-            # Columnar fast path: merge arrays rank by rank, materialize
-            # objects exactly once at the end.
-            for d in decoded[1:]:
-                head.merge_from(d)
-            merged = head.to_map()
-            out_payload = head.to_bytes()
-        else:
-            maps = [d.to_map() if isinstance(d, PackedMap) else d for d in decoded]
-            merged = maps[0]
-            for rank_map in maps[1:]:
-                merged.merge_map(rank_map, merge)
-            out_payload = serialize_map(merged, wire_format)
+        # Columnar payloads decode to backed maps, so compatible ranks
+        # merge in array land and the reply re-encodes the same arrays.
+        maps = [deserialize_map(p) for p in gathered]
+        merged = maps[0]
+        for rank_map in maps[1:]:
+            merged.merge_map(rank_map, merge)
+        out_payload = serialize_map(merged, wire_format)
         _record_wire(comm, out_payload)
     else:
         merged = None
@@ -472,11 +482,7 @@ def _combine_tree(
             partner = rank + stride
             if partner < size:
                 payload = comm.recv(source=partner, tag=_TREE_TAG)
-                received = _decode(payload)
-                if isinstance(received, PackedMap):
-                    acc.merge_packed(received, merge)
-                else:
-                    acc.merge_map(received, merge)
+                acc.merge_map(deserialize_map(payload), merge)
         elif rank % stride == 0:
             payload = serialize_map(acc, wire_format)
             _record_wire(comm, payload)

@@ -9,11 +9,14 @@ repro command) rather than a bare assert.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.analytics import Histogram, MovingAverage
+from repro.analytics import GridAggregation, Histogram, MovingAverage
 from repro.analytics.objects import HoldAllObj, SumCountObj, WindowSumObj
+from repro.comm import spmd_launch
 from repro.core import (
     MAP_PATHS,
     ColumnarAccumulator,
@@ -76,14 +79,30 @@ class TestColumnarAccumulator:
         acc.load_from(red_map)
         assert acc.column("total")[3] == 1.5
         assert acc.column("count")[3] == 2
-        assert acc.complete
 
-    def test_out_of_window_key_clears_complete(self):
-        red_map = KeyedMap()
-        red_map[100] = SumCountObj(1.0, 1)
+    def test_load_from_backed_map_seeds_by_array_copy(self):
+        red_map = pack_map(KeyedMap({3: SumCountObj(1.5, 2),
+                                     100: SumCountObj(1.0, 1)})).to_map()
         acc = ColumnarAccumulator(SumCountObj(), 0, 8)
         acc.load_from(red_map)
-        assert not acc.complete
+        assert red_map.packed is not None  # seeding built no objects
+        assert acc.column("total")[3] == 1.5
+        assert acc.column("count")[3] == 2
+
+    def test_out_of_window_key_folds_through_objects(self):
+        # A backed map with a key outside the window is not the
+        # accumulator's to replace: the fold lands touched rows as
+        # objects and keeps the outside entry.
+        red_map = pack_map(KeyedMap({100: SumCountObj(1.0, 1)})).to_map()
+        acc = ColumnarAccumulator(SumCountObj(), 0, 8)
+        acc.load_from(red_map)
+        acc.column("total")[2] += 4.0
+        acc.column("count")[2] += 1
+        acc.contrib[2] += 1
+        assert acc.fold_into(red_map).tolist() == [2]
+        assert red_map.packed is None
+        assert sorted(red_map.keys()) == [2, 100]
+        assert (red_map[2].total, red_map[100].total) == (4.0, 1.0)
 
     def test_fold_replaces_touched_and_keeps_untouched(self):
         red_map = KeyedMap()
@@ -102,20 +121,41 @@ class TestColumnarAccumulator:
         # ...and untouched entries keep their identity.
         assert red_map[5] is untouched
 
-    def test_to_packed_matches_pack_map_bytes(self):
+    def test_adopted_backing_matches_pack_map_bytes(self):
+        # The same fold through an object map (folds through objects)
+        # and through a backed map (adopts the rows): identical wire
+        # bytes, and the untouched seeded key 5 survives in both.
+        def fold(red_map):
+            acc = ColumnarAccumulator(SumCountObj(), 0, 8)
+            acc.load_from(red_map)
+            for key, dv in ((3, 2.0), (6, 1.0)):
+                acc.column("total")[key] += dv
+                acc.column("count")[key] += 1
+                acc.contrib[key] += 1
+            acc.fold_into(red_map)
+            return red_map
+
+        def seed():
+            return KeyedMap({3: SumCountObj(1.5, 2), 5: SumCountObj(-0.5, 1)})
+
+        objects = fold(seed())
+        backed = fold(pack_map(seed()).to_map())
+        assert objects.packed is None and backed.packed is not None
+        assert pack_map(backed) is backed.packed
+        assert backed.packed.keys.tolist() == [3, 5, 6]
+        assert pack_map(backed).to_bytes() == pack_map(objects).to_bytes()
+
+    def test_fold_into_empty_map_adopts_touched_rows(self):
         red_map = KeyedMap()
-        red_map[3] = SumCountObj(1.5, 2)
-        red_map[5] = SumCountObj(-0.5, 1)
-        acc = ColumnarAccumulator(SumCountObj(), 0, 8)
+        acc = ColumnarAccumulator(SumCountObj(), 4, 8)
         acc.load_from(red_map)
-        for key, dv in ((3, 2.0), (6, 1.0)):
-            acc.column("total")[key] += dv
-            acc.column("count")[key] += 1
-            acc.contrib[key] += 1
+        acc.column("total")[1] += 2.5
+        acc.column("count")[1] += 1
+        acc.contrib[1] += 1
         acc.fold_into(red_map)
-        keys = np.fromiter(sorted(red_map.keys()), dtype=np.int64)
-        assert (acc.to_packed(keys).to_bytes()
-                == pack_map(red_map).to_bytes())
+        assert red_map.packed is not None and len(red_map) == 1
+        acc.column("total")[1] = -1.0  # the backing is a copy of the rows
+        assert red_map[5].total == 2.5
 
     def test_schemaless_prototype_rejected(self):
         with pytest.raises(TypeError, match="schemaless"):
@@ -222,15 +262,145 @@ def test_registry_matches_kernel_lists():
     assert all(get_workload(n).batch_ulp == 0 for n in EXACT_WORKLOADS)
 
 
-def test_batch_zero_copy_wire_export():
-    config = Config(workload="histogram", engine="process", num_threads=2,
-                    wire_format="columnar", block_size=256,
-                    map_path="batch")
-    info = execute(get_workload("histogram"), config)
-    assert info.counters.get("run.batch_wire_exports", 0) > 0
+# ---------------------------------------------------------------------------
+# "zero objects": batch map -> local combine -> wire -> global combine
+# builds no reduction object until user code asks for one
+# ---------------------------------------------------------------------------
+
+class CountedObj(SumCountObj):
+    """``SumCountObj`` that logs every construction (``__new__`` is the
+    one door ``__init__``, ``unpack_from``, pickle and ``clone`` share) as
+    one byte appended to ``log_fd`` — a descriptor forked engine workers
+    inherit, so the count covers them too."""
+
+    __slots__ = ()
+    log_fd: int | None = None
+
+    def __new__(cls, *args, **kwargs):
+        if CountedObj.log_fd is not None:
+            os.write(CountedObj.log_fd, b".")
+        return super().__new__(cls)
+
+
+class CountedGrid(GridAggregation):
+    """Grid aggregation over ``CountedObj`` rows.  The row prototype is
+    built once at import, so a run's count is materialisations only."""
+
+    prototype = CountedObj()
+
+    def make_accumulator(self, start, stop):
+        window = super().make_accumulator(start, stop)
+        return ColumnarAccumulator(self.prototype, window.key_lo, window.key_hi)
+
+
+@pytest.fixture
+def constructions(tmp_path, monkeypatch):
+    """``constructions()`` -> CountedObj objects built so far, any process."""
+    fd = os.open(tmp_path / "constructions",
+                 os.O_CREAT | os.O_WRONLY | os.O_APPEND)
+    monkeypatch.setattr(CountedObj, "log_fd", fd)
+    yield lambda: os.fstat(fd).st_size
+    os.close(fd)
+
+
+GRID_DATA = np.random.default_rng(5).normal(size=4096)
+
+
+def _grid_policy(extra=""):
+    return ExecutionPolicy.parse("map=batch,wire=columnar," + extra)
+
+
+def _grid_state(com_map):
+    return [(k, o.total, o.count) for k, o in com_map.sorted_items()]
+
+
+def _scalar_grid_state(data=GRID_DATA):
+    with GridAggregation(ExecutionPolicy.parse("map=scalar"), grid_size=8) as oracle:
+        return _grid_state(oracle.run(data))
+
+
+@pytest.mark.parametrize("algorithm", ["gather", "allreduce", "tree"])
+def test_spmd_batch_run_builds_zero_objects(algorithm, constructions):
+    def body(comm):
+        half = len(GRID_DATA) // comm.size
+        app = CountedGrid(_grid_policy(f"algo={algorithm}"), comm, grid_size=8)
+        with app:
+            return app.run(GRID_DATA[comm.rank * half:(comm.rank + 1) * half],
+                           global_offset=comm.rank * half,
+                           total_len=len(GRID_DATA))
+
+    maps = spmd_launch(2, body)
+    assert constructions() == 0
+    assert all(m.packed is not None and len(m) == 512 for m in maps)
+    first = list(maps[0].items())
+    assert constructions() == len(first) == 512
+    maps[0].items(), maps[0].sorted_items(), maps[0][3]
+    assert constructions() == 512  # materialised once, not per access
+    assert _grid_state(maps[0]) == _grid_state(maps[1]) == _scalar_grid_state()
+
+
+def test_batch_zero_copy_wire_export(constructions):
+    # Process engine, 2 workers: the worker's batch kernel leaves its
+    # reduction map backed, the columnar wire ships those columns, and
+    # the parent adopts and combines them — no object in any process.
+    policy = _grid_policy("engine=process,threads=2")
+    with CountedGrid(policy, grid_size=8) as app:
+        com_map = app.run(GRID_DATA)
+        assert constructions() == 0
+        assert com_map.packed is not None
+        assert _grid_state(com_map) == _scalar_grid_state()
+        assert constructions() == len(com_map) == 512
     assert not mismatch_report("histogram", engine="process", num_threads=2,
                                wire_format="columnar", block_size=256,
                                map_path="batch")
+
+
+def test_second_block_outside_the_window_folds_through_objects(constructions):
+    # block_size < n: block 2 seeds from a backed map whose keys all lie
+    # outside its window, so that fold must keep them — as objects.
+    with CountedGrid(_grid_policy("block=1024"), grid_size=8) as app:
+        com_map = app.run(GRID_DATA)
+    assert constructions() > 0 and com_map.packed is None
+    assert _grid_state(com_map) == _scalar_grid_state()
+
+
+@pytest.mark.parametrize("engine", ["serial", "thread", "process"])
+def test_seeded_kmeans_stays_on_objects(engine):
+    # post_combine rewrites centroids on the objects, so every iteration
+    # seeds reduction maps from an object map; 0-ULP agreement across
+    # engines and wires is test_float_kernel_bit_exact_on_columnar_wire.
+    workload = get_workload("kmeans")
+    config = Config(workload="kmeans", engine=engine, num_threads=2,
+                    wire_format="columnar", map_path="batch")
+    data = workload.make_data(config.seed)
+    policy = config.execution_policy().evolve(extra_data=workload.extra(data))
+    with workload.build(policy) as app:
+        app.run(data)
+        assert app.stats.iterations_run == 3
+        assert app.get_combination_map().packed is None
+
+
+@pytest.mark.parametrize("emit", [True, False])
+def test_trigger_override_keeps_the_object_sweep(emit):
+    # WindowSumObj overrides trigger(): with early emission on, the
+    # sweep builds the touched objects and emits them; off, nothing
+    # looks at an object and the map stays columns.
+    data = np.random.default_rng(0).normal(size=512)
+
+    def run(map_path, out):
+        app = MovingAverage(ExecutionPolicy.parse(
+            f"map={map_path},hold={int(not emit)}"), win_size=7)
+        with app:
+            app.run2(data, out)
+            return app.get_combination_map(), app.stats.early_emissions
+
+    scalar_out, batch_out = np.full(512, np.nan), np.full(512, np.nan)
+    _, scalar_emitted = run("scalar", scalar_out)
+    _, batch_emitted = run("batch", batch_out)
+    assert np.array_equal(scalar_out, batch_out, equal_nan=True)
+    assert batch_emitted == scalar_emitted and (batch_emitted > 0) == emit
+    com_map, _ = run("batch", None)
+    assert (com_map.packed is None) == emit
 
 
 def test_batch_with_early_emission_disabled():

@@ -351,6 +351,29 @@ class TestCombineOnCluster:
         assert all(r == results[0] for r in results)
         assert results[0][0] == {"total": 2.0, "count": 2}
 
+    @pytest.mark.parametrize("keys_of", [
+        lambda rank: [0, 1, 2],                    # every rank votes the same keys
+        lambda rank: [10 * rank, 10 * rank + 1],   # position-keyed: ordered, disjoint
+        lambda rank: [rank, rank + 1, 50 - rank],  # general: np.union1d
+    ], ids=["identical", "ordered_disjoint", "overlapping"])
+    def test_allreduce_key_union_matches_gather(self, keys_of):
+        profiler = TrafficProfiler()
+
+        def body(comm, algorithm, wire_format):
+            local = KeyedMap({k: SumCountObj(k + comm.rank / 4, 1)
+                              for k in keys_of(comm.rank)})
+            return _map_state(global_combine(
+                comm, local, merge_sumcount,
+                algorithm=algorithm, wire_format=wire_format))
+
+        fast = spmd_launch(3, body, args_per_rank=[("allreduce", "columnar")] * 3,
+                           profiler=profiler, timeout=30)
+        slow = spmd_launch(3, body, args_per_rank=[("gather", "pickle")] * 3,
+                           timeout=30)
+        assert fast == slow and list(fast[0]) == sorted(fast[0])
+        # One union-sized contribution buffer per rank, shortcut or not.
+        assert profiler.snapshot()["wire.allreduce"] == (3, 3 * len(fast[0]) * 16)
+
     def test_allreduce_falls_back_for_keep_schemas(self):
         """ClusterObj is vector-mergeable but not allreduce-eligible; the
         allreduce algorithm must collectively fall back to gather."""
