@@ -16,7 +16,8 @@ window-based              :class:`MovingAverage`, :class:`MovingMedian`,
 Every application ships a pure-numpy ``reference_*`` ground-truth
 implementation used by the tests and a numpy batch kernel
 (``make_accumulator`` + ``batch_reduce``) where the reduction is
-algebraic.
+algebraic; :class:`MovingAverage` and :class:`GaussianKernelSmoother`
+share one, ``WindowScheduler.scatter_window``.
 """
 
 from .grid_aggregation import GridAggregation, reference_grid_aggregation

@@ -47,6 +47,8 @@ class GaussianKernelSmoother(WindowScheduler):
         ``win_size / 5`` so the kernel decays to ~e⁻³ at the window edge.
     """
 
+    window_obj = WeightedWindowObj
+
     def __init__(self, args: SchedArgs, comm=None, *, win_size: int,
                  bandwidth: float | None = None):
         super().__init__(args, comm, win_size=win_size)
@@ -63,7 +65,7 @@ class GaussianKernelSmoother(WindowScheduler):
         self, chunk: Chunk, data: np.ndarray, red_obj: RedObj | None, key: int
     ) -> RedObj:
         if red_obj is None:
-            red_obj = WeightedWindowObj(self.win_size)
+            red_obj = self.window_obj(self.win_size)
         pos = self.element_position(chunk)
         w = self.kernel(pos - key)
         red_obj.wsum += w * float(data[chunk.start])
@@ -79,6 +81,14 @@ class GaussianKernelSmoother(WindowScheduler):
 
     def convert(self, red_obj: RedObj, out: np.ndarray, key: int) -> None:
         out[key] = red_obj.wsum / red_obj.wtotal
+
+    def convert_rows(self, cls, keys, records, out) -> None:
+        out[keys] = records["wsum"] / records["wtotal"]
+
+    def batch_reduce(
+        self, data: np.ndarray, start: int, stop: int, acc: ColumnarAccumulator
+    ) -> None:
+        self.scatter_window(acc, data, start, stop, "wsum", "wtotal")
 
 
 def reference_gaussian_smoother(

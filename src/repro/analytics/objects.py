@@ -73,6 +73,10 @@ class WindowSumObj(RedObj):
     def trigger(self) -> bool:
         return self.count == self.win_size
 
+    @classmethod
+    def trigger_rows(cls, records):
+        return records["count"] == records["win_size"]
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"WindowSumObj(total={self.total}, count={self.count}/{self.win_size})"
 
@@ -102,6 +106,10 @@ class WeightedWindowObj(RedObj):
 
     def trigger(self) -> bool:
         return self.count == self.win_size
+
+    @classmethod
+    def trigger_rows(cls, records):
+        return records["count"] == records["win_size"]
 
 
 class HoldAllObj(RedObj):

@@ -7,12 +7,16 @@ snapshot that covers it; the reduction object for position ``i``
 accumulates those contributions and its ``trigger`` fires once all of
 them have arrived (full windows only — windows truncated by the global
 array boundary flow through the combination phase instead).
+
+The Θ(1) window objects (a sum, a weighted sum) share one batch kernel,
+:meth:`WindowScheduler.scatter_window`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.sched_args import SchedArgs
@@ -77,6 +81,48 @@ class WindowScheduler(Scheduler):
     def element_position(self, chunk: Chunk) -> int:
         """Global position of the (scalar) element in ``chunk``."""
         return self.global_offset_ + chunk.start
+
+    # -- batch-map path (subclasses name their Θ(1) ``window_obj``) ----------
+    def make_accumulator(self, start: int, stop: int) -> ColumnarAccumulator:
+        half = self.win_size // 2
+        key_lo = max(self.global_offset_ + start - half, 0)
+        key_hi = min(self.global_offset_ + stop + half, self.total_len_)
+        return ColumnarAccumulator(self.window_obj(self.win_size), key_lo, key_hi)
+
+    def scatter_window(
+        self, acc: ColumnarAccumulator, data: np.ndarray, start: int, stop: int,
+        value: str, weight: str | None = None,
+    ) -> None:
+        """The window family's ``batch_reduce``: add each element of
+        ``data[start:stop]`` into column ``value`` of every window centre
+        it covers — scaled by ``self.kernel(element - centre)``, which also
+        sums into column ``weight``, when one is named — and count it.
+        """
+        block = np.asarray(data[start:stop], dtype=np.float64)
+        half = self.win_size // 2
+        g0 = self.global_offset_ + start
+        g1 = self.global_offset_ + stop
+        values, counts, contrib = acc.column(value), acc.column("count"), acc.contrib
+        # Offsets run DESCENDING (+half .. -half) so every key receives
+        # its contributing elements in ascending element order, matching
+        # the scalar loop's float grouping bit-for-bit: element g lands
+        # on key g + o, so for a fixed key k the contributing element is
+        # g = k - o — descending o gives ascending g.
+        for offset in range(half, -half - 1, -1):
+            lo = max(g0, -offset)
+            hi = min(g1, self.total_len_ - offset)
+            if hi <= lo:
+                continue
+            k0 = lo + offset - acc.key_lo
+            k1 = hi + offset - acc.key_lo
+            seg = block[lo - g0 : hi - g0]
+            if weight is not None:
+                w = self.kernel(-offset)
+                seg = w * seg
+                acc.column(weight)[k0:k1] += w
+            values[k0:k1] += seg
+            counts[k0:k1] += 1
+            contrib[k0:k1] += 1
 
     def make_output(self, total_len: int | None = None) -> np.ndarray:
         """NaN-initialized output array (NaN marks 'not written locally',

@@ -32,12 +32,12 @@ Protocol per block:
 2. each worker rebuilds a per-task scheduler as a shallow copy of its
    cached core, installs the delta, attaches the input segment, runs the
    ordinary ``_reduce_split`` over its split, and returns the updated
-   reduction map, any early-emitted reduction objects, and its telemetry
-   counter deltas.  Large return payloads travel through a
+   reduction map, any early-emitted entries as a second map payload, and
+   its telemetry counter deltas.  Large return payloads travel through a
    worker-created shared-memory segment (the parent copies and unlinks
    it) instead of the pool's result pipe;
 3. the parent folds the maps back into ``red_maps`` via the trusted
-   bulk path, converts emitted objects into the output array
+   bulk path, converts emitted entries into the output array
    (emission-at-combination semantics are preserved bit for bit), and
    merges the counters into the unified recorder.
 
@@ -276,20 +276,17 @@ def _run_split_task(task: tuple) -> tuple:
     )
     sched.data_ = data
     red_map = deserialize_map(red_map_bytes)
-    emitted_objs: list = []
-    sched._reduce_split(split, red_map, data, None, multi_key, emitted_objs=emitted_objs)
-    emitted_keys = [key for key, _ in emitted_objs]
-    emitted_payload = (
-        pickle.dumps([obj for _, obj in emitted_objs], protocol=pickle.HIGHEST_PROTOCOL)
-        if wants_emitted and emitted_objs
-        else b""
+    emitted = KeyedMap()
+    sched._reduce_split(split, red_map, data, None, multi_key, capture=emitted)
+    wire_format = sched.policy.wire_format
+    emitted_bytes = (
+        serialize_map(emitted, wire_format) if wants_emitted and len(emitted) else b""
     )
-    map_payload = serialize_map(red_map, sched.policy.wire_format)
+    map_payload = serialize_map(red_map, wire_format)
     _beat()
     return (
         _export_payload(map_payload),
-        emitted_keys,
-        emitted_payload,
+        emitted_bytes,
         sched.telemetry.snapshot()["counters"],
     )
 
@@ -881,7 +878,7 @@ class ProcessEngine(ExecutionEngine):
         for split, result in zip(splits, results):
             if result is None:  # dropped under degrade
                 continue
-            map_ref, emitted_keys, emitted_payload, counters = result
+            map_ref, emitted_bytes, counters = result
             map_bytes = _import_payload(map_ref)
             self.telemetry.record_op(
                 f"engine.wire.{wire_format_of(map_bytes)}", len(map_bytes)
@@ -889,8 +886,11 @@ class ProcessEngine(ExecutionEngine):
             red_maps[split.thread_id].replace_contents(deserialize_map(map_bytes))
             self.telemetry.merge_counters(counters)
             self.telemetry.inc("engine.splits")
-            if wants_emitted and emitted_keys:
-                for key, obj in zip(emitted_keys, pickle.loads(emitted_payload)):
-                    sched.convert(obj, self._out, key)
-            emitted.update(emitted_keys)
+            if emitted_bytes:
+                self.telemetry.record_op(
+                    f"engine.wire.{wire_format_of(emitted_bytes)}", len(emitted_bytes)
+                )
+                emitted.update(
+                    sched._convert_entries(deserialize_map(emitted_bytes), self._out)
+                )
         return emitted

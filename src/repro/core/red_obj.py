@@ -20,6 +20,8 @@ import pickle
 import sys
 from typing import Any, NamedTuple
 
+import numpy as np
+
 
 class Field(NamedTuple):
     """One column of a reduction object's columnar wire-format schema.
@@ -84,6 +86,14 @@ class RedObj:
         combination phase.  Default: never (no early emission).
         """
         return False
+
+    @classmethod
+    def trigger_rows(cls, records: np.ndarray) -> np.ndarray:
+        """Array form of :meth:`trigger` (optional): a bool mask over packed
+        records — here, like ``trigger``, never.  A window object states
+        its rule on columns (``count == win_size``); for a class that only
+        overrides ``trigger`` the batch path asks each row's object."""
+        return np.zeros(len(records), dtype=bool)
 
     def clone(self) -> "RedObj":
         """Deep copy; used to seed reduction maps from the combination map."""

@@ -43,7 +43,7 @@ from ..comm.local import LocalComm
 from ..comm.reduce_ops import NANOVERLAY
 from ..faults import EngineFaultError, FaultPlan
 from ..telemetry import Recorder
-from .batch import ColumnarAccumulator
+from .batch import ColumnarAccumulator, array_form_stands
 from .chunk import Chunk, Split, iter_blocks, make_splits
 from .circular_buffer import CircularBuffer
 from .engine import ExecutionEngine, create_engine
@@ -51,7 +51,7 @@ from .maps import KeyedMap
 from .policy import ExecutionPolicy
 from .red_obj import RedObj, ensure_red_obj
 from .sched_args import SchedArgs
-from .serialization import global_combine
+from .serialization import PackedMap, global_combine
 
 
 def _run_counter(name: str) -> property:
@@ -283,6 +283,15 @@ class Scheduler:
             f"{type(self).__name__} received an output array but does not "
             "implement convert()"
         )
+
+    def convert_rows(
+        self, cls: type, keys: np.ndarray, records: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Array form of :meth:`convert` (optional): write packed ``records``
+        of reduction-object class ``cls`` into ``out`` at ``keys``.  The
+        default is the adapter: one object and one ``convert`` per row."""
+        for key, obj in zip(keys.tolist(), PackedMap(cls, keys, records, ()).objects()):
+            self.convert(obj, out, key)
 
     def converged(self, combination_map: KeyedMap, iteration: int) -> bool:
         """Early-termination test for iterative applications (optional).
@@ -693,11 +702,31 @@ class Scheduler:
 
         if out is not None:
             out_len = out.shape[0]
+            packed = self.combination_map_.packed
+            if packed is not None:  # the same selection, on columns
+                keep = (packed.keys >= 0) & (packed.keys < out_len)
+                if emitted:
+                    keep &= [key not in emitted for key in packed.keys.tolist()]
+                rest = PackedMap(packed.cls, packed.keys[keep], packed.records[keep], ())
+                self._convert_entries(rest.to_map(), out)
+                return out
             for key, red_obj in self.combination_map_.sorted_items():
                 if 0 <= key < out_len and key not in emitted:
                     self.convert(red_obj, out, key)
             return out
         return self.combination_map_
+
+    def _convert_entries(self, entries: KeyedMap, out: np.ndarray) -> list[int]:
+        """Write every entry's final value into ``out``; return the keys.
+        A backing goes through :meth:`convert_rows` and builds no objects,
+        unless a subclass overrode ``convert`` below it."""
+        packed = entries.packed
+        if packed is None or not array_form_stands(type(self), "convert_rows", "convert"):
+            for key, red_obj in entries.items():
+                self.convert(red_obj, out, key)
+            return list(entries)
+        self.convert_rows(packed.cls, packed.keys, packed.records, out)
+        return packed.keys.tolist()
 
     def _make_reduction_maps(self) -> list[KeyedMap]:
         maps: list[KeyedMap] = []
@@ -715,31 +744,20 @@ class Scheduler:
         data: np.ndarray,
         out: np.ndarray | None,
         multi_key: bool,
-        emitted_objs: list[tuple[int, RedObj]] | None = None,
+        capture: KeyedMap | None = None,
     ) -> list[int]:
         """Reduce one split on the resolved map path; return emitted keys.
 
-        ``emitted_objs`` is the process engine's capture hook: when given,
-        early-emitted objects are appended to it instead of converted here
-        (the parent process converts them into its output array).
+        ``capture`` is the process engine's hook: when given, early-emitted
+        entries land in it instead of being converted here (the parent
+        process converts them into its output array).
         """
-        emitted: list[int] = []
-
-        def emit(key: int, red_obj: RedObj) -> None:
-            # Early emission (Algorithm 2 lines 5-7).
-            if emitted_objs is not None:
-                emitted_objs.append((key, red_obj))
-            elif out is not None:
-                self.convert(red_obj, out, key)
-            del red_map[key]
-            emitted.append(key)
-
-        if self.policy.disable_early_emission:
-            emit = None
         if self._resolve_map_path() == "batch":
-            self._reduce_split_batch(split, red_map, data, emit)
+            emitted = self._reduce_split_batch(split, red_map, data, out, capture)
         else:
-            self._reduce_split_scalar(split, red_map, data, multi_key, emit)
+            emitted = self._reduce_split_scalar(
+                split, red_map, data, multi_key, out, capture
+            )
         self.telemetry.inc(
             "run.chunks_processed", -(-len(split) // self.policy.chunk_size)
         )
@@ -749,12 +767,14 @@ class Scheduler:
 
     def _reduce_split_scalar(
         self, split: Split, red_map: KeyedMap, data: np.ndarray,
-        multi_key: bool, emit,
-    ) -> None:
+        multi_key: bool, out: np.ndarray | None, capture: KeyedMap | None,
+    ) -> list[int]:
         """The paper's map loop (Algorithm 2): ``gen_key`` → ``accumulate``
-        chunk by chunk, ``emit`` as soon as an object triggers."""
+        chunk by chunk, emitting an object as soon as it triggers."""
         com_map = self.combination_map_
         key_buf: list[int] = []
+        emitted: list[int] = []
+        emit = not self.policy.disable_early_emission
         # Hot loop: stats are batched per split and map writes skip the
         # dict update when accumulate mutated the existing object in place
         # (the overwhelmingly common case) — a measured ~25% win on the
@@ -780,13 +800,21 @@ class Scheduler:
                 if red_obj is not existing:
                     red_map[key] = ensure_red_obj(red_obj)
                 accumulates_n += 1
-                if emit is not None and red_obj.trigger():
-                    emit(key, red_obj)
+                if emit and red_obj.trigger():
+                    # Early emission (Algorithm 2 lines 5-7).
+                    if capture is not None:
+                        capture[key] = red_obj
+                    elif out is not None:
+                        self.convert(red_obj, out, key)
+                    del red_map[key]
+                    emitted.append(key)
         self.telemetry.inc("run.accumulate_calls", accumulates_n)
+        return emitted
 
     def _reduce_split_batch(
-        self, split: Split, red_map: KeyedMap, data: np.ndarray, emit
-    ) -> None:
+        self, split: Split, red_map: KeyedMap, data: np.ndarray,
+        out: np.ndarray | None, capture: KeyedMap | None,
+    ) -> list[int]:
         """Batch kernel: scatter the whole split into a preallocated
         columnar accumulator, then fold touched rows back into the map.
 
@@ -794,9 +822,9 @@ class Scheduler:
         the kernel runs, so in-order scatters continue from prior totals
         exactly like scalar in-place mutation, and the fold *replaces*
         touched entries rather than merging subtotals (merging would
-        regroup the float additions).  Early emission sweeps the touched
-        keys only — the same keys the scalar loop could newly trigger — and
-        only when the object overrides ``trigger`` (else the map stays columns).
+        regroup the float additions).  Early emission is one sweep over
+        the touched rows — the same keys the scalar loop could newly
+        trigger — that hands the fired rows on as columns.
         """
         acc = self.make_accumulator(split.start, split.stop)
         acc.load_from(red_map)
@@ -806,13 +834,15 @@ class Scheduler:
         # Published at 0 so telemetry consumers can tell "no scalar
         # accumulate() ran" from "counter never recorded".
         self.telemetry.inc("run.accumulate_calls", 0)
-        touched = acc.fold_into(red_map)
-        if emit is None or acc.cls.trigger is RedObj.trigger:
-            return
-        for key in touched.tolist():
-            obj = red_map[key]  # fold_into just (re)placed every touched key
-            if obj.trigger():
-                emit(key, obj)
+        fired = None if self.policy.disable_early_emission else acc.take_fired()
+        acc.fold_into(red_map)
+        if not fired:
+            return []
+        if capture is not None:
+            capture.replace_contents(fired.to_map())
+        elif out is not None:
+            return self._convert_entries(fired.to_map(), out)
+        return fired.keys.tolist()
 
 
 def merge_distributed_output(comm: Communicator, out: np.ndarray) -> np.ndarray:

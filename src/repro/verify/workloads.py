@@ -310,6 +310,7 @@ _register(Workload(
     description="Gaussian kernel smoother, window 9",
     multi_key=True,
     default_elements=384,
+    has_batch_path=True,
     key_estimate=384,
     schema_mergeable=True,
 ))

@@ -35,7 +35,7 @@ from tests.workloads import assert_conforms, mismatch_report
 #: min/max, in-order ``np.add.at`` scatters).
 EXACT_WORKLOADS = (
     "histogram", "grid_aggregation", "minmax", "moving_average",
-    "mutual_information", "tile_aggregation",
+    "kernel_smoother", "mutual_information", "tile_aggregation",
 )
 #: Float kernels diffed at their declared ``batch_ulp`` bound.
 BATCH_WORKLOADS = EXACT_WORKLOADS + ("kde_grid", "kmeans", "logreg")
@@ -156,6 +156,31 @@ class TestColumnarAccumulator:
         assert red_map.packed is not None and len(red_map) == 1
         acc.column("total")[1] = -1.0  # the backing is a copy of the rows
         assert red_map[5].total == 2.5
+
+    @pytest.mark.parametrize("backed", [True, False])
+    def test_fired_rows_leave_the_map(self, backed):
+        # Key 4 was seeded one contribution short of its window; the
+        # scatter completes it, so the sweep hands its row on and the
+        # fold drops it from the map — adopted backing and object
+        # fallback alike.  Key 5 is touched but incomplete and stays;
+        # the untouched key 6 was never asked, complete or not.
+        red_map = KeyedMap({4: WindowSumObj(3, 1.5, 2), 6: WindowSumObj(3, 9.0, 3)})
+        if backed:
+            red_map = pack_map(red_map).to_map()
+        acc = ColumnarAccumulator(WindowSumObj(3), 3, 8)
+        acc.load_from(red_map)
+        for row in (1, 2):
+            acc.column("total")[row] += 2.0
+            acc.column("count")[row] += 1
+            acc.contrib[row] += 1
+        fired = acc.take_fired()
+        assert fired.keys.tolist() == [4]
+        assert fired.records["total"].tolist() == [3.5]
+        assert acc.fold_into(red_map).tolist() == [4, 5]
+        assert (red_map.packed is not None) == backed
+        assert sorted(red_map.keys()) == [5, 6]
+        assert (red_map[5].total, red_map[5].count) == (2.0, 1)
+        assert (red_map[6].total, red_map[6].count) == (9.0, 3)
 
     def test_schemaless_prototype_rejected(self):
         with pytest.raises(TypeError, match="schemaless"):
@@ -380,27 +405,94 @@ def test_seeded_kmeans_stays_on_objects(engine):
         assert app.get_combination_map().packed is None
 
 
-@pytest.mark.parametrize("emit", [True, False])
-def test_trigger_override_keeps_the_object_sweep(emit):
-    # WindowSumObj overrides trigger(): with early emission on, the
-    # sweep builds the touched objects and emits them; off, nothing
-    # looks at an object and the map stays columns.
-    data = np.random.default_rng(0).normal(size=512)
+class CountedWindowObj(WindowSumObj):
+    """``WindowSumObj`` that logs constructions like :class:`CountedObj`
+    (and to the same descriptor)."""
 
-    def run(map_path, out):
-        app = MovingAverage(ExecutionPolicy.parse(
-            f"map={map_path},hold={int(not emit)}"), win_size=7)
-        with app:
-            app.run2(data, out)
-            return app.get_combination_map(), app.stats.early_emissions
+    __slots__ = ()
 
-    scalar_out, batch_out = np.full(512, np.nan), np.full(512, np.nan)
-    _, scalar_emitted = run("scalar", scalar_out)
-    _, batch_emitted = run("batch", batch_out)
-    assert np.array_equal(scalar_out, batch_out, equal_nan=True)
-    assert batch_emitted == scalar_emitted and (batch_emitted > 0) == emit
-    com_map, _ = run("batch", None)
-    assert (com_map.packed is None) == emit
+    def __new__(cls, *args, **kwargs):
+        if CountedObj.log_fd is not None:
+            os.write(CountedObj.log_fd, b".")
+        return super().__new__(cls)
+
+
+class CountedMA(MovingAverage):
+    """Moving average over ``CountedWindowObj`` rows (prototype built
+    once at import, as in :class:`CountedGrid`)."""
+
+    prototype = CountedWindowObj(7)
+
+    def make_accumulator(self, start, stop):
+        window = super().make_accumulator(start, stop)
+        return ColumnarAccumulator(self.prototype, window.key_lo, window.key_hi)
+
+
+WINDOW_DATA = np.random.default_rng(0).normal(size=512)
+
+
+def _run_window(cls, spec, comm=None, data=WINDOW_DATA, **layout):
+    """``(out, early_emissions, peak_red_objects, map still backed)``."""
+    out = np.full(len(WINDOW_DATA), np.nan)
+    with cls(ExecutionPolicy.parse(spec), comm, win_size=7) as app:
+        app.run2(data, out, **layout)
+        return (out, app.stats.early_emissions, app.stats.peak_red_objects,
+                app.get_combination_map().packed is not None)
+
+
+def _assert_same_run(batch, scalar):
+    assert np.array_equal(batch[0], scalar[0], equal_nan=True)
+    assert batch[1:3] == scalar[1:3]
+
+
+@pytest.mark.parametrize("emission", ["on", "off"])
+@pytest.mark.parametrize("engine,threads", [
+    ("serial", 1), ("thread", 2), ("process", 2),
+])
+def test_window_emission_builds_zero_objects(engine, threads, emission, constructions):
+    # WindowSumObj states its trigger on columns and MovingAverage its
+    # convert: the kernel's rows are swept, converted and dropped as
+    # arrays — in the process engine's workers too — and the boundary
+    # windows left for combination stay a backed map, emission on or off.
+    spec = (f"wire=columnar,engine={engine},threads={threads},"
+            f"hold={int(emission == 'off')}")
+    batch = _run_window(CountedMA, "map=batch," + spec)
+    assert constructions() == 0
+    assert batch[3], "combination map materialised"
+    assert (batch[1] > 0) == (emission == "on")
+    _assert_same_run(batch, _run_window(MovingAverage, "map=scalar," + spec))
+
+
+def test_window_second_block_drops_fired_seeded_keys(constructions):
+    # block < n: a block's trailing windows are seeded into the next
+    # block's accumulator, complete there and leave the map.  The map
+    # also holds the array's leading edge, outside that window, so these
+    # folds go through objects — the unfired boundary rows only.
+    batch = _run_window(CountedMA, "map=batch,block=128")
+    assert 0 < constructions() <= 4 * 4 * 7
+    _assert_same_run(batch, _run_window(MovingAverage, "map=scalar,block=128"))
+    assert batch[1] == len(WINDOW_DATA) - 6
+
+
+def test_window_straddling_ranks_combines_as_columns(constructions):
+    # Two ranks: the six windows across the seam never fill up locally,
+    # reach global combination as columns and are converted from the
+    # combined backing; no rank builds an object.
+    def body(cls, map_path):
+        def run(comm):
+            half = len(WINDOW_DATA) // comm.size
+            return _run_window(
+                cls, f"map={map_path},wire=columnar", comm,
+                WINDOW_DATA[comm.rank * half:(comm.rank + 1) * half],
+                global_offset=comm.rank * half, total_len=len(WINDOW_DATA))
+        return run
+
+    batch = spmd_launch(2, body(CountedMA, "batch"))
+    assert constructions() == 0
+    for mine, oracle in zip(batch, spmd_launch(2, body(MovingAverage, "scalar"))):
+        assert mine[3] and mine[1] == 256 - 6
+        _assert_same_run(mine, oracle)
+        assert not np.isnan(mine[0][253:259]).any()
 
 
 def test_batch_with_early_emission_disabled():

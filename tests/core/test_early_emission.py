@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.analytics import MovingAverage, MovingMedian, reference_moving_average
-from repro.core import SchedArgs
+from repro.analytics.objects import WindowSumObj
+from repro.core import (
+    ColumnarAccumulator,
+    ExecutionPolicy,
+    Field,
+    RedObj,
+    SchedArgs,
+    Scheduler,
+)
 
 
 def run_moving_average(n, win, **args_kw):
@@ -39,8 +47,11 @@ class TestMemoryEffect:
         assert app.stats.early_emissions == 100 - 4
 
     def test_no_emissions_when_disabled(self):
-        app, _, _ = run_moving_average(100, 5, disable_early_emission=True)
+        app, out, data = run_moving_average(100, 5, disable_early_emission=True)
         assert app.stats.early_emissions == 0
+        # ...and the final sweep converted the columns: no object was built.
+        assert app.get_combination_map().packed is not None
+        assert np.allclose(out, reference_moving_average(data, 5))
 
 
 class TestEmittedKeysNotReconverted:
@@ -60,6 +71,89 @@ class TestEmittedKeysNotReconverted:
         app.run2(data, np.full(50, np.nan))
         assert all(count == 1 for count in writes.values())
         assert len(writes) == 50
+
+
+class TestArrayForms:
+    """``trigger_rows`` / ``convert_rows`` are optional: the batch path's
+    one sweep serves classes that only have the scalar callbacks, and a
+    scalar override below an array form wins over it."""
+
+    def test_trigger_override_below_trigger_rows_is_honoured(self):
+        class NeverFire(WindowSumObj):
+            __slots__ = ()
+
+            def trigger(self):
+                return False
+
+        class HoldingMA(MovingAverage):
+            window_obj = NeverFire
+
+        data = np.linspace(0.0, 1.0, 100)
+        out = np.full(100, np.nan)
+        app = HoldingMA(ExecutionPolicy.parse("map=batch"), win_size=5)
+        app.run2(data, out)
+        assert app.stats.batch_reduce_calls == 1
+        assert app.stats.early_emissions == 0
+        assert app.stats.peak_red_objects == 100
+        assert np.array_equal(out, run_moving_average(100, 5, map_path="scalar")[1])
+
+    def test_scalar_only_callbacks_match_the_scalar_path(self):
+        class PairObj(RedObj):
+            """Schema and ``trigger``, no ``trigger_rows``."""
+
+            __slots__ = ("total", "count")
+
+            def __init__(self):
+                self.total, self.count = 0.0, 0
+
+            def fields(self):
+                return (Field("total", np.float64, "sum"),
+                        Field("count", np.int64, "sum"))
+
+            def trigger(self):
+                return self.count == 2
+
+        class PairMeans(Scheduler):
+            """Mean of each adjacent pair; ``convert``, no ``convert_rows``."""
+
+            def gen_key(self, chunk, data, combination_map):
+                return chunk.start // 2
+
+            def accumulate(self, chunk, data, red_obj, key):
+                red_obj = red_obj or PairObj()
+                red_obj.total += float(data[chunk.start])
+                red_obj.count += 1
+                return red_obj
+
+            def merge(self, red_obj, com_obj):
+                com_obj.total += red_obj.total
+                com_obj.count += red_obj.count
+                return com_obj
+
+            def convert(self, red_obj, out, key):
+                out[key] = red_obj.total / red_obj.count
+
+            def make_accumulator(self, start, stop):
+                return ColumnarAccumulator(PairObj(), start // 2, (stop + 1) // 2)
+
+            def batch_reduce(self, data, start, stop, acc):
+                rows = np.arange(start, stop) // 2 - acc.key_lo
+                np.add.at(acc.column("total"), rows, data[start:stop])
+                np.add.at(acc.column("count"), rows, 1)
+                np.add.at(acc.contrib, rows, 1)
+
+        data = np.random.default_rng(3).normal(size=101)  # last pair is half full
+
+        def run(spec):
+            out = np.full(51, np.nan)
+            app = PairMeans(ExecutionPolicy.parse(spec))
+            app.run(data, out)
+            return out, app.stats.early_emissions, app.stats.peak_red_objects
+
+        for layout in ("", ",block=25", ",engine=thread,threads=3"):
+            batch, scalar = run("map=batch" + layout), run("map=scalar" + layout)
+            assert np.array_equal(batch[0], scalar[0]) and batch[1:] == scalar[1:]
+            assert batch[1] == 50 and not np.isnan(batch[0]).any()
 
 
 class TestHolisticObjects:

@@ -11,7 +11,7 @@ seeded iterative runs.
 import numpy as np
 import pytest
 
-from repro.analytics import Histogram
+from repro.analytics import Histogram, MovingAverage
 from repro.core import SchedArgs
 from tests.workloads import (
     ENGINES,
@@ -78,6 +78,32 @@ class TestProcessEngineWireAccounting:
         # Maps travel both directions (parent -> worker, worker -> parent).
         assert ops["engine.wire.columnar"]["calls"] >= 2
         app.close()
+
+    def test_emitted_rows_return_as_one_map_payload(self, scalars):
+        """A worker's early-emitted entries come back as a second map
+        payload in the configured wire format — columns, for a window
+        object — and the parent converts them once per split."""
+
+        def run(**kw):
+            out = np.full(len(scalars), np.nan)
+            args = SchedArgs(wire_format="columnar", **kw)
+            with MovingAverage(args, win_size=7) as app:
+                app.run2(scalars, out)
+                return out, app.telemetry_snapshot()["ops"], app.stats.early_emissions
+
+        out, ops, emissions = run(num_threads=2, engine="process")
+        serial_out, _, serial_emissions = run(num_threads=2, engine="serial")
+        assert np.array_equal(out, serial_out)
+        # Two splits, each three windows short at its own two ends.
+        assert emissions == serial_emissions == len(scalars) - 12
+        # Per worker: the reduction map back, plus the emitted rows
+        # (key + three 8-byte fields each).
+        assert ops["engine.wire.columnar"]["calls"] == 4
+        assert ops["engine.wire.columnar"]["bytes"] > emissions * 32
+        # Nothing emitted was pickled: the only pickle payloads are the
+        # two empty reduction maps sent out.
+        assert ops["engine.wire.pickle"]["calls"] == 2
+        assert ops["engine.wire.pickle"]["bytes"] < 64
 
     def test_large_columnar_return_exercises_shm_path(self):
         """num_buckets is chosen so a worker's return map packs past the
