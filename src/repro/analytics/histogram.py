@@ -10,13 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
-from ..core.batch import HAVE_NUMBA, ColumnarAccumulator, maybe_njit
+from ..core.batch import HAVE_NUMBA, ColumnarAccumulator, Scratch, maybe_njit
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
 from ..core.sched_args import SchedArgs
 from ..core.scheduler import Scheduler
 from .objects import CountObj
+
+
+#: The numpy kernel's two temporaries (per thread, reused across calls and schedulers).
+_SCRATCH = Scratch()
 
 
 @maybe_njit(cache=True)
@@ -112,7 +116,13 @@ class Histogram(Scheduler):
             counts = np.zeros(self.num_buckets, dtype=np.int64)
             _histogram_count_kernel(block, self.lo, self.width, self.num_buckets, counts)
         else:
-            keys = ((block - self.lo) / self.width).astype(np.int64)
+            # ((block - lo) / width).astype(int64), its two temporaries reused.
+            n = len(block)
+            scaled = _SCRATCH.array("scaled", n, np.result_type(block.dtype, 0.0))
+            keys = _SCRATCH.array("keys", n, np.int64)
+            np.subtract(block, self.lo, out=scaled)
+            np.divide(scaled, self.width, out=scaled)
+            np.copyto(keys, scaled, casting="unsafe")
             np.clip(keys, 0, self.num_buckets - 1, out=keys)
             counts = np.bincount(keys, minlength=self.num_buckets)
         count_col = acc.column("count")

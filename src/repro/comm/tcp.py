@@ -15,7 +15,9 @@ tier needs (DESIGN.md section 13):
   | crc32`` header (:data:`HEADER`); payload corruption is detected by
   CRC before deserialization and surfaces as
   :class:`~repro.comm.errors.FrameCorruptionError` on the receiving
-  call, never as a pickle explosion.
+  call, never as a pickle explosion.  Frames are written from where
+  their bytes lie (:func:`write_frame`: header and payload buffers,
+  scatter-gather) and read into one exact-size buffer.
 * **Deadlines** — a ``recv`` or collective blocked past the cluster's
   per-call ``deadline`` raises
   :class:`~repro.comm.errors.CommTimeoutError` with structured
@@ -99,25 +101,52 @@ _COLL_TAG = (1 << 22) + 3  # collective fan-in/fan-out tag space
 _DUP_TAG = (1 << 22) + 31
 
 
+def frame_header(
+    kind: int, source: int, dest: int, tag: int, *payload: Any, corrupt: bool = False
+) -> bytes:
+    """The header of a frame whose payload is ``payload`` (byte buffers, in
+    order), the CRC chained over them.  ``corrupt`` makes the CRC mismatch on
+    purpose: how an injected or upstream corruption stays visible downstream."""
+    length = crc = 0
+    for buf in payload:
+        length += len(buf)
+        crc = zlib.crc32(buf, crc)
+    if corrupt:
+        crc ^= 1
+    return HEADER.pack(MAGIC, VERSION, kind, source, dest, tag, length, crc)
+
+
+def write_frame(sock: socket.socket, header: bytes, *payload: Any) -> None:
+    """Write one frame from where its bytes lie: header and payload
+    buffers go out scatter-gather, and partial sends are finished."""
+    views = [memoryview(buf) for buf in (header, *payload) if len(buf)]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
+
+
 def pack_frame(kind: int, source: int, dest: int, tag: int, payload: bytes) -> bytes:
-    """One wire frame: header (with payload CRC) followed by the payload."""
-    return HEADER.pack(
-        MAGIC, VERSION, kind, source, dest, tag, len(payload), zlib.crc32(payload)
-    ) + payload
+    """One wire frame as :func:`write_frame` sends it, in one retained
+    ``bytes``: header (with payload CRC) followed by the payload."""
+    return frame_header(kind, source, dest, tag, payload) + payload
 
 
-def recv_exact(sock: socket.socket, n: int) -> bytes:
+def recv_exact(sock: socket.socket, n: int) -> bytearray:
     """Read exactly ``n`` bytes or raise ``ConnectionError`` (peer gone)."""
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+    buf = bytearray(n)
+    got = 0
+    while got < n:
+        count = sock.recv_into(memoryview(buf)[got:])
+        if not count:
             raise ConnectionError("peer closed the connection")
-        buf += chunk
-    return bytes(buf)
+        got += count
+    return buf
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, int, int, int, bytes, bool]:
+def recv_frame(sock: socket.socket) -> tuple[int, int, int, int, bytearray, bool]:
     """Read one frame: ``(kind, source, dest, tag, payload, crc_ok)``.
 
     Structural problems (bad magic/version) raise
@@ -132,7 +161,7 @@ def recv_frame(sock: socket.socket) -> tuple[int, int, int, int, bytes, bool]:
         raise FrameCorruptionError(
             f"bad frame header (magic={magic!r}, version={version})"
         )
-    payload = recv_exact(sock, length) if length else b""
+    payload = recv_exact(sock, length)
     return kind, source, dest, tag, payload, zlib.crc32(payload) == crc
 
 
@@ -217,52 +246,50 @@ class TcpRouter:
         for frame in backlog:
             self._deliver(rank, frame)
 
-    def _deliver(self, dest: int, frame: bytes) -> None:
+    def _deliver(self, dest: int, *frame: Any) -> None:
+        """Send ``frame`` (header and payload, or one retained whole)."""
         with self._lock:
             conn = self._conns.get(dest)
-        if conn is None:
-            with self._lock:
-                self._pending[dest].append(frame)
-            return
+            if conn is None:
+                self._pending[dest].append(b"".join(frame))
+                return
         try:
             with self._wlocks[dest]:
-                conn.sendall(frame)
+                write_frame(conn, *frame)
         except OSError:
             # Receiver mid-reconnect: keep the frame for its next HELLO.
             with self._lock:
-                self._pending[dest].append(frame)
+                self._pending[dest].append(b"".join(frame))
 
-    def _inject(self, source: int, payload: bytes) -> tuple[bytes, bool, bool]:
+    def _inject(self, source: int, payload: bytearray) -> tuple[bool, bool]:
         """Consult the fault plan for one forwarded frame.
 
-        Returns ``(payload, corrupted, drop_conn)``: the possibly
-        corrupted payload, whether it was corrupted (so the outbound
-        frame must carry a mismatching CRC), and whether to close the
-        source's connection after forwarding.
+        Returns ``(corrupted, drop_conn)``: whether ``payload`` was
+        corrupted in place (so the outbound frame must carry a
+        mismatching CRC), and whether to close the source's connection
+        after forwarding.
         """
         stall = self._partition_until - time.monotonic()
         if stall > 0:
             time.sleep(stall)
         plan = self.fault_plan
-        if plan is None:
-            return payload, False, False
-        spec = plan.network_fault(source, op="forward")
+        spec = plan.network_fault(source, op="forward") if plan is not None else None
         if spec is None:
-            return payload, False, False
+            return False, False
         if spec.kind == "slowlink":
             time.sleep(spec.seconds)
-            return payload, False, False
+            return False, False
         if spec.kind == "partition":
             self._partition_until = time.monotonic() + spec.seconds
             time.sleep(spec.seconds)
-            return payload, False, False
+            return False, False
         if spec.kind == "truncate":
             # Corrupt the tail while keeping the declared length, so the
             # receiver's CRC check trips (detectable, not a stall).
             if payload:
-                payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
-            return payload, True, False
-        return payload, False, True  # disconnect
+                payload[-1] ^= 0xFF
+            return True, False
+        return False, True  # disconnect
 
     def _serve(self, conn: socket.socket) -> None:
         rank: int | None = None
@@ -277,15 +304,18 @@ class TcpRouter:
                         self._last_seen[source] = time.monotonic()
                     try:
                         with self._wlocks[source]:
-                            conn.sendall(pack_frame(K_HEARTBEAT_ACK, -1, source, 0, b""))
+                            write_frame(conn, frame_header(K_HEARTBEAT_ACK, -1, source, 0))
                     except OSError:
                         pass
                 elif kind == K_DATA:
-                    payload, corrupted, drop_conn = self._inject(source, payload)
-                    self._deliver(
-                        dest,
-                        _reframe(source, dest, tag, payload, crc_ok and not corrupted),
+                    corrupted, drop_conn = self._inject(source, payload)
+                    # Corrupted here or on the inbound hop: it goes on with a mismatching
+                    # CRC, as if the corruption happened on the receiver's own segment.
+                    header = frame_header(
+                        K_DATA, source, dest, tag, payload,
+                        corrupt=corrupted or not crc_ok,
                     )
+                    self._deliver(dest, header, payload)
                     if drop_conn:
                         conn.close()
                         return
@@ -314,23 +344,6 @@ class TcpRouter:
                 conn.close()
             except OSError:
                 pass
-
-
-def _reframe(source: int, dest: int, tag: int, payload: bytes, crc_ok: bool) -> bytes:
-    """Rebuild a forwarded frame, preserving corruption detectability.
-
-    With ``crc_ok`` the recomputed CRC is honest.  When the router
-    injected a ``truncate`` (or the inbound frame already failed its
-    check) the outbound CRC is deliberately off by one bit, so the
-    receiver's check trips exactly as if the corruption happened on its
-    own wire segment.
-    """
-    crc = zlib.crc32(payload)
-    if not crc_ok:
-        crc ^= 1  # keep the mismatch visible downstream
-    return HEADER.pack(
-        MAGIC, VERSION, K_DATA, source, dest, tag, len(payload), crc
-    ) + payload
 
 
 # -- endpoint (one per rank) -------------------------------------------------
@@ -365,7 +378,7 @@ class _TcpEndpoint:
             try:
                 sock = socket.create_connection(self.cluster.router.address, timeout=5.0)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                sock.sendall(pack_frame(K_HELLO, self.rank, -1, 0, b""))
+                write_frame(sock, frame_header(K_HELLO, self.rank, -1, 0))
                 self._sock = sock
                 reader = threading.Thread(
                     target=self._reader_loop,
@@ -413,7 +426,7 @@ class _TcpEndpoint:
         """Send one frame, retrying across reconnects with seeded backoff."""
         from ..faults import seeded_backoff  # deferred: avoid import cycle
 
-        frame = pack_frame(kind, self.rank, dest, tag, payload)
+        header = frame_header(kind, self.rank, dest, tag, payload)
         last: Exception | None = None
         for attempt in range(1, CONNECT_ATTEMPTS + 1):
             try:
@@ -421,7 +434,7 @@ class _TcpEndpoint:
                     if self._sock is None:
                         self._connect_locked()
                     assert self._sock is not None
-                    self._sock.sendall(frame)
+                    write_frame(self._sock, header, payload)
                 return
             except OSError as exc:
                 last = exc
@@ -532,7 +545,7 @@ class _TcpEndpoint:
             sock, self._sock = self._sock, None
         if sock is not None:
             try:
-                sock.sendall(pack_frame(K_BYE, self.rank, -1, 0, b""))
+                write_frame(sock, frame_header(K_BYE, self.rank, -1, 0))
             except OSError:
                 pass
             try:

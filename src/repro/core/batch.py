@@ -48,6 +48,7 @@ fallback even when numba is installed.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,7 @@ from .serialization import PackedMap, _schema_dtype
 __all__ = [
     "HAVE_NUMBA",
     "ColumnarAccumulator",
+    "Scratch",
     "array_form_stands",
     "maybe_njit",
 ]
@@ -90,6 +92,31 @@ def maybe_njit(fn: Callable | None = None, **options) -> Callable:
     if fn is not None:
         return decorate(fn)
     return decorate
+
+
+class Scratch(threading.local):
+    """Work arrays a batch kernel reuses from call to call.
+
+    A kernel's temporaries are as large as its split; allocated fresh per
+    call, megabyte-sized ones come from ``mmap`` and are faulted in page
+    by page every time, which can cost more than the arithmetic.
+    :meth:`array` hands out the same memory again instead.  Arrays are
+    **per thread** — the thread engine runs the splits of one scheduler
+    concurrently.  A kernel's module owns one instance for the life of
+    the process, not each scheduler its own: the service builds a
+    scheduler per job, and a scratch that was allocated and dropped with
+    each measurably cost it CPU.  So a thread keeps, per kernel, arrays
+    the size of the largest split it has reduced.
+    """
+
+    def array(self, name: str, n: int, dtype) -> np.ndarray:
+        """An uninitialised length-``n`` array of ``dtype``: the calling
+        thread's array ``name``, grown when it is too short."""
+        arrays = self.__dict__
+        arr = arrays.get(name)
+        if arr is None or len(arr) < n or arr.dtype != dtype:
+            arr = arrays[name] = np.empty(n, dtype)
+        return arr[:n]
 
 
 def array_form_stands(cls: type, array: str, scalar: str) -> bool:

@@ -12,7 +12,9 @@ the simulation.
 Data path
 ---------
 The simulation side holds an :class:`ElasticTier` and calls
-:meth:`~ElasticTier.submit` once per partition.  Frames route
+:meth:`~ElasticTier.submit` once per partition, which travels as a
+one-line array descriptor plus its raw bytes, sent from the caller's
+buffer and viewed in place by the worker (no pickle).  Frames route
 round-robin over the live workers; **credit-based backpressure** bounds
 the per-worker in-flight window (``credits`` unacknowledged frames):
 ``submit`` blocks until the target worker acknowledges, so a slow tier
@@ -23,7 +25,7 @@ Each worker owns a rank-local :class:`~repro.core.scheduler.Scheduler`
 its combination map.  Every ``snapshot_every`` processed frames it ships
 a **consistency snapshot** (serialized map + frame count) back; the
 coordinator keeps the latest CRC-good snapshot per worker plus a replay
-log of every frame sent after it.
+log of every frame sent after it (of each, what the policy can use).
 
 Recovery state machine (DESIGN.md section 13)
 ---------------------------------------------
@@ -57,6 +59,7 @@ deterministic per worker id.
 
 from __future__ import annotations
 
+import ast
 import multiprocessing
 import os
 import pickle
@@ -68,7 +71,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..comm.tcp import pack_frame, recv_frame
+from ..comm.tcp import frame_header, recv_frame, write_frame
 from ..faults import FaultError, FaultPolicy
 from .maps import KeyedMap
 from .serialization import deserialize_map, serialize_map
@@ -81,7 +84,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # Frame kinds >= 16: the elastic tier's protocol over the tcp header.
 K_W_HELLO = 16  #: worker -> coordinator: registration (source = worker id)
 K_W_LOAD = 17  #: coordinator -> worker: install a snapshot (or empty state)
-K_W_DATA = 18  #: coordinator -> worker: one partition (tag = frame seq)
+K_W_DATA = 18  #: coordinator -> worker: one partition, see _encode_array (tag = frame seq)
 K_W_ACK = 19  #: worker -> coordinator: frame processed (tag = frame seq)
 K_W_SNAPSHOT = 20  #: worker -> coordinator: consistency snapshot (tag = frames)
 K_W_DRAIN = 21  #: coordinator -> worker: request the final map
@@ -111,6 +114,26 @@ _RETIRED = "retired"
 
 class StagingWorkerError(FaultError):
     """A staging worker died or hung and the policy forbids recovery."""
+
+
+def _encode_array(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A ``K_W_DATA`` payload: one text line describing ``arr`` (dtype descr and shape,
+    space-padded so the data starts 16-byte aligned), then its C-contiguous bytes — a
+    view of ``arr``, which is copied only when it is not contiguous."""
+    if arr.dtype.hasobject:
+        raise TypeError(f"cannot forward dtype {arr.dtype}: partitions travel as raw bytes")
+    if not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr)
+    text = repr((np.lib.format.dtype_to_descr(arr.dtype), arr.shape)).encode()
+    return text + b" " * (-(len(text) + 1) % 16) + b"\n", arr.reshape(-1).view(np.uint8)
+
+
+def _decode_array(payload: bytearray) -> np.ndarray:
+    """The array :func:`_encode_array` described, over ``payload``'s own bytes."""
+    start = payload.index(b"\n") + 1
+    descr, shape = ast.literal_eval(payload[:start].decode())
+    dtype = np.lib.format.descr_to_dtype(descr)
+    return np.frombuffer(payload, dtype, offset=start).reshape(shape)
 
 
 # -- worker process body -----------------------------------------------------
@@ -144,14 +167,19 @@ def _worker_main(
     corrupt_next = [False]
 
     def send(kind: int, tag: int = 0, payload: bytes = b"") -> None:
-        frame = pack_frame(kind, worker_id, -1, tag, payload)
-        if corrupt_next[0] and payload:
-            # Injected truncate: flip the last payload byte after the
-            # CRC was computed, so the coordinator's check trips.
-            frame = frame[:-1] + bytes([frame[-1] ^ 0xFF])
+        # Injected truncate: the next frame with a payload carries a mismatching CRC.
+        corrupt = bool(payload) and corrupt_next[0]
+        if corrupt:
             corrupt_next[0] = False
+        header = frame_header(kind, worker_id, -1, tag, payload, corrupt=corrupt)
         with wlock:
-            sock.sendall(frame)
+            write_frame(sock, header, payload)
+
+    def send_state(kind: int) -> None:
+        """Ship the map and the count of frames it covers (a snapshot, or the final)."""
+        wire = serialize_map(sched.get_combination_map(), sched.policy.wire_format)
+        state = {"frames": frames_done, "map": wire}
+        send(kind, frames_done, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
 
     def beat() -> None:
         while not closing.wait(heartbeat_interval):
@@ -200,32 +228,13 @@ def _worker_main(
                     consult_plan()
                 except InjectedRankCrash:  # pragma: no cover - defensive
                     os._exit(1)
-                sched.run(pickle.loads(payload))
+                sched.run(_decode_array(payload))
                 frames_done += 1
                 send(K_W_ACK, tag=tag)
                 if snapshot_every and frames_done % snapshot_every == 0:
-                    snap = pickle.dumps(
-                        {
-                            "frames": frames_done,
-                            "map": serialize_map(
-                                sched.get_combination_map(),
-                                sched.policy.wire_format,
-                            ),
-                        },
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                    send(K_W_SNAPSHOT, tag=frames_done, payload=snap)
+                    send_state(K_W_SNAPSHOT)
             elif kind == K_W_DRAIN:
-                final = pickle.dumps(
-                    {
-                        "frames": frames_done,
-                        "map": serialize_map(
-                            sched.get_combination_map(), sched.policy.wire_format
-                        ),
-                    },
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-                send(K_W_FINAL, tag=frames_done, payload=final)
+                send_state(K_W_FINAL)
             elif kind == K_W_BYE:
                 return
     except (ConnectionError, OSError):
@@ -252,7 +261,7 @@ class _Worker:
         self.state = _STARTING
         self.sent = 0  # frames handed to this worker (its local seq)
         self.acked = 0  # frames it has acknowledged
-        self.log: deque[tuple[int, bytes, int]] = deque()  # (seq, payload, n_elems)
+        self.log: deque[tuple[int, tuple, int]] = deque()  # (seq, replay buffers, n_elems)
         self.snap_bytes: bytes | None = None  # latest CRC-good snapshot map
         self.snap_frames = 0  # frames covered by that snapshot
         self.final: bytes | None = None
@@ -323,6 +332,7 @@ class ElasticTier:
         self._cond = threading.Condition()
         self._workers: dict[int, _Worker] = {}
         self._seq = 0  # global submit counter (routing)
+        self._log_bytes = 0  # payload bytes the replay logs retain
         self._closing = False
         threading.Thread(
             target=self._accept_loop, name="elastic-accept", daemon=True
@@ -422,7 +432,7 @@ class ElasticTier:
                             worker.snap_bytes = state["map"]
                             worker.snap_frames = state["frames"]
                             while worker.log and worker.log[0][0] < worker.snap_frames:
-                                worker.log.popleft()
+                                self._log_bytes -= sum(map(len, worker.log.popleft()[1]))
                             if self.telemetry is not None:
                                 self.telemetry.inc("elastic.snapshots")
                         elif self.telemetry is not None:
@@ -492,7 +502,7 @@ class ElasticTier:
             with self._cond:
                 worker.state = _EXCLUDED
                 lost_frames = len(worker.log)
-                lost_elems = sum(n for _seq, _payload, n in worker.log)
+                lost_elems = sum(n for _seq, _kept, n in worker.log)
                 worker.log.clear()
                 worker.sent = worker.acked = worker.snap_frames
             if self.telemetry is not None:
@@ -521,8 +531,8 @@ class ElasticTier:
             replay = list(worker.log)
         try:
             self._send_raw(worker, K_W_LOAD, 0, load)
-            for seq, payload, _n in replay:
-                self._send_raw(worker, K_W_DATA, seq, payload)
+            for seq, kept, _n in replay:
+                self._send_raw(worker, K_W_DATA, seq, *kept)
         except OSError as exc:
             raise StagingWorkerError(
                 f"staging worker {worker.id} died again during replay"
@@ -531,19 +541,23 @@ class ElasticTier:
             self.telemetry.inc("elastic.replays")
             self.telemetry.inc("elastic.frames_replayed", len(replay))
 
-    def _send_raw(self, worker: _Worker, kind: int, tag: int, payload: bytes) -> None:
+    def _send_raw(self, worker: _Worker, kind: int, tag: int, *payload: Any) -> None:
         with self._cond:
             conn = worker.conn
         if conn is None:
             raise OSError("worker has no connection")
         with worker.wlock:
-            conn.sendall(pack_frame(kind, -1, worker.id, tag, payload))
+            write_frame(conn, frame_header(kind, -1, worker.id, tag, *payload), *payload)
 
     # -- data path ---------------------------------------------------------
     def submit(self, partition: np.ndarray) -> None:
-        """Forward one partition to the tier (blocks on credits)."""
+        """Forward one partition to the tier (blocks on credits).
+
+        Any array but an object-dtype one (``TypeError``).  Its bytes go out from the
+        caller's buffer and are in the kernel on return: the buffer is then free to reuse.
+        """
         arr = np.asarray(partition)
-        payload = pickle.dumps(arr, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = _encode_array(arr)
         seq = self._seq
         self._seq += 1
         while True:
@@ -555,12 +569,16 @@ class ElasticTier:
                 self._send_with_credits(worker, payload, int(arr.size))
                 if self.telemetry is not None:
                     self.telemetry.inc("elastic.frames_forwarded")
-                    self.telemetry.inc("elastic.bytes_forwarded", len(payload))
+                    self.telemetry.inc("elastic.bytes_forwarded", sum(map(len, payload)))
+                    self.telemetry.set_gauge("elastic.log_bytes", self._log_bytes)
                 return
             except _WorkerDown:
                 self._recover(worker)  # then re-route this partition
 
-    def _send_with_credits(self, worker: _Worker, payload: bytes, n_elems: int) -> None:
+    def _send_with_credits(self, worker: _Worker, payload: tuple, n_elems: int) -> None:
+        # What recovery can use: a private copy under retry (the caller's buffer is its
+        # own again once submit returns), the loss account under degrade, else nothing.
+        kept = (payload[0], bytes(payload[1])) if self.policy.mode == "retry" else ()
         waited = 0.0
         last_progress = time.monotonic()
         seen_acked = -1
@@ -586,16 +604,24 @@ class ElasticTier:
                 raise _WorkerDown(worker.id)
             seq = worker.sent
             worker.sent += 1
-            worker.log.append((seq, payload, n_elems))
+            if self.policy.mode != "fail_fast":
+                worker.log.append((seq, kept, n_elems))
+                self._log_bytes += sum(map(len, kept))
         if waited and self.telemetry is not None:
             self.telemetry.add_time("elastic.credit_wait_seconds", waited)
+        started = time.perf_counter()
         try:
-            self._send_raw(worker, K_W_DATA, seq, payload)
+            self._send_raw(worker, K_W_DATA, seq, *payload)
         except OSError:
             with self._cond:
                 if worker.state == _LIVE:
                     worker.state = _SUSPECT
+                # submit re-routes this partition: neither replay it nor count it lost
+                if worker.log and worker.log[-1][0] == seq:
+                    self._log_bytes -= sum(map(len, worker.log.pop()[1]))
             raise _WorkerDown(worker.id) from None
+        if self.telemetry is not None:
+            self.telemetry.add_time("elastic.send_seconds", time.perf_counter() - started)
 
     def _await_quiescent(self, worker: _Worker) -> None:
         """Block until ``worker`` has acknowledged everything sent."""
@@ -643,7 +669,7 @@ class ElasticTier:
             try:
                 self._await_quiescent(worker)
                 worker.final = None
-                self._send_raw(worker, K_W_DRAIN, 0, b"")
+                self._send_raw(worker, K_W_DRAIN, 0)
                 self._await_final(worker)
             except (_WorkerDown, OSError):
                 self._recover(worker)
@@ -654,7 +680,7 @@ class ElasticTier:
         with self._cond:
             worker.state = _RETIRED
         try:
-            self._send_raw(worker, K_W_BYE, 0, b"")
+            self._send_raw(worker, K_W_BYE, 0)
         except OSError:
             pass
 
@@ -686,7 +712,7 @@ class ElasticTier:
                 try:
                     self._await_quiescent(worker)
                     worker.final = None
-                    self._send_raw(worker, K_W_DRAIN, 0, b"")
+                    self._send_raw(worker, K_W_DRAIN, 0)
                     self._await_final(worker)
                 except (_WorkerDown, OSError):
                     self._recover(worker)
@@ -714,7 +740,7 @@ class ElasticTier:
         self._closing = True
         for worker in self._workers.values():
             try:
-                self._send_raw(worker, K_W_BYE, 0, b"")
+                self._send_raw(worker, K_W_BYE, 0)
             except OSError:
                 pass
         try:

@@ -1,5 +1,7 @@
 """Histogram application."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,11 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def build(kernel=False, threads=1, lo=-4.0, hi=4.0, buckets=32):
+def build(kernel=False, threads=1, lo=-4.0, hi=4.0, buckets=32, engine="serial"):
     """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     return Histogram(
-        SchedArgs(map_path="auto" if kernel else "scalar", num_threads=threads),
+        SchedArgs(map_path="auto" if kernel else "scalar", num_threads=threads,
+                  engine=engine),
         lo=lo, hi=hi, num_buckets=buckets,
     )
 
@@ -32,6 +35,32 @@ class TestCorrectness:
         vector.run(data)
         assert np.array_equal(scalar.counts(), vector.counts())
         assert vector.stats.batch_reduce_calls and not scalar.stats.batch_reduce_calls
+
+    def test_kernel_scratch_is_per_thread(self, rng):
+        """The kernel's temporaries are reused from run to run; under the
+        thread engine four splits share one scheduler, so they must not
+        share the scratch.  Partition lengths vary, so the scratch is
+        grown and sliced; counts equal the serial scalar loop's each run."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with build() as scalar, build(kernel=True, threads=4, engine="thread") as kernel:
+                for run in range(50):
+                    data = rng.normal(scale=2.0, size=int(rng.integers(4, 3000)))
+                    scalar.run(data)
+                    kernel.run(data)
+                    assert np.array_equal(kernel.counts(), scalar.counts()), run
+                assert kernel.stats.batch_reduce_calls >= 4 * 50 - 50
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("dtype", ["f4", "i4", "u1"])
+    def test_kernel_equals_scalar_for_other_dtypes(self, rng, dtype):
+        data = (rng.normal(size=500) * 3).astype(dtype)
+        scalar, kernel = build(), build(kernel=True)
+        scalar.run(data)
+        kernel.run(data)
+        assert np.array_equal(kernel.counts(), scalar.counts())
 
     def test_out_of_range_clamps(self):
         app = build(lo=0.0, hi=1.0, buckets=4)

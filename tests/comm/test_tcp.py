@@ -25,9 +25,12 @@ from repro.comm import (
 from repro.comm.tcp import (
     HEADER,
     K_DATA,
+    K_HELLO,
     MAGIC,
+    frame_header,
     pack_frame,
     recv_frame,
+    write_frame,
 )
 from repro.faults import FaultPlan, FaultSpec, seeded_backoff
 
@@ -90,6 +93,112 @@ class TestFraming:
         *_fields, length, crc = HEADER.unpack(frame[: HEADER.size])
         assert length == len(payload)
         assert crc == zlib.crc32(payload)
+
+
+class _CountingSocket:
+    """A socket whose ``sendmsg`` calls are counted (``write_frame`` uses
+    nothing else of it)."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.calls = 0
+
+    def sendmsg(self, buffers):
+        self.calls += 1
+        return self.sock.sendmsg(buffers)
+
+
+class _TrickleSocket(_CountingSocket):
+    """Accepts at most ``limit`` bytes per ``sendmsg``: every partial-send
+    shape (mid-header, mid-buffer, across buffers) occurs."""
+
+    limit = 7
+
+    def sendmsg(self, buffers):
+        self.calls += 1
+        return self.sock.send(b"".join(buffers)[: self.limit])
+
+
+class TestFrameWriter:
+    """``write_frame`` puts exactly ``pack_frame``'s bytes on the wire,
+    from however many buffers, however the kernel takes them."""
+
+    @pytest.mark.parametrize(
+        "buffers",
+        [
+            [b"one buffer"],
+            [b"he", bytearray(b"llo"), b"", memoryview(b", wor"),
+             np.frombuffer(b"ld", dtype=np.uint8)],
+            [],
+        ],
+        ids=["single", "multi", "empty"],
+    )
+    @pytest.mark.parametrize("wrap", [_CountingSocket, _TrickleSocket])
+    def test_wire_bytes_equal_pack_frame(self, buffers, wrap):
+        want = pack_frame(K_DATA, 5, 6, 77, b"".join(bytes(b) for b in buffers))
+        a, b = socket.socketpair()
+        try:
+            out = wrap(a)
+            write_frame(out, frame_header(K_DATA, 5, 6, 77, *buffers), *buffers)
+            a.close()
+            got = b""
+            while chunk := b.recv(1 << 16):
+                got += chunk
+        finally:
+            a.close()
+            b.close()
+        assert got == want
+        if wrap is _TrickleSocket:
+            assert out.calls == -(-len(want) // _TrickleSocket.limit)
+
+    def test_large_frame_survives_partial_sends(self):
+        """4 MiB through a small send buffer: the kernel takes the frame
+        in many pieces and the reader still sees it whole, CRC good."""
+        payload = np.random.default_rng(7).bytes(4 << 20)
+        a, b = socket.socketpair()
+        received = []
+        reader = threading.Thread(target=lambda: received.append(recv_frame(b)))
+        try:
+            a.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            a.settimeout(FAST_JOB_TIMEOUT)  # as an endpoint's socket has
+            reader.start()
+            out = _CountingSocket(a)
+            half = len(payload) // 2
+            write_frame(out, frame_header(K_DATA, 1, 2, 3, payload[:half], payload[half:]),
+                        payload[:half], payload[half:])
+            reader.join(FAST_JOB_TIMEOUT)
+            assert not reader.is_alive()
+        finally:
+            a.close()
+            b.close()
+        assert out.calls > 1, "the send buffer was meant to force partial sends"
+        kind, source, dest, tag, got, crc_ok = received[0]
+        assert (kind, source, dest, tag) == (K_DATA, 1, 2, 3)
+        assert crc_ok and got == payload
+
+    def test_empty_payload_roundtrip(self):
+        a, b = socket.socketpair()
+        try:
+            write_frame(a, frame_header(K_HELLO, 3, -1, 0))
+            kind, source, dest, tag, payload, crc_ok = recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+        assert (kind, source, dest, tag) == (K_HELLO, 3, -1, 0)
+        assert payload == b"" and crc_ok
+
+    def test_corrupt_flag_trips_the_receivers_crc(self):
+        """The explicit mismatch flag (router ``truncate``, worker
+        snapshot corruption): payload intact, ``crc_ok`` false."""
+        a, b = socket.socketpair()
+        try:
+            write_frame(a, frame_header(K_DATA, 0, 1, 0, b"abc", b"def", corrupt=True),
+                        b"abc", b"def")
+            *_head, payload, crc_ok = recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+        assert payload == b"abcdef" and not crc_ok
 
 
 class TestDeadlineAndAbort:

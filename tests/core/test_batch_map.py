@@ -10,6 +10,7 @@ repro command) rather than a bare assert.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.core import (
     SchedArgs,
     Scheduler,
 )
+from repro.core.batch import Scratch
 from repro.core.serialization import pack_map
 from repro.verify import Config, execute, get_workload, workload_names
 from tests.workloads import assert_conforms, mismatch_report
@@ -189,6 +191,36 @@ class TestColumnarAccumulator:
     def test_inverted_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             ColumnarAccumulator(SumCountObj(), 5, 3)
+
+
+class TestScratch:
+    def test_same_memory_again_grown_when_short(self):
+        scratch = Scratch()
+        first = scratch.array("keys", 100, np.int64)
+        assert first.shape == (100,) and first.dtype == np.int64
+        assert np.shares_memory(scratch.array("keys", 40, np.int64), first)
+        assert scratch.array("keys", 40, np.int64).shape == (40,)
+        grown = scratch.array("keys", 1000, np.int64)
+        assert grown.shape == (1000,) and not np.shares_memory(grown, first)
+        assert np.shares_memory(scratch.array("keys", 100, np.int64), grown)
+
+    def test_names_and_dtypes_do_not_alias(self):
+        scratch = Scratch()
+        keys = scratch.array("keys", 64, np.int64)
+        assert not np.shares_memory(scratch.array("scaled", 64, np.float64), keys)
+        as_f32 = scratch.array("keys", 64, np.float32)
+        assert as_f32.dtype == np.float32 and not np.shares_memory(as_f32, keys)
+
+    def test_each_thread_gets_its_own(self):
+        scratch = Scratch()
+        mine = scratch.array("keys", 64, np.int64)
+        theirs = []
+        worker = threading.Thread(
+            target=lambda: theirs.append(scratch.array("keys", 64, np.int64)))
+        worker.start()
+        worker.join(10.0)
+        assert not worker.is_alive()
+        assert not np.shares_memory(theirs[0], mine)
 
 
 # ---------------------------------------------------------------------------

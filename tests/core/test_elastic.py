@@ -7,6 +7,7 @@ disconnects; degrade conserves mass with exact loss accounting;
 corrupted snapshot falls back to the previous CRC-good one.
 """
 
+import socket
 import time
 
 import numpy as np
@@ -83,6 +84,179 @@ class TestHealthy:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             ElasticTier(factory, 0)
+
+
+class _Recording(Histogram):
+    """Staging scheduler that saves each received partition, as received,
+    to ``<folder>/<arrival index>.npy`` instead of reducing it."""
+
+    folder = None  # set per test; inherited by the forked workers
+
+    def run(self, data, out=None):
+        np.save(self.folder / f"{len(list(self.folder.iterdir()))}.npy", data)
+
+
+def _recording_factory():
+    return _Recording(SchedArgs(num_threads=1), None, lo=0.0, hi=1.0, num_buckets=2)
+
+
+_RECORD = np.dtype([("id", "<i4"), ("value", "<f8"), ("tag", "S3")])
+
+ARRAYS = {
+    "float64": np.linspace(-1.0, 1.0, 37),
+    "strided-view": np.arange(40.0)[3::4],
+    "reversed-view": np.arange(9, dtype=np.int32)[::-1],
+    "fortran-2d": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+    "transposed-3d": np.arange(24, dtype=np.int16).reshape(2, 3, 4).transpose(2, 0, 1),
+    "zero-d": np.array(3.5),
+    "empty-1d": np.empty(0),
+    "empty-2d": np.empty((0, 3), dtype=np.int32),
+    "big-endian": np.arange(6, dtype=">f4"),
+    "bool": np.array([[True, False], [False, True]]),
+    "complex": np.array([1 + 2j, 3 - 4j]),
+    "uint8": np.arange(5, dtype=np.uint8),
+    "bytes": np.array([b"ab", b"cde"]),
+    "unicode": np.array(["x", "yz"]),
+    "datetime": np.array(["2015-11-15", "2026-10-02"], dtype="M8[D]"),
+    "record": np.array([(1, 0.5, b"abc"), (2, -1.5, b"de")], dtype=_RECORD),
+    "list": [[1, 2, 3], [4, 5, 6]],
+}
+
+
+class TestPartitionPayload:
+    """``submit`` ships an array as descriptor + raw bytes: the worker
+    must see the dtype, shape and values the caller had."""
+
+    def test_roundtrip_matrix(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_Recording, "folder", tmp_path)
+        telemetry = Recorder()
+        with ElasticTier(_recording_factory, 1, telemetry=telemetry) as tier:
+            for arr in ARRAYS.values():
+                tier.submit(arr)
+            tier.drain()  # quiescent: every frame processed
+        for index, (name, arr) in enumerate(ARRAYS.items()):
+            want = np.asarray(arr)
+            got = np.load(tmp_path / f"{index}.npy")
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name  # C-order values
+        # payload bytes = the data plus a descriptor of a few 16-byte lines
+        data = sum(np.asarray(a).nbytes for a in ARRAYS.values())
+        moved = telemetry.snapshot()["counters"]["elastic.bytes_forwarded"]
+        assert data + 16 * len(ARRAYS) <= moved <= data + 128 * len(ARRAYS)
+        assert (moved - data) % 16 == 0  # descriptors end on the data's alignment
+
+    def test_worker_array_is_aligned(self):
+        """The descriptor is padded so ``np.frombuffer`` is aligned."""
+        for arr in (np.arange(7.0), np.ones((3, 5), dtype=np.complex128)):
+            desc, data = elastic._encode_array(arr)
+            got = elastic._decode_array(bytearray(desc) + bytearray(data))
+            assert len(desc) % 16 == 0 and got.flags.aligned
+            assert np.shares_memory(data, arr)  # contiguous input: no copy
+            assert np.array_equal(got, arr)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [np.array([1, "a", None], dtype=object),
+         np.zeros(2, dtype=[("n", "<i4"), ("ref", "O")])],
+        ids=["object", "record-with-object"],
+    )
+    def test_object_dtype_is_refused(self, partitions, baseline, arr):
+        with ElasticTier(factory, 1) as tier:
+            with pytest.raises(TypeError, match="object|'O'"):
+                tier.submit(arr)
+            for part in partitions:  # and the tier is none the worse
+                tier.submit(part)
+            assert np.array_equal(counts(tier.drain()), baseline)
+
+
+def _retained(tier):
+    """Every payload buffer the coordinator's replay logs hold."""
+    return [buf for w in tier._workers.values() for _seq, kept, _n in w.log
+            for buf in kept]
+
+
+class TestReplayLog:
+    """What the coordinator keeps of a submitted partition is what its
+    fault policy can use — and under ``retry`` that is a private copy."""
+
+    def test_caller_may_overwrite_its_buffer_under_retry(self, partitions, baseline):
+        telemetry = Recorder()
+        buffer = np.empty(max(len(p) for p in partitions))
+        with ElasticTier(
+            factory, 3,
+            policy=FaultPolicy.retry(backoff=0.01, max_attempts=5),
+            fault_plan=FaultPlan(
+                [FaultSpec("comm", "crash", at_call=3, target=1)], seed=SEED),
+            telemetry=telemetry,
+            worker_timeout=SUSPECT_TIMEOUT,
+        ) as tier:
+            for part in partitions:
+                step = buffer[: len(part)]
+                step[:] = part
+                tier.submit(step)
+                step[:] = 99.0  # the next step's output lands here
+            assert telemetry.gauge("elastic.log_bytes") > 0
+            result = counts(tier.drain())
+        assert np.array_equal(result, baseline)
+        snap = telemetry.snapshot()["counters"]
+        assert snap.get("elastic.frames_replayed", 0) >= 1
+
+    def test_log_bytes_gauge_follows_snapshots(self, partitions):
+        telemetry = Recorder()
+        with ElasticTier(factory, 1, policy="retry", telemetry=telemetry,
+                         snapshot_every=0) as tier:
+            for sent, part in enumerate(partitions, start=1):
+                tier.submit(part)
+                held = _retained(tier)
+                assert len(held) == 2 * sent  # descriptor + data per frame
+                assert not any(np.shares_memory(np.frombuffer(b, np.uint8), part)
+                               for b in held if len(b))
+                assert telemetry.gauge("elastic.log_bytes") == sum(map(len, held))
+        telemetry = Recorder()
+        with ElasticTier(factory, 1, policy="retry", telemetry=telemetry,
+                         snapshot_every=1) as tier:
+            for part in partitions:
+                tier.submit(part)
+            tier.drain()  # quiescent: every snapshot has arrived
+            assert _retained(tier) == []
+            tier.submit(partitions[0])
+            assert telemetry.gauge("elastic.log_bytes") == sum(map(len, _retained(tier)))
+
+    @pytest.mark.parametrize("mode", ["fail_fast", "degrade"])
+    def test_no_partition_bytes_kept_unless_retry(self, partitions, mode):
+        telemetry = Recorder()
+        with ElasticTier(factory, 2, policy=mode, telemetry=telemetry,
+                         snapshot_every=0) as tier:
+            for part in partitions:
+                tier.submit(part)
+            assert _retained(tier) == []
+            logged = [entry for w in tier._workers.values() for entry in w.log]
+            if mode == "fail_fast":
+                assert logged == []
+            else:  # the loss account: which frames, how many elements each
+                assert sorted(n for _seq, _kept, n in logged) == sorted(
+                    len(p) for p in partitions)
+        assert telemetry.gauge("elastic.log_bytes", default=-1) == 0
+        assert telemetry.timer("elastic.send_seconds").calls == N_PARTS
+
+    def test_failed_send_is_rerouted_not_also_counted_lost(self, partitions, baseline):
+        """A frame whose send fails is re-routed by ``submit``; it must
+        not stay in the dead worker's log too (double-counted as lost
+        under ``degrade``, replayed twice under ``retry``)."""
+        telemetry = Recorder()
+        with ElasticTier(factory, 2, policy=FaultPolicy.degrade(),
+                         telemetry=telemetry, snapshot_every=0,
+                         worker_timeout=SUSPECT_TIMEOUT) as tier:
+            for part in partitions[:4]:
+                tier.submit(part)
+            tier._workers[1].conn.shutdown(socket.SHUT_WR)  # next send: EPIPE
+            for part in partitions[4:]:
+                tier.submit(part)
+            result = counts(tier.drain())
+        lost = telemetry.snapshot()["counters"]["elastic.elements_lost"]
+        assert lost == sum(len(p) for p in partitions[1:4:2])
+        assert int(result.sum()) + lost == int(baseline.sum())
 
 
 class TestRetry:
@@ -179,6 +353,10 @@ class TestDegrade:
         assert lost > 0
         assert int(result.sum()) + lost == int(baseline.sum())
         assert snap.get("elastic.workers_dropped") == 1
+        # worker 1 dies on its 4th frame with no snapshot yet: exactly its
+        # four frames (every third partition from the second) are lost
+        assert snap.get("elastic.frames_lost") == 4
+        assert lost == sum(len(p) for p in partitions[1::3])
 
     def test_all_workers_lost_raises(self, partitions):
         plan = FaultPlan(
