@@ -4,7 +4,12 @@ The canonical iterative Smart application: the combination map holds one
 :class:`~repro.analytics.objects.ClusterObj` per centroid; ``gen_key``
 assigns each point to its nearest centroid; ``post_combine`` recomputes
 centroids (Lloyd iteration) once per Smart iteration.  Initial centroids
-arrive via ``SchedArgs.extra_data`` (a ``k × dims`` array).
+arrive via ``ExecutionPolicy.extra_data`` (a ``k × dims`` array, ``k ≥ 1``).
+
+The batch kernel (:meth:`KMeans.batch_reduce`) costs a split one GEMM and
+``dims + 1`` ``bincount`` scatters: nearest centroids as the ``argmin`` of
+``‖c‖² − 2 p·c`` and per-cluster sums added in input order, with the one
+``(n, k)`` temporary in per-thread scratch.
 """
 
 from __future__ import annotations
@@ -12,13 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
-from ..core.batch import ColumnarAccumulator
+from ..core.batch import ColumnarAccumulator, Scratch
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
 from ..core.sched_args import SchedArgs
 from ..core.scheduler import Scheduler
 from .objects import ClusterObj
+
+#: The kernel's ``(n, k)`` score matrix (per thread, reused across calls and schedulers).
+_SCRATCH = Scratch()
 
 
 class KMeans(Scheduler):
@@ -64,9 +72,10 @@ class KMeans(Scheduler):
         if extra_data is None:
             raise ValueError("KMeans requires initial centroids as extra_data")
         centroids = np.asarray(extra_data, dtype=np.float64)
-        if centroids.ndim != 2 or centroids.shape[1] != self.dims:
+        if centroids.ndim != 2 or centroids.shape[1] != self.dims or not len(centroids):
             raise ValueError(
-                f"initial centroids must be (k, {self.dims}), got {centroids.shape}"
+                f"initial centroids must be (k, {self.dims}) with k >= 1, "
+                f"got {centroids.shape}"
             )
         for key, centroid in enumerate(centroids):
             combination_map[key] = ClusterObj(centroid)
@@ -136,23 +145,20 @@ class KMeans(Scheduler):
         self, data: np.ndarray, start: int, stop: int, acc: ColumnarAccumulator
     ) -> None:
         points = data[start:stop].reshape(-1, self.dims)
-        # A contiguous copy: the strided column view would take matmul
-        # off the BLAS path.
-        centroids = np.ascontiguousarray(acc.column("centroid"))
-        # Squared distances via the expansion trick; argmin ties resolve to
+        n, k = len(points), len(acc)
+        centroids = acc.column("centroid")
+        # argmin over c of |p - c|^2 = |c|^2 - 2 p.c (+ |p|^2, constant
+        # along that axis): one GEMM into reused scratch.  Ties resolve to
         # the lowest index, matching gen_key's tie-break on sorted keys.
-        d2 = (
-            np.sum(points**2, axis=1)[:, None]
-            - 2.0 * points @ centroids.T
-            + np.sum(centroids**2, axis=1)[None, :]
-        )
-        assign = np.argmin(d2, axis=1)
+        score = _SCRATCH.array("score", n * k, np.float64).reshape(n, k)
+        np.matmul(points, (-2.0 * centroids).T, out=score)
+        score += np.sum(centroids**2, axis=1)
+        assign = score.argmin(axis=1)
+        # bincount adds in input order, as the scalar loop does.
         vec_sum = acc.column("vec_sum")
-        for idx in range(len(acc)):
-            members = points[assign == idx]
-            if members.shape[0]:
-                vec_sum[idx] += members.sum(axis=0)
-        counts = np.bincount(assign, minlength=len(acc))
+        for d in range(self.dims):
+            vec_sum[:, d] += np.bincount(assign, weights=points[:, d], minlength=k)
+        counts = np.bincount(assign, minlength=k)
         size = acc.column("size")
         size += counts
         acc.contrib += counts

@@ -51,7 +51,7 @@ from .maps import KeyedMap
 from .policy import ExecutionPolicy
 from .red_obj import RedObj, ensure_red_obj
 from .sched_args import SchedArgs
-from .serialization import PackedMap, global_combine
+from .serialization import PackedMap, global_combine, pack_map
 
 
 def _run_counter(name: str) -> property:
@@ -729,13 +729,14 @@ class Scheduler:
         return packed.keys.tolist()
 
     def _make_reduction_maps(self) -> list[KeyedMap]:
-        maps: list[KeyedMap] = []
-        for _ in range(self.policy.num_threads):
-            if self.seed_reduction_maps:
-                maps.append(self.combination_map_.clone())
-            else:
-                maps.append(KeyedMap())
-        return maps
+        threads = range(self.policy.num_threads)
+        if not self.seed_reduction_maps:
+            return [KeyedMap() for _ in threads]
+        # Seed by array copy where the map has a schema: no per-object deepcopy.
+        packed = pack_map(self.combination_map_)
+        if packed is None:
+            return [self.combination_map_.clone() for _ in threads]
+        return [KeyedMap.from_packed(packed.copy()) for _ in threads]
 
     def _reduce_split(
         self,

@@ -213,10 +213,11 @@ _register(Workload(
     key_estimate=4,
     schema_mergeable=False,
     has_batch_path=True,
-    # The kernel sums a cluster's members pairwise (``members.sum``), the
-    # scalar loop one point at a time.  Largest distance measured over
-    # seeds {7, 77, 1234, 2015} x threads 1-3 x blocks {0, 64, 256} x
-    # ranks 1-3 and ``conform --full``: 4 ulp.
+    # ``bincount`` adds a block's points in input order (0 ulp with one
+    # block), but each later block's subtotal is then added to the seeded
+    # total where the scalar loop adds point by point.  Largest distance
+    # measured over seeds {7, 77, 1234, 2015} x threads 1-3 x blocks
+    # {0, 64, 256} x ranks 1-3 and ``conform --full``: 4 ulp.
     batch_ulp=8,
 ))
 

@@ -1,5 +1,7 @@
 """K-means application (paper Listing 4)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,13 @@ from repro.comm import spmd_launch
 from repro.core import SchedArgs
 
 
-def build(init, iters=5, kernel=False, comm=None, threads=1):
+def build(init, iters=5, kernel=False, comm=None, threads=1, **args):
     """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     dims = init.shape[1]
     return KMeans(
         SchedArgs(
             chunk_size=dims, num_iters=iters, extra_data=init,
-            map_path="auto" if kernel else "scalar", num_threads=threads,
+            map_path="auto" if kernel else "scalar", num_threads=threads, **args,
         ),
         comm, dims=dims,
     )
@@ -98,6 +100,91 @@ class TestCorrectness:
         assert not np.array_equal(first, init)
 
 
+def lattice(n, dims, seed):
+    """Integer-valued points: every partial sum is exact in float64, so
+    the kernel must equal the scalar loop bit for bit however the
+    additions are grouped."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-50, 50, size=n * dims).astype(np.float64)
+
+
+class TestBatchKernel:
+    """``batch_reduce`` against the paper's ``gen_key``/``accumulate`` loop."""
+
+    @staticmethod
+    def both(flat, init, iters=3, **args):
+        results = []
+        for kernel in (False, True):
+            with build(init, iters=iters, kernel=kernel, **args) as app:
+                app.run(flat)
+                assert bool(app.stats.batch_reduce_calls) is kernel
+                results.append(app.centroids())
+        return results
+
+    def test_duplicate_centroids_tie_to_lowest_key(self, blobs):
+        flat, init, _ = blobs
+        init = init.copy()
+        init[2] = init[0]  # exact tie: key 0 takes every point, key 2 none
+        scalar, kernel = self.both(flat, init, iters=1)
+        assert np.array_equal(scalar, kernel)
+        assert np.array_equal(kernel[2], init[2])
+        assert not np.array_equal(kernel[0], init[0])
+
+    def test_cluster_without_points_keeps_centroid(self):
+        points = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 0.0])
+        init = np.array([[0.0, 0.0], [100.0, 100.0]])  # second never wins
+        scalar, kernel = self.both(points, init)
+        assert np.array_equal(scalar, kernel)
+        assert np.array_equal(kernel, [[1.0, 1 / 3], [100.0, 100.0]])
+
+    @pytest.mark.parametrize("args", [
+        dict(threads=2),  # the second split starts at a non-zero offset
+        dict(block_size=96),  # later blocks continue from seeded totals
+        dict(threads=3, block_size=150),
+        dict(threads=3, engine="thread"),
+    ], ids=["offset", "blocks", "blocks-and-splits", "thread-engine"])
+    def test_equals_scalar_loop(self, args):
+        flat = lattice(500, 3, seed=5)
+        init = flat.reshape(-1, 3)[:5].copy()
+        scalar, kernel = self.both(flat, init, **args)
+        assert np.array_equal(scalar, kernel)
+        assert not np.array_equal(kernel, init)
+
+    def test_kernels_of_different_shape_share_scratch(self):
+        """Two schedulers alternate on one thread: the shared score array
+        grows for the larger ``(n, k)`` and is resliced for the smaller."""
+        small, large = lattice(120, 2, seed=1), lattice(400, 3, seed=2)
+        cases = [(small, small.reshape(-1, 2)[:3].copy()),
+                 (large, large.reshape(-1, 3)[:7].copy())] * 2
+        for flat, init in cases:  # the scalar twin in between uses no scratch
+            scalar, kernel = self.both(flat, init)
+            assert np.array_equal(scalar, kernel)
+
+    def test_no_split_sized_float_temporary(self):
+        n, k, dims = 32768, 8, 4
+        flat = np.random.default_rng(0).uniform(0.0, 100.0, n * dims)
+        app = build(flat.reshape(-1, dims)[:k].copy(), kernel=True)
+        app.process_extra_data(app.policy.extra_data, app.combination_map_)
+
+        def reduce_split():
+            acc = app.make_accumulator(0, len(flat))
+            acc.load_from(app.combination_map_)
+            app.batch_reduce(flat, 0, len(flat), acc)
+            return acc
+
+        reduce_split()  # warm: the scratch now fits the split
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            acc = reduce_split()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int(acc.column("size").sum()) == n
+        assert peak - before < n * k * 8  # one (n, k) float64 array
+
+
 class TestValidation:
     def test_requires_extra_data(self):
         app = KMeans(SchedArgs(chunk_size=2), dims=2)
@@ -111,4 +198,10 @@ class TestValidation:
     def test_centroid_shape_checked(self):
         app = KMeans(SchedArgs(chunk_size=2, extra_data=np.zeros((4, 3))), dims=2)
         with pytest.raises(ValueError, match=r"\(k, 2\)"):
+            app.run(np.zeros(4))
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_no_centroids_rejected_on_both_map_paths(self, kernel):
+        app = build(np.empty((0, 2)), kernel=kernel)
+        with pytest.raises(ValueError, match=r"k >= 1.*\(0, 2\)"):
             app.run(np.zeros(4))

@@ -158,6 +158,26 @@ class TestIterativeSeeding:
         app.run(data)
         assert app.last_mean == pytest.approx(5.5)
 
+    @pytest.mark.parametrize("schema", [True, False])
+    def test_each_thread_gets_a_private_copy(self, schema):
+        """A map with a schema seeds by array copy (no object until one is
+        read); a schemaless one clones its objects."""
+
+        class Bare(SumCountObj):
+            __slots__ = ()
+
+            def fields(self):
+                return None
+
+        app = IterativeMean(SchedArgs(num_threads=3))
+        app.combination_map_[0] = SumCountObj(2.5, 1) if schema else Bare(2.5, 1)
+        maps = app._make_reduction_maps()
+        assert [m.packed is not None for m in maps] == [schema] * 3
+        maps[0][0].total += 1.0
+        assert type(maps[1][0]) is type(app.combination_map_[0])
+        assert (maps[1][0].total, maps[1][0].count) == (2.5, 1)
+        assert app.combination_map_[0].total == 2.5
+
 
 class TestGlobalCombination:
     def test_results_rank_invariant(self):
