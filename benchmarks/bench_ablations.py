@@ -15,9 +15,10 @@ from repro.baselines.minispark import Serializer, shuffle_read, shuffle_write
 from repro.comm import spmd_launch
 from repro.core import (
     CircularBuffer,
+    EnginePolicy,
+    ExecutionPolicy,
     InTransitDriver,
     KeyedMap,
-    SchedArgs,
     split_staging_comm,
 )
 from repro.core.serialization import deserialize_map, serialize_map
@@ -49,7 +50,7 @@ class TestChunkSizeAblation:
                 red_obj.count += chunk.size
                 return red_obj
 
-        app = ChunkMean(SchedArgs(chunk_size=chunk_size), grid_size=1000)
+        app = ChunkMean(ExecutionPolicy(chunk_size=chunk_size), grid_size=1000)
         benchmark(lambda: (app.reset(), app.run(data)))
 
 
@@ -60,7 +61,7 @@ class TestBlockSizeAblation:
     @pytest.mark.parametrize("block_size", [256, 4096, None])
     def test_bench_histogram_blocks(self, benchmark, block_size):
         app = Histogram(
-            SchedArgs(block_size=block_size),
+            ExecutionPolicy(block_size=block_size),
             lo=-4, hi=4, num_buckets=64,
         )
         benchmark(lambda: (app.reset(), app.run(DATA)))
@@ -70,12 +71,15 @@ class TestMapPathAblation:
     """The compiled-equivalent batch kernel vs the paper-faithful chunk loop."""
 
     def test_bench_scalar_path(self, benchmark):
-        app = Histogram(SchedArgs(map_path="scalar"), lo=-4, hi=4, num_buckets=64)
+        app = Histogram(
+            ExecutionPolicy(engine=EnginePolicy(map_path="scalar")),
+            lo=-4, hi=4, num_buckets=64,
+        )
         data = DATA[:5000]
         benchmark(lambda: (app.reset(), app.run(data)))
 
     def test_bench_batch_path(self, benchmark):
-        app = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=64)
+        app = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=64)
         data = DATA[:5000]
         benchmark(lambda: (app.reset(), app.run(data)))
 
@@ -91,7 +95,10 @@ class TestReductionVsShuffleAblation:
     batch kernel (see TestMapPathAblation: ~70x)."""
 
     def test_bench_in_place_reduction(self, benchmark):
-        app = Histogram(SchedArgs(map_path="scalar"), lo=-4, hi=4, num_buckets=64)
+        app = Histogram(
+            ExecutionPolicy(engine=EnginePolicy(map_path="scalar")),
+            lo=-4, hi=4, num_buckets=64,
+        )
         data = DATA[:5000]
         benchmark(lambda: (app.reset(), app.run(data)))
 
@@ -124,7 +131,12 @@ class TestSeededMapAblation:
     def test_bench_seeding_cost(self, benchmark, kmeans_workload, threads):
         flat, init = kmeans_workload
         app = KMeans(
-            SchedArgs(chunk_size=8, num_iters=5, extra_data=init, num_threads=threads),
+            ExecutionPolicy(
+                engine=EnginePolicy(num_threads=threads),
+                chunk_size=8,
+                num_iters=5,
+                extra_data=init,
+            ),
             dims=8,
         )
         benchmark(lambda: (app.reset(), app.run(flat)))
@@ -171,13 +183,13 @@ class TestPlacementAblation:
             staging = split_staging_comm(comm, 1)
             if driver.placement.is_staging:
                 app = Histogram(
-                    SchedArgs(), staging, lo=-4, hi=4, num_buckets=32
+                    ExecutionPolicy(), staging, lo=-4, hi=4, num_buckets=32
                 )
                 driver.run_staging_side(app)
                 return 0
             sim = GaussianEmulator(2000, seed=502 + comm.rank)
             local = (
-                Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=32)
+                Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=32)
                 if mode == "hybrid"
                 else None
             )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import Histogram, KMeans, make_blobs
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 
 ENGINES = ("serial", "thread", "process")
 THREADS = 4
@@ -33,7 +33,7 @@ def blob_flat() -> np.ndarray:
 @pytest.mark.parametrize("engine", ENGINES)
 def test_bench_histogram_batch(benchmark, scalars, engine):
     with Histogram(
-        SchedArgs(num_threads=THREADS, engine=engine),
+        ExecutionPolicy(engine=EnginePolicy(backend=engine, num_threads=THREADS)),
         lo=-4, hi=4, num_buckets=1200,
     ) as app:
         app.run(scalars)  # warm-up creates the pool outside the timed region
@@ -50,9 +50,11 @@ def test_bench_histogram_batch(benchmark, scalars, engine):
 def test_bench_kmeans_batch(benchmark, blob_flat, engine):
     init = blob_flat.reshape(-1, 4)[:8].copy()
     with KMeans(
-        SchedArgs(
-            chunk_size=4, num_iters=2, extra_data=init,
-            num_threads=THREADS, engine=engine,
+        ExecutionPolicy(
+            engine=EnginePolicy(backend=engine, num_threads=THREADS),
+            chunk_size=4,
+            num_iters=2,
+            extra_data=init,
         ),
         dims=4,
     ) as app:
@@ -74,7 +76,9 @@ def test_bench_histogram_scalar_loop(benchmark, scalars, engine):
     """
     data = scalars[:40_000]
     with Histogram(
-        SchedArgs(num_threads=THREADS, engine=engine, map_path="scalar"),
+        ExecutionPolicy(
+            engine=EnginePolicy(backend=engine, num_threads=THREADS, map_path="scalar")
+        ),
         lo=-4, hi=4, num_buckets=100,
     ) as app:
         app.run(data)

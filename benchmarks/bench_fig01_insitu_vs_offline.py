@@ -9,7 +9,7 @@ import numpy as np
 from benchmarks.conftest import regenerate
 from repro.analytics import KMeans
 from repro.baselines import OfflineDriver
-from repro.core import SchedArgs, TimeSharingDriver
+from repro.core import ExecutionPolicy, TimeSharingDriver
 from repro.harness import fig01
 from repro.sim import Heat3D
 
@@ -20,7 +20,7 @@ def make_kmeans(iters=4):
     probe = Heat3D(GRID)
     init = probe.advance().reshape(-1, 4)[:8].copy()
     return KMeans(
-        SchedArgs(chunk_size=4, num_iters=iters, extra_data=init),
+        ExecutionPolicy(chunk_size=4, num_iters=iters, extra_data=init),
         dims=4,
     )
 

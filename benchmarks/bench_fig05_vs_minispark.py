@@ -15,7 +15,7 @@ from repro.baselines.minispark import (
     spark_kmeans,
     spark_logistic_regression,
 )
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 from repro.harness import fig05
 
 
@@ -30,12 +30,15 @@ def test_fig05_regenerate(figure_results, benchmark):
 
 class TestHistogram:
     def test_bench_smart(self, benchmark, emulator_stream):
-        app = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=100)
+        app = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=100)
         benchmark(lambda: (app.reset(), app.run(emulator_stream)))
 
     def test_bench_smart_scalar_chunk_loop(self, benchmark, emulator_stream):
         data = emulator_stream[:8000]
-        app = Histogram(SchedArgs(map_path="scalar"), lo=-4, hi=4, num_buckets=100)
+        app = Histogram(
+            ExecutionPolicy(engine=EnginePolicy(map_path="scalar")),
+            lo=-4, hi=4, num_buckets=100,
+        )
         benchmark(lambda: (app.reset(), app.run(data)))
 
     def test_bench_minispark(self, benchmark, emulator_stream):
@@ -55,8 +58,9 @@ class TestKMeans:
     def test_bench_smart(self, benchmark, points):
         init = points.reshape(-1, self.DIMS)[: self.K].copy()
         app = KMeans(
-            SchedArgs(chunk_size=self.DIMS, num_iters=self.ITERS,
-                      extra_data=init),
+            ExecutionPolicy(
+                chunk_size=self.DIMS, num_iters=self.ITERS, extra_data=init
+            ),
             dims=self.DIMS,
         )
         benchmark(lambda: (app.reset(), app.run(points)))
@@ -83,7 +87,7 @@ class TestLogisticRegression:
 
     def test_bench_smart(self, benchmark, samples):
         app = LogisticRegression(
-            SchedArgs(chunk_size=self.DIMS + 1, num_iters=self.ITERS),
+            ExecutionPolicy(chunk_size=self.DIMS + 1, num_iters=self.ITERS),
             dims=self.DIMS,
         )
         benchmark(lambda: (app.reset(), app.run(samples)))

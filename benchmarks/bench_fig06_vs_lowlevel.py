@@ -11,7 +11,7 @@ import pytest
 from benchmarks.conftest import regenerate
 from repro.analytics import KMeans, LogisticRegression, make_blobs, make_logreg_samples
 from repro.baselines.lowlevel import lowlevel_kmeans, lowlevel_logreg
-from repro.core import SchedArgs
+from repro.core import ExecutionPolicy
 from repro.core.serialization import deserialize_map, serialize_map
 from repro.harness import fig06
 
@@ -35,7 +35,7 @@ class TestKMeansKernels:
     def test_bench_smart(self, benchmark, data):
         flat, init = data
         app = KMeans(
-            SchedArgs(chunk_size=64, num_iters=10, extra_data=init),
+            ExecutionPolicy(chunk_size=64, num_iters=10, extra_data=init),
             dims=64,
         )
         benchmark(lambda: (app.reset(), app.run(flat)))
@@ -53,7 +53,7 @@ class TestLogRegKernels:
 
     def test_bench_smart(self, benchmark, data):
         app = LogisticRegression(
-            SchedArgs(chunk_size=16, num_iters=10), dims=15
+            ExecutionPolicy(chunk_size=16, num_iters=10), dims=15
         )
         benchmark(lambda: (app.reset(), app.run(data)))
 
@@ -71,7 +71,7 @@ class TestSerializationOverheadSource:
         flat, _ = make_blobs(500, 64, 8, seed=63)
         init = flat.reshape(-1, 64)[:8].copy()
         app = KMeans(
-            SchedArgs(chunk_size=64, num_iters=1, extra_data=init),
+            ExecutionPolicy(chunk_size=64, num_iters=1, extra_data=init),
             dims=64,
         )
         app.run(flat)

@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import regenerate
 from repro.analytics import GridAggregation, Histogram, MutualInformation
-from repro.core import SchedArgs
+from repro.core import ExecutionPolicy
 from repro.harness import fig07
 from repro.sim import Heat3D
 
@@ -38,11 +38,11 @@ def test_bench_heat3d_step(benchmark):
     "name,factory",
     [
         ("grid_aggregation",
-         lambda: GridAggregation(SchedArgs(), grid_size=1000)),
+         lambda: GridAggregation(ExecutionPolicy(), grid_size=1000)),
         ("histogram",
-         lambda: Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=1200)),
+         lambda: Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=1200)),
         ("mutual_information",
-         lambda: MutualInformation(SchedArgs(chunk_size=2),
+         lambda: MutualInformation(ExecutionPolicy(chunk_size=2),
                                    x_range=(-4, 4), y_range=(-4, 4), bins=100)),
     ],
 )

@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import regenerate
 from repro.analytics import LogisticRegression
-from repro.core import SchedArgs
+from repro.core import ExecutionPolicy
 from repro.harness import fig09
 
 
@@ -41,7 +41,7 @@ def lr_data():
 
 def _make_lr(copy_input):
     return LogisticRegression(
-        SchedArgs(chunk_size=16, num_iters=3, copy_input=copy_input),
+        ExecutionPolicy(chunk_size=16, num_iters=3, copy_input=copy_input),
         dims=15,
     )
 

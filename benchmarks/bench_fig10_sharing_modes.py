@@ -8,7 +8,7 @@ sweep with its three paper outcomes.
 
 from benchmarks.conftest import regenerate
 from repro.analytics import Histogram
-from repro.core import CoreSplit, SchedArgs, SpaceSharingDriver, TimeSharingDriver
+from repro.core import CoreSplit, ExecutionPolicy, SpaceSharingDriver, TimeSharingDriver
 from repro.harness import fig10
 from repro.sim import LuleshProxy
 
@@ -26,7 +26,7 @@ def test_fig10_regenerate(figure_results, benchmark):
 
 def _make_histogram():
     return Histogram(
-        SchedArgs(buffer_capacity=2),
+        ExecutionPolicy(buffer_capacity=2),
         lo=-1.0, hi=60.0, num_buckets=64,
     )
 

@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import regenerate
 from repro.analytics import MovingAverage, MovingMedian
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 from repro.harness import fig11
 
 
@@ -38,7 +38,10 @@ def signal():
 def _run_moving_average(signal, disable):
     # Scalar: the figure measures Algorithm 2's per-chunk trigger.
     app = MovingAverage(
-        SchedArgs(disable_early_emission=disable, map_path="scalar"), win_size=7
+        ExecutionPolicy(
+            engine=EnginePolicy(map_path="scalar"), disable_early_emission=disable
+        ),
+        win_size=7,
     )
     out = np.full(signal.shape[0], np.nan)
     app.run2(signal, out)
@@ -57,7 +60,7 @@ def test_bench_moving_median_with_trigger(benchmark, signal):
     small = signal[:3000]
 
     def run():
-        app = MovingMedian(SchedArgs(), win_size=11)
+        app = MovingMedian(ExecutionPolicy(), win_size=11)
         out = np.full(small.shape[0], np.nan)
         app.run2(small, out)
         return out
@@ -69,7 +72,7 @@ def test_bench_moving_median_without_trigger(benchmark, signal):
     small = signal[:3000]
 
     def run():
-        app = MovingMedian(SchedArgs(disable_early_emission=True), win_size=11)
+        app = MovingMedian(ExecutionPolicy(disable_early_emission=True), win_size=11)
         out = np.full(small.shape[0], np.nan)
         app.run2(small, out)
         return out

@@ -36,7 +36,7 @@ from repro.analytics import (
     MovingAverage,
     ValueGridKDE,
 )
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 from repro.core.batch import HAVE_NUMBA
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_map.json"
@@ -91,7 +91,7 @@ CASES = {
 
 def _run_case(case: dict, path: str, data: np.ndarray):
     """One full run under ``path``; returns (seconds, result array)."""
-    app = case["make"](SchedArgs(map_path=path), len(data))
+    app = case["make"](ExecutionPolicy(engine=EnginePolicy(map_path=path)), len(data))
     with app:
         t0 = time.perf_counter()
         if case["multi"]:

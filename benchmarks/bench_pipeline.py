@@ -36,7 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.analytics import Histogram, KMeans, make_blobs
-from repro.core import PipelinedTimeSharingDriver, SchedArgs, TimeSharingDriver
+from repro.core import (
+    EnginePolicy,
+    ExecutionPolicy,
+    PipelinedTimeSharingDriver,
+    TimeSharingDriver,
+)
 from repro.core.serialization import serialize_map
 from repro.sim import GaussianEmulator
 
@@ -70,12 +75,11 @@ def measure_dispatch(points: np.ndarray, init: np.ndarray, iters: int) -> dict:
     """Steady-state (post-warmup) bytes per k-means run on the process
     engine, against the modeled legacy protocol."""
     app = KMeans(
-        SchedArgs(
-            num_threads=2,
+        ExecutionPolicy(
+            engine=EnginePolicy(backend="process", num_threads=2),
             chunk_size=DIMS,
             extra_data=init,
             num_iters=iters,
-            engine="process",
         ),
         dims=DIMS,
     )
@@ -103,7 +107,7 @@ def measure_dispatch(points: np.ndarray, init: np.ndarray, iters: int) -> dict:
         # The legacy protocol for the same run: re-copy the partition,
         # ship the full clone with every task, plus the same map bytes.
         state_nbytes = legacy_state_nbytes(app)
-        map_nbytes = len(serialize_map(app.combination_map_, app.args.wire_format))
+        map_nbytes = len(serialize_map(app.combination_map_, app.policy.combine.wire_format))
         legacy_bytes = points.nbytes + tasks * (state_nbytes + map_nbytes)
 
         hits = counters.get("engine.residency.hits", 0)
@@ -154,8 +158,10 @@ def measure_pipeline(steps: int, elements: int) -> dict:
         sim = StallingEmulator(step_elements=elements, seed=29)
         # Scalar: the overlap needs an analytics phase long enough to
         # fill the stall window; the batch kernel finishes in ~1 ms.
-        app = Histogram(SchedArgs(num_threads=2, map_path="scalar"),
-                        lo=-4, hi=4, num_buckets=32)
+        app = Histogram(
+            ExecutionPolicy(engine=EnginePolicy(num_threads=2, map_path="scalar")),
+            lo=-4, hi=4, num_buckets=32,
+        )
         with app:
             t0 = time.perf_counter()
             result = driver_cls(sim, app).run(steps)

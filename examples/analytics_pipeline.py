@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.analytics import Histogram, MinMax, MovingAverage, MutualInformation
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import ExecutionPolicy
 from repro.sim import LuleshProxy
 
 RANKS = 3
@@ -29,7 +29,7 @@ def pipeline(comm):
     simulation = LuleshProxy(EDGE, comm)
 
     # Job 1: discover the global value range of the energy field.
-    minmax = MinMax(SchedArgs(), comm)
+    minmax = MinMax(ExecutionPolicy(), comm)
     for _ in range(STEPS):
         minmax.run(simulation.advance())
     lo, hi = minmax.value_range
@@ -37,7 +37,7 @@ def pipeline(comm):
     # Job 2: histogram over the discovered range (fresh pass over new
     # steps, as a persistent in-situ deployment would).
     histogram = Histogram(
-        SchedArgs(), comm,
+        ExecutionPolicy(), comm,
         lo=lo, hi=np.nextafter(hi, np.inf), num_buckets=16,
     )
     simulation.reset()
@@ -52,7 +52,7 @@ def pipeline(comm):
     # pipeline pattern from Section 3.1); the MI job then combines
     # globally.
     n = last_partition.shape[0]
-    smoother = MovingAverage(SchedArgs(), comm, win_size=5)
+    smoother = MovingAverage(ExecutionPolicy(), comm, win_size=5)
     smoother.set_global_combination(False)
     smoothed = np.full(n, np.nan)
     smoother.run2(last_partition, smoothed, global_offset=0, total_len=n)
@@ -63,7 +63,7 @@ def pipeline(comm):
     log_lo, log_hi = np.log10(lo + 1e-9), np.log10(hi + 1e-9)
     pairs = np.column_stack([log_raw, log_smooth]).reshape(-1)
     mi = MutualInformation(
-        SchedArgs(chunk_size=2), comm,
+        ExecutionPolicy(chunk_size=2), comm,
         x_range=(log_lo, log_hi), y_range=(log_lo, log_hi), bins=12,
     )
     mi.run(pairs)

@@ -1,7 +1,7 @@
 """Choosing an execution engine and reading the unified telemetry.
 
 The per-split reduction loop — the paper's intra-rank OpenMP region —
-is pluggable: ``SchedArgs(engine=...)`` selects ``"serial"`` (default,
+is pluggable: ``EnginePolicy(backend=...)`` selects ``"serial"`` (default,
 deterministic), ``"thread"`` (persistent thread pool; profitable when
 the batch kernel hands the GIL to numpy), or ``"process"``
 (persistent process pool over a shared-memory copy of the partition;
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytics import Histogram, KMeans, make_blobs
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 
 ELEMENTS = 60_000
 
@@ -27,7 +27,7 @@ def histogram_counts(engine: str, data: np.ndarray) -> tuple[dict, dict]:
     """Run the histogram under one engine; return (counts, snapshot)."""
     # Schedulers are context managers: closing releases the engine pool.
     with Histogram(
-        SchedArgs(num_threads=3, engine=engine),
+        ExecutionPolicy(engine=EnginePolicy(backend=engine, num_threads=3)),
         lo=-4, hi=4, num_buckets=64,
     ) as app:
         app.run(data)
@@ -60,8 +60,12 @@ def main() -> None:
     flat, _ = make_blobs(2_000, 4, 6, seed=11)
     init = flat.reshape(-1, 4)[:6].copy()
     with KMeans(
-        SchedArgs(chunk_size=4, num_iters=4, extra_data=init,
-                  num_threads=2, engine="thread"),
+        ExecutionPolicy(
+            engine=EnginePolicy(backend="thread", num_threads=2),
+            chunk_size=4,
+            num_iters=4,
+            extra_data=init,
+        ),
         dims=4,
     ) as app:
         for _ in range(3):

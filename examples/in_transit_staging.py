@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.analytics import Histogram
 from repro.comm import spmd_launch
-from repro.core import InTransitDriver, SchedArgs, split_staging_comm
+from repro.core import ExecutionPolicy, InTransitDriver, split_staging_comm
 from repro.sim import GaussianEmulator
 
 RANKS = 5
@@ -31,7 +31,7 @@ def job(comm, mode):
 
     if driver.placement.is_staging:
         app = Histogram(
-            SchedArgs(), staging_comm,
+            ExecutionPolicy(), staging_comm,
             lo=-4.0, hi=4.0, num_buckets=24,
         )
         driver.run_staging_side(app)
@@ -39,7 +39,7 @@ def job(comm, mode):
 
     simulation = GaussianEmulator(STEP_ELEMENTS, seed=900 + comm.rank)
     local_scheduler = (
-        Histogram(SchedArgs(), lo=-4.0, hi=4.0, num_buckets=24)
+        Histogram(ExecutionPolicy(), lo=-4.0, hi=4.0, num_buckets=24)
         if mode == "hybrid"
         else None
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.analytics import KMeans
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 from repro.sim import Heat3D
 
 GRID = (24, 32, 32)  # global (nz, ny, nx), decomposed along z
@@ -35,8 +35,10 @@ def simulation_with_insitu_analytics(comm):
     simulation = Heat3D(GRID, comm)
     init_centroids = np.linspace(0.0, 100.0, K)[:, None] * np.ones((K, DIMS))
 
-    args = SchedArgs(
-        num_threads=2, chunk_size=DIMS, num_iters=3,
+    args = ExecutionPolicy(
+        engine=EnginePolicy(num_threads=2),
+        chunk_size=DIMS,
+        num_iters=3,
         extra_data=init_centroids,
     )
     smart = KMeans(args, comm, dims=DIMS)

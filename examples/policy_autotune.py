@@ -50,9 +50,9 @@ def launch_advice() -> None:
         advice = advisor.advise_with_detail(**hints)
         p = advice.policy
         print(f"  {label}:")
-        print(f"    engine={p.engine.backend} threads={p.num_threads} "
-              f"algo={p.combine.algorithm} wire={p.wire_format} "
-              f"map={p.map_path}")
+        print(f"    engine={p.engine.backend} threads={p.engine.num_threads} "
+              f"algo={p.combine.algorithm} wire={p.combine.wire_format} "
+              f"map={p.engine.map_path}")
         print(f"    crossover={advice.crossover_keys} keys  "
               f"(gather {advice.gather_seconds * 1e3:.3f} ms vs "
               f"allreduce {advice.allreduce_seconds * 1e3:.3f} ms at the "

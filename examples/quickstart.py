@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import RedObj, SchedArgs, Scheduler, TimeSharingDriver
+from repro.core import (
+    EnginePolicy,
+    ExecutionPolicy,
+    RedObj,
+    Scheduler,
+    TimeSharingDriver,
+)
 from repro.sim import GaussianEmulator
 
 
@@ -55,7 +61,9 @@ def main() -> None:
     # alternates simulate/analyze per time-step (time-sharing mode); the
     # partition is analyzed in place through a read pointer, never copied.
     simulation = GaussianEmulator(step_elements=50_000, seed=7)
-    histogram = Histogram(SchedArgs(num_threads=2, chunk_size=1))
+    histogram = Histogram(
+        ExecutionPolicy(engine=EnginePolicy(num_threads=2), chunk_size=1)
+    )
     driver = TimeSharingDriver(simulation, histogram)
 
     result = driver.run(num_steps=10)

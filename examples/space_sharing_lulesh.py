@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytics import Histogram
-from repro.core import CoreSplit, SchedArgs, SpaceSharingDriver
+from repro.core import CoreSplit, EnginePolicy, ExecutionPolicy, SpaceSharingDriver
 from repro.sim import LuleshProxy
 
 EDGE = 24
@@ -25,7 +25,9 @@ BUFFER_CELLS = 3
 def main() -> None:
     simulation = LuleshProxy(EDGE)
     histogram = Histogram(
-        SchedArgs(num_threads=1, buffer_capacity=BUFFER_CELLS),
+        ExecutionPolicy(
+            engine=EnginePolicy(num_threads=1), buffer_capacity=BUFFER_CELLS
+        ),
         lo=0.0, hi=float(EDGE), num_buckets=24,
     )
     driver = SpaceSharingDriver(

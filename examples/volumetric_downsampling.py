@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analytics import TileAggregation3D
-from repro.core import SchedArgs, load_checkpoint, save_checkpoint
+from repro.core import ExecutionPolicy, load_checkpoint, save_checkpoint
 from repro.sim import Heat3D
 
 GRID = (16, 16, 16)
@@ -36,7 +36,7 @@ def render_profile(tile_means: np.ndarray) -> None:
 
 def main() -> None:
     sim = Heat3D(GRID)
-    app = TileAggregation3D(SchedArgs(), shape=GRID, tile=TILE)
+    app = TileAggregation3D(ExecutionPolicy(), shape=GRID, tile=TILE)
     ckpt = Path(tempfile.mkdtemp(prefix="smart-viz-")) / "tiles.ckpt"
 
     print(f"Heat3D {GRID} -> {tuple(app.tiles_per_axis)} tile grid "
@@ -56,7 +56,7 @@ def main() -> None:
             print()
 
     # Restore into a brand-new scheduler, as a restarted job would.
-    restored = TileAggregation3D(SchedArgs(), shape=GRID, tile=TILE)
+    restored = TileAggregation3D(ExecutionPolicy(), shape=GRID, tile=TILE)
     meta = load_checkpoint(restored, ckpt)
     print(f"restored checkpoint from step {meta['step'] + 1}: "
           f"{restored.num_tiles} tile means intact, "

@@ -19,7 +19,7 @@ from repro.analytics import (
     MovingMedian,
     SavitzkyGolay,
 )
-from repro.core import SchedArgs
+from repro.core import ExecutionPolicy
 from repro.sim import Heat3D
 
 WIN = 11
@@ -41,10 +41,10 @@ def main() -> None:
     print(f"smoothing a {n}-element Heat3D trace, window size {WIN}\n")
 
     apps = {
-        "moving average": MovingAverage(SchedArgs(), win_size=WIN),
-        "moving median": MovingMedian(SchedArgs(), win_size=WIN),
-        "Gaussian kernel": GaussianKernelSmoother(SchedArgs(), win_size=WIN),
-        "Savitzky-Golay": SavitzkyGolay(SchedArgs(), win_size=WIN, polyorder=2),
+        "moving average": MovingAverage(ExecutionPolicy(), win_size=WIN),
+        "moving median": MovingMedian(ExecutionPolicy(), win_size=WIN),
+        "Gaussian kernel": GaussianKernelSmoother(ExecutionPolicy(), win_size=WIN),
+        "Savitzky-Golay": SavitzkyGolay(ExecutionPolicy(), win_size=WIN, polyorder=2),
     }
 
     print(f"{'application':18s} {'residual std':>12s} {'peak objects':>13s} "
@@ -59,7 +59,7 @@ def main() -> None:
     # The comparison the paper's Fig. 11 makes: disable the trigger and
     # watch the live reduction-object count jump from O(W) to O(N).
     no_trigger = MovingAverage(
-        SchedArgs(disable_early_emission=True), win_size=WIN
+        ExecutionPolicy(disable_early_emission=True), win_size=WIN
     )
     out = np.full(n, np.nan)
     no_trigger.run2(signal, out)

@@ -77,7 +77,7 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 
     from .analytics import Histogram
     from .baselines import OfflineDriver
-    from .core import CoreSplit, SchedArgs, SpaceSharingDriver, TimeSharingDriver
+    from .core import CoreSplit, ExecutionPolicy, SpaceSharingDriver, TimeSharingDriver
     from .harness.reporting import format_seconds, print_table
     from .sim import GaussianEmulator
 
@@ -86,7 +86,7 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     def fresh():
         return (
             GaussianEmulator(elements, seed=1),
-            Histogram(SchedArgs(buffer_capacity=2),
+            Histogram(ExecutionPolicy(buffer_capacity=2),
                       lo=-4, hi=4, num_buckets=32),
         )
 

@@ -18,7 +18,7 @@ from ..core.batch import HAVE_NUMBA, ColumnarAccumulator, maybe_njit
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
-from ..core.sched_args import SchedArgs
+from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 from .objects import SumCountObj
 
@@ -51,7 +51,7 @@ class GridAggregation(Scheduler):
 
     def __init__(
         self,
-        args: SchedArgs,
+        args: ExecutionPolicy,
         comm: Communicator | None = None,
         *,
         grid_size: int,

@@ -14,7 +14,7 @@ from ..core.batch import HAVE_NUMBA, ColumnarAccumulator, Scratch, maybe_njit
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
-from ..core.sched_args import SchedArgs
+from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 from .objects import CountObj
 
@@ -60,7 +60,7 @@ class Histogram(Scheduler):
 
     def __init__(
         self,
-        args: SchedArgs,
+        args: ExecutionPolicy,
         comm: Communicator | None = None,
         *,
         lo: float,

@@ -31,7 +31,7 @@ from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
-from ..core.sched_args import SchedArgs
+from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 from .objects import SumCountObj, WeightedWindowObj
 from .window import WindowScheduler, sliding_window_apply
@@ -49,7 +49,7 @@ class GaussianKernelSmoother(WindowScheduler):
 
     window_obj = WeightedWindowObj
 
-    def __init__(self, args: SchedArgs, comm=None, *, win_size: int,
+    def __init__(self, args: ExecutionPolicy, comm=None, *, win_size: int,
                  bandwidth: float | None = None):
         super().__init__(args, comm, win_size=win_size)
         self.bandwidth = float(bandwidth) if bandwidth else self.win_size / 5.0
@@ -115,7 +115,7 @@ class ValueGridKDE(Scheduler):
 
     def __init__(
         self,
-        args: SchedArgs,
+        args: ExecutionPolicy,
         comm: Communicator | None = None,
         *,
         grid: np.ndarray,

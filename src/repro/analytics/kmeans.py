@@ -21,7 +21,7 @@ from ..core.batch import ColumnarAccumulator, Scratch
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
-from ..core.sched_args import SchedArgs
+from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 from .objects import ClusterObj
 
@@ -33,7 +33,7 @@ class KMeans(Scheduler):
     """Lloyd's k-means over ``dims``-dimensional points.
 
     Data layout: flat float64, ``chunk_size = dims`` (one point per unit
-    chunk).  ``num_iters`` in :class:`SchedArgs` is the Lloyd iteration
+    chunk).  ``num_iters`` in the policy is the Lloyd iteration
     count (paper uses 10).
     """
 
@@ -41,7 +41,7 @@ class KMeans(Scheduler):
 
     def __init__(
         self,
-        args: SchedArgs,
+        args: ExecutionPolicy,
         comm: Communicator | None = None,
         *,
         dims: int,

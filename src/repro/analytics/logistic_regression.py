@@ -19,7 +19,7 @@ from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
-from ..core.sched_args import SchedArgs
+from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 from .objects import GradientObj
 
@@ -31,7 +31,7 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 class LogisticRegression(Scheduler):
     """Batch-GD logistic regression.
 
-    The initial weights arrive as ``SchedArgs.extra_data`` (a ``dims``
+    The initial weights arrive as the policy's ``extra_data`` (a ``dims``
     array; zeros when ``None``) — the paper's ``extra_data`` mechanism.
     Reduction maps are seeded from the combination map so ``accumulate``
     sees the current weights (Algorithm 1 line 6).
@@ -48,7 +48,7 @@ class LogisticRegression(Scheduler):
 
     def __init__(
         self,
-        args: SchedArgs,
+        args: ExecutionPolicy,
         comm: Communicator | None = None,
         *,
         dims: int,

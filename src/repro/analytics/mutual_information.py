@@ -19,7 +19,7 @@ from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
-from ..core.sched_args import SchedArgs
+from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 from .objects import CountObj
 
@@ -39,7 +39,7 @@ class MutualInformation(Scheduler):
 
     def __init__(
         self,
-        args: SchedArgs,
+        args: ExecutionPolicy,
         comm: Communicator | None = None,
         *,
         x_range: tuple[float, float],

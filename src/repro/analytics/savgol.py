@@ -21,7 +21,7 @@ from scipy.signal import savgol_coeffs
 
 from ..core.chunk import Chunk
 from ..core.red_obj import RedObj
-from ..core.sched_args import SchedArgs
+from ..core.policy import ExecutionPolicy
 from .objects import SavGolObj
 from .window import WindowScheduler, sliding_window_apply
 
@@ -35,7 +35,7 @@ class SavitzkyGolay(WindowScheduler):
         Degree of the fitted polynomial; must be < ``win_size``.
     """
 
-    def __init__(self, args: SchedArgs, comm=None, *, win_size: int, polyorder: int = 2):
+    def __init__(self, args: ExecutionPolicy, comm=None, *, win_size: int, polyorder: int = 2):
         super().__init__(args, comm, win_size=win_size)
         if not 0 <= polyorder < win_size:
             raise ValueError(

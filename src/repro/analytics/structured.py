@@ -28,7 +28,7 @@ from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
-from ..core.sched_args import SchedArgs
+from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 from .objects import SumCountObj, WindowSumObj
 
@@ -36,7 +36,7 @@ from .objects import SumCountObj, WindowSumObj
 class _Field3D(Scheduler):
     """Shared 3-D coordinate bookkeeping."""
 
-    def __init__(self, args: SchedArgs, comm: Communicator | None = None,
+    def __init__(self, args: ExecutionPolicy, comm: Communicator | None = None,
                  *, shape: tuple[int, int, int]):
         if args.chunk_size != 1:
             raise ValueError("3-D structural analytics consume scalar cells "
@@ -67,7 +67,7 @@ class TileAggregation3D(_Field3D):
     Edge tiles may be partial; their mean is over the cells they cover.
     """
 
-    def __init__(self, args: SchedArgs, comm=None, *,
+    def __init__(self, args: ExecutionPolicy, comm=None, *,
                  shape: tuple[int, int, int], tile: tuple[int, int, int]):
         super().__init__(args, comm, shape=shape)
         tz, ty, tx = tile
@@ -156,7 +156,7 @@ class MovingAverage3D(_Field3D):
     paper Listing 5.
     """
 
-    def __init__(self, args: SchedArgs, comm=None, *,
+    def __init__(self, args: ExecutionPolicy, comm=None, *,
                  shape: tuple[int, int, int], win_size: int):
         super().__init__(args, comm, shape=shape)
         if win_size < 1 or win_size % 2 == 0:

@@ -19,7 +19,7 @@ import numpy as np
 from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
-from ..core.sched_args import SchedArgs
+from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 
 
@@ -54,7 +54,7 @@ class WindowScheduler(Scheduler):
         Window length; must be odd and >= 1 (the paper uses 7, 11 and 25).
     """
 
-    def __init__(self, args: SchedArgs, comm=None, *, win_size: int):
+    def __init__(self, args: ExecutionPolicy, comm=None, *, win_size: int):
         if args.chunk_size != 1:
             raise ValueError(
                 f"window analytics consume scalar elements: chunk_size must be 1, "

@@ -15,7 +15,7 @@ unmodified under ``mpiexec``:
     from repro.comm.mpi import world_comm
     comm = world_comm()          # rank's view of MPI_COMM_WORLD
     sim = Heat3D((256, 256, 256), comm)
-    smart = Histogram(SchedArgs(num_threads=8), comm, ...)
+    smart = Histogram(ExecutionPolicy(engine=EnginePolicy(num_threads=8)), comm, ...)
 
 mpi4py is imported lazily: this module imports fine without it, and
 raises a clear error only when an MPI communicator is actually requested.

@@ -6,7 +6,8 @@ Public surface:
   (override ``gen_key``/``gen_keys``, ``accumulate``, ``merge``, and
   optionally ``process_extra_data``, ``post_combine``, ``convert``,
   ``trigger`` on the reduction object).
-* :class:`SchedArgs` — runtime configuration (Table 1, function 1).
+* :class:`ExecutionPolicy` (holding an :class:`EnginePolicy` and a
+  :class:`CombinePolicy`) — runtime configuration (Table 1, function 1).
 * :class:`RedObj` — reduction object base class.
 * :class:`TimeSharingDriver` / :class:`SpaceSharingDriver` — the two
   in-situ modes (:class:`PipelinedTimeSharingDriver` adds the
@@ -39,7 +40,6 @@ from .policy import (
     ExecutionPolicy,
 )
 from .red_obj import Field, RedObj, ensure_red_obj
-from .sched_args import SchedArgs
 from .scheduler import RunStats, Scheduler, merge_distributed_output
 from .serialization import (
     WIRE_FORMATS,
@@ -98,7 +98,6 @@ __all__ = [
     "PipelineStage",
     "RedObj",
     "RunStats",
-    "SchedArgs",
     "Scheduler",
     "SmartPipeline",
     "SpaceSharingDriver",

@@ -89,7 +89,7 @@ def save_checkpoint(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = serialize_map(
-        scheduler.get_combination_map(), scheduler.policy.wire_format
+        scheduler.get_combination_map(), scheduler.policy.combine.wire_format
     )
     header = {
         "magic": _MAGIC,

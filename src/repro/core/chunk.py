@@ -29,7 +29,7 @@ class Chunk:
         array (element units, not bytes).
     size:
         Number of elements in the chunk (the ``chunk_size`` of
-        :class:`~repro.core.sched_args.SchedArgs`; the final chunk of a
+        :class:`~repro.core.policy.ExecutionPolicy`; the final chunk of a
         split may be shorter when the split length is not a multiple).
     """
 

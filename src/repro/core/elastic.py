@@ -177,7 +177,7 @@ def _worker_main(
 
     def send_state(kind: int) -> None:
         """Ship the map and the count of frames it covers (a snapshot, or the final)."""
-        wire = serialize_map(sched.get_combination_map(), sched.policy.wire_format)
+        wire = serialize_map(sched.get_combination_map(), sched.policy.combine.wire_format)
         state = {"frames": frames_done, "map": wire}
         send(kind, frames_done, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
 

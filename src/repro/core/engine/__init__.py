@@ -1,4 +1,4 @@
-"""Pluggable intra-rank execution engines (``SchedArgs.engine``).
+"""Pluggable intra-rank execution engines (``EnginePolicy.backend``).
 
 * :class:`SerialEngine` — deterministic in-order loop (the reference).
 * :class:`ThreadEngine` — persistent thread pool, one per scheduler

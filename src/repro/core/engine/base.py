@@ -7,7 +7,7 @@ combination — and delegates the *how* to an :class:`ExecutionEngine`,
 the intra-rank analogue of the pluggable communicator backends in
 ``repro.comm``: the same Algorithm-1 structure runs over a serial loop,
 a persistent thread pool, or a process pool with shared-memory input,
-selected by ``SchedArgs.engine``.
+selected by ``EnginePolicy.backend``.
 
 Lifecycle: an engine is created lazily on the scheduler's first run and
 lives for the scheduler's lifetime (``start`` once, ``shutdown`` once —

@@ -15,7 +15,7 @@ that the naive protocol pays every ``run()`` are paid once and amortized:
   copy is skipped and only the segment's data epoch advances.  Workers
   reduce zero-copy numpy views of the segments.
 * **Scheduler-state deltas** — the pickled scheduler is split into an
-  immutable *core* (callbacks, ``SchedArgs``, constants), published once
+  immutable *core* (callbacks, the policy, constants), published once
   per scheduler through a named shared-memory segment and cached
   worker-side by version, and a small per-iteration *delta* (layout
   context, combination map in the configured wire format, and the
@@ -42,7 +42,7 @@ Protocol per block:
    merges the counters into the unified recorder.
 
 Supervision: when a :class:`~repro.faults.FaultPlan` is installed on the
-scheduler or ``SchedArgs.fault_policy`` is not ``fail_fast``, dispatch
+scheduler or ``ExecutionPolicy.fault`` is not ``fail_fast``, dispatch
 switches from ``pool.map`` to a supervised ``apply_async`` loop.  The
 supervisor watches pool health (worker pids/exit codes) and per-worker
 heartbeat timestamps; a dead or hung worker triggers pool respawn —
@@ -278,7 +278,7 @@ def _run_split_task(task: tuple) -> tuple:
     red_map = deserialize_map(red_map_bytes)
     emitted = KeyedMap()
     sched._reduce_split(split, red_map, data, None, multi_key, capture=emitted)
-    wire_format = sched.policy.wire_format
+    wire_format = sched.policy.combine.wire_format
     emitted_bytes = (
         serialize_map(emitted, wire_format) if wants_emitted and len(emitted) else b""
     )
@@ -407,7 +407,7 @@ class ProcessEngine(ExecutionEngine):
         super().begin_run(scheduler, data, out, multi_key)
         self._fault_plan = getattr(scheduler, "fault_plan", None)
         self._delta = None
-        self._resident_enabled = scheduler.policy.residency != "off"
+        self._resident_enabled = scheduler.policy.engine.residency != "off"
         nbytes = int(data.nbytes)
         data_version = getattr(scheduler, "_data_version", 0)
         with self._segments_lock:
@@ -807,7 +807,9 @@ class ProcessEngine(ExecutionEngine):
         if self._delta is None:
             sched = self._sched
             assert sched is not None
-            com_map_bytes = serialize_map(sched.combination_map_, sched.policy.wire_format)
+            com_map_bytes = serialize_map(
+                sched.combination_map_, sched.policy.combine.wire_format
+            )
             self._delta = pickle.dumps(
                 (
                     sched.global_offset_,
@@ -833,9 +835,9 @@ class ProcessEngine(ExecutionEngine):
         wants_emitted = self._out is not None
         sched = self._sched
         assert sched is not None
-        wire_format = sched.policy.wire_format
+        wire_format = sched.policy.combine.wire_format
         plan = self._fault_plan
-        policy = sched.policy.resolved_fault_policy
+        policy = sched.policy.fault
         tasks = []
         for split in splits:
             map_payload = serialize_map(red_maps[split.thread_id], wire_format)

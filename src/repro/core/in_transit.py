@@ -158,7 +158,7 @@ class InTransitDriver:
                 runner(partition)
                 payload = serialize_map(
                     local_scheduler.get_combination_map(),
-                    local_scheduler.policy.wire_format,
+                    local_scheduler.policy.combine.wire_format,
                 )
                 local_scheduler.reset()
                 shipped += len(payload)

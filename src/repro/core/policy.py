@@ -8,18 +8,14 @@ per-concern policy objects rather than one flat knob bag:
   input-residency mode.
 * :class:`CombinePolicy` — *how* global combination moves and merges
   maps: the combination algorithm and the wire format.
-* :class:`ExecutionPolicy` — the complete runtime configuration: an
-  engine policy, a combine policy, a
-  :class:`~repro.faults.FaultPolicy`, and the iteration/block shape
-  (chunk size, iterations, block size, the space-sharing buffer
-  capacity, and the paper's Fig-9/Fig-11 comparison toggles).
+* :class:`ExecutionPolicy` — the complete runtime configuration: the
+  two policies above, a :class:`~repro.faults.FaultPolicy`, and the
+  iteration/block shape.
 
-Every policy owns its own ``validate()`` / ``fingerprint()`` /
-``parse()``; validity rules live here and **only** here — the
-:class:`~repro.core.sched_args.SchedArgs` facade and the conformance
-matrix (:mod:`repro.verify.matrix`) both lower onto these objects, so
-a knob value rejected anywhere is rejected everywhere with the same
-message.
+Every policy owns its own ``validate()`` / ``fingerprint()``; validity
+rules live here and **only** here — the conformance matrix
+(:mod:`repro.verify.matrix`) lowers onto these objects, so a knob value
+rejected anywhere is rejected everywhere with the same message.
 
 Fingerprints are flat ``key=value`` comma token strings using the same
 vocabulary as the conformance matrix (``engine=``, ``threads=``,
@@ -37,7 +33,6 @@ hand-picking them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -54,8 +49,6 @@ __all__ = [
     "ExecutionPolicy",
     "fault_fingerprint",
     "parse_fault",
-    "reset_warn_once",
-    "warn_once",
 ]
 
 #: Execution backends accepted by :attr:`EnginePolicy.backend`.
@@ -69,35 +62,6 @@ COMBINE_ALGORITHMS = ("gather", "tree", "allreduce")
 #: Map wire formats (the single source; ``repro.core.serialization``
 #: imports this constant).
 WIRE_FORMATS = ("pickle", "columnar")
-
-
-# ----------------------------------------------------------------------
-# Once-per-process deprecation warnings
-# ----------------------------------------------------------------------
-_WARNED: set[str] = set()
-
-
-def warn_once(
-    key: str,
-    message: str,
-    category: type[Warning] = DeprecationWarning,
-    stacklevel: int = 3,
-) -> None:
-    """Emit ``message`` at most once per process per ``key``.
-
-    Deprecations on hot construction paths (``SchedArgs`` is built once
-    per config in a thousand-config conformance run) must not spam; one
-    process-lifetime warning is enough to steer a migration.
-    """
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    warnings.warn(message, category, stacklevel=stacklevel)
-
-
-def reset_warn_once() -> None:
-    """Forget which once-per-process warnings already fired (test hook)."""
-    _WARNED.clear()
 
 
 # ----------------------------------------------------------------------
@@ -215,16 +179,6 @@ class EnginePolicy:
             f"residency={self.residency},map={self.map_path}"
         )
 
-    @classmethod
-    def parse(cls, text: str) -> "EnginePolicy":
-        kwargs = _tokens(text, {
-            "engine": ("backend", str),
-            "threads": ("num_threads", int),
-            "residency": ("residency", str),
-            "map": ("map_path", str),
-        })
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class CombinePolicy:
@@ -264,27 +218,38 @@ class CombinePolicy:
     def fingerprint(self) -> str:
         return f"algo={self.algorithm},wire={self.wire_format}"
 
-    @classmethod
-    def parse(cls, text: str) -> "CombinePolicy":
-        kwargs = _tokens(text, {
-            "algo": ("algorithm", str),
-            "wire": ("wire_format", str),
-        })
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """The complete runtime configuration, composed of layered policies.
 
     The scheduler, the execution engines, the combine paths, and the
-    in-situ drivers all consume this object (``Scheduler(policy)``);
-    :class:`~repro.core.sched_args.SchedArgs` remains as a thin facade
-    that lowers onto it.
+    in-situ drivers all consume this object (``Scheduler(policy)``).
+    ``engine.num_threads``, ``chunk_size``, ``extra_data`` and
+    ``num_iters`` are the four scheduler arguments of the paper's Table 1.
 
-    Flat read-only views (``num_threads``, ``wire_format``,
-    ``resolved_engine``, ...) mirror the facade's attribute names so
-    code written against ``SchedArgs`` reads a policy unchanged.
+    Parameters
+    ----------
+    fault:
+        Reaction to a dead or hung process-engine worker: a
+        :class:`~repro.faults.FaultPolicy` or its mode name.
+    chunk_size:
+        Elements per unit chunk — often the analytics' feature-vector
+        length (1 for histogram, ``dims`` for k-means).
+    num_iters:
+        Iterations of an iterative analytics (k-means, regression).
+    block_size:
+        Elements per scheduler block; ``None`` is one block per partition.
+    extra_data:
+        Handed to ``process_extra_data`` (e.g. initial centroids).
+    buffer_capacity:
+        Cells in the space-sharing circular buffer (paper Figure 4).
+    copy_input:
+        Time sharing: copy the simulation output before analytics rather
+        than read it in place.  Exists only for Figure 9's comparison.
+    disable_early_emission:
+        Ignore reduction-object triggers, holding every object until
+        combination.  Exists only for Figure 11's comparison.
     """
 
     engine: EnginePolicy = field(default_factory=EnginePolicy)
@@ -299,6 +264,18 @@ class ExecutionPolicy:
     disable_early_emission: bool = False
 
     def __post_init__(self) -> None:
+        # Without these, ``engine="thread"`` dies in validate() with an
+        # AttributeError that names neither the field nor the fix.
+        if not isinstance(self.engine, EnginePolicy):
+            raise TypeError(
+                "engine must be an EnginePolicy, e.g. EnginePolicy(backend='thread'); "
+                f"got {type(self.engine).__name__}"
+            )
+        if not isinstance(self.combine, CombinePolicy):
+            raise TypeError(
+                "combine must be a CombinePolicy, e.g. "
+                f"CombinePolicy(algorithm='tree'); got {type(self.combine).__name__}"
+            )
         # Normalize the fault field (a mode string is accepted sugar) so
         # two equal policies compare equal however they were spelled.
         object.__setattr__(self, "fault", FaultPolicy.parse(self.fault))
@@ -309,7 +286,6 @@ class ExecutionPolicy:
         """Raise :class:`ValueError` on any out-of-domain knob, at any layer."""
         self.engine.validate()
         self.combine.validate()
-        FaultPolicy.parse(self.fault)  # raises on an unknown mode
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.num_iters < 1:
@@ -334,7 +310,7 @@ class ExecutionPolicy:
         return ",".join((
             self.engine.fingerprint(),
             self.combine.fingerprint(),
-            f"fault={fault_fingerprint(FaultPolicy.parse(self.fault))}",
+            f"fault={fault_fingerprint(self.fault)}",
             f"chunk={self.chunk_size}",
             f"iters={self.num_iters}",
             f"block={self.block_size if self.block_size is not None else 0}",
@@ -345,7 +321,12 @@ class ExecutionPolicy:
 
     @classmethod
     def parse(cls, text: str) -> "ExecutionPolicy":
-        """Inverse of :meth:`fingerprint` (unknown keys are rejected)."""
+        """Inverse of :meth:`fingerprint`.
+
+        The text may come from outside the program (``conform --policy``,
+        a ``JobSpec``): an unknown axis, a repeated axis, and a boolean
+        that is not ``0``/``1``/``true``/``false`` are all rejected.
+        """
         engine: dict[str, Any] = {}
         combine: dict[str, Any] = {}
         top: dict[str, Any] = {}
@@ -373,7 +354,14 @@ class ExecutionPolicy:
             if key not in casts:
                 raise ValueError(f"unknown policy axis {key!r} in {text!r}")
             table, name, cast = casts[key]
-            table[name] = cast(value.strip())
+            if name in table:
+                raise ValueError(f"policy axis {key!r} given twice in {text!r}")
+            try:
+                table[name] = cast(value.strip())
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad value for policy axis {key!r} in {text!r}: {exc}"
+                ) from None
         return cls(
             engine=EnginePolicy(**engine),
             combine=CombinePolicy(**combine),
@@ -381,20 +369,6 @@ class ExecutionPolicy:
         )
 
     # -- construction helpers ------------------------------------------
-    @classmethod
-    def coerce(cls, value: "ExecutionPolicy | Any") -> "ExecutionPolicy":
-        """An :class:`ExecutionPolicy` from a policy or anything that
-        lowers to one (``SchedArgs`` exposes ``to_policy()``)."""
-        if isinstance(value, cls):
-            return value
-        to_policy = getattr(value, "to_policy", None)
-        if to_policy is not None:
-            return to_policy()
-        raise TypeError(
-            "expected an ExecutionPolicy or an object with to_policy() "
-            f"(e.g. SchedArgs), got {type(value).__name__}"
-        )
-
     @classmethod
     def auto(cls, **hints: Any) -> "ExecutionPolicy":
         """Let the cost model pick the engine / combine / wire knobs.
@@ -414,61 +388,10 @@ class ExecutionPolicy:
         """A copy with ``changes`` applied (validated on construction)."""
         return replace(self, **changes)
 
-    # -- flat compatibility views (the SchedArgs vocabulary) -----------
-    @property
-    def num_threads(self) -> int:
-        return self.engine.num_threads
-
-    @property
-    def residency(self) -> str:
-        return self.engine.residency
-
-    @property
-    def map_path(self) -> str:
-        return self.engine.map_path
-
-    @property
-    def resolved_engine(self) -> str:
-        """The effective backend name (facade-compatible spelling)."""
-        return self.engine.backend
-
-    @property
-    def combine_algorithm(self) -> str:
-        return self.combine.algorithm
-
-    @property
-    def wire_format(self) -> str:
-        return self.combine.wire_format
-
-    @property
-    def fault_policy(self) -> FaultPolicy:
-        return self.fault
-
-    @property
-    def resolved_fault_policy(self) -> FaultPolicy:
-        """The effective fault policy (facade-compatible spelling)."""
-        return FaultPolicy.parse(self.fault)
-
-    def to_policy(self) -> "ExecutionPolicy":
-        """Self (so ``coerce`` treats policies and facades uniformly)."""
-        return self
-
 
 def _parse_bool(value: str) -> bool:
-    return value not in ("0", "False", "false")
-
-
-def _tokens(text: str, casts: dict) -> dict:
-    """Parse a ``key=value`` comma token string through a cast table."""
-    kwargs: dict[str, Any] = {}
-    for token in text.replace(";", ",").split(","):
-        token = token.strip()
-        if not token:
-            continue
-        key, _, value = token.partition("=")
-        key = key.strip()
-        if key not in casts:
-            raise ValueError(f"unknown policy axis {key!r} in {text!r}")
-        name, cast = casts[key]
-        kwargs[name] = cast(value.strip())
-    return kwargs
+    if value in ("1", "True", "true"):
+        return True
+    if value in ("0", "False", "false"):
+        return False
+    raise ValueError(f"expected 0, 1, true or false, got {value!r}")

@@ -50,7 +50,6 @@ from .engine import ExecutionEngine, create_engine
 from .maps import KeyedMap
 from .policy import ExecutionPolicy
 from .red_obj import RedObj, ensure_red_obj
-from .sched_args import SchedArgs
 from .serialization import PackedMap, global_combine, pack_map
 
 
@@ -123,7 +122,6 @@ _MAP_CALLBACKS = frozenset({"gen_key", "gen_keys", "accumulate"})
 #: delta; the input partition travels through shared memory).
 _ENGINE_LOCAL_ATTRS = frozenset(
     {
-        "args",
         "policy",
         "policy_adaptor",
         "comm",
@@ -148,12 +146,9 @@ class Scheduler:
     Parameters
     ----------
     args:
-        Runtime configuration: an
-        :class:`~repro.core.policy.ExecutionPolicy` (preferred) or the
-        deprecated flat :class:`~repro.core.sched_args.SchedArgs`
-        facade, which lowers onto one.  Either way the scheduler runs
-        off :attr:`policy`; the :attr:`args` property remains as a flat
-        compatibility view.
+        Runtime configuration (Table 1, function 1): an
+        :class:`~repro.core.policy.ExecutionPolicy`, kept as
+        :attr:`policy`.
     comm:
         Communicator for global combination.  Defaults to a single-rank
         :class:`~repro.comm.local.LocalComm`; in-situ SPMD programs pass
@@ -173,12 +168,18 @@ class Scheduler:
 
     def __init__(
         self,
-        args: SchedArgs | ExecutionPolicy,
+        args: ExecutionPolicy,
         comm: Communicator | None = None,
     ):
         #: The layered runtime configuration this scheduler executes.
         #: Immutable; replaced wholesale by a mid-run ``policy_adaptor``.
-        self.policy: ExecutionPolicy = ExecutionPolicy.coerce(args)
+        if not isinstance(args, ExecutionPolicy):
+            raise TypeError(
+                "args must be an ExecutionPolicy, e.g. "
+                "ExecutionPolicy(engine=EnginePolicy(num_threads=2)); "
+                f"got {type(args).__name__}"
+            )
+        self.policy: ExecutionPolicy = args
         #: Optional mid-run adaptation hook (e.g.
         #: :class:`~repro.core.autotune.CombineSwitch`).  Called as
         #: ``observe(scheduler, iteration)`` after ``post_combine`` of
@@ -206,17 +207,6 @@ class Scheduler:
         self.out_: np.ndarray | None = None
         self.global_offset_: int = 0
         self.total_len_: int = 0
-
-    @property
-    def args(self) -> ExecutionPolicy:
-        """Compatibility view of :attr:`policy`.
-
-        The policy exposes every flat ``SchedArgs`` attribute name
-        (``num_threads``, ``wire_format``, ``resolved_engine``, ...), so
-        code written against ``scheduler.args`` keeps reading the live
-        configuration unchanged.
-        """
-        return self.policy
 
     # ------------------------------------------------------------------
     # API implemented by the user (paper Table 1, lower half)
@@ -299,7 +289,7 @@ class Scheduler:
         Called after ``post_combine`` of every iteration with the
         (globally combined, identical-on-all-ranks) combination map and
         the 0-based iteration index.  Returning True ends the iteration
-        loop before ``SchedArgs.num_iters`` — e.g. k-means stopping once
+        loop before ``policy.num_iters`` — e.g. k-means stopping once
         centroids move less than a tolerance.  Because the map is
         identical on every rank, any deterministic predicate keeps the
         SPMD ranks in lockstep.  Default: never converge early.
@@ -375,7 +365,7 @@ class Scheduler:
         """Iteration-mutable scheduler state shipped to engine workers.
 
         The process engine splits worker dispatch into an immutable
-        *core* (callbacks, ``SchedArgs``, constants — published once per
+        *core* (callbacks, the policy, constants — published once per
         worker lifetime through shared memory and cached worker-side by
         version) and a small per-iteration *delta* carrying the
         combination map plus this dictionary.  The default ships every
@@ -439,7 +429,7 @@ class Scheduler:
 
         Time sharing passes the simulation partition as ``data`` (the
         runtime processes it through a read pointer — no copy unless
-        ``SchedArgs.copy_input``).  Space sharing passes ``data=None`` to
+        ``policy.copy_input``).  Space sharing passes ``data=None`` to
         consume the next fed partition.
 
         Returns ``out`` when provided, else the combination map.
@@ -484,7 +474,7 @@ class Scheduler:
 
         The process engine keeps the last partition resident in shared
         memory and skips the copy when :meth:`run` receives the *same,
-        unchanged* array again (``SchedArgs.residency``).  An in-place
+        unchanged* array again (``policy.engine.residency``).  An in-place
         producer (a simulation overwriting its output buffer, paper
         Figure 3) must call this between steps so the engine re-copies;
         :class:`~repro.core.time_sharing.TimeSharingDriver` does it
@@ -634,7 +624,7 @@ class Scheduler:
         # rebuilt by a later one, and only the *final* iteration decides
         # whether the convert sweep below must still write it.
         emitted: set[int] = set()
-        fault_policy = policy.resolved_fault_policy
+        fault_policy = policy.fault
         try:
             for iteration in range(policy.num_iters):
                 self.telemetry.inc("run.iterations_run")
@@ -651,7 +641,7 @@ class Scheduler:
                     try:
                         for bstart, bstop in iter_blocks(n, policy.block_size):
                             splits = make_splits(
-                                bstart, bstop, policy.num_threads, policy.chunk_size
+                                bstart, bstop, policy.engine.num_threads, policy.chunk_size
                             )
                             emitted.update(engine.map_splits(splits, red_maps))
                             self.stats.observe_objects(
@@ -729,7 +719,7 @@ class Scheduler:
         return packed.keys.tolist()
 
     def _make_reduction_maps(self) -> list[KeyedMap]:
-        threads = range(self.policy.num_threads)
+        threads = range(self.policy.engine.num_threads)
         if not self.seed_reduction_maps:
             return [KeyedMap() for _ in threads]
         # Seed by array copy where the map has a schema: no per-object deepcopy.

@@ -71,9 +71,9 @@ class SpaceSharingDriver:
     simulation:
         Object with ``advance() -> np.ndarray``.
     scheduler:
-        The analytics application; its ``SchedArgs.buffer_capacity`` sizes
-        the circular buffer and ``num_threads`` is the analytics core
-        group (``CoreSplit.analytics_threads``).
+        The analytics application; its ``policy.buffer_capacity`` sizes
+        the circular buffer and ``policy.engine.num_threads`` is the
+        analytics core group (``CoreSplit.analytics_threads``).
     core_split:
         The ``n_m`` scheme.  Informational on this single-core host, but
         recorded so the performance model can replay the run on the

@@ -95,7 +95,7 @@ class TimeSharingDriver:
         output partition for the next time-step (see
         :class:`repro.sim.base.Simulation`).
     scheduler:
-        The analytics application.  Its ``SchedArgs.copy_input`` decides
+        The analytics application.  Its ``policy.copy_input`` decides
         whether the partition is processed through the read pointer
         (paper's design) or via an extra copy (Fig. 9's comparison).
     multi_key:

@@ -26,7 +26,7 @@ With no plan installed every hook is a no-op on the fast path (a single
 ``is None`` check), so healthy runs pay nothing.
 
 Recovery behaviour is selected independently of the plan by
-:class:`FaultPolicy` (``SchedArgs(fault_policy=...)`` /
+:class:`FaultPolicy` (``ExecutionPolicy(fault=...)`` /
 ``supervised_launch(policy=...)``):
 
 * ``fail_fast`` — today's behaviour and the default: the first failure
@@ -67,7 +67,7 @@ FAULT_KINDS = {
     "network": ("disconnect", "slowlink", "truncate", "partition"),
 }
 
-#: Policy modes accepted by :class:`FaultPolicy` / ``SchedArgs``.
+#: Policy modes accepted by :class:`FaultPolicy` / ``ExecutionPolicy(fault=...)``.
 POLICY_MODES = ("fail_fast", "retry", "degrade")
 
 
@@ -405,7 +405,7 @@ class FaultPolicy:
 
     Construct via the classmethods (``FaultPolicy.retry(...)``) or pass
     the mode name as a string wherever a policy is accepted
-    (``SchedArgs(fault_policy="retry")``).
+    (``ExecutionPolicy(fault="retry")``).
     """
 
     mode: str = "fail_fast"

@@ -31,7 +31,7 @@ import numpy as np
 from ..analytics.histogram import Histogram
 from ..analytics.kmeans import KMeans
 from ..comm import SpmdError, spmd_launch, supervised_launch
-from ..core import SchedArgs, load_checkpoint, save_checkpoint
+from ..core import EnginePolicy, ExecutionPolicy, load_checkpoint, save_checkpoint
 from ..faults import EngineFaultError, FaultPlan, FaultPolicy, FaultSpec
 from ..telemetry import Recorder
 from .reporting import format_seconds, print_table
@@ -52,12 +52,11 @@ def _dataset(n_points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kmeans_rank(comm, part, centroids, engine):
-    args = SchedArgs(
-        num_threads=2,
+    args = ExecutionPolicy(
+        engine=EnginePolicy(backend=engine, num_threads=2),
         chunk_size=DIMS,
         extra_data=centroids,
         num_iters=3,
-        engine=engine,
     )
     sched = KMeans(args, comm, dims=DIMS)
     with sched:
@@ -66,7 +65,9 @@ def _kmeans_rank(comm, part, centroids, engine):
 
 
 def _hist_rank(comm, part, engine):
-    args = SchedArgs(num_threads=2, chunk_size=1, engine=engine)
+    args = ExecutionPolicy(
+        engine=EnginePolicy(backend=engine, num_threads=2), chunk_size=1
+    )
     sched = Histogram(args, comm, lo=-4.0, hi=4.0, num_buckets=BUCKETS)
     out = np.zeros(BUCKETS)
     with sched:
@@ -159,13 +160,12 @@ def _engine_scenarios(n_points: int) -> dict:
     points, centroids = _dataset(n_points)
 
     def run_kmeans(plan, policy):
-        args = SchedArgs(
-            num_threads=2,
+        args = ExecutionPolicy(
+            engine=EnginePolicy(backend="process", num_threads=2),
             chunk_size=DIMS,
             extra_data=centroids,
             num_iters=3,
-            engine="process",
-            fault_policy=policy,
+            fault=policy,
         )
         sched = KMeans(args, dims=DIMS)
         sched.fault_plan = plan
@@ -220,8 +220,11 @@ def _engine_scenarios(n_points: int) -> dict:
 def _storage_scenario(n_points: int) -> dict:
     """Checkpoint corruption: restore falls back to a verifying rotation."""
     points, centroids = _dataset(n_points)
-    args = SchedArgs(
-        num_threads=1, chunk_size=DIMS, extra_data=centroids, num_iters=1
+    args = ExecutionPolicy(
+        engine=EnginePolicy(num_threads=1),
+        chunk_size=DIMS,
+        extra_data=centroids,
+        num_iters=1,
     )
     results = {}
     with TemporaryDirectory() as tmp:
@@ -268,7 +271,9 @@ def _overhead_when_healthy(n_points: int, repeats: int) -> dict:
     points, _ = _dataset(n_points)
 
     def timed(plan) -> float:
-        args = SchedArgs(num_threads=2, chunk_size=1, engine="process")
+        args = ExecutionPolicy(
+            engine=EnginePolicy(backend="process", num_threads=2), chunk_size=1
+        )
         sched = Histogram(args, lo=-4.0, hi=4.0, num_buckets=BUCKETS)
         sched.fault_plan = plan
         out = np.zeros(BUCKETS)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..analytics import KMeans
 from ..baselines.offline import OfflineDriver
-from ..core import SchedArgs, TimeSharingDriver
+from ..core import ExecutionPolicy, TimeSharingDriver
 from ..sim import Heat3D
 from .reporting import format_ratio, format_seconds, print_table
 
@@ -24,9 +24,7 @@ K = 8
 
 def _make_kmeans(num_iters: int, seed_data: np.ndarray) -> KMeans:
     init = seed_data.reshape(-1, DIMS)[:K].copy()
-    args = SchedArgs(
-        chunk_size=DIMS, num_iters=num_iters, extra_data=init
-    )
+    args = ExecutionPolicy(chunk_size=DIMS, num_iters=num_iters, extra_data=init)
     return KMeans(args, dims=DIMS)
 
 

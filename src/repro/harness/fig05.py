@@ -35,7 +35,7 @@ from ..baselines.minispark import (
     spark_kmeans,
     spark_logistic_regression,
 )
-from ..core import SchedArgs
+from ..core import EnginePolicy, ExecutionPolicy
 from ..sim import GaussianEmulator
 from .reporting import format_bytes, format_ratio, format_seconds, print_table
 
@@ -63,11 +63,10 @@ def run(elements: int = 60_000, threads: tuple[int, ...] = (1, 2, 4, 8)) -> dict
     results: dict[str, dict] = {}
 
     # ---------------- histogram (100 buckets) ----------------
-    smart_hist = Histogram(SchedArgs(), lo=-4.0, hi=4.0, num_buckets=100)
+    smart_hist = Histogram(ExecutionPolicy(), lo=-4.0, hi=4.0, num_buckets=100)
     t_smart = _measure(lambda: (smart_hist.reset(), smart_hist.run(stream)))
-    smart_scalar = Histogram(
-        SchedArgs(map_path="scalar"), lo=-4.0, hi=4.0, num_buckets=100
-    )
+    scalar_policy = ExecutionPolicy(engine=EnginePolicy(map_path="scalar"))
+    smart_scalar = Histogram(scalar_policy, lo=-4.0, hi=4.0, num_buckets=100)
     t_scalar = _measure(lambda: (smart_scalar.reset(), smart_scalar.run(stream)))
     with MiniSparkContext(1) as ctx:
         t_spark = _measure(lambda: spark_histogram(ctx, stream, -4.0, 4.0, 100))
@@ -85,7 +84,7 @@ def run(elements: int = 60_000, threads: tuple[int, ...] = (1, 2, 4, 8)) -> dict
     flat = points.reshape(-1)
     init = points[:k].copy()
     km = KMeans(
-        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init),
+        ExecutionPolicy(chunk_size=dims, num_iters=iters, extra_data=init),
         dims=dims,
     )
     t_smart = _measure(lambda: (km.reset(), km.run(flat)))
@@ -104,7 +103,7 @@ def run(elements: int = 60_000, threads: tuple[int, ...] = (1, 2, 4, 8)) -> dict
     y = (rng.random(n_samples) < 0.5).astype(np.float64)
     flat = np.concatenate([X, y[:, None]], axis=1).reshape(-1)
     lr = LogisticRegression(
-        SchedArgs(chunk_size=dims + 1, num_iters=iters), dims=dims
+        ExecutionPolicy(chunk_size=dims + 1, num_iters=iters), dims=dims
     )
     t_smart = _measure(lambda: (lr.reset(), lr.run(flat)))
     with MiniSparkContext(1) as ctx:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..analytics import KMeans, LogisticRegression
 from ..baselines.lowlevel import lowlevel_kmeans, lowlevel_logreg
-from ..core import SchedArgs
+from ..core import ExecutionPolicy
 from ..core.serialization import WIRE_FORMATS, pack_map, serialize_map
 from ..perfmodel import MULTICORE_CLUSTER, collective_seconds
 from .programmability import default_rows
@@ -72,7 +72,7 @@ def run(
     flat = points.reshape(-1)
     init = points[:k].copy()
     km = KMeans(
-        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init),
+        ExecutionPolicy(chunk_size=dims, num_iters=iters, extra_data=init),
         dims=dims,
     )
     t_smart = _measure(lambda: (km.reset(), km.run(flat)))
@@ -94,7 +94,7 @@ def run(
     y = (rng.random(X.shape[0]) < 0.5).astype(np.float64)
     flat = np.concatenate([X, y[:, None]], axis=1).reshape(-1)
     lr = LogisticRegression(
-        SchedArgs(chunk_size=dims + 1, num_iters=iters), dims=dims
+        ExecutionPolicy(chunk_size=dims + 1, num_iters=iters), dims=dims
     )
     t_smart = _measure(lambda: (lr.reset(), lr.run(flat)))
     t_low = _measure(lambda: lowlevel_logreg(flat, dims, iters))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analytics import Histogram
-from ..core import SchedArgs
+from ..core import EnginePolicy, ExecutionPolicy
 from ..perfmodel import MULTICORE_CLUSTER, NodeWorkload, model_time_sharing
 from .profiles import ALL_NINE, FIRST_FIVE, SECTION54_PASSES, WINDOW_FOUR, app_model, sim_model
 from .reporting import format_seconds, print_table
@@ -93,7 +93,7 @@ def run_measured(
         measured[engine] = {}
         for t in threads:
             with Histogram(
-                SchedArgs(num_threads=t, engine=engine),
+                ExecutionPolicy(engine=EnginePolicy(backend=engine, num_threads=t)),
                 lo=-4, hi=4, num_buckets=1200,
             ) as app:
                 app.run(data)

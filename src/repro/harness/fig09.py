@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from ..analytics import LogisticRegression
-from ..core import SchedArgs
+from ..core import ExecutionPolicy
 from ..perfmodel import MULTICORE_CLUSTER, MemoryModel, NodeWorkload, model_time_sharing
 from .profiles import (
     HEAT3D_COMPUTE_FACTOR_FIG9,
@@ -143,8 +143,7 @@ def _measured_copy_overhead(mib: int = 32) -> dict:
         # The batch kernel on purpose: against the scalar loop's seconds
         # of interpreter time a 32 MiB memcpy is below run-to-run noise.
         lr = LogisticRegression(
-            SchedArgs(chunk_size=dims + 1, num_iters=3,
-                      copy_input=copy_input),
+            ExecutionPolicy(chunk_size=dims + 1, num_iters=3, copy_input=copy_input),
             dims=dims,
         )
         t0 = time.perf_counter()

@@ -23,8 +23,8 @@ from __future__ import annotations
 from ..analytics import Histogram
 from ..core import (
     CoreSplit,
+    ExecutionPolicy,
     PipelinedTimeSharingDriver,
-    SchedArgs,
     SpaceSharingDriver,
     TimeSharingDriver,
 )
@@ -64,7 +64,7 @@ def _functional_check() -> dict:
     """Real concurrent producer/consumer run through the circular buffer."""
     sim = LuleshProxy(12)
     hist = Histogram(
-        SchedArgs(buffer_capacity=3), lo=-1.0, hi=60.0,
+        ExecutionPolicy(buffer_capacity=3), lo=-1.0, hi=60.0,
         num_buckets=32,
     )
     driver = SpaceSharingDriver(sim, hist, CoreSplit(1, 1))
@@ -90,7 +90,7 @@ def _pipelined_check() -> dict:
     def counts(driver_cls):
         sim = LuleshProxy(12)
         hist = Histogram(
-            SchedArgs(), lo=-1.0, hi=60.0, num_buckets=32
+            ExecutionPolicy(), lo=-1.0, hi=60.0, num_buckets=32
         )
         with hist:
             result = driver_cls(sim, hist).run(6)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analytics import MovingAverage
-from ..core import SchedArgs, TimeSharingDriver
+from ..core import EnginePolicy, ExecutionPolicy, TimeSharingDriver
 from ..perfmodel import MULTICORE_CLUSTER, MemoryModel, NodeWorkload, model_time_sharing
 from ..sim import Heat3D
 from .profiles import (
@@ -51,7 +51,9 @@ def _measured(win_size: int = 7, steps: int = 4) -> dict:
         sim = Heat3D(grid)
         # Scalar: the figure measures Algorithm 2's per-chunk trigger.
         ma = MovingAverage(
-            SchedArgs(disable_early_emission=disable, map_path="scalar"),
+            ExecutionPolicy(
+                engine=EnginePolicy(map_path="scalar"), disable_early_emission=disable
+            ),
             win_size=win_size,
         )
         driver = TimeSharingDriver(

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..analytics.histogram import Histogram
 from ..comm import spmd_launch
-from ..core import ElasticTier, SchedArgs
+from ..core import ElasticTier, EnginePolicy, ExecutionPolicy
 from ..faults import FaultPlan, FaultPolicy, FaultSpec
 from ..telemetry import Recorder
 from .reporting import format_seconds, print_table
@@ -50,7 +50,7 @@ def _dataset(n_points: int) -> np.ndarray:
 
 
 def _factory():
-    args = SchedArgs(num_threads=1)
+    args = ExecutionPolicy(engine=EnginePolicy(num_threads=1))
     return Histogram(args, None, lo=-4.0, hi=4.0, num_buckets=BUCKETS)
 
 
@@ -195,8 +195,8 @@ def _elastic_scale_scenario(n_points: int, n_parts: int) -> dict:
 def _hist_rank(comm, part):
     # Scalar: TCP_OVERHEAD_BOUND is declared against a run whose compute
     # phase is the paper's map loop, not a ~1 ms kernel.
-    sched = Histogram(SchedArgs(num_threads=1, map_path="scalar"), comm,
-                      lo=-4.0, hi=4.0, num_buckets=BUCKETS)
+    policy = ExecutionPolicy(engine=EnginePolicy(num_threads=1, map_path="scalar"))
+    sched = Histogram(policy, comm, lo=-4.0, hi=4.0, num_buckets=BUCKETS)
     out = np.zeros(BUCKETS)
     with sched:
         sched.run(part, out)

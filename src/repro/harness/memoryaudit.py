@@ -21,10 +21,12 @@ from ..baselines.minispark import (
     spark_kmeans,
     spark_logistic_regression,
 )
-from ..core import SchedArgs
+from ..core import EnginePolicy, ExecutionPolicy
 
 # Every audit pins map_path="scalar": Section 5.2's claim is about the
 # state the paper's gen_key/accumulate loop holds.
+_SCALAR = EnginePolicy(map_path="scalar")
+
 #: Approximate live bytes of one materialized Python pair in a list
 #: (tuple header + two boxed ints/floats + list slot).
 PAIR_BYTES = 80
@@ -55,7 +57,7 @@ class AuditRow:
 
 
 def audit_histogram(data: np.ndarray, buckets: int = 100) -> AuditRow:
-    smart = Histogram(SchedArgs(map_path="scalar"), lo=-4, hi=4, num_buckets=buckets)
+    smart = Histogram(ExecutionPolicy(engine=_SCALAR), lo=-4, hi=4, num_buckets=buckets)
     smart.run(data)
     with MiniSparkContext(1) as ctx:
         spark_histogram(ctx, data, -4, 4, buckets)
@@ -73,8 +75,9 @@ def audit_kmeans(data: np.ndarray, k: int = 8, dims: int = 8, iters: int = 3) ->
     flat = data[:usable]
     init = flat.reshape(-1, dims)[:k].copy()
     smart = KMeans(
-        SchedArgs(chunk_size=dims, num_iters=iters, extra_data=init,
-                  map_path="scalar"),
+        ExecutionPolicy(
+            engine=_SCALAR, chunk_size=dims, num_iters=iters, extra_data=init
+        ),
         dims=dims,
     )
     smart.run(flat)
@@ -95,7 +98,7 @@ def audit_logreg(data: np.ndarray, dims: int = 15, iters: int = 3) -> AuditRow:
     flat = data[:usable].copy()
     flat.reshape(-1, row)[:, dims] = flat.reshape(-1, row)[:, dims] > 0
     smart = LogisticRegression(
-        SchedArgs(chunk_size=row, num_iters=iters, map_path="scalar"), dims=dims
+        ExecutionPolicy(engine=_SCALAR, chunk_size=row, num_iters=iters), dims=dims
     )
     smart.run(flat)
     with MiniSparkContext(1) as ctx:

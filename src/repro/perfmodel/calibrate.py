@@ -34,7 +34,7 @@ from ..analytics import (
     make_blobs,
     make_logreg_samples,
 )
-from ..core.sched_args import SchedArgs
+from ..core.policy import ExecutionPolicy
 from ..sim import GaussianEmulator, Heat3D, LuleshProxy
 
 
@@ -117,31 +117,31 @@ def calibrate_analytics(scale: int = 200_000, seed: int = 7) -> dict[str, Kernel
 
     costs["grid_aggregation"] = _app_cost(
         "grid_aggregation",
-        GridAggregation(SchedArgs(), grid_size=1000),
+        GridAggregation(ExecutionPolicy(), grid_size=1000),
         scalars, False,
     )
     costs["histogram"] = _app_cost(
         "histogram",
-        Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=1200),
+        Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=1200),
         scalars, False,
     )
     costs["mutual_information"] = _app_cost(
         "mutual_information",
-        MutualInformation(SchedArgs(chunk_size=2),
+        MutualInformation(ExecutionPolicy(chunk_size=2),
                           x_range=(-4, 4), y_range=(-4, 4), bins=100),
         scalars, False, record_len=2,
     )
     lr_flat, _ = make_logreg_samples(scale // 16, 15, seed=seed)
     costs["logistic_regression"] = _app_cost(
         "logistic_regression",
-        LogisticRegression(SchedArgs(chunk_size=16, num_iters=1), dims=15),
+        LogisticRegression(ExecutionPolicy(chunk_size=16, num_iters=1), dims=15),
         lr_flat, False, record_len=16,
     )
     km_flat, _ = make_blobs(scale // 4, 4, 8, seed=seed)
     init = km_flat.reshape(-1, 4)[:8].copy()
     costs["kmeans"] = _app_cost(
         "kmeans",
-        KMeans(SchedArgs(chunk_size=4, num_iters=1, extra_data=init), dims=4),
+        KMeans(ExecutionPolicy(chunk_size=4, num_iters=1, extra_data=init), dims=4),
         km_flat, False, record_len=4,
     )
     costs.update(calibrate_window_kernels(scale=scale, seed=seed))
@@ -182,11 +182,11 @@ def calibrate_window_kernels(
 
     kernel = np.ones(win_size) / win_size
     t = _time(lambda: np.convolve(data, kernel, mode="same"))
-    state, sync = state_probe(MovingAverage(SchedArgs(), win_size=win_size))
+    state, sync = state_probe(MovingAverage(ExecutionPolicy(), win_size=win_size))
     costs["moving_average"] = KernelCost("moving_average", t / scale, state, sync)
 
     t = _time(lambda: np.median(windows, axis=1))
-    state, sync = state_probe(MovingMedian(SchedArgs(), win_size=win_size))
+    state, sync = state_probe(MovingMedian(ExecutionPolicy(), win_size=win_size))
     costs["moving_median"] = KernelCost("moving_median", t / scale, state, sync)
 
     offsets = np.arange(-half, half + 1)
@@ -195,11 +195,11 @@ def calibrate_window_kernels(
         lambda: np.convolve(data, weights, mode="same")
         / np.convolve(np.ones_like(data), weights, mode="same")
     )
-    state, sync = state_probe(GaussianKernelSmoother(SchedArgs(), win_size=win_size))
+    state, sync = state_probe(GaussianKernelSmoother(ExecutionPolicy(), win_size=win_size))
     costs["kernel_density"] = KernelCost("kernel_density", t / scale, state, sync)
 
     t = _time(lambda: scipy.signal.savgol_filter(data, win_size, 2))
-    state, sync = state_probe(SavitzkyGolay(SchedArgs(), win_size=win_size, polyorder=2))
+    state, sync = state_probe(SavitzkyGolay(ExecutionPolicy(), win_size=win_size, polyorder=2))
     costs["savgol"] = KernelCost("savgol", t / scale, state, sync)
     return costs
 

@@ -189,7 +189,7 @@ class Config:
         """Raise ``ValueError`` on any out-of-domain axis value.
 
         Delegates to the policy layer — the same ``validate()`` that
-        rejects a bad :class:`~repro.core.SchedArgs`, so the matrix and
+        rejects a bad :class:`~repro.core.ExecutionPolicy`, so the matrix and
         the runtime cannot drift on what a legal configuration is.
         """
         self.execution_policy()

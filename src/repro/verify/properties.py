@@ -27,7 +27,7 @@ import dataclasses
 
 import numpy as np
 
-from ..core import SchedArgs
+from ..core import EnginePolicy, ExecutionPolicy
 from ..telemetry import Recorder
 from .matrix import Config
 from .oracle import Mismatch, diff_results, execute
@@ -106,7 +106,7 @@ def check_permutation_invariance(
                 "permutation")
 
 
-def _map_result(workload: Workload, args: SchedArgs, combination_map):
+def _map_result(workload: Workload, args: ExecutionPolicy, combination_map):
     """Extract comparison arrays from an externally merged map."""
     app = workload.build(args, None)
     try:
@@ -128,9 +128,10 @@ def check_merge_associativity(
     third = len(rows) // 3
     pieces = (rows[:third], rows[third: 2 * third], rows[2 * third:])
 
-    def args_for() -> SchedArgs:
-        return SchedArgs(chunk_size=w.chunk_size, num_iters=w.num_iters,
-                         extra_data=w.extra(data))
+    def args_for() -> ExecutionPolicy:
+        return ExecutionPolicy(
+            chunk_size=w.chunk_size, num_iters=w.num_iters, extra_data=w.extra(data)
+        )
 
     maps = []
     merge = None
@@ -169,9 +170,12 @@ def check_residency_idempotence(
     data = w.make_data(seed, elements)
 
     def double_run(engine: str):
-        args = SchedArgs(num_threads=2, engine=engine,
-                         chunk_size=w.chunk_size, num_iters=w.num_iters,
-                         extra_data=w.extra(data))
+        args = ExecutionPolicy(
+            engine=EnginePolicy(backend=engine, num_threads=2),
+            chunk_size=w.chunk_size,
+            num_iters=w.num_iters,
+            extra_data=w.extra(data),
+        )
         app = w.build(args, None)
         with app:
             app.run(data)

@@ -47,7 +47,7 @@ class Workload:
 
     ``factory(args, comm)`` builds the Scheduler; ``extract(app, out)``
     reduces the finished run to a name→array dict (the unit of
-    comparison).  ``make_extra(data)`` derives ``SchedArgs.extra_data``
+    comparison).  ``make_extra(data)`` derives the policy's ``extra_data``
     (e.g. initial centroids) from the generated input so candidate and
     oracle always seed identically.
     """

@@ -5,13 +5,17 @@ import pytest
 
 from repro.analytics import GridAggregation, reference_grid_aggregation
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 
 
 def run_app(data, grid_size, kernel=False, threads=1):
     """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     app = GridAggregation(
-        SchedArgs(map_path="auto" if kernel else "scalar", num_threads=threads),
+        ExecutionPolicy(
+            engine=EnginePolicy(
+                num_threads=threads, map_path="auto" if kernel else "scalar",
+            ),
+        ),
         grid_size=grid_size,
     )
     app.run(data)
@@ -56,7 +60,10 @@ class TestCorrectness:
             parts = np.array_split(data, comm.size)
             offset = sum(len(p) for p in parts[: comm.rank])
             app = GridAggregation(
-                SchedArgs(map_path="auto" if kernel else "scalar"), comm,
+                ExecutionPolicy(
+                    engine=EnginePolicy(map_path="auto" if kernel else "scalar")
+                ),
+                comm,
                 grid_size=37,
             )
             app.run(parts[comm.rank], global_offset=offset, total_len=len(data))
@@ -70,4 +77,4 @@ class TestCorrectness:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GridAggregation(SchedArgs(), grid_size=0)
+            GridAggregation(ExecutionPolicy(), grid_size=0)

@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 
 from repro.analytics import Histogram, reference_histogram
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 
 
 def build(kernel=False, threads=1, lo=-4.0, hi=4.0, buckets=32, engine="serial"):
     """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     return Histogram(
-        SchedArgs(map_path="auto" if kernel else "scalar", num_threads=threads,
-                  engine=engine),
+        ExecutionPolicy(
+            engine=EnginePolicy(
+                backend=engine,
+                num_threads=threads,
+                map_path="auto" if kernel else "scalar",
+            ),
+        ),
         lo=lo, hi=hi, num_buckets=buckets,
     )
 
@@ -91,7 +96,10 @@ class TestCorrectness:
         def body(comm):
             part = np.array_split(data, comm.size)[comm.rank]
             app = Histogram(
-                SchedArgs(map_path="auto" if kernel else "scalar"), comm,
+                ExecutionPolicy(
+                    engine=EnginePolicy(map_path="auto" if kernel else "scalar")
+                ),
+                comm,
                 lo=-4, hi=4, num_buckets=32,
             )
             app.run(part)
@@ -137,7 +145,7 @@ class TestValidation:
 def test_mass_conservation_property(data, buckets):
     """Every input element lands in exactly one bucket (clamping included)."""
     arr = np.asarray(data)
-    app = Histogram(SchedArgs(), lo=-10.0, hi=10.0, num_buckets=buckets)
+    app = Histogram(ExecutionPolicy(), lo=-10.0, hi=10.0, num_buckets=buckets)
     app.run(arr)
     assert app.counts().sum() == len(data)
 

@@ -12,7 +12,7 @@ from repro.analytics import (
     make_blobs,
     reference_kmeans,
 )
-from repro.core import SchedArgs
+from repro.core import ExecutionPolicy
 
 
 def sse(points, centroids):
@@ -36,7 +36,7 @@ class TestKMeansLloydInvariants:
         init = points[:3].copy()
         prev = sse(points, init)
         app = KMeans(
-            SchedArgs(chunk_size=2, num_iters=1, extra_data=init),
+            ExecutionPolicy(chunk_size=2, num_iters=1, extra_data=init),
             dims=2,
         )
         for _ in range(6):
@@ -57,13 +57,13 @@ class TestKMeansLloydInvariants:
         init = flat.reshape(-1, 2)[:3].copy()
 
         once = KMeans(
-            SchedArgs(chunk_size=2, num_iters=iters, extra_data=init),
+            ExecutionPolicy(chunk_size=2, num_iters=iters, extra_data=init),
             dims=2,
         )
         once.run(flat)
 
         stepped = KMeans(
-            SchedArgs(chunk_size=2, num_iters=1, extra_data=init),
+            ExecutionPolicy(chunk_size=2, num_iters=1, extra_data=init),
             dims=2,
         )
         for _ in range(iters):
@@ -83,7 +83,7 @@ class TestAggregationInvariants:
     def test_grid_aggregation_conserves_mass(self, seed, n, grid):
         """Σ (grid mean x grid population) == Σ data, for any grid size."""
         data = np.random.default_rng(seed).normal(size=n)
-        app = GridAggregation(SchedArgs(), grid_size=grid)
+        app = GridAggregation(ExecutionPolicy(), grid_size=grid)
         app.run(data)
         com = app.get_combination_map()
         assert sum(o.count for o in com.values()) == n
@@ -98,7 +98,7 @@ class TestAggregationInvariants:
         """A mean of window values can never leave [min, max] of the data."""
         data = np.random.default_rng(seed).normal(size=80)
         out = np.full(80, np.nan)
-        MovingAverage(SchedArgs(), win_size=win).run2(data, out)
+        MovingAverage(ExecutionPolicy(), win_size=win).run2(data, out)
         assert out.min() >= data.min() - 1e-12
         assert out.max() <= data.max() + 1e-12
 
@@ -108,5 +108,5 @@ class TestAggregationInvariants:
         value = float(np.random.default_rng(seed).normal())
         data = np.full(40, value)
         out = np.full(40, np.nan)
-        MovingAverage(SchedArgs(), win_size=5).run2(data, out)
+        MovingAverage(ExecutionPolicy(), win_size=5).run2(data, out)
         assert np.allclose(out, value)

@@ -7,16 +7,20 @@ import pytest
 
 from repro.analytics import KMeans, make_blobs, reference_kmeans
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 
 
-def build(init, iters=5, kernel=False, comm=None, threads=1, **args):
+def build(init, iters=5, kernel=False, comm=None, threads=1, engine="serial",
+          block_size=None):
     """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     dims = init.shape[1]
     return KMeans(
-        SchedArgs(
-            chunk_size=dims, num_iters=iters, extra_data=init,
-            map_path="auto" if kernel else "scalar", num_threads=threads, **args,
+        ExecutionPolicy(
+            engine=EnginePolicy(
+                backend=engine, num_threads=threads,
+                map_path="auto" if kernel else "scalar",
+            ),
+            chunk_size=dims, num_iters=iters, extra_data=init, block_size=block_size,
         ),
         comm, dims=dims,
     )
@@ -187,16 +191,16 @@ class TestBatchKernel:
 
 class TestValidation:
     def test_requires_extra_data(self):
-        app = KMeans(SchedArgs(chunk_size=2), dims=2)
+        app = KMeans(ExecutionPolicy(chunk_size=2), dims=2)
         with pytest.raises(ValueError, match="centroids"):
             app.run(np.zeros(4))
 
     def test_chunk_size_must_equal_dims(self):
         with pytest.raises(ValueError, match="chunk_size"):
-            KMeans(SchedArgs(chunk_size=3), dims=2)
+            KMeans(ExecutionPolicy(chunk_size=3), dims=2)
 
     def test_centroid_shape_checked(self):
-        app = KMeans(SchedArgs(chunk_size=2, extra_data=np.zeros((4, 3))), dims=2)
+        app = KMeans(ExecutionPolicy(chunk_size=2, extra_data=np.zeros((4, 3))), dims=2)
         with pytest.raises(ValueError, match=r"\(k, 2\)"):
             app.run(np.zeros(4))
 

@@ -5,14 +5,17 @@ import pytest
 
 from repro.analytics import LogisticRegression, make_logreg_samples, reference_logreg
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 
 
 def build(dims=5, iters=6, kernel=False, comm=None, lr=0.1):
     """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     return LogisticRegression(
-        SchedArgs(chunk_size=dims + 1, num_iters=iters,
-                  map_path="auto" if kernel else "scalar"),
+        ExecutionPolicy(
+            engine=EnginePolicy(map_path="auto" if kernel else "scalar"),
+            chunk_size=dims + 1,
+            num_iters=iters,
+        ),
         comm, dims=dims, learning_rate=lr,
     )
 
@@ -36,7 +39,7 @@ class TestCorrectness:
         flat, _ = make_logreg_samples(300, 3, seed=3)
         init = np.array([0.5, -0.5, 0.25])
         app = LogisticRegression(
-            SchedArgs(chunk_size=4, num_iters=4, extra_data=init), dims=3
+            ExecutionPolicy(chunk_size=4, num_iters=4, extra_data=init), dims=3
         )
         app.run(flat)
         expected = reference_logreg(flat, 3, 4, init_weights=init)
@@ -100,7 +103,7 @@ class TestCorrectness:
 class TestValidation:
     def test_chunk_size_checked(self):
         with pytest.raises(ValueError, match="chunk_size"):
-            LogisticRegression(SchedArgs(chunk_size=3), dims=5)
+            LogisticRegression(ExecutionPolicy(chunk_size=3), dims=5)
 
     def test_bad_learning_rate(self):
         with pytest.raises(ValueError):
@@ -108,7 +111,7 @@ class TestValidation:
 
     def test_bad_initial_weight_shape(self):
         app = LogisticRegression(
-            SchedArgs(chunk_size=4, extra_data=np.zeros(7)), dims=3
+            ExecutionPolicy(chunk_size=4, extra_data=np.zeros(7)), dims=3
         )
         with pytest.raises(ValueError, match="shape"):
             app.run(np.zeros(8))

@@ -5,13 +5,13 @@ import pytest
 
 from repro.analytics import MinMax, ValueGridKDE, reference_value_grid_kde
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 
 
 class TestMinMax:
     def test_single_rank(self, rng):
         data = rng.normal(size=500)
-        app = MinMax(SchedArgs())
+        app = MinMax(ExecutionPolicy())
         app.run(data)
         lo, hi = app.value_range
         assert lo == data.min()
@@ -19,7 +19,8 @@ class TestMinMax:
 
     def test_vectorized_equals_scalar(self, rng):
         data = rng.normal(size=300)
-        s, v = MinMax(SchedArgs(map_path="scalar")), MinMax(SchedArgs())
+        s = MinMax(ExecutionPolicy(engine=EnginePolicy(map_path="scalar")))
+        v = MinMax(ExecutionPolicy())
         s.run(data)
         v.run(data)
         assert s.value_range == v.value_range
@@ -29,7 +30,7 @@ class TestMinMax:
 
         def body(comm):
             part = np.array_split(data, comm.size)[comm.rank]
-            app = MinMax(SchedArgs(), comm)
+            app = MinMax(ExecutionPolicy(), comm)
             app.run(part)
             return app.value_range
 
@@ -39,14 +40,14 @@ class TestMinMax:
 
     def test_convert(self, rng):
         data = rng.normal(size=100)
-        app = MinMax(SchedArgs())
+        app = MinMax(ExecutionPolicy())
         out = np.zeros(2)
         app.run(data, out)
         assert out[0] == data.min()
         assert out[1] == data.max()
 
     def test_single_element(self):
-        app = MinMax(SchedArgs())
+        app = MinMax(ExecutionPolicy())
         app.run(np.array([7.5]))
         assert app.value_range == (7.5, 7.5)
 
@@ -55,7 +56,7 @@ class TestValueGridKDE:
     def test_matches_reference(self, rng):
         samples = rng.normal(size=800)
         grid = np.linspace(-4, 4, 41)
-        app = ValueGridKDE(SchedArgs(), grid=grid, bandwidth=0.4)
+        app = ValueGridKDE(ExecutionPolicy(), grid=grid, bandwidth=0.4)
         app.run2(samples)
         assert np.allclose(
             app.density(800), reference_value_grid_kde(samples, grid, 0.4), atol=1e-12
@@ -64,7 +65,7 @@ class TestValueGridKDE:
     def test_density_integrates_to_about_one(self, rng):
         samples = rng.normal(size=5000)
         grid = np.linspace(-6, 6, 121)
-        app = ValueGridKDE(SchedArgs(), grid=grid, bandwidth=0.3)
+        app = ValueGridKDE(ExecutionPolicy(), grid=grid, bandwidth=0.3)
         app.run2(samples)
         density = app.density(5000)
         assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=0.02)
@@ -76,7 +77,7 @@ class TestValueGridKDE:
 
         def body(comm):
             part = np.array_split(samples, comm.size)[comm.rank]
-            app = ValueGridKDE(SchedArgs(), comm, grid=grid, bandwidth=0.5)
+            app = ValueGridKDE(ExecutionPolicy(), comm, grid=grid, bandwidth=0.5)
             app.run2(part)
             return app.density(600)
 
@@ -85,7 +86,7 @@ class TestValueGridKDE:
 
     def test_cutoff_truncates_far_contributions(self, rng):
         grid = np.linspace(0, 10, 11)
-        app = ValueGridKDE(SchedArgs(), grid=grid, bandwidth=0.1, cutoff=3.0)
+        app = ValueGridKDE(ExecutionPolicy(), grid=grid, bandwidth=0.1, cutoff=3.0)
         app.run2(np.array([5.0]))
         density = app.density(1)
         assert density[5] > 0
@@ -93,6 +94,6 @@ class TestValueGridKDE:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            ValueGridKDE(SchedArgs(), grid=np.array([1.0, 0.5]), bandwidth=0.1)
+            ValueGridKDE(ExecutionPolicy(), grid=np.array([1.0, 0.5]), bandwidth=0.1)
         with pytest.raises(ValueError):
-            ValueGridKDE(SchedArgs(), grid=np.linspace(0, 1, 5), bandwidth=0.0)
+            ValueGridKDE(ExecutionPolicy(), grid=np.linspace(0, 1, 5), bandwidth=0.0)

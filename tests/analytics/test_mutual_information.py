@@ -11,13 +11,16 @@ from repro.analytics import (
     reference_mutual_information,
 )
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 
 
 def build(bins=16, kernel=False, comm=None):
     """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     return MutualInformation(
-        SchedArgs(chunk_size=2, map_path="auto" if kernel else "scalar"), comm,
+        ExecutionPolicy(
+            engine=EnginePolicy(map_path="auto" if kernel else "scalar"), chunk_size=2
+        ),
+        comm,
         x_range=(-4, 4), y_range=(-4, 4), bins=bins,
     )
 
@@ -85,13 +88,13 @@ class TestValidation:
     def test_chunk_size_must_be_two(self):
         with pytest.raises(ValueError, match="chunk_size"):
             MutualInformation(
-                SchedArgs(chunk_size=1), x_range=(0, 1), y_range=(0, 1), bins=4
+                ExecutionPolicy(chunk_size=1), x_range=(0, 1), y_range=(0, 1), bins=4
             )
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             MutualInformation(
-                SchedArgs(chunk_size=2), x_range=(1, 1), y_range=(0, 1), bins=4
+                ExecutionPolicy(chunk_size=2), x_range=(1, 1), y_range=(0, 1), bins=4
             )
 
     def test_empty_joint_rejected(self):

@@ -12,7 +12,7 @@ from repro.analytics import (
     reference_tile_aggregation_3d,
 )
 from repro.comm import spmd_launch
-from repro.core import SchedArgs, merge_distributed_output
+from repro.core import EnginePolicy, ExecutionPolicy, merge_distributed_output
 
 SHAPE = (6, 5, 4)
 
@@ -32,14 +32,16 @@ def slab_partition(field, size, rank):
 
 class TestTileAggregation:
     def test_matches_reference(self, field):
-        app = TileAggregation3D(SchedArgs(), shape=SHAPE, tile=(2, 2, 2))
+        app = TileAggregation3D(ExecutionPolicy(), shape=SHAPE, tile=(2, 2, 2))
         app.run(field.reshape(-1))
         assert np.allclose(app.means(), reference_tile_aggregation_3d(field, (2, 2, 2)))
 
     def test_vectorized_equals_scalar(self, field):
         scalar = TileAggregation3D(
-            SchedArgs(map_path="scalar"), shape=SHAPE, tile=(3, 2, 2))
-        vector = TileAggregation3D(SchedArgs(), shape=SHAPE, tile=(3, 2, 2))
+            ExecutionPolicy(engine=EnginePolicy(map_path="scalar")),
+            shape=SHAPE, tile=(3, 2, 2),
+        )
+        vector = TileAggregation3D(ExecutionPolicy(), shape=SHAPE, tile=(3, 2, 2))
         scalar.run(field.reshape(-1))
         vector.run(field.reshape(-1))
         assert np.array_equal(scalar.means(), vector.means())
@@ -48,12 +50,12 @@ class TestTileAggregation:
     def test_partial_edge_tiles(self, field):
         # 5 and 4 are not multiples of 3: edge tiles must average only the
         # cells they actually cover.
-        app = TileAggregation3D(SchedArgs(), shape=SHAPE, tile=(3, 3, 3))
+        app = TileAggregation3D(ExecutionPolicy(), shape=SHAPE, tile=(3, 3, 3))
         app.run(field.reshape(-1))
         assert np.allclose(app.means(), reference_tile_aggregation_3d(field, (3, 3, 3)))
 
     def test_tile_of_ones_is_identity(self, field):
-        app = TileAggregation3D(SchedArgs(), shape=SHAPE, tile=(1, 1, 1))
+        app = TileAggregation3D(ExecutionPolicy(), shape=SHAPE, tile=(1, 1, 1))
         app.run(field.reshape(-1))
         assert np.allclose(app.means(), field)
 
@@ -63,7 +65,7 @@ class TestTileAggregation:
 
         def body(comm):
             part, offset = slab_partition(field, comm.size, comm.rank)
-            app = TileAggregation3D(SchedArgs(), comm, shape=SHAPE, tile=(2, 2, 2))
+            app = TileAggregation3D(ExecutionPolicy(), comm, shape=SHAPE, tile=(2, 2, 2))
             app.run(part, global_offset=offset, total_len=field.size)
             return app.means()
 
@@ -72,7 +74,7 @@ class TestTileAggregation:
 
     def test_mass_conservation(self, field):
         """Sum over (tile mean x tile population) equals the field sum."""
-        app = TileAggregation3D(SchedArgs(), shape=SHAPE, tile=(2, 3, 2))
+        app = TileAggregation3D(ExecutionPolicy(), shape=SHAPE, tile=(2, 3, 2))
         app.run(field.reshape(-1))
         total = sum(o.total for o in app.get_combination_map().values())
         count = sum(o.count for o in app.get_combination_map().values())
@@ -81,14 +83,16 @@ class TestTileAggregation:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TileAggregation3D(SchedArgs(), shape=SHAPE, tile=(0, 1, 1))
+            TileAggregation3D(ExecutionPolicy(), shape=SHAPE, tile=(0, 1, 1))
         with pytest.raises(ValueError):
-            TileAggregation3D(SchedArgs(chunk_size=2), shape=SHAPE, tile=(1, 1, 1))
+            TileAggregation3D(
+                ExecutionPolicy(chunk_size=2), shape=SHAPE, tile=(1, 1, 1)
+            )
 
 
 class TestMovingAverage3D:
     def test_matches_reference(self, field):
-        app = MovingAverage3D(SchedArgs(), shape=SHAPE, win_size=3)
+        app = MovingAverage3D(ExecutionPolicy(), shape=SHAPE, win_size=3)
         out = np.full(field.size, np.nan)
         app.run2(field.reshape(-1), out)
         assert np.allclose(
@@ -96,16 +100,16 @@ class TestMovingAverage3D:
         )
 
     def test_early_emission_fires_for_interior(self, field):
-        app = MovingAverage3D(SchedArgs(), shape=SHAPE, win_size=3)
+        app = MovingAverage3D(ExecutionPolicy(), shape=SHAPE, win_size=3)
         out = np.full(field.size, np.nan)
         app.run2(field.reshape(-1), out)
         interior = (SHAPE[0] - 2) * (SHAPE[1] - 2) * (SHAPE[2] - 2)
         assert app.stats.early_emissions == interior
 
     def test_trigger_disabled_same_results(self, field):
-        on = MovingAverage3D(SchedArgs(), shape=SHAPE, win_size=3)
+        on = MovingAverage3D(ExecutionPolicy(), shape=SHAPE, win_size=3)
         off = MovingAverage3D(
-            SchedArgs(disable_early_emission=True), shape=SHAPE, win_size=3
+            ExecutionPolicy(disable_early_emission=True), shape=SHAPE, win_size=3
         )
         out_on = np.full(field.size, np.nan)
         out_off = np.full(field.size, np.nan)
@@ -116,7 +120,7 @@ class TestMovingAverage3D:
 
     def test_constant_field_unchanged(self):
         field = np.full(SHAPE, 2.5)
-        app = MovingAverage3D(SchedArgs(), shape=SHAPE, win_size=3)
+        app = MovingAverage3D(ExecutionPolicy(), shape=SHAPE, win_size=3)
         out = np.full(field.size, np.nan)
         app.run2(field.reshape(-1), out)
         assert np.allclose(out, 2.5)
@@ -127,7 +131,7 @@ class TestMovingAverage3D:
 
         def body(comm):
             part, offset = slab_partition(field, comm.size, comm.rank)
-            app = MovingAverage3D(SchedArgs(), comm, shape=SHAPE, win_size=3)
+            app = MovingAverage3D(ExecutionPolicy(), comm, shape=SHAPE, win_size=3)
             out = np.full(field.size, np.nan)
             app.run2(part, out, global_offset=offset, total_len=field.size)
             return merge_distributed_output(comm, out)
@@ -137,7 +141,7 @@ class TestMovingAverage3D:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MovingAverage3D(SchedArgs(), shape=SHAPE, win_size=4)
+            MovingAverage3D(ExecutionPolicy(), shape=SHAPE, win_size=4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -149,7 +153,7 @@ class TestMovingAverage3D:
 )
 def test_tile_means_property(seed, tz, ty, tx):
     field = np.random.default_rng(seed).normal(size=(4, 5, 3))
-    app = TileAggregation3D(SchedArgs(), shape=(4, 5, 3), tile=(tz, ty, tx))
+    app = TileAggregation3D(ExecutionPolicy(), shape=(4, 5, 3), tile=(tz, ty, tx))
     app.run(field.reshape(-1))
     assert np.allclose(
         app.means(), reference_tile_aggregation_3d(field, (tz, ty, tx))

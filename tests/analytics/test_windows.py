@@ -18,7 +18,7 @@ from repro.analytics import (
     window_coverage,
 )
 from repro.comm import spmd_launch
-from repro.core import SchedArgs, merge_distributed_output
+from repro.core import EnginePolicy, ExecutionPolicy, merge_distributed_output
 
 APPS = {
     "moving_average": (
@@ -55,11 +55,11 @@ class TestWindowGeometry:
 
     def test_win_size_must_be_odd(self):
         with pytest.raises(ValueError):
-            MovingAverage(SchedArgs(), win_size=4)
+            MovingAverage(ExecutionPolicy(), win_size=4)
 
     def test_chunk_size_must_be_one(self):
         with pytest.raises(ValueError):
-            MovingAverage(SchedArgs(chunk_size=2), win_size=3)
+            MovingAverage(ExecutionPolicy(chunk_size=2), win_size=3)
 
 
 @pytest.mark.parametrize("name", list(APPS))
@@ -68,7 +68,7 @@ class TestAgainstReferences:
     def test_single_rank_matches_reference(self, rng, name, win):
         factory, reference = APPS[name]
         data = rng.normal(size=150)
-        app = factory(SchedArgs(), None, win)
+        app = factory(ExecutionPolicy(), None, win)
         out = np.full(150, np.nan)
         app.run2(data, out)
         assert np.allclose(out, reference(data, win), atol=1e-9)
@@ -81,7 +81,7 @@ class TestAgainstReferences:
         def body(comm):
             parts = np.array_split(data, comm.size)
             offset = sum(len(p) for p in parts[: comm.rank])
-            app = factory(SchedArgs(), comm, win)
+            app = factory(ExecutionPolicy(), comm, win)
             out = np.full(120, np.nan)
             app.run2(parts[comm.rank], out, global_offset=offset, total_len=120)
             return merge_distributed_output(comm, out)
@@ -93,7 +93,7 @@ class TestAgainstReferences:
 class TestSpecificBehaviours:
     def test_moving_average_constant_signal(self):
         data = np.full(40, 3.5)
-        app = MovingAverage(SchedArgs(), win_size=7)
+        app = MovingAverage(ExecutionPolicy(), win_size=7)
         out = np.full(40, np.nan)
         app.run2(data, out)
         assert np.allclose(out, 3.5)
@@ -102,30 +102,32 @@ class TestSpecificBehaviours:
         data = rng.normal(size=200)
         out_s = np.full(200, np.nan)
         out_v = np.full(200, np.nan)
-        MovingAverage(SchedArgs(map_path="scalar"), win_size=9).run2(data, out_s)
-        MovingAverage(SchedArgs(), win_size=9).run2(data, out_v)
+        scalar = ExecutionPolicy(engine=EnginePolicy(map_path="scalar"))
+        MovingAverage(scalar, win_size=9).run2(data, out_s)
+        MovingAverage(ExecutionPolicy(), win_size=9).run2(data, out_v)
         assert np.array_equal(out_s, out_v)
 
     def test_median_robust_to_outlier(self):
         data = np.zeros(21)
         data[10] = 1e9  # single spike
         out = np.full(21, np.nan)
-        MovingMedian(SchedArgs(), win_size=5).run2(data, out)
+        MovingMedian(ExecutionPolicy(), win_size=5).run2(data, out)
         assert out[10] == 0.0  # median suppresses the spike
         avg = np.full(21, np.nan)
-        MovingAverage(SchedArgs(), win_size=5).run2(data, avg)
+        MovingAverage(ExecutionPolicy(), win_size=5).run2(data, avg)
         assert avg[10] > 1e8  # mean does not
 
     def test_median_order_independence_across_splits(self, rng):
         data = rng.normal(size=100)
         a = np.full(100, np.nan)
         b = np.full(100, np.nan)
-        MovingMedian(SchedArgs(num_threads=1), win_size=7).run2(data, a)
-        MovingMedian(SchedArgs(num_threads=4), win_size=7).run2(data, b)
+        for threads, out in ((1, a), (4, b)):
+            policy = ExecutionPolicy(engine=EnginePolicy(num_threads=threads))
+            MovingMedian(policy, win_size=7).run2(data, out)
         assert np.allclose(a, b)
 
     def test_gaussian_weights_follow_kernel(self):
-        app = GaussianKernelSmoother(SchedArgs(), win_size=9, bandwidth=2.0)
+        app = GaussianKernelSmoother(ExecutionPolicy(), win_size=9, bandwidth=2.0)
         assert app.kernel(0) == pytest.approx(1.0)
         assert app.kernel(2) == pytest.approx(np.exp(-0.5))
         assert app.kernel(-2) == app.kernel(2)
@@ -133,7 +135,7 @@ class TestSpecificBehaviours:
     def test_gaussian_smoother_reduces_noise_variance(self, rng):
         data = rng.normal(size=400)
         out = np.full(400, np.nan)
-        GaussianKernelSmoother(SchedArgs(), win_size=11).run2(data, out)
+        GaussianKernelSmoother(ExecutionPolicy(), win_size=11).run2(data, out)
         assert out.std() < data.std()
 
     def test_savgol_interior_matches_scipy(self, rng):
@@ -141,7 +143,7 @@ class TestSpecificBehaviours:
 
         data = rng.normal(size=100)
         out = np.full(100, np.nan)
-        SavitzkyGolay(SchedArgs(), win_size=9, polyorder=3).run2(data, out)
+        SavitzkyGolay(ExecutionPolicy(), win_size=9, polyorder=3).run2(data, out)
         expected = scipy.signal.savgol_filter(data, 9, 3)
         assert np.allclose(out[4:-4], expected[4:-4], atol=1e-9)
 
@@ -150,16 +152,16 @@ class TestSpecificBehaviours:
         x = np.arange(60, dtype=float)
         data = 0.5 * x**2 - 3 * x + 2
         out = np.full(60, np.nan)
-        SavitzkyGolay(SchedArgs(), win_size=11, polyorder=2).run2(data, out)
+        SavitzkyGolay(ExecutionPolicy(), win_size=11, polyorder=2).run2(data, out)
         assert np.allclose(out, data, atol=1e-6)
 
     def test_savgol_polyorder_validation(self):
         with pytest.raises(ValueError):
-            SavitzkyGolay(SchedArgs(), win_size=5, polyorder=5)
+            SavitzkyGolay(ExecutionPolicy(), win_size=5, polyorder=5)
 
     def test_gaussian_bandwidth_validation(self):
         with pytest.raises(ValueError):
-            GaussianKernelSmoother(SchedArgs(), win_size=5, bandwidth=-1.0)
+            GaussianKernelSmoother(ExecutionPolicy(), win_size=5, bandwidth=-1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,7 +175,7 @@ class TestSpecificBehaviours:
 def test_moving_average_property_equals_reference(data, win):
     arr = np.asarray(data)
     out = np.full(len(arr), np.nan)
-    MovingAverage(SchedArgs(), win_size=win).run2(arr, out)
+    MovingAverage(ExecutionPolicy(), win_size=win).run2(arr, out)
     assert np.allclose(out, reference_moving_average(arr, win), atol=1e-8)
 
 
@@ -190,7 +192,7 @@ def test_moving_median_rank_invariance_property(seed, win, ranks):
     def body(comm):
         parts = np.array_split(data, comm.size)
         offset = sum(len(p) for p in parts[: comm.rank])
-        app = MovingMedian(SchedArgs(), comm, win_size=win)
+        app = MovingMedian(ExecutionPolicy(), comm, win_size=win)
         out = np.full(48, np.nan)
         app.run2(parts[comm.rank], out, global_offset=offset, total_len=48)
         return merge_distributed_output(comm, out)

@@ -89,12 +89,12 @@ class TestMultiRank:
 class TestAgreementWithSmart:
     def test_kmeans_identical_trajectories(self):
         from repro.analytics import KMeans
-        from repro.core import SchedArgs
+        from repro.core import ExecutionPolicy
 
         flat, _ = make_blobs(200, 2, 3, seed=35)
         init = flat.reshape(-1, 2)[:3].copy()
         smart = KMeans(
-            SchedArgs(chunk_size=2, num_iters=7, extra_data=init),
+            ExecutionPolicy(chunk_size=2, num_iters=7, extra_data=init),
             dims=2,
         )
         smart.run(flat)

@@ -42,14 +42,14 @@ class TestKMeans:
 
     def test_agrees_with_smart(self):
         from repro.analytics import KMeans
-        from repro.core import SchedArgs
+        from repro.core import ExecutionPolicy
 
         flat, _ = make_blobs(300, 2, 3, seed=22)
         init = flat.reshape(-1, 2)[:3].copy()
         with MiniSparkContext(1) as ctx:
             spark_c = spark_kmeans(ctx, flat, init, 5)
         smart = KMeans(
-            SchedArgs(chunk_size=2, num_iters=5, extra_data=init),
+            ExecutionPolicy(chunk_size=2, num_iters=5, extra_data=init),
             dims=2,
         )
         smart.run(flat)
@@ -65,13 +65,13 @@ class TestLogisticRegression:
 
     def test_agrees_with_smart(self):
         from repro.analytics import LogisticRegression
-        from repro.core import SchedArgs
+        from repro.core import ExecutionPolicy
 
         flat, _ = make_logreg_samples(400, 3, seed=24)
         with MiniSparkContext(1) as ctx:
             spark_w = spark_logistic_regression(ctx, flat, 3, 4)
         smart = LogisticRegression(
-            SchedArgs(chunk_size=4, num_iters=4), dims=3
+            ExecutionPolicy(chunk_size=4, num_iters=4), dims=3
         )
         smart.run(flat)
         assert np.allclose(spark_w, smart.weights, atol=1e-8)

@@ -5,12 +5,12 @@ import pytest
 
 from repro.analytics import Histogram, KMeans, reference_histogram
 from repro.baselines import OfflineDriver
-from repro.core import SchedArgs, TimeSharingDriver
+from repro.core import ExecutionPolicy, TimeSharingDriver
 from repro.sim import GaussianEmulator
 
 
 def make_histogram():
-    return Histogram(SchedArgs(), lo=-4.0, hi=4.0, num_buckets=16)
+    return Histogram(ExecutionPolicy(), lo=-4.0, hi=4.0, num_buckets=16)
 
 
 class TestRealIO:
@@ -87,7 +87,7 @@ class TestIterativeAnalytics:
         def make_km():
             init = GaussianEmulator(64, seed=48, dims=2).advance().reshape(-1, 2)[:3]
             return KMeans(
-                SchedArgs(chunk_size=2, num_iters=3, extra_data=init.copy()),
+                ExecutionPolicy(chunk_size=2, num_iters=3, extra_data=init.copy()),
                 dims=2,
             )
 

@@ -12,15 +12,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_warn_once():
-    """Deprecation warnings fire once per process; tests expect per-test."""
-    from repro.core.policy import reset_warn_once
-
-    reset_warn_once()
-    yield
-
-
 def split_rows(flat: np.ndarray, row_len: int, size: int, rank: int) -> np.ndarray:
     """Partition a flat array of ``row_len``-element records across ranks.
 

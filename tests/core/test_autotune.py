@@ -7,12 +7,7 @@ import pytest
 
 from repro.analytics import Histogram, KMeans
 from repro.comm import spmd_launch
-from repro.core import (
-    CombineSwitch,
-    ExecutionPolicy,
-    PolicyAdvisor,
-    SchedArgs,
-)
+from repro.core import CombineSwitch, ExecutionPolicy, PolicyAdvisor
 from repro.core.autotune import PROCESS_ENGINE_MIN_ELEMENTS
 from repro.perfmodel import (
     MULTICORE_CLUSTER,
@@ -96,7 +91,7 @@ class TestPolicyAdvisor:
                                    residency="off", fault="retry")
         assert p.copy_input
         assert p.engine.residency == "off"
-        assert p.resolved_fault_policy.mode == "retry"
+        assert p.fault.mode == "retry"
 
     def test_telemetry_records_advice(self):
         from repro.telemetry import Recorder
@@ -160,7 +155,7 @@ class TestCombineSwitch:
     def test_single_rank_never_switches(self):
         adaptor = CombineSwitch(crossover_keys=1)
         rng = np.random.default_rng(3)
-        app = Histogram(SchedArgs(), None, lo=-4, hi=4, num_buckets=16)
+        app = Histogram(ExecutionPolicy(), None, lo=-4, hi=4, num_buckets=16)
         app.policy_adaptor = adaptor
         with app:
             app.run(rng.normal(size=512))

@@ -25,7 +25,6 @@ from repro.core import (
     ExecutionPolicy,
     KeyedMap,
     PolicyAdvisor,
-    SchedArgs,
     Scheduler,
 )
 from repro.core.batch import Scratch
@@ -238,13 +237,10 @@ class TestMapPathPolicy:
             engine=EnginePolicy(backend="serial", map_path="batch"))
         assert "map=batch" in policy.fingerprint()
         parsed = ExecutionPolicy.parse("engine=serial,map=batch")
-        assert parsed.map_path == "batch"
-
-    def test_sched_args_passthrough(self):
-        assert SchedArgs(map_path="batch").policy.map_path == "batch"
+        assert parsed.engine.map_path == "batch"
 
     def test_forced_batch_without_impl_raises(self):
-        app = ScalarOnly(SchedArgs(map_path="batch"))
+        app = ScalarOnly(ExecutionPolicy(engine=EnginePolicy(map_path="batch")))
         with pytest.raises(TypeError, match="ScalarOnly"):
             with app:
                 app.run(np.zeros(4))
@@ -253,7 +249,7 @@ class TestMapPathPolicy:
         # No application has a "vector" path any more: the value is out
         # of domain, rejected at construction with the axis named.
         with pytest.raises(ValueError, match="map_path"):
-            SchedArgs(map_path="vector")
+            ExecutionPolicy(engine=EnginePolicy(map_path="vector"))
         with pytest.raises(ValueError, match="map_path"):
             ExecutionPolicy.parse("map=vector")
 
@@ -531,17 +527,21 @@ def test_batch_with_early_emission_disabled():
     rng = np.random.default_rng(0)
     data = rng.normal(size=512)
 
-    def run(**kw):
-        app = MovingAverage(SchedArgs(disable_early_emission=True, **kw),
-                            win_size=7)
+    def run(map_path):
+        app = MovingAverage(
+            ExecutionPolicy(
+                engine=EnginePolicy(map_path=map_path), disable_early_emission=True
+            ),
+            win_size=7,
+        )
         out = np.full(512, np.nan)
         with app:
             app.run2(data, out)
             counters = app.telemetry_snapshot()["counters"]
         return out, counters
 
-    scalar_out, _ = run(map_path="scalar")
-    batch_out, counters = run(map_path="batch")
+    scalar_out, _ = run("scalar")
+    batch_out, counters = run("batch")
     assert np.array_equal(scalar_out, batch_out)
     assert counters.get("run.early_emissions", 0) == 0
 
@@ -611,7 +611,10 @@ def test_auto_falls_back_when_subclass_overrides_accumulate():
     assert app.stats.accumulate_calls == 64
     assert app.counts().sum() == 128
     # Forcing the inherited kernel stays possible (and ignores the override).
-    forced = DoubleCount(SchedArgs(map_path="batch"), lo=-4, hi=4, num_buckets=8)
+    forced = DoubleCount(
+        ExecutionPolicy(engine=EnginePolicy(map_path="batch")),
+        lo=-4, hi=4, num_buckets=8,
+    )
     forced.run(data)
     assert forced.counts().sum() == 64
 

@@ -8,7 +8,7 @@ import pytest
 from repro.analytics import Histogram, KMeans, make_blobs
 from repro.core import (
     CheckpointError,
-    SchedArgs,
+    ExecutionPolicy,
     load_checkpoint,
     save_checkpoint,
 )
@@ -16,7 +16,7 @@ from repro.faults import FaultPlan, FaultSpec
 
 
 def make_histogram():
-    return Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=16)
+    return Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
 
 
 class TestRoundTrip:
@@ -58,7 +58,7 @@ class TestRoundTrip:
 
         def make_km():
             return KMeans(
-                SchedArgs(chunk_size=2, num_iters=2, extra_data=init),
+                ExecutionPolicy(chunk_size=2, num_iters=2, extra_data=init),
                 dims=2,
             )
 
@@ -111,7 +111,7 @@ class TestValidation:
         app = make_histogram()
         app.run(rng.normal(size=50))
         path = save_checkpoint(app, tmp_path / "h.ckpt")
-        km = KMeans(SchedArgs(chunk_size=2), dims=2)
+        km = KMeans(ExecutionPolicy(chunk_size=2), dims=2)
         with pytest.raises(CheckpointError, match="Histogram"):
             load_checkpoint(km, path)
 
@@ -119,7 +119,7 @@ class TestValidation:
         app = make_histogram()
         app.run(rng.normal(size=50))
         path = save_checkpoint(app, tmp_path / "h.ckpt")
-        km = KMeans(SchedArgs(chunk_size=2), dims=2)
+        km = KMeans(ExecutionPolicy(chunk_size=2), dims=2)
         load_checkpoint(km, path, strict_type=False)  # caller's responsibility
 
     def test_creates_parent_directories(self, rng, tmp_path):

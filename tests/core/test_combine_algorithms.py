@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.analytics import CountObj, Histogram, reference_histogram
 from repro.comm import TrafficProfiler, spmd_launch
-from repro.core import KeyedMap, SchedArgs, global_combine
+from repro.core import CombinePolicy, ExecutionPolicy, KeyedMap, global_combine
 
 
 def merge_counts(red, com):
@@ -43,7 +43,7 @@ class TestAlgorithmsAgree:
 
     def test_sched_args_validates_algorithm(self):
         with pytest.raises(ValueError, match="combine_algorithm"):
-            SchedArgs(combine_algorithm="gossip")
+            CombinePolicy(algorithm="gossip")
 
 
 class TestThroughTheScheduler:
@@ -55,7 +55,7 @@ class TestThroughTheScheduler:
         def body(comm):
             part = np.array_split(data, comm.size)[comm.rank]
             app = Histogram(
-                SchedArgs(combine_algorithm=algo), comm,
+                ExecutionPolicy(combine=CombinePolicy(algorithm=algo)), comm,
                 lo=-4, hi=4, num_buckets=12,
             )
             app.run(part)

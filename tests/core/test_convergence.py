@@ -5,7 +5,7 @@ import pytest
 
 from repro.analytics import KMeans, make_blobs, reference_kmeans
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import ExecutionPolicy
 
 
 @pytest.fixture
@@ -19,7 +19,7 @@ class TestKMeansTolerance:
     def test_stops_before_num_iters(self, blobs):
         flat, init = blobs
         app = KMeans(
-            SchedArgs(chunk_size=2, num_iters=100, extra_data=init),
+            ExecutionPolicy(chunk_size=2, num_iters=100, extra_data=init),
             dims=2, tolerance=1e-9,
         )
         app.run(flat)
@@ -29,7 +29,7 @@ class TestKMeansTolerance:
     def test_converged_result_is_a_lloyd_fixed_point(self, blobs):
         flat, init = blobs
         app = KMeans(
-            SchedArgs(chunk_size=2, num_iters=100, extra_data=init),
+            ExecutionPolicy(chunk_size=2, num_iters=100, extra_data=init),
             dims=2, tolerance=1e-12,
         )
         app.run(flat)
@@ -43,7 +43,7 @@ class TestKMeansTolerance:
     def test_without_tolerance_runs_all_iterations(self, blobs):
         flat, init = blobs
         app = KMeans(
-            SchedArgs(chunk_size=2, num_iters=7, extra_data=init),
+            ExecutionPolicy(chunk_size=2, num_iters=7, extra_data=init),
             dims=2,
         )
         app.run(flat)
@@ -51,7 +51,7 @@ class TestKMeansTolerance:
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
-            KMeans(SchedArgs(chunk_size=2), dims=2, tolerance=0.0)
+            KMeans(ExecutionPolicy(chunk_size=2), dims=2, tolerance=0.0)
 
     def test_ranks_break_in_lockstep(self, blobs):
         """converged() sees the globally combined map, so every rank stops
@@ -62,7 +62,7 @@ class TestKMeansTolerance:
             pts = flat.reshape(-1, 2)
             part = np.array_split(pts, comm.size)[comm.rank].reshape(-1)
             app = KMeans(
-                SchedArgs(chunk_size=2, num_iters=50, extra_data=init),
+                ExecutionPolicy(chunk_size=2, num_iters=50, extra_data=init),
                 comm, dims=2, tolerance=1e-9,
             )
             app.run(part)
@@ -77,7 +77,7 @@ class TestKMeansTolerance:
     def test_shift_tracks_movement(self, blobs):
         flat, init = blobs
         app = KMeans(
-            SchedArgs(chunk_size=2, num_iters=1, extra_data=init),
+            ExecutionPolicy(chunk_size=2, num_iters=1, extra_data=init),
             dims=2,
         )
         app.run(flat)

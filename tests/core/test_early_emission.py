@@ -7,17 +7,17 @@ from repro.analytics import MovingAverage, MovingMedian, reference_moving_averag
 from repro.analytics.objects import WindowSumObj
 from repro.core import (
     ColumnarAccumulator,
+    EnginePolicy,
     ExecutionPolicy,
     Field,
     RedObj,
-    SchedArgs,
     Scheduler,
 )
 
 
 def run_moving_average(n, win, **args_kw):
     data = np.linspace(0.0, 1.0, n)
-    app = MovingAverage(SchedArgs(**args_kw), win_size=win)
+    app = MovingAverage(ExecutionPolicy(**args_kw), win_size=win)
     out = np.full(n, np.nan)
     app.run2(data, out)
     return app, out, data
@@ -67,7 +67,7 @@ class TestEmittedKeysNotReconverted:
                 super().convert(red_obj, out, key)
 
         data = np.arange(50, dtype=float)
-        app = CountingMA(SchedArgs(), win_size=5)
+        app = CountingMA(ExecutionPolicy(), win_size=5)
         app.run2(data, np.full(50, np.nan))
         assert all(count == 1 for count in writes.values())
         assert len(writes) == 50
@@ -95,7 +95,8 @@ class TestArrayForms:
         assert app.stats.batch_reduce_calls == 1
         assert app.stats.early_emissions == 0
         assert app.stats.peak_red_objects == 100
-        assert np.array_equal(out, run_moving_average(100, 5, map_path="scalar")[1])
+        assert np.array_equal(out, run_moving_average(
+            100, 5, engine=EnginePolicy(map_path="scalar"))[1])
 
     def test_scalar_only_callbacks_match_the_scalar_path(self):
         class PairObj(RedObj):
@@ -159,7 +160,7 @@ class TestArrayForms:
 class TestHolisticObjects:
     def test_median_trigger_requires_full_window(self):
         data = np.random.default_rng(0).normal(size=120)
-        app = MovingMedian(SchedArgs(), win_size=9)
+        app = MovingMedian(ExecutionPolicy(), win_size=9)
         out = np.full(120, np.nan)
         app.run2(data, out)
         assert app.stats.early_emissions == 120 - 8
@@ -177,7 +178,7 @@ class TestMultiRankBoundaries:
         def body(comm):
             parts = np.array_split(data, comm.size)
             offset = sum(len(p) for p in parts[: comm.rank])
-            app = MovingAverage(SchedArgs(), comm, win_size=7)
+            app = MovingAverage(ExecutionPolicy(), comm, win_size=7)
             out = np.full(90, np.nan)
             app.run2(parts[comm.rank], out, global_offset=offset, total_len=90)
             return merge_distributed_output(comm, out)

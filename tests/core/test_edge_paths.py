@@ -11,7 +11,7 @@ from repro.analytics import (
     reference_moving_average,
 )
 from repro.comm import SpmdError, spmd_launch
-from repro.core import SchedArgs, Scheduler
+from repro.core import EnginePolicy, ExecutionPolicy, Scheduler
 
 
 class TestVectorPathAcrossBlocks:
@@ -21,7 +21,7 @@ class TestVectorPathAcrossBlocks:
         the partition block by block — window contributions routinely
         cross block boundaries."""
         data = rng.normal(size=300)
-        app = MovingAverage(SchedArgs(block_size=block), win_size=9)
+        app = MovingAverage(ExecutionPolicy(block_size=block), win_size=9)
         out = np.full(300, np.nan)
         app.run2(data, out)
         assert app.stats.batch_reduce_calls > 0
@@ -30,10 +30,10 @@ class TestVectorPathAcrossBlocks:
     @pytest.mark.parametrize("block", [7, 100])
     def test_histogram_vectorized_with_blocks_and_threads(self, rng, block):
         data = rng.normal(size=500)
-        base = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=16)
+        base = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
         base.run(data)
         blocked = Histogram(
-            SchedArgs(block_size=block, num_threads=3),
+            ExecutionPolicy(engine=EnginePolicy(num_threads=3), block_size=block),
             lo=-4, hi=4, num_buckets=16,
         )
         blocked.run(data)
@@ -55,7 +55,7 @@ class TestFailurePropagation:
             return com_obj
 
     def test_callback_exception_surfaces_single_rank(self):
-        app = self.ExplodingApp(SchedArgs())
+        app = self.ExplodingApp(ExecutionPolicy())
         with pytest.raises(RuntimeError, match="poison"):
             app.run(np.array([0.0, 1.0]))
 
@@ -64,7 +64,7 @@ class TestFailurePropagation:
         global combination."""
 
         def body(comm):
-            app = self.ExplodingApp(SchedArgs(), comm)
+            app = self.ExplodingApp(ExecutionPolicy(), comm)
             data = np.array([1.0 if comm.rank == 1 else 0.0] * 4)
             app.run(data)
 
@@ -75,7 +75,9 @@ class TestFailurePropagation:
         )
 
     def test_exception_in_threaded_split_propagates(self):
-        app = self.ExplodingApp(SchedArgs(num_threads=4, engine="thread"))
+        app = self.ExplodingApp(
+            ExecutionPolicy(engine=EnginePolicy(backend="thread", num_threads=4))
+        )
         data = np.zeros(100)
         data[77] = 1.0
         with pytest.raises(RuntimeError, match="poison"):
@@ -84,14 +86,14 @@ class TestFailurePropagation:
 
 class TestDegenerateInputs:
     def test_single_element_window(self):
-        app = MovingAverage(SchedArgs(), win_size=5)
+        app = MovingAverage(ExecutionPolicy(), win_size=5)
         out = np.full(1, np.nan)
         app.run2(np.array([3.0]), out)
         assert out[0] == 3.0
 
     def test_window_larger_than_input(self, rng):
         data = rng.normal(size=4)
-        app = MovingAverage(SchedArgs(), win_size=9)
+        app = MovingAverage(ExecutionPolicy(), win_size=9)
         out = np.full(4, np.nan)
         app.run2(data, out)
         assert np.allclose(out, reference_moving_average(data, 9))
@@ -103,7 +105,7 @@ class TestDegenerateInputs:
 
         def body(comm):
             part = data if comm.rank == 0 else np.empty(0)
-            app = Histogram(SchedArgs(), comm, lo=0, hi=4, num_buckets=4)
+            app = Histogram(ExecutionPolicy(), comm, lo=0, hi=4, num_buckets=4)
             app.run(part)
             return app.counts()
 
@@ -112,6 +114,6 @@ class TestDegenerateInputs:
 
     def test_block_size_one(self, rng):
         data = rng.normal(size=40)
-        app = Histogram(SchedArgs(block_size=1), lo=-4, hi=4, num_buckets=8)
+        app = Histogram(ExecutionPolicy(block_size=1), lo=-4, hi=4, num_buckets=8)
         app.run(data)
         assert app.counts().sum() == 40

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analytics.histogram import Histogram
-from repro.core import ElasticTier, SchedArgs, StagingWorkerError
+from repro.core import ElasticTier, EnginePolicy, ExecutionPolicy, StagingWorkerError
 from repro.core import elastic
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
 from repro.telemetry import Recorder
@@ -35,7 +35,7 @@ HANG_SECONDS = 60.0
 
 
 def factory():
-    return Histogram(SchedArgs(num_threads=1), None,
+    return Histogram(ExecutionPolicy(engine=EnginePolicy(num_threads=1)), None,
                      lo=-4.0, hi=4.0, num_buckets=BUCKETS)
 
 
@@ -97,7 +97,10 @@ class _Recording(Histogram):
 
 
 def _recording_factory():
-    return _Recording(SchedArgs(num_threads=1), None, lo=0.0, hi=1.0, num_buckets=2)
+    return _Recording(
+        ExecutionPolicy(engine=EnginePolicy(num_threads=1)),
+        None, lo=0.0, hi=1.0, num_buckets=2,
+    )
 
 
 _RECORD = np.dtype([("id", "<i4"), ("value", "<f8"), ("tag", "S3")])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import Histogram, MovingAverage
-from repro.core import SchedArgs
+from repro.core import CombinePolicy, EnginePolicy, ExecutionPolicy
 from tests.workloads import (
     ENGINES,
     assert_conforms,
@@ -69,7 +69,10 @@ class TestColumnarEquivalenceMatrix:
 class TestProcessEngineWireAccounting:
     def test_columnar_maps_cross_worker_boundary(self, scalars):
         app = Histogram(
-            SchedArgs(num_threads=2, engine="process", wire_format="columnar"),
+            ExecutionPolicy(
+                engine=EnginePolicy(backend="process", num_threads=2),
+                combine=CombinePolicy(wire_format="columnar"),
+            ),
             lo=-4, hi=4, num_buckets=64,
         )
         app.run(scalars)
@@ -84,15 +87,18 @@ class TestProcessEngineWireAccounting:
         payload in the configured wire format — columns, for a window
         object — and the parent converts them once per split."""
 
-        def run(**kw):
+        def run(engine):
             out = np.full(len(scalars), np.nan)
-            args = SchedArgs(wire_format="columnar", **kw)
+            args = ExecutionPolicy(
+                engine=EnginePolicy(backend=engine, num_threads=2),
+                combine=CombinePolicy(wire_format="columnar"),
+            )
             with MovingAverage(args, win_size=7) as app:
                 app.run2(scalars, out)
                 return out, app.telemetry_snapshot()["ops"], app.stats.early_emissions
 
-        out, ops, emissions = run(num_threads=2, engine="process")
-        serial_out, _, serial_emissions = run(num_threads=2, engine="serial")
+        out, ops, emissions = run("process")
+        serial_out, _, serial_emissions = run("serial")
         assert np.array_equal(out, serial_out)
         # Two splits, each three windows short at its own two ends.
         assert emissions == serial_emissions == len(scalars) - 12
@@ -113,7 +119,10 @@ class TestProcessEngineWireAccounting:
 
         def run(engine, wire_format):
             app = Histogram(
-                SchedArgs(num_threads=2, engine=engine, wire_format=wire_format),
+                ExecutionPolicy(
+                    engine=EnginePolicy(backend=engine, num_threads=2),
+                    combine=CombinePolicy(wire_format=wire_format),
+                ),
                 lo=-4, hi=4, num_buckets=buckets,
             )
             app.run(data)
@@ -127,12 +136,14 @@ class TestProcessEngineWireAccounting:
         """The full optimized stack: process engine, columnar boundary
         payloads, and allreduce global combination on one rank."""
         app = Histogram(
-            SchedArgs(num_threads=2, engine="process",
-                      wire_format="columnar", combine_algorithm="allreduce"),
+            ExecutionPolicy(
+                engine=EnginePolicy(backend="process", num_threads=2),
+                combine=CombinePolicy(wire_format="columnar", algorithm="allreduce"),
+            ),
             lo=-4, hi=4, num_buckets=32,
         )
         app.run(scalars)
-        ref = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=32)
+        ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=32)
         ref.run(scalars)
         assert _counts(app) == _counts(ref)
         app.close()

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from repro.analytics import CountObj, Histogram
-from repro.core import SchedArgs, Scheduler, SerialEngine, create_engine
+from repro.core import (
+    EnginePolicy,
+    ExecutionPolicy,
+    Scheduler,
+    SerialEngine,
+    create_engine,
+)
 from tests.workloads import (
     ENGINES,
     assert_conforms,
@@ -71,7 +77,9 @@ class TestEngineLifecycle:
     def test_thread_engine_single_pool_per_scheduler_lifetime(self, scalars):
         """The pool is created exactly once across runs, blocks, and resets."""
         app = Histogram(
-            SchedArgs(num_threads=4, engine="thread", block_size=256),
+            ExecutionPolicy(
+                engine=EnginePolicy(backend="thread", num_threads=4), block_size=256
+            ),
             lo=-4, hi=4, num_buckets=16,
         )
         for _ in range(3):
@@ -83,7 +91,8 @@ class TestEngineLifecycle:
 
     def test_process_engine_single_pool_across_runs(self, scalars):
         app = Histogram(
-            SchedArgs(num_threads=2, engine="process"), lo=-4, hi=4, num_buckets=16
+            ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2)),
+            lo=-4, hi=4, num_buckets=16,
         )
         app.run(scalars[:512])
         app.run(scalars[:512])
@@ -92,7 +101,8 @@ class TestEngineLifecycle:
 
     def test_close_then_rerun_recreates_engine(self, scalars):
         app = Histogram(
-            SchedArgs(num_threads=2, engine="thread"), lo=-4, hi=4, num_buckets=16
+            ExecutionPolicy(engine=EnginePolicy(backend="thread", num_threads=2)),
+            lo=-4, hi=4, num_buckets=16,
         )
         app.run(scalars[:256])
         app.close()
@@ -102,14 +112,18 @@ class TestEngineLifecycle:
 
     def test_context_manager_closes(self, scalars):
         with Histogram(
-            SchedArgs(num_threads=2, engine="thread"), lo=-4, hi=4, num_buckets=8
+            ExecutionPolicy(engine=EnginePolicy(backend="thread", num_threads=2)),
+            lo=-4, hi=4, num_buckets=8,
         ) as app:
             app.run(scalars[:128])
             assert app._engine is not None
         assert app._engine is None
 
     def test_serial_engine_creates_no_pool(self, scalars):
-        app = Histogram(SchedArgs(engine="serial"), lo=-4, hi=4, num_buckets=8)
+        app = Histogram(
+            ExecutionPolicy(engine=EnginePolicy(backend="serial")),
+            lo=-4, hi=4, num_buckets=8,
+        )
         app.run(scalars[:128])
         assert app.telemetry.counter("engine.pools_created") == 0
         assert isinstance(app.engine, SerialEngine)
@@ -117,7 +131,8 @@ class TestEngineLifecycle:
 
     def test_split_telemetry_recorded(self, scalars):
         app = Histogram(
-            SchedArgs(num_threads=2, engine="thread"), lo=-4, hi=4, num_buckets=8
+            ExecutionPolicy(engine=EnginePolicy(backend="thread", num_threads=2)),
+            lo=-4, hi=4, num_buckets=8,
         )
         app.run(scalars[:512])
         snap = app.telemetry_snapshot()
@@ -130,12 +145,12 @@ class TestEngineLifecycle:
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
-            SchedArgs(engine="gpu")
+            EnginePolicy(backend="gpu")
         with pytest.raises(ValueError, match="unknown engine"):
             create_engine("gpu", 1, None)
 
     def test_default_is_serial(self):
-        assert SchedArgs().resolved_engine == "serial"
+        assert ExecutionPolicy().engine.backend == "serial"
 
 
 class ArmedCount(CountObj):
@@ -191,7 +206,9 @@ class TestEmittedScopedPerIteration:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_rebuilt_key_is_converted(self, engine):
-        app = RearmableCounter(SchedArgs(num_iters=2, engine=engine))
+        app = RearmableCounter(
+            ExecutionPolicy(engine=EnginePolicy(backend=engine), num_iters=2)
+        )
         out = np.full(1, np.nan)
         app.run(np.zeros(5), out)
         # Iteration 0: trigger at count 3 emits out[0]=3, the remaining 2
@@ -210,7 +227,7 @@ class TestEmittedScopedPerIteration:
                 writes.append(key)
                 super().convert(red_obj, out, key)
 
-        app = CountingConvert(SchedArgs(num_iters=1), trigger_at=5)
+        app = CountingConvert(ExecutionPolicy(num_iters=1), trigger_at=5)
         out = np.full(1, np.nan)
         app.run(np.zeros(5), out)
         # Emitted in the (only) iteration: converted once, not re-swept.

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analytics.histogram import Histogram
 from repro.analytics.kmeans import KMeans
-from repro.core import SchedArgs
+from repro.core import EnginePolicy, ExecutionPolicy
 from repro.core.engine import process as process_engine
 from repro.faults import EngineFaultError, FaultPlan, FaultPolicy, FaultSpec
 
@@ -27,13 +27,12 @@ def kmeans_inputs(rng):
 
 
 def run_kmeans(points, centroids, plan=None, policy="fail_fast", iters=3):
-    args = SchedArgs(
-        num_threads=2,
+    args = ExecutionPolicy(
+        engine=EnginePolicy(backend="process", num_threads=2),
         chunk_size=DIMS,
         extra_data=centroids,
         num_iters=iters,
-        engine="process",
-        fault_policy=policy,
+        fault=policy,
     )
     sched = KMeans(args, dims=DIMS)
     sched.fault_plan = plan
@@ -165,8 +164,10 @@ class TestHistogramDegrade:
     def test_degrade_mass_is_bounded(self, rng):
         """Dropping split contributions can only lose mass, never invent it."""
         data = rng.uniform(0, 1, 8000)
-        args = SchedArgs(
-            num_threads=2, chunk_size=1, engine="process", fault_policy="degrade"
+        args = ExecutionPolicy(
+            engine=EnginePolicy(backend="process", num_threads=2),
+            chunk_size=1,
+            fault="degrade",
         )
         sched = Histogram(args, lo=0.0, hi=1.0, num_buckets=8)
         sched.fault_plan = FaultPlan([FaultSpec("engine", "kill", at_call=1)])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analytics import Histogram, KMeans, reference_histogram
 from repro.comm import spmd_launch
-from repro.core import InTransitDriver, Placement, SchedArgs, split_staging_comm
+from repro.core import ExecutionPolicy, InTransitDriver, Placement, split_staging_comm
 from repro.sim import GaussianEmulator
 
 
@@ -68,13 +68,13 @@ def _histogram_body(mode):
         staging = split_staging_comm(comm, 2)
         if driver.placement.is_staging:
             app = Histogram(
-                SchedArgs(), staging, lo=-4, hi=4, num_buckets=16
+                ExecutionPolicy(), staging, lo=-4, hi=4, num_buckets=16
             )
             driver.run_staging_side(app)
             return ("staging", app.counts())
         sim = GaussianEmulator(400, seed=70 + comm.rank)
         local = (
-            Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=16)
+            Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
             if mode == "hybrid"
             else None
         )
@@ -108,7 +108,7 @@ class TestEndToEnd:
             driver = InTransitDriver(comm, num_staging=1, mode="hybrid")
             staging = split_staging_comm(comm, 1)
             if driver.placement.is_staging:
-                app = Histogram(SchedArgs(), staging, lo=-4, hi=4, num_buckets=8)
+                app = Histogram(ExecutionPolicy(), staging, lo=-4, hi=4, num_buckets=8)
                 # Producer will fail before sending anything; expect abort.
                 driver.run_staging_side(app)
                 return None
@@ -131,7 +131,7 @@ class TestEndToEnd:
             if driver.placement.is_staging:
                 init = np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])
                 app = KMeans(
-                    SchedArgs(chunk_size=dims, num_iters=1, extra_data=init),
+                    ExecutionPolicy(chunk_size=dims, num_iters=1, extra_data=init),
                     staging, dims=dims,
                 )
                 driver.run_staging_side(app)

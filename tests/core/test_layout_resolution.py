@@ -4,12 +4,12 @@ import numpy as np
 
 from repro.analytics import MovingAverage, reference_moving_average
 from repro.comm import spmd_launch
-from repro.core import SchedArgs, merge_distributed_output
+from repro.core import ExecutionPolicy, merge_distributed_output
 
 
 class TestAutoLayout:
     def test_single_rank_defaults(self):
-        app = MovingAverage(SchedArgs(), win_size=3)
+        app = MovingAverage(ExecutionPolicy(), win_size=3)
         data = np.arange(10, dtype=float)
         out = np.full(10, np.nan)
         app.run2(data, out)
@@ -17,7 +17,7 @@ class TestAutoLayout:
         assert app.total_len_ == 10
 
     def test_explicit_layout_respected(self):
-        app = MovingAverage(SchedArgs(), win_size=3)
+        app = MovingAverage(ExecutionPolicy(), win_size=3)
         app.run2(np.arange(5, dtype=float), np.full(20, np.nan),
                  global_offset=5, total_len=20)
         assert app.global_offset_ == 5
@@ -32,7 +32,7 @@ class TestAutoLayout:
         def body(comm):
             parts = np.array_split(data, comm.size)
             out = np.full(100, np.nan)
-            app = MovingAverage(SchedArgs(), comm, win_size=5)
+            app = MovingAverage(ExecutionPolicy(), comm, win_size=5)
             app.run2(parts[comm.rank], out)  # no offsets given
             return app.global_offset_, app.total_len_, merge_distributed_output(comm, out)
 
@@ -50,7 +50,7 @@ class TestAutoLayout:
         def body(comm):
             parts = np.array_split(data, comm.size)
             out = np.full(47, np.nan)
-            app = MovingAverage(SchedArgs(), comm, win_size=3)
+            app = MovingAverage(ExecutionPolicy(), comm, win_size=3)
             app.run2(parts[comm.rank], out)
             return merge_distributed_output(comm, out)
 
@@ -66,7 +66,7 @@ class TestAutoLayout:
         prof = TrafficProfiler()
 
         def body(comm):
-            app = Histogram(SchedArgs(), comm,
+            app = Histogram(ExecutionPolicy(), comm,
                             lo=-4, hi=4, num_buckets=8)
             app.run(np.random.default_rng(comm.rank).normal(size=100))
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analytics import Histogram, MinMax, reference_histogram
 from repro.comm import spmd_launch
-from repro.core import PipelineStage, SchedArgs, SmartPipeline
+from repro.core import ExecutionPolicy, PipelineStage, SmartPipeline
 
 
 class TestConstruction:
@@ -15,15 +15,15 @@ class TestConstruction:
 
     def test_intermediate_stage_needs_emit(self):
         stages = [
-            PipelineStage(MinMax(SchedArgs())),  # no emit, not last
-            PipelineStage(MinMax(SchedArgs())),
+            PipelineStage(MinMax(ExecutionPolicy())),  # no emit, not last
+            PipelineStage(MinMax(ExecutionPolicy())),
         ]
         with pytest.raises(ValueError, match="emit"):
             SmartPipeline(stages)
 
     def test_last_stage_keeps_global_combination(self):
-        first = MinMax(SchedArgs())
-        last = MinMax(SchedArgs())
+        first = MinMax(ExecutionPolicy())
+        last = MinMax(ExecutionPolicy())
         SmartPipeline(
             [PipelineStage(first, emit=lambda s, d: d), PipelineStage(last)]
         )
@@ -37,10 +37,10 @@ class TestRangeThenHistogram:
 
     def test_single_rank(self):
         data = np.random.default_rng(0).normal(size=2000)
-        minmax = MinMax(SchedArgs())
+        minmax = MinMax(ExecutionPolicy())
         minmax.run(data)
         lo, hi = minmax.value_range
-        hist = Histogram(SchedArgs(), lo=lo, hi=hi + 1e-9, num_buckets=20)
+        hist = Histogram(ExecutionPolicy(), lo=lo, hi=hi + 1e-9, num_buckets=20)
         hist.run(data)
         assert hist.counts().sum() == 2000
         assert np.array_equal(
@@ -52,10 +52,10 @@ class TestRangeThenHistogram:
 
         def body(comm):
             part = np.array_split(data, comm.size)[comm.rank]
-            minmax = MinMax(SchedArgs(), comm)
+            minmax = MinMax(ExecutionPolicy(), comm)
             minmax.run(part)  # global combination on: all ranks learn range
             lo, hi = minmax.value_range
-            hist = Histogram(SchedArgs(), comm, lo=lo, hi=hi + 1e-9, num_buckets=10)
+            hist = Histogram(ExecutionPolicy(), comm, lo=lo, hi=hi + 1e-9, num_buckets=10)
             hist.run(part)
             return (lo, hi, hist.counts())
 
@@ -78,11 +78,11 @@ class TestRangeThenHistogram:
             pass
 
         scale_stage = PipelineStage(
-            Scale(SchedArgs()),
+            Scale(ExecutionPolicy()),
             emit=lambda sched, d: (d - sched.combination_map_[0].lo),
             local_only=True,
         )
-        hist = Histogram(SchedArgs(), lo=0.0, hi=10.0, num_buckets=10)
+        hist = Histogram(ExecutionPolicy(), lo=0.0, hi=10.0, num_buckets=10)
         pipe = SmartPipeline([scale_stage, PipelineStage(hist)])
         pipe.run(data)
         assert hist.counts().sum() == 500

@@ -11,8 +11,9 @@ import pytest
 
 from repro.analytics import Histogram, MovingAverage
 from repro.core import (
+    EnginePolicy,
+    ExecutionPolicy,
     PipelinedTimeSharingDriver,
-    SchedArgs,
     TimeSharingDriver,
 )
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
@@ -46,9 +47,10 @@ def run_histogram(driver_cls, args, steps=STEPS, plan=None, **driver_kwargs):
 class TestBitExactness:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_matches_serial_driver(self, engine):
-        ref_counts, _, _ = run_histogram(TimeSharingDriver, SchedArgs())
+        ref_counts, _, _ = run_histogram(TimeSharingDriver, ExecutionPolicy())
         counts, result, counters = run_histogram(
-            PipelinedTimeSharingDriver, SchedArgs(num_threads=2, engine=engine)
+            PipelinedTimeSharingDriver,
+            ExecutionPolicy(engine=EnginePolicy(backend=engine, num_threads=2)),
         )
         assert counts == ref_counts
         assert len(result.steps) == STEPS
@@ -71,8 +73,9 @@ class TestBitExactness:
 
         # Same split structure both sides: multi-thread merge order at
         # split boundaries is a float-associativity effect, not pipelining.
-        ref = run(TimeSharingDriver, SchedArgs(num_threads=2))
-        got = run(PipelinedTimeSharingDriver, SchedArgs(num_threads=2))
+        policy = ExecutionPolicy(engine=EnginePolicy(num_threads=2))
+        ref = run(TimeSharingDriver, policy)
+        got = run(PipelinedTimeSharingDriver, policy)
         assert len(ref) == len(got) == 3
         for a, b in zip(ref, got):
             assert np.array_equal(a, b, equal_nan=True)
@@ -80,7 +83,7 @@ class TestBitExactness:
     def test_per_step_observes_steps_in_order(self):
         seen = []
         sim = GaussianEmulator(step_elements=200, seed=3)
-        app = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=8)
+        app = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=8)
         with app:
             PipelinedTimeSharingDriver(
                 sim, app, per_step=lambda step, sched, out: seen.append(step)
@@ -91,7 +94,8 @@ class TestBitExactness:
 class TestTimingSemantics:
     def test_overlap_bounded_by_phases(self):
         _, result, _ = run_histogram(
-            PipelinedTimeSharingDriver, SchedArgs(num_threads=2)
+            PipelinedTimeSharingDriver,
+            ExecutionPolicy(engine=EnginePolicy(num_threads=2)),
         )
         for step in result.steps:
             assert step.overlap_seconds >= 0.0
@@ -108,7 +112,7 @@ class TestTimingSemantics:
         )
 
     def test_serial_driver_reports_zero_overlap(self):
-        _, result, _ = run_histogram(TimeSharingDriver, SchedArgs())
+        _, result, _ = run_histogram(TimeSharingDriver, ExecutionPolicy())
         assert result.overlap_seconds == 0.0
         assert result.total_seconds == pytest.approx(
             result.simulate_seconds + result.analyze_seconds
@@ -116,7 +120,7 @@ class TestTimingSemantics:
 
     def test_depth_below_two_rejected(self):
         sim = GaussianEmulator(step_elements=10)
-        app = Histogram(SchedArgs(), lo=-1, hi=1, num_buckets=4)
+        app = Histogram(ExecutionPolicy(), lo=-1, hi=1, num_buckets=4)
         with pytest.raises(ValueError, match="depth"):
             PipelinedTimeSharingDriver(sim, app, depth=1)
 
@@ -131,7 +135,7 @@ class ExplodingSim(GaussianEmulator):
 class TestFailurePropagation:
     def test_producer_exception_reaches_the_caller(self):
         sim = ExplodingSim(step_elements=100, seed=1)
-        app = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=8)
+        app = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=8)
         with app:
             with pytest.raises(RuntimeError, match="step 2"):
                 PipelinedTimeSharingDriver(sim, app).run(5)
@@ -139,14 +143,13 @@ class TestFailurePropagation:
     def test_worker_kill_respawn_invalidates_residency(self):
         """A pool respawn mid-pipeline republishes the scheduler core and
         the relaunched workers rebuild from it — results stay bit-exact."""
-        ref_counts, _, _ = run_histogram(TimeSharingDriver, SchedArgs())
+        ref_counts, _, _ = run_histogram(TimeSharingDriver, ExecutionPolicy())
         plan = FaultPlan([FaultSpec("engine", "kill", at_call=3)])
         counts, _, counters = run_histogram(
             PipelinedTimeSharingDriver,
-            SchedArgs(
-                num_threads=2,
-                engine="process",
-                fault_policy=FaultPolicy.retry(backoff=0.01),
+            ExecutionPolicy(
+                engine=EnginePolicy(backend="process", num_threads=2),
+                fault=FaultPolicy.retry(backoff=0.01),
             ),
             plan=plan,
         )

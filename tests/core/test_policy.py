@@ -1,8 +1,6 @@
-"""The layered policy objects: validation parity, fingerprints, warn-once."""
+"""The layered policy objects: validation parity and fingerprints."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -12,14 +10,9 @@ from repro.core import (
     CombinePolicy,
     EnginePolicy,
     ExecutionPolicy,
-    SchedArgs,
+    Scheduler,
 )
-from repro.core.policy import (
-    fault_fingerprint,
-    parse_fault,
-    reset_warn_once,
-    warn_once,
-)
+from repro.core.policy import fault_fingerprint, parse_fault
 from repro.faults import FaultPolicy
 from repro.verify import Config
 
@@ -49,37 +42,56 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExecutionPolicy(fault="best_effort")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ExecutionPolicy(engine="thread"),
+         "engine must be an EnginePolicy, e.g. EnginePolicy(backend='thread'); "
+         "got str"),
+        (lambda: ExecutionPolicy(combine="tree"),
+         "combine must be a CombinePolicy, e.g. CombinePolicy(algorithm='tree'); "
+         "got str"),
+        (lambda: Scheduler({"engine": "serial"}),
+         "args must be an ExecutionPolicy, e.g. "
+         "ExecutionPolicy(engine=EnginePolicy(num_threads=2)); got dict"),
+    ], ids=["engine", "combine", "scheduler-args"])
+    def test_wrong_type_names_the_expected_class(self, build, message):
+        with pytest.raises(TypeError) as err:
+            build()
+        assert str(err.value) == message
+
 
 class TestValidationParity:
-    """SchedArgs, ExecutionPolicy, and the conformance matrix all reject
-    the same inputs — with the same message, because all three call the
+    """The policies and the conformance matrix reject the same inputs —
+    with the same message, because the matrix's flat axes lower onto the
     one policy-layer ``validate()``."""
 
+    # A bad value on a matrix axis, and the nested policy it lowers to.
     BAD = [
-        {"num_threads": 0},
-        {"wire_format": "arrow"},
-        {"combine_algorithm": "ring"},
-        {"residency": "pinned"},
+        ({"num_threads": 0}, lambda: EnginePolicy(num_threads=0)),
+        ({"wire_format": "arrow"}, lambda: CombinePolicy(wire_format="arrow")),
+        ({"combine_algorithm": "ring"}, lambda: CombinePolicy(algorithm="ring")),
+        ({"residency": "pinned"}, lambda: EnginePolicy(residency="pinned")),
     ]
 
     @pytest.mark.parametrize("kwargs", BAD)
     def test_facade_and_matrix_reject_identically(self, kwargs):
-        with pytest.raises(ValueError) as sched_err:
-            SchedArgs(**kwargs)
+        axis, build_policy = kwargs
+        with pytest.raises(ValueError) as policy_err:
+            build_policy()
         with pytest.raises(ValueError) as matrix_err:
-            Config(workload="histogram", **kwargs).validate()
-        assert str(sched_err.value) == str(matrix_err.value)
+            Config(workload="histogram", **axis).validate()
+        assert str(policy_err.value) == str(matrix_err.value)
 
     def test_bad_engine_rejected_everywhere(self):
-        # The facade's engine field is nullable, so its message carries
-        # an extra "or None"; both still reject through the same domain.
         with pytest.raises(ValueError, match="engine must be one of"):
-            SchedArgs(engine="cuda")
+            EnginePolicy(backend="cuda")
         with pytest.raises(ValueError, match="engine must be one of"):
             Config(workload="histogram", engine="cuda").validate()
 
     def test_matrix_accepts_what_facade_accepts(self):
-        SchedArgs(engine="thread", num_threads=3, wire_format="columnar")
+        ExecutionPolicy(
+            engine=EnginePolicy(backend="thread", num_threads=3),
+            combine=CombinePolicy(wire_format="columnar"),
+        )
         Config(workload="histogram", engine="thread", num_threads=3,
                wire_format="columnar").validate()
 
@@ -94,6 +106,13 @@ class TestFingerprint:
     def test_default_round_trip(self):
         p = ExecutionPolicy()
         assert ExecutionPolicy.parse(p.fingerprint()) == p
+        # Every default but ``extra_data`` (None; a fingerprint omits it).
+        assert p.extra_data is None
+        assert p.fingerprint() == (
+            "engine=serial,threads=1,residency=auto,map=auto,algo=gather,"
+            "wire=pickle,fault=fail_fast,chunk=1,iters=1,block=0,capacity=4,"
+            "copy=0,hold=0"
+        )
 
     def test_non_default_round_trip(self):
         p = ExecutionPolicy(
@@ -125,8 +144,17 @@ class TestFingerprint:
             assert parsed.max_attempts == policy.max_attempts
 
     def test_parse_rejects_unknown_axis(self):
-        with pytest.raises(ValueError, match="unknown policy axis"):
-            ExecutionPolicy.parse("engine=serial,quantum=1")
+        for text, message in [
+            ("engine=serial,quantum=1", "unknown policy axis 'quantum'"),
+            ("copy=maybe", "policy axis 'copy' in 'copy=maybe'.*got 'maybe'"),
+            ("hold=no", "policy axis 'hold' in 'hold=no'.*got 'no'"),
+            ("engine=thread,engine=serial",
+             "policy axis 'engine' given twice in 'engine=thread,engine=serial'"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ExecutionPolicy.parse(text)
+        assert ExecutionPolicy.parse("copy=true,hold=0") == ExecutionPolicy(
+            copy_input=True)
 
     def test_partial_parse_fills_defaults(self):
         p = ExecutionPolicy.parse("engine=thread,threads=2")
@@ -142,65 +170,18 @@ class TestFingerprint:
         assert policy.block_size == 255
 
 
-class TestFacade:
-    def test_every_knob_lowers(self):
-        args = SchedArgs(
-            num_threads=4, chunk_size=3, num_iters=2, block_size=99,
-            engine="process", combine_algorithm="tree",
-            wire_format="columnar", residency="off",
-            fault_policy=FaultPolicy.retry(), buffer_capacity=8,
-            copy_input=True, disable_early_emission=True,
-        )
-        p = args.policy
-        assert p.engine == EnginePolicy("process", 4, "off")
-        assert p.combine == CombinePolicy("tree", "columnar")
-        assert p.resolved_fault_policy.mode == "retry"
-        assert (p.chunk_size, p.num_iters, p.block_size) == (3, 2, 99)
-        assert p.copy_input and p.disable_early_emission
-        assert p.buffer_capacity == 8
-
-    def test_facade_notice_fires_once_per_process(self):
-        reset_warn_once()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            SchedArgs()
-            SchedArgs(num_threads=2)
-            SchedArgs(engine="thread")
-        notices = [w for w in caught
-                   if issubclass(w.category, PendingDeprecationWarning)]
-        assert len(notices) == 1
-
-
-class TestWarnOnce:
-    def test_warn_once_is_per_key(self):
-        reset_warn_once()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            warn_once("k1", "first")
-            warn_once("k1", "first")
-            warn_once("k2", "second")
-        assert [str(w.message) for w in caught] == ["first", "second"]
-
-
 class TestEvolveAndCoerce:
     def test_evolve_validates(self):
         p = ExecutionPolicy()
         with pytest.raises(ValueError):
             p.evolve(chunk_size=0)
         q = p.evolve(combine=CombinePolicy(algorithm="allreduce"))
-        assert q.combine_algorithm == "allreduce"
-        assert p.combine_algorithm == "gather"  # immutable original
-        # One spelling: the flat read-only views are not fields.
+        assert q.combine.algorithm == "allreduce"
+        assert p.combine.algorithm == "gather"  # immutable original
+        # One spelling: a nested policy's fields are not fields here.
         for flat in (dict(num_threads=4), dict(wire_format="columnar")):
             with pytest.raises(TypeError):
                 p.evolve(**flat)
-
-    def test_coerce_accepts_facade_and_policy(self):
-        p = ExecutionPolicy()
-        assert ExecutionPolicy.coerce(p) is p
-        assert ExecutionPolicy.coerce(SchedArgs()) == p
-        with pytest.raises(TypeError):
-            ExecutionPolicy.coerce({"engine": "serial"})
 
     def test_constants_cover_engine_registry(self):
         assert set(ENGINE_BACKENDS) == {"serial", "thread", "process"}

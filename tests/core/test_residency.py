@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import Histogram, KMeans, make_blobs
-from repro.core import SchedArgs, TimeSharingDriver
+from repro.core import EnginePolicy, ExecutionPolicy, TimeSharingDriver
 from repro.sim import GaussianEmulator
 
 
@@ -21,8 +21,10 @@ def shm_segments() -> set[str]:
     return {p.name for p in shm_dir.iterdir()} if shm_dir.is_dir() else set()
 
 
-def make_hist(**kwargs):
-    args = SchedArgs(num_threads=2, engine="process", **kwargs)
+def make_hist(residency="auto"):
+    args = ExecutionPolicy(
+        engine=EnginePolicy(backend="process", num_threads=2, residency=residency)
+    )
     return Histogram(args, lo=-4, hi=4, num_buckets=16)
 
 
@@ -47,7 +49,7 @@ class TestSteadyStateHits:
         assert counters["engine.residency.copied_bytes"] == data.nbytes
 
     def test_hit_run_is_correct(self, data):
-        ref = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=16)
+        ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
         ref.run(data)
         ref.run(data)
         with make_hist() as app:
@@ -65,7 +67,7 @@ class TestSteadyStateHits:
         assert counters.get("engine.residency.hits", 0) == 0
 
     def test_notify_data_changed_forces_recopy(self, data, rng):
-        ref = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=16)
+        ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
         with make_hist() as app:
             app.run(data)
             ref.run(data)
@@ -121,9 +123,10 @@ class TestDirectHits:
                 TimeSharingDriver(sim, app, double_buffer=double_buffer).run(4)
                 return counts_of(app), app.telemetry_snapshot()["counters"]
 
-        ref_counts, _ = run(SchedArgs(), double_buffer=False)
+        ref_counts, _ = run(ExecutionPolicy(), double_buffer=False)
         counts, counters = run(
-            SchedArgs(num_threads=2, engine="process"), double_buffer=True
+            ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2)),
+            double_buffer=True,
         )
         assert counts == ref_counts
         assert counters["engine.residency.direct_hits"] == 4
@@ -144,7 +147,7 @@ class TestResidencyOff:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="residency"):
-            SchedArgs(residency="sometimes")
+            ExecutionPolicy(engine=EnginePolicy(residency="sometimes"))
 
 
 class TestStateDeltas:
@@ -162,9 +165,11 @@ class TestStateDeltas:
         flat, _ = make_blobs(600, 3, 4, seed=11)
         init = flat.reshape(-1, 3)[:4].copy()
         app = KMeans(
-            SchedArgs(
-                num_threads=2, engine="process", chunk_size=3,
-                num_iters=4, extra_data=init,
+            ExecutionPolicy(
+                engine=EnginePolicy(backend="process", num_threads=2),
+                chunk_size=3,
+                num_iters=4,
+                extra_data=init,
             ),
             dims=3,
         )
@@ -184,9 +189,11 @@ class TestStateDeltas:
 
         def run(name):
             app = KMeans(
-                SchedArgs(
-                    num_threads=2, engine=name, chunk_size=3,
-                    num_iters=4, extra_data=init,
+                ExecutionPolicy(
+                    engine=EnginePolicy(backend=name, num_threads=2),
+                    chunk_size=3,
+                    num_iters=4,
+                    extra_data=init,
                 ),
                 dims=3,
             )

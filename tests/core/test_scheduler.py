@@ -5,7 +5,7 @@ import pytest
 
 from repro.analytics import CountObj, SumCountObj
 from repro.comm import spmd_launch
-from repro.core import KeyedMap, SchedArgs, Scheduler
+from repro.core import EnginePolicy, ExecutionPolicy, KeyedMap, Scheduler
 
 
 class ParityCount(Scheduler):
@@ -61,54 +61,54 @@ class IterativeMean(Scheduler):
 class TestBasicRun:
     def test_counts_match(self):
         data = np.array([0, 1, 2, 3, 4, 5, 6], dtype=float)
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         app.run(data)
         counts = {k: v.count for k, v in app.get_combination_map().items()}
         assert counts == {0: 4, 1: 3}
 
     def test_returns_combination_map_without_out(self):
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         result = app.run(np.zeros(3))
         assert isinstance(result, KeyedMap)
 
     def test_out_array_filled_and_returned(self):
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         out = np.zeros(2, dtype=np.int64)
         returned = app.run(np.array([1.0, 2.0, 3.0]), out)
         assert returned is out
         assert list(out) == [1, 2]
 
     def test_keys_beyond_out_len_skipped(self):
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         out = np.zeros(1, dtype=np.int64)  # key 1 does not fit
         app.run(np.array([1.0, 2.0]), out)
         assert out[0] == 1
 
     def test_multidim_input_flattened(self):
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         app.run(np.arange(6, dtype=float).reshape(2, 3))
         assert app.get_combination_map()[0].count == 3
 
     def test_empty_input(self):
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         app.run(np.empty(0))
         assert len(app.get_combination_map()) == 0
 
     def test_results_accumulate_across_runs(self):
         # The combination map persists across time-steps unless reset().
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         app.run(np.array([2.0]))
         app.run(np.array([4.0]))
         assert app.get_combination_map()[0].count == 2
 
     def test_reset_clears_state(self):
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         app.run(np.array([2.0]))
         app.reset()
         assert len(app.get_combination_map()) == 0
 
     def test_list_input_accepted(self):
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         app.run([1.0, 2.0, 3.0])
         assert app.get_combination_map()[1].count == 2
 
@@ -118,15 +118,19 @@ class TestPartitioningKnobs:
     @pytest.mark.parametrize("block", [None, 3, 100])
     def test_result_invariant_to_threads_and_blocks(self, threads, block):
         data = np.arange(31, dtype=float)
-        app = ParityCount(SchedArgs(num_threads=threads, block_size=block))
+        app = ParityCount(
+            ExecutionPolicy(engine=EnginePolicy(num_threads=threads), block_size=block)
+        )
         app.run(data)
         counts = {k: v.count for k, v in app.get_combination_map().items()}
         assert counts == {0: 16, 1: 15}
 
     def test_real_thread_pool_matches_sequential(self):
         data = np.arange(200, dtype=float)
-        seq = ParityCount(SchedArgs(num_threads=4))
-        par = ParityCount(SchedArgs(num_threads=4, engine="thread"))
+        seq = ParityCount(ExecutionPolicy(engine=EnginePolicy(num_threads=4)))
+        par = ParityCount(
+            ExecutionPolicy(engine=EnginePolicy(backend="thread", num_threads=4))
+        )
         seq.run(data)
         par.run(data)
         assert {k: v.count for k, v in seq.get_combination_map().items()} == {
@@ -135,8 +139,8 @@ class TestPartitioningKnobs:
 
     def test_copy_input_does_not_change_results(self):
         data = np.arange(10, dtype=float)
-        a = ParityCount(SchedArgs())
-        b = ParityCount(SchedArgs(copy_input=True))
+        a = ParityCount(ExecutionPolicy())
+        b = ParityCount(ExecutionPolicy(copy_input=True))
         a.run(data)
         b.run(data)
         assert a.get_combination_map()[0].count == b.get_combination_map()[0].count
@@ -145,7 +149,7 @@ class TestPartitioningKnobs:
 class TestIterativeSeeding:
     def test_num_iters_runs_iterations(self):
         data = np.array([1.0, 2.0, 3.0])
-        app = IterativeMean(SchedArgs(num_iters=4))
+        app = IterativeMean(ExecutionPolicy(num_iters=4))
         app.run(data)
         assert app.stats.iterations_run == 4
         assert app.last_mean == 2.0
@@ -154,7 +158,9 @@ class TestIterativeSeeding:
         # The identity contract: post_combine resets mergeable fields, so
         # seeding clones into several thread maps must not multiply-count.
         data = np.arange(12, dtype=float)
-        app = IterativeMean(SchedArgs(num_iters=3, num_threads=4))
+        app = IterativeMean(
+            ExecutionPolicy(engine=EnginePolicy(num_threads=4), num_iters=3)
+        )
         app.run(data)
         assert app.last_mean == pytest.approx(5.5)
 
@@ -169,7 +175,7 @@ class TestIterativeSeeding:
             def fields(self):
                 return None
 
-        app = IterativeMean(SchedArgs(num_threads=3))
+        app = IterativeMean(ExecutionPolicy(engine=EnginePolicy(num_threads=3)))
         app.combination_map_[0] = SumCountObj(2.5, 1) if schema else Bare(2.5, 1)
         maps = app._make_reduction_maps()
         assert [m.packed is not None for m in maps] == [schema] * 3
@@ -185,7 +191,7 @@ class TestGlobalCombination:
 
         def body(comm):
             part = np.array_split(data, comm.size)[comm.rank]
-            app = ParityCount(SchedArgs(), comm)
+            app = ParityCount(ExecutionPolicy(), comm)
             app.run(part)
             return {k: v.count for k, v in app.get_combination_map().items()}
 
@@ -198,7 +204,7 @@ class TestGlobalCombination:
 
         def body(comm):
             part = np.array_split(data, comm.size)[comm.rank]
-            app = ParityCount(SchedArgs(), comm)
+            app = ParityCount(ExecutionPolicy(), comm)
             app.set_global_combination(False)
             app.run(part)
             return sum(v.count for v in app.get_combination_map().values())
@@ -208,7 +214,7 @@ class TestGlobalCombination:
 
     def test_global_combination_counter(self):
         def body(comm):
-            app = ParityCount(SchedArgs(num_iters=3), comm)
+            app = ParityCount(ExecutionPolicy(num_iters=3), comm)
             app.run(np.arange(4, dtype=float))
             return app.stats.global_combinations
 
@@ -217,19 +223,19 @@ class TestGlobalCombination:
 
 class TestStats:
     def test_chunk_and_accumulate_counting(self):
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         app.run(np.arange(10, dtype=float))
         assert app.stats.chunks_processed == 10
         assert app.stats.accumulate_calls == 10
         assert app.stats.runs == 1
 
     def test_peak_objects_tracked(self):
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         app.run(np.arange(10, dtype=float))
         assert app.stats.peak_red_objects >= 2
 
     def test_reset_stats(self):
-        app = ParityCount(SchedArgs())
+        app = ParityCount(ExecutionPolicy())
         app.run(np.arange(4, dtype=float))
         app.reset_stats()
         assert app.stats.runs == 0
@@ -239,8 +245,8 @@ class TestRun2Fallback:
     def test_run2_defaults_to_gen_key(self):
         # Without a gen_keys override, run2 degrades to run.
         data = np.array([1.0, 2.0, 3.0, 4.0])
-        a = ParityCount(SchedArgs())
-        b = ParityCount(SchedArgs())
+        a = ParityCount(ExecutionPolicy())
+        b = ParityCount(ExecutionPolicy())
         a.run(data)
         b.run2(data)
         assert {k: v.count for k, v in a.get_combination_map().items()} == {
@@ -257,7 +263,7 @@ class TestErrors:
         # The error names the offending application class and the key,
         # not just the type contract.
         with pytest.raises(TypeError, match=r"Broken\.accumulate\(\)"):
-            Broken(SchedArgs()).run(np.zeros(1))
+            Broken(ExecutionPolicy()).run(np.zeros(1))
 
     def test_convert_required_when_out_given(self):
         class NoConvert(Scheduler):
@@ -268,4 +274,4 @@ class TestErrors:
                 return com_obj
 
         with pytest.raises(NotImplementedError, match="convert"):
-            NoConvert(SchedArgs()).run(np.zeros(1), np.zeros(1))
+            NoConvert(ExecutionPolicy()).run(np.zeros(1), np.zeros(1))

@@ -12,19 +12,20 @@ from hypothesis import strategies as st
 
 from repro.analytics import Histogram, reference_histogram
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import CombinePolicy, EnginePolicy, ExecutionPolicy
 
 
 def run_config(data, *, ranks=1, threads=1, block=None, map_path="auto",
                engine="serial", algo="gather"):
-    args = dict(
-        num_threads=threads, block_size=block, map_path=map_path,
-        engine=engine, combine_algorithm=algo,
+    args = ExecutionPolicy(
+        engine=EnginePolicy(backend=engine, num_threads=threads, map_path=map_path),
+        combine=CombinePolicy(algorithm=algo),
+        block_size=block,
     )
 
     def body(comm):
         part = np.array_split(data, comm.size)[comm.rank]
-        app = Histogram(SchedArgs(**args), comm, lo=-4, hi=4, num_buckets=16)
+        app = Histogram(args, comm, lo=-4, hi=4, num_buckets=16)
         app.run(part)
         return app.counts()
 
@@ -77,7 +78,7 @@ def test_time_step_splitting_is_invariant(seed, splits):
     data = np.random.default_rng(seed).normal(size=240)
     expected = reference_histogram(data, -4, 4, 16)
 
-    app = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=16)
+    app = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
     for part in np.array_split(data, splits):
         app.run(part)
     assert np.array_equal(app.counts(), expected)

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from repro.analytics import Histogram, reference_histogram
-from repro.core import (
-    CoreSplit,
-    SchedArgs,
-    SpaceSharingDriver,
-    TimeSharingDriver,
-)
+from repro.core import CoreSplit, ExecutionPolicy, SpaceSharingDriver, TimeSharingDriver
 from repro.sim import GaussianEmulator, Heat3D
 
 
-def make_histogram(lo=-4.0, hi=4.0, num_buckets=16, **sched_kw):
-    return Histogram(SchedArgs(**sched_kw), lo=lo, hi=hi, num_buckets=num_buckets)
+def make_histogram(lo=-4.0, hi=4.0, num_buckets=16, **policy_kw):
+    return Histogram(
+        ExecutionPolicy(**policy_kw), lo=lo, hi=hi, num_buckets=num_buckets
+    )
 
 
 class TestTimeSharing:
@@ -95,7 +92,7 @@ class TestSpaceSharing:
                 return super().run(data, out, **kw)
 
         app = SlowConsumerHistogram(
-            SchedArgs(buffer_capacity=1), lo=-4, hi=4, num_buckets=8
+            ExecutionPolicy(buffer_capacity=1), lo=-4, hi=4, num_buckets=8
         )
         driver = SpaceSharingDriver(GaussianEmulator(100, seed=8), app, CoreSplit(1, 1))
         result = driver.run(5)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.analytics import MovingAverage, reference_moving_average
-from repro.core import CoreSplit, SchedArgs, SpaceSharingDriver
+from repro.core import CoreSplit, ExecutionPolicy, SpaceSharingDriver
 from repro.sim import GaussianEmulator
 
 
@@ -21,7 +21,7 @@ class TestSpaceSharingRun2:
         n, steps, win = 400, 4, 7
         sim = GaussianEmulator(n, seed=61)
         app = ResettingMovingAverage(
-            SchedArgs(buffer_capacity=2), win_size=win
+            ExecutionPolicy(buffer_capacity=2), win_size=win
         )
         outputs = []
         driver = SpaceSharingDriver(
@@ -39,7 +39,7 @@ class TestSpaceSharingRun2:
 
     def test_early_emission_active_through_fed_path(self):
         sim = GaussianEmulator(300, seed=62)
-        app = ResettingMovingAverage(SchedArgs(buffer_capacity=2), win_size=5)
+        app = ResettingMovingAverage(ExecutionPolicy(buffer_capacity=2), win_size=5)
         driver = SpaceSharingDriver(
             sim, app, CoreSplit(1, 1),
             multi_key=True,
@@ -49,7 +49,7 @@ class TestSpaceSharingRun2:
         assert app.stats.early_emissions == 3 * (300 - 4)
 
     def test_run2_pulls_from_buffer_when_data_none(self):
-        app = MovingAverage(SchedArgs(buffer_capacity=2), win_size=3)
+        app = MovingAverage(ExecutionPolicy(buffer_capacity=2), win_size=3)
         data = np.arange(10, dtype=float)
         app.feed(data)
         out = np.full(10, np.nan)

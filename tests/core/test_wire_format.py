@@ -22,11 +22,12 @@ from repro.analytics import (
 )
 from repro.comm import TrafficProfiler, spmd_launch, split_comm
 from repro.core import (
+    CombinePolicy,
+    ExecutionPolicy,
     Field,
     KeyedMap,
     PackedMap,
     RedObj,
-    SchedArgs,
     deserialize_map,
     global_combine,
     pack_map,
@@ -291,17 +292,17 @@ class TestVectorizedMergeKernel:
 
 class TestSchedArgsKnob:
     def test_default_is_pickle(self):
-        assert SchedArgs().wire_format == "pickle"
+        assert ExecutionPolicy().combine.wire_format == "pickle"
 
     def test_columnar_accepted(self):
-        assert SchedArgs(wire_format="columnar").wire_format == "columnar"
+        assert CombinePolicy(wire_format="columnar").wire_format == "columnar"
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="wire_format"):
-            SchedArgs(wire_format="json")
+            CombinePolicy(wire_format="json")
 
     def test_allreduce_algorithm_accepted(self):
-        assert SchedArgs(combine_algorithm="allreduce").combine_algorithm == "allreduce"
+        assert CombinePolicy(algorithm="allreduce").algorithm == "allreduce"
 
 
 ALGORITHMS = ("gather", "tree", "allreduce")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import Histogram, KMeans, make_blobs
-from repro.core import SchedArgs
+from repro.core import ExecutionPolicy
 from repro.perfmodel import (
     AnalyticsModel,
     CALIBRATION_CLOCK_GHZ,
@@ -63,7 +63,7 @@ class TestSingleNodePredictions:
         app_costs, _sim_costs = costs
         elements = 400_000
         data = np.random.default_rng(3).normal(size=elements)
-        hist = Histogram(SchedArgs(), lo=-4, hi=4, num_buckets=1200)
+        hist = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=1200)
         measured = _measure(lambda: (hist.reset(), hist.run(data)))
 
         cost = app_costs["histogram"]
@@ -82,7 +82,7 @@ class TestSingleNodePredictions:
         flat, _ = make_blobs(40_000, 4, 8, seed=4)
         init = flat.reshape(-1, 4)[:8].copy()
         km = KMeans(
-            SchedArgs(chunk_size=4, num_iters=5, extra_data=init),
+            ExecutionPolicy(chunk_size=4, num_iters=5, extra_data=init),
             dims=4,
         )
         measured = _measure(lambda: (km.reset(), km.run(flat)))

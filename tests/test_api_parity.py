@@ -11,47 +11,56 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core import RedObj, SchedArgs, Scheduler
+import repro.core
+from repro.core import EnginePolicy, ExecutionPolicy, RedObj, Scheduler
 
 
 class TestRuntimeProvidedFunctions:
     """Table 1, upper half: functions provided by the runtime."""
 
     def test_1_sched_args(self):
-        # SchedArgs(int num_threads, size_t chunk_size, const void* extra_data,
-        #           int num_iters)
-        args = SchedArgs(num_threads=2, chunk_size=4, extra_data=[1], num_iters=3)
-        assert (args.num_threads, args.chunk_size, args.num_iters) == (2, 4, 3)
+        # Function 1's (int num_threads, size_t chunk_size,
+        # const void* extra_data, int num_iters) are fields of the policy.
+        args = ExecutionPolicy(
+            engine=EnginePolicy(num_threads=2),
+            chunk_size=4,
+            extra_data=[1],
+            num_iters=3,
+        )
+        assert (args.engine.num_threads, args.chunk_size, args.extra_data,
+                args.num_iters) == (2, 4, [1], 3)
+        # ... and the policy is the only configuration class exported.
+        assert [n for n in repro.core.__all__ if n.endswith("Args")] == []
 
     def test_2_scheduler_constructor(self):
-        # explicit Scheduler(const SchedArgs& args)
+        # explicit Scheduler(args) — the parameter is function 1's configuration
         sig = inspect.signature(Scheduler.__init__)
         assert "args" in sig.parameters
 
     def test_3_set_global_combination(self):
         # void set_global_combination(bool flag) — enabled by default
-        sched = _CountAll(SchedArgs())
+        sched = _CountAll(ExecutionPolicy())
         assert sched._global_combination is True
         sched.set_global_combination(False)
         assert sched._global_combination is False
 
     def test_4_get_combination_map(self):
         # const map<int, unique_ptr<RedObj>>& get_combination_map() const
-        sched = _CountAll(SchedArgs())
+        sched = _CountAll(ExecutionPolicy())
         sched.run(np.zeros(3))
         com_map = sched.get_combination_map()
         assert set(com_map.keys()) == {0}
 
     def test_5_run_single_key_time_sharing(self):
         # void run(const In* in, size_t in_len, Out* out, size_t out_len)
-        sched = _CountAll(SchedArgs())
+        sched = _CountAll(ExecutionPolicy())
         out = np.zeros(1)
         assert sched.run(np.zeros(5), out) is out
         assert out[0] == 5
 
     def test_6_run2_multi_key_time_sharing(self):
         # void run2(...) — gen_keys path
-        sched = _CountPairs(SchedArgs())
+        sched = _CountPairs(ExecutionPolicy())
         sched.run2(np.zeros(4))
         assert {k: v.count for k, v in sched.get_combination_map().items()} == {
             0: 4, 1: 4,
@@ -59,13 +68,13 @@ class TestRuntimeProvidedFunctions:
 
     def test_7_feed_space_sharing(self):
         # void feed(const In* in, size_t in_len)
-        sched = _CountAll(SchedArgs(buffer_capacity=2))
+        sched = _CountAll(ExecutionPolicy(buffer_capacity=2))
         sched.feed(np.zeros(3))
         assert len(sched._feed_buffer()) == 1
 
     def test_8_run_space_sharing(self):
         # void run(Out* out, size_t out_len) — data comes from feed()
-        sched = _CountAll(SchedArgs(buffer_capacity=2))
+        sched = _CountAll(ExecutionPolicy(buffer_capacity=2))
         sched.feed(np.zeros(7))
         out = np.zeros(1)
         sched.run(None, out)
@@ -73,7 +82,7 @@ class TestRuntimeProvidedFunctions:
 
     def test_9_run2_space_sharing(self):
         # void run2(Out* out, size_t out_len)
-        sched = _CountPairs(SchedArgs(buffer_capacity=2))
+        sched = _CountPairs(ExecutionPolicy(buffer_capacity=2))
         sched.feed(np.zeros(2))
         sched.run2(None)
         assert sched.get_combination_map()[1].count == 2
@@ -90,21 +99,21 @@ class TestUserImplementedFunctions:
 
     def test_3_accumulate_is_abstract(self):
         with pytest.raises(NotImplementedError):
-            Scheduler(SchedArgs()).accumulate(None, None, None, 0)
+            Scheduler(ExecutionPolicy()).accumulate(None, None, None, 0)
 
     def test_4_merge_is_abstract(self):
         with pytest.raises(NotImplementedError):
-            Scheduler(SchedArgs()).merge(None, None)
+            Scheduler(ExecutionPolicy()).merge(None, None)
 
     def test_5_process_extra_data_default_noop(self):
-        Scheduler(SchedArgs()).process_extra_data({"any": 1}, None)
+        Scheduler(ExecutionPolicy()).process_extra_data({"any": 1}, None)
 
     def test_6_post_combine_default_noop(self):
-        Scheduler(SchedArgs()).post_combine(None)
+        Scheduler(ExecutionPolicy()).post_combine(None)
 
     def test_7_convert_required_only_with_output(self):
         with pytest.raises(NotImplementedError):
-            Scheduler(SchedArgs()).convert(None, np.zeros(1), 0)
+            Scheduler(ExecutionPolicy()).convert(None, np.zeros(1), 0)
 
 
 class TestSection4Extension:

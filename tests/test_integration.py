@@ -25,7 +25,7 @@ from repro.baselines import OfflineDriver, lowlevel_histogram
 from repro.comm import TrafficProfiler, spmd_launch
 from repro.core import (
     CoreSplit,
-    SchedArgs,
+    ExecutionPolicy,
     SpaceSharingDriver,
     TimeSharingDriver,
     merge_distributed_output,
@@ -54,20 +54,20 @@ class TestNineApplicationsOnHeat3D:
 
     def test_grid_aggregation(self, field_steps):
         app = self._run_in_situ(
-            GridAggregation(SchedArgs(), grid_size=100)
+            GridAggregation(ExecutionPolicy(), grid_size=100)
         )
         total = sum(obj.count for obj in app.get_combination_map().values())
         assert total == self.STEPS * 12**3
 
     def test_histogram_and_minmax_agree_on_range(self, field_steps):
-        minmax = self._run_in_situ(MinMax(SchedArgs()))
+        minmax = self._run_in_situ(MinMax(ExecutionPolicy()))
         lo, hi = minmax.value_range
         data = np.concatenate(field_steps)
         assert lo == data.min() and hi == data.max()
 
     def test_mutual_information_of_field_with_itself(self, field_steps):
         app = MutualInformation(
-            SchedArgs(chunk_size=2),
+            ExecutionPolicy(chunk_size=2),
             x_range=(0, 100), y_range=(0, 100), bins=10,
         )
         sim = Heat3D(self.GRID)
@@ -83,13 +83,13 @@ class TestNineApplicationsOnHeat3D:
     def test_kmeans_and_logreg_run_iteratively(self, field_steps):
         init = np.array([[0.0], [50.0], [100.0]])
         km = self._run_in_situ(
-            KMeans(SchedArgs(chunk_size=1, num_iters=3, extra_data=init), dims=1)
+            KMeans(ExecutionPolicy(chunk_size=1, num_iters=3, extra_data=init), dims=1)
         )
         assert km.centroids().shape == (3, 1)
         assert np.isfinite(km.centroids()).all()
 
         lr = LogisticRegression(
-            SchedArgs(chunk_size=2, num_iters=2), dims=1
+            ExecutionPolicy(chunk_size=2, num_iters=2), dims=1
         )
         sim = Heat3D(self.GRID)
         for _ in range(self.STEPS):
@@ -101,10 +101,10 @@ class TestNineApplicationsOnHeat3D:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: MovingAverage(SchedArgs(), win_size=5),
-            lambda: MovingMedian(SchedArgs(), win_size=5),
-            lambda: GaussianKernelSmoother(SchedArgs(), win_size=5),
-            lambda: SavitzkyGolay(SchedArgs(), win_size=5, polyorder=2),
+            lambda: MovingAverage(ExecutionPolicy(), win_size=5),
+            lambda: MovingMedian(ExecutionPolicy(), win_size=5),
+            lambda: GaussianKernelSmoother(ExecutionPolicy(), win_size=5),
+            lambda: SavitzkyGolay(ExecutionPolicy(), win_size=5, polyorder=2),
         ],
         ids=["moving_average", "moving_median", "gaussian", "savgol"],
     )
@@ -138,7 +138,7 @@ class TestPlacementModesAgree:
         return total
 
     def _make_app(self, **kw):
-        return Histogram(SchedArgs(**kw), lo=-4, hi=4, num_buckets=12)
+        return Histogram(ExecutionPolicy(**kw), lo=-4, hi=4, num_buckets=12)
 
     def test_all_single_node_modes_agree(self, tmp_path):
         expected = self._expected()
@@ -163,7 +163,7 @@ class TestPlacementModesAgree:
         def body(comm):
             part = np.array_split(data, comm.size)[comm.rank]
             smart = Histogram(
-                SchedArgs(), comm, lo=-4, hi=4, num_buckets=10
+                ExecutionPolicy(), comm, lo=-4, hi=4, num_buckets=10
             )
             smart.run(part)
             manual = lowlevel_histogram(part, -4, 4, 10, comm)
@@ -184,7 +184,7 @@ class TestDistributedWindowPipeline:
 
         def body(comm):
             sim = Heat3D(grid, comm)
-            app = MovingAverage(SchedArgs(), comm, win_size=win)
+            app = MovingAverage(ExecutionPolicy(), comm, win_size=win)
             merged_steps = []
             for _ in range(steps):
                 partition = sim.advance()
@@ -216,7 +216,7 @@ class TestTrafficAccounting:
         def body(comm, buckets):
             data = np.random.default_rng(comm.rank).normal(size=300)
             app = Histogram(
-                SchedArgs(), comm, lo=-4, hi=4, num_buckets=buckets
+                ExecutionPolicy(), comm, lo=-4, hi=4, num_buckets=buckets
             )
             app.run(data)
 

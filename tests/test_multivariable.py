@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.analytics import MutualInformation
 from repro.comm import spmd_launch
-from repro.core import SchedArgs
+from repro.core import ExecutionPolicy
 from repro.sim import LuleshProxy
 
 
@@ -47,7 +47,7 @@ class TestEnergyPressureMI:
 
         def run_mi(x, y):
             app = MutualInformation(
-                SchedArgs(chunk_size=2),
+                ExecutionPolicy(chunk_size=2),
                 x_range=(lo, hi), y_range=(lo, hi), bins=16,
             )
             app.run(np.column_stack([x, y]).reshape(-1))
@@ -71,7 +71,7 @@ class TestEnergyPressureMI:
                 [f["energy"].reshape(-1), f["volume"].reshape(-1)]
             ).reshape(-1)
             app = MutualInformation(
-                SchedArgs(chunk_size=2), comm,
+                ExecutionPolicy(chunk_size=2), comm,
                 x_range=(0.0, 10.0), y_range=(0.5, 1.5), bins=8,
             )
             app.run(pairs)
