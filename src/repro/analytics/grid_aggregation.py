@@ -14,27 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
-from ..core.batch import HAVE_NUMBA, ColumnarAccumulator, maybe_njit
+from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
 from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 from .objects import SumCountObj
-
-
-@maybe_njit(cache=True)
-def _grid_sum_kernel(block, pos0, grid_size, key_lo, totals, counts):  # pragma: no cover
-    """Sequential position-order scatter (numba-compiled when available).
-
-    Accumulates element-by-element in ascending position order directly
-    onto the seeded totals, so per-grid float sums group exactly like the
-    scalar loop.
-    """
-    for i in range(block.shape[0]):
-        r = (pos0 + i) // grid_size - key_lo
-        totals[r] += block[i]
-        counts[r] += 1
 
 
 class GridAggregation(Scheduler):
@@ -93,26 +79,16 @@ class GridAggregation(Scheduler):
         block = data[start:stop]
         totals = acc.column("total")
         counts = np.zeros(len(acc), dtype=np.int64)
-        if HAVE_NUMBA:  # pragma: no cover - numba not in the test image
-            _grid_sum_kernel(
-                block,
-                self.global_offset_ + start,
-                self.grid_size,
-                acc.key_lo,
-                totals,
-                counts,
-            )
-        else:
-            positions = np.arange(
-                self.global_offset_ + start, self.global_offset_ + stop
-            )
-            rel = positions // self.grid_size - acc.key_lo
-            # ufunc.at applies updates element-by-element in index order —
-            # the per-grid sums continue from the seeded totals with the
-            # exact float grouping of the scalar loop (np.bincount would
-            # produce a subtotal whose later addition regroups).
-            np.add.at(totals, rel, block)
-            counts += np.bincount(rel, minlength=len(acc)).astype(np.int64)
+        positions = np.arange(
+            self.global_offset_ + start, self.global_offset_ + stop
+        )
+        rel = positions // self.grid_size - acc.key_lo
+        # ufunc.at applies updates element-by-element in index order —
+        # the per-grid sums continue from the seeded totals with the
+        # exact float grouping of the scalar loop (np.bincount would
+        # produce a subtotal whose later addition regroups).
+        np.add.at(totals, rel, block)
+        counts += np.bincount(rel, minlength=len(acc)).astype(np.int64)
         count_col = acc.column("count")
         count_col += counts
         acc.contrib += counts

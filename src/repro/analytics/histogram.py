@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
-from ..core.batch import HAVE_NUMBA, ColumnarAccumulator, Scratch, maybe_njit
+from ..core.batch import ColumnarAccumulator, Scratch
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
@@ -21,22 +21,6 @@ from .objects import CountObj
 
 #: The numpy kernel's two temporaries (per thread, reused across calls and schedulers).
 _SCRATCH = Scratch()
-
-
-@maybe_njit(cache=True)
-def _histogram_count_kernel(block, lo, width, num_buckets, counts):  # pragma: no cover
-    """Single-pass bucket-count scatter (numba-compiled when available).
-
-    Divides by ``width`` — not a reciprocal multiply — so the quotient
-    rounds exactly like the scalar ``bucket_of``.
-    """
-    for i in range(block.shape[0]):
-        k = np.int64((block[i] - lo) / width)
-        if k < 0:
-            k = 0
-        elif k >= num_buckets:
-            k = num_buckets - 1
-        counts[k] += 1
 
 
 class Histogram(Scheduler):
@@ -112,19 +96,15 @@ class Histogram(Scheduler):
         self, data: np.ndarray, start: int, stop: int, acc: ColumnarAccumulator
     ) -> None:
         block = data[start:stop]
-        if HAVE_NUMBA:  # pragma: no cover - numba not in the test image
-            counts = np.zeros(self.num_buckets, dtype=np.int64)
-            _histogram_count_kernel(block, self.lo, self.width, self.num_buckets, counts)
-        else:
-            # ((block - lo) / width).astype(int64), its two temporaries reused.
-            n = len(block)
-            scaled = _SCRATCH.array("scaled", n, np.result_type(block.dtype, 0.0))
-            keys = _SCRATCH.array("keys", n, np.int64)
-            np.subtract(block, self.lo, out=scaled)
-            np.divide(scaled, self.width, out=scaled)
-            np.copyto(keys, scaled, casting="unsafe")
-            np.clip(keys, 0, self.num_buckets - 1, out=keys)
-            counts = np.bincount(keys, minlength=self.num_buckets)
+        # ((block - lo) / width).astype(int64), its two temporaries reused.
+        n = len(block)
+        scaled = _SCRATCH.array("scaled", n, np.result_type(block.dtype, 0.0))
+        keys = _SCRATCH.array("keys", n, np.int64)
+        np.subtract(block, self.lo, out=scaled)
+        np.divide(scaled, self.width, out=scaled)
+        np.copyto(keys, scaled, casting="unsafe")
+        np.clip(keys, 0, self.num_buckets - 1, out=keys)
+        counts = np.bincount(keys, minlength=self.num_buckets)
         count_col = acc.column("count")
         count_col += counts
         acc.contrib += counts

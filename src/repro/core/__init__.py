@@ -15,7 +15,7 @@ Public surface:
 * :class:`SmartPipeline` — chained Smart jobs with local-only stages.
 """
 
-from .batch import HAVE_NUMBA, ColumnarAccumulator, maybe_njit
+from .batch import ColumnarAccumulator
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .chunk import Chunk, Split, iter_blocks, make_splits
 from .engine import (
@@ -80,10 +80,8 @@ __all__ = [
     "ExecutionEngine",
     "ExecutionPolicy",
     "Field",
-    "HAVE_NUMBA",
     "KeyedMap",
     "MAP_PATHS",
-    "maybe_njit",
     "PolicyAdvisor",
     "RESIDENCY_MODES",
     "PackedMap",

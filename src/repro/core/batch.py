@@ -38,18 +38,11 @@ the scalar loop's ``accumulate(..., existing=None, ...)`` starts from)
 and seeded from the incoming reduction map, so accumulation continues
 from prior totals with the same float grouping as scalar in-place
 mutation.
-
-An optional numba ``@njit`` hook (:func:`maybe_njit`) compiles scatter
-kernels when numba is importable and degrades to the pure-numpy callable
-otherwise — no hard dependency; set ``REPRO_NO_NUMBA=1`` to force the
-fallback even when numba is installed.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Callable
 
 import numpy as np
 
@@ -57,41 +50,10 @@ from .red_obj import RedObj
 from .serialization import PackedMap, _schema_dtype
 
 __all__ = [
-    "HAVE_NUMBA",
     "ColumnarAccumulator",
     "Scratch",
     "array_form_stands",
-    "maybe_njit",
 ]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    if os.environ.get("REPRO_NO_NUMBA"):
-        raise ImportError("numba disabled by REPRO_NO_NUMBA")
-    import numba as _numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the baked-in path on this image
-    _numba = None
-    HAVE_NUMBA = False
-
-
-def maybe_njit(fn: Callable | None = None, **options) -> Callable:
-    """``numba.njit`` when numba is importable, identity otherwise.
-
-    Usable bare (``@maybe_njit``) or with options
-    (``@maybe_njit(cache=True)``).  Kernels decorated with it must be
-    written in the numpy subset numba compiles *and* remain correct as
-    plain Python — the fallback runs them uncompiled.
-    """
-
-    def decorate(func: Callable) -> Callable:
-        if not HAVE_NUMBA:
-            return func
-        return _numba.njit(**options)(func)  # pragma: no cover
-
-    if fn is not None:
-        return decorate(fn)
-    return decorate
 
 
 class Scratch(threading.local):

@@ -33,6 +33,11 @@ def main(argv: list[str] | None = None) -> int:
     if args == ["all"]:
         run_all()
         return 0
+    unknown = [name for name in args if name.lower() not in FIGURES]
+    if unknown:
+        print(f"unknown figure {', '.join(unknown)}; "
+              f"available: {', '.join(sorted(FIGURES))}", file=sys.stderr)
+        return 2
     for name in args:
         run_figure(name)
     return 0

@@ -14,14 +14,12 @@ checks the recovery contract end to end:
 * with **no plan installed** every hook is a no-op — the harness measures
   the overhead of an installed-but-empty plan against the healthy path.
 
-Emits ``BENCH_chaos.json`` at the repo root with recovery latencies and
-the overhead measurement.  Registered as ``chaos`` in the figure
-registry: ``python -m repro.harness chaos``.
+Returns the recovery latencies and the overhead measurement.  Registered
+as ``chaos`` in the figure registry: ``python -m repro.harness chaos``.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -35,8 +33,6 @@ from ..core import EnginePolicy, ExecutionPolicy, load_checkpoint, save_checkpoi
 from ..faults import EngineFaultError, FaultPlan, FaultPolicy, FaultSpec
 from ..telemetry import Recorder
 from .reporting import format_seconds, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[3] / "BENCH_chaos.json"
 
 SEED = 2015
 DIMS = 3
@@ -330,8 +326,6 @@ def run(quick: bool = False) -> dict:
         f"{format_seconds(overhead['empty_plan_seconds'])})"
     )
 
-    RESULT_PATH.write_text(json.dumps(results, indent=2, default=float) + "\n")
-    print(f"wrote {RESULT_PATH}")
     return results
 
 

@@ -16,16 +16,13 @@ elastic recovery contract end to end:
   backend with an installed-but-empty fault plan stays within 1.3x of
   the same run over the in-process backend.
 
-Emits ``BENCH_intransit.json`` at the repo root.  Registered as
-``intransit`` in the figure registry:
+Registered as ``intransit`` in the figure registry:
 ``python -m repro.harness intransit``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -35,8 +32,6 @@ from ..core import ElasticTier, EnginePolicy, ExecutionPolicy
 from ..faults import FaultPlan, FaultPolicy, FaultSpec
 from ..telemetry import Recorder
 from .reporting import format_seconds, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[3] / "BENCH_intransit.json"
 
 SEED = 2015
 BUCKETS = 32
@@ -268,8 +263,6 @@ def run(quick: bool = False) -> dict:
         f"bound {TCP_OVERHEAD_BOUND}x"
     )
 
-    RESULT_PATH.write_text(json.dumps(results, indent=2, default=float) + "\n")
-    print(f"wrote {RESULT_PATH}")
     return results
 
 

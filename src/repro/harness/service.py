@@ -17,26 +17,19 @@ claims the service makes:
 
 Every job's result is additionally verified bit-exact against a solo
 run of the same workload on the same data (the service oracle), so the
-benchmark doubles as a correctness stress.  Emits ``BENCH_service.json``
-at the repo root; ``bench_diff.py`` gates the machine-stable ratios
-(``summary.fairness_index``, ``summary.shared_hit_rate``,
-``summary.bit_exact_fraction``).
+benchmark doubles as a correctness stress.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
 from ..service import AnalyticsService, JobSpec, execute_workload, job_policy
 from ..verify.workloads import get_workload
 from .reporting import format_seconds, print_table
-
-RESULT_PATH = Path(__file__).resolve().parents[3] / "BENCH_service.json"
 
 SEED = 2015
 #: chunk_size-1 workloads that can all share one generic N(0,1) step.
@@ -200,8 +193,6 @@ def run(quick: bool = False, *, max_tenants: int | None = None,
           f"-> {gates['fairness_ok']}, bit-exact -> {gates['bit_exact_ok']}, "
           f"one segment/tier -> {gates['single_segment_ok']}")
 
-    RESULT_PATH.write_text(json.dumps(results, indent=2, default=float) + "\n")
-    print(f"wrote {RESULT_PATH}")
     return results
 
 

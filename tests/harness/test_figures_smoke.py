@@ -8,6 +8,7 @@ import math
 import pytest
 
 from repro.harness import FIGURES, fig01, fig05, fig06, fig07, fig08, fig09, fig10, fig11, run_figure
+from repro.harness.__main__ import main as harness_main
 
 
 class TestRegistry:
@@ -20,6 +21,18 @@ class TestRegistry:
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError, match="fig99"):
             run_figure("fig99")
+
+    @pytest.mark.parametrize("argv", [
+        ["fig99"], ["chaos", "--quick"], ["chaos", "fig99"]])
+    def test_cli_rejects_unknown_name_before_running_any(
+            self, argv, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setitem(
+            FIGURES, "chaos", (lambda: ran.append("chaos") or {}, "stub"))
+        assert harness_main(argv) == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        assert "unknown figure" in err and "available:" in err
 
     def test_descriptions_present(self):
         for name, (fn, description) in FIGURES.items():

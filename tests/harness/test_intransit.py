@@ -1,14 +1,10 @@
 """The in-transit chaos harness runs end to end and upholds its contract."""
 
-import json
-
 from repro.harness import intransit
 
 
 class TestIntransitHarness:
-    def test_quick_run_end_to_end(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            intransit, "RESULT_PATH", tmp_path / "BENCH_intransit.json")
+    def test_quick_run_end_to_end(self):
         results = intransit.run(quick=True)
 
         assert set(results) == {"staging", "elastic_scale", "tcp_overhead"}
@@ -25,10 +21,8 @@ class TestIntransitHarness:
         assert degrade["elements_lost"] > 0
         # pool scaling does not change the result
         assert results["elastic_scale"]["bit_exact"]
-        # the wire path's overhead is measured and recorded; whether the
-        # wall-clock ratio is within its bound is CI's intransit-smoke
-        # gate (from BENCH_intransit.json), not a tier-1 assertion
+        # the wire path's overhead is measured and reported against its
+        # bound; whether the wall-clock ratio is within it is not a
+        # tier-1 assertion
         assert results["tcp_overhead"]["overhead_ratio"] > 0
-
-        report = json.loads((tmp_path / "BENCH_intransit.json").read_text())
-        assert report["tcp_overhead"]["bound"] == intransit.TCP_OVERHEAD_BOUND
+        assert results["tcp_overhead"]["bound"] == intransit.TCP_OVERHEAD_BOUND

@@ -31,6 +31,9 @@ class TestRuntimeProvidedFunctions:
                 args.num_iters) == (2, 4, [1], 3)
         # ... and the policy is the only configuration class exported.
         assert [n for n in repro.core.__all__ if n.endswith("Args")] == []
+        # ... and no export names an optional compiler hook.
+        assert [n for n in repro.core.__all__
+                if "NJIT" in n.upper() or "NUMBA" in n.upper()] == []
 
     def test_2_scheduler_constructor(self):
         # explicit Scheduler(args) — the parameter is function 1's configuration
