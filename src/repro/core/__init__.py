@@ -34,7 +34,6 @@ from .policy import (
     COMBINE_ALGORITHMS,
     ENGINE_BACKENDS,
     MAP_PATHS,
-    RESIDENCY_MODES,
     CombinePolicy,
     EnginePolicy,
     ExecutionPolicy,
@@ -83,7 +82,6 @@ __all__ = [
     "KeyedMap",
     "MAP_PATHS",
     "PolicyAdvisor",
-    "RESIDENCY_MODES",
     "PackedMap",
     "WIRE_FORMATS",
     "WIRE_VERSION",

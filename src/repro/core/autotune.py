@@ -124,7 +124,7 @@ class PolicyAdvisor:
             optimistic hint falls back to the scalar loop.
         overrides:
             Passed through to the policy verbatim (``copy_input``,
-            ``fault``, ``residency``, ...).
+            ``fault``, ``buffer_capacity``, ...).
         """
         return self.advise_with_detail(
             elements=elements, ranks=ranks, threads=threads,
@@ -156,7 +156,6 @@ class PolicyAdvisor:
             model_combine_gather,
         )
 
-        residency = overrides.pop("residency", "auto")
         # Engine: a batch kernel makes the serial/thread loop
         # numpy-bound, so process pools only pay off on large scalar
         # loops where shipping splits beats holding the GIL.
@@ -185,10 +184,7 @@ class PolicyAdvisor:
         wire = "columnar" if schema_mergeable else "pickle"
 
         policy = ExecutionPolicy(
-            engine=EnginePolicy(
-                backend=backend, num_threads=num_threads,
-                residency=residency,
-            ),
+            engine=EnginePolicy(backend=backend, num_threads=num_threads),
             combine=CombinePolicy(algorithm=algorithm, wire_format=wire),
             chunk_size=chunk_size,
             num_iters=num_iters,

@@ -6,12 +6,13 @@ ranks).  The scheduler owns the *what* — blocks, splits, reduction maps,
 combination — and delegates the *how* to an :class:`ExecutionEngine`,
 the intra-rank analogue of the pluggable communicator backends in
 ``repro.comm``: the same Algorithm-1 structure runs over a serial loop,
-a persistent thread pool, or a process pool with shared-memory input,
-selected by ``EnginePolicy.backend``.
+a persistent thread pool, or owned worker processes over shared-memory
+input, selected by ``EnginePolicy.backend``.
 
 Lifecycle: an engine is created lazily on the scheduler's first run and
 lives for the scheduler's lifetime (``start`` once, ``shutdown`` once —
-asserted by the ``engine.pools_created`` telemetry counter).  Engines
+asserted by the ``engine.pools_created`` telemetry counter, which counts
+worker teams: a worker replaced after a fault is not a new team).  Engines
 hold a strong reference to their scheduler only between ``begin_run``
 and ``end_run``, so dropping the scheduler drops the engine and its
 worker pool with it.
@@ -29,6 +30,7 @@ from ..maps import KeyedMap
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...telemetry import Recorder
+    from ..policy import EnginePolicy
     from ..scheduler import Scheduler
 
 #: ``reduce_fn(split, red_map) -> emitted keys`` — the scheduler-side
@@ -120,7 +122,7 @@ class ExecutionEngine(ABC):
         """Scheduler state changed mid-run (combination phase ran).
 
         In-process engines see the change for free; the process engine
-        overrides this to re-ship scheduler state to its workers.
+        overrides this to rebuild the delta it sends with each task.
         """
 
     # -- execution ---------------------------------------------------------
@@ -131,7 +133,8 @@ class ExecutionEngine(ABC):
         Each split is reduced against ``red_maps[split.thread_id]``
         (mutated in place).  In-process engines apply the scheduler's
         ``reduce_fn`` directly; the process engine runs the same
-        reduction in workers and folds the results back.
+        reduction in its workers and folds their replies back, raising
+        :class:`~repro.faults.EngineFaultError` when a worker was lost.
         """
 
     # -- helpers for subclasses -------------------------------------------
@@ -155,34 +158,18 @@ class ExecutionEngine(ABC):
 
 
 def create_engine(
-    spec, num_workers: int | None = None, telemetry: "Recorder | None" = None
+    policy: "EnginePolicy", telemetry: "Recorder | None" = None
 ) -> ExecutionEngine:
-    """Instantiate an execution engine.
-
-    ``spec`` is an :class:`~repro.core.policy.EnginePolicy` (preferred —
-    carries the backend name and worker count together) or a bare
-    backend name string.  ``num_workers`` overrides the policy's worker
-    count; with a string spec it defaults to 1.
-    """
+    """Instantiate the engine an :class:`~repro.core.policy.EnginePolicy`
+    names (the policy has already validated the backend), with
+    ``policy.num_threads`` workers."""
     from .process import ProcessEngine
     from .serial import SerialEngine
     from .thread import ThreadEngine
 
-    if isinstance(spec, str):
-        name = spec
-        workers = 1 if num_workers is None else num_workers
-    else:
-        name = spec.backend
-        workers = spec.num_threads if num_workers is None else num_workers
     if telemetry is None:
         from ...telemetry import Recorder
 
         telemetry = Recorder()
     engines = {"serial": SerialEngine, "thread": ThreadEngine, "process": ProcessEngine}
-    try:
-        cls = engines[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; choose from {sorted(engines)}"
-        ) from None
-    return cls(workers, telemetry)
+    return engines[policy.backend](policy.num_threads, telemetry)

@@ -4,8 +4,7 @@ The runtime's configuration surface is a composition of small
 per-concern policy objects rather than one flat knob bag:
 
 * :class:`EnginePolicy` — *where* the intra-rank reduction runs: the
-  execution backend, its worker count, and the process engine's
-  input-residency mode.
+  execution backend, its worker count, and the map path.
 * :class:`CombinePolicy` — *how* global combination moves and merges
   maps: the combination algorithm and the wire format.
 * :class:`ExecutionPolicy` — the complete runtime configuration: the
@@ -19,7 +18,7 @@ rejected anywhere is rejected everywhere with the same message.
 
 Fingerprints are flat ``key=value`` comma token strings using the same
 vocabulary as the conformance matrix (``engine=``, ``threads=``,
-``wire=``, ``algo=``, ``residency=``, ``fault=``, ...), and
+``wire=``, ``algo=``, ``map=``, ``fault=``, ...), and
 ``ExecutionPolicy.parse(policy.fingerprint())`` round-trips exactly
 (``extra_data`` is the one field a fingerprint cannot carry — it is an
 arbitrary application object and is excluded by contract).
@@ -42,7 +41,6 @@ __all__ = [
     "COMBINE_ALGORITHMS",
     "ENGINE_BACKENDS",
     "MAP_PATHS",
-    "RESIDENCY_MODES",
     "WIRE_FORMATS",
     "CombinePolicy",
     "EnginePolicy",
@@ -53,8 +51,6 @@ __all__ = [
 
 #: Execution backends accepted by :attr:`EnginePolicy.backend`.
 ENGINE_BACKENDS = ("serial", "thread", "process")
-#: Process-engine input-residency modes.
-RESIDENCY_MODES = ("auto", "off")
 #: Map-phase execution paths (:attr:`EnginePolicy.map_path`).
 MAP_PATHS = ("auto", "scalar", "batch")
 #: Global-combination algorithms.
@@ -129,13 +125,9 @@ class EnginePolicy:
     backend:
         ``"serial"`` (in-order loop, deterministic — the default),
         ``"thread"`` (persistent thread pool), or ``"process"``
-        (persistent process pool over shared-memory input).
+        (owned worker processes over resident shared-memory input).
     num_threads:
         Workers per pool — the reduction phase's split count.
-    residency:
-        Process-engine input residency: ``"auto"`` keeps partition
-        segments resident across runs; ``"off"`` restores
-        segment-per-run.
     map_path:
         Which map-phase implementation reduces a split: ``"auto"``
         (the default — the application's batch kernel when it has one
@@ -150,7 +142,6 @@ class EnginePolicy:
 
     backend: str = "serial"
     num_threads: int = 1
-    residency: str = "auto"
     map_path: str = "auto"
 
     def __post_init__(self) -> None:
@@ -164,20 +155,13 @@ class EnginePolicy:
             )
         if self.num_threads < 1:
             raise ValueError(f"num_threads must be >= 1, got {self.num_threads}")
-        if self.residency not in RESIDENCY_MODES:
-            raise ValueError(
-                f"residency must be 'auto' or 'off', got {self.residency!r}"
-            )
         if self.map_path not in MAP_PATHS:
             raise ValueError(
                 f"map_path must be one of {MAP_PATHS}, got {self.map_path!r}"
             )
 
     def fingerprint(self) -> str:
-        return (
-            f"engine={self.backend},threads={self.num_threads},"
-            f"residency={self.residency},map={self.map_path}"
-        )
+        return f"engine={self.backend},threads={self.num_threads},map={self.map_path}"
 
 
 @dataclass(frozen=True)
@@ -333,7 +317,6 @@ class ExecutionPolicy:
         casts = {
             "engine": (engine, "backend", str),
             "threads": (engine, "num_threads", int),
-            "residency": (engine, "residency", str),
             "map": (engine, "map_path", str),
             "algo": (combine, "algorithm", str),
             "wire": (combine, "wire_format", str),

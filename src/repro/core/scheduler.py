@@ -365,10 +365,9 @@ class Scheduler:
         """Iteration-mutable scheduler state shipped to engine workers.
 
         The process engine splits worker dispatch into an immutable
-        *core* (callbacks, the policy, constants — published once per
-        worker lifetime through shared memory and cached worker-side by
-        version) and a small per-iteration *delta* carrying the
-        combination map plus this dictionary.  The default ships every
+        *core* (callbacks, the policy, constants — sent to each worker
+        once and kept in its loop) and a small per-iteration *delta*
+        carrying the combination map plus this dictionary.  The default ships every
         instance attribute that is not parent-owned infrastructure —
         always correct, at the cost of re-shipping everything each
         iteration.  Iterative applications whose ``post_combine``
@@ -474,7 +473,7 @@ class Scheduler:
 
         The process engine keeps the last partition resident in shared
         memory and skips the copy when :meth:`run` receives the *same,
-        unchanged* array again (``policy.engine.residency``).  An in-place
+        unchanged* array again.  An in-place
         producer (a simulation overwriting its output buffer, paper
         Figure 3) must call this between steps so the engine re-copies;
         :class:`~repro.core.time_sharing.TimeSharingDriver` does it
@@ -629,8 +628,8 @@ class Scheduler:
             for iteration in range(policy.num_iters):
                 self.telemetry.inc("run.iterations_run")
                 # Replay loop: a worker lost mid-iteration surfaces as
-                # EngineFaultError *after* the supervisor respawned the
-                # pool.  The combination map is only mutated below, once
+                # EngineFaultError *after* the engine replaced the
+                # worker.  The combination map is only mutated below, once
                 # every block completes, so restarting the iteration from
                 # fresh reduction maps is consistent (and, reduction being
                 # deterministic, bit-exact with a fault-free run).

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..comm.reduce_ops import MERGE_UFUNCS, merge_identity, structured_reduce_op
 from .maps import KeyedMap, MergeFn
-from .policy import COMBINE_ALGORITHMS, WIRE_FORMATS, CombinePolicy
+from .policy import WIRE_FORMATS, CombinePolicy
 from .red_obj import RedObj
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -328,15 +328,12 @@ def global_combine(
     comm: "Communicator",
     local_map: KeyedMap,
     merge: MergeFn,
-    algorithm: str = "gather",
-    wire_format: str = "pickle",
-    combine: CombinePolicy | None = None,
+    combine: CombinePolicy = CombinePolicy(),
 ) -> KeyedMap:
     """Combine every rank's local combination map into the global one.
 
-    ``combine`` — a :class:`~repro.core.policy.CombinePolicy` — is the
-    preferred spelling and overrides the flat ``algorithm`` /
-    ``wire_format`` arguments (kept for compatibility).
+    ``combine`` — a :class:`~repro.core.policy.CombinePolicy` — names
+    the algorithm and the wire format (and has validated both).
 
     Three algorithms are provided (each ends with every rank holding the
     identical global map — the redistribution of Algorithm 1 lines 3-4):
@@ -358,15 +355,7 @@ def global_combine(
 
     Returns the global combination map (on every rank).
     """
-    if combine is not None:
-        algorithm = combine.algorithm
-        wire_format = combine.wire_format
-    if algorithm not in COMBINE_ALGORITHMS:
-        raise ValueError(f"unknown combination algorithm {algorithm!r}")
-    if wire_format not in WIRE_FORMATS:
-        raise ValueError(
-            f"wire_format must be one of {WIRE_FORMATS}, got {wire_format!r}"
-        )
+    algorithm, wire_format = combine.algorithm, combine.wire_format
     if comm.size == 1:
         return local_map
     if algorithm == "allreduce" or (

@@ -13,11 +13,11 @@ of faults that threads into three runtime layers via injection hooks —
   death: peers observe :class:`~repro.comm.errors.CommAborted`).
 * **engine** — :class:`~repro.core.engine.process.ProcessEngine`
   consults the plan per dispatched split task: the worker executing the
-  task can be killed (``os._exit``) or hung (a long sleep) to exercise
-  the pool supervisor.  A pool respawn also invalidates the engine's
-  steady-state caches — the published scheduler core is re-issued under
-  a fresh version (counted in ``engine.residency.invalidations``), so
-  relaunched workers can never alias state cached before the fault.
+  task can be killed (``os._exit``) or hung (a long sleep).  The
+  engine's dispatch loop sees a real death the same way (the worker's
+  process sentinel) and replaces that one worker; the replacement holds
+  no state from before the fault and is sent the scheduler core afresh
+  (counted in ``engine.residency.invalidations``).
 * **storage** — :func:`~repro.core.checkpoint.save_checkpoint` consults
   the plan after each atomic write: the file can be truncated or have a
   seeded bit flipped, exercising CRC verification and rotation fallback.
@@ -32,8 +32,8 @@ Recovery behaviour is selected independently of the plan by
 * ``fail_fast`` — today's behaviour and the default: the first failure
   aborts the job (``SpmdError`` / ``CommAborted`` /
   :class:`EngineFaultError`).
-* ``retry`` — exponential backoff and replay: the process engine's
-  supervisor respawns the pool and the scheduler replays the current
+* ``retry`` — exponential backoff and replay: the process engine
+  replaces the lost worker and the scheduler replays the current
   iteration from the last consistent combination map (safe because the
   combination map is only mutated *after* every block of an iteration
   completes); ``supervised_launch`` relaunches the whole SPMD job.
@@ -78,9 +78,9 @@ class FaultError(RuntimeError):
 class EngineFaultError(FaultError):
     """An execution-engine worker died or hung mid-run.
 
-    Raised by the process engine's supervisor after it has already
-    respawned the worker pool, so the scheduler may replay the current
-    iteration (``fault_policy=retry``) or propagate (``fail_fast``).
+    Raised by the process engine after it has already replaced the
+    worker, so the scheduler may replay the current iteration
+    (``fault=retry``) or propagate (``fail_fast``).
     """
 
 
@@ -423,8 +423,9 @@ class FaultPolicy:
     backoff_jitter: float = 0.0
     #: Seed for the jitter draws (pure function of ``(seed, attempt)``).
     backoff_seed: int = 0
-    #: Seconds a dispatched engine task may run before the supervisor
-    #: declares the worker hung.  ``None`` disables hang detection.
+    #: Seconds the process engine waits for *any* in-flight task to
+    #: reply before it declares the busy workers hung.  ``None``
+    #: disables hang detection.
     task_deadline: float | None = None
     extra: dict = field(default_factory=dict, compare=False)
 

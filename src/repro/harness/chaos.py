@@ -152,7 +152,7 @@ def _comm_scenarios(n_ranks: int, n_points: int) -> dict:
 
 
 def _engine_scenarios(n_points: int) -> dict:
-    """ProcessEngine worker kill/hang: supervisor respawn + replay."""
+    """ProcessEngine worker kill/hang: worker replacement + replay."""
     points, centroids = _dataset(n_points)
 
     def run_kmeans(plan, policy):

@@ -40,8 +40,8 @@ DEFAULT_REPORT = "CONFORM_report.json"
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness conform",
-        description="differential conformance: engine × wire × residency "
-                    "× fault matrix vs the serial oracle")
+        description="differential conformance: engine × wire × fault "
+                    "matrix vs the serial oracle")
     parser.add_argument("--smoke", action="store_true",
                         help="pruned fast matrix (default)")
     parser.add_argument("--full", action="store_true",
@@ -107,7 +107,6 @@ def _policy_configs(tokens: list[str], seed: int) -> list[Config]:
             engine=policy.engine.backend,
             wire_format=policy.combine.wire_format,
             combine_algorithm=policy.combine.algorithm,
-            residency=policy.engine.residency,
             map_path=policy.engine.map_path,
             num_threads=policy.engine.num_threads,
             block_size=policy.block_size or 0,

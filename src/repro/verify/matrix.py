@@ -7,13 +7,13 @@ Its axes split into two groups:
   seed) legitimately change how float summation is grouped, so
   candidate and oracle must agree on them;
 * **transparent axes** (engine, wire format, combine algorithm,
-  residency, fault plan, driver, map path) are the paper's
+  fault plan, driver, map path) are the paper's
   "transparent to the analytics programmer" claim — flipping any of
   them must leave the final combination map bit-identical.
 
 ``oracle_of`` resets the transparent axes to the reference execution
-(serial engine, pickle wire, gather combine, default residency, no
-faults, direct driver, the scalar ``gen_key``/``accumulate`` loop).
+(serial engine, pickle wire, gather combine, no faults, direct driver,
+the scalar ``gen_key``/``accumulate`` loop).
 ``build_matrix`` enumerates the valid space and prunes it with greedy
 pairwise covering so every pair of axis values involving a transparent
 axis appears in at least one config.
@@ -29,7 +29,6 @@ from ..core.policy import (
     COMBINE_ALGORITHMS,
     ENGINE_BACKENDS,
     MAP_PATHS,
-    RESIDENCY_MODES,
     WIRE_FORMATS,
     CombinePolicy,
     EnginePolicy,
@@ -57,7 +56,7 @@ STRUCTURE_AXES = (
 # math.exp, pairwise vs sequential sums), which the differ applies only
 # when the candidate ran the workload's batch kernel.
 TRANSPARENT_AXES = (
-    "engine", "wire_format", "combine_algorithm", "residency", "fault",
+    "engine", "wire_format", "combine_algorithm", "fault",
     "driver", "map_path", "comm", "sharing",
 )
 
@@ -65,7 +64,6 @@ _ORACLE_VALUES = {
     "engine": "serial",
     "wire_format": "pickle",
     "combine_algorithm": "gather",
-    "residency": "auto",
     "fault": "none",
     "driver": "direct",
     # The paper's Algorithm-2 loop is the reference every kernel is
@@ -81,7 +79,6 @@ _SHORT = {
     "engine": "engine",
     "wire_format": "wire",
     "combine_algorithm": "algo",
-    "residency": "residency",
     "fault": "fault",
     "driver": "driver",
     "map_path": "map",
@@ -100,13 +97,12 @@ DEFAULT_SEED = 2015
 
 @dataclass(frozen=True)
 class Config:
-    """One point in the engine × wire × residency × fault × driver space."""
+    """One point in the engine × wire × fault × driver space."""
 
     workload: str
     engine: str = "serial"
     wire_format: str = "pickle"
     combine_algorithm: str = "gather"
-    residency: str = "auto"
     fault: str = "none"
     driver: str = "direct"
     map_path: str = "auto"
@@ -168,7 +164,6 @@ class Config:
             engine=EnginePolicy(
                 backend=self.engine,
                 num_threads=self.num_threads,
-                residency=self.residency,
                 map_path=self.map_path,
             ),
             combine=CombinePolicy(
@@ -230,7 +225,6 @@ def axis_values(smoke: bool = True) -> dict[str, tuple]:
         "engine": ENGINE_BACKENDS,
         "wire_format": WIRE_FORMATS,
         "combine_algorithm": COMBINE_ALGORITHMS,
-        "residency": RESIDENCY_MODES,
         "fault": ("none", "engine-kill", "comm-delay"),
         "driver": ("direct", "pipelined"),
         # Transport under the SPMD ranks: in-process mailboxes (the sim
@@ -273,8 +267,6 @@ def is_valid(config: Config, smoke: bool = True) -> bool:
     if config.fault == "comm-delay" and config.ranks < 2:
         return False
     if config.combine_algorithm != "gather" and config.ranks < 2:
-        return False
-    if config.residency == "off" and config.engine != "process":
         return False
     if config.comm == "tcp":
         # The wire path composes with in-rank engines but not with a

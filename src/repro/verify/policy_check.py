@@ -70,7 +70,6 @@ def advised_config(
         engine=policy.engine.backend,
         wire_format=policy.combine.wire_format,
         combine_algorithm=policy.combine.algorithm,
-        residency=policy.engine.residency,
         map_path=policy.engine.map_path,
         num_threads=policy.engine.num_threads,
         ranks=ranks,

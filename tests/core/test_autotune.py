@@ -87,10 +87,8 @@ class TestPolicyAdvisor:
                           schema_mergeable=True).combine.algorithm == "gather"
 
     def test_overrides_pass_through(self):
-        p = PolicyAdvisor().advise(threads=2, copy_input=True,
-                                   residency="off", fault="retry")
+        p = PolicyAdvisor().advise(threads=2, copy_input=True, fault="retry")
         assert p.copy_input
-        assert p.engine.residency == "off"
         assert p.fault.mode == "retry"
 
     def test_telemetry_records_advice(self):

@@ -21,7 +21,8 @@ class TestAlgorithmsAgree:
         def body(comm, algo):
             local = KeyedMap({comm.rank: CountObj(comm.rank + 1),
                               100: CountObj(2)})
-            merged = global_combine(comm, local, merge_counts, algorithm=algo)
+            merged = global_combine(comm, local, merge_counts,
+                                    combine=CombinePolicy(algorithm=algo))
             return {k: v.count for k, v in merged.sorted_items()}
 
         gather = spmd_launch(ranks, body, args_per_rank=[("gather",)] * ranks,
@@ -36,7 +37,7 @@ class TestAlgorithmsAgree:
 
         def body(comm):
             return global_combine(comm, KeyedMap(), merge_counts,
-                                  algorithm="gossip")
+                                  combine=CombinePolicy(algorithm="gossip"))
 
         with pytest.raises(SpmdError):
             spmd_launch(2, body, timeout=20)
@@ -70,7 +71,8 @@ class TestThroughTheScheduler:
 
         def body(comm, algo):
             local = KeyedMap({0: CountObj(1)})
-            global_combine(comm, local, merge_counts, algorithm=algo)
+            global_combine(comm, local, merge_counts,
+                           combine=CombinePolicy(algorithm=algo))
 
         spmd_launch(4, body, args_per_rank=[("gather",)] * 4,
                     profiler=prof_gather, timeout=30)
@@ -98,7 +100,8 @@ def test_tree_matches_gather_property(ranks, seed):
         local = KeyedMap(
             {k: CountObj(v) for k, v in per_rank_keys[comm.rank].items()}
         )
-        merged = global_combine(comm, local, merge_counts, algorithm=algo)
+        merged = global_combine(comm, local, merge_counts,
+                                combine=CombinePolicy(algorithm=algo))
         return {k: v.count for k, v in merged.sorted_items()}
 
     gather = spmd_launch(ranks, body, args_per_rank=[("gather",)] * ranks,

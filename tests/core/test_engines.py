@@ -144,10 +144,12 @@ class TestEngineLifecycle:
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
+        with pytest.raises(ValueError, match="engine must be one of"):
             EnginePolicy(backend="gpu")
-        with pytest.raises(ValueError, match="unknown engine"):
-            create_engine("gpu", 1, None)
+
+    def test_policy_names_backend_and_worker_count(self):
+        engine = create_engine(EnginePolicy(backend="thread", num_threads=3))
+        assert (engine.name, engine.num_workers) == ("thread", 3)
 
     def test_default_is_serial(self):
         assert ExecutionPolicy().engine.backend == "serial"

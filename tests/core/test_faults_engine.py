@@ -1,5 +1,11 @@
 """Process-engine supervision: worker kill/hang, recovery, shm hygiene."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +14,6 @@ import pytest
 from repro.analytics.histogram import Histogram
 from repro.analytics.kmeans import KMeans
 from repro.core import EnginePolicy, ExecutionPolicy
-from repro.core.engine import process as process_engine
 from repro.faults import EngineFaultError, FaultPlan, FaultPolicy, FaultSpec
 
 DIMS = 3
@@ -26,21 +31,27 @@ def kmeans_inputs(rng):
     return points, centroids
 
 
-def run_kmeans(points, centroids, plan=None, policy="fail_fast", iters=3):
-    args = ExecutionPolicy(
+def kmeans_policy(centroids, fault="fail_fast"):
+    return ExecutionPolicy(
         engine=EnginePolicy(backend="process", num_threads=2),
         chunk_size=DIMS,
         extra_data=centroids,
-        num_iters=iters,
-        fault=policy,
+        num_iters=3,
+        fault=fault,
     )
-    sched = KMeans(args, dims=DIMS)
+
+
+def centroids_of(result):
+    return np.stack([result[k].centroid for k in sorted(result.keys())])
+
+
+def run_kmeans(points, centroids, plan=None, policy="fail_fast"):
+    sched = KMeans(kmeans_policy(centroids, policy), dims=DIMS)
     sched.fault_plan = plan
     with sched:
         result = sched.run(points)
     snap = sched.telemetry_snapshot()
-    cents = np.stack([result[k].centroid for k in sorted(result.keys())])
-    return cents, snap["counters"], snap["timers"]
+    return centroids_of(result), snap["counters"], snap["timers"]
 
 
 class TestWorkerKill:
@@ -98,66 +109,167 @@ class TestWorkerHang:
         assert counters["faults.detected.worker_hung"] == 1
 
 
+def assert_leaves_nothing_behind(points, centroids, plan, policy, raises=None):
+    """One faulty run on a scheduler that is then run again: no shm
+    entry appears, no child process outlives ``close()``, and the second
+    (fault-free) run is bit-exact with a scheduler that never failed."""
+    clean, _, _ = run_kmeans(points, centroids)
+    before = shm_segments()
+    sched = KMeans(kmeans_policy(centroids, policy), dims=DIMS)
+    sched.fault_plan = plan
+    with sched:
+        if raises is not None:
+            with pytest.raises(raises):
+                sched.run(points)
+        else:
+            sched.run(points)
+        sched.reset()
+        again = sched.run(points)
+    assert shm_segments() == before
+    assert multiprocessing.active_children() == []
+    assert np.array_equal(clean, centroids_of(again))
+
+
 class TestShmHygiene:
-    def test_worker_crash_leaks_no_segments(self, kmeans_inputs, monkeypatch):
-        """Satellite regression: a killed worker must not leak the
-        parent's input segment nor its own return segments."""
-        # Force every worker return through a named shm segment so the
-        # orphan-reaping path is actually exercised.
-        monkeypatch.setattr(process_engine, "_SHM_RETURN_MIN", 1)
-        points, centroids = kmeans_inputs
-        before = shm_segments()
-        plan = FaultPlan([FaultSpec("engine", "kill", at_call=3)])
-        run_kmeans(points, centroids, plan, FaultPolicy.retry(backoff=0.01))
-        leaked = shm_segments() - before
-        assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    """The engine's only shared memory is its input segments and its only
+    children are its workers; every way a block can end releases both."""
 
-    def test_fail_fast_crash_leaks_no_segments(self, kmeans_inputs, monkeypatch):
-        monkeypatch.setattr(process_engine, "_SHM_RETURN_MIN", 1)
-        points, centroids = kmeans_inputs
-        before = shm_segments()
-        plan = FaultPlan([FaultSpec("engine", "kill", at_call=3)])
-        with pytest.raises(EngineFaultError):
-            run_kmeans(points, centroids, plan)
-        leaked = shm_segments() - before
-        assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    def kill(self):
+        return FaultPlan([FaultSpec("engine", "kill", at_call=3)])
 
-    def test_healthy_run_leaks_no_segments(self, kmeans_inputs, monkeypatch):
-        monkeypatch.setattr(process_engine, "_SHM_RETURN_MIN", 1)
-        points, centroids = kmeans_inputs
-        before = shm_segments()
-        run_kmeans(points, centroids)
-        leaked = shm_segments() - before
-        assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    def test_worker_crash_leaks_no_segments(self, kmeans_inputs):
+        assert_leaves_nothing_behind(
+            *kmeans_inputs, self.kill(), FaultPolicy.retry(backoff=0.01))
+
+    def test_degraded_crash_leaks_no_segments(self, kmeans_inputs):
+        assert_leaves_nothing_behind(*kmeans_inputs, self.kill(), "degrade")
+
+    def test_fail_fast_crash_leaks_no_segments(self, kmeans_inputs):
+        assert_leaves_nothing_behind(
+            *kmeans_inputs, self.kill(), "fail_fast", raises=EngineFaultError)
+
+    def test_hang_leaks_no_segments(self, kmeans_inputs):
+        plan = FaultPlan([FaultSpec("engine", "hang", at_call=3, seconds=30.0)])
+        assert_leaves_nothing_behind(
+            *kmeans_inputs, plan,
+            FaultPolicy.retry(backoff=0.01, task_deadline=0.5))
+
+    def test_healthy_run_leaks_no_segments(self, kmeans_inputs):
+        assert_leaves_nothing_behind(*kmeans_inputs, None, "fail_fast")
 
 
 class TestHealthyFastPath:
-    def test_no_plan_fail_fast_never_enters_supervisor(
-        self, kmeans_inputs, monkeypatch
-    ):
-        """With no plan and the default policy, dispatch must stay on the
-        plain pool.map path — zero supervision overhead when healthy."""
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("supervised path entered on a healthy run")
-
-        monkeypatch.setattr(
-            process_engine.ProcessEngine, "_supervised_map", boom
-        )
-        points, centroids = kmeans_inputs
-        cents, counters, _ = run_kmeans(points, centroids)
-        assert cents.shape == (4, DIMS)
-        assert not any(k.startswith("faults.") for k in counters)
-
     def test_policy_alone_routes_through_supervisor(self, kmeans_inputs):
-        """A non-default policy engages supervision even without a plan —
-        and a fault-free supervised run matches the fast path exactly."""
+        """``retry`` with no fault equals ``fail_fast``: there is one
+        dispatch loop, and a policy that never fires changes nothing."""
         points, centroids = kmeans_inputs
-        clean, _, _ = run_kmeans(points, centroids)
-        cents, _, _ = run_kmeans(
+        clean, clean_counters, _ = run_kmeans(points, centroids)
+        cents, counters, _ = run_kmeans(
             points, centroids, None, FaultPolicy.retry(backoff=0.01)
         )
         assert np.array_equal(clean, cents)
+        assert not any(k.startswith("faults.") for k in clean_counters | counters)
+
+
+class SelfDestructHistogram(Histogram):
+    """SIGKILLs its own worker — what the OOM killer does — on the split
+    that does not start the partition, while the flag file exists."""
+
+    flag = None
+
+    def batch_reduce(self, data, start, stop, acc):
+        if start > 0 and self.flag.exists():
+            os.kill(os.getpid(), signal.SIGKILL)
+        super().batch_reduce(data, start, stop, acc)
+
+
+class TestRealWorkerDeath:
+    def test_default_policy_raises_and_the_scheduler_stays_usable(
+        self, rng, tmp_path
+    ):
+        """No plan, default ``fail_fast``: a worker killed from outside
+        the framework surfaces as EngineFaultError, not a hang, and the
+        same scheduler's next run is bit-exact with a serial one."""
+        data = rng.uniform(0, 1, 8000)
+        flag = tmp_path / "armed"
+        flag.touch()
+        outcome = {}
+
+        def body():
+            sched = SelfDestructHistogram(
+                ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2)),
+                lo=0.0, hi=1.0, num_buckets=8,
+            )
+            sched.flag = flag
+            out = np.zeros(8)
+            with sched:
+                try:
+                    sched.run(data, out)
+                except EngineFaultError as exc:
+                    outcome["error"] = exc
+                outcome["counters"] = sched.telemetry_snapshot()["counters"]
+                flag.unlink()
+                sched.reset()
+                sched.run(data, out)
+            outcome["out"] = out
+
+        # On a helper thread, so a regression fails here instead of
+        # wedging the whole suite.
+        thread = threading.Thread(target=body, daemon=True)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive(), "run() hung on a dead worker"
+        assert isinstance(outcome.get("error"), EngineFaultError)
+        assert outcome["counters"]["faults.detected.worker_dead"] == 1
+        serial = Histogram(ExecutionPolicy(), lo=0.0, hi=1.0, num_buckets=8)
+        expected = np.zeros(8)
+        serial.run(data, expected)
+        assert np.array_equal(outcome["out"], expected)
+
+
+class ForgetfulHistogram(Histogram):
+    """A scalar-path application whose ``accumulate`` returns nothing."""
+
+    def accumulate(self, chunk, data, red_obj, key):
+        return None
+
+
+class TestWorkerException:
+    def test_type_and_message_survive_the_pipe(self, rng):
+        sched = ForgetfulHistogram(
+            ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2)),
+            lo=0.0, hi=1.0, num_buckets=8,
+        )
+        with sched:
+            with pytest.raises(TypeError, match=r"accumulate\(\) returned None"):
+                sched.run(rng.uniform(0, 1, 64))
+            # Both workers replied (one reply per message): the engine
+            # is still usable, and fails the same way again.
+            with pytest.raises(TypeError, match=r"accumulate\(\) returned None"):
+                sched.run(rng.uniform(0, 1, 64))
+
+
+class TestQuietStderr:
+    def test_large_returns_print_nothing(self):
+        """Per-split maps over 64 KiB: the run exits 0 and stderr is
+        empty (no resource-tracker traceback for a return segment)."""
+        script = (
+            "import numpy as np\n"
+            "from repro.analytics import GridAggregation\n"
+            "from repro.core import EnginePolicy, ExecutionPolicy\n"
+            "policy = ExecutionPolicy(engine=EnginePolicy("
+            "backend='process', num_threads=2))\n"
+            "with GridAggregation(policy, grid_size=4) as app:\n"
+            "    app.run(np.arange(400_000, dtype=np.float64))\n"
+            "    assert len(app.get_combination_map()) == 100_000\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestHistogramDegrade:
@@ -177,3 +289,37 @@ class TestHistogramDegrade:
         counters = sched.telemetry_snapshot()["counters"]
         assert counters["faults.dropped_splits"] >= 1
         assert 0 < out.sum() < len(data)
+
+
+class TestInterruptedBlock:
+    def test_late_reply_never_answers_the_next_block(self, rng, monkeypatch):
+        """Ctrl-C while the parent waits: the busy workers are replaced,
+        so the next run cannot read the interrupted block's replies."""
+        from repro.core.engine import process as process_engine
+
+        real_wait, calls = process_engine.wait, []
+
+        def interrupted_once(objects, timeout=None):
+            calls.append(objects)
+            if len(calls) == 1:
+                pipes = [o for o in objects if not isinstance(o, int)]
+                while len(real_wait(pipes)) < len(pipes):
+                    pass  # both replies are in their pipes, unread
+                raise KeyboardInterrupt
+            return real_wait(objects, timeout)
+
+        monkeypatch.setattr(process_engine, "wait", interrupted_once)
+        first, second = rng.uniform(0, 1, 4000), rng.uniform(0, 1, 4000)
+        sched = Histogram(
+            ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2)),
+            lo=0.0, hi=1.0, num_buckets=8,
+        )
+        out, expected = np.zeros(8), np.zeros(8)
+        with sched:
+            with pytest.raises(KeyboardInterrupt):
+                sched.run(first, out)
+            sched.reset()
+            sched.run(second, out)
+        Histogram(ExecutionPolicy(), lo=0.0, hi=1.0, num_buckets=8).run(second, expected)
+        assert np.array_equal(out, expected)
+        assert multiprocessing.active_children() == []

@@ -3,7 +3,8 @@
 The pipelined driver must produce exactly the serial driver's results on
 every engine backend (steps analyzed in order against identical byte
 streams), report coherent overlap timings, propagate producer failures,
-and survive fault-injected pool respawns with residency invalidation.
+and survive a fault-injected worker loss (the replacement is sent the
+scheduler core afresh).
 """
 
 import numpy as np
@@ -141,8 +142,8 @@ class TestFailurePropagation:
                 PipelinedTimeSharingDriver(sim, app).run(5)
 
     def test_worker_kill_respawn_invalidates_residency(self):
-        """A pool respawn mid-pipeline republishes the scheduler core and
-        the relaunched workers rebuild from it — results stay bit-exact."""
+        """A worker lost mid-pipeline is replaced and sent the scheduler
+        core afresh — results stay bit-exact."""
         ref_counts, _, _ = run_histogram(TimeSharingDriver, ExecutionPolicy())
         plan = FaultPlan([FaultSpec("engine", "kill", at_call=3)])
         counts, _, counters = run_histogram(

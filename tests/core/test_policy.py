@@ -69,7 +69,7 @@ class TestValidationParity:
         ({"num_threads": 0}, lambda: EnginePolicy(num_threads=0)),
         ({"wire_format": "arrow"}, lambda: CombinePolicy(wire_format="arrow")),
         ({"combine_algorithm": "ring"}, lambda: CombinePolicy(algorithm="ring")),
-        ({"residency": "pinned"}, lambda: EnginePolicy(residency="pinned")),
+        ({"map_path": "simd"}, lambda: EnginePolicy(map_path="simd")),
     ]
 
     @pytest.mark.parametrize("kwargs", BAD)
@@ -109,7 +109,7 @@ class TestFingerprint:
         # Every default but ``extra_data`` (None; a fingerprint omits it).
         assert p.extra_data is None
         assert p.fingerprint() == (
-            "engine=serial,threads=1,residency=auto,map=auto,algo=gather,"
+            "engine=serial,threads=1,map=auto,algo=gather,"
             "wire=pickle,fault=fail_fast,chunk=1,iters=1,block=0,capacity=4,"
             "copy=0,hold=0"
         )
@@ -117,7 +117,7 @@ class TestFingerprint:
     def test_non_default_round_trip(self):
         p = ExecutionPolicy(
             engine=EnginePolicy(backend="process", num_threads=4,
-                                residency="off"),
+                                map_path="scalar"),
             combine=CombinePolicy(algorithm="allreduce",
                                   wire_format="columnar"),
             fault=FaultPolicy.retry(max_attempts=5, backoff=0.25),
@@ -146,6 +146,8 @@ class TestFingerprint:
     def test_parse_rejects_unknown_axis(self):
         for text, message in [
             ("engine=serial,quantum=1", "unknown policy axis 'quantum'"),
+            # The process engine's input residency is not a choice.
+            ("residency=auto", "unknown policy axis 'residency'"),
             ("copy=maybe", "policy axis 'copy' in 'copy=maybe'.*got 'maybe'"),
             ("hold=no", "policy axis 'hold' in 'hold=no'.*got 'no'"),
             ("engine=thread,engine=serial",

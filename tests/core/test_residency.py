@@ -1,9 +1,8 @@
 """Process-engine input residency: the steady-state data plane.
 
 Covers the three hit paths (steady-state same-array, direct
-``step_buffer`` view, recopy-after-notify), the in-place tripwire, the
-``residency="off"`` escape hatch, core/delta dispatch, and shared-memory
-hygiene across all of them.
+``step_buffer`` view, recopy-after-notify), the in-place tripwire,
+core/delta dispatch, and shared-memory hygiene across all of them.
 """
 
 from pathlib import Path
@@ -21,10 +20,8 @@ def shm_segments() -> set[str]:
     return {p.name for p in shm_dir.iterdir()} if shm_dir.is_dir() else set()
 
 
-def make_hist(residency="auto"):
-    args = ExecutionPolicy(
-        engine=EnginePolicy(backend="process", num_threads=2, residency=residency)
-    )
+def make_hist():
+    args = ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2))
     return Histogram(args, lo=-4, hi=4, num_buckets=16)
 
 
@@ -133,30 +130,14 @@ class TestDirectHits:
         assert counters.get("engine.residency.copied_bytes", 0) == 0
 
 
-class TestResidencyOff:
-    def test_off_mode_copies_every_run(self, data):
-        with make_hist(residency="off") as app:
-            app.run(data)
-            app.run(data)
-            counters = app.telemetry_snapshot()["counters"]
-            # Segment-per-run behaviour: no residents linger between runs.
-            assert app.engine._residents == []
-        assert counters.get("engine.residency.hits", 0) == 0
-        assert counters["engine.residency.misses"] == 2
-        assert counters["engine.residency.copied_bytes"] == 2 * data.nbytes
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="residency"):
-            ExecutionPolicy(engine=EnginePolicy(residency="sometimes"))
-
-
 class TestStateDeltas:
     def test_core_published_once_across_runs(self, data):
         with make_hist() as app:
             app.run(data)
             app.run(data)
             snap = app.telemetry_snapshot()
-        assert snap["ops"]["engine.state.core"]["calls"] == 1
+        # Once per worker for the scheduler's lifetime, not once per run.
+        assert snap["ops"]["engine.state.core"]["calls"] == 2
         # Every dispatched task shipped a delta, not the core.
         assert snap["ops"]["engine.dispatch"]["calls"] == 4
         assert snap["ops"]["engine.state.delta"]["calls"] == 2
@@ -176,12 +157,12 @@ class TestStateDeltas:
         with app:
             app.run(flat)
             snap = app.telemetry_snapshot()
-        assert snap["ops"]["engine.state.core"]["calls"] == 1
+        assert snap["ops"]["engine.state.core"]["calls"] == 2  # one per worker
         assert snap["ops"]["engine.state.delta"]["calls"] == 4
         # The per-iteration payload is far smaller than the one-time core.
         core = snap["ops"]["engine.state.core"]
         delta = snap["ops"]["engine.state.delta"]
-        assert delta["bytes"] / delta["calls"] < core["bytes"]
+        assert delta["bytes"] / delta["calls"] < core["bytes"] / core["calls"]
 
     def test_iterative_kmeans_resident_is_bit_exact(self):
         flat, _ = make_blobs(600, 3, 4, seed=11)

@@ -316,7 +316,8 @@ def _combine_body(comm, algorithm, wire_format):
          100 + comm.rank % 2: SumCountObj(2.0, 1)}
     )
     merged = global_combine(
-        comm, local, merge_sumcount, algorithm=algorithm, wire_format=wire_format
+        comm, local, merge_sumcount,
+        combine=CombinePolicy(algorithm=algorithm, wire_format=wire_format),
     )
     return _map_state(merged)
 
@@ -344,7 +345,7 @@ class TestCombineOnCluster:
                 local = KeyedMap({0: SumCountObj(float(comm.rank), 1)})
             merged = global_combine(
                 comm, local, merge_sumcount,
-                algorithm="allreduce", wire_format="columnar",
+                combine=CombinePolicy(algorithm="allreduce", wire_format="columnar"),
             )
             return _map_state(merged)
 
@@ -365,7 +366,7 @@ class TestCombineOnCluster:
                               for k in keys_of(comm.rank)})
             return _map_state(global_combine(
                 comm, local, merge_sumcount,
-                algorithm=algorithm, wire_format=wire_format))
+                combine=CombinePolicy(algorithm=algorithm, wire_format=wire_format)))
 
         fast = spmd_launch(3, body, args_per_rank=[("allreduce", "columnar")] * 3,
                            profiler=profiler, timeout=30)
@@ -383,7 +384,7 @@ class TestCombineOnCluster:
             local = KeyedMap({0: _cluster([1.0, 2.0], [float(comm.rank), 1.0], 1)})
             merged = global_combine(
                 comm, local, merge_cluster,
-                algorithm=algorithm, wire_format="columnar",
+                combine=CombinePolicy(algorithm=algorithm, wire_format="columnar"),
             )
             return _map_state(merged)
 
@@ -410,7 +411,8 @@ class TestCombineOnCluster:
                 raise AssertionError("no overlapping keys in this test")
 
             merged = global_combine(
-                comm, local, merge, algorithm="allreduce", wire_format="columnar"
+                comm, local, merge,
+                combine=CombinePolicy(algorithm="allreduce", wire_format="columnar"),
             )
             return sorted(merged.keys())
 
@@ -427,7 +429,7 @@ class TestCombineOnCluster:
             local = KeyedMap({0: SumCountObj(comm.rank + 1.0, 1)})
             merged = global_combine(
                 comm=group, local_map=local, merge=merge_sumcount,
-                algorithm=algorithm, wire_format="columnar",
+                combine=CombinePolicy(algorithm=algorithm, wire_format="columnar"),
             )
             return comm.rank % 2, _map_state(merged)
 
@@ -451,7 +453,8 @@ class TestCombineOnCluster:
                     {k: SumCountObj(float(k), 1) for k in range(300)}
                 )
                 global_combine(
-                    comm, local, merge_sumcount, algorithm="tree", wire_format=fmt
+                    comm, local, merge_sumcount,
+                    combine=CombinePolicy(algorithm="tree", wire_format=fmt),
                 )
 
             spmd_launch(2, body, profiler=profiler, timeout=30)
@@ -469,7 +472,7 @@ class TestCombineOnCluster:
             local = KeyedMap({k: SumCountObj(1.0, 1) for k in range(64)})
             global_combine(
                 comm, local, merge_sumcount,
-                algorithm="allreduce", wire_format="columnar",
+                combine=CombinePolicy(algorithm="allreduce", wire_format="columnar"),
             )
 
         spmd_launch(2, body, profiler=profiler, timeout=30)

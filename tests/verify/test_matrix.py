@@ -30,7 +30,7 @@ class TestConfigFingerprint:
     def test_round_trip(self):
         cfg = Config(workload="kmeans", engine="process",
                      wire_format="columnar", combine_algorithm="allreduce",
-                     residency="off", fault="comm-delay", num_threads=3,
+                     fault="comm-delay", num_threads=3,
                      block_size=256, ranks=2, seed=7)
         assert Config.parse(cfg.fingerprint()) == cfg
 
@@ -80,7 +80,7 @@ class TestMatrixGeneration:
         pruned = pairwise_prune(configs)
         assert 0 < len(pruned) < len(configs)
         for axis in ("engine", "wire_format", "combine_algorithm",
-                     "residency", "fault", "driver"):
+                     "fault", "driver"):
             achievable = {getattr(c, axis) for c in configs}
             covered = {getattr(c, axis) for c in pruned}
             assert covered == achievable, axis
