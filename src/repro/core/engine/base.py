@@ -122,7 +122,8 @@ class ExecutionEngine(ABC):
         """Scheduler state changed mid-run (combination phase ran).
 
         In-process engines see the change for free; the process engine
-        overrides this to rebuild the delta it sends with each task.
+        overrides this to retire the delta its workers hold (and the
+        reduction maps they kept for the iteration that just ended).
         """
 
     # -- execution ---------------------------------------------------------
@@ -135,6 +136,11 @@ class ExecutionEngine(ABC):
         ``reduce_fn`` directly; the process engine runs the same
         reduction in its workers and folds their replies back, raising
         :class:`~repro.faults.EngineFaultError` when a worker was lost.
+        A list first handed in must be an iteration's fresh maps
+        (``Scheduler._make_reduction_maps``): the process engine's
+        workers derive those themselves, and go on from the maps they
+        kept while later blocks hand in the same list.  After a raise
+        the iteration is void; replay it with a new list.
         """
 
     # -- helpers for subclasses -------------------------------------------

@@ -14,26 +14,38 @@ its own duplex pipe.  Two things move between parent and workers:
   reduce zero-copy numpy views of the segments.  This is the engine's
   only shared memory.
 * **State and results** — everything else travels as bytes on the
-  worker's pipe.  The pickled scheduler is split into an immutable
-  *core* (callbacks, the policy, constants), sent to each worker once
-  and kept in its loop, and a small per-iteration *delta* (layout
-  context, combination map in the configured wire format, and the
-  application's ``mutable_state()``).  A task is the delta, a split and
-  that split's reduction map; the reply is the updated map, any
-  early-emitted entries as a second map payload, and the worker's
-  telemetry counter deltas — or the exception the callbacks raised,
+  worker's pipe, and a worker keeps what it is sent.  Worker ``i``
+  serves thread ``i`` and holds a *session* of four versioned parts: the
+  scheduler *core* (callbacks, policy, constants; one per engine), the
+  run *header* (segment name, dtype, length, offset, layout context,
+  ``multi_key``, whether there is an output array; one per ``begin_run``,
+  on which the worker binds its data view and builds its scheduler
+  instance, ``Recorder`` and ``RunStats``), the iteration *delta*
+  (combination map and ``mutable_state()``; one per combination phase)
+  and the thread's reduction *map* (one per list handed to
+  ``map_splits``, so a replayed iteration starts over).  A task carries
+  only the parts whose version differs from ``_Worker.holds`` — on a
+  healthy block, the split alone.  A new map part says "derive the seed
+  from the delta" (``Scheduler._make_reduction_maps``); on a list's
+  later blocks a worker goes on from the map it kept, and one lacking it
+  is shipped the parent's.  ``invalidate_state`` retires delta and map,
+  ``end_run`` the header too; a worker whose task raised holds nothing,
+  nor does a spawned or replaced one, so it is sent everything: recovery
+  has no second path.  Maps cross packed when their objects have a
+  schema, pickled otherwise (``CombinePolicy.wire_format`` is the comm
+  wire, not these pipes); a reply is the updated map, early-emitted
+  entries and the task's counter deltas — or the callbacks' exception,
   re-raised in the parent with its type.
 
 ``map_splits`` is the one dispatch loop, for every fault policy and with
-or without a :class:`~repro.faults.FaultPlan`: send each task to an idle
-worker, then block in ``multiprocessing.connection.wait`` on the busy
-workers' pipes and process sentinels.  A readable pipe is a reply; a
-ready sentinel with nothing to read is *that* worker's death with *that*
-task lost; ``FaultPolicy.task_deadline`` passing with no reply at all is
-a hang of every busy worker.  A dead or hung worker is replaced — the
-replacement has simply not been sent the core yet
-(``engine.residency.invalidations``) — and once the block has drained
-the outcome follows the policy: ``retry`` raises
+or without a :class:`~repro.faults.FaultPlan`: send each split to its
+thread's worker, then block in ``multiprocessing.connection.wait`` on
+the busy workers' pipes and process sentinels.  A readable pipe is a
+reply; a ready sentinel with nothing to read is *that* worker's death
+with *that* task lost; ``FaultPolicy.task_deadline`` passing with no
+reply at all is a hang of every busy worker.  A dead or hung worker is
+replaced (``engine.residency.invalidations``) and once the block has
+drained the outcome follows the policy: ``retry`` raises
 :class:`~repro.faults.EngineFaultError` so the scheduler replays the
 iteration from the last consistent combination map, ``degrade`` folds
 the completed splits and records the dropped ones, ``fail_fast`` raises.
@@ -52,10 +64,10 @@ import pickle
 import threading
 import time
 import traceback
-from collections import deque
 from contextlib import contextmanager
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -116,42 +128,58 @@ def _attach_segment(
     return segment
 
 
-def _run_split_task(core, segments, task: tuple) -> tuple:
-    """Worker side: reduce one split against the shared partition."""
-    block, split, red_map_bytes, fault = task
-    delta_bytes, shm_name, dtype, n_elems, data_offset, multi_key, wants_emitted = block
+def _run_task(session: SimpleNamespace, message: tuple) -> tuple:
+    """Worker side: install the session parts the task carries, then
+    reduce its split against the kept view, state and reduction map."""
+    parts, split, fault = message
     if fault is not None:
-        kind, seconds = fault
-        if kind == "kill":
+        if fault.kind == "kill":
             os._exit(1)  # simulated worker crash: no cleanup, no reply
-        time.sleep(seconds)  # "hang": stall well past the task deadline
-    sched = copy.copy(core)  # per-task instance over the resident core
-    sched.telemetry = Recorder()
+        time.sleep(fault.seconds)  # "hang": stall well past the task deadline
+    if "core" in parts:
+        session.core = pickle.loads(parts["core"])
+    if "header" in parts:
+        _bind_run(session, parts["header"])
+    sched = session.sched
+    if "delta" in parts:
+        com_map_bytes, state = pickle.loads(parts["delta"])
+        sched.combination_map_ = deserialize_map(com_map_bytes)
+        sched.load_state(state)
+    if "map" in parts:  # None: this iteration's seed, derived here
+        payload = parts["map"]
+        session.red_map = (
+            sched._make_reduction_maps(1)[0] if payload is None
+            else deserialize_map(payload)
+        )
+    emitted = KeyedMap()
+    sched._reduce_split(
+        split, session.red_map, sched.data_, None, session.multi_key, capture=emitted
+    )
+    counters = sched.telemetry.counters()
+    sched.telemetry.reset()
+    return (
+        serialize_map(session.red_map, "columnar"),
+        serialize_map(emitted, "columnar") if session.wants_emitted and len(emitted) else b"",
+        counters,
+    )
+
+
+def _bind_run(session: SimpleNamespace, header: tuple) -> None:
+    """A new run: a scheduler instance over the resident core, with its
+    own telemetry, viewing the run's partition."""
     from ..scheduler import RunStats  # deferred: scheduler imports this module's package
 
+    session.sched = None  # drops the last run's view before its segment can close
+    sched = copy.copy(session.core)
+    sched.telemetry = Recorder()
     sched.stats = RunStats(sched.telemetry)
-    global_offset, total_len, com_map_bytes, state = pickle.loads(delta_bytes)
-    sched.combination_map_ = deserialize_map(com_map_bytes)
-    sched.load_state(state)
-    sched.global_offset_ = global_offset
-    sched.total_len_ = total_len
-    segment = _attach_segment(segments, shm_name)
-    data = np.ndarray(
+    (shm_name, dtype, n_elems, data_offset, sched.global_offset_,
+     sched.total_len_, session.multi_key, session.wants_emitted) = header
+    segment = _attach_segment(session.segments, shm_name)
+    sched.data_ = np.ndarray(
         (n_elems,), dtype=np.dtype(dtype), buffer=segment.buf, offset=data_offset
     )
-    sched.data_ = data
-    red_map = deserialize_map(red_map_bytes)
-    emitted = KeyedMap()
-    sched._reduce_split(split, red_map, data, None, multi_key, capture=emitted)
-    wire_format = sched.policy.combine.wire_format
-    emitted_bytes = (
-        serialize_map(emitted, wire_format) if wants_emitted and len(emitted) else b""
-    )
-    return (
-        serialize_map(red_map, wire_format),
-        emitted_bytes,
-        sched.telemetry.snapshot()["counters"],
-    )
+    session.sched = sched
 
 
 def _portable(exc: Exception) -> Exception:
@@ -172,44 +200,41 @@ def _portable(exc: Exception) -> Exception:
 def _worker_main(conn) -> None:
     """Worker process: serve split tasks from ``conn`` until told to stop.
 
-    The scheduler core and the attached input segments are this loop's
-    local state; a message is ``(core bytes or None, task)`` and every
-    message gets exactly one reply.
+    ``session`` is what this worker has been sent and still holds, plus
+    the input segments it has attached; every message but the empty one
+    (stop) gets exactly one reply.
     """
-    core = None
-    segments: dict[str, shared_memory.SharedMemory] = {}
+    session = SimpleNamespace(core=None, sched=None, red_map=None, segments={})
     while True:
         try:
-            message = conn.recv()
+            message = conn.recv_bytes()
         except EOFError:  # the parent is gone
-            message = None
-        if message is None:
             return
-        core_bytes, task = message
+        if not message:
+            return
         try:
-            if core_bytes is not None:
-                core = pickle.loads(core_bytes)
-            reply = _run_split_task(core, segments, task)
+            reply = _run_task(session, pickle.loads(message))
         except Exception as exc:
             reply = _portable(exc)
         conn.send(reply)
 
 
 class _Worker:
-    """One owned worker process and the parent's end of its pipe."""
+    """One owned worker process, the parent's end of its pipe, and the
+    version of each session part it was last sent."""
 
-    __slots__ = ("process", "conn", "has_core")
+    __slots__ = ("process", "conn", "holds")
 
     def __init__(self):
         self.conn, child_conn = mp.Pipe()
         self.process = mp.Process(target=_worker_main, args=(child_conn,), daemon=True)
         self.process.start()
         child_conn.close()  # the worker's end lives in the worker only
-        self.has_core = False
+        self.holds: dict[str, int] = {}
 
-    def send(self, message) -> None:
+    def send(self, message: bytes) -> None:
         try:
-            self.conn.send(message)
+            self.conn.send_bytes(message)
         except OSError:
             pass  # already dead: its sentinel reports the loss
 
@@ -225,7 +250,7 @@ class _Worker:
         if kill:
             self.process.kill()
         else:
-            self.send(None)
+            self.send(b"")
         self.process.join()
         self.conn.close()
 
@@ -298,14 +323,12 @@ class ProcessEngine(ExecutionEngine):
         self._segments_lock = threading.Lock()
         self._residents: list[_ResidentSegment] = []
         self._active: _ResidentSegment | None = None
-        self._active_offset = 0
-        self._active_len = 0
-        self._active_dtype = "<f8"
         self._use_seq = itertools.count(1)
-        # Scheduler core/delta state.
-        self._core: bytes | None = None
-        self._core_sched_id: int | None = None
-        self._delta: bytes | None = None
+        # The session: current (version, payload) of each part, and the list
+        # of reduction maps (``map_splits``' last) the "map" part stands for.
+        self._parts: dict[str, tuple[int, object]] = {}
+        self._versions = itertools.count(1)
+        self._red_maps: list[KeyedMap] | None = None
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -328,18 +351,25 @@ class ProcessEngine(ExecutionEngine):
         self._release_all_segments()
 
     def begin_run(self, scheduler, data, out, multi_key) -> None:
+        if scheduler.policy.engine.num_threads > len(self._workers):  # thread i -> worker i
+            raise RuntimeError(
+                f"policy.engine.num_threads raised past this engine's {len(self._workers)} "
+                "workers; close() the scheduler first so the team is rebuilt"
+            )
         super().begin_run(scheduler, data, out, multi_key)
-        self._delta = None
         nbytes = int(data.nbytes)
         data_version = getattr(scheduler, "_data_version", 0)
         with self._segments_lock:
             seg, offset = self._bind_segment(data, nbytes, data_version)
             seg.last_used = next(self._use_seq)
             self._active = seg
-            self._active_offset = offset
-            self._active_len = int(data.shape[0])
-            self._active_dtype = data.dtype.str
             self.telemetry.set_gauge("engine.residency.epoch", seg.epoch)
+        self._ensure_core(scheduler)
+        self.invalidate_state()
+        self._publish("header", (
+            seg.shm.name, data.dtype.str, int(data.shape[0]), offset,
+            scheduler.global_offset_, scheduler.total_len_, multi_key, out is not None,
+        ))
 
     def _bind_segment(
         self, data: np.ndarray, nbytes: int, data_version: int
@@ -515,27 +545,31 @@ class ProcessEngine(ExecutionEngine):
     def end_run(self) -> None:
         with self._segments_lock:
             self._active = None
-        self._delta = None
+        self._parts.pop("header", None)
+        self.invalidate_state()
         super().end_run()
 
     def invalidate_state(self) -> None:
-        """Forget the iteration delta (the combination phase ran)."""
-        self._delta = None
+        """The combination phase ran: the delta, and with it every kept
+        reduction map, belongs to the iteration that just ended."""
+        for name in ("delta", "map"):
+            self._parts.pop(name, None)
+        self._red_maps = None
 
-    # -- scheduler core/delta ---------------------------------------------
-    def _ensure_core(self) -> None:
-        """Pickle the immutable scheduler core, once per scheduler.
+    # -- the session --------------------------------------------------------
+    def _publish(self, name: str, payload) -> None:
+        self._parts[name] = (next(self._versions), payload)
+
+    def _ensure_core(self, sched) -> None:
+        """Pickle the immutable scheduler core, once per engine.
 
         The core is the scheduler minus everything workers must not
         share (arrays, communicator, engine, telemetry, fault plan)
-        *and* minus everything the per-iteration delta re-ships (the
-        combination map, the layout context; ``mutable_state()``
-        attributes are simply overwritten worker-side).  Each worker is
-        sent it with the first task it serves for this scheduler.
+        *and* minus what the header and the delta carry (the layout
+        context, the combination map; ``mutable_state()`` attributes are
+        simply overwritten worker-side).
         """
-        sched = self._sched
-        assert sched is not None
-        if self._core is not None and self._core_sched_id == id(sched):
+        if "core" in self._parts:
             return
         clone = copy.copy(sched)
         for name in (
@@ -543,64 +577,56 @@ class ProcessEngine(ExecutionEngine):
             "fault_plan", "combination_map_",  # the map travels in the delta
         ):
             setattr(clone, name, None)
-        self._core = pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL)
-        self._core_sched_id = id(sched)
-        for worker in self._workers:
-            worker.has_core = False
+        self._publish("core", pickle.dumps(clone, pickle.HIGHEST_PROTOCOL))
 
-    def _delta_payload(self) -> bytes:
-        """The per-iteration mutable-state payload (cached until
-        ``invalidate_state`` reports a combination phase)."""
-        if self._delta is None:
-            sched = self._sched
-            assert sched is not None
-            com_map_bytes = serialize_map(
-                sched.combination_map_, sched.policy.combine.wire_format
-            )
-            self._delta = pickle.dumps(
-                (
-                    sched.global_offset_,
-                    sched.total_len_,
-                    com_map_bytes,
-                    sched.mutable_state(),
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            self.telemetry.record_op("engine.state.delta", len(self._delta))
-        return self._delta
+    def _tally_wire(self, payload: bytes) -> bytes:
+        """Count a map payload crossing a worker pipe, by its encoding."""
+        self.telemetry.record_op(f"engine.wire.{wire_format_of(payload)}", len(payload))
+        return payload
 
     # -- execution ---------------------------------------------------------
-    def _send_task(self, worker: _Worker, task: tuple) -> None:
-        core = None
-        if not worker.has_core:
-            core = self._core
-            worker.has_core = True
+    def _send_task(self, worker: _Worker, split: Split, red_map: KeyedMap | None) -> None:
+        """Send ``split`` with the session parts ``worker`` lacks;
+        ``red_map`` is its thread's map so far (``None``: still the seed)."""
+        parts: dict[str, object] = {}
+        for name, (version, payload) in self._parts.items():
+            if worker.holds.get(name) != version:
+                worker.holds[name] = version
+                parts[name] = payload
+        if "map" in parts and red_map is not None:  # the seed will not do
+            parts["map"] = self._tally_wire(serialize_map(red_map, "columnar"))
+        plan = self._sched.fault_plan
+        fault = plan.engine_fault() if plan is not None else None
+        if fault is not None:
+            self.telemetry.inc(f"faults.injected.engine.{fault.kind}")
+        message = pickle.dumps((parts, split, fault), pickle.HIGHEST_PROTOCOL)
+        core = parts.get("core", b"")
+        if core:
             self.telemetry.record_op("engine.state.core", len(core))
-        worker.send((core, task))
+        self.telemetry.record_op("engine.dispatch", len(message) - len(core))
+        worker.send(message)
 
-    def _replace(self, worker: _Worker) -> _Worker:
-        """Put a fresh worker (one not yet sent the core) in ``worker``'s place."""
+    def _replace(self, worker: _Worker) -> None:
+        """Put a fresh worker (one that holds nothing) in ``worker``'s place."""
         worker.stop(kill=True)
-        fresh = _Worker()
-        self._workers[self._workers.index(worker)] = fresh
-        return fresh
+        self._workers[self._workers.index(worker)] = _Worker()
 
-    def _dispatch(self, tasks: list[tuple], policy: FaultPolicy) -> list[tuple | None]:
-        """Run every task on a worker; ``None`` marks a dropped task
-        (degrade mode).  At most one task is in flight per worker, so
+    def _dispatch(
+        self, splits: list[Split], so_far: list[KeyedMap | None], policy: FaultPolicy
+    ) -> list[tuple | None]:
+        """Run every split on its thread's worker; ``None`` marks a
+        dropped one (degrade mode).  One task is in flight per worker, so
         neither side can block writing to a pipe nobody reads."""
-        results: list[tuple | None] = [None] * len(tasks)
-        todo = deque(range(len(tasks)))
-        idle = deque(self._workers)
+        results: list[tuple | None] = [None] * len(splits)
         busy: dict[_Worker, int] = {}
         error: BaseException | None = None
         lost, kind = 0, "dead"
         try:
-            while todo or busy:
-                while todo and idle:
-                    worker = idle.popleft()
-                    busy[worker] = todo.popleft()
-                    self._send_task(worker, tasks[busy[worker]])
+            for index, split in enumerate(splits):
+                worker = self._workers[split.thread_id]
+                busy[worker] = index
+                self._send_task(worker, split, so_far[split.thread_id])
+            while busy:
                 owner = {w.conn: w for w in busy} | {w.process.sentinel: w for w in busy}
                 ready = wait(list(owner), timeout=policy.task_deadline)
                 # Nothing at all within the deadline: every busy worker hangs.
@@ -611,13 +637,13 @@ class ProcessEngine(ExecutionEngine):
                         lost, kind = lost + 1, "dead" if ready else "hung"
                         self.telemetry.inc(f"faults.detected.worker_{kind}")
                         with self.telemetry.span("faults.recovery_seconds"):
-                            worker = self._replace(worker)
+                            self._replace(worker)
                         self.telemetry.inc("engine.residency.invalidations")
                     elif isinstance(reply, BaseException):
                         error = error or reply
+                        worker.holds.clear()  # whatever it installed, send it all again
                     else:
                         results[index] = reply
-                    idle.append(worker)
         except BaseException:
             # Interrupted mid-block (Ctrl-C in a notebook): a busy worker
             # must neither answer the next block with this one's reply
@@ -639,55 +665,34 @@ class ProcessEngine(ExecutionEngine):
         splits = list(splits)
         if not splits:
             return set()
-        assert self._workers, "map_splits before start()"
-        assert self._active is not None and self._data is not None
         sched = self._sched
-        assert sched is not None
-        self._ensure_core()
-        delta = self._delta_payload()
-        block = (  # what every split of this block shares
-            delta,
-            self._active.shm.name,
-            self._active_dtype,
-            self._active_len,
-            self._active_offset,
-            self._multi_key,
-            self._out is not None,
-        )
-        wire_format = sched.policy.combine.wire_format
-        plan = sched.fault_plan
-        tasks = []
-        for split in splits:
-            map_payload = serialize_map(red_maps[split.thread_id], wire_format)
-            self.telemetry.record_op(
-                f"engine.wire.{wire_format_of(map_payload)}", len(map_payload)
-            )
-            self.telemetry.record_op("engine.dispatch", len(delta) + len(map_payload))
-            fault = None
-            if plan is not None:
-                spec = plan.engine_fault()
-                if spec is not None:
-                    fault = (spec.kind, spec.seconds)
-                    self.telemetry.inc(f"faults.injected.engine.{spec.kind}")
-            tasks.append((block, split, map_payload, fault))
+        assert sched is not None and "header" in self._parts, "map_splits outside a run"
+        if "delta" not in self._parts:  # first block since the combination phase
+            com_map_bytes = serialize_map(sched.combination_map_, "columnar")
+            delta = pickle.dumps((com_map_bytes, sched.mutable_state()), pickle.HIGHEST_PROTOCOL)
+            self._publish("delta", delta)
+            self.telemetry.record_op("engine.state.delta", len(delta))
+        # A list not handed in last time is fresh (an iteration's, or its
+        # replay's): whatever a worker kept, it derives the seed.  After that
+        # block, a worker lacking its thread's map is sent it so far.
+        so_far: list[KeyedMap | None] = red_maps
+        if red_maps is not self._red_maps:
+            self._red_maps = red_maps
+            self._publish("map", None)
+            so_far = [None] * len(red_maps)
         with self.telemetry.span("engine.block_seconds"):
-            results = self._dispatch(tasks, sched.policy.fault)
+            results = self._dispatch(splits, so_far, sched.policy.fault)
         emitted: set[int] = set()
         for split, result in zip(splits, results):
             if result is None:  # dropped under degrade
                 continue
             map_bytes, emitted_bytes, counters = result
-            self.telemetry.record_op(
-                f"engine.wire.{wire_format_of(map_bytes)}", len(map_bytes)
+            red_maps[split.thread_id].replace_contents(
+                deserialize_map(self._tally_wire(map_bytes))
             )
-            red_maps[split.thread_id].replace_contents(deserialize_map(map_bytes))
             self.telemetry.merge_counters(counters)
             self.telemetry.inc("engine.splits")
             if emitted_bytes:
-                self.telemetry.record_op(
-                    f"engine.wire.{wire_format_of(emitted_bytes)}", len(emitted_bytes)
-                )
-                emitted.update(
-                    sched._convert_entries(deserialize_map(emitted_bytes), self._out)
-                )
+                entries = deserialize_map(self._tally_wire(emitted_bytes))
+                emitted.update(sched._convert_entries(entries, self._out))
         return emitted

@@ -118,8 +118,8 @@ _MAP_CALLBACKS = frozenset({"gen_key", "gen_keys", "accumulate"})
 #: Scheduler attributes that never ship to engine workers: parent-owned
 #: infrastructure (locks, pools, arrays viewed through shared memory) and
 #: state the process engine transfers through its own channels (the
-#: combination map and the layout context travel in the per-iteration
-#: delta; the input partition travels through shared memory).
+#: layout context travels in the run header, the combination map in the
+#: per-iteration delta, the input partition through shared memory).
 _ENGINE_LOCAL_ATTRS = frozenset(
     {
         "policy",
@@ -717,8 +717,10 @@ class Scheduler:
         self.convert_rows(packed.cls, packed.keys, packed.records, out)
         return packed.keys.tolist()
 
-    def _make_reduction_maps(self) -> list[KeyedMap]:
-        threads = range(self.policy.engine.num_threads)
+    def _make_reduction_maps(self, count: int | None = None) -> list[KeyedMap]:
+        """An iteration's fresh reduction maps, one per thread (a process
+        engine worker derives its own thread's: ``count=1``)."""
+        threads = range(self.policy.engine.num_threads if count is None else count)
         if not self.seed_reduction_maps:
             return [KeyedMap() for _ in threads]
         # Seed by array copy where the map has a schema: no per-object deepcopy.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,24 @@ import pytest
 def rng() -> np.random.Generator:
     """Deterministic RNG; per-test reproducibility."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """Every task message the process engine writes to a worker pipe, as
+    ``(worker, message bytes, decoded session parts)`` in send order."""
+    from repro.core.engine import process as process_engine
+
+    log = []
+    real_send = process_engine._Worker.send
+
+    def send(worker, message):
+        if message:  # b"" is the stop message
+            log.append((worker, message, pickle.loads(message)[0]))
+        real_send(worker, message)
+
+    monkeypatch.setattr(process_engine._Worker, "send", send)
+    return log
 
 
 def split_rows(flat: np.ndarray, row_len: int, size: int, rank: int) -> np.ndarray:

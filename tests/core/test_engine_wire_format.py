@@ -1,17 +1,17 @@
 """Engines x columnar wire format: packed buffers across worker boundaries.
 
-The process engine ships reduction maps to and from its workers with
-the scheduler's configured wire format; with ``wire_format="columnar"``
-those maps cross the boundary as contiguous packed buffers (large
-returns through shared memory).  Every backend must still match the
-serial/pickle ground truth bit for bit — including early emission and
-seeded iterative runs.
+``wire_format`` is the comm wire.  On its own pipes the process engine
+moves a map as contiguous packed buffers whenever the objects have a
+schema and pickles it otherwise, under either setting, and sends
+nothing for a map the worker derives itself (an iteration's seed).
+Every backend must still match the serial/pickle ground truth bit for
+bit — including early emission and seeded iterative runs.
 """
 
 import numpy as np
 import pytest
 
-from repro.analytics import Histogram, MovingAverage
+from repro.analytics import Histogram, MovingAverage, MovingMedian
 from repro.core import CombinePolicy, EnginePolicy, ExecutionPolicy
 from tests.workloads import (
     ENGINES,
@@ -68,24 +68,45 @@ class TestColumnarEquivalenceMatrix:
 
 class TestProcessEngineWireAccounting:
     def test_columnar_maps_cross_worker_boundary(self, scalars):
+        self.check_packed_replies(scalars, "columnar")
+
+    def test_schema_maps_cross_packed_under_the_pickle_wire(self, scalars):
+        self.check_packed_replies(scalars, "pickle")
+
+    def check_packed_replies(self, scalars, wire_format):
         app = Histogram(
             ExecutionPolicy(
                 engine=EnginePolicy(backend="process", num_threads=2),
-                combine=CombinePolicy(wire_format="columnar"),
+                combine=CombinePolicy(wire_format=wire_format),
             ),
             lo=-4, hi=4, num_buckets=64,
         )
         app.run(scalars)
         ops = app.telemetry_snapshot()["ops"]
         assert ops["engine.wire.columnar"]["bytes"] > 0
-        # Maps travel both directions (parent -> worker, worker -> parent).
-        assert ops["engine.wire.columnar"]["calls"] >= 2
+        # One packed map back per worker; nothing goes out for the empty
+        # maps the workers start from, and a schema is never pickled.
+        assert ops["engine.wire.columnar"]["calls"] == 2
+        assert "engine.wire.pickle" not in ops
         app.close()
+
+    def test_schemaless_maps_are_pickled(self, scalars):
+        """``HoldAllObj`` has no schema: its maps cross pickled even
+        with ``wire_format="columnar"``."""
+        args = ExecutionPolicy(
+            engine=EnginePolicy(backend="process", num_threads=2),
+            combine=CombinePolicy(wire_format="columnar"),
+        )
+        with MovingMedian(args, win_size=5) as app:
+            app.run2(scalars, np.full(len(scalars), np.nan))
+            ops = app.telemetry_snapshot()["ops"]
+        assert ops["engine.wire.pickle"]["calls"] == 4  # map + emitted, per worker
+        assert "engine.wire.columnar" not in ops
 
     def test_emitted_rows_return_as_one_map_payload(self, scalars):
         """A worker's early-emitted entries come back as a second map
-        payload in the configured wire format — columns, for a window
-        object — and the parent converts them once per split."""
+        payload — columns, for a window object — and the parent converts
+        them once per split."""
 
         def run(engine):
             out = np.full(len(scalars), np.nan)
@@ -106,14 +127,14 @@ class TestProcessEngineWireAccounting:
         # (key + three 8-byte fields each).
         assert ops["engine.wire.columnar"]["calls"] == 4
         assert ops["engine.wire.columnar"]["bytes"] > emissions * 32
-        # Nothing emitted was pickled: the only pickle payloads are the
-        # two empty reduction maps sent out.
-        assert ops["engine.wire.pickle"]["calls"] == 2
-        assert ops["engine.wire.pickle"]["bytes"] < 64
+        # Nothing was pickled, and nothing was sent for the two empty
+        # reduction maps the workers start from.
+        assert "engine.wire.pickle" not in ops
 
-    def test_large_columnar_return_exercises_shm_path(self):
-        """num_buckets is chosen so a worker's return map packs past the
-        shared-memory threshold (64 KiB); results must be unaffected."""
+    def test_large_packed_reply_crosses_the_pipe_intact(self):
+        """num_buckets is chosen so a worker's reply packs past 64 KiB,
+        more than a pipe buffers: it still arrives whole, as one message
+        on the worker's pipe."""
         data = np.random.default_rng(8).uniform(-4, 4, size=200_000)
         buckets = 6000  # 6000 records x 16 B (key + count) > 64 KiB
 

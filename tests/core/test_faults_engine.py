@@ -227,6 +227,113 @@ class TestRealWorkerDeath:
         assert np.array_equal(outcome["out"], expected)
 
 
+class SelfDestructKMeans(KMeans):
+    """SIGKILLs its own worker the second time this run reduces the split
+    starting at ``doomed_start`` (its block of iteration 2), once, while
+    the flag file exists.  With ``skip=True`` it instead leaves that one
+    split out: the serial oracle of a degraded run."""
+
+    flag = None
+    doomed_start = -1
+    skip = False
+    hits = 0
+
+    def batch_reduce(self, data, start, stop, acc):
+        if start == self.doomed_start:
+            self.hits += 1
+            if self.hits == 2 and self.skip:
+                return
+            if self.hits == 2 and self.flag.exists():
+                self.flag.unlink()
+                os.kill(os.getpid(), signal.SIGKILL)
+        super().batch_reduce(data, start, stop, acc)
+
+
+class TestReplacementSession:
+    """A worker SIGKILLed in block 2 of 3 of iteration 2 of 3: its
+    replacement holds nothing, so its first task carries everything."""
+
+    BLOCK = 3000  # elements: 1000 points, 500 per worker
+    DOOMED = 3000 + 1500  # thread 1's split of block 2
+
+    def make(self, centroids, backend, fault, tmp_path, skip=False, doomed=DOOMED):
+        policy = ExecutionPolicy(
+            engine=EnginePolicy(backend=backend, num_threads=2),
+            chunk_size=DIMS, extra_data=centroids, num_iters=3,
+            block_size=self.BLOCK, fault=fault,
+        )
+        sched = SelfDestructKMeans(policy, dims=DIMS)
+        sched.flag = tmp_path / "armed"
+        sched.doomed_start, sched.skip = doomed, skip
+        return sched
+
+    def run_with_kill(self, points, centroids, fault, tmp_path, sent, doomed=DOOMED, thread=1):
+        sched = self.make(centroids, "process", fault, tmp_path, doomed=doomed)
+        sched.flag.touch()
+        with sched:
+            original = list(sched.engine._workers)
+            first = centroids_of(sched.run(points))
+            counters = sched.telemetry_snapshot()["counters"]
+            assert not sched.flag.exists(), "the kill never fired"
+            assert counters["faults.detected.worker_dead"] == 1
+            # The replacement's first task carries all four parts: under
+            # degrade its thread's map so far, under retry (a replayed
+            # iteration starts over) the order to derive the seed.
+            fresh = sched.engine._workers[thread]
+            survivor = original[1 - thread]
+            assert fresh not in original and sched.engine._workers[1 - thread] is survivor
+            parts = next(parts for worker, _, parts in sent if worker is fresh)
+            assert sorted(parts) == ["core", "delta", "header", "map"]
+            assert isinstance(parts["map"], bytes if fault == "degrade" else type(None))
+            # The survivor was never sent the core or the header again.
+            again = [p for w, _, p in sent if w is survivor][1:]
+            assert not any("core" in p or "header" in p for p in again)
+            sched.reset()
+            second = centroids_of(sched.run(points))
+        assert multiprocessing.active_children() == []
+        return first, second, counters
+
+    def oracle(self, points, centroids, tmp_path, skip=False):
+        with self.make(centroids, "serial", "fail_fast", tmp_path, skip) as sched:
+            return centroids_of(sched.run(points))
+
+    def test_retry_replays_bit_exact(self, kmeans_inputs, tmp_path, sent):
+        points, centroids = kmeans_inputs
+        clean = self.oracle(points, centroids, tmp_path)
+        first, second, counters = self.run_with_kill(
+            points, centroids, FaultPolicy.retry(backoff=0.01), tmp_path, sent)
+        assert counters["faults.replays"] == 1
+        assert np.array_equal(first, clean) and np.array_equal(second, clean)
+
+    def test_retry_replay_restarts_a_worker_that_sat_the_lost_block_out(
+        self, kmeans_inputs, tmp_path, sent
+    ):
+        """The last block holds one chunk, so only thread 0 has a split
+        in it; thread 0's worker dies there.  Thread 1's worker still
+        holds its map of blocks 1-2 and must not go on from it in the
+        replay (it would count those blocks twice)."""
+        points, centroids = kmeans_inputs
+        points = points[: 2 * self.BLOCK + DIMS]
+        clean = self.oracle(points, centroids, tmp_path)
+        first, second, counters = self.run_with_kill(
+            points, centroids, FaultPolicy.retry(backoff=0.01), tmp_path, sent,
+            doomed=2 * self.BLOCK, thread=0)
+        assert counters["faults.replays"] == 1
+        assert np.array_equal(first, clean) and np.array_equal(second, clean)
+        # The replay's first block: both workers are told to derive the seed.
+        at = max(i for i, (_, _, parts) in enumerate(sent) if "core" in parts)
+        assert [parts["map"] for _, _, parts in sent[at:at + 2]] == [None, None]
+
+    def test_degrade_drops_exactly_the_lost_split(self, kmeans_inputs, tmp_path, sent):
+        points, centroids = kmeans_inputs
+        first, second, counters = self.run_with_kill(
+            points, centroids, "degrade", tmp_path, sent)
+        assert counters["faults.dropped_splits"] == 1
+        # Thread 1 went on from the map the parent held after block 1.
+        assert np.array_equal(first, self.oracle(points, centroids, tmp_path, skip=True))
+        assert np.array_equal(second, self.oracle(points, centroids, tmp_path))
+
+
 class ForgetfulHistogram(Histogram):
     """A scalar-path application whose ``accumulate`` returns nothing."""
 

@@ -1,8 +1,10 @@
-"""Process-engine input residency: the steady-state data plane.
+"""Process-engine residency: the steady-state data plane and the
+run-resident worker sessions.
 
-Covers the three hit paths (steady-state same-array, direct
+Covers the three input hit paths (steady-state same-array, direct
 ``step_buffer`` view, recopy-after-notify), the in-place tripwire,
-core/delta dispatch, and shared-memory hygiene across all of them.
+what a task message carries (only the session parts its worker lacks),
+and shared-memory hygiene across all of them.
 """
 
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import Histogram, KMeans, make_blobs
-from repro.core import EnginePolicy, ExecutionPolicy, TimeSharingDriver
+from repro.core import EnginePolicy, ExecutionPolicy, RedObj, Scheduler, TimeSharingDriver
 from repro.sim import GaussianEmulator
 
 
@@ -183,6 +185,206 @@ class TestStateDeltas:
                 return app.centroids()
 
         assert np.array_equal(run("process"), run("serial"))
+
+
+def kmeans_app(backend, flat, dims=3, k=4, **policy):
+    init = flat.reshape(-1, dims)[:k].copy()
+    return KMeans(
+        ExecutionPolicy(
+            engine=EnginePolicy(backend=backend, num_threads=2),
+            chunk_size=dims, extra_data=init, **policy,
+        ),
+        dims=dims,
+    )
+
+
+def run_counters(app):
+    counters = app.telemetry_snapshot()["counters"]
+    return {k: v for k, v in counters.items() if k.startswith("run.")}
+
+
+class TestSessionAccounting:
+    def test_a_task_carries_only_what_its_worker_lacks(self, sent):
+        """4 Lloyd iterations, one block each, 2 workers: the core and
+        the header cross once per worker, the delta once per iteration
+        per worker, no reduction map ever leaves the parent, and the
+        byte counters add up to what was written to the pipes."""
+        flat, _ = make_blobs(600, 3, 4, seed=11)
+        with kmeans_app("process", flat, num_iters=4) as app:
+            app.run(flat)
+            ops = app.telemetry_snapshot()["ops"]
+        assert len(sent) == 8 and len({worker for worker, _, _ in sent}) == 2
+        carried = [sorted(parts) for _, _, parts in sent]
+        assert carried[:2] == [["core", "delta", "header", "map"]] * 2
+        assert carried[2:] == [["delta", "map"]] * 6
+        # Every map part is "derive your seed": zero map bytes go out.
+        assert all(parts["map"] is None for _, _, parts in sent)
+        assert not any(name.startswith("engine.wire.pickle") for name in ops)
+        assert ops["engine.wire.columnar"]["calls"] == 8  # the replies
+        core_bytes = sum(len(parts.get("core", b"")) for _, _, parts in sent)
+        assert ops["engine.state.core"] == {"calls": 2, "bytes": core_bytes}
+        assert ops["engine.dispatch"] == {
+            "calls": 8,
+            "bytes": sum(len(message) for _, message, _ in sent) - core_bytes,
+        }
+        # One delta is built per iteration and sent to each worker.
+        deltas = [parts["delta"] for _, _, parts in sent]
+        assert len(set(deltas)) == 4
+        assert ops["engine.state.delta"] == {
+            "calls": 4, "bytes": sum(len(d) for d in deltas) // 2,
+        }
+
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_later_blocks_go_on_from_the_map_the_worker_kept(self, sent, seeded, rng):
+        """``block_size < n``: only a worker's first task of an iteration
+        names a map at all; results, ``peak_red_objects`` and the
+        ``run.*`` counters equal the serial engine's bit for bit."""
+        if seeded:
+            data, _ = make_blobs(600, 3, 4, seed=3)
+            iterations, block = 3, 420
+
+            def make(backend):
+                return kmeans_app(backend, data, num_iters=iterations, block_size=block)
+        else:
+            data = rng.normal(size=2000)
+            iterations, block = 1, 300
+
+            def make(backend):
+                policy = ExecutionPolicy(
+                    engine=EnginePolicy(backend=backend, num_threads=2), block_size=block)
+                return Histogram(policy, lo=-4, hi=4, num_buckets=16)
+
+        with make("serial") as ref, make("process") as app:
+            ref.run(data)
+            app.run(data)
+            if seeded:
+                assert np.array_equal(app.centroids(), ref.centroids())
+            else:
+                assert counts_of(app) == counts_of(ref)
+            assert run_counters(app) == run_counters(ref)
+            assert app.stats.peak_red_objects == ref.stats.peak_red_objects
+        blocks = -(-len(data) // block)
+        assert len(sent) == 2 * blocks * iterations
+        map_parts = [parts.get("map", "kept") for _, _, parts in sent]
+        per_iteration = [None, None] + ["kept"] * (2 * blocks - 2)
+        assert map_parts == per_iteration * iterations
+
+
+class Tally(RedObj):
+    """A schemaless reduction object (no ``fields()``)."""
+
+    def __init__(self):
+        self.total = 0.0
+        self.seen = []
+
+
+class ScaledTally(Scheduler):
+    """A user application with no state hooks: ``scale`` changes in
+    ``post_combine`` and reaches the workers through the default
+    ``mutable_state()``."""
+
+    def __init__(self, args):
+        super().__init__(args)
+        self.scale = 1.0
+
+    def gen_key(self, chunk, data, combination_map):
+        return chunk.start % 5
+
+    def accumulate(self, chunk, data, red_obj, key):
+        red_obj = red_obj or Tally()
+        red_obj.total += self.scale * float(data[chunk.start])
+        red_obj.seen.append(chunk.start)
+        return red_obj
+
+    def merge(self, red_obj, com_obj):
+        com_obj.total += red_obj.total
+        com_obj.seen += red_obj.seen
+        return com_obj
+
+    def post_combine(self, combination_map):
+        self.scale *= 0.5
+
+
+class SessionWatch:
+    """A policy adaptor: runs right after ``invalidate_state``."""
+
+    def __init__(self):
+        self.seen = []
+
+    def observe(self, scheduler, iteration):
+        engine = scheduler.engine
+        self.seen.append((sorted(engine._parts), engine._red_maps))
+
+
+class TestSessionIsolation:
+    def test_schemaless_user_scheduler_with_default_state_conforms(self, rng):
+        data = rng.normal(size=400)
+
+        def run(backend):
+            app = ScaledTally(ExecutionPolicy(
+                engine=EnginePolicy(backend=backend, num_threads=2),
+                num_iters=3, block_size=150))
+            with app:
+                app.run(data)
+                items = app.get_combination_map().sorted_items()
+                return ([(k, o.total, o.seen) for k, o in items],
+                        app.telemetry_snapshot()["ops"])
+
+        (expected, _), (got, ops) = run("serial"), run("process")
+        assert got == expected
+        # No schema: its maps cross the engine pipes pickled.
+        assert ops["engine.wire.pickle"]["calls"] > 0
+        assert "engine.wire.columnar" not in ops
+
+    def test_runs_never_see_the_previous_runs_view_or_delta(self, rng):
+        """Two arrays of different length, ``reset()`` in between and
+        not: each run equals a serial scheduler fed the same sequence."""
+        first, _ = make_blobs(600, 3, 4, seed=5)
+        second, _ = make_blobs(450, 3, 4, seed=6)
+        with kmeans_app("serial", first, num_iters=2) as ref, \
+                kmeans_app("process", first, num_iters=2) as app:
+            for data, reset in ((first, False), (second, True), (first, True), (second, False)):
+                ref.run(data)
+                app.run(data)
+                assert np.array_equal(app.centroids(), ref.centroids())
+                if reset:
+                    ref.reset()
+                    app.reset()
+
+    def test_bookkeeping_is_cleared_where_the_session_ends(self, data):
+        with make_hist() as app:
+            app.policy_adaptor = watch = SessionWatch()
+            app.run(data)
+            engine = app.engine
+            # invalidate_state: the delta and the maps kept under it are gone.
+            assert watch.seen == [(["core", "header"], None)]
+            # end_run: only the core outlives the run ...
+            assert sorted(engine._parts) == ["core"] and engine._red_maps is None
+            # ... so whatever versions the workers hold, none is current.
+            current = {version for version, _ in engine._parts.values()}
+            for worker in engine._workers:
+                assert worker.holds.keys() >= {"core", "header", "delta", "map"}
+                assert {v for k, v in worker.holds.items() if k != "core"}.isdisjoint(current)
+            # _replace: a fresh worker holds nothing, so it is sent everything.
+            engine._replace(engine._workers[0])
+            assert engine._workers[0].holds == {}
+            ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
+            ref.run(data)
+            ref.run(data)
+            app.run(data)
+            assert counts_of(app) == counts_of(ref)
+
+    def test_more_threads_than_workers_is_refused_by_name(self, data):
+        """Thread ``i``'s splits go to worker ``i``: a policy swapped in
+        between runs cannot ask for threads the team does not have."""
+        with make_hist() as app:
+            app.run(data)
+            app.policy = app.policy.evolve(engine=EnginePolicy(backend="process", num_threads=3))
+            with pytest.raises(RuntimeError, match=r"num_threads.*close\(\)"):
+                app.run(data)
+            app.close()
+            app.run(data)
+            assert len(app.engine._workers) == 3
 
 
 class TestHygiene:
