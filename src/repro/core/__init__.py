@@ -9,9 +9,9 @@ Public surface:
 * :class:`ExecutionPolicy` (holding an :class:`EnginePolicy` and a
   :class:`CombinePolicy`) — runtime configuration (Table 1, function 1).
 * :class:`RedObj` — reduction object base class.
-* :class:`TimeSharingDriver` / :class:`SpaceSharingDriver` — the two
-  in-situ modes (:class:`PipelinedTimeSharingDriver` adds the
-  double-buffered overlapped variant of the former).
+* :class:`TimeSharingDriver` / :class:`SpaceSharingDriver` — the
+  paper's two in-situ modes: in turns through a read pointer, or
+  concurrently through the circular buffer.
 * :class:`SmartPipeline` — chained Smart jobs with local-only stages.
 """
 
@@ -50,12 +50,7 @@ from .serialization import (
     serialize_map,
 )
 from .space_sharing import CoreSplit, SpaceSharingDriver, SpaceSharingResult
-from .time_sharing import (
-    PipelinedTimeSharingDriver,
-    StepTiming,
-    TimeSharingDriver,
-    TimeSharingResult,
-)
+from .time_sharing import StepTiming, TimeSharingDriver, TimeSharingResult
 
 # Imported last: autotune reaches into repro.perfmodel, whose package
 # init imports analytics (and, through it, names bound above in this
@@ -90,7 +85,6 @@ __all__ = [
     "SerialEngine",
     "ThreadEngine",
     "create_engine",
-    "PipelinedTimeSharingDriver",
     "PipelineStage",
     "RedObj",
     "RunStats",

@@ -63,41 +63,13 @@ class ExecutionEngine(ABC):
         self._data: np.ndarray | None = None
         self._out: np.ndarray | None = None
         self._multi_key = False
-        self._step_buffers: dict[int, np.ndarray] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
         """Acquire execution resources (worker pools).  Idempotent."""
 
     def shutdown(self) -> None:
-        """Release execution resources.  Idempotent.
-
-        Subclasses that override this must call ``super().shutdown()``
-        so engine-resident buffers are released with the pools.
-        """
-        self._step_buffers.clear()
-
-    def step_buffer(self, slot: int, shape, dtype) -> np.ndarray:
-        """A resident per-slot array the caller may fill in place.
-
-        Double-buffered in-situ drivers write simulation output directly
-        into alternating slots and hand the filled buffer to
-        ``Scheduler.run`` — the zero-extra-copy steady state.  The base
-        implementation returns cached plain numpy arrays (in-process
-        engines read the caller's memory anyway); the process engine
-        overrides this to return views of resident shared-memory
-        segments, so a slot-filled partition reaches workers with no
-        copy at all.  Requesting a slot again with a different shape or
-        dtype reallocates it, invalidating previously returned views of
-        that slot.
-        """
-        shape = tuple(int(s) for s in shape)
-        dtype = np.dtype(dtype)
-        buf = self._step_buffers.get(slot)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
-            self._step_buffers[slot] = buf
-        return buf
+        """Release execution resources.  Idempotent."""
 
     def begin_run(
         self,

@@ -4,20 +4,20 @@ The engine owns ``num_workers`` daemon processes for as long as its
 scheduler lives (the paper's fixed thread team, PAPER.md §3.2), each on
 its own duplex pipe.  Two things move between parent and workers:
 
-* **Input** — the partition lives in parent-owned
-  ``multiprocessing.shared_memory`` segments that survive across runs.
-  ``begin_run`` copies data in only on a *miss*; when the incoming array
-  is the same unchanged buffer as a resident copy (tracked by the
-  scheduler's data version), or is itself a view of a resident
-  ``step_buffer`` slot a double-buffered driver filled directly, the
-  copy is skipped and only the segment's data epoch advances.  Workers
-  reduce zero-copy numpy views of the segments.  This is the engine's
-  only shared memory.
+* **Input** — ``begin_run`` copies the partition into the engine's one
+  parent-owned ``multiprocessing.shared_memory`` segment (created on
+  first use, replaced only when a larger partition arrives, released on
+  ``shutdown``) and workers reduce zero-copy numpy views of it.  One
+  copy per run, always: a simulation's output is a view of its own
+  state (``Heat3D.interior``, ``LuleshProxy.e``) that the next step
+  rewrites in place, so there is no buffer the engine could share with
+  it and no cheap way to know the bytes are the ones copied last time.
+  This is the engine's only shared memory.
 * **State and results** — everything else travels as bytes on the
   worker's pipe, and a worker keeps what it is sent.  Worker ``i``
   serves thread ``i`` and holds a *session* of four versioned parts: the
   scheduler *core* (callbacks, policy, constants; one per engine), the
-  run *header* (segment name, dtype, length, offset, layout context,
+  run *header* (segment name, dtype, length, layout context,
   ``multi_key``, whether there is an output array; one per ``begin_run``,
   on which the worker binds its data view and builds its scheduler
   instance, ``Recorder`` and ``RunStats``), the iteration *delta*
@@ -57,11 +57,9 @@ from __future__ import annotations
 
 import copy
 import itertools
-import math
 import multiprocessing as mp
 import os
 import pickle
-import threading
 import time
 import traceback
 from contextlib import contextmanager
@@ -79,21 +77,13 @@ from ..maps import KeyedMap
 from ..serialization import deserialize_map, serialize_map, wire_format_of
 from .base import ExecutionEngine
 
-#: Resident input segments kept per engine: two double-buffer slots plus
-#: one steady-state partition copy.  A worker caches as many attachments.
-_MAX_RESIDENT_SEGMENTS = 3
-
-#: Elements sampled for the in-place-rewrite tripwire on steady-state
-#: residency hits (a strided fingerprint, not a full content check).
-_FINGERPRINT_SAMPLES = 64
-
 
 @contextmanager
 def _untracked_shm():
     """Suppress resource-tracker registration for a SharedMemory call.
 
-    The parent owns every segment's lifetime (it unlinks its resident
-    input segments on shutdown); a worker only attaches.  On Python <
+    The parent owns the segment's lifetime (it unlinks its resident
+    input segment on shutdown); a worker only attaches.  On Python <
     3.13 attaching would also register the segment with the resource
     tracker, which would then warn about — and try to re-unlink — a
     segment the worker does not own.
@@ -108,23 +98,15 @@ def _untracked_shm():
         resource_tracker.register = original_register
 
 
-def _attach_segment(
-    segments: dict[str, shared_memory.SharedMemory], name: str
-) -> shared_memory.SharedMemory:
-    """Worker side: the named input segment, attached once and cached.
-
-    A worker serves many tasks against the same resident segments;
-    re-attaching per task would churn file descriptors.  Bounded: the
-    oldest attachment is dropped when the cache is full, so segments the
-    parent has already replaced do not pin memory.
-    """
-    segment = segments.get(name)
-    if segment is None:
-        while len(segments) >= _MAX_RESIDENT_SEGMENTS:
-            segments.pop(next(iter(segments))).close()
+def _attach_segment(session: SimpleNamespace, name: str) -> shared_memory.SharedMemory:
+    """Worker side: the engine's input segment, attached once and kept
+    until the parent replaces it with a larger one under a new name."""
+    segment = session.segment
+    if segment is None or segment.name != name:
+        if segment is not None:
+            segment.close()
         with _untracked_shm():
-            segment = shared_memory.SharedMemory(name=name)
-        segments[name] = segment
+            segment = session.segment = shared_memory.SharedMemory(name=name)
     return segment
 
 
@@ -173,12 +155,10 @@ def _bind_run(session: SimpleNamespace, header: tuple) -> None:
     sched = copy.copy(session.core)
     sched.telemetry = Recorder()
     sched.stats = RunStats(sched.telemetry)
-    (shm_name, dtype, n_elems, data_offset, sched.global_offset_,
+    (shm_name, dtype, n_elems, sched.global_offset_,
      sched.total_len_, session.multi_key, session.wants_emitted) = header
-    segment = _attach_segment(session.segments, shm_name)
-    sched.data_ = np.ndarray(
-        (n_elems,), dtype=np.dtype(dtype), buffer=segment.buf, offset=data_offset
-    )
+    segment = _attach_segment(session, shm_name)
+    sched.data_ = np.ndarray((n_elems,), dtype=np.dtype(dtype), buffer=segment.buf)
     session.sched = sched
 
 
@@ -201,10 +181,10 @@ def _worker_main(conn) -> None:
     """Worker process: serve split tasks from ``conn`` until told to stop.
 
     ``session`` is what this worker has been sent and still holds, plus
-    the input segments it has attached; every message but the empty one
+    the input segment it has attached; every message but the empty one
     (stop) gets exactly one reply.
     """
-    session = SimpleNamespace(core=None, sched=None, red_map=None, segments={})
+    session = SimpleNamespace(core=None, sched=None, red_map=None, segment=None)
     while True:
         try:
             message = conn.recv_bytes()
@@ -255,75 +235,16 @@ class _Worker:
         self.conn.close()
 
 
-def _fingerprint(data: np.ndarray) -> np.ndarray:
-    """A small strided sample of ``data`` (the steady-state tripwire)."""
-    flat = data.reshape(-1)
-    stride = max(1, flat.shape[0] // _FINGERPRINT_SAMPLES)
-    return flat[::stride][: _FINGERPRINT_SAMPLES].copy()
-
-
-def _fingerprints_match(a: np.ndarray | None, b: np.ndarray) -> bool:
-    if a is None or a.shape != b.shape or a.dtype != b.dtype:
-        return False
-    if a.dtype.kind == "f":
-        return bool(np.array_equal(a, b, equal_nan=True))
-    return bool(np.array_equal(a, b))
-
-
-class _ResidentSegment:
-    """One parent-owned shared-memory segment holding partition bytes.
-
-    Tracks everything the residency protocol needs: the data *epoch*
-    (advanced whenever the segment's contents change — a copy-in or a
-    direct in-place rewrite through a ``step_buffer`` view), the source
-    array a steady-state hit is checked against (held strongly, so the
-    identity test can never alias a recycled ``id``), and the
-    ``step_buffer`` slot pinned to the segment, if any (pinned segments
-    are never evicted: the driver holds live views of them).
-    """
-
-    __slots__ = (
-        "shm",
-        "addr",
-        "capacity",
-        "epoch",
-        "slot",
-        "source",
-        "source_version",
-        "source_print",
-        "nbytes",
-        "dtype",
-        "last_used",
-    )
-
-    def __init__(self, shm: shared_memory.SharedMemory):
-        self.shm = shm
-        self.capacity = shm.size
-        self.addr = np.frombuffer(shm.buf, dtype=np.uint8).__array_interface__["data"][0]
-        self.epoch = 0
-        self.slot: int | None = None
-        self.source: np.ndarray | None = None
-        self.source_version = -1
-        self.source_print: np.ndarray | None = None
-        self.nbytes = 0
-        self.dtype: str | None = None
-        self.last_used = 0
-
-
 class ProcessEngine(ExecutionEngine):
-    """Reduce splits on owned worker processes over resident shm input."""
+    """Reduce splits on owned worker processes over one resident shm segment."""
 
     name = "process"
 
     def __init__(self, num_workers, telemetry):
         super().__init__(num_workers, telemetry)
         self._workers: list[_Worker] = []
-        # Input residency (guarded by _segments_lock: a pipelined driver's
-        # producer thread requests step buffers while the consumer runs).
-        self._segments_lock = threading.Lock()
-        self._residents: list[_ResidentSegment] = []
-        self._active: _ResidentSegment | None = None
-        self._use_seq = itertools.count(1)
+        # The one resident input segment every run's partition is copied into.
+        self._segment: shared_memory.SharedMemory | None = None
         # The session: current (version, payload) of each part, and the list
         # of reduction maps (``map_splits``' last) the "map" part stands for.
         self._parts: dict[str, tuple[int, object]] = {}
@@ -343,12 +264,11 @@ class ProcessEngine(ExecutionEngine):
 
     def shutdown(self) -> None:
         self._stop_workers()
-        self._release_all_segments()
-        super().shutdown()
+        self._release_segment()
 
     def __del__(self):  # pragma: no cover - interpreter-exit safety net
         self._stop_workers(kill=True)
-        self._release_all_segments()
+        self._release_segment()
 
     def begin_run(self, scheduler, data, out, multi_key) -> None:
         if scheduler.policy.engine.num_threads > len(self._workers):  # thread i -> worker i
@@ -357,194 +277,39 @@ class ProcessEngine(ExecutionEngine):
                 "workers; close() the scheduler first so the team is rebuilt"
             )
         super().begin_run(scheduler, data, out, multi_key)
-        nbytes = int(data.nbytes)
-        data_version = getattr(scheduler, "_data_version", 0)
-        with self._segments_lock:
-            seg, offset = self._bind_segment(data, nbytes, data_version)
-            seg.last_used = next(self._use_seq)
-            self._active = seg
-            self.telemetry.set_gauge("engine.residency.epoch", seg.epoch)
+        segment = self._stage(data)
         self._ensure_core(scheduler)
         self.invalidate_state()
         self._publish("header", (
-            seg.shm.name, data.dtype.str, int(data.shape[0]), offset,
+            segment.name, data.dtype.str, int(data.shape[0]),
             scheduler.global_offset_, scheduler.total_len_, multi_key, out is not None,
         ))
 
-    def _bind_segment(
-        self, data: np.ndarray, nbytes: int, data_version: int
-    ) -> tuple[_ResidentSegment, int]:
-        """Resolve ``data`` to a resident segment (lock held).
-
-        Hit paths, tried in order:
-
-        1. *direct* — ``data`` is a view of a resident segment (the
-           producer wrote a ``step_buffer`` slot in place).  No copy;
-           the slot's epoch advances because its contents changed.
-        2. *steady-state* — ``data`` is the very array copied in before,
-           and the scheduler's data version says it was not rewritten
-           (``notify_data_changed``).  No copy, epoch unchanged.  A
-           strided content fingerprint backstops the contract: an
-           unannounced in-place rewrite that changes any sampled element
-           is demoted to a miss (``engine.residency.guard_trips``).
-
-        Anything else is a miss: copy into a reusable resident segment,
-        or a fresh one.
-        """
-        direct = self._find_direct(data)
-        if direct is not None:
-            seg, offset = direct
-            seg.epoch += 1  # contents rewritten in place by the producer
-            seg.source = None
-            seg.source_print = None
-            self.telemetry.inc("engine.residency.hits")
-            self.telemetry.inc("engine.residency.direct_hits")
-            self.telemetry.inc("engine.residency.bytes_saved", nbytes)
-            return seg, offset
-        seg = self._find_steady(data, data_version)
-        if seg is not None:
-            self.telemetry.inc("engine.residency.hits")
-            self.telemetry.inc("engine.residency.bytes_saved", nbytes)
-            return seg, 0
-        seg = self._install(data, nbytes, data_version)
-        self.telemetry.inc("engine.residency.misses")
-        return seg, 0
-
-    def _find_direct(self, data: np.ndarray) -> tuple[_ResidentSegment, int] | None:
-        if not data.flags["C_CONTIGUOUS"]:
-            return None
-        addr = data.__array_interface__["data"][0]
-        for seg in self._residents:
-            if seg.addr <= addr and addr + int(data.nbytes) <= seg.addr + seg.capacity:
-                return seg, addr - seg.addr
-        return None
-
-    def _find_steady(
-        self, data: np.ndarray, data_version: int
-    ) -> _ResidentSegment | None:
-        for seg in self._residents:
-            if (
-                seg.source is data
-                and seg.source_version == data_version
-                and seg.nbytes == int(data.nbytes)
-                and seg.dtype == data.dtype.str
-            ):
-                if not _fingerprints_match(seg.source_print, _fingerprint(data)):
-                    # Rewritten in place without notify_data_changed():
-                    # safety net, not a licensed code path.
-                    self.telemetry.inc("engine.residency.guard_trips")
-                    return None
-                return seg
-        return None
-
-    def _install(
-        self, data: np.ndarray, nbytes: int, data_version: int
-    ) -> _ResidentSegment:
-        seg = self._reusable_segment(data, nbytes)
-        if seg is None:
-            seg = self._new_segment(max(nbytes, 1))
+    def _stage(self, data: np.ndarray) -> shared_memory.SharedMemory:
+        """Copy ``data`` into the resident input segment, replacing the
+        segment first when the partition does not fit."""
+        nbytes = int(data.nbytes)
+        if self._segment is None or self._segment.size < nbytes:
+            self._release_segment()
+            self._segment = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
+            self.telemetry.set_gauge("engine.residency.resident_bytes", self._segment.size)
         if nbytes:
-            view = np.ndarray(data.shape, dtype=data.dtype, buffer=seg.shm.buf)
-            np.copyto(view, data)
-            del view
-        seg.epoch += 1
-        seg.nbytes = nbytes
-        seg.dtype = data.dtype.str
-        seg.source = data  # strong ref: identity check can never alias
-        seg.source_version = data_version
-        seg.source_print = _fingerprint(data) if nbytes else None
+            np.copyto(np.ndarray(data.shape, dtype=data.dtype, buffer=self._segment.buf), data)
         self.telemetry.inc("engine.residency.copied_bytes", nbytes)
-        return seg
+        return self._segment
 
-    def _reusable_segment(
-        self, data: np.ndarray, nbytes: int
-    ) -> _ResidentSegment | None:
-        candidates = [
-            seg
-            for seg in self._residents
-            if seg.slot is None and seg is not self._active and seg.capacity >= nbytes
-        ]
-        if not candidates:
-            return None
-        for seg in candidates:
-            if seg.source is data:  # recopy of a notified array: keep its home
-                return seg
-        return min(candidates, key=lambda seg: seg.last_used)
-
-    def _new_segment(self, capacity: int) -> _ResidentSegment:
-        evictable = [
-            seg
-            for seg in self._residents
-            if seg.slot is None and seg is not self._active
-        ]
-        while len(self._residents) >= _MAX_RESIDENT_SEGMENTS and evictable:
-            victim = min(evictable, key=lambda seg: seg.last_used)
-            evictable.remove(victim)
-            self._release_segment(victim)
-        shm = shared_memory.SharedMemory(create=True, size=capacity)
-        seg = _ResidentSegment(shm)
-        self._residents.append(seg)
-        self._update_resident_gauge()
-        return seg
-
-    def _release_segment(self, seg: _ResidentSegment) -> None:
-        if seg in self._residents:
-            self._residents.remove(seg)
-        seg.source = None
+    def _release_segment(self) -> None:
+        segment, self._segment = self._segment, None
+        if segment is None:
+            return
+        segment.close()
         try:
-            seg.shm.close()
-        except BufferError:  # pragma: no cover - caller still holds a view
-            # A step_buffer view is still alive; the mapping is reclaimed
-            # when the last view dies.  Unlinking below still removes the
-            # /dev/shm name, so nothing leaks past the process.
-            pass
-        try:
-            seg.shm.unlink()
+            segment.unlink()
         except FileNotFoundError:  # pragma: no cover - already reclaimed
             pass
-        self._update_resident_gauge()
-
-    def _release_all_segments(self) -> None:
-        with self._segments_lock:
-            for seg in list(self._residents):
-                self._release_segment(seg)
-            self._active = None
-
-    def _update_resident_gauge(self) -> None:
-        self.telemetry.set_gauge(
-            "engine.residency.resident_bytes",
-            sum(seg.capacity for seg in self._residents),
-        )
-
-    def step_buffer(self, slot: int, shape, dtype) -> np.ndarray:
-        """A writable view of a resident segment pinned to ``slot``.
-
-        Double-buffered drivers fill alternating slots with simulation
-        output; a partition passed to ``run`` out of a slot is a
-        *direct* residency hit — workers attach the segment, nothing is
-        copied anywhere.  Slot segments are never evicted while pinned
-        (the caller holds live views); they are released on shutdown or
-        when the slot is re-requested with a larger footprint.
-        """
-        shape = tuple(int(s) for s in shape)
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        with self._segments_lock:
-            seg = next((s for s in self._residents if s.slot == slot), None)
-            if seg is not None and seg.capacity < nbytes:
-                self._release_segment(seg)
-                seg = None
-            if seg is None:
-                seg = self._new_segment(max(nbytes, 1))
-                seg.slot = slot
-            seg.source = None
-            seg.source_print = None
-            seg.last_used = next(self._use_seq)
-            return np.ndarray(shape, dtype=dtype, buffer=seg.shm.buf)
+        self.telemetry.set_gauge("engine.residency.resident_bytes", 0)
 
     def end_run(self) -> None:
-        with self._segments_lock:
-            self._active = None
         self._parts.pop("header", None)
         self.invalidate_state()
         super().end_run()

@@ -15,12 +15,8 @@ class SerialEngine(ExecutionEngine):
     The reference backend: deterministic split order, no pool, no
     synchronization — appropriate on single-core hosts and the baseline
     every other engine is checked against for bit-identical results.
-
-    Input residency is trivially free here: the reduction reads the
-    caller's array through the read pointer, so the base
-    :meth:`~repro.core.engine.base.ExecutionEngine.step_buffer` slots
-    (plain resident numpy arrays) already give double-buffered drivers
-    their zero-copy steady state.
+    The reduction reads the caller's array through the read pointer:
+    nothing is copied.
     """
 
     name = "serial"

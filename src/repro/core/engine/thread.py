@@ -45,7 +45,6 @@ class ThreadEngine(ExecutionEngine):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        super().shutdown()
 
     def __del__(self):  # pragma: no cover - interpreter-exit safety net
         self.shutdown()

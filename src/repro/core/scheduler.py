@@ -135,7 +135,6 @@ _ENGINE_LOCAL_ATTRS = frozenset(
         "total_len_",
         "_engine",
         "_fed",
-        "_data_version",
     }
 )
 
@@ -197,10 +196,6 @@ class Scheduler:
         self._global_combination = True
         self._fed: CircularBuffer | None = None
         self._extra_processed = False
-        # Input-residency token: bumped by notify_data_changed() so the
-        # process engine can tell "same array, same contents" (skip the
-        # shared-memory copy) from "same array, rewritten in place".
-        self._data_version = 0
         # Per-run context visible to user callbacks (paper exposes the same
         # names with trailing underscores).
         self.data_: np.ndarray | None = None
@@ -468,21 +463,6 @@ class Scheduler:
         """Approximate bytes held in the combination map right now."""
         return self.combination_map_.state_nbytes()
 
-    def notify_data_changed(self) -> None:
-        """Declare that a previously-run input array was rewritten in place.
-
-        The process engine keeps the last partition resident in shared
-        memory and skips the copy when :meth:`run` receives the *same,
-        unchanged* array again.  An in-place
-        producer (a simulation overwriting its output buffer, paper
-        Figure 3) must call this between steps so the engine re-copies;
-        :class:`~repro.core.time_sharing.TimeSharingDriver` does it
-        automatically.  Arrays handed out by the engine's own
-        ``step_buffer`` slots need no notification — the engine detects
-        those directly and bumps the slot's data epoch itself.
-        """
-        self._data_version += 1
-
     # ------------------------------------------------------------------
     # Execution engine + telemetry
     # ------------------------------------------------------------------
@@ -618,13 +598,13 @@ class Scheduler:
         self.process_extra_data(policy.extra_data, self.combination_map_)
 
         engine = self.engine
-        engine.begin_run(self, arr, out, multi_key)
         # Scoped per iteration: a key early-emitted in one iteration may be
         # rebuilt by a later one, and only the *final* iteration decides
         # whether the convert sweep below must still write it.
         emitted: set[int] = set()
         fault_policy = policy.fault
         try:
+            engine.begin_run(self, arr, out, multi_key)
             for iteration in range(policy.num_iters):
                 self.telemetry.inc("run.iterations_run")
                 # Replay loop: a worker lost mid-iteration surfaces as

@@ -80,11 +80,6 @@ def run_measured(
     telemetry snapshot (``engine.split_seconds`` / ``engine.splits``)
     instead of the cluster model.  Numbers are honest for this machine —
     on a single-core host the pooled engines will not beat serial.
-
-    Each configuration runs twice over the same partition so the process
-    engine's steady state shows: the second run is a residency hit
-    (``engine.residency.hits`` > 0, the input copy skipped) and its
-    dispatch ships state deltas against the worker-cached core.
     """
     data = np.random.default_rng(seed).normal(size=elements)
     measured: dict[str, dict[int, dict]] = {}
@@ -97,7 +92,6 @@ def run_measured(
                 lo=-4, hi=4, num_buckets=1200,
             ) as app:
                 app.run(data)
-                app.run(data)  # steady state: resident input, delta dispatch
                 snap = app.telemetry_snapshot()
             # In-process engines time each split; the process engine
             # times whole blocks on the parent side of the pool.
@@ -111,10 +105,6 @@ def run_measured(
                 "splits": counters.get("engine.splits", 0),
                 "split_seconds": reduce_timer.get("seconds", 0.0),
                 "chunks": counters["run.chunks_processed"],
-                "residency_hits": counters.get("engine.residency.hits", 0),
-                "residency_bytes_saved": counters.get(
-                    "engine.residency.bytes_saved", 0
-                ),
             }
             measured[engine][t] = cell
             rows.append(
@@ -124,15 +114,12 @@ def run_measured(
                     str(cell["splits"]),
                     f"{cell['split_seconds'] * 1e3:.2f} ms",
                     str(cell["chunks"]),
-                    str(cell["residency_hits"]),
-                    f"{cell['residency_bytes_saved'] / 1e6:.1f} MB",
                 ]
             )
     print_table(
         f"Figure 8 (measured): engine thread sweep on this host "
-        f"(histogram, {elements} elements, 2 runs/config)",
-        ["engine", "threads", "splits", "split time", "chunks",
-         "res. hits", "res. saved"],
+        f"(histogram, {elements} elements)",
+        ["engine", "threads", "splits", "split time", "chunks"],
         rows,
     )
     return measured

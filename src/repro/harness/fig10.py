@@ -21,13 +21,7 @@ from __future__ import annotations
 
 
 from ..analytics import Histogram
-from ..core import (
-    CoreSplit,
-    ExecutionPolicy,
-    PipelinedTimeSharingDriver,
-    SpaceSharingDriver,
-    TimeSharingDriver,
-)
+from ..core import CoreSplit, ExecutionPolicy, SpaceSharingDriver
 from ..perfmodel import (
     MemoryModel,
     NodeWorkload,
@@ -77,35 +71,8 @@ def _functional_check() -> dict:
         f"{total} elements analyzed, producer blocked {result.producer_blocks}x, "
         f"consumer blocked {result.consumer_blocks}x"
     )
-    pipelined = _pipelined_check()
     return dict(producer_blocks=result.producer_blocks,
-                consumer_blocks=result.consumer_blocks, elements=total,
-                pipelined=pipelined)
-
-
-def _pipelined_check() -> dict:
-    """Real overlapped time-sharing run: simulation of step ``t+1``
-    concurrent with analytics of step ``t`` through engine-resident
-    double buffers, checked bit-exact against the serial driver."""
-    def counts(driver_cls):
-        sim = LuleshProxy(12)
-        hist = Histogram(
-            ExecutionPolicy(), lo=-1.0, hi=60.0, num_buckets=32
-        )
-        with hist:
-            result = driver_cls(sim, hist).run(6)
-            return hist.counts().copy(), result
-
-    serial_counts, _ = counts(TimeSharingDriver)
-    piped_counts, piped = counts(PipelinedTimeSharingDriver)
-    assert (serial_counts == piped_counts).all(), "pipelined run diverged"
-    print(
-        f"pipelined time-sharing functional check: 6 steps double-buffered, "
-        f"bit-exact with serial, {piped.overlap_seconds * 1e3:.1f} ms of "
-        f"simulate/analyze overlap reclaimed"
-    )
-    return dict(overlap_seconds=piped.overlap_seconds,
-                elements=int(piped_counts.sum()))
+                consumer_blocks=result.consumer_blocks, elements=total)
 
 
 def run() -> dict:

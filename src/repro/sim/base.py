@@ -28,21 +28,6 @@ class Simulation(ABC):
     def advance(self) -> np.ndarray:
         """Run one time-step; return the rank-local output partition."""
 
-    def advance_into(self, out: np.ndarray) -> np.ndarray:
-        """Run one time-step, writing the partition into ``out``.
-
-        Double-buffered drivers pass an engine-resident buffer (an
-        :meth:`~repro.core.engine.base.ExecutionEngine.step_buffer`
-        slot) so the simulation's output lands directly where the
-        analytics will read it — no staging copy.  The default adapts
-        any ``advance()`` with one ``copyto``; simulations that can
-        write into caller memory should override it to skip even that.
-        Must produce bit-identical values to ``advance()``.
-        """
-        partition = self.advance()
-        np.copyto(out.reshape(-1), partition.reshape(-1))
-        return out
-
     @property
     @abstractmethod
     def step(self) -> int:

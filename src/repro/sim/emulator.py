@@ -74,14 +74,6 @@ class GaussianEmulator(Simulation):
         self._step += 1
         return self._buf
 
-    def advance_into(self, out: np.ndarray) -> np.ndarray:
-        """One time-step written straight into ``out`` (no ``_buf`` stop)."""
-        rng = np.random.default_rng(self.seed + self._step)
-        flat = out.reshape(-1)
-        flat[:] = rng.normal(self.mean, self.std, size=flat.shape)
-        self._step += 1
-        return out
-
     def regenerate(self, step: int) -> np.ndarray:
         """Reproduce the output of an arbitrary past step (fresh array)."""
         if step < 0:

@@ -226,7 +226,9 @@ def axis_values(smoke: bool = True) -> dict[str, tuple]:
         "wire_format": WIRE_FORMATS,
         "combine_algorithm": COMBINE_ALGORITHMS,
         "fault": ("none", "engine-kill", "comm-delay"),
-        "driver": ("direct", "pipelined"),
+        # One run over the whole array, or the same array fed step by
+        # step through the space-sharing circular buffer.
+        "driver": ("direct", "space"),
         # Transport under the SPMD ranks: in-process mailboxes (the sim
         # backend / LocalComm) or real framed TCP sockets.  The wire is
         # transparent: pickled frames must reproduce the in-process
@@ -256,7 +258,7 @@ def is_valid(config: Config, smoke: bool = True) -> bool:
     w = get_workload(config.workload)
     if config.map_path == "batch" and not w.has_batch_path:
         return False
-    if config.driver == "pipelined" and not (w.steps_ok and config.ranks == 1):
+    if config.driver == "space" and not (w.steps_ok and config.ranks == 1):
         return False
     if config.fault == "engine-kill" and not (
         config.engine == "process"
@@ -271,7 +273,7 @@ def is_valid(config: Config, smoke: bool = True) -> bool:
     if config.comm == "tcp":
         # The wire path composes with in-rank engines but not with a
         # process pool per rank (fd inheritance across fork would pin
-        # router sockets) and not with the step-pipelined driver (which
+        # router sockets) and not with the space-sharing driver (which
         # is single-rank in-process by construction).
         if config.engine == "process" or config.driver != "direct":
             return False

@@ -20,8 +20,9 @@ import numpy as np
 
 from ..comm import spmd_launch
 from ..core import (
+    CoreSplit,
     ExecutionPolicy,
-    PipelinedTimeSharingDriver,
+    SpaceSharingDriver,
     merge_distributed_output,
 )
 from ..faults import FaultPlan, FaultPolicy, FaultSpec
@@ -277,9 +278,9 @@ def _execute_single(workload: Workload, config: Config,
                 "oracle config resolved a non-deterministic engine "
                 f"({app.engine.name!r}); the reference execution must be "
                 "in-order")
-        if config.driver == "pipelined":
+        if config.driver == "space":
             sim = SlicedArraySim(data, steps=PIPELINE_STEPS)
-            PipelinedTimeSharingDriver(sim, app).run(PIPELINE_STEPS)
+            SpaceSharingDriver(sim, app, CoreSplit(1, 1)).run(PIPELINE_STEPS)
             result = dict(workload.extract(app, None))
         elif workload.multi_key:
             out = np.full(workload.output_length(len(data)), np.nan)

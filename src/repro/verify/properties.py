@@ -11,9 +11,9 @@ bit-equality where the analytic's reduction guarantees it:
   the result (``exact_permutation`` workloads);
 * **merge associativity** — ``(A ⊕ B) ⊕ C == A ⊕ (B ⊕ C)`` over real
   combination maps (``exact_merge`` workloads);
-* **residency idempotence** — re-running the process engine on the
-  same resident array equals two serial runs and actually hits the
-  residency cache;
+* **residency idempotence** — the process engine run on the same array
+  twice, then again after the array was rewritten in place, equals the
+  serial engine every time (it copies the partition in on every run);
 * **fault replay** — an injected worker kill under ``retry`` replays to
   a bit-exact result and really fired.
 
@@ -162,14 +162,14 @@ def check_merge_associativity(
 def check_residency_idempotence(
     workload: Workload | str, seed: int, *, elements: int | None = None,
 ) -> list[Mismatch]:
-    """Re-running the process engine over the same resident array must
-    hit the residency cache and still equal two serial runs."""
+    """The same array run twice, then once more after an unannounced
+    in-place rewrite, must equal the serial engine on the process engine."""
     w = _as_workload(workload)
     if w.multi_key:
         return []
-    data = w.make_data(seed, elements)
 
-    def double_run(engine: str):
+    def repeat_run(engine: str):
+        data = w.make_data(seed, elements)
         args = ExecutionPolicy(
             engine=EnginePolicy(backend=engine, num_threads=2),
             chunk_size=w.chunk_size,
@@ -177,22 +177,20 @@ def check_residency_idempotence(
             extra_data=w.extra(data),
         )
         app = w.build(args, None)
+        results = []
         with app:
             app.run(data)
             app.run(data)
-            result = dict(w.extract(app, None))
-            counters = dict(app.telemetry_snapshot()["counters"])
-        return result, counters
+            results.append(dict(w.extract(app, None)))
+            data[:] = w.make_data(seed + 1, elements)
+            app.run(data)
+            results.append(dict(w.extract(app, None)))
+        return results
 
-    reference, _ = double_run("serial")
-    resident, counters = double_run("process")
     cfg = Config(workload=w.name, engine="process", num_threads=2, seed=seed)
-    found = _tag(diff_results(w.name, cfg, reference, resident), "residency")
-    if counters.get("engine.residency.hits", 0) < 1:
-        found.append(_note(
-            w, cfg, "residency",
-            "second run of the same array never hit the residency cache "
-            f"(hits={counters.get('engine.residency.hits', 0)})"))
+    found: list[Mismatch] = []
+    for reference, resident in zip(repeat_run("serial"), repeat_run("process")):
+        found += _tag(diff_results(w.name, cfg, reference, resident), "residency")
     return found
 
 

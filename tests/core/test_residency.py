@@ -1,11 +1,14 @@
-"""Process-engine residency: the steady-state data plane and the
+"""Process-engine residency: the one input segment and the
 run-resident worker sessions.
 
-Covers the three input hit paths (steady-state same-array, direct
-``step_buffer`` view, recopy-after-notify), the in-place tripwire,
-what a task message carries (only the session parts its worker lacks),
-and shared-memory hygiene across all of them.
+Covers the input rule (every run copies its partition in, so a buffer
+rewritten in place can never be read stale), what a task message
+carries (only the session parts its worker lacks), and shared-memory
+hygiene.
 """
+
+import multiprocessing
+import pickle
 
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import pytest
 
 from repro.analytics import Histogram, KMeans, make_blobs
 from repro.core import EnginePolicy, ExecutionPolicy, RedObj, Scheduler, TimeSharingDriver
-from repro.sim import GaussianEmulator
+from repro.sim import Simulation
 
 
 def shm_segments() -> set[str]:
@@ -36,100 +39,47 @@ def data(rng):
     return rng.normal(size=2048)
 
 
-class TestSteadyStateHits:
-    def test_second_run_of_same_array_skips_the_copy(self, data):
-        with make_hist() as app:
-            app.run(data)
-            app.run(data)
-            counters = app.telemetry_snapshot()["counters"]
-        assert counters["engine.residency.misses"] == 1
-        assert counters["engine.residency.hits"] == 1
-        assert counters["engine.residency.bytes_saved"] == data.nbytes
-        assert counters["engine.residency.copied_bytes"] == data.nbytes
+class OneBufferSim(Simulation):
+    """Rewrites and returns one buffer; from step to step only element 1
+    of 4 096 changes — same array object, same length, and a rewrite no
+    sampled content check short of a full compare would see."""
 
-    def test_hit_run_is_correct(self, data):
+    def __init__(self, elements=4096):
+        self._buf = np.full(elements, 0.5)
+        self._step = 0
+
+    def advance(self):
+        self._buf[1] = -3.5 + self._step  # a different bucket every step
+        self._step += 1
+        return self._buf
+
+    step = property(lambda self: self._step)
+    partition_elements = property(lambda self: self._buf.size)
+    memory_nbytes = property(lambda self: self._buf.nbytes)
+
+
+class TestEveryRunCopies:
+    def test_inplace_rewrite_is_never_read_stale_through_the_driver(self):
+        seen = {"serial": [], "process": []}
+        for backend, steps in seen.items():
+            policy = ExecutionPolicy(engine=EnginePolicy(backend=backend, num_threads=2))
+            with Histogram(policy, lo=-4, hi=4, num_buckets=16) as app:
+                TimeSharingDriver(
+                    OneBufferSim(), app,
+                    per_step=lambda step, sched, out, steps=steps: steps.append(counts_of(sched)),
+                ).run(3)
+        assert seen["process"] == seen["serial"] and len(seen["serial"]) == 3
+
+    def test_inplace_rewrite_is_never_read_stale_through_bare_run(self):
         ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
-        ref.run(data)
-        ref.run(data)
+        ref_sim, sim = OneBufferSim(), OneBufferSim()
         with make_hist() as app:
-            app.run(data)
-            app.run(data)
-            assert counts_of(app) == counts_of(ref)
-
-    def test_different_array_misses(self, data, rng):
-        other = rng.normal(size=2048)
-        with make_hist() as app:
-            app.run(data)
-            app.run(other)
-            counters = app.telemetry_snapshot()["counters"]
-        assert counters["engine.residency.misses"] == 2
-        assert counters.get("engine.residency.hits", 0) == 0
-
-    def test_notify_data_changed_forces_recopy(self, data, rng):
-        ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
-        with make_hist() as app:
-            app.run(data)
-            ref.run(data)
-            data[:] = rng.normal(size=data.shape)
-            app.notify_data_changed()
-            app.run(data)
-            ref.run(data)
-            counters = app.telemetry_snapshot()["counters"]
-            assert counters["engine.residency.misses"] == 2
-            assert counters.get("engine.residency.hits", 0) == 0
-            # The second run saw the rewritten bytes, not the stale copy.
-            assert counts_of(app) == counts_of(ref)
-
-    def test_unannounced_inplace_rewrite_trips_the_guard(self, data, rng):
-        with make_hist() as app:
-            app.run(data)
-            data[:] = rng.normal(size=data.shape)  # no notify_data_changed()
-            app.run(data)
-            counters = app.telemetry_snapshot()["counters"]
-        assert counters["engine.residency.guard_trips"] == 1
-        assert counters["engine.residency.misses"] == 2
-        assert counters.get("engine.residency.hits", 0) == 0
-
-
-class TestDirectHits:
-    def test_step_buffer_partition_is_zero_copy(self, rng):
-        with make_hist() as app:
-            buf = app.engine.step_buffer(0, (1024,), np.float64)
-            buf[:] = rng.normal(size=1024)
-            app.run(buf)
-            counters = app.telemetry_snapshot()["counters"]
-            assert counters["engine.residency.direct_hits"] == 1
-            assert counters.get("engine.residency.copied_bytes", 0) == 0
-            assert sum(counts_of(app).values()) == 1024
-
-    def test_refilled_slot_advances_the_epoch(self, rng):
-        with make_hist() as app:
-            epochs = []
             for _ in range(3):
-                buf = app.engine.step_buffer(0, (512,), np.float64)
-                buf[:] = rng.normal(size=512)
-                app.run(buf)
-                epochs.append(app.telemetry.gauge("engine.residency.epoch"))
+                ref.run(ref_sim.advance())
+                app.run(sim.advance())
+                assert counts_of(app) == counts_of(ref)
             counters = app.telemetry_snapshot()["counters"]
-        assert epochs == sorted(epochs) and len(set(epochs)) == 3
-        assert counters["engine.residency.direct_hits"] == 3
-
-    def test_double_buffer_driver_matches_serial(self):
-        def run(args, double_buffer):
-            sim = GaussianEmulator(step_elements=800, seed=7)
-            app = Histogram(args, lo=-4, hi=4, num_buckets=16)
-            with app:
-                TimeSharingDriver(sim, app, double_buffer=double_buffer).run(4)
-                return counts_of(app), app.telemetry_snapshot()["counters"]
-
-        ref_counts, _ = run(ExecutionPolicy(), double_buffer=False)
-        counts, counters = run(
-            ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2)),
-            double_buffer=True,
-        )
-        assert counts == ref_counts
-        assert counters["engine.residency.direct_hits"] == 4
-        assert counters.get("engine.residency.copied_bytes", 0) == 0
+        assert counters["engine.residency.copied_bytes"] == 3 * sim.partition_nbytes
 
 
 class TestStateDeltas:
@@ -374,6 +324,26 @@ class TestSessionIsolation:
             app.run(data)
             assert counts_of(app) == counts_of(ref)
 
+    def test_a_begin_run_that_raises_leaves_no_run_context(self, data):
+        """The core cannot be pickled while the scheduler holds a lambda:
+        ``run`` raises, the engine keeps no reference to the scheduler,
+        and the same scheduler runs once the lambda is gone."""
+        before = shm_segments()
+        app = make_hist()
+        app.fn = lambda x: x
+        with app:
+            with pytest.raises((pickle.PicklingError, AttributeError), match="lambda"):
+                app.run(data)
+            engine = app.engine
+            assert engine._sched is None and engine._data is None and engine._out is None
+            del app.fn
+            app.run(data)
+            ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
+            ref.run(data)
+            assert counts_of(app) == counts_of(ref)
+        assert shm_segments() == before
+        assert multiprocessing.active_children() == []
+
     def test_more_threads_than_workers_is_refused_by_name(self, data):
         """Thread ``i``'s splits go to worker ``i``: a policy swapped in
         between runs cannot ask for threads the team does not have."""
@@ -388,15 +358,11 @@ class TestSessionIsolation:
 
 
 class TestHygiene:
-    def test_resident_segments_released_on_close(self, data, rng):
+    def test_resident_segments_released_on_close(self, data):
         before = shm_segments()
         with make_hist() as app:
             app.run(data)
             app.run(data)
-            buf = app.engine.step_buffer(0, (256,), np.float64)
-            buf[:] = rng.normal(size=256)
-            app.run(buf)
-            del buf
         leaked = shm_segments() - before
         assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
@@ -405,3 +371,21 @@ class TestHygiene:
             app.run(data)
             assert app.telemetry.gauge("engine.residency.resident_bytes") >= data.nbytes
         assert app.telemetry.gauge("engine.residency.resident_bytes") == 0
+
+    def test_one_segment_whatever_the_partition_sizes(self, rng):
+        """Small, large, small: one ``psm_*`` segment at every point,
+        grown once, and nothing left after ``close()``."""
+        before = shm_segments()
+        ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
+        parts = [rng.normal(size=n) for n in (512, 4096, 256)]
+        with make_hist() as app:
+            for part in parts:
+                ref.run(part)
+                app.run(part)
+                assert len(shm_segments() - before) == 1
+                assert counts_of(app) == counts_of(ref)
+            assert app.telemetry.gauge("engine.residency.resident_bytes") == parts[1].nbytes
+            counters = app.telemetry_snapshot()["counters"]
+            assert counters["engine.residency.copied_bytes"] == sum(p.nbytes for p in parts)
+        assert shm_segments() == before
+        assert multiprocessing.active_children() == []

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.analytics import Histogram, reference_histogram
-from repro.core import CoreSplit, ExecutionPolicy, SpaceSharingDriver, TimeSharingDriver
+from repro.core import (
+    CoreSplit,
+    EnginePolicy,
+    ExecutionPolicy,
+    SpaceSharingDriver,
+    TimeSharingDriver,
+)
 from repro.sim import GaussianEmulator, Heat3D
 
 
@@ -70,17 +76,21 @@ class TestCoreSplit:
 
 
 class TestSpaceSharing:
-    def test_concurrent_run_matches_time_sharing_result(self):
+    @pytest.mark.parametrize("engine", ["serial", "thread", "process"])
+    def test_concurrent_run_matches_time_sharing_result(self, engine):
         steps = 6
         ts_app = make_histogram()
         TimeSharingDriver(GaussianEmulator(500, seed=7), ts_app).run(steps)
 
-        ss_app = make_histogram(buffer_capacity=2)
-        driver = SpaceSharingDriver(
-            GaussianEmulator(500, seed=7), ss_app, CoreSplit(1, 1)
+        ss_app = make_histogram(
+            buffer_capacity=2, engine=EnginePolicy(backend=engine, num_threads=2)
         )
-        result = driver.run(steps)
-        assert np.array_equal(ss_app.counts(), ts_app.counts())
+        with ss_app:
+            driver = SpaceSharingDriver(
+                GaussianEmulator(500, seed=7), ss_app, CoreSplit(1, 1)
+            )
+            result = driver.run(steps)
+            assert np.array_equal(ss_app.counts(), ts_app.counts())
         assert result.steps == steps
 
     def test_small_buffer_blocks_producer(self):

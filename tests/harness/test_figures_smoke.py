@@ -76,6 +76,14 @@ class TestFigureShapes:
         results = fig08.run(threads=(1, 8))
         assert results["window_avg"] > results["first_five_avg"]
 
+    def test_fig08_measured_runs_each_configuration_once(self):
+        measured = fig08.run_measured(
+            threads=(2,), engines=("serial", "process"), elements=4000)
+        for engine in ("serial", "process"):
+            cell = measured[engine][2]
+            assert set(cell) == {"engine", "splits", "split_seconds", "chunks"}
+            assert cell["chunks"] == 4000 and cell["splits"] == 2
+
     def test_fig09_crash_at_bound(self):
         results = fig09.run(step_gib=(1.0, 2.0), edges=(140, 233))
         assert results["fig9a"][2.0]["copy_crashed"]
@@ -84,6 +92,8 @@ class TestFigureShapes:
 
     def test_fig10_three_outcomes(self):
         results = fig10.run()
+        assert set(results["functional"]) == {
+            "producer_blocks", "consumer_blocks", "elements"}
         assert results["histogram"]["improvement_pct"] < 2.0
         assert results["kmeans"]["improvement_pct"] > 0
         assert results["moving_median"]["best"] in ("30_30", "20_40")

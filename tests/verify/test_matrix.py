@@ -71,9 +71,12 @@ class TestMatrixGeneration:
         # Non-gather combine algorithms only matter across ranks.
         assert not is_valid(Config(workload="histogram",
                                    combine_algorithm="tree"))
-        # Pipelined driver is single-rank, steps-friendly workloads only.
+        # Space-sharing driver is single-rank, steps-friendly workloads only.
         assert not is_valid(Config(workload="moving_average",
-                                   driver="pipelined"))
+                                   driver="space"))
+        assert not is_valid(Config(workload="histogram", driver="space",
+                                   ranks=2, combine_algorithm="tree"))
+        assert is_valid(Config(workload="histogram", driver="space"))
 
     def test_pairwise_prune_keeps_transparent_coverage(self):
         configs = enumerate_configs(SMOKE_NAMES, smoke=True)

@@ -138,14 +138,14 @@ class TestExecute:
             execute(get_workload("histogram"),
                     Config(workload="histogram").oracle_of())
 
-    def test_pipelined_driver_matches_direct(self):
+    def test_space_driver_matches_direct(self):
         w = get_workload("histogram")
         direct = execute(w, Config(workload="histogram"))
-        piped = execute(w, Config(workload="histogram", driver="pipelined"))
+        fed = execute(w, Config(workload="histogram", driver="space"))
         assert diff_results(
-            "histogram", Config(workload="histogram", driver="pipelined"),
+            "histogram", Config(workload="histogram", driver="space"),
             {k: v for k, v in direct.result.items() if k != "run.stats"},
-            {k: v for k, v in piped.result.items() if k != "run.stats"},
+            {k: v for k, v in fed.result.items() if k != "run.stats"},
         ) == []
 
     def test_spmd_counters_are_summed_across_ranks(self):

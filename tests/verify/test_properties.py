@@ -77,7 +77,7 @@ class TestSeededInvariants:
 
 
 class TestRuntimeInvariants:
-    def test_residency_idempotence_hits_cache(self):
+    def test_repeat_and_rewritten_runs_equal_serial(self):
         _assert_clean(check_residency_idempotence(
             "histogram", 2015, elements=512))
 

@@ -39,7 +39,7 @@ class TestAxisWiring:
         base = dict(workload="histogram", sharing="shared")
         assert is_valid(Config(**base))
         assert not is_valid(Config(**base, ranks=2))
-        assert not is_valid(Config(**base, driver="pipelined"))
+        assert not is_valid(Config(**base, driver="space"))
         assert not is_valid(Config(**base, comm="tcp"))
         assert not is_valid(Config(**base, fault="engine-kill"))
 
