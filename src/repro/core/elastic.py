@@ -73,6 +73,7 @@ import numpy as np
 
 from ..comm.tcp import frame_header, recv_frame, write_frame
 from ..faults import FaultError, FaultPolicy
+from .blas import one_blas_thread
 from .maps import KeyedMap
 from .serialization import deserialize_map, serialize_map
 
@@ -151,6 +152,7 @@ def _worker_main(
     """Entry point of one staging worker process."""
     from ..faults import FaultPlan, InjectedRankCrash
 
+    one_blas_thread()
     plan = FaultPlan.parse(plan_fingerprint) if plan_fingerprint else None
     if plan is not None and prior_faults:
         # A respawned incarnation starts with fresh plan counters;

@@ -72,6 +72,7 @@ import numpy as np
 
 from ...faults import EngineFaultError, FaultPolicy
 from ...telemetry import Recorder
+from ..blas import one_blas_thread
 from ..chunk import Split
 from ..maps import KeyedMap
 from ..serialization import deserialize_map, serialize_map, wire_format_of
@@ -177,13 +178,15 @@ def _portable(exc: Exception) -> Exception:
     return exc
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, parent_end) -> None:
     """Worker process: serve split tasks from ``conn`` until told to stop.
 
     ``session`` is what this worker has been sent and still holds, plus
     the input segment it has attached; every message but the empty one
     (stop) gets exactly one reply.
     """
+    parent_end.close()  # this fork's copy: open, it would hide its owner's death
+    one_blas_thread()
     session = SimpleNamespace(core=None, sched=None, red_map=None, segment=None)
     while True:
         try:
@@ -207,7 +210,7 @@ class _Worker:
 
     def __init__(self):
         self.conn, child_conn = mp.Pipe()
-        self.process = mp.Process(target=_worker_main, args=(child_conn,), daemon=True)
+        self.process = mp.Process(target=_worker_main, args=(child_conn, self.conn), daemon=True)
         self.process.start()
         child_conn.close()  # the worker's end lives in the worker only
         self.holds: dict[str, int] = {}

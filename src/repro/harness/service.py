@@ -54,8 +54,7 @@ def backlogged_shares(svc: AnalyticsService, handles: list) -> list[float]:
     order — while the tenants still have jobs queued, which is where
     deficit round robin promises equal service.  (Once every queue has
     drained the totals are equal under any discipline, and per-tenant
-    engine *seconds* mostly measure which worker thread waited for the
-    GIL.)"""
+    engine *seconds* mostly measure which seat process shared a core.)"""
     half = len(handles) // 2
     shares = {h.spec.tenant: 0.0 for h in handles}
     for h in handles:
@@ -207,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-fairness", type=float, default=0.8,
                         help="Jain fairness gate at the largest tier")
     parser.add_argument("--workers", type=int, default=4,
-                        help="service worker threads")
+                        help="service seat processes")
     args = parser.parse_args(argv)
     results = run(quick=args.quick, max_tenants=args.tenants,
                   min_fairness=args.min_fairness, workers=args.workers)

@@ -3,8 +3,8 @@
 ``AnalyticsService`` is the front-end ROADMAP item 1 asks for: many
 tenants submit :class:`JobSpec` s, admission control enforces per-tenant
 quotas and engine budgets, a deficit-round-robin dispatcher shares the
-engine pool fairly, and every job against the same sim step reads one
-refcounted resident copy (:class:`SharedStepStore`).  Each job's result
+service's seat processes fairly, and every job against the same sim
+step reads one refcounted resident copy (:class:`SharedStepStore`).  Each job's result
 is bit-exact against running it alone — enforced by the conformance
 ``sharing`` axis and the ``tests/service`` stress suite.
 """
@@ -20,6 +20,7 @@ from .spec import (
     JobSpec,
     QueueFullError,
     QuotaExceededError,
+    SeatLostError,
     TenantQuota,
 )
 
@@ -33,6 +34,7 @@ __all__ = [
     "JobSpec",
     "QueueFullError",
     "QuotaExceededError",
+    "SeatLostError",
     "SharedStepStore",
     "StepLease",
     "TenantQuota",

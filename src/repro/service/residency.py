@@ -72,17 +72,21 @@ class StepLease:
     """One reader's refcounted handle on a resident step.
 
     ``lease.data`` is a zero-copy **read-only** view over the shared
-    segment; it must not be used after :meth:`release`.  Usable as a
-    context manager (releases on exit).
+    segment; it must not be used after :meth:`release`.  ``lease.segment``
+    is what another process needs to map the same bytes: the segment's
+    name, the step's shape and its dtype string.  Usable as a context
+    manager (releases on exit).
     """
 
     def __init__(self, store: "SharedStepStore", step_id: str,
-                 lease_id: int, data: np.ndarray, owner_pid: int):
+                 lease_id: int, data: np.ndarray, owner_pid: int,
+                 segment: tuple[str, tuple, str]):
         self._store = store
         self.step_id = step_id
         self.lease_id = lease_id
         self.data = data
         self.owner_pid = owner_pid
+        self.segment = segment
         self._released = False
 
     def release(self) -> None:
@@ -151,7 +155,8 @@ class SharedStepStore:
             self.telemetry.inc("engine.residency.shared_bytes_saved", step.nbytes)
             self._update_gauges_locked()
             return StepLease(self, step_id, lease_id, view,
-                             step.readers[lease_id])
+                             step.readers[lease_id],
+                             (step.shm.name, step.shape, step.dtype.str))
 
     def _release(self, step_id: str, lease_id: int) -> None:
         with self._lock:
@@ -234,6 +239,11 @@ class SharedStepStore:
     def resident_steps(self) -> list[str]:
         with self._lock:
             return list(self._steps)
+
+    def segment_names(self) -> set[str]:
+        """Names of the shared-memory segments still resident."""
+        with self._lock:
+            return {step.shm.name for step in self._steps.values()}
 
     def hit_rate(self) -> float:
         """Fraction of reads served by an existing resident copy."""

@@ -1,4 +1,4 @@
-"""The in-process multi-tenant analytics service master.
+"""The multi-tenant analytics service master and its seat processes.
 
 ``AnalyticsService`` multiplexes many tenants' analytics jobs over the
 shared in-situ data plane:
@@ -6,39 +6,48 @@ shared in-situ data plane:
 * **queue** — submissions pass :class:`AdmissionController` (bounded
   queue, per-tenant quotas, engine-second budgets) and enter a
   :class:`DeficitRoundRobin` dispatcher;
-* **fair dispatch** — a pool of worker threads pops jobs in DRR order,
-  so no tenant's flood can starve another's head job past one quantum
-  rotation;
-* **shared residency** — every job attaches its sim step through the
-  refcounted :class:`SharedStepStore`: N jobs against one step read one
-  resident copy;
-* **seats** — per-(tenant, workload, policy) schedulers are kept warm
-  between jobs, so engine pools are built once and reused
-  (``service.seats.created`` vs ``service.seats.reused``);
-* **telemetry** — everything lands in per-tenant scoped namespaces
-  (``service.tenant.<id>.*``) of one root :class:`Recorder`.
+* **seat processes** — the service owns ``workers`` forked processes,
+  one duplex pipe each, and one dispatcher thread per process pops jobs
+  in DRR order (so no tenant's flood can starve another's head job past
+  one quantum rotation) and sends each to its process: jobs run off the
+  service's GIL, one core each;
+* **shared residency** — every job leases its sim step from the
+  refcounted :class:`SharedStepStore` on behalf of its seat process's
+  pid: N jobs against one step read one resident copy, which each seat
+  process maps once, by name;
+* **seats** — inside a seat process, per-(tenant, workload, policy)
+  schedulers are kept warm between jobs (``service.seats.created`` vs
+  ``service.seats.reused``);
+* **telemetry** — each job's reply lands in its tenant's scoped
+  namespace (``service.tenant.<id>.*``) of one root :class:`Recorder`.
 
-:func:`execute_workload` is the single job-execution code path — the
-service's workers and the conformance solo oracle
-(:mod:`repro.verify.service_check`) both call it, so a service run can
+:func:`execute_workload` and the warm seats run a job through one code
+path, :func:`_run_app`, which the conformance solo oracle
+(:mod:`repro.verify.service_check`) also runs, so a service run can
 never drift from the oracle by construction of the comparison.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing as mp
 import threading
 import time
+from multiprocessing import shared_memory
+from multiprocessing.connection import wait
+from multiprocessing.util import Finalize
 
 import numpy as np
 
 from ..core import ExecutionPolicy
+from ..core.blas import one_blas_thread
+from ..core.engine.process import _portable, _untracked_shm
 from ..telemetry import Recorder
 from ..verify.workloads import Workload, get_workload
 from .admission import AdmissionController
 from .dispatch import DeficitRoundRobin
 from .residency import SharedStepStore
-from .spec import AdmissionError, JobHandle, JobSpec, TenantQuota
+from .spec import AdmissionError, JobHandle, JobSpec, SeatLostError, TenantQuota
 
 __all__ = ["AnalyticsService", "execute_workload", "job_policy"]
 
@@ -118,11 +127,158 @@ class _Seat:
         self.app.close()
 
 
+# -- the seat process ---------------------------------------------------------
+
+
+def _step_view(segments: dict, segment: tuple[str, tuple, str]) -> np.ndarray:
+    """The step ``segment`` names, mapped on first use and kept: a
+    read-only view over the service's shared memory, no copy."""
+    name, shape, dtype = segment
+    held = segments.get(name)
+    if held is None:
+        with _untracked_shm():  # the service owns and unlinks it
+            shm = shared_memory.SharedMemory(name=name)
+        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
+        view.flags.writeable = False
+        held = segments[name] = (shm, view)
+    return held[1]
+
+
+def _detach(segments: dict, seats: dict, names) -> None:
+    """Unmap step segments the service has evicted.  A warm seat still
+    holds the step its last job read, so the seats let go first."""
+    for seat in seats.values():
+        seat.app.reset()
+    for name in names:
+        if name not in segments:
+            continue  # its job failed before mapping it
+        shm = segments.pop(name)[0]  # the view goes with the tuple
+        try:
+            shm.close()
+        except BufferError:  # pragma: no cover - a result still views it
+            pass  # unmapped when that view goes
+
+
+def _serve(segments: dict, seats: dict, tenant: str, workload: str, policy,
+           segment: tuple) -> tuple[dict, dict[str, int], float, str | None]:
+    """One job, in the seat process: (result, ``run.*`` counters, seconds
+    spent, whether a warm seat was ``created`` or ``reused``)."""
+    t0 = time.perf_counter()
+    data = _step_view(segments, segment)
+    w = get_workload(workload)
+    policy = job_policy(w, policy, data)
+    used = None
+    if w.make_extra is not None:
+        # Stateful seeding (e.g. centroids the run mutates): build
+        # fresh, never reuse.
+        result, counters = execute_workload(w, policy, data)
+    else:
+        key = (tenant, w.name, policy.fingerprint())
+        seat = seats.get(key)
+        used = "created" if seat is None else "reused"
+        if seat is None:
+            seat = seats[key] = _Seat(w, policy, Recorder())
+        result, counters = seat.run(data)
+    run = {name: value for name, value in counters.items()
+           if name.startswith("run.")}
+    return result, run, time.perf_counter() - t0, used
+
+
+def _seat_main(conn, parent_end) -> None:
+    """Seat process: run jobs from ``conn`` until told to stop.
+
+    Every message but ``None`` (stop) is ``(evicted segment names, job)``
+    and gets exactly one reply: :func:`_serve`'s tuple, or the job's
+    exception.  ``segments`` are the step segments mapped here,
+    ``seats`` the warm schedulers.
+    """
+    parent_end.close()  # this fork's copy: open, it would hide the service's death
+    one_blas_thread()
+    segments: dict[str, tuple] = {}
+    seats: dict[tuple, _Seat] = {}
+    try:
+        while True:
+            try:
+                message = conn.recv()
+            except EOFError:  # the service is gone
+                return
+            if message is None:
+                return
+            evicted, job = message
+            if evicted:
+                _detach(segments, seats, evicted)
+            try:
+                reply = _serve(segments, seats, *job)
+            except Exception as exc:
+                reply = _portable(exc)
+            conn.send(reply)
+    finally:
+        for seat in seats.values():
+            seat.close()
+
+
+#: Seats are forked: a spawned interpreter would add its start-up to the
+#: service's, and a fork shares the parent's imported modules.
+_FORK = mp.get_context("fork")
+
+
+class _SeatProcess:
+    """One owned seat process, the service's end of its pipe, and the
+    names of the step segments it has been sent (and so has mapped)."""
+
+    __slots__ = ("process", "conn", "segments")
+
+    def __init__(self, index: int):
+        self.conn, child_conn = _FORK.Pipe()
+        # Not daemonic: a job whose policy names engine=process starts
+        # worker processes of its own, which a daemonic process may not.
+        self.process = _FORK.Process(target=_seat_main, args=(child_conn, self.conn),
+                                     name=f"svc-seat-{index}")
+        self.process.start()
+        child_conn.close()  # the seat's end lives in the seat only
+        self.segments: set[str] = set()
+
+    def run(self, message: tuple):
+        """Send one job and wait for its reply; ``None`` if the process
+        died first (or while replying)."""
+        try:
+            self.conn.send(message)
+        except OSError:
+            pass  # already dead: its sentinel says so
+        if self.conn not in wait([self.conn, self.process.sentinel]):
+            return None
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
+
+    def stop(self, timeout: float | None = None, kill: bool = False) -> None:
+        if not kill:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # dead, or stopped already
+            self.process.join(timeout)
+        if self.process.is_alive():
+            self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+def _halt(halting: threading.Event, seats: list[_SeatProcess],
+          timeout: float | None) -> None:
+    """Stop every seat process; a dispatcher that finds one gone from
+    here on leaves it gone."""
+    halting.set()
+    for seat in seats:
+        seat.stop(timeout)
+
+
 class AnalyticsService:
-    """Bounded queue → admission → DRR fair dispatch → shared residency.
+    """Bounded queue → admission → DRR fair dispatch → seat processes.
 
     Submissions are accepted before :meth:`start` — queues simply
-    accumulate until the worker pool spins up, which the starvation
+    accumulate until the seat processes spin up, which the starvation
     tests exploit to make dispatch order deterministic.
     """
 
@@ -143,14 +299,15 @@ class AnalyticsService:
         self.store = SharedStepStore(self.telemetry)
         self._drr = DeficitRoundRobin(quantum=quantum)
         self._workers_wanted = workers
-        self._threads: list[threading.Thread] = []
+        #: seat process ``i`` and the dispatcher thread that feeds it
+        self._seats: list[_SeatProcess] = []
+        self._dispatchers: list[threading.Thread] = []
+        self._halting = threading.Event()
+        self._stop_all: Finalize | None = None
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._outstanding = 0
         self._job_ids = itertools.count(1)
-        self._seat_ids = itertools.count(1)
-        #: (tenant, workload, policy fingerprint) -> free warm seats
-        self._seats: dict[tuple, list[_Seat]] = {}
         self._tenant_scopes: dict[str, Recorder] = {}
         self._closed = False
 
@@ -208,27 +365,33 @@ class AnalyticsService:
                                  self.admission.queued())
         return handle
 
-    # -- worker pool ---------------------------------------------------
+    # -- seat processes ----------------------------------------------
     def start(self) -> "AnalyticsService":
-        """Spin up the worker pool (idempotent)."""
+        """Fork the seat processes and start their dispatchers (idempotent)."""
         with self._lock:
-            if self._threads or self._closed:
+            if self._dispatchers or self._closed:
                 return self
+            # Every seat is forked before any dispatcher thread exists.
+            self._seats = [_SeatProcess(i) for i in range(self._workers_wanted)]
+            # An interpreter exiting with the service open would otherwise
+            # wait forever on seats that wait for their next job.
+            self._stop_all = Finalize(self, _halt, args=(self._halting, self._seats, 30.0),
+                                      exitpriority=10)
             for i in range(self._workers_wanted):
-                t = threading.Thread(target=self._worker_loop,
-                                     name=f"svc-worker-{i}", daemon=True)
-                self._threads.append(t)
+                t = threading.Thread(target=self._dispatch_loop, args=(i,),
+                                     name=f"svc-dispatch-{i}", daemon=True)
+                self._dispatchers.append(t)
                 t.start()
         return self
 
-    def _worker_loop(self) -> None:
-        while True:
+    def _dispatch_loop(self, index: int) -> None:
+        while not self._halting.is_set():
             handle = self._drr.pop()
             if handle is None:
                 return
-            self._execute(handle)
+            self._execute(index, handle)
 
-    def _execute(self, handle: JobHandle) -> None:
+    def _execute(self, index: int, handle: JobHandle) -> None:
         spec = handle.spec
         scope = self.tenant_scope(spec.tenant)
         self.admission.on_dispatch(spec.tenant)
@@ -238,7 +401,7 @@ class AnalyticsService:
                                  self.admission.queued())
         t0 = time.perf_counter()
         try:
-            result, counters = self._run_job(handle)
+            result, counters, seconds, seat = self._run_job(index, handle)
         except BaseException as exc:  # noqa: BLE001 - delivered via handle
             seconds = time.perf_counter() - t0
             self.admission.on_complete(spec.tenant, seconds)
@@ -247,17 +410,16 @@ class AnalyticsService:
             self.telemetry.inc("service.failed")
             handle._fail(exc, seconds)
         else:
-            seconds = time.perf_counter() - t0
             self.admission.on_complete(spec.tenant, seconds)
             scope.add_time("engine_seconds", seconds)
             scope.inc("jobs_completed")
             self.telemetry.inc("service.completed")
+            if seat is not None:
+                self.telemetry.inc(f"service.seats.{seat}")
             # Aggregate the job's run.* stats into the tenant namespace
             # (service.tenant.<id>.run.*) — per-tenant accounting without
             # per-job root-recorder growth.
-            scope.merge_counters({name: value
-                                  for name, value in counters.items()
-                                  if name.startswith("run.")})
+            scope.merge_counters(counters)
             handle._finish(result, counters, seconds)
         finally:
             self.store.reap_dead_readers()
@@ -266,55 +428,38 @@ class AnalyticsService:
                 if self._outstanding == 0:
                     self._idle.notify_all()
 
-    def _run_job(self, handle: JobHandle) -> tuple[dict, dict[str, int]]:
+    def _run_job(self, index: int, handle: JobHandle) -> tuple:
+        """Run one job on seat process ``index``: the job's identity goes
+        down the pipe, (result, ``run.*`` counters, seat seconds, seat
+        created/reused) comes back."""
         spec = handle.spec
-        w = get_workload(spec.workload)
-        with self.store.attach(spec.step) as lease:
-            data = lease.data
-            policy = job_policy(w, spec.policy, data)
-            if w.make_extra is not None:
-                # Stateful seeding (e.g. centroids the run mutates):
-                # build fresh under a job-unique scope, never reuse.
-                scope = self.tenant_scope(spec.tenant).scoped(
-                    f"job.{handle.job_id}")
-                try:
-                    return execute_workload(w, policy, data,
-                                            telemetry=scope)
-                finally:
-                    scope.reset()  # captured already; keep the root bounded
-            seat = self._checkout_seat(spec.tenant, w, policy)
-            try:
-                return seat.run(data)
-            finally:
-                self._checkin_seat(spec.tenant, w, policy, seat)
+        seat = self._seats[index]
+        if not seat.process.is_alive():  # died idle: no job of its own was lost
+            self._replace(index)
+            seat = self._seats[index]
+        with self.store.attach(spec.step, owner_pid=seat.process.pid) as lease:
+            resident = self.store.segment_names()
+            evicted = [name for name in seat.segments if name not in resident]
+            seat.segments.difference_update(evicted)
+            seat.segments.add(lease.segment[0])
+            reply = seat.run((evicted, (spec.tenant, spec.workload, spec.policy,
+                                        lease.segment)))
+        if reply is None:
+            raise SeatLostError(handle.job_id, spec.tenant, spec.workload,
+                                self._replace(index))
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
 
-    # -- seat cache ----------------------------------------------------
-    def _seat_key(self, tenant: str, w: Workload,
-                  policy: ExecutionPolicy) -> tuple:
-        return (tenant, w.name, policy.fingerprint())
-
-    def _checkout_seat(self, tenant: str, w: Workload,
-                       policy: ExecutionPolicy) -> _Seat:
-        key = self._seat_key(tenant, w, policy)
-        with self._lock:
-            free = self._seats.get(key)
-            if free:
-                self.telemetry.inc("service.seats.reused")
-                return free.pop()
-            seat_id = next(self._seat_ids)
-        self.telemetry.inc("service.seats.created")
-        recorder = self.telemetry.scoped(
-            f"service.tenant.{tenant}.seat.{seat_id}")
-        return _Seat(w, policy, recorder)
-
-    def _checkin_seat(self, tenant: str, w: Workload,
-                      policy: ExecutionPolicy, seat: _Seat) -> None:
-        key = self._seat_key(tenant, w, policy)
-        with self._lock:
-            if self._closed:
-                seat.close()
-                return
-            self._seats.setdefault(key, []).append(seat)
+    def _replace(self, index: int) -> int | None:
+        """Reap seat process ``index``, fork a fresh one in its place and
+        return the dead one's exit code."""
+        dead = self._seats[index]
+        dead.stop(kill=True)
+        self.telemetry.inc("service.seat_processes_lost")
+        if not self._halting.is_set():
+            self._seats[index] = _SeatProcess(index)
+        return dead.process.exitcode
 
     # -- lifecycle -----------------------------------------------------
     def drain(self, timeout: float | None = None) -> bool:
@@ -331,19 +476,16 @@ class AnalyticsService:
         return True
 
     def close(self, timeout: float = 30.0) -> None:
-        """Drain queued jobs, stop workers, free seats and segments."""
+        """Drain queued jobs, stop the seat processes, free segments."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self._drr.close()
-        for t in self._threads:
+        for t in self._dispatchers:
             t.join(timeout)
-        with self._lock:
-            seats = [s for free in self._seats.values() for s in free]
-            self._seats.clear()
-        for seat in seats:
-            seat.close()
+        if self._stop_all is not None:
+            self._stop_all()  # at most once: also unregisters the exit hook
         self.store.close()
 
     def __enter__(self) -> "AnalyticsService":

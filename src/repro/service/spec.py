@@ -26,6 +26,7 @@ __all__ = [
     "JobSpec",
     "QueueFullError",
     "QuotaExceededError",
+    "SeatLostError",
     "TenantQuota",
 ]
 
@@ -148,6 +149,25 @@ class BudgetExhaustedError(AdmissionError):
     kind = "budget-exhausted"
 
 
+class SeatLostError(RuntimeError):
+    """The seat process running a job died before it replied.
+
+    Only the job in flight fails: the service replaces the seat and the
+    next job runs on the new one.  ``exitcode`` is the dead process's
+    (negative: the signal that killed it).
+    """
+
+    def __init__(self, job_id: int, tenant: str, workload: str,
+                 exitcode: int | None):
+        super().__init__(
+            f"job {job_id} ({workload} for tenant {tenant!r}) lost: its "
+            f"seat process exited with code {exitcode}")
+        self.job_id = job_id
+        self.tenant = tenant
+        self.workload = workload
+        self.exitcode = exitcode
+
+
 #: Job lifecycle states (``REJECTED`` never reaches a handle — admission
 #: raises instead — but appears in telemetry counters).
 QUEUED = "queued"
@@ -170,11 +190,12 @@ class JobHandle:
     spec: JobSpec
     status: str = QUEUED
     #: Global dispatch sequence number (order the DRR scheduler released
-    #: the job to a worker), ``None`` until dispatched.
+    #: the job to a seat), ``None`` until dispatched.
     dispatch_index: int | None = None
-    #: Measured wall-clock execution time, charged to the tenant budget.
+    #: Wall-clock seconds the seat spent on the job, charged to the
+    #: tenant budget.
     engine_seconds: float = 0.0
-    #: The job's own scoped-recorder counters, captured at completion.
+    #: The job's ``run.*`` counters, captured at completion.
     counters: dict[str, int] = field(default_factory=dict)
     error: BaseException | None = None
     _result: Any = None
