@@ -16,6 +16,7 @@ from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
 from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
+from ..core.serialization import pack_map
 from .objects import CountObj
 
 
@@ -102,8 +103,10 @@ class Histogram(Scheduler):
         keys = _SCRATCH.array("keys", n, np.int64)
         np.subtract(block, self.lo, out=scaled)
         np.divide(scaled, self.width, out=scaled)
+        # Clamped before the cast: a float past the int64 range has no
+        # integer to clamp (bucket_of's Python int does).
+        np.clip(scaled, 0, self.num_buckets - 1, out=scaled)
         np.copyto(keys, scaled, casting="unsafe")
-        np.clip(keys, 0, self.num_buckets - 1, out=keys)
         counts = np.bincount(keys, minlength=self.num_buckets)
         count_col = acc.column("count")
         count_col += counts
@@ -111,10 +114,12 @@ class Histogram(Scheduler):
 
     # -- convenience ---------------------------------------------------------
     def counts(self) -> np.ndarray:
-        """Bucket counts from the combination map as a dense array."""
+        """Bucket counts from the combination map as a dense array, read
+        from its columns (a backed map builds no objects)."""
         out = np.zeros(self.num_buckets, dtype=np.int64)
-        for key, obj in self.combination_map_.items():
-            out[key] = obj.count
+        packed = pack_map(self.combination_map_)
+        if packed is not None:
+            out[packed.keys] = packed.records["count"]
         return out
 
 

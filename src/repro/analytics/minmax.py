@@ -15,6 +15,7 @@ from ..core.batch import ColumnarAccumulator
 from ..core.chunk import Chunk
 from ..core.red_obj import Field, RedObj
 from ..core.scheduler import Scheduler
+from ..core.serialization import pack_map
 
 
 class MinMaxObj(RedObj):
@@ -66,15 +67,17 @@ class MinMax(Scheduler):
     ) -> None:
         # min/max are exactly associative, so one reduction over the block
         # folded against the seeded running value is bit-identical to the
-        # element loop.
+        # element loop.  fmin/fmax skip NaNs as its comparisons do; an
+        # all-NaN block reduces to NaN, which min/max against the seed drop.
         block = data[start:stop]
         lo = acc.column("lo")
         hi = acc.column("hi")
-        lo[0] = min(lo[0], block.min())
-        hi[0] = max(hi[0], block.max())
+        lo[0] = min(lo[0], np.fmin.reduce(block))
+        hi[0] = max(hi[0], np.fmax.reduce(block))
         acc.contrib[0] += stop - start
 
     @property
     def value_range(self) -> tuple[float, float]:
-        obj = self.combination_map_[0]
-        return obj.lo, obj.hi
+        """Key 0's (min, max), read from the combination map's columns."""
+        record = pack_map(self.combination_map_).records[0]
+        return float(record["lo"]), float(record["hi"])

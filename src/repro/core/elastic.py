@@ -29,8 +29,9 @@ log of every frame sent after it (of each, what the policy can use).
 
 Recovery state machine (DESIGN.md section 13)
 ---------------------------------------------
-``LIVE -> SUSPECT`` on a closed connection, a stale heartbeat, or an
-acknowledgement stall; then, per :class:`~repro.faults.FaultPolicy`:
+``LIVE -> SUSPECT`` on a closed connection (a worker that receives a
+frame failing its CRC exits), a stale heartbeat, or an acknowledgement
+stall; then, per :class:`~repro.faults.FaultPolicy`:
 
 * ``fail_fast`` — raise :class:`StagingWorkerError`.
 * ``retry`` — respawn the process, ``LOAD`` the last snapshot, replay
@@ -217,7 +218,10 @@ def _worker_main(
         while True:
             kind, _source, _dest, tag, payload, crc_ok = recv_frame(sock)
             if not crc_ok:
-                continue  # corrupt inbound frame: skip, coordinator replays
+                # Skipped, a data frame's gap would hide under the next
+                # frame's cumulative ack.  Ended here, the worker is
+                # supervised like a dead one: retry replays the frame.
+                return
             if kind == K_W_LOAD:
                 state = pickle.loads(payload)
                 frames_done = state["frames"]

@@ -11,7 +11,7 @@ equivalence matrix in ``tests/core/test_engines.py`` asserts it for
 every bundled analytics.
 """
 
-from .base import ExecutionEngine, ReduceFn, create_engine
+from .base import ExecutionEngine, create_engine
 from .process import ProcessEngine
 from .serial import SerialEngine
 from .thread import ThreadEngine
@@ -19,7 +19,6 @@ from .thread import ThreadEngine
 __all__ = [
     "ExecutionEngine",
     "ProcessEngine",
-    "ReduceFn",
     "SerialEngine",
     "ThreadEngine",
     "create_engine",

@@ -20,8 +20,7 @@ worker pool with it.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -33,12 +32,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..policy import EnginePolicy
     from ..scheduler import Scheduler
 
-#: ``reduce_fn(split, red_map) -> emitted keys`` — the scheduler-side
-#: callable an in-process engine applies to each split.
-ReduceFn = Callable[[Split, KeyedMap], "list[int]"]
+
+def join_keys(parts: list[np.ndarray]) -> np.ndarray:
+    """The early-emitted keys of several splits or blocks as one ``int64`` array."""
+    return np.concatenate(parts) if parts else np.empty(0, np.int64)
 
 
-class ExecutionEngine(ABC):
+class ExecutionEngine:
     """Maps splits onto an execution substrate and collects emitted keys.
 
     Per-engine telemetry (written into the scheduler's recorder):
@@ -99,14 +99,15 @@ class ExecutionEngine(ABC):
         """
 
     # -- execution ---------------------------------------------------------
-    @abstractmethod
-    def map_splits(self, splits: Iterable[Split], red_maps: list[KeyedMap]) -> set[int]:
-        """Reduce every split of one block; return the early-emitted keys.
+    def map_splits(self, splits: Iterable[Split], red_maps: list[KeyedMap]) -> np.ndarray:
+        """Reduce every split of one block; return the early-emitted keys
+        as one ``int64`` array.
 
         Each split is reduced against ``red_maps[split.thread_id]``
-        (mutated in place).  In-process engines apply the scheduler's
-        ``reduce_fn`` directly; the process engine runs the same
-        reduction in its workers and folds their replies back, raising
+        (mutated in place).  This default reduces the splits in order on
+        the calling thread; the thread engine spreads the same calls over
+        its pool, and the process engine runs the same reduction in its
+        workers and folds their replies back, raising
         :class:`~repro.faults.EngineFaultError` when a worker was lost.
         A list first handed in must be an iteration's fresh maps
         (``Scheduler._make_reduction_maps``): the process engine's
@@ -114,20 +115,14 @@ class ExecutionEngine(ABC):
         kept while later blocks hand in the same list.  After a raise
         the iteration is void; replay it with a new list.
         """
+        return join_keys([self._reduce(split, red_maps[split.thread_id]) for split in splits])
 
-    # -- helpers for subclasses -------------------------------------------
-    def _reduce_fn(self) -> ReduceFn:
-        sched, data, out, multi_key = self._sched, self._data, self._out, self._multi_key
+    def _reduce(self, split: Split, red_map: KeyedMap) -> np.ndarray:
+        """Reduce one split in this process, timed; its emitted keys."""
+        sched = self._sched
         assert sched is not None, "map_splits outside begin_run/end_run"
-
-        def reduce_fn(split: Split, red_map: KeyedMap) -> list[int]:
-            return sched._reduce_split(split, red_map, data, out, multi_key)
-
-        return reduce_fn
-
-    def _timed_reduce(self, reduce_fn: ReduceFn, split: Split, red_map: KeyedMap) -> list[int]:
         with self.telemetry.span("engine.split_seconds"):
-            emitted = reduce_fn(split, red_map)
+            emitted = sched._reduce_split(split, red_map, self._data, self._out, self._multi_key)
         self.telemetry.inc("engine.splits")
         return emitted
 

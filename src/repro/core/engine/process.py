@@ -76,7 +76,7 @@ from ..blas import one_blas_thread
 from ..chunk import Split
 from ..maps import KeyedMap
 from ..serialization import deserialize_map, serialize_map, wire_format_of
-from .base import ExecutionEngine
+from .base import ExecutionEngine, join_keys
 
 
 @contextmanager
@@ -429,10 +429,10 @@ class ProcessEngine(ExecutionEngine):
             )
         return results
 
-    def map_splits(self, splits: Iterable[Split], red_maps: list[KeyedMap]) -> set[int]:
+    def map_splits(self, splits: Iterable[Split], red_maps: list[KeyedMap]) -> np.ndarray:
         splits = list(splits)
         if not splits:
-            return set()
+            return join_keys([])
         sched = self._sched
         assert sched is not None and "header" in self._parts, "map_splits outside a run"
         if "delta" not in self._parts:  # first block since the combination phase
@@ -450,7 +450,7 @@ class ProcessEngine(ExecutionEngine):
             so_far = [None] * len(red_maps)
         with self.telemetry.span("engine.block_seconds"):
             results = self._dispatch(splits, so_far, sched.policy.fault)
-        emitted: set[int] = set()
+        emitted: list[np.ndarray] = []
         for split, result in zip(splits, results):
             if result is None:  # dropped under degrade
                 continue
@@ -462,5 +462,5 @@ class ProcessEngine(ExecutionEngine):
             self.telemetry.inc("engine.splits")
             if emitted_bytes:
                 entries = deserialize_map(self._tally_wire(emitted_bytes))
-                emitted.update(sched._convert_entries(entries, self._out))
-        return emitted
+                emitted.append(sched._convert_entries(entries, self._out))
+        return join_keys(emitted)

@@ -13,9 +13,11 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
+import numpy as np
+
 from ..chunk import Split
 from ..maps import KeyedMap
-from .base import ExecutionEngine
+from .base import ExecutionEngine, join_keys
 
 
 class ThreadEngine(ExecutionEngine):
@@ -49,20 +51,13 @@ class ThreadEngine(ExecutionEngine):
     def __del__(self):  # pragma: no cover - interpreter-exit safety net
         self.shutdown()
 
-    def map_splits(self, splits: Iterable[Split], red_maps: list[KeyedMap]) -> set[int]:
+    def map_splits(self, splits: Iterable[Split], red_maps: list[KeyedMap]) -> np.ndarray:
         splits = list(splits)
-        reduce_fn = self._reduce_fn()
-        emitted: set[int] = set()
         if len(splits) <= 1 or self.num_workers <= 1:
             # Nothing to parallelize; skip the dispatch overhead.
-            for split in splits:
-                emitted.update(self._timed_reduce(reduce_fn, split, red_maps[split.thread_id]))
-            return emitted
+            return super().map_splits(splits, red_maps)
         assert self._pool is not None, "map_splits before start()"
         futures = [
-            self._pool.submit(self._timed_reduce, reduce_fn, split, red_maps[split.thread_id])
-            for split in splits
+            self._pool.submit(self._reduce, split, red_maps[split.thread_id]) for split in splits
         ]
-        for future in futures:
-            emitted.update(future.result())
-        return emitted
+        return join_keys([future.result() for future in futures])

@@ -31,11 +31,12 @@ class KeyedMap:
     keys plus one structured records array) the runtime produced — a
     batch kernel's rows, a decoded columnar payload, an allreduce buffer.
     A backed map builds its objects once, in ascending key order, on the
-    first access that reads, writes or iterates entries (:meth:`merge_in`,
-    :meth:`sorted_items` and :meth:`state_nbytes` included) and is an
-    ordinary dict from then on.  ``len``, :meth:`clear`, :meth:`clone`,
-    :meth:`replace_contents`, map-to-map :meth:`merge_map` and
-    :func:`~repro.core.serialization.pack_map` never build objects.
+    first access that reads, writes or iterates entries (:meth:`merge_in`
+    and :meth:`sorted_items` included) and is an ordinary dict from then
+    on.  ``len``, :meth:`clear`, :meth:`clone`, :meth:`replace_contents`,
+    map-to-map :meth:`merge_map` and
+    :func:`~repro.core.serialization.pack_map` never build objects, and
+    :meth:`state_nbytes` builds them only to measure them.
 
     ``pack_map(backed_map)`` returns the live backing, read-only by
     convention: ``PackedMap.merge_from`` is only ever called on freshly
@@ -201,5 +202,8 @@ class KeyedMap:
         return fresh
 
     def state_nbytes(self) -> int:
-        """Approximate footprint of all reduction objects (memory audit)."""
-        return sum(obj.nbytes() for obj in self._objects().values())
+        """Approximate footprint of all reduction objects (memory audit).
+        A backed map is measured over objects built for the count and
+        dropped: it stays backed."""
+        objs = self._d.values() if self._packed is None else self._packed.objects()
+        return sum(obj.nbytes() for obj in objs)

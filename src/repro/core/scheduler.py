@@ -47,6 +47,7 @@ from .batch import ColumnarAccumulator, array_form_stands
 from .chunk import Chunk, Split, iter_blocks, make_splits
 from .circular_buffer import CircularBuffer
 from .engine import ExecutionEngine, create_engine
+from .engine.base import join_keys
 from .maps import KeyedMap
 from .policy import ExecutionPolicy
 from .red_obj import RedObj, ensure_red_obj
@@ -598,10 +599,10 @@ class Scheduler:
         self.process_extra_data(policy.extra_data, self.combination_map_)
 
         engine = self.engine
-        # Scoped per iteration: a key early-emitted in one iteration may be
-        # rebuilt by a later one, and only the *final* iteration decides
-        # whether the convert sweep below must still write it.
-        emitted: set[int] = set()
+        # Each block's early-emitted keys, per iteration: a key emitted in
+        # one iteration may be rebuilt by a later one, and only the *final*
+        # iteration decides whether the convert sweep below must write it.
+        emitted: list[np.ndarray] = []
         fault_policy = policy.fault
         try:
             engine.begin_run(self, arr, out, multi_key)
@@ -615,14 +616,14 @@ class Scheduler:
                 # deterministic, bit-exact with a fault-free run).
                 attempt = 1
                 while True:
-                    emitted = set()
+                    emitted = []
                     red_maps = self._make_reduction_maps()
                     try:
                         for bstart, bstop in iter_blocks(n, policy.block_size):
                             splits = make_splits(
                                 bstart, bstop, policy.engine.num_threads, policy.chunk_size
                             )
-                            emitted.update(engine.map_splits(splits, red_maps))
+                            emitted.append(engine.map_splits(splits, red_maps))
                             self.stats.observe_objects(
                                 sum(len(m) for m in red_maps)
                                 + len(self.combination_map_)
@@ -671,31 +672,33 @@ class Scheduler:
 
         if out is not None:
             out_len = out.shape[0]
+            written = join_keys(emitted)  # by early emission, already
             packed = self.combination_map_.packed
             if packed is not None:  # the same selection, on columns
                 keep = (packed.keys >= 0) & (packed.keys < out_len)
-                if emitted:
-                    keep &= [key not in emitted for key in packed.keys.tolist()]
+                if len(written):
+                    keep &= np.isin(packed.keys, written, invert=True)
                 rest = PackedMap(packed.cls, packed.keys[keep], packed.records[keep], ())
                 self._convert_entries(rest.to_map(), out)
                 return out
+            done = set(written.tolist())
             for key, red_obj in self.combination_map_.sorted_items():
-                if 0 <= key < out_len and key not in emitted:
+                if 0 <= key < out_len and key not in done:
                     self.convert(red_obj, out, key)
             return out
         return self.combination_map_
 
-    def _convert_entries(self, entries: KeyedMap, out: np.ndarray) -> list[int]:
-        """Write every entry's final value into ``out``; return the keys.
-        A backing goes through :meth:`convert_rows` and builds no objects,
-        unless a subclass overrode ``convert`` below it."""
+    def _convert_entries(self, entries: KeyedMap, out: np.ndarray) -> np.ndarray:
+        """Write every entry's final value into ``out``; return the keys
+        (``int64``).  A backing goes through :meth:`convert_rows` and builds
+        no objects, unless a subclass overrode ``convert`` below it."""
         packed = entries.packed
         if packed is None or not array_form_stands(type(self), "convert_rows", "convert"):
             for key, red_obj in entries.items():
                 self.convert(red_obj, out, key)
-            return list(entries)
+            return np.fromiter(entries.keys(), np.int64, len(entries))
         self.convert_rows(packed.cls, packed.keys, packed.records, out)
-        return packed.keys.tolist()
+        return packed.keys
 
     def _make_reduction_maps(self, count: int | None = None) -> list[KeyedMap]:
         """An iteration's fresh reduction maps, one per thread (a process
@@ -717,8 +720,8 @@ class Scheduler:
         out: np.ndarray | None,
         multi_key: bool,
         capture: KeyedMap | None = None,
-    ) -> list[int]:
-        """Reduce one split on the resolved map path; return emitted keys.
+    ) -> np.ndarray:
+        """Reduce one split on the resolved map path; return its emitted keys.
 
         ``capture`` is the process engine's hook: when given, early-emitted
         entries land in it instead of being converted here (the parent
@@ -733,14 +736,14 @@ class Scheduler:
         self.telemetry.inc(
             "run.chunks_processed", -(-len(split) // self.policy.chunk_size)
         )
-        if emitted:
+        if len(emitted):
             self.telemetry.inc("run.early_emissions", len(emitted))
         return emitted
 
     def _reduce_split_scalar(
         self, split: Split, red_map: KeyedMap, data: np.ndarray,
         multi_key: bool, out: np.ndarray | None, capture: KeyedMap | None,
-    ) -> list[int]:
+    ) -> np.ndarray:
         """The paper's map loop (Algorithm 2): ``gen_key`` → ``accumulate``
         chunk by chunk, emitting an object as soon as it triggers."""
         com_map = self.combination_map_
@@ -781,12 +784,12 @@ class Scheduler:
                     del red_map[key]
                     emitted.append(key)
         self.telemetry.inc("run.accumulate_calls", accumulates_n)
-        return emitted
+        return np.array(emitted, dtype=np.int64)
 
     def _reduce_split_batch(
         self, split: Split, red_map: KeyedMap, data: np.ndarray,
         out: np.ndarray | None, capture: KeyedMap | None,
-    ) -> list[int]:
+    ) -> np.ndarray:
         """Batch kernel: scatter the whole split into a preallocated
         columnar accumulator, then fold touched rows back into the map.
 
@@ -809,12 +812,12 @@ class Scheduler:
         fired = None if self.policy.disable_early_emission else acc.take_fired()
         acc.fold_into(red_map)
         if not fired:
-            return []
+            return join_keys([])
         if capture is not None:
             capture.replace_contents(fired.to_map())
         elif out is not None:
-            return self._convert_entries(fired.to_map(), out)
-        return fired.keys.tolist()
+            self._convert_entries(fired.to_map(), out)
+        return fired.keys
 
 
 def merge_distributed_output(comm: Communicator, out: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ never drift from the oracle by construction of the comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing as mp
 import threading
@@ -73,6 +74,15 @@ def job_policy(workload: Workload, policy, data: np.ndarray) -> ExecutionPolicy:
     return policy
 
 
+@functools.lru_cache(maxsize=256)
+def _resolved(workload: str, policy: str | None) -> tuple[ExecutionPolicy, str]:
+    """A ``None`` or fingerprint policy field for a workload without
+    ``make_extra`` (no extra data to derive), resolved with its
+    fingerprint once per seat process."""
+    resolved = job_policy(get_workload(workload), policy, None)
+    return resolved, resolved.fingerprint()
+
+
 def _run_app(app, workload: Workload, data: np.ndarray) -> dict:
     if workload.multi_key:
         out = np.full(workload.output_length(len(data)), np.nan)
@@ -89,11 +99,13 @@ def execute_workload(
     *,
     telemetry: Recorder | None = None,
 ) -> tuple[dict, dict[str, int]]:
-    """Build, run once, close: (extracted result, counter snapshot).
+    """Build, run once, close: (extracted result, recorded counters).
 
     The one shared execution path for a service job and its solo
     oracle.  ``telemetry`` (typically a scoped child recorder) rebinds
-    the scheduler before the engine exists.
+    the scheduler before the engine exists.  The counters are what the
+    recorder counted — not ``telemetry_snapshot()``'s end-of-run
+    ``run.state_*`` gauges, which would measure the map object by object.
     """
     w = workload if isinstance(workload, Workload) else get_workload(workload)
     app = w.build(policy, None)
@@ -101,7 +113,7 @@ def execute_workload(
         app.use_telemetry(telemetry)
     with app:
         result = _run_app(app, w, data)
-        counters = dict(app.telemetry_snapshot()["counters"])
+        counters = app.telemetry.counters()
     return result, counters
 
 
@@ -119,7 +131,7 @@ class _Seat:
         self.app.reset()
         self.app.reset_stats()
         result = _run_app(self.app, self.workload, data)
-        counters = dict(self.app.telemetry_snapshot()["counters"])
+        counters = self.app.telemetry.counters()
         self.runs += 1
         return result, counters
 
@@ -166,14 +178,17 @@ def _serve(segments: dict, seats: dict, tenant: str, workload: str, policy,
     t0 = time.perf_counter()
     data = _step_view(segments, segment)
     w = get_workload(workload)
-    policy = job_policy(w, policy, data)
     used = None
     if w.make_extra is not None:
         # Stateful seeding (e.g. centroids the run mutates): build
         # fresh, never reuse.
-        result, counters = execute_workload(w, policy, data)
+        result, counters = execute_workload(w, job_policy(w, policy, data), data)
     else:
-        key = (tenant, w.name, policy.fingerprint())
+        if isinstance(policy, ExecutionPolicy):  # resolved already
+            fingerprint = policy.fingerprint()
+        else:
+            policy, fingerprint = _resolved(w.name, policy)
+        key = (tenant, w.name, fingerprint)
         seat = seats.get(key)
         used = "created" if seat is None else "reused"
         if seat is None:

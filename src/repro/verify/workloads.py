@@ -35,6 +35,7 @@ from ..analytics import (
     make_blobs,
     make_logreg_samples,
 )
+from ..core.serialization import pack_map
 
 __all__ = ["Workload", "WORKLOADS", "get_workload", "workload_names"]
 
@@ -123,11 +124,16 @@ def _extract_minmax(app, out):
 
 
 def _extract_grid_aggregation(app, out):
-    items = app.combination_map_.sorted_items()
+    # Read from columns: a backed map hands out its backing, an object-form
+    # one packs once (sorted by key, like sorted_items).
+    packed = pack_map(app.combination_map_)
+    if packed is None:  # an empty map
+        return {"keys": np.empty(0, np.int64), "totals": np.empty(0),
+                "counts": np.empty(0, np.int64)}
     return {
-        "keys": np.array([k for k, _ in items], dtype=np.int64),
-        "totals": np.array([o.total for _, o in items], dtype=np.float64),
-        "counts": np.array([o.count for _, o in items], dtype=np.int64),
+        "keys": packed.keys.copy(),
+        "totals": packed.records["total"].astype(np.float64),
+        "counts": packed.records["count"].astype(np.int64),
     }
 
 

@@ -1,6 +1,7 @@
 """Histogram application."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,20 @@ class TestCorrectness:
         vector.run(data)
         assert np.array_equal(scalar.counts(), vector.counts())
         assert vector.stats.batch_reduce_calls and not scalar.stats.batch_reduce_calls
+
+    def test_values_past_int64_bucket_like_scalar(self):
+        # Clamped as floats before the cast: a value past the int64 range
+        # lands in the edge bucket bucket_of gives it, with no cast warning.
+        data = np.array([1e300, -1e300, 5e18, 0.1, 3.9])
+        scalar, kernel = build(buckets=64), build(kernel=True, buckets=64)
+        scalar.run(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel.run(data)
+        expected = np.zeros(64, dtype=np.int64)
+        expected[[0, 32, 63]] = [1, 1, 3]
+        assert np.array_equal(scalar.counts(), expected)
+        assert np.array_equal(kernel.counts(), expected)
 
     def test_kernel_scratch_is_per_thread(self, rng):
         """The kernel's temporaries are reused from run to run; under the

@@ -51,6 +51,24 @@ class TestMinMax:
         app.run(np.array([7.5]))
         assert app.value_range == (7.5, 7.5)
 
+    @pytest.mark.parametrize("engine,threads", [
+        ("serial", 1), ("thread", 2), ("process", 2),
+    ])
+    def test_batch_skips_nans_like_scalar(self, engine, threads):
+        # Block 1 holds the maximum beside a NaN; block 2 is all NaN and
+        # must leave the running value as it was.
+        data = np.array([9.0, np.nan, -2.0, 7.0] + [np.nan] * 4)
+        ranges = []
+        for map_path in ("scalar", "batch"):
+            policy = ExecutionPolicy(
+                engine=EnginePolicy(backend=engine, num_threads=threads, map_path=map_path),
+                block_size=4,
+            )
+            with MinMax(policy) as app:
+                app.run(data)
+                ranges.append(app.value_range)
+        assert ranges == [(-2.0, 9.0), (-2.0, 9.0)]
+
 
 class TestValueGridKDE:
     def test_matches_reference(self, rng):

@@ -502,6 +502,18 @@ def test_window_second_block_drops_fired_seeded_keys(constructions):
     assert batch[1] == len(WINDOW_DATA) - 6
 
 
+@pytest.mark.parametrize("engine", ["thread", "process"])
+def test_multi_block_window_run_equals_serial(engine):
+    # Four blocks on two threads: eight splits of 64, each emitting its 58
+    # interior windows.  The blocks' emitted-key arrays are joined per
+    # iteration and kept out of the final convert sweep on every engine.
+    spec = "map=batch,block=128,threads=2,engine="
+    serial = _run_window(MovingAverage, spec + "serial")
+    _assert_same_run(_run_window(MovingAverage, spec + engine), serial)
+    _assert_same_run(serial, _run_window(MovingAverage, "map=scalar,block=128,threads=2"))
+    assert serial[1] == 8 * (64 - 6)
+
+
 def test_window_straddling_ranks_combines_as_columns(constructions):
     # Two ranks: the six windows across the seam never fill up locally,
     # reach global combination as columns and are converted from the

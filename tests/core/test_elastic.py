@@ -337,6 +337,41 @@ class TestRetry:
                 ),
             )
 
+    @staticmethod
+    def corrupt_one_data_frame(monkeypatch, worker_id=1, nth=2):
+        """The ``nth`` data frame the coordinator sends worker ``worker_id``
+        goes out with a mismatching CRC; its replay goes out intact."""
+        sent = []
+        real = elastic.frame_header
+
+        def frame_header(kind, source, dest, tag, *payload, corrupt=False):
+            if kind == elastic.K_W_DATA and dest == worker_id:
+                sent.append(tag)
+                corrupt = corrupt or len(sent) == nth
+            return real(kind, source, dest, tag, *payload, corrupt=corrupt)
+
+        monkeypatch.setattr(elastic, "frame_header", frame_header)
+
+    def test_corrupt_data_frame_is_replayed_not_skipped(
+            self, partitions, baseline, monkeypatch):
+        """A worker that skipped the frame would ack past it with the
+        next one and drain short by that partition's elements."""
+        self.corrupt_one_data_frame(monkeypatch)
+        telemetry = Recorder()
+        result = run_tier(
+            partitions,
+            policy=FaultPolicy.retry(backoff=0.01, max_attempts=5),
+            telemetry=telemetry,
+        )
+        assert np.array_equal(result, baseline)
+        snap = telemetry.snapshot()["counters"]
+        assert snap.get("elastic.replays", 0) >= 1
+
+    def test_corrupt_data_frame_fails_fast(self, partitions, monkeypatch):
+        self.corrupt_one_data_frame(monkeypatch)
+        with pytest.raises(StagingWorkerError):
+            run_tier(partitions, policy="fail_fast")
+
 
 class TestDegrade:
     def test_mass_conserved_exactly(self, partitions, baseline):

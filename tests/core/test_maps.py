@@ -220,6 +220,12 @@ class TestBackedMapContract:
             "materialised objects"))
         op(m)
 
+    def test_state_nbytes_leaves_the_map_backed(self):
+        # The audit measures objects built for it; the map keeps its columns.
+        m = backed()
+        assert m.state_nbytes() == eager().state_nbytes()
+        assert m.packed is not None
+
     def test_materialised_backed_map_iterates_in_ascending_key_order(self):
         assert list(backed()) == [2, 7, 40]
         assert list(eager()) == [7, 2, 40]  # object-built: insertion order
