@@ -275,6 +275,12 @@ class _Worker:
         self.deaths = 0  # prior incarnations lost to injected faults
 
 
+def _close(worker: _Worker, conn: socket.socket) -> None:
+    """Close one of ``worker``'s sockets once no frame is being written to it."""
+    with worker.wlock:
+        conn.close()
+
+
 class ElasticTier:
     """Coordinator for an elastic, fault-supervised staging pool.
 
@@ -418,10 +424,12 @@ class ElasticTier:
             if worker is None:
                 conn.close()
                 return
-            worker.conn = conn
+            replaced, worker.conn = worker.conn, conn
             worker.state = _LIVE
             worker.last_beat = time.monotonic()
             self._cond.notify_all()
+        if replaced is not None:  # a respawned worker: its predecessor's socket
+            _close(worker, replaced)
         self._reader_loop(worker, conn)
 
     def _reader_loop(self, worker: _Worker, conn: socket.socket) -> None:
@@ -455,6 +463,7 @@ class ElasticTier:
                 if worker.conn is conn and worker.state == _LIVE:
                     worker.state = _SUSPECT
                 self._cond.notify_all()
+            _close(worker, conn)
 
     # -- liveness and recovery ---------------------------------------------
     def _stale(self, worker: _Worker) -> bool:

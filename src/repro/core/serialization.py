@@ -20,8 +20,10 @@ both sides of that comparison:
   no per-object Python calls — and when *every* field names a true
   ufunc, the gather algorithm short-circuits to a contiguous allreduce
   through :mod:`repro.comm.reduce_ops`, the exact shape of the paper's
-  hand-written baseline.  Schemaless or heterogeneous maps fall back to
-  pickle transparently.  Decoded and reduced maps stay columns: they come
+  hand-written baseline (or, when the ranks' keys are disjoint and
+  ascending in rank order, to an allgather and a concatenation).
+  Schemaless or heterogeneous maps fall back to pickle transparently.
+  Decoded and reduced maps stay columns: they come
   back as a :class:`~repro.core.maps.KeyedMap` *backed* by the arrays,
   which :func:`pack_map` hands out again without a copy, so a map nobody
   reads object by object never becomes objects.
@@ -238,6 +240,14 @@ class PackedMap:
         return cls(red_cls, keys.copy(), records.copy(), merges)
 
 
+def _concat_records(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` of same-dtype record arrays, copied as bytes:
+    numpy copies structured arrays field by field, an order slower."""
+    return np.concatenate(
+        [np.ascontiguousarray(p).view(np.uint8) for p in parts]
+    ).view(parts[0].dtype)
+
+
 def _identity_records(dtype: np.dtype, merges, n: int) -> np.ndarray:
     records = np.zeros(n, dtype=dtype)
     for name, merge in zip(dtype.names, merges):
@@ -348,8 +358,13 @@ def global_combine(
       ranks), then the root broadcasts.  The classic MPI_Reduce shape;
       preferable when maps are large or ranks are many.
     * ``"allreduce"`` — the hand-written-MPI shape (Section 5.3): ranks
-      agree on the key union, identity-pad their packed records to it,
-      and reduce the contiguous buffers elementwise.  Requires an
+      vote their schemas and keys, then combine their packed records by
+      the key layout the votes show.  When every rank holds keys and
+      they are disjoint and ascending in rank order (position-keyed
+      analytics: each rank owns its cells), ranks allgather their own
+      records and concatenate them — nothing is padded or reduced.
+      Otherwise ranks identity-pad their records to the key union and
+      reduce the contiguous buffers elementwise.  Requires an
       allreduce-eligible schema on every rank; otherwise falls back to
       ``"gather"`` (collectively — all ranks vote, so none diverges).
 
@@ -375,9 +390,10 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
     """Contiguous-allreduce global combination; ``None`` when ineligible.
 
     Eligibility is decided collectively: every rank contributes a vote
-    (its schema, or "empty"), so either all ranks take this path or none
-    does — a rank with an empty map still participates by contributing
-    identity-padded records.
+    (its schema and keys, or "empty"), so either all ranks take this
+    path or none does — a rank with an empty map still participates by
+    contributing identity-padded records.  The same votes pick the
+    layout (see :func:`global_combine`), identically on every rank.
     """
     packed = pack_map(local_map)
     if packed is not None and packed.allreduce_eligible:
@@ -397,7 +413,16 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
     ):
         return None
     _cls, _dtype, _merges = ref[1], ref[2], ref[3]
-    union = _key_union([v[4] for v in schema_votes])
+    keys = [v[4] for v in schema_votes]
+    if len(keys) == comm.size and _ascending_disjoint(keys):
+        # Position-keyed: no key is shared, so the concatenation in rank
+        # order is the combination.
+        _record_wire_allreduce(comm, packed.records)
+        records = comm.allgather(packed.records)
+        return PackedMap(
+            _cls, np.concatenate(keys), _concat_records(records), _merges
+        ).to_map()
+    union = _key_union(keys)
     if packed is not None:
         contribution = packed.expand_to(union)
     else:
@@ -408,12 +433,17 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
     return PackedMap(_cls, union, reduced, _merges).to_map()
 
 
+def _ascending_disjoint(votes: list[np.ndarray]) -> bool:
+    """True when each (sorted, non-empty) key array ends below the next's start."""
+    return all(a[-1] < b[0] for a, b in zip(votes, votes[1:]))
+
+
 def _key_union(votes: list[np.ndarray]) -> np.ndarray:
     """Sorted union of the ranks' (sorted, unique, non-empty) key arrays."""
     first = votes[0]
     if all(np.array_equal(first, v) for v in votes[1:]):
         return first.copy()  # the result map must not alias a rank's vote
-    if all(a[-1] < b[0] for a, b in zip(votes, votes[1:])):
+    if _ascending_disjoint(votes):
         return np.concatenate(votes)  # position-keyed: rank order is key order
     union = first
     for v in votes[1:]:

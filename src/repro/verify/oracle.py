@@ -320,7 +320,9 @@ def _execute_spmd(workload: Workload, config: Config, args: ExecutionPolicy,
                 out = merge_distributed_output(comm, out)
                 result = dict(workload.extract(app, out))
             else:
-                app.run(data[lo:hi])
+                # Each rank's slab at its global position, as in situ:
+                # position-keyed analytics (grid, tile) then key by it.
+                app.run(data[lo:hi], global_offset=lo, total_len=total)
                 result = dict(workload.extract(app, None))
             counters = dict(app.telemetry_snapshot()["counters"])
         return result, counters

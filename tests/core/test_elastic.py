@@ -7,8 +7,11 @@ disconnects; degrade conserves mass with exact loss accounting;
 corrupted snapshot falls back to the previous CRC-good one.
 """
 
+import gc
 import socket
+import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +290,26 @@ class TestRetry:
         snap = telemetry.snapshot()["counters"]
         assert snap.get("faults.retries", 0) >= 1
         assert snap.get("elastic.replays", 0) >= 1
+
+    def test_recovery_leaves_no_socket_unclosed(self, partitions, baseline, monkeypatch):
+        """The respawned worker registers on a new socket: the coordinator
+        closes the one it replaces, and each reader loop its own."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        telemetry = Recorder()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            result = run_tier(
+                partitions,
+                policy=FaultPolicy.retry(backoff=0.01, max_attempts=5),
+                fault_plan=FaultPlan(
+                    [FaultSpec("comm", "crash", at_call=3, target=1)], seed=SEED),
+                telemetry=telemetry,
+            )
+            gc.collect()
+        assert np.array_equal(result, baseline)
+        assert telemetry.snapshot()["counters"].get("elastic.replays", 0) == 1
+        assert [str(u.exc_value) for u in unraisable] == []
 
     def test_hang_detected_by_ack_stall_not_sleep(self, partitions, baseline):
         """A hung worker's heartbeat thread keeps beating; detection must

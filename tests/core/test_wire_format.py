@@ -309,12 +309,19 @@ ALGORITHMS = ("gather", "tree", "allreduce")
 FORMATS = ("pickle", "columnar")
 
 
-def _combine_body(comm, algorithm, wire_format):
-    local = KeyedMap(
-        {comm.rank: SumCountObj(comm.rank + 0.5, 1),
-         100: SumCountObj(1.0 / (comm.rank + 1), 2),
-         100 + comm.rank % 2: SumCountObj(2.0, 1)}
-    )
+LAYOUTS = {
+    # shared and rank-private keys: the padded union reduce
+    "mixed": lambda rank: {rank: SumCountObj(rank + 0.5, 1),
+                           100: SumCountObj(1.0 / (rank + 1), 2),
+                           100 + rank % 2: SumCountObj(2.0, 1)},
+    # rank r holds keys [10r, 10r+5): concatenated in rank order
+    "position_keyed": lambda rank: {k: SumCountObj(k / 3 - rank, k % 4)
+                                    for k in range(10 * rank, 10 * rank + 5)},
+}
+
+
+def _combine_body(comm, algorithm, wire_format, layout="mixed"):
+    local = KeyedMap(LAYOUTS[layout](comm.rank))
     merged = global_combine(
         comm, local, merge_sumcount,
         combine=CombinePolicy(algorithm=algorithm, wire_format=wire_format),
@@ -325,17 +332,19 @@ def _combine_body(comm, algorithm, wire_format):
 class TestCombineOnCluster:
     @pytest.mark.parametrize("ranks", [2, 3, 5])
     def test_all_algorithms_and_formats_bit_identical(self, ranks):
-        reference = None
-        for algorithm in ALGORITHMS:
-            for wire_format in FORMATS:
-                results = spmd_launch(
-                    ranks, _combine_body,
-                    args_per_rank=[(algorithm, wire_format)] * ranks, timeout=30,
-                )
-                assert all(r == results[0] for r in results)
-                if reference is None:
-                    reference = results[0]
-                assert results[0] == reference, (algorithm, wire_format)
+        for layout in LAYOUTS:
+            reference = None
+            for algorithm in ALGORITHMS:
+                for wire_format in FORMATS:
+                    results = spmd_launch(
+                        ranks, _combine_body,
+                        args_per_rank=[(algorithm, wire_format, layout)] * ranks,
+                        timeout=30,
+                    )
+                    assert all(r == results[0] for r in results)
+                    if reference is None:
+                        reference = results[0]
+                    assert results[0] == reference, (layout, algorithm, wire_format)
 
     def test_allreduce_with_one_empty_rank(self):
         def body(comm):
@@ -353,12 +362,20 @@ class TestCombineOnCluster:
         assert all(r == results[0] for r in results)
         assert results[0][0] == {"total": 2.0, "count": 2}
 
-    @pytest.mark.parametrize("keys_of", [
-        lambda rank: [0, 1, 2],                    # every rank votes the same keys
-        lambda rank: [10 * rank, 10 * rank + 1],   # position-keyed: ordered, disjoint
-        lambda rank: [rank, rank + 1, 50 - rank],  # general: np.union1d
-    ], ids=["identical", "ordered_disjoint", "overlapping"])
-    def test_allreduce_key_union_matches_gather(self, keys_of):
+    @pytest.mark.parametrize("keys_of, padded", [
+        # every rank votes the same keys
+        pytest.param(lambda rank: [0, 1, 2], True, id="identical"),
+        # position-keyed: ordered, disjoint, concatenated
+        pytest.param(lambda rank: [10 * rank, 10 * rank + 1], False,
+                     id="ordered_disjoint"),
+        # general: np.union1d
+        pytest.param(lambda rank: [rank, rank + 1, 50 - rank], True,
+                     id="overlapping"),
+        # ordered and disjoint, but rank 1 holds nothing: the padded path
+        pytest.param(lambda rank: [] if rank == 1 else [10 * rank, 10 * rank + 1],
+                     True, id="disjoint_empty_middle"),
+    ])
+    def test_allreduce_key_union_matches_gather(self, keys_of, padded):
         profiler = TrafficProfiler()
 
         def body(comm, algorithm, wire_format):
@@ -373,8 +390,12 @@ class TestCombineOnCluster:
         slow = spmd_launch(3, body, args_per_rank=[("gather", "pickle")] * 3,
                            timeout=30)
         assert fast == slow and list(fast[0]) == sorted(fast[0])
-        # One union-sized contribution buffer per rank, shortcut or not.
-        assert profiler.snapshot()["wire.allreduce"] == (3, 3 * len(fast[0]) * 16)
+        if padded:
+            # One union-sized contribution buffer per rank, shortcut or not.
+            assert profiler.snapshot()["wire.allreduce"] == (3, 3 * len(fast[0]) * 16)
+        else:
+            # One own-sized buffer per rank: together, the union once.
+            assert profiler.snapshot()["wire.allreduce"] == (3, len(fast[0]) * 16)
 
     def test_allreduce_falls_back_for_keep_schemas(self):
         """ClusterObj is vector-mergeable but not allreduce-eligible; the
