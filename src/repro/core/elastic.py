@@ -61,7 +61,6 @@ deterministic per worker id.
 from __future__ import annotations
 
 import ast
-import multiprocessing
 import os
 import pickle
 import socket
@@ -74,9 +73,9 @@ import numpy as np
 
 from ..comm.tcp import frame_header, recv_frame, write_frame
 from ..faults import FaultError, FaultPolicy
-from .blas import one_blas_thread
 from .maps import KeyedMap
 from .serialization import deserialize_map, serialize_map
+from .worker import start_process, stop_process
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults import FaultPlan
@@ -153,7 +152,6 @@ def _worker_main(
     """Entry point of one staging worker process."""
     from ..faults import FaultPlan, InjectedRankCrash
 
-    one_blas_thread()
     plan = FaultPlan.parse(plan_fingerprint) if plan_fingerprint else None
     if plan is not None and prior_faults:
         # A respawned incarnation starts with fresh plan counters;
@@ -261,7 +259,7 @@ class _Worker:
 
     def __init__(self, worker_id: int):
         self.id = worker_id
-        self.proc: multiprocessing.process.BaseProcess | None = None
+        self.proc = None  # its process, once spawned
         self.conn: socket.socket | None = None
         self.wlock = threading.Lock()
         self.state = _STARTING
@@ -337,7 +335,6 @@ class ElasticTier:
         self.snapshot_every = snapshot_every
         self.worker_timeout = worker_timeout
         self.heartbeat_interval = heartbeat_interval
-        self._mp = multiprocessing.get_context("fork")
         self._merge_sched = scheduler_factory()  # merge fn + wire format
         self._server = socket.create_server(("127.0.0.1", 0))
         self._port = self._server.getsockname()[1]
@@ -362,26 +359,14 @@ class ElasticTier:
 
     def _spawn(self, worker: _Worker) -> None:
         plan_fp = self.fault_plan.fingerprint() if self.fault_plan is not None else None
-        proc = self._mp.Process(
-            target=_worker_main,
-            args=(
-                worker.id,
-                self._port,
-                self.scheduler_factory,
-                plan_fp,
-                self.snapshot_every,
-                self.heartbeat_interval,
-                worker.deaths,
-            ),
-            name=f"elastic-worker-{worker.id}",
-            daemon=True,
-        )
         # STARTING goes in before the fork: a child that wins the race to
         # HELLO is marked LIVE by the attach thread, and setting the state
         # afterwards would overwrite that and strand the registration.
         with self._cond:
             worker.state = _STARTING
-        proc.start()
+        args = (worker.id, self._port, self.scheduler_factory, plan_fp,
+                self.snapshot_every, self.heartbeat_interval, worker.deaths)
+        proc = start_process(_worker_main, args, name=f"elastic-worker-{worker.id}", daemon=True)
         with self._cond:
             worker.proc = proc
             if self.telemetry is not None:
@@ -483,9 +468,8 @@ class ElasticTier:
         started = time.perf_counter()
         if self.telemetry is not None:
             self.telemetry.inc("faults.launch_failures")
-        if worker.proc is not None and worker.proc.is_alive():
-            worker.proc.terminate()  # hung: reclaim the process
-            worker.proc.join(timeout=2.0)
+        if worker.proc is not None:
+            stop_process(worker.proc)  # reaped; killed first if hung
         worker.deaths += 1
         if self.policy.mode == "retry":
             # The attempt budget is per worker across its whole lifetime,
@@ -764,9 +748,7 @@ class ElasticTier:
             pass
         for worker in self._workers.values():
             if worker.proc is not None:
-                worker.proc.join(timeout=2.0)
-                if worker.proc.is_alive():
-                    worker.proc.terminate()
+                stop_process(worker.proc, timeout=2.0)
             if worker.conn is not None:
                 try:
                     worker.conn.close()

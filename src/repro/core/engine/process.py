@@ -1,18 +1,19 @@
 """Process engine: GIL-free reduction over resident shared-memory input.
 
-The engine owns ``num_workers`` daemon processes for as long as its
-scheduler lives (the paper's fixed thread team, PAPER.md §3.2), each on
-its own duplex pipe.  Two things move between parent and workers:
+The engine owns a :class:`~repro.core.worker.Pool` of ``num_workers``
+worker processes for as long as its scheduler lives (the paper's fixed
+thread team, PAPER.md §3.2), each on its own duplex pipe.  Two things
+move between parent and workers:
 
-* **Input** — ``begin_run`` copies the partition into the engine's one
-  parent-owned ``multiprocessing.shared_memory`` segment (created on
-  first use, replaced only when a larger partition arrives, released on
-  ``shutdown``) and workers reduce zero-copy numpy views of it.  One
-  copy per run, always: a simulation's output is a view of its own
-  state (``Heat3D.interior``, ``LuleshProxy.e``) that the next step
-  rewrites in place, so there is no buffer the engine could share with
-  it and no cheap way to know the bytes are the ones copied last time.
-  This is the engine's only shared memory.
+* **Input** — ``begin_run`` copies the partition into the pool's one
+  input segment (created on first use, replaced only when a larger
+  partition arrives, released with the pool) and workers reduce
+  zero-copy numpy views of it.  One copy per run, always: a simulation's
+  output is a view of its own state (``Heat3D.interior``,
+  ``LuleshProxy.e``) that the next step rewrites in place, so there is
+  no buffer the engine could share with it and no cheap way to know the
+  bytes are the ones copied last time.  This is the engine's only
+  shared memory.
 * **State and results** — everything else travels as bytes on the
   worker's pipe, and a worker keeps what it is sent.  Worker ``i``
   serves thread ``i`` and holds a *session* of four versioned parts: the
@@ -24,7 +25,7 @@ its own duplex pipe.  Two things move between parent and workers:
   (combination map and ``mutable_state()``; one per combination phase)
   and the thread's reduction *map* (one per list handed to
   ``map_splits``, so a replayed iteration starts over).  A task carries
-  only the parts whose version differs from ``_Worker.holds`` — on a
+  only the parts whose version differs from ``Worker.holds`` — on a
   healthy block, the split alone.  A new map part says "derive the seed
   from the delta" (``Scheduler._make_reduction_maps``); on a list's
   later blocks a worker goes on from the map it kept, and one lacking it
@@ -39,13 +40,13 @@ its own duplex pipe.  Two things move between parent and workers:
 
 ``map_splits`` is the one dispatch loop, for every fault policy and with
 or without a :class:`~repro.faults.FaultPlan`: send each split to its
-thread's worker, then block in ``multiprocessing.connection.wait`` on
-the busy workers' pipes and process sentinels.  A readable pipe is a
-reply; a ready sentinel with nothing to read is *that* worker's death
-with *that* task lost; ``FaultPolicy.task_deadline`` passing with no
-reply at all is a hang of every busy worker.  A dead or hung worker is
-replaced (``engine.residency.invalidations``) and once the block has
-drained the outcome follows the policy: ``retry`` raises
+thread's worker (one found dead while idle is replaced first and costs
+nothing), then :func:`~repro.core.worker.wait` on the busy workers.  A
+reply is a reply; a death is *that* worker's task lost;
+``FaultPolicy.task_deadline`` passing with no reply at all is a hang of
+every busy worker.  A dead or hung worker is replaced
+(``engine.residency.invalidations``) and once the block has drained the
+outcome follows the policy: ``retry`` raises
 :class:`~repro.faults.EngineFaultError` so the scheduler replays the
 iteration from the last consistent combination map, ``degrade`` folds
 the completed splits and records the dropped ones, ``fail_fast`` raises.
@@ -57,185 +58,79 @@ from __future__ import annotations
 
 import copy
 import itertools
-import multiprocessing as mp
 import os
 import pickle
 import time
-import traceback
-from contextlib import contextmanager
-from multiprocessing import shared_memory
-from multiprocessing.connection import wait
-from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
 
 from ...faults import EngineFaultError, FaultPolicy
 from ...telemetry import Recorder
-from ..blas import one_blas_thread
 from ..chunk import Split
 from ..maps import KeyedMap
 from ..serialization import deserialize_map, serialize_map, wire_format_of
+from ..worker import Pool, Worker, detach, view, wait
 from .base import ExecutionEngine, join_keys
 
 
-@contextmanager
-def _untracked_shm():
-    """Suppress resource-tracker registration for a SharedMemory call.
-
-    The parent owns the segment's lifetime (it unlinks its resident
-    input segment on shutdown); a worker only attaches.  On Python <
-    3.13 attaching would also register the segment with the resource
-    tracker, which would then warn about — and try to re-unlink — a
-    segment the worker does not own.
-    """
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        yield
-    finally:
-        resource_tracker.register = original_register
-
-
-def _attach_segment(session: SimpleNamespace, name: str) -> shared_memory.SharedMemory:
-    """Worker side: the engine's input segment, attached once and kept
-    until the parent replaces it with a larger one under a new name."""
-    segment = session.segment
-    if segment is None or segment.name != name:
-        if segment is not None:
-            segment.close()
-        with _untracked_shm():
-            segment = session.segment = shared_memory.SharedMemory(name=name)
-    return segment
-
-
-def _run_task(session: SimpleNamespace, message: tuple) -> tuple:
-    """Worker side: install the session parts the task carries, then
-    reduce its split against the kept view, state and reduction map."""
-    parts, split, fault = message
-    if fault is not None:
-        if fault.kind == "kill":
-            os._exit(1)  # simulated worker crash: no cleanup, no reply
-        time.sleep(fault.seconds)  # "hang": stall well past the task deadline
-    if "core" in parts:
-        session.core = pickle.loads(parts["core"])
-    if "header" in parts:
-        _bind_run(session, parts["header"])
-    sched = session.sched
-    if "delta" in parts:
-        com_map_bytes, state = pickle.loads(parts["delta"])
-        sched.combination_map_ = deserialize_map(com_map_bytes)
-        sched.load_state(state)
-    if "map" in parts:  # None: this iteration's seed, derived here
-        payload = parts["map"]
-        session.red_map = (
-            sched._make_reduction_maps(1)[0] if payload is None
-            else deserialize_map(payload)
-        )
-    emitted = KeyedMap()
-    sched._reduce_split(
-        split, session.red_map, sched.data_, None, session.multi_key, capture=emitted
-    )
-    counters = sched.telemetry.counters()
-    sched.telemetry.reset()
-    return (
-        serialize_map(session.red_map, "columnar"),
-        serialize_map(emitted, "columnar") if session.wants_emitted and len(emitted) else b"",
-        counters,
-    )
-
-
-def _bind_run(session: SimpleNamespace, header: tuple) -> None:
-    """A new run: a scheduler instance over the resident core, with its
-    own telemetry, viewing the run's partition."""
-    from ..scheduler import RunStats  # deferred: scheduler imports this module's package
-
-    session.sched = None  # drops the last run's view before its segment can close
-    sched = copy.copy(session.core)
-    sched.telemetry = Recorder()
-    sched.stats = RunStats(sched.telemetry)
-    (shm_name, dtype, n_elems, sched.global_offset_,
-     sched.total_len_, session.multi_key, session.wants_emitted) = header
-    segment = _attach_segment(session, shm_name)
-    sched.data_ = np.ndarray((n_elems,), dtype=np.dtype(dtype), buffer=segment.buf)
-    session.sched = sched
-
-
-def _portable(exc: Exception) -> Exception:
-    """``exc`` with its worker traceback noted, if it survives a pickle
-    round trip; otherwise a ``RuntimeError`` naming it (an exception
-    whose constructor takes other arguments than its ``args`` would fail
-    to rebuild in the parent)."""
-    exc.add_note("process-engine worker traceback:\n" + traceback.format_exc())
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        portable = RuntimeError(f"{type(exc).__name__}: {exc}")
-        portable.__notes__ = exc.__notes__
-        return portable
-    return exc
-
-
-def _worker_main(conn, parent_end) -> None:
-    """Worker process: serve split tasks from ``conn`` until told to stop.
-
-    ``session`` is what this worker has been sent and still holds, plus
-    the input segment it has attached; every message but the empty one
-    (stop) gets exactly one reply.
-    """
-    parent_end.close()  # this fork's copy: open, it would hide its owner's death
-    one_blas_thread()
-    session = SimpleNamespace(core=None, sched=None, red_map=None, segment=None)
-    while True:
-        try:
-            message = conn.recv_bytes()
-        except EOFError:  # the parent is gone
-            return
-        if not message:
-            return
-        try:
-            reply = _run_task(session, pickle.loads(message))
-        except Exception as exc:
-            reply = _portable(exc)
-        conn.send(reply)
-
-
-class _Worker:
-    """One owned worker process, the parent's end of its pipe, and the
-    version of each session part it was last sent."""
-
-    __slots__ = ("process", "conn", "holds")
+class _Session:
+    """Worker side: the session parts this worker was sent and still
+    holds, and the input segment it has mapped; called once per task."""
 
     def __init__(self):
-        self.conn, child_conn = mp.Pipe()
-        self.process = mp.Process(target=_worker_main, args=(child_conn, self.conn), daemon=True)
-        self.process.start()
-        child_conn.close()  # the worker's end lives in the worker only
-        self.holds: dict[str, int] = {}
+        self.core = self.sched = self.red_map = None
+        self.segments: dict = {}
 
-    def send(self, message: bytes) -> None:
-        try:
-            self.conn.send_bytes(message)
-        except OSError:
-            pass  # already dead: its sentinel reports the loss
+    def __call__(self, message: tuple) -> tuple:
+        """Install the session parts the task carries, then reduce its
+        split against the kept view, state and reduction map."""
+        parts, split, fault = message
+        if fault is not None:
+            if fault.kind == "kill":
+                os._exit(1)  # simulated worker crash: no cleanup, no reply
+            time.sleep(fault.seconds)  # "hang": stall well past the task deadline
+        if "core" in parts:
+            self.core = pickle.loads(parts["core"])
+        if "header" in parts:
+            self._bind_run(parts["header"])
+        sched = self.sched
+        if "delta" in parts:
+            com_map_bytes, state = pickle.loads(parts["delta"])
+            sched.combination_map_ = deserialize_map(com_map_bytes)
+            sched.load_state(state)
+        if "map" in parts:  # None: this iteration's seed, derived here
+            payload = parts["map"]
+            self.red_map = (
+                sched._make_reduction_maps(1)[0] if payload is None
+                else deserialize_map(payload)
+            )
+        emitted = KeyedMap()
+        sched._reduce_split(
+            split, self.red_map, sched.data_, None, self.multi_key, capture=emitted
+        )
+        counters = sched.telemetry.counters()
+        sched.telemetry.reset()
+        return (
+            serialize_map(self.red_map, "columnar"),
+            serialize_map(emitted, "columnar") if self.wants_emitted and len(emitted) else b"",
+            counters,
+        )
 
-    def receive(self):
-        """The reply waiting on the pipe, or ``None`` if the worker died
-        without (or while) sending one."""
-        try:
-            return self.conn.recv() if self.conn.poll() else None
-        except (EOFError, OSError):
-            return None
+    def _bind_run(self, header: tuple) -> None:
+        """A new run: a scheduler instance over the resident core, with its
+        own telemetry, viewing the run's partition."""
+        from ..scheduler import RunStats  # deferred: scheduler imports this module's package
 
-    def stop(self, kill: bool = False) -> None:
-        if kill:
-            self.process.kill()
-        else:
-            self.send(b"")
-        self.process.join()
-        self.conn.close()
+        self.sched = None  # drops the last run's view before its segment can close
+        sched = copy.copy(self.core)
+        sched.telemetry = Recorder()
+        sched.stats = RunStats(sched.telemetry)
+        (name, dtype, n_elems, sched.global_offset_,
+         sched.total_len_, self.multi_key, self.wants_emitted) = header
+        detach(self.segments, [held for held in self.segments if held != name])
+        sched.data_ = view(self.segments, name, (n_elems,), dtype)
+        self.sched = sched
 
 
 class ProcessEngine(ExecutionEngine):
@@ -245,9 +140,7 @@ class ProcessEngine(ExecutionEngine):
 
     def __init__(self, num_workers, telemetry):
         super().__init__(num_workers, telemetry)
-        self._workers: list[_Worker] = []
-        # The one resident input segment every run's partition is copied into.
-        self._segment: shared_memory.SharedMemory | None = None
+        self._pool: Pool | None = None
         # The session: current (version, payload) of each part, and the list
         # of reduction maps (``map_splits``' last) the "map" part stands for.
         self._parts: dict[str, tuple[int, object]] = {}
@@ -256,61 +149,35 @@ class ProcessEngine(ExecutionEngine):
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        if not self._workers:
-            self._workers = [_Worker() for _ in range(self.num_workers)]
+        if self._pool is None:
+            self._pool = Pool(_Session, self.num_workers, name="smart-engine",
+                              telemetry=self.telemetry, replaced="engine.residency.invalidations")
             self.telemetry.inc("engine.pools_created")
 
-    def _stop_workers(self, kill: bool = False) -> None:
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            worker.stop(kill)
-
     def shutdown(self) -> None:
-        self._stop_workers()
-        self._release_segment()
-
-    def __del__(self):  # pragma: no cover - interpreter-exit safety net
-        self._stop_workers(kill=True)
-        self._release_segment()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
+            self.telemetry.set_gauge("engine.residency.resident_bytes", 0)
 
     def begin_run(self, scheduler, data, out, multi_key) -> None:
-        if scheduler.policy.engine.num_threads > len(self._workers):  # thread i -> worker i
+        if scheduler.policy.engine.num_threads > len(self._pool.workers):  # thread i -> worker i
             raise RuntimeError(
-                f"policy.engine.num_threads raised past this engine's {len(self._workers)} "
+                f"policy.engine.num_threads raised past this engine's {len(self._pool.workers)} "
                 "workers; close() the scheduler first so the team is rebuilt"
             )
         super().begin_run(scheduler, data, out, multi_key)
-        segment = self._stage(data)
+        nbytes = int(data.nbytes)
+        segment = self._pool.segment(nbytes)
+        self.telemetry.set_gauge("engine.residency.resident_bytes", segment.size)
+        np.copyto(np.ndarray(data.shape, dtype=data.dtype, buffer=segment.buf), data)
+        self.telemetry.inc("engine.residency.copied_bytes", nbytes)
         self._ensure_core(scheduler)
         self.invalidate_state()
         self._publish("header", (
             segment.name, data.dtype.str, int(data.shape[0]),
             scheduler.global_offset_, scheduler.total_len_, multi_key, out is not None,
         ))
-
-    def _stage(self, data: np.ndarray) -> shared_memory.SharedMemory:
-        """Copy ``data`` into the resident input segment, replacing the
-        segment first when the partition does not fit."""
-        nbytes = int(data.nbytes)
-        if self._segment is None or self._segment.size < nbytes:
-            self._release_segment()
-            self._segment = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
-            self.telemetry.set_gauge("engine.residency.resident_bytes", self._segment.size)
-        if nbytes:
-            np.copyto(np.ndarray(data.shape, dtype=data.dtype, buffer=self._segment.buf), data)
-        self.telemetry.inc("engine.residency.copied_bytes", nbytes)
-        return self._segment
-
-    def _release_segment(self) -> None:
-        segment, self._segment = self._segment, None
-        if segment is None:
-            return
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reclaimed
-            pass
-        self.telemetry.set_gauge("engine.residency.resident_bytes", 0)
 
     def end_run(self) -> None:
         self._parts.pop("header", None)
@@ -353,7 +220,7 @@ class ProcessEngine(ExecutionEngine):
         return payload
 
     # -- execution ---------------------------------------------------------
-    def _send_task(self, worker: _Worker, split: Split, red_map: KeyedMap | None) -> None:
+    def _send_task(self, worker: Worker, split: Split, red_map: KeyedMap | None) -> None:
         """Send ``split`` with the session parts ``worker`` lacks;
         ``red_map`` is its thread's map so far (``None``: still the seed)."""
         parts: dict[str, object] = {}
@@ -374,39 +241,33 @@ class ProcessEngine(ExecutionEngine):
         self.telemetry.record_op("engine.dispatch", len(message) - len(core))
         worker.send(message)
 
-    def _replace(self, worker: _Worker) -> None:
-        """Put a fresh worker (one that holds nothing) in ``worker``'s place."""
-        worker.stop(kill=True)
-        self._workers[self._workers.index(worker)] = _Worker()
-
     def _dispatch(
         self, splits: list[Split], so_far: list[KeyedMap | None], policy: FaultPolicy
     ) -> list[tuple | None]:
         """Run every split on its thread's worker; ``None`` marks a
         dropped one (degrade mode).  One task is in flight per worker, so
         neither side can block writing to a pipe nobody reads."""
+        pool = self._pool
         results: list[tuple | None] = [None] * len(splits)
-        busy: dict[_Worker, int] = {}
+        busy: dict[Worker, int] = {}
         error: BaseException | None = None
         lost, kind = 0, "dead"
         try:
             for index, split in enumerate(splits):
-                worker = self._workers[split.thread_id]
+                worker = pool.worker(split.thread_id)
                 busy[worker] = index
                 self._send_task(worker, split, so_far[split.thread_id])
             while busy:
-                owner = {w.conn: w for w in busy} | {w.process.sentinel: w for w in busy}
-                ready = wait(list(owner), timeout=policy.task_deadline)
+                ready = wait(busy, policy.task_deadline)
                 # Nothing at all within the deadline: every busy worker hangs.
-                for worker in dict.fromkeys(owner[r] for r in ready) or list(busy):
+                for worker in ready or list(busy):
                     index = busy.pop(worker)
                     reply = worker.receive() if ready else None
                     if reply is None:
                         lost, kind = lost + 1, "dead" if ready else "hung"
                         self.telemetry.inc(f"faults.detected.worker_{kind}")
                         with self.telemetry.span("faults.recovery_seconds"):
-                            self._replace(worker)
-                        self.telemetry.inc("engine.residency.invalidations")
+                            pool.replace(splits[index].thread_id)
                     elif isinstance(reply, BaseException):
                         error = error or reply
                         worker.holds.clear()  # whatever it installed, send it all again
@@ -416,8 +277,8 @@ class ProcessEngine(ExecutionEngine):
             # Interrupted mid-block (Ctrl-C in a notebook): a busy worker
             # must neither answer the next block with this one's reply
             # nor still be reading a segment the next run rewrites.
-            for worker in busy:
-                self._replace(worker)
+            for index in busy.values():
+                pool.replace(splits[index].thread_id)
             raise
         if error is not None:
             raise error

@@ -359,9 +359,9 @@ def global_combine(
       preferable when maps are large or ranks are many.
     * ``"allreduce"`` — the hand-written-MPI shape (Section 5.3): ranks
       vote their schemas and keys, then combine their packed records by
-      the key layout the votes show.  When every rank holds keys and
-      they are disjoint and ascending in rank order (position-keyed
-      analytics: each rank owns its cells), ranks allgather their own
+      the key layout the votes show.  When the ranks' keys are disjoint
+      and ascending in rank order (position-keyed analytics: each rank
+      owns its cells; an empty rank owns none), ranks allgather their own
       records and concatenate them — nothing is padded or reduced.
       Otherwise ranks identity-pad their records to the key union and
       reduce the contiguous buffers elementwise.  Requires an
@@ -391,8 +391,8 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
 
     Eligibility is decided collectively: every rank contributes a vote
     (its schema and keys, or "empty"), so either all ranks take this
-    path or none does — a rank with an empty map still participates by
-    contributing identity-padded records.  The same votes pick the
+    path or none does — a rank with an empty map still participates,
+    with no records or identity-padded ones.  The same votes pick the
     layout (see :func:`global_combine`), identically on every rank.
     """
     packed = pack_map(local_map)
@@ -414,11 +414,12 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
         return None
     _cls, _dtype, _merges = ref[1], ref[2], ref[3]
     keys = [v[4] for v in schema_votes]
-    if len(keys) == comm.size and _ascending_disjoint(keys):
+    if all(a[-1] < b[0] for a, b in zip(keys, keys[1:])):
         # Position-keyed: no key is shared, so the concatenation in rank
-        # order is the combination.
-        _record_wire_allreduce(comm, packed.records)
-        records = comm.allgather(packed.records)
+        # order is the combination (an empty rank adds no records).
+        own = packed.records if packed is not None else _identity_records(_dtype, _merges, 0)
+        _record_wire_allreduce(comm, own)
+        records = comm.allgather(own)
         return PackedMap(
             _cls, np.concatenate(keys), _concat_records(records), _merges
         ).to_map()
@@ -433,18 +434,11 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
     return PackedMap(_cls, union, reduced, _merges).to_map()
 
 
-def _ascending_disjoint(votes: list[np.ndarray]) -> bool:
-    """True when each (sorted, non-empty) key array ends below the next's start."""
-    return all(a[-1] < b[0] for a, b in zip(votes, votes[1:]))
-
-
 def _key_union(votes: list[np.ndarray]) -> np.ndarray:
     """Sorted union of the ranks' (sorted, unique, non-empty) key arrays."""
     first = votes[0]
     if all(np.array_equal(first, v) for v in votes[1:]):
         return first.copy()  # the result map must not alias a rank's vote
-    if _ascending_disjoint(votes):
-        return np.concatenate(votes)  # position-keyed: rank order is key order
     union = first
     for v in votes[1:]:
         union = np.union1d(union, v)

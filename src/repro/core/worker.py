@@ -1,0 +1,284 @@
+"""Owned worker processes: how one starts, serves, dies and stops.
+
+The paper runs Smart's fixed thread team inside the simulation's process
+(PAPER.md §3.2); this reproduction runs it as owned processes, off the
+parent's GIL.  Everything about such a process but its work lives here;
+the process engine's workers, the service's seat processes and the
+elastic tier's staging workers are the clients.
+
+* **Start** — :func:`start_process` forks.  The child closes its copy of
+  the parent's pipe end, so the parent's death reads as EOF, and pins
+  BLAS to one thread: it shares the host's cores with its siblings.
+* **One message, one reply** — a :class:`Pool` worker calls its client's
+  *handler* (a class, instantiated in the child) on each message and
+  replies with the result or the exception.  An empty message or EOF
+  ends it.
+* **Death and hang** — :func:`wait` on pipes and sentinels, with an
+  optional deadline: a readable pipe is a reply, a ready sentinel with
+  nothing to read a death, nothing by the deadline a hang.  What a loss
+  costs is the client's policy; :meth:`Pool.worker` replaces a worker
+  found dead before it is sent anything, which has lost no work.
+* **Replace and exit halt** — :meth:`Pool.replace` kills, reaps and
+  re-forks (never once the pool is closed).  Pools are not daemonic (a
+  seat starts engine workers of its own), so one ``Finalize`` per pool
+  stops its workers when the pool is closed, collected, or still open
+  at interpreter exit, before ``multiprocessing`` joins its children.
+* **Segments** — :func:`create_segment` names a segment
+  ``smart_<pid>_<token>``; reaping a process unlinks what it left.  A
+  worker maps another process's segment with :func:`view`.
+"""
+
+from __future__ import annotations
+
+import multiprocessing as mp
+import os
+import pickle
+import secrets
+import threading
+import traceback
+from multiprocessing import resource_tracker, shared_memory
+from multiprocessing.connection import wait as _wait
+from multiprocessing.util import Finalize
+from pathlib import Path
+
+import numpy as np
+
+from .blas import one_blas_thread
+
+__all__ = ["Pool", "Worker", "create_segment", "detach", "start_process", "stop_process",
+           "unlink_segment", "view", "wait"]
+
+_FORK = mp.get_context("fork")
+#: How long a halt waits for a worker asked to stop before killing it.
+_STOP_SECONDS = 30.0
+_SHM = Path("/dev/shm")
+
+
+# -- one process ----------------------------------------------------------------
+
+
+def _main(target, args: tuple, inherited: tuple) -> None:
+    for conn in inherited:
+        conn.close()  # this fork's copy of the parent's end: open, it would hide the parent's death
+    one_blas_thread()
+    target(*args)
+
+
+def start_process(target, args: tuple, *, name: str, daemon: bool = False,
+                  inherited: tuple = ()):
+    """Fork a process running ``target(*args)``; ``inherited`` are parent
+    connections the child closes first."""
+    process = _FORK.Process(target=_main, args=(target, args, inherited),
+                            name=name, daemon=daemon)
+    process.start()
+    return process
+
+
+def stop_process(process, timeout: float | None = 0.0) -> int | None:
+    """Give ``process`` ``timeout`` seconds to exit, kill it if it has not,
+    reap it and unlink the segments it created and left; its exit code."""
+    process.join(timeout)
+    if process.is_alive():
+        process.kill()
+        process.join()
+    for path in _SHM.glob(f"smart_{process.pid}_*"):
+        unlink_segment(shared_memory.SharedMemory(name=path.name))
+    return process.exitcode
+
+
+# -- the serve loop ---------------------------------------------------------------
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` with its worker traceback noted, if it survives a pickle
+    round trip; otherwise a ``RuntimeError`` naming it (an exception
+    whose constructor takes other arguments than its ``args`` would fail
+    to rebuild in the parent)."""
+    exc.add_note("worker traceback:\n" + traceback.format_exc())
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        portable = RuntimeError(f"{type(exc).__name__}: {exc}")
+        portable.__notes__ = exc.__notes__
+        return portable
+    return exc
+
+
+def _serve(conn, handler) -> None:
+    handle = handler()
+    while True:
+        try:
+            message = conn.recv_bytes()
+        except EOFError:  # the parent is gone
+            return
+        if not message:
+            return
+        try:
+            reply = handle(pickle.loads(message))
+        except Exception as exc:
+            reply = _portable(exc)
+        conn.send(reply)
+
+
+# -- the parent side ----------------------------------------------------------------
+
+
+class Worker:
+    """One owned worker process, the parent's end of its pipe, and what
+    the client has sent it that it still ``holds`` (a fresh one: nothing)."""
+
+    __slots__ = ("process", "conn", "holds")
+
+    def __init__(self, handler, name: str):
+        self.conn, child_conn = _FORK.Pipe()
+        self.process = start_process(_serve, (child_conn, handler), name=name,
+                                     inherited=(self.conn,))
+        child_conn.close()  # the worker's end lives in the worker only
+        self.holds: dict = {}
+
+    def send(self, message: bytes) -> None:
+        """Send one pickled message (``b""``: stop)."""
+        try:
+            self.conn.send_bytes(message)
+        except OSError:
+            pass  # already dead: its sentinel reports the loss
+
+    def receive(self):
+        """The reply waiting on the pipe, or ``None`` if the worker died
+        without (or while) sending one."""
+        try:
+            return self.conn.recv() if self.conn.poll() else None
+        except (EOFError, OSError):
+            return None
+
+    def call(self, message: bytes):
+        """Send one message and wait for its reply (``None``: the worker died)."""
+        self.send(message)
+        wait([self])
+        return self.receive()
+
+    def stop(self, timeout: float | None = 0.0) -> int | None:
+        code = stop_process(self.process, timeout)
+        self.conn.close()  # after: a worker finishing its task can still reply
+        return code
+
+
+def wait(workers, timeout: float | None = None) -> list[Worker]:
+    """The workers among ``workers`` with a reply to read or a death to
+    report; empty when ``timeout`` seconds pass first."""
+    owner = {w.conn: w for w in workers} | {w.process.sentinel: w for w in workers}
+    return list(dict.fromkeys(owner[ready] for ready in _wait(list(owner), timeout)))
+
+
+def _halt(workers: list[Worker], segments: list, lock: threading.Lock) -> None:
+    with lock:
+        for worker in workers:
+            worker.send(b"")
+        for worker in workers:
+            worker.stop(_STOP_SECONDS)
+        while segments:
+            unlink_segment(segments.pop())
+
+
+class Pool:
+    """``size`` owned workers, worker ``i`` named ``<name>-<i>``, each
+    serving a fresh ``handler()`` on its own pipe.  Every replacement
+    counts one ``replaced`` in ``telemetry``."""
+
+    def __init__(self, handler, size: int, *, name: str, telemetry, replaced: str):
+        resource_tracker.ensure_running()  # one tracker for the segments workers create
+        self._handler, self._name = handler, name
+        self._telemetry, self._replaced = telemetry, replaced
+        self._lock = threading.Lock()
+        self.workers = [Worker(handler, f"{name}-{i}") for i in range(size)]
+        self._segments: list[shared_memory.SharedMemory] = []  # at most one
+        self._halt = Finalize(self, _halt, args=(self.workers, self._segments, self._lock),
+                              exitpriority=10)
+
+    @property
+    def closed(self) -> bool:
+        return not self._halt.still_active()
+
+    def worker(self, index: int) -> Worker:
+        """Worker ``index``, replaced first if it died since its last reply."""
+        if self.closed:
+            raise RuntimeError(f"{self._name} pool is closed")
+        if not self.workers[index].process.is_alive():
+            self.replace(index)
+        return self.workers[index]
+
+    def replace(self, index: int) -> int | None:
+        """Kill and reap worker ``index``, fork a fresh one in its place
+        unless the pool is closed, and return the old one's exit code."""
+        with self._lock:
+            code = self.workers[index].stop()
+            self._telemetry.inc(self._replaced)
+            if not self.closed:
+                self.workers[index] = Worker(self._handler, f"{self._name}-{index}")
+        return code
+
+    def segment(self, nbytes: int) -> shared_memory.SharedMemory:
+        """The pool's one input segment, at least ``nbytes`` long: kept
+        while it fits, otherwise replaced (the old one unlinked at once);
+        unlinked when the pool closes."""
+        held = self._segments
+        if not held or held[0].size < nbytes:
+            while held:
+                unlink_segment(held.pop())
+            held.append(create_segment(nbytes))
+        return held[0]
+
+    def close(self) -> None:
+        """Stop every worker (asked, then killed after ``_STOP_SECONDS``)."""
+        self._halt()
+
+
+# -- segments ---------------------------------------------------------------------
+
+
+def create_segment(nbytes: int) -> shared_memory.SharedMemory:
+    """A new segment of at least ``nbytes``, named for the process that
+    creates it."""
+    return shared_memory.SharedMemory(
+        name=f"smart_{os.getpid()}_{secrets.token_hex(4)}", create=True, size=max(nbytes, 1))
+
+
+def unlink_segment(segment: shared_memory.SharedMemory) -> None:
+    try:
+        segment.close()
+    except BufferError:  # pragma: no cover - a view still maps it
+        pass  # unmapped when that view goes
+    try:
+        segment.unlink()
+    except FileNotFoundError:  # pragma: no cover - already reclaimed
+        pass
+
+
+def view(held: dict, name: str, shape, dtype) -> np.ndarray:
+    """Worker side: a read-only array over segment ``name``, which another
+    process created and unlinks.  The segment is mapped on first use and
+    kept in ``held`` until :func:`detach`."""
+    segment = held.get(name)
+    if segment is None:
+        # Untracked: on Python < 3.13 attaching registers the segment, and
+        # this process's tracker would warn about it and unlink it at exit.
+        register = resource_tracker.register
+        resource_tracker.register = lambda *args, **kwargs: None
+        try:
+            segment = held[name] = shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = register
+    array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
+    array.flags.writeable = False
+    return array
+
+
+def detach(held: dict, names) -> None:
+    """Unmap the segments ``names`` from ``held`` (views of them must be gone)."""
+    for name in names:
+        segment = held.pop(name, None)
+        if segment is not None:
+            try:
+                segment.close()
+            except BufferError:  # pragma: no cover - a result still views it
+                pass  # unmapped when that view goes

@@ -11,11 +11,10 @@ so dispatch bytes stay flat as tenants grow.
 Lifetime is refcounted.  :meth:`release` (or the :class:`StepLease`
 context manager) drops a reader; :meth:`retire` marks a step evictable,
 but the segment is only closed and unlinked once the last reader has
-released — eviction can never fire under a live reader.  Readers that
-die without releasing (a crashed client process) are reclaimed by
-:meth:`reap_dead_readers`, which probes each lease's owner pid with
-``os.kill(pid, 0)`` — the same liveness test the PR 3 pool supervisor
-uses on its workers — and releases leases whose owner is gone.
+released — eviction can never fire under a live reader.  Leases live in
+the process that holds the store: the service takes and releases each
+job's lease around the job, whatever becomes of the seat process that
+reads the segment, so no lease outlives its job.
 
 Telemetry lands in the ``engine.residency.shared_*`` namespace next to
 the process engine's per-run residency counters:
@@ -25,36 +24,22 @@ the process engine's per-run residency counters:
 * ``engine.residency.shared_attaches`` / ``shared_bytes_saved`` — one
   per reader that did *not* need its own copy.
 * ``engine.residency.shared_evict_deferred`` — retire() under readers.
-* ``engine.residency.shared_reaped`` — leases reclaimed from dead pids.
 * gauges ``engine.residency.shared_segments`` / ``shared_readers`` /
   ``shared_resident_bytes`` — live state.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 
 import numpy as np
 
+from ..core.worker import create_segment, unlink_segment
 from ..telemetry import Recorder
 
 __all__ = ["SharedStepStore", "StepLease"]
-
-
-def _pid_alive(pid: int) -> bool:
-    """Is ``pid`` still running?  (Signal-0 probe, as in the PR 3
-    supervisor: ``EPERM`` means alive-but-foreign, only ``ESRCH`` means
-    gone.)"""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - foreign-uid pid
-        return True
-    return True
 
 
 @dataclass
@@ -63,8 +48,8 @@ class _Step:
     shape: tuple
     dtype: np.dtype
     nbytes: int
-    #: lease id -> owner pid
-    readers: dict[int, int] = field(default_factory=dict)
+    #: lease ids
+    readers: set[int] = field(default_factory=set)
     retired: bool = False
 
 
@@ -79,13 +64,12 @@ class StepLease:
     """
 
     def __init__(self, store: "SharedStepStore", step_id: str,
-                 lease_id: int, data: np.ndarray, owner_pid: int,
+                 lease_id: int, data: np.ndarray,
                  segment: tuple[str, tuple, str]):
         self._store = store
         self.step_id = step_id
         self.lease_id = lease_id
         self.data = data
-        self.owner_pid = owner_pid
         self.segment = segment
         self._released = False
 
@@ -123,7 +107,7 @@ class SharedStepStore:
         with self._lock:
             if step_id in self._steps:
                 raise ValueError(f"step {step_id!r} is already resident")
-            shm = shared_memory.SharedMemory(create=True, size=max(1, data.nbytes))
+            shm = create_segment(data.nbytes)
             np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)[...] = data
             self._steps[step_id] = _Step(
                 shm=shm, shape=data.shape, dtype=data.dtype, nbytes=data.nbytes)
@@ -132,13 +116,8 @@ class SharedStepStore:
             self._update_gauges_locked()
 
     # -- leases --------------------------------------------------------
-    def attach(self, step_id: str, owner_pid: int | None = None) -> StepLease:
-        """Take a refcounted read-only view of a resident step.
-
-        ``owner_pid`` names the process the lease belongs to (defaults
-        to the caller); :meth:`reap_dead_readers` releases leases whose
-        owner has died.
-        """
+    def attach(self, step_id: str) -> StepLease:
+        """Take a refcounted read-only view of a resident step."""
         with self._lock:
             step = self._steps.get(step_id)
             if step is None:
@@ -148,14 +127,13 @@ class SharedStepStore:
                 raise KeyError(f"step {step_id!r} is retired")
             lease_id = self._next_lease
             self._next_lease += 1
-            step.readers[lease_id] = os.getpid() if owner_pid is None else owner_pid
+            step.readers.add(lease_id)
             view = np.ndarray(step.shape, dtype=step.dtype, buffer=step.shm.buf)
             view.flags.writeable = False
             self.telemetry.inc("engine.residency.shared_attaches")
             self.telemetry.inc("engine.residency.shared_bytes_saved", step.nbytes)
             self._update_gauges_locked()
             return StepLease(self, step_id, lease_id, view,
-                             step.readers[lease_id],
                              (step.shm.name, step.shape, step.dtype.str))
 
     def _release(self, step_id: str, lease_id: int) -> None:
@@ -163,7 +141,7 @@ class SharedStepStore:
             step = self._steps.get(step_id)
             if step is None:
                 return
-            step.readers.pop(lease_id, None)
+            step.readers.discard(lease_id)
             if step.retired and not step.readers:
                 self._evict_locked(step_id)
             self._update_gauges_locked()
@@ -190,37 +168,7 @@ class SharedStepStore:
     def _evict_locked(self, step_id: str) -> None:
         step = self._steps.pop(step_id)
         assert not step.readers, "eviction under a live reader"
-        try:
-            step.shm.close()
-        except BufferError:  # pragma: no cover - stale view still mapped
-            pass
-        try:
-            step.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    # -- crash recovery ------------------------------------------------
-    def reap_dead_readers(self) -> int:
-        """Release every lease whose owner pid has died; return count.
-
-        The service's dispatch loop calls this opportunistically so a
-        reader that crashed mid-job cannot pin a retired step forever.
-        """
-        reaped = 0
-        with self._lock:
-            for step_id in list(self._steps):
-                step = self._steps[step_id]
-                dead = [lid for lid, pid in step.readers.items()
-                        if not _pid_alive(pid)]
-                for lid in dead:
-                    del step.readers[lid]
-                    reaped += 1
-                if dead and step.retired and not step.readers:
-                    self._evict_locked(step_id)
-            if reaped:
-                self.telemetry.inc("engine.residency.shared_reaped", reaped)
-            self._update_gauges_locked()
-        return reaped
+        unlink_segment(step.shm)
 
     # -- introspection -------------------------------------------------
     def elements(self, step_id: str) -> int:

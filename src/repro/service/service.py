@@ -6,15 +6,15 @@ shared in-situ data plane:
 * **queue** — submissions pass :class:`AdmissionController` (bounded
   queue, per-tenant quotas, engine-second budgets) and enter a
   :class:`DeficitRoundRobin` dispatcher;
-* **seat processes** — the service owns ``workers`` forked processes,
-  one duplex pipe each, and one dispatcher thread per process pops jobs
+* **seat processes** — the service owns a :class:`~repro.core.worker.Pool`
+  of ``workers`` processes, and one dispatcher thread per process pops jobs
   in DRR order (so no tenant's flood can starve another's head job past
   one quantum rotation) and sends each to its process: jobs run off the
   service's GIL, one core each;
 * **shared residency** — every job leases its sim step from the
-  refcounted :class:`SharedStepStore` on behalf of its seat process's
-  pid: N jobs against one step read one resident copy, which each seat
-  process maps once, by name;
+  refcounted :class:`SharedStepStore` for as long as its seat process
+  runs it: N jobs against one step read one resident copy, which each
+  seat process maps once, by name;
 * **seats** — inside a seat process, per-(tenant, workload, policy)
   schedulers are kept warm between jobs (``service.seats.created`` vs
   ``service.seats.reused``);
@@ -31,18 +31,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing as mp
+import pickle
 import threading
 import time
-from multiprocessing import shared_memory
-from multiprocessing.connection import wait
-from multiprocessing.util import Finalize
 
 import numpy as np
 
 from ..core import ExecutionPolicy
-from ..core.blas import one_blas_thread
-from ..core.engine.process import _portable, _untracked_shm
+from ..core.worker import Pool, detach, view
 from ..telemetry import Recorder
 from ..verify.workloads import Workload, get_workload
 from .admission import AdmissionController
@@ -125,168 +121,58 @@ class _Seat:
         self.workload = workload
         self.app = workload.build(policy, None)
         self.app.use_telemetry(recorder)
-        self.runs = 0
 
     def run(self, data: np.ndarray) -> tuple[dict, dict[str, int]]:
         self.app.reset()
         self.app.reset_stats()
         result = _run_app(self.app, self.workload, data)
         counters = self.app.telemetry.counters()
-        self.runs += 1
         return result, counters
-
-    def close(self) -> None:
-        self.app.close()
 
 
 # -- the seat process ---------------------------------------------------------
 
 
-def _step_view(segments: dict, segment: tuple[str, tuple, str]) -> np.ndarray:
-    """The step ``segment`` names, mapped on first use and kept: a
-    read-only view over the service's shared memory, no copy."""
-    name, shape, dtype = segment
-    held = segments.get(name)
-    if held is None:
-        with _untracked_shm():  # the service owns and unlinks it
-            shm = shared_memory.SharedMemory(name=name)
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-        view.flags.writeable = False
-        held = segments[name] = (shm, view)
-    return held[1]
+class _Seats:
+    """A seat process's state: its warm schedulers and the step segments
+    it has mapped.  Each call is one job, ``(evicted segment names, job)``,
+    and returns (result, ``run.*`` counters, seconds spent, whether a
+    warm seat was ``created`` or ``reused``)."""
 
+    def __init__(self):
+        self.segments: dict = {}
+        self.seats: dict[tuple, _Seat] = {}
 
-def _detach(segments: dict, seats: dict, names) -> None:
-    """Unmap step segments the service has evicted.  A warm seat still
-    holds the step its last job read, so the seats let go first."""
-    for seat in seats.values():
-        seat.app.reset()
-    for name in names:
-        if name not in segments:
-            continue  # its job failed before mapping it
-        shm = segments.pop(name)[0]  # the view goes with the tuple
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - a result still views it
-            pass  # unmapped when that view goes
-
-
-def _serve(segments: dict, seats: dict, tenant: str, workload: str, policy,
-           segment: tuple) -> tuple[dict, dict[str, int], float, str | None]:
-    """One job, in the seat process: (result, ``run.*`` counters, seconds
-    spent, whether a warm seat was ``created`` or ``reused``)."""
-    t0 = time.perf_counter()
-    data = _step_view(segments, segment)
-    w = get_workload(workload)
-    used = None
-    if w.make_extra is not None:
-        # Stateful seeding (e.g. centroids the run mutates): build
-        # fresh, never reuse.
-        result, counters = execute_workload(w, job_policy(w, policy, data), data)
-    else:
-        if isinstance(policy, ExecutionPolicy):  # resolved already
-            fingerprint = policy.fingerprint()
+    def __call__(self, message: tuple) -> tuple[dict, dict[str, int], float, str | None]:
+        evicted, (tenant, workload, policy, (name, shape, dtype)) = message
+        if evicted:
+            # A warm seat still holds the step its last job read, so the
+            # seats let go before the segments the service evicted unmap.
+            for seat in self.seats.values():
+                seat.app.reset()
+            detach(self.segments, evicted)
+        t0 = time.perf_counter()
+        data = view(self.segments, name, shape, dtype)
+        w = get_workload(workload)
+        used = None
+        if w.make_extra is not None:
+            # Stateful seeding (e.g. centroids the run mutates): build
+            # fresh, never reuse.
+            result, counters = execute_workload(w, job_policy(w, policy, data), data)
         else:
-            policy, fingerprint = _resolved(w.name, policy)
-        key = (tenant, w.name, fingerprint)
-        seat = seats.get(key)
-        used = "created" if seat is None else "reused"
-        if seat is None:
-            seat = seats[key] = _Seat(w, policy, Recorder())
-        result, counters = seat.run(data)
-    run = {name: value for name, value in counters.items()
-           if name.startswith("run.")}
-    return result, run, time.perf_counter() - t0, used
-
-
-def _seat_main(conn, parent_end) -> None:
-    """Seat process: run jobs from ``conn`` until told to stop.
-
-    Every message but ``None`` (stop) is ``(evicted segment names, job)``
-    and gets exactly one reply: :func:`_serve`'s tuple, or the job's
-    exception.  ``segments`` are the step segments mapped here,
-    ``seats`` the warm schedulers.
-    """
-    parent_end.close()  # this fork's copy: open, it would hide the service's death
-    one_blas_thread()
-    segments: dict[str, tuple] = {}
-    seats: dict[tuple, _Seat] = {}
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:  # the service is gone
-                return
-            if message is None:
-                return
-            evicted, job = message
-            if evicted:
-                _detach(segments, seats, evicted)
-            try:
-                reply = _serve(segments, seats, *job)
-            except Exception as exc:
-                reply = _portable(exc)
-            conn.send(reply)
-    finally:
-        for seat in seats.values():
-            seat.close()
-
-
-#: Seats are forked: a spawned interpreter would add its start-up to the
-#: service's, and a fork shares the parent's imported modules.
-_FORK = mp.get_context("fork")
-
-
-class _SeatProcess:
-    """One owned seat process, the service's end of its pipe, and the
-    names of the step segments it has been sent (and so has mapped)."""
-
-    __slots__ = ("process", "conn", "segments")
-
-    def __init__(self, index: int):
-        self.conn, child_conn = _FORK.Pipe()
-        # Not daemonic: a job whose policy names engine=process starts
-        # worker processes of its own, which a daemonic process may not.
-        self.process = _FORK.Process(target=_seat_main, args=(child_conn, self.conn),
-                                     name=f"svc-seat-{index}")
-        self.process.start()
-        child_conn.close()  # the seat's end lives in the seat only
-        self.segments: set[str] = set()
-
-    def run(self, message: tuple):
-        """Send one job and wait for its reply; ``None`` if the process
-        died first (or while replying)."""
-        try:
-            self.conn.send(message)
-        except OSError:
-            pass  # already dead: its sentinel says so
-        if self.conn not in wait([self.conn, self.process.sentinel]):
-            return None
-        try:
-            return self.conn.recv()
-        except (EOFError, OSError):
-            return None
-
-    def stop(self, timeout: float | None = None, kill: bool = False) -> None:
-        if not kill:
-            try:
-                self.conn.send(None)
-            except OSError:
-                pass  # dead, or stopped already
-            self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
-        self.conn.close()
-
-
-def _halt(halting: threading.Event, seats: list[_SeatProcess],
-          timeout: float | None) -> None:
-    """Stop every seat process; a dispatcher that finds one gone from
-    here on leaves it gone."""
-    halting.set()
-    for seat in seats:
-        seat.stop(timeout)
+            if isinstance(policy, ExecutionPolicy):  # resolved already
+                fingerprint = policy.fingerprint()
+            else:
+                policy, fingerprint = _resolved(w.name, policy)
+            key = (tenant, w.name, fingerprint)
+            seat = self.seats.get(key)
+            used = "created" if seat is None else "reused"
+            if seat is None:
+                seat = self.seats[key] = _Seat(w, policy, Recorder())
+            result, counters = seat.run(data)
+        run = {name: value for name, value in counters.items()
+               if name.startswith("run.")}
+        return result, run, time.perf_counter() - t0, used
 
 
 class AnalyticsService:
@@ -315,10 +201,8 @@ class AnalyticsService:
         self._drr = DeficitRoundRobin(quantum=quantum)
         self._workers_wanted = workers
         #: seat process ``i`` and the dispatcher thread that feeds it
-        self._seats: list[_SeatProcess] = []
+        self._pool: Pool | None = None
         self._dispatchers: list[threading.Thread] = []
-        self._halting = threading.Event()
-        self._stop_all: Finalize | None = None
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._outstanding = 0
@@ -384,14 +268,11 @@ class AnalyticsService:
     def start(self) -> "AnalyticsService":
         """Fork the seat processes and start their dispatchers (idempotent)."""
         with self._lock:
-            if self._dispatchers or self._closed:
+            if self._pool is not None or self._closed:
                 return self
             # Every seat is forked before any dispatcher thread exists.
-            self._seats = [_SeatProcess(i) for i in range(self._workers_wanted)]
-            # An interpreter exiting with the service open would otherwise
-            # wait forever on seats that wait for their next job.
-            self._stop_all = Finalize(self, _halt, args=(self._halting, self._seats, 30.0),
-                                      exitpriority=10)
+            self._pool = Pool(_Seats, self._workers_wanted, name="svc-seat",
+                              telemetry=self.telemetry, replaced="service.seat_processes_lost")
             for i in range(self._workers_wanted):
                 t = threading.Thread(target=self._dispatch_loop, args=(i,),
                                      name=f"svc-dispatch-{i}", daemon=True)
@@ -400,7 +281,7 @@ class AnalyticsService:
         return self
 
     def _dispatch_loop(self, index: int) -> None:
-        while not self._halting.is_set():
+        while not self._pool.closed:
             handle = self._drr.pop()
             if handle is None:
                 return
@@ -437,7 +318,6 @@ class AnalyticsService:
             scope.merge_counters(counters)
             handle._finish(result, counters, seconds)
         finally:
-            self.store.reap_dead_readers()
             with self._lock:
                 self._outstanding -= 1
                 if self._outstanding == 0:
@@ -446,35 +326,24 @@ class AnalyticsService:
     def _run_job(self, index: int, handle: JobHandle) -> tuple:
         """Run one job on seat process ``index``: the job's identity goes
         down the pipe, (result, ``run.*`` counters, seat seconds, seat
-        created/reused) comes back."""
+        created/reused) comes back.  The lease is taken and released
+        here, whatever becomes of the seat."""
         spec = handle.spec
-        seat = self._seats[index]
-        if not seat.process.is_alive():  # died idle: no job of its own was lost
-            self._replace(index)
-            seat = self._seats[index]
-        with self.store.attach(spec.step, owner_pid=seat.process.pid) as lease:
+        seat = self._pool.worker(index)
+        with self.store.attach(spec.step) as lease:
             resident = self.store.segment_names()
-            evicted = [name for name in seat.segments if name not in resident]
-            seat.segments.difference_update(evicted)
-            seat.segments.add(lease.segment[0])
-            reply = seat.run((evicted, (spec.tenant, spec.workload, spec.policy,
-                                        lease.segment)))
+            evicted = [name for name in seat.holds if name not in resident]
+            for name in evicted:
+                del seat.holds[name]
+            seat.holds[lease.segment[0]] = True
+            job = (spec.tenant, spec.workload, spec.policy, lease.segment)
+            reply = seat.call(pickle.dumps((evicted, job), pickle.HIGHEST_PROTOCOL))
         if reply is None:
             raise SeatLostError(handle.job_id, spec.tenant, spec.workload,
-                                self._replace(index))
+                                self._pool.replace(index))
         if isinstance(reply, BaseException):
             raise reply
         return reply
-
-    def _replace(self, index: int) -> int | None:
-        """Reap seat process ``index``, fork a fresh one in its place and
-        return the dead one's exit code."""
-        dead = self._seats[index]
-        dead.stop(kill=True)
-        self.telemetry.inc("service.seat_processes_lost")
-        if not self._halting.is_set():
-            self._seats[index] = _SeatProcess(index)
-        return dead.process.exitcode
 
     # -- lifecycle -----------------------------------------------------
     def drain(self, timeout: float | None = None) -> bool:
@@ -499,8 +368,8 @@ class AnalyticsService:
         self._drr.close()
         for t in self._dispatchers:
             t.join(timeout)
-        if self._stop_all is not None:
-            self._stop_all()  # at most once: also unregisters the exit hook
+        if self._pool is not None:
+            self._pool.close()
         self.store.close()
 
     def __enter__(self) -> "AnalyticsService":

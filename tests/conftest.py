@@ -2,10 +2,45 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import pickle
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+
+def _resources() -> tuple[set, set, set]:
+    """This process's children, the framework's shared-memory segments and
+    the live non-daemon threads."""
+    shm = Path("/dev/shm")
+    segments = {p.name for p in shm.iterdir() if p.name.startswith(("psm_", "smart"))} \
+        if shm.is_dir() else set()
+    threads = {t for t in threading.enumerate() if t.is_alive() and not t.daemon}
+    return set(multiprocessing.active_children()), segments, threads
+
+
+@pytest.fixture(autouse=True)
+def leaves_no_resources():
+    """Every test leaves no new child process, ``/dev/shm`` segment or
+    live non-daemon thread behind.  Processes and threads being torn down
+    get a grace period to finish exiting."""
+    before = _resources()
+    yield
+    deadline = time.monotonic() + 10.0
+    while True:
+        leaked = [now - then for now, then in zip(_resources(), before)]
+        if not any(leaked) or time.monotonic() > deadline:
+            break
+        gc.collect()  # a dropped, unclosed pool halts when collected
+        time.sleep(0.05)
+    children, segments, threads = leaked
+    assert not children, f"child processes left running: {children}"
+    assert not segments, f"shared-memory segments left behind: {sorted(segments)}"
+    assert not threads, f"non-daemon threads left running: {threads}"
 
 
 @pytest.fixture
@@ -18,17 +53,17 @@ def rng() -> np.random.Generator:
 def sent(monkeypatch):
     """Every task message the process engine writes to a worker pipe, as
     ``(worker, message bytes, decoded session parts)`` in send order."""
-    from repro.core.engine import process as process_engine
+    from repro.core import worker as runtime
 
     log = []
-    real_send = process_engine._Worker.send
+    real_send = runtime.Worker.send
 
     def send(worker, message):
         if message:  # b"" is the stop message
             log.append((worker, message, pickle.loads(message)[0]))
         real_send(worker, message)
 
-    monkeypatch.setattr(process_engine._Worker, "send", send)
+    monkeypatch.setattr(runtime.Worker, "send", send)
     return log
 
 

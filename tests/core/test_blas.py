@@ -1,8 +1,9 @@
 """Every owned worker process runs its BLAS calls on one thread.
 
 A forked process inherits OpenBLAS's thread count from its parent; the
+owned-worker runtime sets it to one in every process it starts: the
 process-engine workers, the service's seat processes and the elastic
-staging workers each set it to one when they start.  Each test raises
+staging workers.  Each test raises
 this process's count to two first, so a worker that skipped the call
 would report two.
 """
@@ -12,10 +13,9 @@ import os
 import numpy as np
 import pytest
 
-import repro.service.service as service_module
 from repro.analytics import Histogram
-from repro.core import ElasticTier, EnginePolicy, ExecutionPolicy, blas, elastic
-from repro.core.engine import process
+from repro.core import ElasticTier, EnginePolicy, ExecutionPolicy, blas
+from repro.core import worker as runtime
 from repro.service import AnalyticsService, JobSpec
 
 pytestmark = pytest.mark.skipif(
@@ -31,8 +31,7 @@ def reports(tmp_path, monkeypatch):
         blas.one_blas_thread()
         (tmp_path / str(os.getpid())).write_text(str(blas.blas_threads()))
 
-    for module in (process, service_module, elastic):
-        monkeypatch.setattr(module, "one_blas_thread", pin_and_report)
+    monkeypatch.setattr(runtime, "one_blas_thread", pin_and_report)
     set_threads = blas._openblas()[0]
     before = blas.blas_threads()
     set_threads(2)

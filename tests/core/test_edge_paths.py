@@ -80,7 +80,7 @@ class TestFailurePropagation:
         )
         data = np.zeros(100)
         data[77] = 1.0
-        with pytest.raises(RuntimeError, match="poison"):
+        with app, pytest.raises(RuntimeError, match="poison"):
             app.run(data)
 
 

@@ -449,32 +449,23 @@ class TestElasticity:
 
     def test_worker_registering_before_spawn_returns_stays_live(
             self, partitions, baseline, monkeypatch):
-        """A forked worker can HELLO before ``Process.start()`` returns
+        """A forked worker can HELLO before ``start_process`` returns
         to the coordinator; ``_spawn`` must not put it back to STARTING
         afterwards (the registration wait would then time out)."""
         monkeypatch.setattr(elastic, "SPAWN_TIMEOUT", 3.0)
         with ElasticTier(factory, 1, worker_timeout=SUSPECT_TIMEOUT) as tier:
-            fork = tier._mp
+            start = elastic.start_process
 
-            class HelloBeforeStartReturns:
-                @staticmethod
-                def Process(**kw):
-                    proc = fork.Process(**kw)
-                    worker = tier._workers[kw["args"][0]]
-                    start = proc.start
+            def start_and_wait_for_hello(target, args, **kw):
+                proc = start(target, args, **kw)
+                worker = tier._workers[args[0]]
+                limit = time.monotonic() + 10.0
+                while worker.state != elastic._LIVE and time.monotonic() < limit:
+                    time.sleep(0.01)
+                assert worker.state == elastic._LIVE
+                return proc
 
-                    def start_and_wait_for_hello():
-                        start()
-                        limit = time.monotonic() + 10.0
-                        while (worker.state != elastic._LIVE
-                               and time.monotonic() < limit):
-                            time.sleep(0.01)
-                        assert worker.state == elastic._LIVE
-
-                    proc.start = start_and_wait_for_hello
-                    return proc
-
-            tier._mp = HelloBeforeStartReturns
+            monkeypatch.setattr(elastic, "start_process", start_and_wait_for_hello)
             tier.scale_to(2)
             for part in partitions:
                 tier.submit(part)

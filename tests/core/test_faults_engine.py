@@ -227,6 +227,32 @@ class TestRealWorkerDeath:
         assert np.array_equal(outcome["out"], expected)
 
 
+class TestIdleWorkerDeath:
+    @pytest.mark.parametrize("fault", ["fail_fast", "degrade", "retry"])
+    def test_a_worker_killed_between_runs_costs_nothing(self, rng, fault):
+        """A worker SIGKILLed while idle is replaced before it is sent
+        work, so the next run loses nothing under any policy."""
+        data = rng.uniform(0, 1, 8000)
+        expected = np.zeros(8)
+        Histogram(ExecutionPolicy(), lo=0.0, hi=1.0, num_buckets=8).run(data, expected)
+        policy = ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2),
+                                 fault=fault)
+        out = np.zeros(8)
+        with Histogram(policy, lo=0.0, hi=1.0, num_buckets=8) as app:
+            app.run(data, out)
+            victim = app.engine._pool.workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=30)
+            assert not victim.is_alive()
+            app.reset()
+            out[:] = 0
+            app.run(data, out)  # raised EngineFaultError before idle deaths were replaced
+            counters = app.telemetry_snapshot()["counters"]
+        assert np.array_equal(out, expected)
+        assert not {"faults.dropped_splits", "faults.replays"} & counters.keys()
+        assert counters["engine.residency.invalidations"] == 1
+
+
 class SelfDestructKMeans(KMeans):
     """SIGKILLs its own worker the second time this run reduces the split
     starting at ``doomed_start`` (its block of iteration 2), once, while
@@ -271,7 +297,7 @@ class TestReplacementSession:
         sched = self.make(centroids, "process", fault, tmp_path, doomed=doomed)
         sched.flag.touch()
         with sched:
-            original = list(sched.engine._workers)
+            original = list(sched.engine._pool.workers)
             first = centroids_of(sched.run(points))
             counters = sched.telemetry_snapshot()["counters"]
             assert not sched.flag.exists(), "the kill never fired"
@@ -279,9 +305,9 @@ class TestReplacementSession:
             # The replacement's first task carries all four parts: under
             # degrade its thread's map so far, under retry (a replayed
             # iteration starts over) the order to derive the seed.
-            fresh = sched.engine._workers[thread]
+            fresh = sched.engine._pool.workers[thread]
             survivor = original[1 - thread]
-            assert fresh not in original and sched.engine._workers[1 - thread] is survivor
+            assert fresh not in original and sched.engine._pool.workers[1 - thread] is survivor
             parts = next(parts for worker, _, parts in sent if worker is fresh)
             assert sorted(parts) == ["core", "delta", "header", "map"]
             assert isinstance(parts["map"], bytes if fault == "degrade" else type(None))
@@ -402,9 +428,9 @@ class TestInterruptedBlock:
     def test_late_reply_never_answers_the_next_block(self, rng, monkeypatch):
         """Ctrl-C while the parent waits: the busy workers are replaced,
         so the next run cannot read the interrupted block's replies."""
-        from repro.core.engine import process as process_engine
+        from repro.core import worker as runtime
 
-        real_wait, calls = process_engine.wait, []
+        real_wait, calls = runtime._wait, []
 
         def interrupted_once(objects, timeout=None):
             calls.append(objects)
@@ -415,7 +441,7 @@ class TestInterruptedBlock:
                 raise KeyboardInterrupt
             return real_wait(objects, timeout)
 
-        monkeypatch.setattr(process_engine, "wait", interrupted_once)
+        monkeypatch.setattr(runtime, "_wait", interrupted_once)
         first, second = rng.uniform(0, 1, 4000), rng.uniform(0, 1, 4000)
         sched = Histogram(
             ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2)),

@@ -312,12 +312,12 @@ class TestSessionIsolation:
             assert sorted(engine._parts) == ["core"] and engine._red_maps is None
             # ... so whatever versions the workers hold, none is current.
             current = {version for version, _ in engine._parts.values()}
-            for worker in engine._workers:
+            for worker in engine._pool.workers:
                 assert worker.holds.keys() >= {"core", "header", "delta", "map"}
                 assert {v for k, v in worker.holds.items() if k != "core"}.isdisjoint(current)
-            # _replace: a fresh worker holds nothing, so it is sent everything.
-            engine._replace(engine._workers[0])
-            assert engine._workers[0].holds == {}
+            # replace: a fresh worker holds nothing, so it is sent everything.
+            engine._pool.replace(0)
+            assert engine._pool.workers[0].holds == {}
             ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
             ref.run(data)
             ref.run(data)
@@ -354,7 +354,7 @@ class TestSessionIsolation:
                 app.run(data)
             app.close()
             app.run(data)
-            assert len(app.engine._workers) == 3
+            assert len(app.engine._pool.workers) == 3
 
 
 class TestHygiene:

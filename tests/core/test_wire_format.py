@@ -371,9 +371,9 @@ class TestCombineOnCluster:
         # general: np.union1d
         pytest.param(lambda rank: [rank, rank + 1, 50 - rank], True,
                      id="overlapping"),
-        # ordered and disjoint, but rank 1 holds nothing: the padded path
+        # ordered and disjoint, rank 1 holds nothing: still concatenated
         pytest.param(lambda rank: [] if rank == 1 else [10 * rank, 10 * rank + 1],
-                     True, id="disjoint_empty_middle"),
+                     False, id="disjoint_empty_middle"),
     ])
     def test_allreduce_key_union_matches_gather(self, keys_of, padded):
         profiler = TrafficProfiler()

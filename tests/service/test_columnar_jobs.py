@@ -71,7 +71,7 @@ def test_default_job_builds_no_objects(name, monkeypatch):
     try:
         jobs = [execute_workload(w, policy, DATA), seat.run(DATA), seat.run(DATA)]
     finally:
-        seat.close()
+        seat.app.close()
     for result, counters in jobs:
         assert set(result) == set(want)
         for field, expected in want.items():

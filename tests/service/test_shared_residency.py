@@ -1,16 +1,12 @@
-"""Refcounted shared residency: one segment, safe eviction, crash reap.
+"""Refcounted shared residency: one segment, safe eviction.
 
 Property under test: for any interleaving of attach/release/retire,
 N concurrent readers of one step see exactly one shm segment
-(``engine.residency.shared_*`` gauges), eviction never fires while a
-reader holds a ref, and a reader that *dies* without releasing is
-reclaimed by pid-liveness reaping (the PR 3 supervisor's signal-0
-probe).
+(``engine.residency.shared_*`` gauges) and eviction never fires while a
+reader holds a ref.
 """
 
-import multiprocessing as mp
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -182,65 +178,6 @@ class TestEviction:
             assert store.readers("s") == 0
         finally:
             store.close()
-
-
-def _sleep_forever():  # pragma: no cover - child process body
-    time.sleep(300)
-
-
-class TestCrashReap:
-    def test_live_reader_is_not_reaped(self):
-        store = _store()
-        store.register("s", _data())
-        proc = mp.get_context("spawn").Process(target=_sleep_forever)
-        proc.start()
-        try:
-            store.attach("s", owner_pid=proc.pid)
-            assert store.reap_dead_readers() == 0
-            assert store.readers("s") == 1
-        finally:
-            proc.terminate()
-            proc.join()
-            store.close()
-
-    def test_dead_reader_released_and_deferred_eviction_fires(self):
-        """A reader that crashes without releasing is reclaimed via the
-        supervisor-style pid probe, and a deferred eviction then runs."""
-        store = _store()
-        store.register("s", _data())
-        proc = mp.get_context("spawn").Process(target=_sleep_forever)
-        proc.start()
-        crashed_pid = proc.pid
-        store.attach("s", owner_pid=crashed_pid)
-        survivor = store.attach("s")  # owned by this (live) process
-        try:
-            proc.kill()  # reader crashes holding its ref
-            proc.join()
-            assert store.retire("s") is False  # two refs recorded
-            reaped = store.reap_dead_readers()
-            assert reaped == 1
-            assert store.telemetry.counter(
-                "engine.residency.shared_reaped") == 1
-            # The survivor still pins the retired segment...
-            assert store.readers("s") == 1
-            assert store.resident_steps() == ["s"]
-            survivor.release()  # ...and its release completes eviction
-            assert store.resident_steps() == []
-        finally:
-            store.close()
-
-    def test_reap_evicts_retired_step_with_only_dead_readers(self):
-        store = _store()
-        store.register("s", _data())
-        proc = mp.get_context("spawn").Process(target=_sleep_forever)
-        proc.start()
-        store.attach("s", owner_pid=proc.pid)
-        proc.kill()
-        proc.join()
-        assert store.retire("s") is False
-        assert store.reap_dead_readers() == 1
-        assert store.resident_steps() == []
-        store.close()
 
 
 class TestServiceResidencyIntegration:
