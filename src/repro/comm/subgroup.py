@@ -6,9 +6,8 @@ parent rank — exactly MPI's semantics.  The returned :class:`GroupComm`
 implements collectives over the parent's point-to-point layer with
 translated ranks, so ranks outside the group never participate.
 
-The Smart runtime uses this for in-transit/hybrid placement (staging
-ranks form one color); applications can use it for any coupled-code
-topology (e.g. multiple simulations sharing one analytics pool).
+Applications use it for any coupled-code topology (e.g. staging ranks
+as one color, or several simulations sharing one analytics pool).
 """
 
 from __future__ import annotations

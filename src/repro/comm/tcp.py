@@ -8,8 +8,8 @@ real TCP connection.  Collectives are built from rooted fan-in/fan-out
 over that point-to-point layer (the :class:`~repro.comm.subgroup.GroupComm`
 construction), so one transport carries everything.
 
-The design goals are the robustness properties the elastic in-transit
-tier needs (DESIGN.md section 13):
+The design goals are robustness properties of a real wire (DESIGN.md
+section 13):
 
 * **Framing** — ``magic | version | kind | source | dest | tag | length
   | crc32`` header (:data:`HEADER`); payload corruption is detected by
@@ -28,8 +28,7 @@ tier needs (DESIGN.md section 13):
   heals transparently: the router buffers frames for an absent rank and
   flushes them on re-HELLO.
 * **Heartbeats** — each endpoint probes the router on a fixed interval;
-  the router tracks per-rank liveness (:meth:`TcpRouter.last_seen`),
-  which the elastic tier's supervisor polls to call a worker dead.
+  the router tracks per-rank liveness (:meth:`TcpRouter.last_seen`).
 * **Fault injection** — the router consults the cluster's
   :class:`~repro.faults.FaultPlan` per forwarded data frame
   (``network_fault(rank, op="forward")``): ``disconnect`` closes the
@@ -76,9 +75,7 @@ HEADER = struct.Struct("!2sBBiiiII")
 MAGIC = b"SF"
 VERSION = 1
 
-# Frame kinds.  Values < 16 are reserved for the comm substrate; the
-# elastic tier (repro.core.elastic) layers its own kinds at >= 16 over
-# the same header.
+# Frame kinds.
 K_HELLO = 1  #: rank registration (source = rank)
 K_DATA = 2  #: routed point-to-point payload
 K_HEARTBEAT = 3  #: liveness probe, client -> router

@@ -26,7 +26,6 @@ from .engine import (
     create_engine,
 )
 from .elastic import ElasticTier, StagingWorkerError
-from .in_transit import InTransitDriver, Placement, split_staging_comm
 from .circular_buffer import BufferClosed, CircularBuffer
 from .maps import KeyedMap
 from .pipeline import PipelineStage, SmartPipeline
@@ -100,9 +99,6 @@ __all__ = [
     "ensure_red_obj",
     "ElasticTier",
     "StagingWorkerError",
-    "InTransitDriver",
-    "Placement",
-    "split_staging_comm",
     "global_combine",
     "iter_blocks",
     "make_splits",

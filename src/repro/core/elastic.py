@@ -1,56 +1,56 @@
-"""Elastic in-transit tier: a supervised staging *process* pool.
+"""Elastic in-transit tier: a supervised pool of staging processes.
 
-`core.in_transit` maps the paper's Section 6 staging placement onto
-ranks of one SPMD communicator — staging dies with the job.  This
-module is the elastic upgrade (ROADMAP item 2, modelled on
-ElasticBroker's decoupled analytics tier): staging workers are separate
-OS processes connected to the simulation side over the framed TCP
-protocol of :mod:`repro.comm.tcp`, so they can crash, hang, be killed,
-be respawned, and be added or removed between steps without touching
-the simulation.
+This reproduction's in-transit placement (paper Section 6, modelled on
+ElasticBroker's decoupled analytics tier).  Staging workers are forked
+workers of :mod:`repro.core.worker`, so they can crash, hang, be killed,
+be respawned, and be added or removed between steps without touching the
+simulation.
 
 Data path
 ---------
 The simulation side holds an :class:`ElasticTier` and calls
-:meth:`~ElasticTier.submit` once per partition, which travels as a
-one-line array descriptor plus its raw bytes, sent from the caller's
-buffer and viewed in place by the worker (no pickle).  Frames route
-round-robin over the live workers; **credit-based backpressure** bounds
-the per-worker in-flight window (``credits`` unacknowledged frames):
-``submit`` blocks until the target worker acknowledges, so a slow tier
-throttles the simulation instead of buffering unboundedly.
+:meth:`~ElasticTier.submit` once per partition.  Partitions route
+round-robin over the live workers, each as one ``DATA`` message on the
+worker's pipe: the array is a pickle protocol-5 out-of-band buffer,
+written from the caller's memory and viewed in place by the worker.
+**Credit-based backpressure** bounds each worker's unacknowledged
+partitions (``credits``): ``submit`` blocks until the target worker
+acknowledges, so a slow tier throttles the simulation instead of
+buffering unboundedly.
 
 Each worker owns a rank-local :class:`~repro.core.scheduler.Scheduler`
-(global combination off) and accumulates every received partition into
-its combination map.  Every ``snapshot_every`` processed frames it ships
-a **consistency snapshot** (serialized map + frame count) back; the
-coordinator keeps the latest CRC-good snapshot per worker plus a replay
-log of every frame sent after it (of each, what the policy can use).
+(global combination off) and accumulates every partition into its
+combination map.  Every message gets one reply, read by one reader
+thread per worker: ``LOAD`` (install a snapshot) and ``DATA`` an ack,
+every ``snapshot_every``-th ``DATA`` ack also a **consistency snapshot**
+(the serialized map and the frames it covers), ``DRAIN`` the final map.
+Snapshots and final maps carry a CRC32; the coordinator keeps the latest
+CRC-good snapshot per worker plus a replay log of every partition sent
+after it (of each, what the policy can use).
 
 Recovery state machine (DESIGN.md section 13)
 ---------------------------------------------
-``LIVE -> SUSPECT`` on a closed connection (a worker that receives a
-frame failing its CRC exits), a stale heartbeat, or an acknowledgement
-stall; then, per :class:`~repro.faults.FaultPolicy`:
+``LIVE -> SUSPECT`` when the worker dies (EOF or its sentinel), a
+message fails in it, or it acknowledges nothing for ``worker_timeout``
+seconds while it owes replies; then, per :class:`~repro.faults.FaultPolicy`:
 
 * ``fail_fast`` — raise :class:`StagingWorkerError`.
 * ``retry`` — respawn the process, ``LOAD`` the last snapshot, replay
-  the logged frames in their original order, and continue
-  (``SUSPECT -> RECOVERING -> LIVE``).  Replay preserves the exact
-  per-worker frame sequence, so results are bit-exact with the
-  unfaulted run.
+  the logged partitions in their original order, and continue
+  (``SUSPECT -> LIVE``).  Replay preserves the exact per-worker frame
+  sequence, so results are bit-exact with the unfaulted run.
 * ``degrade`` — exclude the worker (``SUSPECT -> EXCLUDED``): its last
   snapshot stands as its final contribution, the post-snapshot frames
   are dropped with exact accounting (``elastic.frames_lost`` /
   ``elastic.elements_lost``), and subsequent frames rebalance over the
   survivors.
 
-Fault injection: each worker consults the plan per received data frame
-— ``comm:crash`` kills the process mid-step, ``comm:delay`` models a
-hang, ``network:disconnect`` drops its connection, ``network:slowlink``
-slows processing, and ``network:truncate`` corrupts its next snapshot
-frame (the coordinator discards it on CRC and falls back to the older
-one).
+Fault injection: each worker consults the plan per ``DATA`` message —
+``comm:crash`` kills the process mid-step, ``comm:delay`` models a
+hang, ``network:disconnect`` drops its pipe, ``network:slowlink``
+slows processing, and ``network:truncate`` corrupts the CRC of its next
+snapshot or final map (the coordinator discards it and falls back to the
+older snapshot).
 
 Workers are forked, so ``scheduler_factory`` may be any callable (it is
 inherited, not pickled); the fault plan crosses the fork as its
@@ -60,54 +60,43 @@ deterministic per worker id.
 
 from __future__ import annotations
 
-import ast
+import functools
 import os
 import pickle
-import socket
 import threading
 import time
+import zlib
 from collections import deque
+from multiprocessing.util import Finalize
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..comm.tcp import frame_header, recv_frame, write_frame
-from ..faults import FaultError, FaultPolicy
+from ..faults import FaultError, FaultPlan, FaultPolicy
+from ..telemetry import Recorder
 from .maps import KeyedMap
 from .serialization import deserialize_map, serialize_map
-from .worker import start_process, stop_process
+from .worker import Worker, halt, stop_process, wait
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..faults import FaultPlan
-    from ..telemetry import Recorder
     from .scheduler import Scheduler
 
-# Frame kinds >= 16: the elastic tier's protocol over the tcp header.
-K_W_HELLO = 16  #: worker -> coordinator: registration (source = worker id)
-K_W_LOAD = 17  #: coordinator -> worker: install a snapshot (or empty state)
-K_W_DATA = 18  #: coordinator -> worker: one partition, see _encode_array (tag = frame seq)
-K_W_ACK = 19  #: worker -> coordinator: frame processed (tag = frame seq)
-K_W_SNAPSHOT = 20  #: worker -> coordinator: consistency snapshot (tag = frames)
-K_W_DRAIN = 21  #: coordinator -> worker: request the final map
-K_W_FINAL = 22  #: worker -> coordinator: final map payload
-K_W_HEARTBEAT = 23  #: worker -> coordinator: liveness probe
-K_W_BYE = 24  #: coordinator -> worker: shut down cleanly
+# Message kinds.  A message is ``(kind, body)``; its reply ``(kind, frames
+# processed, state)``, where ``state`` is ``None`` or ``(map bytes, CRC32)``.
+_LOAD = "load"  #: body ``(frames, snapshot map or None)``: install it
+_DATA = "data"  #: body: one partition to reduce; every snapshot_every-th reply has state
+_DRAIN = "drain"  #: body ``None``: reply with the final map as state
 
 #: Default bound on unacknowledged in-flight frames per worker.
 DEFAULT_CREDITS = 8
 #: Default frames between consistency snapshots.
 DEFAULT_SNAPSHOT_EVERY = 4
-#: Seconds between worker heartbeat probes.
-WORKER_HEARTBEAT_INTERVAL = 0.25
-#: Seconds without heartbeat/ack before a worker is declared suspect.
+#: Seconds without an acknowledgement, while one is owed, before a worker is suspect.
 WORKER_TIMEOUT = 5.0
-#: Seconds to wait for a (re)spawned worker to register.
-SPAWN_TIMEOUT = 15.0
-#: Poll interval while blocked on credits or worker registration.
+#: Poll interval while blocked on credits or a final map.
 CREDIT_POLL = 0.05
 
 _LIVE = "live"
-_STARTING = "starting"
 _SUSPECT = "suspect"
 _EXCLUDED = "excluded"
 _RETIRED = "retired"
@@ -117,166 +106,96 @@ class StagingWorkerError(FaultError):
     """A staging worker died or hung and the policy forbids recovery."""
 
 
-def _encode_array(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """A ``K_W_DATA`` payload: one text line describing ``arr`` (dtype descr and shape,
-    space-padded so the data starts 16-byte aligned), then its C-contiguous bytes — a
-    view of ``arr``, which is copied only when it is not contiguous."""
-    if arr.dtype.hasobject:
-        raise TypeError(f"cannot forward dtype {arr.dtype}: partitions travel as raw bytes")
-    if not arr.flags.c_contiguous:
-        arr = np.ascontiguousarray(arr)
-    text = repr((np.lib.format.dtype_to_descr(arr.dtype), arr.shape)).encode()
-    return text + b" " * (-(len(text) + 1) % 16) + b"\n", arr.reshape(-1).view(np.uint8)
+# -- the worker side ---------------------------------------------------------
 
 
-def _decode_array(payload: bytearray) -> np.ndarray:
-    """The array :func:`_encode_array` described, over ``payload``'s own bytes."""
-    start = payload.index(b"\n") + 1
-    descr, shape = ast.literal_eval(payload[:start].decode())
-    dtype = np.lib.format.descr_to_dtype(descr)
-    return np.frombuffer(payload, dtype, offset=start).reshape(shape)
+class _Stage:
+    """One staging worker's scheduler, frame count and fault plan; called
+    once per message."""
 
+    def __init__(
+        self,
+        worker_id: int,
+        scheduler_factory: Callable[[], "Scheduler"],
+        plan_fingerprint: str | None,
+        snapshot_every: int,
+        prior_faults: int,
+    ):
+        self.id, self.snapshot_every = worker_id, snapshot_every
+        self.plan = FaultPlan.parse(plan_fingerprint) if plan_fingerprint else None
+        if self.plan is not None and prior_faults:
+            # A respawned incarnation starts with fresh plan counters;
+            # charging the firings that killed its predecessors keeps the
+            # fault budget global per worker, so replay converges instead of
+            # re-dying at the same frame forever.
+            self.plan.charge(prior_faults, target=worker_id)
+        self.sched = scheduler_factory()
+        self.sched.set_global_combination(False)
+        self.frames = 0
+        self.corrupt = False  # injected truncate: the next state's CRC mismatches
 
-# -- worker process body -----------------------------------------------------
+    def __call__(self, message: tuple) -> tuple:
+        kind, body = message
+        state = None
+        if kind == _LOAD:
+            self.frames, snapshot = body
+            restored = deserialize_map(snapshot) if snapshot else KeyedMap()
+            self.sched.combination_map_.replace_contents(restored)
+        elif kind == _DATA:
+            self._consult_plan()
+            self.sched.run(body)
+            self.frames += 1
+            if self.snapshot_every and self.frames % self.snapshot_every == 0:
+                state = self._state()
+        else:
+            state = self._state()
+        return kind, self.frames, state
 
+    def _state(self) -> tuple[bytes, int]:
+        wire = serialize_map(self.sched.get_combination_map(),
+                             self.sched.policy.combine.wire_format)
+        crc, self.corrupt = zlib.crc32(wire) ^ self.corrupt, False
+        return wire, crc
 
-def _worker_main(
-    worker_id: int,
-    port: int,
-    scheduler_factory: Callable[[], "Scheduler"],
-    plan_fingerprint: str | None,
-    snapshot_every: int,
-    heartbeat_interval: float,
-    prior_faults: int = 0,
-) -> None:
-    """Entry point of one staging worker process."""
-    from ..faults import FaultPlan, InjectedRankCrash
-
-    plan = FaultPlan.parse(plan_fingerprint) if plan_fingerprint else None
-    if plan is not None and prior_faults:
-        # A respawned incarnation starts with fresh plan counters;
-        # charging the firings that killed its predecessors keeps the
-        # fault budget global per worker, so replay converges instead of
-        # re-dying at the same frame forever.
-        plan.charge(prior_faults, target=worker_id)
-    sched = scheduler_factory()
-    sched.set_global_combination(False)
-    sock = socket.create_connection(("127.0.0.1", port))
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    wlock = threading.Lock()
-    closing = threading.Event()
-    corrupt_next = [False]
-
-    def send(kind: int, tag: int = 0, payload: bytes = b"") -> None:
-        # Injected truncate: the next frame with a payload carries a mismatching CRC.
-        corrupt = bool(payload) and corrupt_next[0]
-        if corrupt:
-            corrupt_next[0] = False
-        header = frame_header(kind, worker_id, -1, tag, payload, corrupt=corrupt)
-        with wlock:
-            write_frame(sock, header, payload)
-
-    def send_state(kind: int) -> None:
-        """Ship the map and the count of frames it covers (a snapshot, or the final)."""
-        wire = serialize_map(sched.get_combination_map(), sched.policy.combine.wire_format)
-        state = {"frames": frames_done, "map": wire}
-        send(kind, frames_done, pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def beat() -> None:
-        while not closing.wait(heartbeat_interval):
-            try:
-                send(K_W_HEARTBEAT)
-            except OSError:
-                return
-
-    def consult_plan() -> None:
-        if plan is None:
+    def _consult_plan(self) -> None:
+        if self.plan is None:
             return
-        spec = plan.comm_fault(worker_id, op="frame")
+        spec = self.plan.comm_fault(self.id, op="frame")
         if spec is not None:
             if spec.kind == "crash":
                 os._exit(1)  # simulated process death, no cleanup
             if spec.kind == "delay":
                 time.sleep(spec.seconds)
-        spec = plan.network_fault(worker_id, op="frame")
+        spec = self.plan.network_fault(self.id, op="frame")
         if spec is None:
             return
         if spec.kind == "disconnect":
-            sock.close()
-            os._exit(2)
+            os._exit(2)  # its pipe closes with it
         if spec.kind in ("slowlink", "partition"):
             time.sleep(spec.seconds)
         elif spec.kind == "truncate":
-            corrupt_next[0] = True
-
-    send(K_W_HELLO)
-    threading.Thread(target=beat, name=f"elastic-hb-{worker_id}", daemon=True).start()
-    frames_done = 0
-    try:
-        while True:
-            kind, _source, _dest, tag, payload, crc_ok = recv_frame(sock)
-            if not crc_ok:
-                # Skipped, a data frame's gap would hide under the next
-                # frame's cumulative ack.  Ended here, the worker is
-                # supervised like a dead one: retry replays the frame.
-                return
-            if kind == K_W_LOAD:
-                state = pickle.loads(payload)
-                frames_done = state["frames"]
-                restored = (
-                    deserialize_map(state["map"]) if state["map"] else KeyedMap()
-                )
-                sched.combination_map_.replace_contents(restored)
-            elif kind == K_W_DATA:
-                try:
-                    consult_plan()
-                except InjectedRankCrash:  # pragma: no cover - defensive
-                    os._exit(1)
-                sched.run(_decode_array(payload))
-                frames_done += 1
-                send(K_W_ACK, tag=tag)
-                if snapshot_every and frames_done % snapshot_every == 0:
-                    send_state(K_W_SNAPSHOT)
-            elif kind == K_W_DRAIN:
-                send_state(K_W_FINAL)
-            elif kind == K_W_BYE:
-                return
-    except (ConnectionError, OSError):
-        return  # coordinator gone
-    finally:
-        closing.set()
-        try:
-            sock.close()
-        except OSError:
-            pass
+            self.corrupt = True
 
 
 # -- coordinator -------------------------------------------------------------
 
 
-class _Worker:
+class _Staging:
     """Coordinator-side state for one staging worker."""
 
     def __init__(self, worker_id: int):
         self.id = worker_id
-        self.proc = None  # its process, once spawned
-        self.conn: socket.socket | None = None
-        self.wlock = threading.Lock()
-        self.state = _STARTING
+        self.proc: Worker | None = None  # its current process
+        self.reader: threading.Thread | None = None  # the thread reading its replies
+        self.state = _LIVE
         self.sent = 0  # frames handed to this worker (its local seq)
         self.acked = 0  # frames it has acknowledged
-        self.log: deque[tuple[int, tuple, int]] = deque()  # (seq, replay buffers, n_elems)
+        self.log: deque[tuple[int, tuple, int]] = deque()  # (seq, replay message, n_elems)
         self.snap_bytes: bytes | None = None  # latest CRC-good snapshot map
         self.snap_frames = 0  # frames covered by that snapshot
         self.final: bytes | None = None
-        self.last_beat = time.monotonic()
+        self.error: BaseException | None = None  # what the last message that failed in it raised
         self.deaths = 0  # prior incarnations lost to injected faults
-
-
-def _close(worker: _Worker, conn: socket.socket) -> None:
-    """Close one of ``worker``'s sockets once no frame is being written to it."""
-    with worker.wlock:
-        conn.close()
 
 
 class ElasticTier:
@@ -306,6 +225,9 @@ class ElasticTier:
     snapshot_every:
         Frames between worker consistency snapshots (0 disables; then
         recovery replays from the beginning).
+    worker_timeout:
+        Seconds a worker that owes replies may acknowledge nothing before
+        it is suspect (a hang).
     """
 
     def __init__(
@@ -319,7 +241,6 @@ class ElasticTier:
         credits: int = DEFAULT_CREDITS,
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
         worker_timeout: float = WORKER_TIMEOUT,
-        heartbeat_interval: float = WORKER_HEARTBEAT_INTERVAL,
     ):
         if num_workers < 1:
             raise ValueError(f"need >= 1 worker, got {num_workers}")
@@ -330,146 +251,111 @@ class ElasticTier:
             FaultPolicy.parse(policy) if policy is not None else FaultPolicy.fail_fast()
         )
         self.fault_plan = fault_plan
-        self.telemetry = telemetry
+        self.telemetry = telemetry if telemetry is not None else Recorder()
         self.credits = credits
         self.snapshot_every = snapshot_every
         self.worker_timeout = worker_timeout
-        self.heartbeat_interval = heartbeat_interval
         self._merge_sched = scheduler_factory()  # merge fn + wire format
-        self._server = socket.create_server(("127.0.0.1", 0))
-        self._port = self._server.getsockname()[1]
         self._cond = threading.Condition()
-        self._workers: dict[int, _Worker] = {}
+        # Ids ascend in insertion order, so iterating is iterating by id.
+        self._workers: dict[int, _Staging] = {}
+        self._procs: dict[int, Worker] = {}  # every worker's current process
+        self._halt = Finalize(self, halt, args=(self._procs.values(), [], threading.Lock()),
+                              exitpriority=10)
         self._seq = 0  # global submit counter (routing)
         self._log_bytes = 0  # payload bytes the replay logs retain
-        self._closing = False
-        threading.Thread(
-            target=self._accept_loop, name="elastic-accept", daemon=True
-        ).start()
         for wid in range(num_workers):
-            self._workers[wid] = _Worker(wid)
+            self._workers[wid] = _Staging(wid)
             self._spawn(self._workers[wid])
-        self._await_registration(list(self._workers.values()))
         self._gauge()
 
     # -- pool wiring -------------------------------------------------------
     def _gauge(self) -> None:
-        if self.telemetry is not None:
-            self.telemetry.set_gauge("elastic.workers", len(self._routable()))
+        self.telemetry.set_gauge("elastic.workers", len(self._routable()))
 
-    def _spawn(self, worker: _Worker) -> None:
+    def _routable(self) -> list[_Staging]:
+        return [w for w in self._workers.values() if w.state in (_LIVE, _SUSPECT)]
+
+    def _spawn(self, worker: _Staging) -> None:
         plan_fp = self.fault_plan.fingerprint() if self.fault_plan is not None else None
-        # STARTING goes in before the fork: a child that wins the race to
-        # HELLO is marked LIVE by the attach thread, and setting the state
-        # afterwards would overwrite that and strand the registration.
+        handler = functools.partial(_Stage, worker.id, self.scheduler_factory, plan_fp,
+                                    self.snapshot_every, worker.deaths)
+        proc = self._procs[worker.id] = Worker(handler, f"elastic-worker-{worker.id}")
         with self._cond:
-            worker.state = _STARTING
-        args = (worker.id, self._port, self.scheduler_factory, plan_fp,
-                self.snapshot_every, self.heartbeat_interval, worker.deaths)
-        proc = start_process(_worker_main, args, name=f"elastic-worker-{worker.id}", daemon=True)
-        with self._cond:
-            worker.proc = proc
-            if self.telemetry is not None:
-                self.telemetry.inc("elastic.spawns")
+            worker.proc, worker.state = proc, _LIVE
+        worker.reader = threading.Thread(target=self._read, args=(worker, proc),
+                                         name=f"elastic-reader-{worker.id}", daemon=True)
+        worker.reader.start()
+        self.telemetry.inc("elastic.spawns")
 
-    def _await_registration(self, workers: list[_Worker]) -> None:
-        limit = time.monotonic() + SPAWN_TIMEOUT
-        with self._cond:
-            while any(w.state == _STARTING for w in workers):
-                if time.monotonic() > limit:
-                    stuck = [w.id for w in workers if w.state == _STARTING]
-                    raise StagingWorkerError(
-                        f"staging worker(s) {stuck} never registered within "
-                        f"{SPAWN_TIMEOUT}s"
-                    )
-                self._cond.wait(CREDIT_POLL)
-
-    def _accept_loop(self) -> None:
-        while not self._closing:
+    def _read(self, worker: _Staging, proc: Worker) -> None:
+        """``proc``'s replies, in order, until it dies or a message fails in it."""
+        alive = True
+        while alive:
             try:
-                conn, _addr = self._server.accept()
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(
-                target=self._attach, args=(conn,), name="elastic-attach", daemon=True
-            ).start()
-
-    def _attach(self, conn: socket.socket) -> None:
-        try:
-            kind, source, _dest, _tag, _payload, _crc = recv_frame(conn)
-        except (ConnectionError, OSError):
-            conn.close()
-            return
-        if kind != K_W_HELLO:
-            conn.close()
-            return
-        with self._cond:
-            worker = self._workers.get(source)
-            if worker is None:
-                conn.close()
-                return
-            replaced, worker.conn = worker.conn, conn
-            worker.state = _LIVE
-            worker.last_beat = time.monotonic()
-            self._cond.notify_all()
-        if replaced is not None:  # a respawned worker: its predecessor's socket
-            _close(worker, replaced)
-        self._reader_loop(worker, conn)
-
-    def _reader_loop(self, worker: _Worker, conn: socket.socket) -> None:
-        try:
-            while True:
-                kind, _source, _dest, tag, payload, crc_ok = recv_frame(conn)
-                with self._cond:
-                    if kind == K_W_ACK:
-                        worker.acked = max(worker.acked, tag + 1)
-                        worker.last_beat = time.monotonic()
-                    elif kind == K_W_SNAPSHOT:
-                        if crc_ok:
-                            state = pickle.loads(payload)
-                            worker.snap_bytes = state["map"]
-                            worker.snap_frames = state["frames"]
-                            while worker.log and worker.log[0][0] < worker.snap_frames:
-                                self._log_bytes -= sum(map(len, worker.log.popleft()[1]))
-                            if self.telemetry is not None:
-                                self.telemetry.inc("elastic.snapshots")
-                        elif self.telemetry is not None:
-                            self.telemetry.inc("elastic.snapshots_corrupt")
-                    elif kind == K_W_FINAL and crc_ok:
-                        worker.final = payload
-                    elif kind == K_W_HEARTBEAT:
-                        worker.last_beat = time.monotonic()
-                    self._cond.notify_all()
-        except (ConnectionError, OSError):
-            pass
-        finally:
+                wait([proc])
+                reply = proc.receive()
+            except OSError:  # its pipe is closed
+                reply = None
+            alive = reply is not None and not isinstance(reply, BaseException)
             with self._cond:
-                if worker.conn is conn and worker.state == _LIVE:
-                    worker.state = _SUSPECT
+                if alive:
+                    self._take(worker, *reply)
+                else:
+                    worker.error = reply
+                    if worker.state == _LIVE:
+                        worker.state = _SUSPECT
                 self._cond.notify_all()
-            _close(worker, conn)
+
+    def _take(self, worker: _Staging, kind: str, frames: int, state) -> None:
+        """Book one reply (holding ``self._cond``)."""
+        worker.acked = max(worker.acked, frames)
+        if state is None:
+            return
+        wire, crc = state
+        intact = zlib.crc32(wire) == crc
+        if kind == _DRAIN:
+            worker.final = wire if intact else None
+        elif not intact:
+            self.telemetry.inc("elastic.snapshots_corrupt")
+        else:
+            worker.snap_bytes, worker.snap_frames = wire, frames
+            while worker.log and worker.log[0][0] < frames:
+                self._log_bytes -= sum(map(len, worker.log.popleft()[1]))
+            self.telemetry.inc("elastic.snapshots")
+
+    def _await(self, worker: _Staging, ready: Callable[[], bool]) -> float:
+        """Wait, holding ``self._cond``, until ``ready()``; raise
+        ``_WorkerDown`` once ``worker`` is not live or has acknowledged
+        nothing for ``worker_timeout`` seconds.  The seconds waited."""
+        waited, progress, acked = 0.0, time.monotonic(), worker.acked
+        while worker.state == _LIVE and not ready():
+            t0 = time.monotonic()
+            self._cond.wait(CREDIT_POLL)
+            waited += time.monotonic() - t0
+            if worker.acked != acked:
+                # Ack progress is the liveness signal that matters: a hung
+                # worker is alive, but it acknowledges nothing.
+                acked, progress = worker.acked, time.monotonic()
+            elif time.monotonic() - progress > self.worker_timeout:
+                worker.state = _SUSPECT
+        if worker.state != _LIVE:
+            raise _WorkerDown(worker.id)
+        return waited
+
+    def _stop(self, worker: _Staging, timeout: float = 0.0) -> None:
+        """Reap ``worker``'s process (killed unless it exits within
+        ``timeout`` seconds), then close its pipe once its reader is done."""
+        stop_process(worker.proc.process, timeout)  # its sentinel ends the reader
+        worker.reader.join()
+        worker.proc.stop()
 
     # -- liveness and recovery ---------------------------------------------
-    def _stale(self, worker: _Worker) -> bool:
-        if worker.proc is not None and not worker.proc.is_alive():
-            return True
-        return (time.monotonic() - worker.last_beat) > self.worker_timeout
-
-    def _routable(self) -> list[_Worker]:
-        return [
-            w
-            for w in sorted(self._workers.values(), key=lambda w: w.id)
-            if w.state in (_LIVE, _STARTING, _SUSPECT)
-        ]
-
-    def _recover(self, worker: _Worker) -> None:
+    def _recover(self, worker: _Staging) -> None:
         """Apply the fault policy to a suspect worker."""
         started = time.perf_counter()
-        if self.telemetry is not None:
-            self.telemetry.inc("faults.launch_failures")
-        if worker.proc is not None:
-            stop_process(worker.proc)  # reaped; killed first if hung
+        self.telemetry.inc("faults.launch_failures")
+        self._stop(worker)
         worker.deaths += 1
         if self.policy.mode == "retry":
             # The attempt budget is per worker across its whole lifetime,
@@ -480,22 +366,16 @@ class ElasticTier:
                     raise StagingWorkerError(
                         f"staging worker {worker.id} failed and "
                         f"{self.policy.max_attempts} attempts are exhausted"
-                    )
-                if self.telemetry is not None:
-                    self.telemetry.inc("faults.retries")
+                    ) from worker.error
+                self.telemetry.inc("faults.retries")
                 delay = self.policy.backoff_for(worker.deaths)
-                if self.telemetry is not None:
-                    self.telemetry.add_time("faults.backoff_seconds", delay)
+                self.telemetry.add_time("faults.backoff_seconds", delay)
                 time.sleep(delay)
-                try:
-                    self._respawn_and_replay(worker)
+                if self._respawn_and_replay(worker):
                     break
-                except StagingWorkerError:
-                    worker.deaths += 1
-            if self.telemetry is not None:
-                self.telemetry.add_time(
-                    "faults.recovery_seconds", time.perf_counter() - started
-                )
+                self._stop(worker)
+                worker.deaths += 1
+            self.telemetry.add_time("faults.recovery_seconds", time.perf_counter() - started)
             return
         if self.policy.mode == "degrade":
             with self._cond:
@@ -504,49 +384,31 @@ class ElasticTier:
                 lost_elems = sum(n for _seq, _kept, n in worker.log)
                 worker.log.clear()
                 worker.sent = worker.acked = worker.snap_frames
-            if self.telemetry is not None:
-                self.telemetry.inc("elastic.workers_dropped")
-                self.telemetry.inc("elastic.frames_lost", lost_frames)
-                self.telemetry.inc("elastic.elements_lost", lost_elems)
+            self.telemetry.inc("elastic.workers_dropped")
+            self.telemetry.inc("elastic.frames_lost", lost_frames)
+            self.telemetry.inc("elastic.elements_lost", lost_elems)
             self._gauge()
             if not self._routable():
                 raise StagingWorkerError("every staging worker has been excluded")
             return
         raise StagingWorkerError(
             f"staging worker {worker.id} died or hung (policy: fail_fast)"
-        )
+        ) from worker.error
 
-    def _respawn_and_replay(self, worker: _Worker) -> None:
-        """Respawn ``worker``, restore its snapshot, replay its log."""
+    def _respawn_and_replay(self, worker: _Staging) -> bool:
+        """Respawn ``worker``, restore its snapshot, replay its log; False
+        if it died again on the way."""
+        replay = list(worker.log)  # its reader prunes the log as snapshots arrive
+        worker.acked = worker.snap_frames
+        worker.sent = worker.snap_frames + len(replay)
         self._spawn(worker)
-        self._await_registration([worker])
-        with self._cond:
-            load = pickle.dumps(
-                {"frames": worker.snap_frames, "map": worker.snap_bytes},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            worker.acked = worker.snap_frames
-            worker.sent = worker.snap_frames + len(worker.log)
-            replay = list(worker.log)
-        try:
-            self._send_raw(worker, K_W_LOAD, 0, load)
-            for seq, kept, _n in replay:
-                self._send_raw(worker, K_W_DATA, seq, *kept)
-        except OSError as exc:
-            raise StagingWorkerError(
-                f"staging worker {worker.id} died again during replay"
-            ) from exc
-        if self.telemetry is not None:
+        sent = worker.proc.send(pickle.dumps((_LOAD, (worker.snap_frames, worker.snap_bytes))))
+        for _seq, kept, _n in replay:
+            sent = sent and worker.proc.send(kept[0], kept[1:])
+        if sent:
             self.telemetry.inc("elastic.replays")
             self.telemetry.inc("elastic.frames_replayed", len(replay))
-
-    def _send_raw(self, worker: _Worker, kind: int, tag: int, *payload: Any) -> None:
-        with self._cond:
-            conn = worker.conn
-        if conn is None:
-            raise OSError("worker has no connection")
-        with worker.wlock:
-            write_frame(conn, frame_header(kind, -1, worker.id, tag, *payload), *payload)
+        return sent
 
     # -- data path ---------------------------------------------------------
     def submit(self, partition: np.ndarray) -> None:
@@ -556,7 +418,11 @@ class ElasticTier:
         caller's buffer and are in the kernel on return: the buffer is then free to reuse.
         """
         arr = np.asarray(partition)
-        payload = _encode_array(arr)
+        if arr.dtype.hasobject:
+            raise TypeError(f"cannot forward dtype {arr.dtype}: partitions travel as raw bytes")
+        buffers = []
+        message = pickle.dumps((_DATA, arr), protocol=5, buffer_callback=buffers.append)
+        payload = (message, *(buffer.raw() for buffer in buffers))
         seq = self._seq
         self._seq += 1
         while True:
@@ -566,74 +432,36 @@ class ElasticTier:
             worker = routable[seq % len(routable)]
             try:
                 self._send_with_credits(worker, payload, int(arr.size))
-                if self.telemetry is not None:
-                    self.telemetry.inc("elastic.frames_forwarded")
-                    self.telemetry.inc("elastic.bytes_forwarded", sum(map(len, payload)))
-                    self.telemetry.set_gauge("elastic.log_bytes", self._log_bytes)
+                self.telemetry.inc("elastic.frames_forwarded")
+                self.telemetry.inc("elastic.bytes_forwarded", sum(map(len, payload)))
+                self.telemetry.set_gauge("elastic.log_bytes", self._log_bytes)
                 return
             except _WorkerDown:
                 self._recover(worker)  # then re-route this partition
 
-    def _send_with_credits(self, worker: _Worker, payload: tuple, n_elems: int) -> None:
+    def _send_with_credits(self, worker: _Staging, payload: tuple, n_elems: int) -> None:
         # What recovery can use: a private copy under retry (the caller's buffer is its
         # own again once submit returns), the loss account under degrade, else nothing.
-        kept = (payload[0], bytes(payload[1])) if self.policy.mode == "retry" else ()
-        waited = 0.0
-        last_progress = time.monotonic()
-        seen_acked = -1
+        kept = tuple(map(bytes, payload)) if self.policy.mode == "retry" else ()
         with self._cond:
-            while (
-                worker.state == _LIVE
-                and worker.sent - worker.acked >= self.credits
-            ):
-                t0 = time.monotonic()
-                self._cond.wait(CREDIT_POLL)
-                waited += time.monotonic() - t0
-                if worker.acked != seen_acked:
-                    # Ack progress is the liveness signal that matters: a
-                    # hung worker's heartbeat thread keeps beating, but
-                    # its frame loop stops acknowledging.
-                    seen_acked = worker.acked
-                    last_progress = time.monotonic()
-                elif time.monotonic() - last_progress > self.worker_timeout:
-                    worker.state = _SUSPECT
-                if self._stale(worker):
-                    worker.state = _SUSPECT
-            if worker.state != _LIVE:
-                raise _WorkerDown(worker.id)
+            waited = self._await(worker, lambda: worker.sent - worker.acked < self.credits)
             seq = worker.sent
             worker.sent += 1
             if self.policy.mode != "fail_fast":
                 worker.log.append((seq, kept, n_elems))
                 self._log_bytes += sum(map(len, kept))
-        if waited and self.telemetry is not None:
+        if waited:
             self.telemetry.add_time("elastic.credit_wait_seconds", waited)
         started = time.perf_counter()
-        try:
-            self._send_raw(worker, K_W_DATA, seq, *payload)
-        except OSError:
+        if not worker.proc.send(payload[0], payload[1:]):
             with self._cond:
                 if worker.state == _LIVE:
                     worker.state = _SUSPECT
                 # submit re-routes this partition: neither replay it nor count it lost
                 if worker.log and worker.log[-1][0] == seq:
                     self._log_bytes -= sum(map(len, worker.log.pop()[1]))
-            raise _WorkerDown(worker.id) from None
-        if self.telemetry is not None:
-            self.telemetry.add_time("elastic.send_seconds", time.perf_counter() - started)
-
-    def _await_quiescent(self, worker: _Worker) -> None:
-        """Block until ``worker`` has acknowledged everything sent."""
-        limit = time.monotonic() + self.worker_timeout
-        with self._cond:
-            while worker.state == _LIVE and worker.acked < worker.sent:
-                self._cond.wait(CREDIT_POLL)
-                if self._stale(worker):
-                    worker.state = _SUSPECT
-                if time.monotonic() > limit and worker.acked < worker.sent:
-                    worker.state = _SUSPECT
-            if worker.state != _LIVE:
-                raise _WorkerDown(worker.id)
+            raise _WorkerDown(worker.id)
+        self.telemetry.add_time("elastic.send_seconds", time.perf_counter() - started)
 
     # -- elasticity --------------------------------------------------------
     def scale_to(self, n: int) -> None:
@@ -646,53 +474,35 @@ class ElasticTier:
         """
         if n < 1:
             raise ValueError(f"need >= 1 worker, got {n}")
-        if self.telemetry is not None:
-            self.telemetry.inc("elastic.scale_events")
-        current = [w for w in self._routable()]
-        if n > len(current):
-            fresh = []
-            next_id = max(self._workers) + 1
-            for wid in range(next_id, next_id + (n - len(current))):
-                worker = _Worker(wid)
-                self._workers[wid] = worker
-                self._spawn(worker)
-                fresh.append(worker)
-            self._await_registration(fresh)
-        elif n < len(current):
-            for worker in sorted(current, key=lambda w: w.id)[n:]:
-                self._retire(worker)
+        self.telemetry.inc("elastic.scale_events")
+        current = self._routable()
+        next_id = max(self._workers) + 1
+        for wid in range(next_id, next_id + n - len(current)):
+            self._workers[wid] = _Staging(wid)
+            self._spawn(self._workers[wid])
+        for worker in current[n:]:
+            self._collect(worker)
+            if worker.state != _EXCLUDED:  # degrade: its snapshot stands as its contribution
+                with self._cond:
+                    worker.state = _RETIRED
+                worker.proc.send(b"")
         self._gauge()
 
-    def _retire(self, worker: _Worker) -> None:
+    def _collect(self, worker: _Staging) -> None:
+        """Fetch ``worker``'s final map, recovering it per the policy on
+        the way (under ``degrade`` it may end excluded instead)."""
         while True:
+            worker.final = None
             try:
-                self._await_quiescent(worker)
-                worker.final = None
-                self._send_raw(worker, K_W_DRAIN, 0)
-                self._await_final(worker)
-            except (_WorkerDown, OSError):
+                if not worker.proc.send(pickle.dumps((_DRAIN, None))):
+                    raise _WorkerDown(worker.id)
+                with self._cond:
+                    self._await(worker, lambda: worker.final is not None)
+                return
+            except _WorkerDown:
                 self._recover(worker)
                 if worker.state == _EXCLUDED:
-                    return  # degrade: snapshot stands as its contribution
-                continue
-            break
-        with self._cond:
-            worker.state = _RETIRED
-        try:
-            self._send_raw(worker, K_W_BYE, 0)
-        except OSError:
-            pass
-
-    def _await_final(self, worker: _Worker) -> None:
-        limit = time.monotonic() + self.worker_timeout
-        with self._cond:
-            while worker.state == _LIVE and worker.final is None:
-                self._cond.wait(CREDIT_POLL)
-                if self._stale(worker) or time.monotonic() > limit:
-                    if worker.final is None:
-                        worker.state = _SUSPECT
-            if worker.final is None:
-                raise _WorkerDown(worker.id)
+                    return
 
     # -- results -----------------------------------------------------------
     def drain(self) -> KeyedMap:
@@ -704,30 +514,12 @@ class ElasticTier:
         in worker-id order, so the result is independent of completion
         timing.
         """
-        for worker in sorted(self._workers.values(), key=lambda w: w.id):
-            if worker.state not in (_LIVE, _SUSPECT, _STARTING):
-                continue
-            while True:
-                try:
-                    self._await_quiescent(worker)
-                    worker.final = None
-                    self._send_raw(worker, K_W_DRAIN, 0)
-                    self._await_final(worker)
-                except (_WorkerDown, OSError):
-                    self._recover(worker)
-                    if worker.state == _EXCLUDED:
-                        break
-                    continue
-                break
+        for worker in self._routable():
+            self._collect(worker)
         result = KeyedMap()
         merge = self._merge_sched.merge
-        for worker in sorted(self._workers.values(), key=lambda w: w.id):
-            contribution: bytes | None
-            if worker.state == _EXCLUDED:
-                contribution = worker.snap_bytes
-            else:
-                state = pickle.loads(worker.final) if worker.final else None
-                contribution = state["map"] if state else None
+        for worker in self._workers.values():
+            contribution = worker.snap_bytes if worker.state == _EXCLUDED else worker.final
             if contribution:
                 result.merge_map(deserialize_map(contribution), merge)
         self._merge_sched.post_combine(result)
@@ -736,24 +528,11 @@ class ElasticTier:
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
         """Shut the pool down (idempotent)."""
-        self._closing = True
         for worker in self._workers.values():
-            try:
-                self._send_raw(worker, K_W_BYE, 0)
-            except OSError:
-                pass
-        try:
-            self._server.close()
-        except OSError:
-            pass
+            worker.proc.send(b"")
         for worker in self._workers.values():
-            if worker.proc is not None:
-                stop_process(worker.proc, timeout=2.0)
-            if worker.conn is not None:
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
+            self._stop(worker, timeout=2.0)
+        self._halt()
         self._merge_sched.close()
 
     def __enter__(self) -> "ElasticTier":

@@ -63,7 +63,7 @@ FAULT_KINDS = {
     "storage": ("truncate", "bitflip"),
     # Wire-level faults threaded through the TCP backend and the elastic
     # staging tier: a closed connection, a per-frame latency injection,
-    # a CRC-detectable frame corruption, and a timed network partition.
+    # a CRC-detectable corruption, and a timed network partition.
     "network": ("disconnect", "slowlink", "truncate", "partition"),
 }
 
@@ -275,11 +275,11 @@ class FaultPlan:
         return self._fire("storage", "saves", target=None, op=None)
 
     def network_fault(self, rank: int, op: str) -> FaultSpec | None:
-        """Consulted by the TCP layer per frame event.
+        """Consulted per frame event.
 
-        Call sites: the router consults it with ``op="forward"`` per
+        Call sites: the TCP router consults it with ``op="forward"`` per
         routed data frame; elastic staging workers consult it with
-        ``op="frame"`` per received step frame.  Counters are per rank /
+        ``op="frame"`` per received partition.  Counters are per rank /
         worker id, so ``at_call`` addresses a deterministic point in
         that peer's frame sequence.
         """

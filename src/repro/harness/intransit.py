@@ -1,20 +1,20 @@
 """In-transit chaos harness: the elastic staging tier under fire.
 
 Runs the histogram analytic through :class:`~repro.core.ElasticTier`
-(staging workers as separate supervised OS processes over the framed
-TCP protocol) under deterministic fault schedules, and checks the
-elastic recovery contract end to end:
+(staging workers as separate supervised OS processes, on the
+owned-worker runtime's pipes) under deterministic fault schedules, and
+checks the elastic recovery contract end to end:
 
 * ``retry`` after a staging-worker **kill mid-step** recovers bit-exactly
   against an unfaulted local run (snapshot + ordered replay);
-* a **hung** worker (heartbeats still flowing, acks stalled) is detected
-  by ack-progress supervision and recovered bit-exactly;
+* a **hung** worker (alive, acks stalled) is detected by ack-progress
+  supervision and recovered bit-exactly;
 * ``degrade`` excludes the dead worker, keeps its last consistency
   snapshot, and conserves mass exactly: observed mass plus the recorded
   ``elastic.elements_lost`` equals the submitted mass;
-* the **wire path itself is cheap**: a full SPMD histogram over the TCP
-  backend with an installed-but-empty fault plan stays within 1.3x of
-  the same run over the in-process backend.
+* the **TCP comm backend is cheap**: a full SPMD histogram over it with
+  an installed-but-empty fault plan stays within 1.3x of the same run
+  over the in-process backend.
 
 Registered as ``intransit`` in the figure registry:
 ``python -m repro.harness intransit``.

@@ -33,6 +33,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -87,6 +88,12 @@ class StepLease:
         self.release()
 
 
+def _unlink_all(steps: dict[str, _Step], lock: threading.Lock) -> None:
+    with lock:
+        while steps:
+            unlink_segment(steps.popitem()[1].shm)
+
+
 class SharedStepStore:
     """Refcounted shared-memory segments, one per registered sim step."""
 
@@ -95,6 +102,9 @@ class SharedStepStore:
         self._steps: dict[str, _Step] = {}
         self._next_lease = 0
         self.telemetry = telemetry if telemetry is not None else Recorder()
+        # A store never closed frees its segments when collected or at
+        # interpreter exit, like a worker pool's halt (and beside it).
+        Finalize(self, _unlink_all, args=(self._steps, self._lock), exitpriority=10)
 
     # -- registration --------------------------------------------------
     def register(self, step_id: str, data: np.ndarray) -> None:
@@ -213,10 +223,8 @@ class SharedStepStore:
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Force-free every segment (shutdown path; ignores refcounts)."""
+        _unlink_all(self._steps, self._lock)
         with self._lock:
-            for step_id in list(self._steps):
-                self._steps[step_id].readers.clear()
-                self._evict_locked(step_id)
             self._update_gauges_locked()
 
     def __enter__(self) -> "SharedStepStore":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import pickle
 import threading
 import time
@@ -13,21 +14,33 @@ import numpy as np
 import pytest
 
 
-def _resources() -> tuple[set, set, set]:
-    """This process's children, the framework's shared-memory segments and
-    the live non-daemon threads."""
+def _sockets() -> set[str]:
+    """This process's open sockets (worker pipes included), by inode."""
+    links = set()
+    fds = Path("/proc/self/fd")
+    for fd in os.listdir(fds) if fds.is_dir() else ():
+        try:
+            links.add(os.readlink(fds / fd))
+        except OSError:  # closed since the listing
+            pass
+    return {link for link in links if link.startswith("socket:")}
+
+
+def _resources() -> tuple[set, set, set, set]:
+    """This process's children, the framework's shared-memory segments,
+    the live non-daemon threads and the open sockets."""
     shm = Path("/dev/shm")
     segments = {p.name for p in shm.iterdir() if p.name.startswith(("psm_", "smart"))} \
         if shm.is_dir() else set()
     threads = {t for t in threading.enumerate() if t.is_alive() and not t.daemon}
-    return set(multiprocessing.active_children()), segments, threads
+    return set(multiprocessing.active_children()), segments, threads, _sockets()
 
 
 @pytest.fixture(autouse=True)
 def leaves_no_resources():
-    """Every test leaves no new child process, ``/dev/shm`` segment or
-    live non-daemon thread behind.  Processes and threads being torn down
-    get a grace period to finish exiting."""
+    """Every test leaves no new child process, ``/dev/shm`` segment, live
+    non-daemon thread or open socket behind.  Processes, threads and
+    sockets being torn down get a grace period to finish."""
     before = _resources()
     yield
     deadline = time.monotonic() + 10.0
@@ -37,10 +50,11 @@ def leaves_no_resources():
             break
         gc.collect()  # a dropped, unclosed pool halts when collected
         time.sleep(0.05)
-    children, segments, threads = leaked
+    children, segments, threads, sockets = leaked
     assert not children, f"child processes left running: {children}"
     assert not segments, f"shared-memory segments left behind: {sorted(segments)}"
     assert not threads, f"non-daemon threads left running: {threads}"
+    assert not sockets, f"sockets left open: {sorted(sockets)}"
 
 
 @pytest.fixture
@@ -58,10 +72,10 @@ def sent(monkeypatch):
     log = []
     real_send = runtime.Worker.send
 
-    def send(worker, message):
+    def send(worker, message, buffers=()):
         if message:  # b"" is the stop message
             log.append((worker, message, pickle.loads(message)[0]))
-        real_send(worker, message)
+        return real_send(worker, message, buffers)
 
     monkeypatch.setattr(runtime.Worker, "send", send)
     return log

@@ -1,8 +1,9 @@
 """The owned-worker runtime: one reply per message, replacement, exit halt.
 
-The process engine's workers and the service's seat processes are
-clients of :mod:`repro.core.worker`; these tests drive the runtime
-directly, and the interpreter-exit halt through both clients at once.
+The process engine's workers, the service's seat processes and the
+elastic tier's staging workers are clients of :mod:`repro.core.worker`;
+these tests drive the runtime directly, and the interpreter-exit halt
+through all three clients at once.
 """
 
 import multiprocessing
@@ -11,11 +12,13 @@ import pickle
 import signal
 import subprocess
 import sys
+from multiprocessing.connection import Connection
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core.worker import Pool, create_segment
+from repro.core.worker import Pool, create_segment, wait
 from repro.telemetry import Recorder
 
 
@@ -57,6 +60,33 @@ def test_one_reply_per_message(pool):
     assert [call(pool, i, f"hello {i}") for i in (0, 1, 0)] == ["hello 0", "hello 1", "hello 0"]
     assert sorted(p.name for p in multiprocessing.active_children()) == ["test-echo-0",
                                                                          "test-echo-1"]
+
+
+def test_out_of_band_buffers_are_sent_from_where_they_lie(pool, monkeypatch):
+    """A contiguous array pickled with protocol 5 crosses as an
+    out-of-band buffer written from the sender's own memory; a
+    non-contiguous one travels inside the pickle.  Both arrive equal."""
+    written = []
+    real = Connection.send_bytes
+
+    def send_bytes(conn, buf, *args):
+        written.append(buf)
+        return real(conn, buf, *args)
+
+    big = np.arange(1 << 18, dtype=np.float64)  # 2 MiB
+    strided = np.arange(40.0)[3::4]
+    buffers = []
+    message = pickle.dumps((big, strided), protocol=5, buffer_callback=buffers.append)
+    worker = pool.worker(0)
+    monkeypatch.setattr(Connection, "send_bytes", send_bytes)
+    assert worker.send(message, [buffer.raw() for buffer in buffers])
+    monkeypatch.undo()
+    assert wait([worker]) == [worker]
+    got_big, got_strided = worker.receive()
+    assert np.array_equal(got_big, big) and np.array_equal(got_strided, strided)
+    assert [len(buf) for buf in written] == [len(message), big.nbytes]
+    assert len(message) < 1024  # the 2 MiB are not in the pickle
+    assert np.shares_memory(np.frombuffer(written[1], np.uint8), big)  # nor copied to be sent
 
 
 def test_exceptions_come_back_with_their_type_or_as_runtime_error(pool):
@@ -104,20 +134,23 @@ def test_replace_after_close_forks_nothing(pool):
 
 EXIT_WITH_EVERYTHING_OPEN = """
 import multiprocessing
+import os
 import numpy as np
 from repro.analytics import Histogram
-from repro.core import EnginePolicy, ExecutionPolicy
+from repro.core import ElasticTier, EnginePolicy, ExecutionPolicy
 from repro.service import AnalyticsService, JobSpec
 
 app = Histogram(ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2)),
                 lo=-4.0, hi=4.0, num_buckets=8)
 app.run(np.linspace(-3.0, 3.0, 1000))
+tier = ElasticTier(lambda: Histogram(ExecutionPolicy(), lo=-4.0, hi=4.0, num_buckets=8), 1)
+tier.submit(np.linspace(-3.0, 3.0, 1000))
 svc = AnalyticsService(workers=2)
 svc.register_step("s", np.linspace(-3.0, 3.0, 100_000))
 for job in range(48):
     svc.submit(JobSpec(tenant=f"t{job % 4}", workload="histogram", step="s"))
 svc.start()
-print(*(child.pid for child in multiprocessing.active_children()))
+print(os.getpid(), *(child.pid for child in multiprocessing.active_children()))
 """
 
 
@@ -131,14 +164,18 @@ def gone(pid: int) -> bool:
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_exit_halts_an_open_engine_and_an_open_service():
-    """Neither the scheduler nor the service is closed: the interpreter
-    still exits, and takes every worker it started with it."""
+    """Neither the scheduler, the staging tier nor the service (with a
+    registered step) is closed: the interpreter still exits, and takes
+    every worker it started and every segment it made with it."""
     src = Path(__file__).resolve().parents[2] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", EXIT_WITH_EVERYTHING_OPEN], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    children = [int(pid) for pid in proc.stdout.split()]
-    assert len(children) == 4  # two engine workers, two seats
+    assert "leaked shared_memory" not in proc.stderr
+    parent, *children = (int(pid) for pid in proc.stdout.split())
+    assert len(children) == 5  # two engine workers, a staging worker, two seats
     assert all(gone(pid) for pid in children)
+    shm = Path("/dev/shm")
+    assert [p.name for pid in (parent, *children) for p in shm.glob(f"smart_{pid}_*")] == []
