@@ -14,13 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.interface import Communicator
-from ..core.batch import ColumnarAccumulator
+from ..core.batch import ColumnarAccumulator, Scratch
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.red_obj import RedObj
 from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 from .objects import SumCountObj
+
+_SCRATCH = Scratch()
 
 
 class GridAggregation(Scheduler):
@@ -76,22 +78,43 @@ class GridAggregation(Scheduler):
     def batch_reduce(
         self, data: np.ndarray, start: int, stop: int, acc: ColumnarAccumulator
     ) -> None:
-        block = data[start:stop]
-        totals = acc.column("total")
-        counts = np.zeros(len(acc), dtype=np.int64)
-        positions = np.arange(
-            self.global_offset_ + start, self.global_offset_ + stop
-        )
-        rel = positions // self.grid_size - acc.key_lo
-        # ufunc.at applies updates element-by-element in index order —
-        # the per-grid sums continue from the seeded totals with the
-        # exact float grouping of the scalar loop (np.bincount would
-        # produce a subtotal whose later addition regroups).
-        np.add.at(totals, rel, block)
-        counts += np.bincount(rel, minlength=len(acc)).astype(np.int64)
-        count_col = acc.column("count")
-        count_col += counts
-        acc.contrib += counts
+        g = self.grid_size
+        pos = self.global_offset_ + start
+        n = stop - start
+        head = min(-pos % g, n)  # elements before the split's first cell boundary
+        cells = (n - head) // g
+        if cells < 2:
+            # A one-column block would be reduced along its only long
+            # axis, which numpy sums pairwise: _scatter takes the cell.
+            cells = 0
+        body = head + cells * g
+        self._scatter(data[start : start + head], pos, acc)
+        if cells:
+            totals = acc.column("total")
+            rows = slice((pos + head) // g - acc.key_lo, (pos + body) // g - acc.key_lo)
+            # Row 0 seeds each cell with its total, rows 1..g are the cell's
+            # elements in order.  Reduced along this slow axis numpy adds row
+            # after row, so every cell sums with the scalar loop's grouping.
+            work = _SCRATCH.array("cells", (g + 1) * cells, totals.dtype)
+            work = work.reshape(g + 1, cells)
+            work[0] = totals[rows]
+            work[1:] = data[start + head : start + body].reshape(cells, g).T
+            np.add.reduce(work, axis=0, out=totals[rows])
+            acc.column("count")[rows] += g
+            acc.contrib[rows] += g
+        self._scatter(data[start + body : stop], pos + body, acc)
+
+    def _scatter(self, part: np.ndarray, pos: int, acc: ColumnarAccumulator) -> None:
+        """Add ``part``, the elements from global position ``pos`` on, one
+        by one: the ragged cells at either end of a split."""
+        if not len(part):
+            return
+        rel = np.arange(pos, pos + len(part)) // self.grid_size - acc.key_lo
+        # ufunc.at applies updates element by element in index order, so
+        # sums continue from the seeded totals as the scalar loop's do.
+        np.add.at(acc.column("total"), rel, part)
+        np.add.at(acc.column("count"), rel, 1)
+        np.add.at(acc.contrib, rel, 1)
 
 
 def reference_grid_aggregation(data: np.ndarray, grid_size: int) -> np.ndarray:

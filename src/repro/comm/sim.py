@@ -40,13 +40,19 @@ DEFAULT_TIMEOUT = 120.0
 def _isolate(obj: Any) -> Any:
     """Return a copy of ``obj`` so receiver and sender never share buffers.
 
-    Mirrors MPI semantics where every rank owns its receive buffer.  numpy
-    arrays get a cheap buffer copy; other objects are deep-copied.
+    Mirrors MPI semantics where every rank owns its receive buffer.  Only
+    what is mutable is copied: immutable leaves (numbers, strings, dtypes,
+    classes) pass through, numpy arrays get a cheap buffer copy, tuples
+    are rebuilt element by element, and other objects are deep-copied.
     """
-    if obj is None or isinstance(obj, (int, float, bool, str, bytes, np.generic)):
+    if obj is None or isinstance(
+        obj, (int, float, bool, str, bytes, np.generic, np.dtype, type)
+    ):
         return obj
     if isinstance(obj, np.ndarray):
         return obj.copy()
+    if type(obj) is tuple:
+        return tuple(_isolate(v) for v in obj)
     return copy.deepcopy(obj)
 
 

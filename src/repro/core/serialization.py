@@ -21,7 +21,9 @@ both sides of that comparison:
   ufunc, the gather algorithm short-circuits to a contiguous allreduce
   through :mod:`repro.comm.reduce_ops`, the exact shape of the paper's
   hand-written baseline (or, when the ranks' keys are disjoint and
-  ascending in rank order, to an allgather and a concatenation).
+  ascending in rank order, to an allgather and a concatenation).  The
+  ranks agree on the path by a vote of their schema plus their keys: a
+  ``(first, last)`` run when the keys are contiguous, else the keys.
   Schemaless or heterogeneous maps fall back to pickle transparently.
   Decoded and reduced maps stay columns: they come
   back as a :class:`~repro.core.maps.KeyedMap` *backed* by the arrays,
@@ -358,11 +360,13 @@ def global_combine(
       ranks), then the root broadcasts.  The classic MPI_Reduce shape;
       preferable when maps are large or ranks are many.
     * ``"allreduce"`` — the hand-written-MPI shape (Section 5.3): ranks
-      vote their schemas and keys, then combine their packed records by
-      the key layout the votes show.  When the ranks' keys are disjoint
-      and ascending in rank order (position-keyed analytics: each rank
-      owns its cells; an empty rank owns none), ranks allgather their own
-      records and concatenate them — nothing is padded or reduced.
+      vote their schemas and keys — a ``(first, last)`` run when a rank's
+      keys are contiguous, else the key array — then combine their
+      packed records by the key layout the votes show.  When the ranks'
+      keys are disjoint and ascending in rank order (position-keyed
+      analytics: each rank owns its cells; an empty rank owns none),
+      ranks allgather their own records and concatenate them — nothing
+      is padded or reduced.
       Otherwise ranks identity-pad their records to the key union and
       reduce the contiguous buffers elementwise.  Requires an
       allreduce-eligible schema on every rank; otherwise falls back to
@@ -390,14 +394,15 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
     """Contiguous-allreduce global combination; ``None`` when ineligible.
 
     Eligibility is decided collectively: every rank contributes a vote
-    (its schema and keys, or "empty"), so either all ranks take this
-    path or none does — a rank with an empty map still participates,
+    (its schema and :func:`_key_vote`, or "empty"), so either all ranks
+    take this path or none does — a rank with an empty map still participates,
     with no records or identity-padded ones.  The same votes pick the
     layout (see :func:`global_combine`), identically on every rank.
     """
     packed = pack_map(local_map)
     if packed is not None and packed.allreduce_eligible:
-        vote = ("schema", packed.cls, packed.records.dtype, packed.merges, packed.keys)
+        vote = ("schema", packed.cls, packed.records.dtype, packed.merges,
+                _key_vote(packed.keys))
     elif len(local_map) == 0:
         vote = ("empty",)
     else:
@@ -413,17 +418,17 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
     ):
         return None
     _cls, _dtype, _merges = ref[1], ref[2], ref[3]
-    keys = [v[4] for v in schema_votes]
-    if all(a[-1] < b[0] for a, b in zip(keys, keys[1:])):
+    key_votes = [v[4] for v in schema_votes]
+    # A vote's first and last keys are its [0] and [-1], run or array.
+    if all(a[-1] < b[0] for a, b in zip(key_votes, key_votes[1:])):
         # Position-keyed: no key is shared, so the concatenation in rank
         # order is the combination (an empty rank adds no records).
         own = packed.records if packed is not None else _identity_records(_dtype, _merges, 0)
         _record_wire_allreduce(comm, own)
         records = comm.allgather(own)
-        return PackedMap(
-            _cls, np.concatenate(keys), _concat_records(records), _merges
-        ).to_map()
-    union = _key_union(keys)
+        keys = np.concatenate([_voted_keys(v) for v in key_votes])
+        return PackedMap(_cls, keys, _concat_records(records), _merges).to_map()
+    union = _key_union([_voted_keys(v) for v in key_votes])
     if packed is not None:
         contribution = packed.expand_to(union)
     else:
@@ -432,6 +437,22 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
     op = structured_reduce_op(_dtype.names, _merges)
     reduced = comm.allreduce(contribution, op=op)
     return PackedMap(_cls, union, reduced, _merges).to_map()
+
+
+def _key_vote(keys: np.ndarray) -> tuple[int, int] | np.ndarray:
+    """A rank's (sorted, unique, non-empty) keys as voted: the run's
+    ``(first, last)`` when they are contiguous, else the array itself."""
+    first, last = int(keys[0]), int(keys[-1])
+    if last - first == len(keys) - 1:
+        return first, last
+    return keys
+
+
+def _voted_keys(vote: tuple[int, int] | np.ndarray) -> np.ndarray:
+    """The key array a :func:`_key_vote` stands for."""
+    if isinstance(vote, tuple):
+        return np.arange(vote[0], vote[1] + 1, dtype=np.int64)
+    return vote
 
 
 def _key_union(votes: list[np.ndarray]) -> np.ndarray:

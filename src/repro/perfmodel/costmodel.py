@@ -187,8 +187,10 @@ T_OBJ_GATHER = 3e-6
 #: packed records) on the allreduce path.
 T_KEY_ALLREDUCE = 4e-8
 #: Fixed per-rank setup of the allreduce path: the collective
-#: eligibility vote, key-union agreement, and identity padding.  Ranks
-#: with disjoint, rank-ordered keys skip the padding and the reduce
+#: eligibility vote, key-union agreement, and identity padding.  The
+#: model's constant-size vote holds for ranks whose keys are contiguous
+#: (they vote a ``(first, last)`` run); others vote their key array.
+#: Ranks with disjoint, rank-ordered keys skip the padding and the reduce
 #: (they allgather their own records and concatenate); the model still
 #: charges them the padded path's cost.
 ALLREDUCE_SETUP = 2e-4

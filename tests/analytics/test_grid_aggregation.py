@@ -8,21 +8,32 @@ from repro.comm import spmd_launch
 from repro.core import EnginePolicy, ExecutionPolicy
 
 
-def run_app(data, grid_size, kernel=False, threads=1):
+def run_app(data, grid_size, kernel=False, threads=1, block_size=None, offset=0):
     """``kernel`` picks the batch kernel (``auto``) over the scalar loop."""
     app = GridAggregation(
         ExecutionPolicy(
             engine=EnginePolicy(
                 num_threads=threads, map_path="auto" if kernel else "scalar",
             ),
+            block_size=block_size,
         ),
         grid_size=grid_size,
     )
-    app.run(data)
-    out = np.zeros(-(-len(data) // grid_size))
+    app.run(data, global_offset=offset, total_len=offset + len(data))
+    out = np.zeros(-(-(offset + len(data)) // grid_size))
     for k, obj in app.get_combination_map().items():
         out[k] = obj.total / obj.count
     return app, out
+
+
+def columns(com_map):
+    """The map's keys and raw ``total``/``count`` columns, key order."""
+    items = com_map.sorted_items()
+    return (
+        np.array([k for k, _ in items], dtype=np.int64),
+        np.array([o.total for _, o in items], dtype=np.float64),
+        np.array([o.count for _, o in items], dtype=np.int64),
+    )
 
 
 class TestCorrectness:
@@ -48,32 +59,59 @@ class TestCorrectness:
         _, out = run_app(data, 1)
         assert np.allclose(out, data)
 
+    @pytest.mark.parametrize("n, grid_size, offset, threads, block_size", [
+        pytest.param(1000, 37, 13, 1, None, id="offset_off_grid"),
+        pytest.param(1000, 37, 0, 3, None, id="splits_mid_cell"),
+        pytest.param(1000, 37, 5, 2, 100, id="blocks_seed_rows"),
+        pytest.param(600, 2, 1, 3, 64, id="grid_2_blocks"),
+        pytest.param(500, 1, 3, 3, None, id="grid_1"),
+        pytest.param(100, 40, 10, 1, None, id="one_whole_cell"),
+        pytest.param(300, 128, 7, 3, None, id="grid_beyond_split"),
+    ])
+    def test_kernel_columns_bit_exact(self, rng, n, grid_size, offset, threads,
+                                      block_size):
+        """The run-sum kernel leaves the scalar loop's raw columns: each
+        cell's total continues from its seed in element order."""
+        data = rng.normal(size=n)
+        runs = [run_app(data, grid_size, kernel, threads, block_size, offset)[0]
+                for kernel in (False, True)]
+        scalar, kernel = (columns(app.get_combination_map()) for app in runs)
+        assert runs[1].stats.batch_reduce_calls and not runs[0].stats.batch_reduce_calls
+        for want, got in zip(scalar, kernel):
+            assert np.array_equal(want, got)
+
     @pytest.mark.parametrize("ranks", [2, 3])
     @pytest.mark.parametrize("kernel", [False, True])
     def test_rank_invariant_with_global_positions(self, rng, ranks, kernel):
         """Grids spanning rank boundaries must still aggregate correctly —
-        this is the positional-information property Section 5.8 claims."""
+        this is the positional-information property Section 5.8 claims.
+        The kernel's columns equal the scalar loop's exactly."""
         data = rng.normal(size=400)
         expected = reference_grid_aggregation(data, 37)  # 37 does not divide evenly
 
-        def body(comm):
+        def body(comm, map_path):
             parts = np.array_split(data, comm.size)
             offset = sum(len(p) for p in parts[: comm.rank])
             app = GridAggregation(
-                ExecutionPolicy(
-                    engine=EnginePolicy(map_path="auto" if kernel else "scalar")
-                ),
+                ExecutionPolicy(engine=EnginePolicy(map_path=map_path)),
                 comm,
                 grid_size=37,
             )
             app.run(parts[comm.rank], global_offset=offset, total_len=len(data))
-            out = np.zeros(len(expected))
-            for k, obj in app.get_combination_map().items():
-                out[k] = obj.total / obj.count
-            return out
+            return columns(app.get_combination_map())
 
-        for out in spmd_launch(ranks, body, timeout=30):
-            assert np.allclose(out, expected)
+        def launch(map_path):
+            return spmd_launch(ranks, body, args_per_rank=[(map_path,)] * ranks,
+                               timeout=30)
+
+        got = launch("auto" if kernel else "scalar")
+        if kernel:
+            for want, rank_got in zip(launch("scalar"), got):
+                for a, b in zip(want, rank_got):
+                    assert np.array_equal(a, b)
+        for keys, total, count in got:
+            assert np.array_equal(keys, np.arange(len(expected)))
+            assert np.allclose(total / count, expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):

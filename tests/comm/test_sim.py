@@ -132,18 +132,29 @@ class TestPointToPoint:
         assert launch(2, body)[1] == ("b", "a")
 
     def test_send_isolates_payload(self):
+        dtype = np.dtype([("total", "f8"), ("count", "i8")])
+
         def body(c):
             if c.rank == 0:
-                arr = np.zeros(3)
+                arr, inner, table = np.zeros(3), [1], {"k": 1}
                 c.send(arr, dest=1)
+                # Mutable parts of a tuple are copied; immutable leaves
+                # (a structured dtype, a class) pass through as they are.
+                c.send((arr, inner, table, dtype, SimCluster, 7), dest=1)
                 arr[:] = -1.0
+                inner.append(2)
+                table["k"] = 2
                 c.barrier()
                 return None
-            got = c.recv(0)
+            got = c.recv(0), c.recv(0)
             c.barrier()
             return got
 
-        assert np.array_equal(launch(2, body)[1], np.zeros(3))
+        plain, (arr, inner, table, got_dtype, cls, seven) = launch(2, body)[1]
+        assert np.array_equal(plain, np.zeros(3))
+        assert np.array_equal(arr, np.zeros(3))
+        assert inner == [1] and table == {"k": 1} and seven == 7
+        assert got_dtype is dtype and cls is SimCluster
 
 
 class TestDupAndContexts:

@@ -374,6 +374,21 @@ class TestCombineOnCluster:
         # ordered and disjoint, rank 1 holds nothing: still concatenated
         pytest.param(lambda rank: [] if rank == 1 else [10 * rank, 10 * rank + 1],
                      False, id="disjoint_empty_middle"),
+        # every rank votes a one-key run
+        pytest.param(lambda rank: [5 * rank], False, id="single_key_runs"),
+        # runs with gaps between them: [0..9], [20..29], [40..49]
+        pytest.param(lambda rank: list(range(20 * rank, 20 * rank + 10)), False,
+                     id="runs_with_gaps"),
+        # the same run on every rank: the union path
+        pytest.param(lambda rank: list(range(10)), True, id="identical_runs"),
+        # runs beside a rank voting scattered keys, ordered and disjoint
+        pytest.param(lambda rank: [12, 15, 19] if rank == 1
+                     else list(range(20 * rank, 20 * rank + 10)),
+                     False, id="run_beside_scattered"),
+        # runs overlapping a rank voting scattered keys
+        pytest.param(lambda rank: [3, 7, 40] if rank == 1
+                     else list(range(5 * rank, 5 * rank + 10)),
+                     True, id="run_overlapping_scattered"),
     ])
     def test_allreduce_key_union_matches_gather(self, keys_of, padded):
         profiler = TrafficProfiler()
@@ -396,6 +411,33 @@ class TestCombineOnCluster:
         else:
             # One own-sized buffer per rank: together, the union once.
             assert profiler.snapshot()["wire.allreduce"] == (3, len(fast[0]) * 16)
+
+    def test_run_vote_bytes_do_not_grow_with_keys(self):
+        """Contiguous keys vote their run, so the vote's allgather moves
+        the same bytes for 1 024 keys a rank as for 65 536."""
+        # Pickle sizes an int by its magnitude: keep every run bound in
+        # the same (4-byte) range.
+        base = 1 << 20
+
+        def vote_bytes(n):
+            profiler = TrafficProfiler()
+
+            def body(comm):
+                records = np.zeros(n, dtype=[("total", "f8"), ("count", "i8")])
+                lo = base + comm.rank * n
+                keys = np.arange(lo, lo + n, dtype=np.int64)
+                local = PackedMap(SumCountObj, keys, records, ("sum", "sum")).to_map()
+                merged = global_combine(
+                    comm, local, merge_sumcount,
+                    combine=CombinePolicy(algorithm="allreduce", wire_format="columnar"))
+                return len(merged)
+
+            assert spmd_launch(2, body, profiler=profiler, timeout=30) == [2 * n] * 2
+            snap = profiler.snapshot()
+            # The records allgather is the wire.allreduce tally; the rest is the vote.
+            return snap["allgather"][1] - snap["wire.allreduce"][1]
+
+        assert vote_bytes(1024) == vote_bytes(65536)
 
     def test_allreduce_falls_back_for_keep_schemas(self):
         """ClusterObj is vector-mergeable but not allreduce-eligible; the
