@@ -20,9 +20,10 @@ from ..perfmodel import (
 )
 
 #: Default working-set factors (working set = factor x per-step output).
-#: These describe our Python proxies' honest footprints: Heat3D keeps two
-#: field buffers plus halo staging; the Lulesh proxy keeps four fields
-#: plus transients.
+#: Free parameters, not measured footprints: our Heat3D proxy holds two
+#: field buffers plus two cache-sized block buffers (just over 2x), and
+#: 3.0 leaves room for the original code's halo and output staging; the
+#: Lulesh proxy keeps four fields plus transients.
 HEAT3D_MEMORY_FACTOR = 3.0
 LULESH_MEMORY_FACTOR = 4.5
 
@@ -36,14 +37,15 @@ HEAT3D_MEMORY_FACTOR_FIG9 = 5.05
 LULESH_MEMORY_FACTOR_FIG9 = 125.1
 
 #: Fig. 9 per-step *compute* of the original codes relative to our
-#: minimal proxies.  The paper's Fig. 9a per-step times (~5-7 s at a
-#: 0.6 GB step) are ~25x our stencil proxy's; real LULESH runs ~50x more
-#: flops per element than our four-field update.  Without these factors
-#: the modeled steps are so fast that the extra memcpy alone dominates,
-#: which is not what the paper measured.  Fitted once, stated in
-#: EXPERIMENTS.md.
-HEAT3D_COMPUTE_FACTOR_FIG9 = 25.0
-LULESH_COMPUTE_FACTOR_FIG9 = 50.0
+#: minimal proxies (the paper's step time / our proxy's).  The paper's
+#: Fig. 9a per-step times (~5-7 s at a 0.6 GB step) are ~50x our blocked
+#: stencil proxy's; real LULESH runs ~120x more flops per element than our
+#: four-field update.  Without these factors the modeled steps are so
+#: fast that the extra memcpy alone dominates, which is not what the
+#: paper measured.  Fitted once, stated in EXPERIMENTS.md; re-scaled by
+#: the calibrated ns/elem ratio whenever a proxy's kernel gets faster.
+HEAT3D_COMPUTE_FACTOR_FIG9 = 50.0
+LULESH_COMPUTE_FACTOR_FIG9 = 120.0
 
 #: Fig. 11a: Heat3D footprint there (smaller run, 300 GB) fitted so the
 #: trigger-less moving average crashes at a 1 GB/node step.

@@ -1,10 +1,35 @@
 """LULESH-like proxy: determinism, boundedness, cubic memory."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.comm import spmd_launch
 from repro.sim import LuleshProxy
+from repro.sim.lulesh import _laplacian
+
+#: sha256 over the four fields of ``LuleshProxy(16)`` after 25 steps, in
+#: ``fields()`` order, computed with the take/concatenate Laplacian below.
+GOLDEN_16 = "64667f4b306ba73c596efa766818b9497e0c358793e1d7256e3ef69a431e9362"
+
+
+def _take_concat_laplacian(field):
+    """The original formulation: shifted copies by take + concatenate."""
+    lap = -6.0 * field
+    for axis in range(3):
+        upper = np.concatenate(
+            (np.take(field, range(1, field.shape[axis]), axis=axis),
+             np.take(field, [-1], axis=axis)),
+            axis=axis,
+        )
+        lower = np.concatenate(
+            (np.take(field, [0], axis=axis),
+             np.take(field, range(0, field.shape[axis] - 1), axis=axis)),
+            axis=axis,
+        )
+        lap += upper + lower
+    return lap
 
 
 class TestSingleRank:
@@ -56,6 +81,20 @@ class TestSingleRank:
         sim.reset()
         assert sim.step == 0
         assert np.array_equal(sim.e, initial)
+
+    @pytest.mark.parametrize("edge", [3, 4, 17])
+    def test_laplacian_matches_take_concat_form(self, edge):
+        field = np.random.default_rng(edge).normal(size=(edge, edge, edge))
+        assert np.array_equal(_laplacian(field), _take_concat_laplacian(field))
+
+    def test_golden_digest(self):
+        sim = LuleshProxy(16)
+        for _ in range(25):
+            sim.advance()
+        digest = hashlib.sha256()
+        for field in sim.fields().values():
+            digest.update(field.tobytes())
+        assert digest.hexdigest() == GOLDEN_16
 
     def test_invalid_edge(self):
         with pytest.raises(ValueError):
