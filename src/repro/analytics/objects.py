@@ -63,7 +63,7 @@ class WindowSumObj(RedObj):
 
     def fields(self):
         # win_size is identical for every window of a run, so "max" is a
-        # correct merge (and keeps the schema allreduce-eligible).
+        # correct merge.
         return (
             Field("total", np.float64, "sum"),
             Field("count", np.int64, "sum"),

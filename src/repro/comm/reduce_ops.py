@@ -59,7 +59,7 @@ class ReduceOp:
 
 #: Schema merge names (``repro.core.red_obj.Field.merge``) that map to
 #: elementwise ufuncs.  A columnar combination map whose every field names
-#: one of these can be globally combined by a contiguous allreduce.
+#: one of these or ``"keep"`` is globally combined by a contiguous allreduce.
 MERGE_UFUNCS: dict[str, np.ufunc] = {
     "sum": np.add,
     "prod": np.multiply,
@@ -73,10 +73,11 @@ def merge_identity(merge: str, dtype: Any) -> Any:
 
     Used to pad a rank's packed records out to the global key union
     before the contiguous allreduce: a key the rank never touched must
-    contribute nothing to any field.
+    contribute nothing to any field.  ``"keep"`` reduces by OR over the
+    value's bits, so its identity is zero bits.
     """
     dt = np.dtype(dtype)
-    if merge == "sum":
+    if merge in ("sum", "keep"):
         return 0
     if merge == "prod":
         return 1
@@ -94,16 +95,32 @@ def structured_reduce_op(
 
     Each field combines with its own ufunc (``MERGE_UFUNCS[merge]``),
     applied in place on the accumulator — the per-field analogue of
-    ``MPI_Allreduce`` with a user-defined op on a derived datatype.
+    ``MPI_Allreduce`` with a user-defined op on a derived datatype.  A
+    ``"keep"`` field ORs its values' bits: when one rank contributes the
+    value and every other rank zero bits, the value arrives bit-exact,
+    ``-0.0`` and NaN payloads included.
     """
-    pairs = [(name, MERGE_UFUNCS[m]) for name, m in zip(names, merges)]
+    pairs = [
+        (name, np.bitwise_or if m == "keep" else MERGE_UFUNCS[m], m == "keep")
+        for name, m in zip(names, merges)
+    ]
 
     def combine(acc: Any, value: Any) -> Any:
-        for name, ufunc in pairs:
-            ufunc(acc[name], value[name], out=acc[name])
+        for name, ufunc, bits in pairs:
+            a, b = acc[name], value[name]
+            if bits:
+                a, b = _bits(a), _bits(b)
+            ufunc(a, b, out=a)
         return acc
 
     return ReduceOp("structured", combine)
+
+
+def _bits(col: np.ndarray) -> np.ndarray:
+    """``col``'s values as same-size unsigned integers, or as raw bytes
+    when no integer has their size."""
+    size = col.dtype.itemsize
+    return col.view(f"u{size}" if size in (1, 2, 4, 8) else (np.uint8, size))
 
 
 def _nan_overlay(acc: Any, value: Any) -> Any:

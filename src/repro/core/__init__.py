@@ -54,7 +54,7 @@ from .time_sharing import StepTiming, TimeSharingDriver, TimeSharingResult
 # Imported last: autotune reaches into repro.perfmodel, whose package
 # init imports analytics (and, through it, names bound above in this
 # partially initialized package).
-from .autotune import CombineSwitch, PolicyAdvisor  # noqa: E402
+from .autotune import PolicyAdvisor  # noqa: E402
 
 __all__ = [
     "BufferClosed",
@@ -65,7 +65,6 @@ __all__ = [
     "CircularBuffer",
     "ColumnarAccumulator",
     "CombinePolicy",
-    "CombineSwitch",
     "COMBINE_ALGORITHMS",
     "CoreSplit",
     "ENGINE_BACKENDS",

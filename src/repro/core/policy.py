@@ -6,7 +6,8 @@ per-concern policy objects rather than one flat knob bag:
 * :class:`EnginePolicy` — *where* the intra-rank reduction runs: the
   execution backend, its worker count, and the map path.
 * :class:`CombinePolicy` — *how* global combination moves and merges
-  maps: the combination algorithm and the wire format.
+  maps that the key vote cannot combine: the fallback algorithm and the
+  wire format.
 * :class:`ExecutionPolicy` — the complete runtime configuration: the
   two policies above, a :class:`~repro.faults.FaultPolicy`, and the
   iteration/block shape.
@@ -23,11 +24,10 @@ vocabulary as the conformance matrix (``engine=``, ``threads=``,
 (``extra_data`` is the one field a fingerprint cannot carry — it is an
 arbitrary application object and is excluded by contract).
 
-:meth:`ExecutionPolicy.auto` closes the perfmodel→telemetry→config
-loop: it asks :class:`repro.core.autotune.PolicyAdvisor` — backed by
-:mod:`repro.perfmodel.costmodel` — to choose the engine, combine
-algorithm, and wire format for a described workload instead of the user
-hand-picking them.
+:meth:`ExecutionPolicy.auto` asks
+:class:`repro.core.autotune.PolicyAdvisor` to choose the engine and the
+wire format for a described workload instead of the user hand-picking
+them.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ __all__ = [
 ENGINE_BACKENDS = ("serial", "thread", "process")
 #: Map-phase execution paths (:attr:`EnginePolicy.map_path`).
 MAP_PATHS = ("auto", "scalar", "batch")
-#: Global-combination algorithms.
-COMBINE_ALGORITHMS = ("gather", "tree", "allreduce")
+#: Global-combination algorithms for maps the key vote cannot combine.
+COMBINE_ALGORITHMS = ("gather", "tree")
 #: Map wire formats (the single source; ``repro.core.serialization``
 #: imports this constant).
 WIRE_FORMATS = ("pickle", "columnar")
@@ -168,12 +168,15 @@ class EnginePolicy:
 class CombinePolicy:
     """How global combination moves and merges combination maps.
 
+    A map whose every field declares a columnar merge is always combined
+    by the key vote's contiguous allreduce
+    (:func:`~repro.core.serialization.global_combine`); these knobs
+    shape the combine of every other map.
+
     Parameters
     ----------
     algorithm:
-        ``"gather"`` (merge-on-master), ``"tree"`` (binomial reduce), or
-        ``"allreduce"`` (contiguous elementwise reduce of packed
-        records; falls back to gather when the schema is ineligible).
+        ``"gather"`` (merge-on-master) or ``"tree"`` (binomial reduce).
     wire_format:
         ``"pickle"`` (per-object payloads, the paper's design point) or
         ``"columnar"`` (contiguous keys + records arrays with per-field
@@ -190,12 +193,12 @@ class CombinePolicy:
         """Raise :class:`ValueError` on any out-of-domain knob."""
         if self.algorithm not in COMBINE_ALGORITHMS:
             raise ValueError(
-                f"combine_algorithm must be 'gather', 'tree', or 'allreduce', "
+                f"combine_algorithm must be one of {COMBINE_ALGORITHMS}, "
                 f"got {self.algorithm!r}"
             )
         if self.wire_format not in WIRE_FORMATS:
             raise ValueError(
-                f"wire_format must be 'pickle' or 'columnar', "
+                f"wire_format must be one of {WIRE_FORMATS}, "
                 f"got {self.wire_format!r}"
             )
 
@@ -354,18 +357,16 @@ class ExecutionPolicy:
     # -- construction helpers ------------------------------------------
     @classmethod
     def auto(cls, **hints: Any) -> "ExecutionPolicy":
-        """Let the cost model pick the engine / combine / wire knobs.
+        """Let the advisor pick the engine and wire knobs.
 
         Delegates to :class:`repro.core.autotune.PolicyAdvisor` — see
         its ``advise()`` for the accepted workload hints (``elements``,
-        ``ranks``, ``threads``, ``key_estimate``, ``schema_mergeable``,
-        ``has_batch_path``, ...).
+        ``threads``, ``schema_mergeable``, ``has_batch_path``, ...).
         """
-        from .autotune import PolicyAdvisor  # deferred: autotune imports perfmodel
+        from .autotune import PolicyAdvisor  # deferred: autotune imports this module
 
         telemetry = hints.pop("telemetry", None)
-        machine = hints.pop("machine", None)
-        return PolicyAdvisor(machine=machine, telemetry=telemetry).advise(**hints)
+        return PolicyAdvisor(telemetry=telemetry).advise(**hints)
 
     def evolve(self, **changes: Any) -> "ExecutionPolicy":
         """A copy with ``changes`` applied (validated on construction)."""

@@ -41,8 +41,8 @@ class Field(NamedTuple):
         fields that are identical on every rank, such as a window size
         or the current k-means centroid), or ``None`` (no columnar
         merge; the map falls back to the Python ``merge()`` callback).
-        When *every* field of a schema names a true ufunc, global
-        combination can short-circuit to a contiguous allreduce — the
+        When *every* field of a schema names a ufunc or ``"keep"``,
+        global combination is a contiguous allreduce — the
         hand-written-MPI shape of the paper's Section 5.3.
     shape:
         Subarray shape for vector-valued fields (e.g. ``(dims,)`` for a

@@ -124,7 +124,6 @@ _MAP_CALLBACKS = frozenset({"gen_key", "gen_keys", "accumulate"})
 _ENGINE_LOCAL_ATTRS = frozenset(
     {
         "policy",
-        "policy_adaptor",
         "comm",
         "combination_map_",
         "telemetry",
@@ -172,7 +171,6 @@ class Scheduler:
         comm: Communicator | None = None,
     ):
         #: The layered runtime configuration this scheduler executes.
-        #: Immutable; replaced wholesale by a mid-run ``policy_adaptor``.
         if not isinstance(args, ExecutionPolicy):
             raise TypeError(
                 "args must be an ExecutionPolicy, e.g. "
@@ -180,11 +178,6 @@ class Scheduler:
                 f"got {type(args).__name__}"
             )
         self.policy: ExecutionPolicy = args
-        #: Optional mid-run adaptation hook (e.g.
-        #: :class:`~repro.core.autotune.CombineSwitch`).  Called as
-        #: ``observe(scheduler, iteration)`` after ``post_combine`` of
-        #: every iteration; may replace :attr:`policy`.
-        self.policy_adaptor = None
         self.comm: Communicator = comm if comm is not None else LocalComm()
         self.combination_map_ = KeyedMap()
         self.telemetry = Recorder()
@@ -647,8 +640,6 @@ class Scheduler:
                 # Global combination + redistribution (lines 3-4 of the next
                 # iteration happen here as the broadcast back).
                 if self._global_combination and self.comm.size > 1:
-                    # Read the combine policy fresh each iteration: a
-                    # mid-run adaptor may have replaced it below.
                     self.combination_map_ = global_combine(
                         self.comm, self.combination_map_, self.merge,
                         combine=self.policy.combine,
@@ -657,12 +648,6 @@ class Scheduler:
                 self.post_combine(self.combination_map_)
                 engine.invalidate_state()
                 self.stats.observe_objects(len(self.combination_map_))
-                if self.policy_adaptor is not None:
-                    # Mid-run adaptation (repro.core.autotune): observes
-                    # post-combine state that is identical on every rank,
-                    # so any policy replacement happens in lockstep and
-                    # takes effect at the next iteration's combination.
-                    self.policy_adaptor.observe(self, iteration)
                 if self.converged(self.combination_map_, iteration):
                     # The map is identical on all ranks after global
                     # combination, so every rank breaks together.

@@ -17,18 +17,21 @@ both sides of that comparison:
   is packed into one contiguous ``int64`` keys-array plus one structured
   records-array (:class:`PackedMap`).  Merging aligns keys with
   ``np.searchsorted`` and combines each field with its merge ufunc —
-  no per-object Python calls — and when *every* field names a true
-  ufunc, the gather algorithm short-circuits to a contiguous allreduce
-  through :mod:`repro.comm.reduce_ops`, the exact shape of the paper's
-  hand-written baseline (or, when the ranks' keys are disjoint and
-  ascending in rank order, to an allgather and a concatenation).  The
-  ranks agree on the path by a vote of their schema plus their keys: a
-  ``(first, last)`` run when the keys are contiguous, else the keys.
-  Schemaless or heterogeneous maps fall back to pickle transparently.
-  Decoded and reduced maps stay columns: they come
-  back as a :class:`~repro.core.maps.KeyedMap` *backed* by the arrays,
-  which :func:`pack_map` hands out again without a copy, so a map nobody
-  reads object by object never becomes objects.
+  no per-object Python calls.  Schemaless or heterogeneous maps fall
+  back to pickle transparently.  Decoded and reduced maps stay columns:
+  they come back as a :class:`~repro.core.maps.KeyedMap` *backed* by
+  the arrays, which :func:`pack_map` hands out again without a copy, so
+  a map nobody reads object by object never becomes objects.
+
+Global combination of a map whose every field declares a columnar merge
+ships neither payload: it is a contiguous allreduce through
+:mod:`repro.comm.reduce_ops`, the exact shape of the paper's
+hand-written baseline (or, when the ranks' keys are disjoint and
+ascending in rank order, an allgather and a concatenation).  The ranks
+agree on it by a vote of their schema plus their keys: a ``(first,
+last)`` run when the keys are contiguous, else the keys.  The wire
+format serves the combine of every other map, the engine pipes and
+Fig. 6's payloads.
 
 Payloads are self-describing (columnar ones carry a magic prefix), so
 ``deserialize_map`` accepts either format — including pickle payloads
@@ -116,14 +119,9 @@ class PackedMap:
 
     @property
     def vector_mergeable(self) -> bool:
-        """True when every field declares a columnar merge rule."""
+        """True when every field declares a columnar merge rule, so
+        global combination is one contiguous allreduce."""
         return all(m in MERGE_UFUNCS or m == "keep" for m in self.merges)
-
-    @property
-    def allreduce_eligible(self) -> bool:
-        """True when every field merges by a true ufunc (no ``keep``),
-        so global combination can be one contiguous allreduce."""
-        return all(m in MERGE_UFUNCS for m in self.merges)
 
     def mergeable_with(self, other: "PackedMap") -> bool:
         return (
@@ -344,54 +342,50 @@ def global_combine(
 ) -> KeyedMap:
     """Combine every rank's local combination map into the global one.
 
-    ``combine`` — a :class:`~repro.core.policy.CombinePolicy` — names
-    the algorithm and the wire format (and has validated both).
+    Every algorithm ends with every rank holding the identical global
+    map — the redistribution of Algorithm 1 lines 3-4.
 
-    Three algorithms are provided (each ends with every rank holding the
-    identical global map — the redistribution of Algorithm 1 lines 3-4):
+    First the ranks vote their schemas and keys — a ``(first, last)`` run
+    when a rank's keys are contiguous, else the key array.  When every
+    rank's map is columnar-mergeable under one schema, the ranks combine
+    their packed records by the key layout the votes show — the
+    hand-written-MPI shape of Section 5.3, whatever ``combine`` says:
+
+    * keys disjoint and ascending in rank order (position-keyed
+      analytics: each rank owns its cells; an empty rank owns none):
+      ranks allgather their own records and concatenate them — nothing
+      is padded or reduced;
+    * otherwise ranks identity-pad their records to the key union and
+      reduce the contiguous buffers elementwise.  A ``keep`` field takes
+      the value of the lowest rank holding the key, as gather's
+      rank-order merge does.
+
+    When any rank's map is not — schemaless, of mixed classes, with a
+    field that has no columnar merge, or under a schema another rank
+    does not share — every rank falls back to ``combine.algorithm`` over
+    ``combine.wire_format`` payloads:
 
     * ``"gather"`` — the paper's description: local maps are gathered to
       the master (rank 0), merged there in rank order, and broadcast
-      back.  Master-side work scales with the rank count.  With the
-      columnar wire format, when every schema field declares a merge
-      ufunc this algorithm short-circuits to the allreduce below.
+      back.  Master-side work scales with the rank count.
     * ``"tree"`` — recursive-halving merge: ranks pairwise-merge maps up
       a binomial tree (log2 rounds, merging work parallelized across
-      ranks), then the root broadcasts.  The classic MPI_Reduce shape;
-      preferable when maps are large or ranks are many.
-    * ``"allreduce"`` — the hand-written-MPI shape (Section 5.3): ranks
-      vote their schemas and keys — a ``(first, last)`` run when a rank's
-      keys are contiguous, else the key array — then combine their
-      packed records by the key layout the votes show.  When the ranks'
-      keys are disjoint and ascending in rank order (position-keyed
-      analytics: each rank owns its cells; an empty rank owns none),
-      ranks allgather their own records and concatenate them — nothing
-      is padded or reduced.
-      Otherwise ranks identity-pad their records to the key union and
-      reduce the contiguous buffers elementwise.  Requires an
-      allreduce-eligible schema on every rank; otherwise falls back to
-      ``"gather"`` (collectively — all ranks vote, so none diverges).
+      ranks), then the root broadcasts.  The classic MPI_Reduce shape.
 
     Returns the global combination map (on every rank).
     """
-    algorithm, wire_format = combine.algorithm, combine.wire_format
     if comm.size == 1:
         return local_map
-    if algorithm == "allreduce" or (
-        algorithm == "gather" and wire_format == "columnar"
-    ):
-        merged = _combine_allreduce(comm, local_map)
-        if merged is not None:
-            return merged
-        if algorithm == "allreduce":
-            algorithm = "gather"
-    if algorithm == "gather":
-        return _combine_gather(comm, local_map, merge, wire_format)
-    return _combine_tree(comm, local_map, merge, wire_format)
+    merged = _combine_allreduce(comm, local_map)
+    if merged is not None:
+        return merged
+    if combine.algorithm == "gather":
+        return _combine_gather(comm, local_map, merge, combine.wire_format)
+    return _combine_tree(comm, local_map, merge, combine.wire_format)
 
 
 def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | None:
-    """Contiguous-allreduce global combination; ``None`` when ineligible.
+    """The key vote and the contiguous combine; ``None`` when ineligible.
 
     Eligibility is decided collectively: every rank contributes a vote
     (its schema and :func:`_key_vote`, or "empty"), so either all ranks
@@ -400,7 +394,7 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
     layout (see :func:`global_combine`), identically on every rank.
     """
     packed = pack_map(local_map)
-    if packed is not None and packed.allreduce_eligible:
+    if packed is not None and packed.vector_mergeable:
         vote = ("schema", packed.cls, packed.records.dtype, packed.merges,
                 _key_vote(packed.keys))
     elif len(local_map) == 0:
@@ -428,9 +422,20 @@ def _combine_allreduce(comm: "Communicator", local_map: KeyedMap) -> KeyedMap | 
         records = comm.allgather(own)
         keys = np.concatenate([_voted_keys(v) for v in key_votes])
         return PackedMap(_cls, keys, _concat_records(records), _merges).to_map()
-    union = _key_union([_voted_keys(v) for v in key_votes])
+    voted = [_voted_keys(v) for v in key_votes]
+    union = _key_union(voted)
     if packed is not None:
         contribution = packed.expand_to(union)
+        if "keep" in _merges:
+            # The lowest rank holding a key owns its keep value; the
+            # others contribute zero bits to the OR.
+            below = sum(v[0] == "schema" for v in votes[: comm.rank])
+            claimed = np.zeros(len(union), dtype=bool)
+            for keys in voted[:below]:
+                claimed[np.searchsorted(union, keys)] = True
+            for name, merge in zip(_dtype.names, _merges):
+                if merge == "keep":
+                    contribution[name][claimed] = 0
     else:
         contribution = _identity_records(_dtype, _merges, len(union))
     _record_wire_allreduce(comm, contribution)

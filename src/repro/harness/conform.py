@@ -64,8 +64,7 @@ def _parser() -> argparse.ArgumentParser:
                              "'histogram@engine=thread,threads=2')")
     parser.add_argument("--autotune", action="store_true",
                         help="also run every workload under "
-                             "ExecutionPolicy.auto() advice plus one "
-                             "mid-run combine-switch run")
+                             "ExecutionPolicy.auto() advice")
     parser.add_argument("--properties", action="store_true",
                         help="also run the metamorphic property checks")
     parser.add_argument("--fuzz", type=int, default=0, metavar="N",

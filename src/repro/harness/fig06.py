@@ -50,7 +50,7 @@ def _payloads(com_map) -> dict:
     return {
         "pickle": float(len(serialize_map(com_map, "pickle"))),
         "columnar": float(len(serialize_map(com_map, "columnar"))),
-        "allreduce_eligible": bool(packed is not None and packed.allreduce_eligible),
+        "vector_mergeable": bool(packed is not None and packed.vector_mergeable),
     }
 
 
@@ -84,7 +84,7 @@ def run(
         smart_payload=km_payloads[wire_format],
         smart_payload_pickle=km_payloads["pickle"],
         smart_payload_columnar=km_payloads["columnar"],
-        allreduce_eligible=km_payloads["allreduce_eligible"],
+        vector_mergeable=km_payloads["vector_mergeable"],
         low_payload=low_payload, passes=iters,
     )
 
@@ -104,7 +104,7 @@ def run(
         smart_payload=lr_payloads[wire_format],
         smart_payload_pickle=lr_payloads["pickle"],
         smart_payload_columnar=lr_payloads["columnar"],
-        allreduce_eligible=lr_payloads["allreduce_eligible"],
+        vector_mergeable=lr_payloads["vector_mergeable"],
         low_payload=float((dims + 1) * 8), passes=iters,
     )
 
@@ -117,7 +117,7 @@ def run(
                 f"{r['smart_payload_pickle']:.0f} B",
                 f"{r['smart_payload_columnar']:.0f} B",
                 f"{r['low_payload']:.0f} B",
-                "yes" if r["allreduce_eligible"] else "no",
+                "yes" if r["vector_mergeable"] else "no",
             ]
         )
     print_table(

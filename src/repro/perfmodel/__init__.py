@@ -14,9 +14,6 @@ from .costmodel import (
     Prediction,
     SimulationModel,
     collective_seconds,
-    combine_crossover_keys,
-    model_combine_allreduce,
-    model_combine_gather,
     model_simulation_only,
     model_space_sharing,
     model_time_sharing,
@@ -45,9 +42,6 @@ __all__ = [
     "calibrate_analytics",
     "calibrate_simulations",
     "collective_seconds",
-    "combine_crossover_keys",
-    "model_combine_allreduce",
-    "model_combine_gather",
     "model_simulation_only",
     "model_space_sharing",
     "model_time_sharing",

@@ -155,133 +155,20 @@ def analytics_speedup(machine: MachineSpec, threads: int, app: AnalyticsModel) -
 
 
 def collective_seconds(
-    machine: MachineSpec, nodes: int, payload_bytes: float, rounds: int = 2
+    machine: MachineSpec, nodes: int, payload_bytes: float
 ) -> float:
     """Alpha-beta cost of one global combination across ``nodes``.
 
-    ``rounds=2``: the gather to the master plus the broadcast back
+    Two rounds: the gather to the master plus the broadcast back
     (Algorithm 1's combination + redistribution), each a
     ``ceil(log2(nodes))``-deep tree.
     """
     if nodes <= 1:
         return 0.0
     depth = math.ceil(math.log2(nodes))
-    return rounds * depth * (
+    return 2 * depth * (
         machine.net_latency_s + payload_bytes / machine.net_bandwidth_bps
     )
-
-
-# -- global-combination algorithm models --------------------------------
-#
-# Linear-in-keys costs for the two combine algorithms the runtime can
-# switch between (paper Fig. 6's overhead experiment vs the Section 5.3
-# hand-written-MPI shape).  Per-key constants are calibration-host scale
-# (2.5 GHz reference clock), in the same spirit as the kernel costs
-# above: the model reproduces the *crossover shape*, not absolute
-# seconds.
-
-#: Master-side seconds to deserialize + Python-merge one reduction
-#: object on the gather path (pickle decode, dict probe, ``merge()``).
-T_OBJ_GATHER = 3e-6
-#: Per-key seconds of the contiguous elementwise reduce (ufunc over
-#: packed records) on the allreduce path.
-T_KEY_ALLREDUCE = 4e-8
-#: Fixed per-rank setup of the allreduce path: the collective
-#: eligibility vote, key-union agreement, and identity padding.  The
-#: model's constant-size vote holds for ranks whose keys are contiguous
-#: (they vote a ``(first, last)`` run); others vote their key array.
-#: Ranks with disjoint, rank-ordered keys skip the padding and the reduce
-#: (they allgather their own records and concatenate); the model still
-#: charges them the padded path's cost.
-ALLREDUCE_SETUP = 2e-4
-#: Default serialized bytes per reduction object on the pickle wire.
-OBJ_WIRE_BYTES = 96.0
-#: Default bytes per key of a packed record row on the columnar wire.
-REC_WIRE_BYTES = 24.0
-
-
-def model_combine_gather(
-    machine: MachineSpec,
-    ranks: int,
-    keys: int,
-    obj_bytes: float = OBJ_WIRE_BYTES,
-) -> float:
-    """Modeled seconds of one ``gather`` global combination.
-
-    The master receives every rank's serialized map (alpha-beta gather +
-    broadcast back) and merges object by object in Python — the
-    master-side term grows with ``(ranks - 1) * keys``, which is why
-    gather loses to allreduce once maps are large (paper Fig. 6).
-    """
-    if ranks <= 1:
-        return 0.0
-    payload = keys * obj_bytes
-    return (
-        collective_seconds(machine, ranks, payload)
-        + (ranks - 1) * keys * T_OBJ_GATHER
-    )
-
-
-def model_combine_allreduce(
-    machine: MachineSpec,
-    ranks: int,
-    keys: int,
-    rec_bytes: float = REC_WIRE_BYTES,
-) -> float:
-    """Modeled seconds of one ``allreduce`` global combination.
-
-    Ranks agree on the key union, identity-pad packed records, and
-    reduce the contiguous buffers elementwise — high fixed setup (the
-    collective vote), tiny per-key cost (one ufunc lane per key).
-    """
-    if ranks <= 1:
-        return 0.0
-    depth = math.ceil(math.log2(ranks))
-    payload = keys * rec_bytes
-    return (
-        ranks * ALLREDUCE_SETUP
-        + collective_seconds(machine, ranks, 64.0)  # the eligibility vote
-        + collective_seconds(machine, ranks, payload, rounds=1)
-        + depth * keys * T_KEY_ALLREDUCE
-    )
-
-
-def combine_crossover_keys(
-    machine: MachineSpec,
-    ranks: int,
-    *,
-    obj_bytes: float = OBJ_WIRE_BYTES,
-    rec_bytes: float = REC_WIRE_BYTES,
-    max_keys: int = 1 << 20,
-) -> int:
-    """Smallest key count at which allreduce beats gather (``ranks`` > 1).
-
-    Deterministic doubling-then-bisect scan of the two linear models —
-    the calibrated decision boundary :class:`repro.core.autotune` uses
-    both for launch-time advice and for the mid-run combine switch.
-    Returns ``max_keys`` when gather wins everywhere below it.
-    """
-    if ranks <= 1:
-        return max_keys
-
-    def allreduce_wins(k: int) -> bool:
-        return model_combine_allreduce(machine, ranks, k, rec_bytes) < (
-            model_combine_gather(machine, ranks, k, obj_bytes)
-        )
-
-    hi = 1
-    while hi < max_keys and not allreduce_wins(hi):
-        hi *= 2
-    if hi >= max_keys:
-        return max_keys
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if allreduce_wins(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _working_set(

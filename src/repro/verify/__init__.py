@@ -40,7 +40,7 @@ from .oracle import (
     run_matrix,
     ulp_distance,
 )
-from .policy_check import advised_config, autotune_switch_check, run_autotune
+from .policy_check import advised_config, run_autotune
 from .properties import (
     applicable_properties,
     check_fault_replay,
@@ -67,7 +67,6 @@ __all__ = [
     "Workload",
     "advised_config",
     "applicable_properties",
-    "autotune_switch_check",
     "axis_values",
     "build_matrix",
     "check_fault_replay",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from ..comm import InterleaveSchedule
 from ..comm.errors import CommError, CommTimeoutError, SpmdError
+from ..core.policy import COMBINE_ALGORITHMS, WIRE_FORMATS
 from ..faults import FaultPlan, FaultSpec
 from ..telemetry import Recorder
 from .matrix import DEFAULT_SEED, Config
@@ -26,8 +27,6 @@ from .workloads import Workload, get_workload
 __all__ = ["FuzzCase", "derive_case", "fuzz_schedule", "replay", "run_fuzz"]
 
 _ENGINES = ("serial", "thread")
-_WIRES = ("pickle", "columnar")
-_ALGOS = ("gather", "tree", "allreduce")
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,8 @@ def derive_case(workload: Workload | str, seed: int, *,
     config = Config(
         workload=w.name,
         engine=_ENGINES[mixed % len(_ENGINES)],
-        wire_format=_WIRES[(mixed >> 2) % len(_WIRES)],
-        combine_algorithm=_ALGOS[(mixed >> 4) % len(_ALGOS)],
+        wire_format=WIRE_FORMATS[(mixed >> 2) % len(WIRE_FORMATS)],
+        combine_algorithm=COMBINE_ALGORITHMS[(mixed >> 4) % len(COMBINE_ALGORITHMS)],
         num_threads=1 + 2 * ((mixed >> 6) % 2),
         ranks=max(2, int(ranks)),
         seed=DEFAULT_SEED if data_seed is None else data_seed,

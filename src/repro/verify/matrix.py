@@ -253,7 +253,8 @@ def is_valid(config: Config, smoke: bool = True) -> bool:
     Rank counts stay ≤ 3 on purpose: at 4+ ranks the binomial-tree
     combine changes the rank-merge grouping (``(r0⊕r1)⊕(r2⊕r3)`` vs the
     gather left fold) and bit-equality across combine algorithms is no
-    longer a runtime promise.
+    longer a runtime promise.  The tree only combines maps the key vote
+    cannot, so the grouping applies to those maps alone.
     """
     w = get_workload(config.workload)
     if config.map_path == "batch" and not w.has_batch_path:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from ..core import (
     SpaceSharingDriver,
     merge_distributed_output,
 )
+from ..core import scheduler as _scheduler
+from ..core.serialization import _combine_gather
 from ..faults import FaultPlan, FaultPolicy, FaultSpec
 from ..sim import Simulation
 from ..telemetry import Recorder
@@ -220,14 +222,8 @@ def execute(
     data: np.ndarray | None = None,
     interleave=None,
     comm_plan: FaultPlan | None = None,
-    adaptor_factory=None,
 ) -> RunInfo:
-    """Run one config to completion and extract comparable arrays.
-
-    ``adaptor_factory`` (e.g. ``lambda: CombineSwitch(...)``) builds a
-    fresh per-scheduler policy adaptor; each rank installs its own so
-    mid-run adaptation runs under conformance too.
-    """
+    """Run one config to completion and extract comparable arrays."""
     w = workload if isinstance(workload, Workload) else get_workload(workload)
     if data is None:
         data = w.make_data(config.seed)
@@ -244,14 +240,13 @@ def execute(
         return execute_shared(w, config, args, data)
     comm_backend = getattr(config, "comm", "inproc")
     if config.ranks == 1 and comm_backend == "inproc":
-        return _execute_single(w, config, args, data, engine_plan,
-                               adaptor_factory)
+        return _execute_single(w, config, args, data, engine_plan)
     # comm=tcp forces the SPMD path even for a single rank: the whole
     # point of the axis is to push every communication call through the
     # framed-socket wire path and diff it bit-exact against the in-proc
     # oracle.
     return _execute_spmd(w, config, args, data, engine_plan, comm_plan,
-                         interleave, adaptor_factory,
+                         interleave,
                          comm_backend="tcp" if comm_backend == "tcp"
                          else "sim")
 
@@ -265,13 +260,10 @@ def _finish(workload: Workload, config: Config, result: dict,
 
 
 def _execute_single(workload: Workload, config: Config,
-                    args: ExecutionPolicy, data: np.ndarray, engine_plan,
-                    adaptor_factory=None) -> RunInfo:
+                    args: ExecutionPolicy, data: np.ndarray, engine_plan) -> RunInfo:
     app = workload.build(args, None)
     if engine_plan is not None:
         app.fault_plan = engine_plan
-    if adaptor_factory is not None:
-        app.policy_adaptor = adaptor_factory()
     with app:
         if config.is_oracle and not app.engine.deterministic:
             raise ConformanceError(
@@ -293,10 +285,27 @@ def _execute_single(workload: Workload, config: Config,
     return _finish(workload, config, result, counters, engine_plan)
 
 
+@contextmanager
+def _paper_gather():
+    """Route global combination through the paper's gather — objects
+    merged in rank order by the application's ``merge()`` — instead of
+    the key vote every candidate with a columnar schema takes, so the
+    SPMD oracle is a reference the vote is diffed against, not the vote
+    itself."""
+    def gather(comm, local_map, merge, combine):
+        return _combine_gather(comm, local_map, merge, combine.wire_format)
+
+    vote = _scheduler.global_combine
+    _scheduler.global_combine = gather
+    try:
+        yield
+    finally:
+        _scheduler.global_combine = vote
+
+
 def _execute_spmd(workload: Workload, config: Config, args: ExecutionPolicy,
                   data: np.ndarray, engine_plan, comm_plan,
-                  interleave, adaptor_factory=None,
-                  comm_backend: str = "sim") -> RunInfo:
+                  interleave, comm_backend: str = "sim") -> RunInfo:
     ranks = config.ranks
     rows = len(data) // workload.chunk_size
     sizes = [rows // ranks + (1 if r < rows % ranks else 0)
@@ -311,8 +320,6 @@ def _execute_spmd(workload: Workload, config: Config, args: ExecutionPolicy,
         app = workload.build(args, comm)
         if engine_plan is not None:
             app.fault_plan = engine_plan
-        if adaptor_factory is not None:
-            app.policy_adaptor = adaptor_factory()
         with app:
             if workload.multi_key:
                 out = np.full(out_len, np.nan)
@@ -327,9 +334,10 @@ def _execute_spmd(workload: Workload, config: Config, args: ExecutionPolicy,
             counters = dict(app.telemetry_snapshot()["counters"])
         return result, counters
 
-    rank_returns = spmd_launch(ranks, body, fault_plan=comm_plan,
-                               interleave=interleave, timeout=SPMD_TIMEOUT,
-                               comm_backend=comm_backend)
+    with _paper_gather() if config.is_oracle else nullcontext():
+        rank_returns = spmd_launch(ranks, body, fault_plan=comm_plan,
+                                   interleave=interleave, timeout=SPMD_TIMEOUT,
+                                   comm_backend=comm_backend)
     results = [r for r, _ in rank_returns]
     base = results[0]
     for rank, other in enumerate(results[1:], start=1):

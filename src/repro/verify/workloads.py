@@ -77,12 +77,9 @@ class Workload:
     exact_partition: bool = False
     exact_permutation: bool = False
     exact_merge: bool = False
-    #: Expected combination-map key count — the :class:`PolicyAdvisor`'s
-    #: gather/allreduce input (``ExecutionPolicy.auto``).
-    key_estimate: int = 16
-    #: Whether the reduction object declares a ufunc-mergeable columnar
-    #: schema (allreduce/columnar eligible; optimistic hints are safe —
-    #: the runtime falls back collectively).
+    #: Whether the reduction object declares a columnar schema — the
+    #: :class:`PolicyAdvisor`'s wire input (``ExecutionPolicy.auto``;
+    #: optimistic hints are safe — the runtime falls back collectively).
     schema_mergeable: bool = False
     build_kwargs: dict = field(default_factory=dict)
 
@@ -176,7 +173,6 @@ _register(Workload(
     exact_partition=True,
     exact_permutation=True,
     exact_merge=True,
-    key_estimate=32,
     schema_mergeable=True,
     has_batch_path=True,
 ))
@@ -188,7 +184,6 @@ _register(Workload(
     description="mean of every 64 consecutive positions (raw sums compared)",
     default_elements=2048,
     has_batch_path=True,
-    key_estimate=32,
     schema_mergeable=True,
 ))
 
@@ -202,7 +197,6 @@ _register(Workload(
     exact_partition=True,
     exact_permutation=True,
     exact_merge=True,
-    key_estimate=1,
     schema_mergeable=True,
     has_batch_path=True,
 ))
@@ -216,7 +210,6 @@ _register(Workload(
     num_iters=3,
     default_elements=720,
     make_extra=_kmeans_init,
-    key_estimate=4,
     schema_mergeable=False,
     has_batch_path=True,
     # ``bincount`` adds a block's points in input order (0 ulp with one
@@ -235,7 +228,6 @@ _register(Workload(
     chunk_size=5,
     num_iters=3,
     default_elements=800,
-    key_estimate=1,
     schema_mergeable=False,
     has_batch_path=True,
     # ``X.T @ (p - y)`` (BLAS) regroups the per-sample gradient sum; a
@@ -255,7 +247,6 @@ _register(Workload(
     exact_partition=True,
     exact_permutation=True,
     exact_merge=True,
-    key_estimate=64,
     schema_mergeable=True,
     has_batch_path=True,
 ))
@@ -267,7 +258,6 @@ _register(Workload(
     extract=_extract_grid_aggregation,
     description="mean over (3,4,5) tiles of an 8x16x16 field (raw sums compared)",
     default_elements=2048,
-    key_estimate=48,
     schema_mergeable=True,
     has_batch_path=True,
 ))
@@ -280,7 +270,6 @@ _register(Workload(
     multi_key=True,
     default_elements=512,
     has_batch_path=True,
-    key_estimate=512,
     schema_mergeable=True,
 ))
 
@@ -294,7 +283,6 @@ _register(Workload(
     # np.median over the held multiset does not depend on how samples
     # were split across partitions, only on which samples arrived.
     exact_partition=True,
-    key_estimate=384,
     schema_mergeable=False,
 ))
 
@@ -306,7 +294,6 @@ _register(Workload(
     description="Savitzky-Golay smoothing, window 7, order 2",
     multi_key=True,
     default_elements=384,
-    key_estimate=384,
     schema_mergeable=False,
 ))
 
@@ -318,7 +305,6 @@ _register(Workload(
     multi_key=True,
     default_elements=384,
     has_batch_path=True,
-    key_estimate=384,
     schema_mergeable=True,
 ))
 
@@ -332,7 +318,6 @@ _register(Workload(
     multi_key=True,
     default_elements=512,
     out_len=lambda n: KDE_GRID_POINTS,
-    key_estimate=41,
     schema_mergeable=True,
     has_batch_path=True,
     # np.exp (batch) vs math.exp (scalar) differ in the last ulp on some

@@ -1,13 +1,27 @@
-"""Gather vs tree global-combination algorithms."""
+"""Gather vs tree global-combination algorithms.
+
+Maps with a columnar schema never reach either: the key vote combines
+them.  These tests combine a schemaless ``Tally``, which only the
+fallback algorithm named by ``CombinePolicy`` can.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analytics import CountObj, Histogram, reference_histogram
+from repro.analytics import Histogram, reference_histogram
 from repro.comm import TrafficProfiler, spmd_launch
-from repro.core import CombinePolicy, ExecutionPolicy, KeyedMap, global_combine
+from repro.core import CombinePolicy, ExecutionPolicy, KeyedMap, RedObj, global_combine
+
+
+class Tally(RedObj):
+    """A count without a schema: the vote cannot combine it."""
+
+    __slots__ = ("count",)
+
+    def __init__(self, count):
+        self.count = count
 
 
 def merge_counts(red, com):
@@ -19,8 +33,8 @@ class TestAlgorithmsAgree:
     @pytest.mark.parametrize("ranks", [2, 3, 5, 8])
     def test_tree_equals_gather(self, ranks):
         def body(comm, algo):
-            local = KeyedMap({comm.rank: CountObj(comm.rank + 1),
-                              100: CountObj(2)})
+            local = KeyedMap({comm.rank: Tally(comm.rank + 1),
+                              100: Tally(2)})
             merged = global_combine(comm, local, merge_counts,
                                     combine=CombinePolicy(algorithm=algo))
             return {k: v.count for k, v in merged.sorted_items()}
@@ -70,7 +84,7 @@ class TestThroughTheScheduler:
         prof_tree = TrafficProfiler()
 
         def body(comm, algo):
-            local = KeyedMap({0: CountObj(1)})
+            local = KeyedMap({0: Tally(1)})
             global_combine(comm, local, merge_counts,
                            combine=CombinePolicy(algorithm=algo))
 
@@ -98,7 +112,7 @@ def test_tree_matches_gather_property(ranks, seed):
 
     def body(comm, algo):
         local = KeyedMap(
-            {k: CountObj(v) for k, v in per_rank_keys[comm.rank].items()}
+            {k: Tally(v) for k, v in per_rank_keys[comm.rank].items()}
         )
         merged = global_combine(comm, local, merge_counts,
                                 combine=CombinePolicy(algorithm=algo))

@@ -155,11 +155,12 @@ class TestProcessEngineWireAccounting:
 
     def test_combined_with_allreduce_algorithm(self, scalars):
         """The full optimized stack: process engine, columnar boundary
-        payloads, and allreduce global combination on one rank."""
+        payloads, and the key vote's allreduce global combination (a
+        no-op on one rank)."""
         app = Histogram(
             ExecutionPolicy(
                 engine=EnginePolicy(backend="process", num_threads=2),
-                combine=CombinePolicy(wire_format="columnar", algorithm="allreduce"),
+                combine=CombinePolicy(wire_format="columnar"),
             ),
             lo=-4, hi=4, num_buckets=32,
         )

@@ -71,5 +71,6 @@ class TestAutoLayout:
             app.run(np.random.default_rng(comm.rank).normal(size=100))
 
         spmd_launch(2, body, profiler=prof, timeout=30)
-        # Only the global combination's gather+bcast, no layout allgather.
-        assert prof.calls_for("allgather") == 0
+        # Only the global combination's two allgathers a rank (the key
+        # vote and its records), no layout allgather.
+        assert prof.calls_for("allgather") == 2 * 2

@@ -118,7 +118,7 @@ class TestFingerprint:
         p = ExecutionPolicy(
             engine=EnginePolicy(backend="process", num_threads=4,
                                 map_path="scalar"),
-            combine=CombinePolicy(algorithm="allreduce",
+            combine=CombinePolicy(algorithm="tree",
                                   wire_format="columnar"),
             fault=FaultPolicy.retry(max_attempts=5, backoff=0.25),
             chunk_size=3,
@@ -177,8 +177,8 @@ class TestEvolveAndCoerce:
         p = ExecutionPolicy()
         with pytest.raises(ValueError):
             p.evolve(chunk_size=0)
-        q = p.evolve(combine=CombinePolicy(algorithm="allreduce"))
-        assert q.combine.algorithm == "allreduce"
+        q = p.evolve(combine=CombinePolicy(algorithm="tree"))
+        assert q.combine.algorithm == "tree"
         assert p.combine.algorithm == "gather"  # immutable original
         # One spelling: a nested policy's fields are not fields here.
         for flat in (dict(num_threads=4), dict(wire_format="columnar")):
@@ -187,4 +187,4 @@ class TestEvolveAndCoerce:
 
     def test_constants_cover_engine_registry(self):
         assert set(ENGINE_BACKENDS) == {"serial", "thread", "process"}
-        assert set(COMBINE_ALGORITHMS) == {"gather", "tree", "allreduce"}
+        assert COMBINE_ALGORITHMS == ("gather", "tree")

@@ -25,9 +25,9 @@ def shm_segments() -> set[str]:
     return {p.name for p in shm_dir.iterdir()} if shm_dir.is_dir() else set()
 
 
-def make_hist():
+def make_hist(cls=Histogram):
     args = ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2))
-    return Histogram(args, lo=-4, hi=4, num_buckets=16)
+    return cls(args, lo=-4, hi=4, num_buckets=16)
 
 
 def counts_of(app):
@@ -255,15 +255,16 @@ class ScaledTally(Scheduler):
         self.scale *= 0.5
 
 
-class SessionWatch:
-    """A policy adaptor: runs right after ``invalidate_state``."""
+class SessionWatch(Histogram):
+    """A histogram whose ``converged`` hook, which the scheduler calls
+    right after ``invalidate_state``, records the engine's session."""
 
-    def __init__(self):
-        self.seen = []
+    seen: list
 
-    def observe(self, scheduler, iteration):
-        engine = scheduler.engine
+    def converged(self, combination_map, iteration):
+        engine = self.engine
         self.seen.append((sorted(engine._parts), engine._red_maps))
+        return False
 
 
 class TestSessionIsolation:
@@ -302,12 +303,12 @@ class TestSessionIsolation:
                     app.reset()
 
     def test_bookkeeping_is_cleared_where_the_session_ends(self, data):
-        with make_hist() as app:
-            app.policy_adaptor = watch = SessionWatch()
+        with make_hist(SessionWatch) as app:
+            app.seen = []
             app.run(data)
             engine = app.engine
             # invalidate_state: the delta and the maps kept under it are gone.
-            assert watch.seen == [(["core", "header"], None)]
+            assert app.seen == [(["core", "header"], None)]
             # end_run: only the core outlives the run ...
             assert sorted(engine._parts) == ["core"] and engine._red_maps is None
             # ... so whatever versions the workers hold, none is current.

@@ -4,7 +4,16 @@ import numpy as np
 
 from repro.analytics import ClusterObj, CountObj
 from repro.comm import TrafficProfiler, spmd_launch
-from repro.core import KeyedMap, deserialize_map, global_combine, serialize_map
+from repro.core import KeyedMap, RedObj, deserialize_map, global_combine, serialize_map
+
+
+class Tally(RedObj):
+    """A count without a schema: combined by gather, not the key vote."""
+
+    __slots__ = ("count",)
+
+    def __init__(self, count):
+        self.count = count
 
 
 def merge_counts(red, com):
@@ -65,11 +74,11 @@ class TestGlobalCombine:
         prof = TrafficProfiler()
 
         def body(comm):
-            local = KeyedMap({k: CountObj(1) for k in range(50)})
+            local = KeyedMap({k: Tally(1) for k in range(50)})
             global_combine(comm, local, merge_counts)
 
         spmd_launch(2, body, profiler=prof, timeout=30)
         # One gather of pickled payloads per rank + the broadcast back.
-        payload = len(serialize_map(KeyedMap({k: CountObj(1) for k in range(50)})))
+        payload = len(serialize_map(KeyedMap({k: Tally(1) for k in range(50)})))
         assert prof.bytes_for("gather") >= 2 * payload  # both ranks contribute
         assert prof.calls_for("bcast") == 1

@@ -1,10 +1,12 @@
-"""Columnar wire format: schemas, codec, vectorized merges, allreduce.
+"""Columnar wire format: schemas, codec, vectorized merges, the key vote.
 
 Covers the Section 5.3 optimization end to end: every bundled reduction
 object round-trips through the packed encoding, schemaless maps fall
 back to pickle transparently, the vectorized combination kernel matches
-per-object Python merges bit for bit, and all three global-combination
-algorithms agree on full clusters and subcommunicators alike.
+per-object Python merges bit for bit, the key vote's contiguous combine
+matches the paper's gather bit for bit (``keep`` fields included), and
+every algorithm and format agree on full clusters and subcommunicators
+alike.
 """
 
 import numpy as np
@@ -33,7 +35,8 @@ from repro.core import (
     pack_map,
     serialize_map,
 )
-from repro.core.serialization import wire_format_of
+from repro.core.policy import COMBINE_ALGORITHMS
+from repro.core.serialization import _combine_gather, wire_format_of
 
 
 def _state(obj):
@@ -165,6 +168,18 @@ class TestTrustedBulkConstruction:
         assert _map_state(restored) == _map_state(original)
 
 
+class Unmerged(RedObj):
+    """A schema field without a columnar merge: packs, never votes."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value=0.0):
+        self.value = float(value)
+
+    def fields(self):
+        return (Field("value", np.float64, None),)
+
+
 class Doubler(RedObj):
     """Overrides the packing protocol — the non-default per-record path."""
 
@@ -197,10 +212,8 @@ class TestPackingProtocol:
         assert packed.records["count"].tolist() == [2, 3, 1]
 
     def test_eligibility_flags(self):
-        sum_count = pack_map(KeyedMap({0: SumCountObj(1.0, 1)}))
-        assert sum_count.vector_mergeable and sum_count.allreduce_eligible
-        cluster = pack_map(KeyedMap({0: _cluster([1.0], [0.0], 0)}))
-        assert cluster.vector_mergeable and not cluster.allreduce_eligible
+        assert pack_map(KeyedMap({0: SumCountObj(1.0, 1)})).vector_mergeable
+        assert not pack_map(KeyedMap({0: Unmerged(1.0)})).vector_mergeable
         assert pack_map(KeyedMap({0: HoldAllObj(3)})) is None
         assert pack_map(KeyedMap()) is None
 
@@ -220,6 +233,18 @@ def merge_minmax(red, com):
 def merge_cluster(red, com):
     com.vec_sum += red.vec_sum
     com.size += red.size
+    return com
+
+
+def merge_gradient(red, com):
+    com.grad += red.grad
+    com.count += red.count
+    com.loss += red.loss
+    return com
+
+
+def merge_unmerged(red, com):
+    com.value += red.value
     return com
 
 
@@ -301,11 +326,14 @@ class TestSchedArgsKnob:
         with pytest.raises(ValueError, match="wire_format"):
             CombinePolicy(wire_format="json")
 
-    def test_allreduce_algorithm_accepted(self):
-        assert CombinePolicy(algorithm="allreduce").algorithm == "allreduce"
+    def test_allreduce_algorithm_rejected(self):
+        # The text may come from outside (a JobSpec, conform --policy):
+        # the error names the values that are valid.
+        with pytest.raises(ValueError, match=r"'gather', 'tree'.*'allreduce'"):
+            ExecutionPolicy.parse("algo=allreduce")
 
 
-ALGORITHMS = ("gather", "tree", "allreduce")
+ALGORITHMS = COMBINE_ALGORITHMS
 FORMATS = ("pickle", "columnar")
 
 
@@ -354,7 +382,7 @@ class TestCombineOnCluster:
                 local = KeyedMap({0: SumCountObj(float(comm.rank), 1)})
             merged = global_combine(
                 comm, local, merge_sumcount,
-                combine=CombinePolicy(algorithm="allreduce", wire_format="columnar"),
+                combine=CombinePolicy(wire_format="columnar"),
             )
             return _map_state(merged)
 
@@ -393,17 +421,16 @@ class TestCombineOnCluster:
     def test_allreduce_key_union_matches_gather(self, keys_of, padded):
         profiler = TrafficProfiler()
 
-        def body(comm, algorithm, wire_format):
+        def body(comm, vote):
             local = KeyedMap({k: SumCountObj(k + comm.rank / 4, 1)
                               for k in keys_of(comm.rank)})
-            return _map_state(global_combine(
-                comm, local, merge_sumcount,
-                combine=CombinePolicy(algorithm=algorithm, wire_format=wire_format)))
+            if not vote:
+                return _map_state(_combine_gather(comm, local, merge_sumcount, "pickle"))
+            return _map_state(global_combine(comm, local, merge_sumcount))
 
-        fast = spmd_launch(3, body, args_per_rank=[("allreduce", "columnar")] * 3,
+        fast = spmd_launch(3, body, args_per_rank=[(True,)] * 3,
                            profiler=profiler, timeout=30)
-        slow = spmd_launch(3, body, args_per_rank=[("gather", "pickle")] * 3,
-                           timeout=30)
+        slow = spmd_launch(3, body, args_per_rank=[(False,)] * 3, timeout=30)
         assert fast == slow and list(fast[0]) == sorted(fast[0])
         if padded:
             # One union-sized contribution buffer per rank, shortcut or not.
@@ -427,9 +454,7 @@ class TestCombineOnCluster:
                 lo = base + comm.rank * n
                 keys = np.arange(lo, lo + n, dtype=np.int64)
                 local = PackedMap(SumCountObj, keys, records, ("sum", "sum")).to_map()
-                merged = global_combine(
-                    comm, local, merge_sumcount,
-                    combine=CombinePolicy(algorithm="allreduce", wire_format="columnar"))
+                merged = global_combine(comm, local, merge_sumcount)
                 return len(merged)
 
             assert spmd_launch(2, body, profiler=profiler, timeout=30) == [2 * n] * 2
@@ -439,24 +464,58 @@ class TestCombineOnCluster:
 
         assert vote_bytes(1024) == vote_bytes(65536)
 
-    def test_allreduce_falls_back_for_keep_schemas(self):
-        """ClusterObj is vector-mergeable but not allreduce-eligible; the
-        allreduce algorithm must collectively fall back to gather."""
+    @pytest.mark.parametrize("ranks", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["cluster", "gradient"])
+    def test_keep_fields_vote_like_gather(self, kind, ranks):
+        """k-means and LR maps combine on the vote path, whatever the
+        algorithm and wire, and match gather's rank-order merge byte for
+        byte: shared keys, a key one rank lacks, a key rank 0 lacks (its
+        keep value comes from rank 1), and keep values of -0.0 and NaN."""
 
-        def body(comm, algorithm):
-            local = KeyedMap({0: _cluster([1.0, 2.0], [float(comm.rank), 1.0], 1)})
-            merged = global_combine(
-                comm, local, merge_cluster,
-                combine=CombinePolicy(algorithm=algorithm, wire_format="columnar"),
-            )
-            return _map_state(merged)
+        def nan(payload):
+            return np.array([0x7FF8_0000_0000_0000 + payload], np.uint64).view(np.float64)[0]
 
-        via_allreduce = spmd_launch(
-            4, body, args_per_rank=[("allreduce",)] * 4, timeout=30
-        )
-        via_gather = spmd_launch(4, body, args_per_rank=[("gather",)] * 4, timeout=30)
-        assert via_allreduce == via_gather
-        assert all(r == via_allreduce[0] for r in via_allreduce)
+        def make(keep, r):
+            if kind == "cluster":
+                return _cluster(keep, [r + 0.5, 2.0 * r], r + 1)
+            return _gradient(keep, [r, 1.5], r + 2, r / 4)
+
+        def local_map(rank):
+            merge = merge_cluster if kind == "cluster" else merge_gradient
+            # Shared by every rank; rank 0 owns it, the others disagree.
+            entries = {0: make([-0.0, nan(1)] if rank == 0 else [2.0 + rank, nan(1 + rank)],
+                               rank)}
+            if rank != 1:
+                entries[3] = make([1.5, -0.0], rank)  # rank 1 lacks it
+            if rank != 0:
+                # Ranks disagree: the lowest holder, rank 1, owns the value.
+                entries[9] = make([float(rank), nan(rank)], rank)
+            return KeyedMap(entries), merge
+
+        def as_bytes(merged):
+            packed = pack_map(merged)
+            return packed.cls, packed.keys.tobytes(), packed.records.tobytes()
+
+        def body(comm, algorithm, wire_format):
+            local, merge = local_map(comm.rank)
+            if algorithm is None:
+                return as_bytes(_combine_gather(comm, local, merge, "pickle"))
+            return as_bytes(global_combine(
+                comm, local, merge,
+                combine=CombinePolicy(algorithm=algorithm, wire_format=wire_format)))
+
+        reference = spmd_launch(ranks, body, args_per_rank=[(None, None)] * ranks,
+                                timeout=30)
+        assert all(r == reference[0] for r in reference)
+        for algorithm in ALGORITHMS:
+            for wire_format in FORMATS:
+                profiler = TrafficProfiler()
+                got = spmd_launch(ranks, body,
+                                  args_per_rank=[(algorithm, wire_format)] * ranks,
+                                  profiler=profiler, timeout=30)
+                assert got == reference, (algorithm, wire_format)
+                wires = [op for op in profiler.snapshot() if op.startswith("wire.")]
+                assert wires == ["wire.allreduce"], (algorithm, wire_format)
 
     def test_mixed_eligibility_votes_fall_back_collectively(self):
         """One rank holding a schemaless map must veto the short-circuit
@@ -475,7 +534,7 @@ class TestCombineOnCluster:
 
             merged = global_combine(
                 comm, local, merge,
-                combine=CombinePolicy(algorithm="allreduce", wire_format="columnar"),
+                combine=CombinePolicy(algorithm="gather", wire_format="columnar"),
             )
             return sorted(merged.keys())
 
@@ -505,18 +564,16 @@ class TestCombineOnCluster:
             }
 
     def test_columnar_reduces_wire_bytes(self):
-        """The acceptance tally: global combination moves fewer bytes
-        under the columnar format than under pickle."""
+        """The acceptance tally: a map the vote cannot combine moves
+        fewer bytes under the columnar format than under pickle."""
         tallies = {}
         for wire_format in FORMATS:
             profiler = TrafficProfiler()
 
             def body(comm, fmt=wire_format):
-                local = KeyedMap(
-                    {k: SumCountObj(float(k), 1) for k in range(300)}
-                )
+                local = KeyedMap({k: Unmerged(float(k)) for k in range(300)})
                 global_combine(
-                    comm, local, merge_sumcount,
+                    comm, local, merge_unmerged,
                     combine=CombinePolicy(algorithm="tree", wire_format=fmt),
                 )
 
@@ -533,10 +590,7 @@ class TestCombineOnCluster:
 
         def body(comm):
             local = KeyedMap({k: SumCountObj(1.0, 1) for k in range(64)})
-            global_combine(
-                comm, local, merge_sumcount,
-                combine=CombinePolicy(algorithm="allreduce", wire_format="columnar"),
-            )
+            global_combine(comm, local, merge_sumcount)
 
         spmd_launch(2, body, profiler=profiler, timeout=30)
         snapshot = profiler.snapshot()

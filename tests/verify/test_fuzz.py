@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import InterleaveSchedule
+from repro.core.policy import COMBINE_ALGORITHMS
 from repro.telemetry import Recorder
 from repro.verify import OracleCache, derive_case, fuzz_schedule, replay, run_fuzz
 
@@ -69,6 +70,14 @@ class TestDeriveCase:
         case = derive_case("histogram", 3, ranks=2)
         assert case.config.ranks == 2
         assert case.config.engine in ("serial", "thread")
+
+    def test_every_seed_builds_a_valid_policy(self):
+        algorithms = set()
+        for seed in range(64):
+            config = derive_case("histogram", seed).config
+            config.execution_policy()  # validates every axis
+            algorithms.add(config.combine_algorithm)
+        assert algorithms == set(COMBINE_ALGORITHMS)
 
     def test_odd_seeds_carry_a_comm_fault_plan(self):
         assert derive_case("histogram", 3).comm_plan_fingerprint is not None

@@ -9,7 +9,8 @@ exposed it.
 import numpy as np
 import pytest
 
-from repro.core.serialization import PackedMap
+from repro.comm.reduce_ops import ReduceOp
+from repro.core import serialization
 from repro.telemetry import Recorder
 from repro.verify import (
     Config,
@@ -29,7 +30,7 @@ SMOKE_NAMES = ("histogram", "minmax", "kmeans", "moving_average")
 class TestConfigFingerprint:
     def test_round_trip(self):
         cfg = Config(workload="kmeans", engine="process",
-                     wire_format="columnar", combine_algorithm="allreduce",
+                     wire_format="columnar", combine_algorithm="tree",
                      fault="comm-delay", num_threads=3,
                      block_size=256, ranks=2, seed=7)
         assert Config.parse(cfg.fingerprint()) == cfg
@@ -129,23 +130,36 @@ class TestMatrixRun:
         assert loaded["configs"] == report.configs
 
 
+def _corrupt_vote_reduce(monkeypatch):
+    """Corrupt the key vote's per-field reduce: ``vec_sum``'s first
+    record drifts by 1.0 at every rank it folds in."""
+    original = serialization.structured_reduce_op
+
+    def corrupted(names, merges):
+        op = original(names, merges)
+
+        def combine(acc, value):
+            acc = op.combine(acc, value)
+            if "vec_sum" in names:
+                acc["vec_sum"][0] += 1.0
+            return acc
+
+        return ReduceOp("corrupted", combine)
+
+    monkeypatch.setattr(serialization, "structured_reduce_op", corrupted)
+
+
 class TestMutationGate:
     """A corrupted columnar merge kernel must be caught and localized."""
 
-    # serial engine keeps the corrupted merge_from in-process; columnar
-    # wire + ranks=2 routes the rank-level combine through PackedMap.
+    # serial engine keeps the corrupted reduce in-process; ranks=2 with
+    # the same centroid keys on both ranks routes the rank-level combine
+    # through the key vote's padded union reduce.
     CONFIG = Config(workload="kmeans", engine="serial",
                     wire_format="columnar", ranks=2, seed=2015)
 
     def test_corrupted_merge_yields_structured_mismatch(self, monkeypatch):
-        original = PackedMap.merge_from
-
-        def corrupted(self, other):
-            original(self, other)
-            if "vec_sum" in (self.records.dtype.names or ()):
-                self.records["vec_sum"][0] += 1.0
-
-        monkeypatch.setattr(PackedMap, "merge_from", corrupted)
+        _corrupt_vote_reduce(monkeypatch)
         mismatches = run_config(self.CONFIG)
         assert mismatches, "mutation survived the conformance gate"
         m = mismatches[0]
@@ -161,14 +175,7 @@ class TestMutationGate:
         assert run_config(self.CONFIG) == []
 
     def test_telemetry_counts_mismatches(self, monkeypatch):
-        original = PackedMap.merge_from
-
-        def corrupted(self, other):
-            original(self, other)
-            if "vec_sum" in (self.records.dtype.names or ()):
-                self.records["vec_sum"][0] += 1.0
-
-        monkeypatch.setattr(PackedMap, "merge_from", corrupted)
+        _corrupt_vote_reduce(monkeypatch)
         telemetry = Recorder()
         run_config(self.CONFIG, cache=OracleCache(telemetry),
                    telemetry=telemetry)

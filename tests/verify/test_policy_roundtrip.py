@@ -16,7 +16,6 @@ from repro.verify import (
     run_autotune,
     workload_names,
 )
-from repro.verify.policy_check import autotune_switch_check
 
 from ..workloads import run_workload
 
@@ -61,14 +60,6 @@ class TestAutotuneConformance:
                                          "moving_average"))
         assert report.ok, "\n".join(m.describe() for m in report.mismatches)
         assert len(report.policies) == 3
-
-    def test_switch_run_matches_oracle(self):
-        mismatches = autotune_switch_check()
-        assert not mismatches, "\n".join(m.describe() for m in mismatches)
-
-    def test_switch_check_detects_non_firing(self):
-        with pytest.raises(ValueError, match="iterative workload"):
-            autotune_switch_check(workload="histogram")
 
 
 class TestOracleDiffStillSharp:
