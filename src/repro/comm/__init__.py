@@ -5,8 +5,9 @@ Public surface:
 * :class:`Communicator` — the interface the Smart runtime targets.
 * :class:`LocalComm` — single-rank communicator.
 * :class:`SimCluster` / :class:`SimComm` — N SPMD ranks as threads.
-* :class:`TcpCluster` / :class:`TcpComm` — the same SPMD contract over
-  real framed sockets (CRC-checked, fault-injectable, self-healing).
+* :class:`ProcessComm` — one rank of ``spmd_launch(...,
+  comm_backend="process")``: N SPMD ranks as forked processes over a
+  pipe mesh.
 * :func:`spmd_launch` — ``mpiexec``-style launcher.
 * :func:`supervised_launch` — the launcher under a recovery policy
   (retry with backoff / degrade by dropping failed ranks).
@@ -26,11 +27,11 @@ from .errors import (
 from .interface import Communicator, Request
 from .launcher import spmd_launch, supervised_launch
 from .local import LocalComm
+from .process import ProcessComm
 from .profiler import OpStats, TrafficProfiler, payload_nbytes
 from .reduce_ops import CONCAT, LAND, LOR, MAX, MIN, PROD, SUM, ReduceOp, as_reduce_op
 from .sim import InterleaveSchedule, SimCluster, SimComm
 from .subgroup import UNDEFINED, GroupComm, split_comm
-from .tcp import TcpCluster, TcpComm, TcpRouter
 
 __all__ = [
     "CommAborted",
@@ -42,6 +43,7 @@ __all__ = [
     "InvalidRankError",
     "LocalComm",
     "OpStats",
+    "ProcessComm",
     "RankMismatchError",
     "ReduceOp",
     "GroupComm",
@@ -49,9 +51,6 @@ __all__ = [
     "SimCluster",
     "SimComm",
     "SpmdError",
-    "TcpCluster",
-    "TcpComm",
-    "TcpRouter",
     "TrafficProfiler",
     "as_reduce_op",
     "payload_nbytes",

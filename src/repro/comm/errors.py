@@ -95,11 +95,11 @@ class CommTimeoutError(CommError):
 
 
 class FrameCorruptionError(CommError):
-    """A TCP frame failed its CRC / structural check on receive.
+    """A message arrived corrupt at its receiving call.
 
-    The framing layer (:mod:`repro.comm.tcp`) detects payload corruption
-    before deserialization; supervised layers react by replaying from
-    the last consistent state instead of folding garbage into a map.
+    On process ranks (:mod:`repro.comm.process`) the corruption is an
+    injected ``network:truncate``, which marks the message; the receive
+    raises this, naming the source and tag, instead of delivering it.
     """
 
 

@@ -3,7 +3,8 @@
 This plays the role MPI plays for the original C++ Smart: the runtime and
 the simulations call only methods defined here, so the same analytics code
 runs unchanged on :class:`~repro.comm.local.LocalComm` (one rank, zero
-overhead) and :class:`~repro.comm.sim.SimComm` (N SPMD ranks as threads).
+overhead), :class:`~repro.comm.sim.SimComm` (N SPMD ranks as threads) and
+:class:`~repro.comm.process.ProcessComm` (N SPMD ranks as processes).
 
 Naming follows mpi4py conventions: lowercase methods move generic Python
 objects; the capitalized ``Allreduce`` moves numpy buffers elementwise and

@@ -1,9 +1,10 @@
 """SPMD launch: run a function once per rank, MPI-style.
 
 ``spmd_launch(n, fn)`` is the moral equivalent of ``mpiexec -n N``: it runs
-``fn(comm, ...)`` on N rank threads over a fresh :class:`SimCluster`, joins
-them, and returns the per-rank results in rank order.  A failure on any rank
-aborts the whole job (peers blocked in communication raise
+``fn(comm, ...)`` on N rank threads over a fresh :class:`SimCluster` (or,
+with ``comm_backend="process"``, on N forked rank processes over a pipe
+mesh), joins them, and returns the per-rank results in rank order.  A
+failure on any rank aborts the job (peers blocked in communication raise
 :class:`~repro.comm.errors.CommAborted`) and surfaces as a single
 :class:`~repro.comm.errors.SpmdError` carrying every rank's exception.
 """
@@ -17,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from .errors import CommAborted, SpmdError
 from .interface import Communicator
 from .local import LocalComm
+from .process import run_ranks
 from .profiler import TrafficProfiler
 from .sim import DEFAULT_TIMEOUT, SimCluster
 
@@ -43,9 +45,9 @@ def spmd_launch(
     Parameters
     ----------
     n_ranks:
-        Number of ranks.  ``1`` short-circuits to an in-thread
-        :class:`LocalComm` run (no thread spawn), which keeps single-rank
-        benchmarks free of threading overhead.
+        Number of ranks.  On ``"sim"``, ``1`` short-circuits to an
+        in-thread :class:`LocalComm` run (no thread spawn), which keeps
+        single-rank benchmarks free of threading overhead.
     fn:
         The SPMD body.  Receives the rank's :class:`Communicator` as its
         first argument.
@@ -53,7 +55,8 @@ def spmd_launch(
         Optional per-rank positional arguments, ``args_per_rank[rank]``.
         When omitted every rank receives only the communicator.
     profiler:
-        Optional shared traffic profiler.
+        Optional shared traffic profiler (rank processes record into
+        their own and the launch merges them into it).
     timeout:
         Collective timeout in seconds (deadlock detection).
     deadline:
@@ -62,19 +65,20 @@ def spmd_launch(
         :class:`~repro.comm.errors.CommTimeoutError` past it.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` installed on the
-        cluster's communication hooks (no-op when ``None``).
+        ranks' communication hooks (no-op when ``None``).  Rank
+        processes consult their fork's copy, and the launch merges
+        their firings back into it.
     interleave:
         Optional :class:`~repro.comm.sim.InterleaveSchedule` installed
         on the cluster: deterministic seeded jitter before every
         communication call (the conformance fuzzer's hook).  Ignored
-        for single-rank runs and for the TCP backend.
+        for single-rank runs and on ``"process"``.
     comm_backend:
         ``"sim"`` (default) runs ranks as threads over a
-        :class:`~repro.comm.sim.SimCluster`; ``"tcp"`` routes every
-        communication call through a real socket hub
-        (:class:`~repro.comm.tcp.TcpCluster`), including for
-        ``n_ranks == 1`` (no :class:`LocalComm` short-circuit), so the
-        wire path itself is exercised.
+        :class:`~repro.comm.sim.SimCluster`; ``"process"`` forks one
+        process per rank over a pipe mesh
+        (:func:`~repro.comm.process.run_ranks`), including for
+        ``n_ranks == 1`` (no :class:`LocalComm` short-circuit).
 
     Raises
     ------
@@ -88,33 +92,32 @@ def spmd_launch(
         raise ValueError(
             f"args_per_rank has {len(args_per_rank)} entries for {n_ranks} ranks"
         )
-    if comm_backend not in ("sim", "tcp"):
-        raise ValueError(f"unknown comm_backend {comm_backend!r} (want 'sim' or 'tcp')")
+    if comm_backend not in ("sim", "process"):
+        raise ValueError(f"unknown comm_backend {comm_backend!r} (want 'sim' or 'process')")
 
-    if n_ranks == 1 and comm_backend == "sim":
+    if comm_backend == "process":
+        results, failures = run_ranks(n_ranks, fn, args_per_rank, profiler,
+                                      timeout, deadline, fault_plan)
+    elif n_ranks == 1:
         comm: Communicator = LocalComm(profiler=profiler)
         args = args_per_rank[0] if args_per_rank else ()
         return [fn(comm, *args)]
-
-    if comm_backend == "tcp":
-        from .tcp import TcpCluster  # deferred: sockets only when asked for
-
-        cluster: Any = TcpCluster(
-            n_ranks,
-            profiler=profiler,
-            timeout=timeout,
-            deadline=deadline,
-            fault_plan=fault_plan,
-        )
     else:
-        cluster = SimCluster(
-            n_ranks,
-            profiler=profiler,
-            timeout=timeout,
-            deadline=deadline,
-            fault_plan=fault_plan,
-            interleave=interleave,
-        )
+        results, failures = _run_threads(n_ranks, fn, args_per_rank, SimCluster(
+            n_ranks, profiler=profiler, timeout=timeout, deadline=deadline,
+            fault_plan=fault_plan, interleave=interleave))
+    if failures:
+        primary = {
+            rank: exc
+            for rank, exc in failures.items()
+            if not isinstance(exc, CommAborted)
+        }
+        raise SpmdError(primary or failures)
+    return results
+
+
+def _run_threads(n_ranks: int, fn: RankFn, args_per_rank: Sequence[tuple] | None,
+                 cluster: SimCluster) -> tuple[list[Any], dict[int, BaseException]]:
     results: list[Any] = [None] * n_ranks
     failures: dict[int, BaseException] = {}
     failures_lock = threading.Lock()
@@ -137,24 +140,11 @@ def spmd_launch(
         threading.Thread(target=body, args=(r,), name=f"spmd-rank-{r}", daemon=True)
         for r in range(n_ranks)
     ]
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        close = getattr(cluster, "close", None)
-        if close is not None:
-            close()
-
-    if failures:
-        primary = {
-            rank: exc
-            for rank, exc in failures.items()
-            if not isinstance(exc, CommAborted)
-        }
-        raise SpmdError(primary or failures)
-    return results
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return results, failures
 
 
 def supervised_launch(

@@ -109,6 +109,11 @@ class TrafficProfiler:
         """
         self.recorder.record_op(f"wire.{wire_format}", int(nbytes))
 
+    def merge(self, snapshot: dict[str, tuple[int, int]]) -> None:
+        """Add another profiler's :meth:`snapshot` (a rank process's) into this one."""
+        for op, (calls, nbytes) in snapshot.items():
+            self.recorder.record_op(op, nbytes, calls)
+
     def reset(self) -> None:
         self.recorder.reset()
 

@@ -289,38 +289,22 @@ class SimComm(Communicator):
     def size(self) -> int:
         return self._ctx.size
 
-    def _fault(self, op: str) -> str | None:
-        """Consult the cluster's fault plan before a communication call.
-
-        Returns ``"drop"`` when the plan asks this call's message to be
-        silently discarded (``send`` honours it); delays sleep in place;
-        crashes raise :class:`~repro.faults.InjectedRankCrash` exactly
-        where a real process death would surface.
-        """
+    def _fault(self, op: str) -> bool:
+        """Consult the cluster's fault plan before a communication call
+        (:meth:`~repro.faults.FaultPlan.comm_call`); True when the call's
+        message is to be dropped."""
         schedule = self._cluster.interleave
         if schedule is not None:
             jitter = schedule.delay(self._rank)
             if jitter > 0.0:
                 time.sleep(jitter)
         plan = self._cluster.fault_plan
-        if plan is None:
-            return None
-        spec = plan.comm_fault(self._rank, op)
-        if spec is None:
-            return None
-        if spec.kind == "delay":
-            time.sleep(spec.seconds)
-            return None
-        if spec.kind == "drop":
-            return "drop"
-        from ..faults import InjectedRankCrash  # deferred: avoid import cycle
-
-        raise InjectedRankCrash(self._rank, plan.call_count("comm", self._rank) - 1, op)
+        return plan is not None and plan.comm_call(self._rank, op)
 
     # -- point to point ---------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_rank(dest, "dest")
-        if self._fault("send") == "drop":
+        if self._fault("send"):
             return  # the message vanishes in transit
         self._record("send", obj)
         ctx = self._ctx

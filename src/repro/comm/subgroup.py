@@ -1,9 +1,13 @@
-"""Sub-communicators: ``MPI_Comm_split`` for this substrate.
+"""Sub-communicators (``MPI_Comm_split``) and collectives over point-to-point.
+
+:class:`RootedComm` builds every collective from rooted fan-in/fan-out
+over a subclass's point-to-point layer; the process backend's rank
+communicator and :class:`GroupComm` both take their collectives from it.
 
 :func:`split_comm` partitions a communicator by color (collective over
 every rank) and returns each rank's sub-communicator, ordered by key then
 parent rank — exactly MPI's semantics.  The returned :class:`GroupComm`
-implements collectives over the parent's point-to-point layer with
+runs those collectives over the parent's point-to-point layer with
 translated ranks, so ranks outside the group never participate.
 
 Applications use it for any coupled-code topology (e.g. staging ranks
@@ -20,6 +24,9 @@ from .interface import Communicator
 UNDEFINED = None
 
 _GROUP_TAG_SHIFT = 1 << 20
+#: Tag of every collective message.  Each pair of ranks receives its
+#: collective messages in the order it sent them, and every rank calls
+#: collectives in the same order, so one tag serves them all.
 _COLL_TAG = (1 << 19) + 7
 
 
@@ -49,12 +56,88 @@ def split_comm(
     return GroupComm(dup, world_ranks)
 
 
-class GroupComm(Communicator):
+class RootedComm(Communicator):
+    """Collectives as rooted fan-in/fan-out over point-to-point.
+
+    A subclass moves one message with :meth:`_put` / :meth:`_get` (by
+    default its public ``send`` / ``recv``); :meth:`_enter` runs once at
+    the top of every public collective, so a subclass can account a
+    collective as one call however many messages it takes.
+    """
+
+    def _put(self, obj: Any, dest: int, tag: int) -> None:
+        self.send(obj, dest=dest, tag=tag)
+
+    def _get(self, source: int, tag: int) -> Any:
+        return self.recv(source=source, tag=tag)
+
+    def _enter(self, op: str, payload: Any = None, *, nbytes: int | None = None,
+               record: bool = True) -> None:
+        """Hook: one public collective ``op`` starts (a no-op here)."""
+
+    def _fan_in(self, obj: Any, root: int) -> list[Any] | None:
+        if self.rank != root:
+            self._put(obj, root, _COLL_TAG)
+            return None
+        return [obj if r == root else self._get(r, _COLL_TAG) for r in range(self.size)]
+
+    def _fan_out(self, obj: Any, root: int) -> Any:
+        if self.rank != root:
+            return self._get(root, _COLL_TAG)
+        for r in range(self.size):
+            if r != root:
+                self._put(obj, r, _COLL_TAG)
+        return obj
+
+    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
+        self._check_rank(root, "root")
+        self._enter("gather", obj)
+        return self._fan_in(obj, root)
+
+    def bcast(self, obj: Any, root: int = 0) -> Any:
+        self._check_rank(root, "root")
+        self._enter("bcast", obj, record=self.rank == root)
+        return self._fan_out(obj, root)
+
+    def allgather(self, obj: Any) -> list[Any]:
+        self._enter("allgather", obj)
+        return self._fan_out(self._fan_in(obj, 0), 0)
+
+    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
+        self._check_rank(root, "root")
+        self._enter("scatter", objs, record=self.rank == root)
+        if self.rank != root:
+            return self._get(root, _COLL_TAG)
+        if objs is None or len(objs) != self.size:
+            got = "None" if objs is None else len(objs)
+            raise ValueError(f"scatter needs exactly {self.size} values, got {got}")
+        for r in range(self.size):
+            if r != root:
+                self._put(objs[r], r, _COLL_TAG)
+        return objs[root]
+
+    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
+        if len(objs) != self.size:
+            raise ValueError(
+                f"alltoall on rank {self.rank} needs {self.size} values, got {len(objs)}")
+        self._enter("alltoall", list(objs))
+        for r in range(self.size):
+            if r != self.rank:
+                self._put(objs[r], r, _COLL_TAG)
+        return [objs[r] if r == self.rank else self._get(r, _COLL_TAG)
+                for r in range(self.size)]
+
+    def barrier(self) -> None:
+        self._enter("barrier", nbytes=0)
+        self._fan_out(self._fan_in(None, 0), 0)
+
+
+class GroupComm(RootedComm):
     """A communicator over an arbitrary subset of a parent's ranks.
 
-    Collectives are implemented with rooted fan-in/fan-out over the
-    parent's (duplicated) point-to-point layer; tags are shifted out of
-    the parent's tag space.  All group members — and only they — must
+    Collectives come from :class:`RootedComm` over the parent's
+    (duplicated) point-to-point layer; tags are shifted out of the
+    parent's tag space.  All group members — and only they — must
     participate in each collective.
     """
 
@@ -71,7 +154,6 @@ class GroupComm(Communicator):
         self.world_ranks = list(world_ranks)
         self._rank = self.world_ranks.index(parent.rank)
         self.profiler = parent.profiler
-        self._barrier_epoch = 0
 
     @property
     def rank(self) -> int:
@@ -93,60 +175,6 @@ class GroupComm(Communicator):
         return self.parent.recv(
             source=self._world(source), tag=_GROUP_TAG_SHIFT + tag
         )
-
-    # -- collectives over pt2pt ------------------------------------------------
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        self._check_rank(root, "root")
-        if self.rank == root:
-            values: list[Any] = [None] * self.size
-            values[root] = obj
-            for r in range(self.size):
-                if r != root:
-                    values[r] = self.recv(r, tag=_COLL_TAG)
-            return values
-        self.send(obj, dest=root, tag=_COLL_TAG)
-        return None
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        self._check_rank(root, "root")
-        if self.rank == root:
-            for r in range(self.size):
-                if r != root:
-                    self.send(obj, dest=r, tag=_COLL_TAG + 1)
-            return obj
-        return self.recv(root, tag=_COLL_TAG + 1)
-
-    def allgather(self, obj: Any) -> list[Any]:
-        gathered = self.gather(obj, root=0)
-        return self.bcast(gathered, root=0)
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        self._check_rank(root, "root")
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(f"scatter needs exactly {self.size} values")
-            for r in range(self.size):
-                if r != root:
-                    self.send(objs[r], dest=r, tag=_COLL_TAG + 2)
-            return objs[root]
-        return self.recv(root, tag=_COLL_TAG + 2)
-
-    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        if len(objs) != self.size:
-            raise ValueError(f"alltoall needs exactly {self.size} values")
-        for r in range(self.size):
-            if r != self.rank:
-                self.send(objs[r], dest=r, tag=_COLL_TAG + 3)
-        out: list[Any] = [None] * self.size
-        out[self.rank] = objs[self.rank]
-        for r in range(self.size):
-            if r != self.rank:
-                out[r] = self.recv(r, tag=_COLL_TAG + 3)
-        return out
-
-    def barrier(self) -> None:
-        self.allgather(self._barrier_epoch)
-        self._barrier_epoch += 1
 
     def dup(self) -> "GroupComm":
         return GroupComm(self.parent.dup(), self.world_ranks)

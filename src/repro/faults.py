@@ -6,9 +6,9 @@ costs hours of simulation time.  This module provides the chaos side of
 that bargain: a :class:`FaultPlan` is a *seeded, deterministic* schedule
 of faults that threads into three runtime layers via injection hooks —
 
-* **comm** — :class:`~repro.comm.sim.SimCluster` consults the plan on
-  every communication call: messages can be delayed or dropped, and a
-  rank can be crashed at a chosen call index (raising
+* **comm** — SPMD ranks (sim threads or process ranks) consult the plan
+  on every communication call: messages can be delayed or dropped, and
+  a rank can be crashed at a chosen call index (raising
   :class:`InjectedRankCrash`, which propagates exactly like a real rank
   death: peers observe :class:`~repro.comm.errors.CommAborted`).
 * **engine** — :class:`~repro.core.engine.process.ProcessEngine`
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import re
 import threading
+import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
@@ -61,9 +62,9 @@ FAULT_KINDS = {
     "comm": ("delay", "drop", "crash"),
     "engine": ("kill", "hang"),
     "storage": ("truncate", "bitflip"),
-    # Wire-level faults threaded through the TCP backend and the elastic
-    # staging tier: a closed connection, a per-frame latency injection,
-    # a CRC-detectable corruption, and a timed network partition.
+    # Link faults on process ranks (per message sent) and the elastic
+    # staging tier (per partition received): a lost peer, a per-message
+    # latency, a detectable corruption, and a timed network partition.
     "network": ("disconnect", "slowlink", "truncate", "partition"),
 }
 
@@ -94,6 +95,11 @@ class InjectedRankCrash(FaultError):
         #: Surfaced by :class:`~repro.comm.errors.SpmdError` messages.
         self.fault_context = f"injected crash: rank {rank}, comm call {call_index} ({op})"
         super().__init__(self.fault_context)
+
+    def __reduce__(self):
+        # Rebuilt from its fields (its ``args`` hold only the message), so
+        # it crosses from a process rank with its type and context intact.
+        return type(self), (self.rank, self.call_index, self.op), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -218,10 +224,12 @@ class Injection:
 class FaultPlan:
     """A deterministic, seeded schedule of faults.
 
-    Thread-safe: SPMD ranks are threads and consult the plan
+    Thread-safe: sim ranks are threads and consult the plan
     concurrently.  Call-index counters are kept *per site* (per rank for
     the comm layer), so a spec's ``at_call`` refers to a deterministic
     point in that site's call sequence regardless of thread interleaving.
+    Process ranks consult a fork's copy and report back through
+    :meth:`mark` / :meth:`since` / :meth:`merge`.
 
     The ``seed`` drives every random draw the plan ever makes (currently
     the bit position of storage ``bitflip`` faults), so a plan with the
@@ -263,8 +271,22 @@ class FaultPlan:
 
     # -- layer hooks (each is a no-op returning None unless a spec matches)
     def comm_fault(self, rank: int, op: str) -> FaultSpec | None:
-        """Consulted by :class:`~repro.comm.sim.SimComm` on every call."""
+        """Consulted by every SPMD rank's communicator on every call."""
         return self._fire("comm", rank, target=rank, op=op)
+
+    def comm_call(self, rank: int, op: str) -> bool:
+        """Apply the comm fault due at this call of ``rank``'s, where the
+        call is made: sleep a ``delay``, raise a ``crash`` as
+        :class:`InjectedRankCrash`; True when the call's message is to
+        be dropped (``send`` honours it)."""
+        spec = self.comm_fault(rank, op)
+        if spec is None:
+            return False
+        if spec.kind == "delay":
+            time.sleep(spec.seconds)
+        elif spec.kind == "crash":
+            raise InjectedRankCrash(rank, self.call_count("comm", rank) - 1, op)
+        return spec.kind == "drop"
 
     def engine_fault(self) -> FaultSpec | None:
         """Consulted by the process engine per dispatched split task."""
@@ -275,13 +297,13 @@ class FaultPlan:
         return self._fire("storage", "saves", target=None, op=None)
 
     def network_fault(self, rank: int, op: str) -> FaultSpec | None:
-        """Consulted per frame event.
+        """Consulted per message event.
 
-        Call sites: the TCP router consults it with ``op="forward"`` per
-        routed data frame; elastic staging workers consult it with
+        Call sites: process ranks consult it with ``op="send"`` per
+        message they send; elastic staging workers consult it with
         ``op="frame"`` per received partition.  Counters are per rank /
         worker id, so ``at_call`` addresses a deterministic point in
-        that peer's frame sequence.
+        that peer's message sequence.
         """
         return self._fire("network", rank, target=rank, op=op)
 
@@ -314,6 +336,34 @@ class FaultPlan:
         """How many calls the plan has observed at ``(layer, site)``."""
         with self._lock:
             return self._counters.get((layer, site), 0)
+
+    def mark(self) -> tuple:
+        """The plan's counts now, for :meth:`since`."""
+        with self._lock:
+            return dict(self._counters), dict(self._fired), len(self.injections)
+
+    def since(self, mark: tuple) -> tuple:
+        """What the plan recorded after ``mark``: counter and firing
+        increments and the new injections, as :meth:`merge` takes them.
+        A process rank consults its fork's copy of the plan and reports
+        this to the launching plan."""
+        counters, fired, seen = mark
+        with self._lock:
+            return ({site: n - counters.get(site, 0) for site, n in self._counters.items()
+                     if n != counters.get(site, 0)},
+                    {i: n - fired.get(i, 0) for i, n in self._fired.items()
+                     if n != fired.get(i, 0)},
+                    self.injections[seen:])
+
+    def merge(self, changes: tuple) -> None:
+        """Add another copy's :meth:`since` to this plan."""
+        counters, fired, injections = changes
+        with self._lock:
+            for site, n in counters.items():
+                self._counters[site] += n
+            for i, n in fired.items():
+                self._fired[i] += n
+            self.injections.extend(injections)
 
     def fingerprint(self) -> str:
         """Seed-pinned text form, ``seed=S;token,token,...`` — stable
@@ -386,9 +436,8 @@ def seeded_backoff(
     seeded jitter: the delay is scaled by a factor in ``[1-jitter,
     1+jitter)`` drawn from a pure integer mix of ``(seed, attempt)`` —
     no global RNG state, so the same seed replays the exact same
-    schedule.  Used by :meth:`FaultPolicy.backoff_for` and the TCP
-    backend's connect/send retry, so every retry loop in the system
-    shares one backoff law.
+    schedule.  :meth:`FaultPolicy.backoff_for` paces every policy's
+    retries with it.
     """
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")

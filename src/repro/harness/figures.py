@@ -28,7 +28,7 @@ FIGURES: dict[str, tuple[Callable[[], dict], str]] = {
     "fig10": (fig10.run, "time sharing vs space sharing on Xeon Phi (modeled + functional check)"),
     "fig11": (fig11.run, "early emission of reduction objects (measured + modeled)"),
     "chaos": (chaos.run, "seeded fault injection: retry bit-exactness, degrade, checkpoint fallback"),
-    "intransit": (intransit.run, "elastic in-transit tier: staging kill/hang recovery, scaling, TCP backend overhead"),
+    "intransit": (intransit.run, "elastic in-transit tier: staging kill/hang recovery, scaling"),
     "service": (service.run, "multi-tenant job service: throughput/fairness/shared residency vs tenant count"),
 }
 

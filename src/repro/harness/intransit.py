@@ -11,10 +11,7 @@ checks the elastic recovery contract end to end:
   supervision and recovered bit-exactly;
 * ``degrade`` excludes the dead worker, keeps its last consistency
   snapshot, and conserves mass exactly: observed mass plus the recorded
-  ``elastic.elements_lost`` equals the submitted mass;
-* the **TCP comm backend is cheap**: a full SPMD histogram over it with
-  an installed-but-empty fault plan stays within 1.3x of the same run
-  over the in-process backend.
+  ``elastic.elements_lost`` equals the submitted mass.
 
 Registered as ``intransit`` in the figure registry:
 ``python -m repro.harness intransit``.
@@ -27,7 +24,6 @@ import time
 import numpy as np
 
 from ..analytics.histogram import Histogram
-from ..comm import spmd_launch
 from ..core import ElasticTier, EnginePolicy, ExecutionPolicy
 from ..faults import FaultPlan, FaultPolicy, FaultSpec
 from ..telemetry import Recorder
@@ -35,8 +31,6 @@ from .reporting import format_seconds, print_table
 
 SEED = 2015
 BUCKETS = 32
-#: Acceptance bound: empty-plan TCP overhead vs the in-process backend.
-TCP_OVERHEAD_BOUND = 1.3
 
 
 def _dataset(n_points: int) -> np.ndarray:
@@ -187,48 +181,6 @@ def _elastic_scale_scenario(n_points: int, n_parts: int) -> dict:
     }
 
 
-def _hist_rank(comm, part):
-    # Scalar: TCP_OVERHEAD_BOUND is declared against a run whose compute
-    # phase is the paper's map loop, not a ~1 ms kernel.
-    policy = ExecutionPolicy(engine=EnginePolicy(num_threads=1, map_path="scalar"))
-    sched = Histogram(policy, comm, lo=-4.0, hi=4.0, num_buckets=BUCKETS)
-    out = np.zeros(BUCKETS)
-    with sched:
-        sched.run(part, out)
-    return out
-
-
-def _tcp_overhead(n_points: int, n_ranks: int, repeats: int) -> dict:
-    """Wire cost: same SPMD histogram over sim threads vs real sockets,
-    both with an installed-but-empty fault plan."""
-    points = _dataset(n_points)
-    args = [(p,) for p in np.array_split(points, n_ranks)]
-
-    def timed(backend: str) -> tuple[float, np.ndarray]:
-        best = np.inf
-        outs = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            outs = spmd_launch(n_ranks, _hist_rank, args,
-                               fault_plan=FaultPlan(),
-                               comm_backend=backend)
-            best = min(best, time.perf_counter() - t0)
-        return best, outs[0]
-
-    local_seconds, local_out = timed("sim")
-    tcp_seconds, tcp_out = timed("tcp")
-    assert np.array_equal(local_out, tcp_out), (
-        "tcp backend must reproduce the local result bit-exactly")
-    ratio = tcp_seconds / local_seconds if local_seconds else float("nan")
-    return {
-        "local_seconds": local_seconds,
-        "tcp_seconds": tcp_seconds,
-        "overhead_ratio": ratio,
-        "bound": TCP_OVERHEAD_BOUND,
-        "within_bound": bool(ratio <= TCP_OVERHEAD_BOUND),
-    }
-
-
 def run(quick: bool = False) -> dict:
     n_points = 24_000 if quick else 240_000
     n_parts = 12
@@ -236,8 +188,6 @@ def run(quick: bool = False) -> dict:
         "staging": _staging_scenarios(n_points=n_points, n_parts=n_parts),
         "elastic_scale": _elastic_scale_scenario(
             n_points=n_points, n_parts=n_parts),
-        "tcp_overhead": _tcp_overhead(
-            n_points=n_points, n_ranks=3, repeats=2 if quick else 5),
     }
 
     rows = []
@@ -254,15 +204,6 @@ def run(quick: bool = False) -> dict:
         ["scenario", "exact", "elapsed"],
         rows,
     )
-    overhead = results["tcp_overhead"]
-    print(
-        f"tcp overhead when healthy (empty plan): "
-        f"{overhead['overhead_ratio']:.3f}x "
-        f"({format_seconds(overhead['local_seconds'])} -> "
-        f"{format_seconds(overhead['tcp_seconds'])}), "
-        f"bound {TCP_OVERHEAD_BOUND}x"
-    )
-
     return results
 
 

@@ -50,8 +50,8 @@ class OpStats:
     calls: int = 0
     bytes: int = 0
 
-    def add(self, nbytes: int) -> None:
-        self.calls += 1
+    def add(self, nbytes: int, calls: int = 1) -> None:
+        self.calls += calls
         self.bytes += nbytes
 
 
@@ -155,12 +155,12 @@ class Recorder:
             return self._gauges.get(name, default)
 
     # -- ops ---------------------------------------------------------------
-    def record_op(self, op: str, nbytes: int = 0) -> None:
+    def record_op(self, op: str, nbytes: int = 0, calls: int = 1) -> None:
         with self._lock:
             stats = self._ops.get(op)
             if stats is None:
                 stats = self._ops[op] = OpStats()
-            stats.add(int(nbytes))
+            stats.add(int(nbytes), calls)
 
     def op(self, name: str) -> OpStats:
         """A copy of op tally ``name`` (zeros when never recorded)."""
@@ -305,8 +305,8 @@ class ScopedRecorder(Recorder):
         return self._root.gauge(self._scope + name, default)
 
     # -- ops ---------------------------------------------------------------
-    def record_op(self, op: str, nbytes: int = 0) -> None:
-        self._root.record_op(self._scope + op, nbytes)
+    def record_op(self, op: str, nbytes: int = 0, calls: int = 1) -> None:
+        self._root.record_op(self._scope + op, nbytes, calls)
 
     def op(self, name: str) -> OpStats:
         return self._root.op(self._scope + name)

@@ -230,10 +230,10 @@ def axis_values(smoke: bool = True) -> dict[str, tuple]:
         # step through the space-sharing circular buffer.
         "driver": ("direct", "space"),
         # Transport under the SPMD ranks: in-process mailboxes (the sim
-        # backend / LocalComm) or real framed TCP sockets.  The wire is
-        # transparent: pickled frames must reproduce the in-process
-        # result bit-exactly.
-        "comm": ("inproc", "tcp"),
+        # backend / LocalComm) or rank processes over a pipe mesh.  The
+        # transport is transparent: pickled messages must reproduce the
+        # in-process result bit-exactly.
+        "comm": ("inproc", "process"),
         # Multi-tenant shared-read residency: N concurrent service jobs
         # over one resident step must reproduce the solo run bit-exactly.
         "sharing": ("solo", "shared"),
@@ -271,10 +271,9 @@ def is_valid(config: Config, smoke: bool = True) -> bool:
         return False
     if config.combine_algorithm != "gather" and config.ranks < 2:
         return False
-    if config.comm == "tcp":
-        # The wire path composes with in-rank engines but not with a
-        # process pool per rank (fd inheritance across fork would pin
-        # router sockets) and not with the space-sharing driver (which
+    if config.comm == "process":
+        # Rank processes compose with in-rank engines but are not given
+        # a process pool each, and not the space-sharing driver (which
         # is single-rank in-process by construction).
         if config.engine == "process" or config.driver != "direct":
             return False
@@ -399,7 +398,7 @@ def build_matrix(
         # The smoke gate also requires >= 2 sharing=shared configs among
         # the first min_configs, so every smoke invocation exercises the
         # multi-tenant shared-residency path against the solo oracle.
-        # (Runs before the tcp promotion below: both front-insert, and
+        # (Runs before the process promotion below: both front-insert, and
         # 2 + 2 promoted configs stay well inside min_configs.)
         head_shared = [c for c in chosen[:min_configs]
                        if c.sharing == "shared"]
@@ -415,23 +414,23 @@ def build_matrix(
                     chosen.remove(pad)
                 chosen.insert(0, pad)
                 head_shared.append(pad)
-        # The smoke gate requires >= 2 comm=tcp configs among the first
-        # min_configs, so every smoke invocation exercises the wire
-        # path.  Promote-or-pad deterministically at the front (front
-        # insertion survives any max_configs truncation).
-        head_tcp = [c for c in chosen[:min_configs] if c.comm == "tcp"]
-        if len(head_tcp) < 2:
+        # The smoke gate requires >= 2 comm=process configs among the
+        # first min_configs, so every smoke invocation exercises rank
+        # processes.  Promote-or-pad deterministically at the front
+        # (front insertion survives any max_configs truncation).
+        head_process = [c for c in chosen[:min_configs] if c.comm == "process"]
+        if len(head_process) < 2:
             for ranks in (1, 2):
-                if len(head_tcp) >= 2:
+                if len(head_process) >= 2:
                     break
-                pad = Config(workload=names[0], comm="tcp", ranks=ranks,
+                pad = Config(workload=names[0], comm="process", ranks=ranks,
                              seed=seed)
                 if not is_valid(pad, smoke=smoke):
                     continue
                 if pad in chosen:
                     chosen.remove(pad)
                 chosen.insert(0, pad)
-                head_tcp.append(pad)
+                head_process.append(pad)
     if max_configs is not None:
         chosen = chosen[:max_configs]
     return chosen

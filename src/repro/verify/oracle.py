@@ -241,13 +241,13 @@ def execute(
     comm_backend = getattr(config, "comm", "inproc")
     if config.ranks == 1 and comm_backend == "inproc":
         return _execute_single(w, config, args, data, engine_plan)
-    # comm=tcp forces the SPMD path even for a single rank: the whole
-    # point of the axis is to push every communication call through the
-    # framed-socket wire path and diff it bit-exact against the in-proc
-    # oracle.
+    # comm=process forces the SPMD path even for a single rank: the
+    # whole point of the axis is to run every rank as a process, its
+    # communication over the pipe mesh, and diff it bit-exact against
+    # the in-proc oracle.
     return _execute_spmd(w, config, args, data, engine_plan, comm_plan,
                          interleave,
-                         comm_backend="tcp" if comm_backend == "tcp"
+                         comm_backend="process" if comm_backend == "process"
                          else "sim")
 
 

@@ -1,20 +1,39 @@
 """Communicator contract, parameterized over every backend.
 
 One suite, three implementations: the same SPMD bodies run over
-``LocalComm`` (single rank), ``SimCluster`` threads, and ``TcpCluster``
-framed sockets, and must observe identical semantics — that equivalence
-is what lets the conformance matrix treat ``comm`` as a transparent
-axis.
+``LocalComm`` (single rank), ``SimCluster`` threads, and rank processes
+over a pipe mesh (``comm_backend="process"``), and must observe
+identical semantics — calls, faults and traffic accounting included.
+That equivalence is what lets the conformance matrix treat ``comm`` as
+a transparent axis.
 """
+
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from repro.comm import InvalidRankError, LocalComm, spmd_launch, split_comm
+from repro.comm import (
+    CommAborted,
+    CommError,
+    CommTimeoutError,
+    FrameCorruptionError,
+    InvalidRankError,
+    LocalComm,
+    SpmdError,
+    TrafficProfiler,
+    spmd_launch,
+    split_comm,
+)
+from repro.faults import FaultPlan, FaultSpec, InjectedRankCrash
 
 # Budget for jobs that should complete nearly instantly; an order of
 # magnitude of headroom over the slowest observed run.
 FAST_JOB_TIMEOUT = 30.0
+
+# Time a deliberately wedged receive waits before its deadline fires.
+STALL_TIMEOUT = 2.0
 
 #: (backend, n_ranks) cells: local is single-rank by definition; the
 #: SPMD backends run the same bodies at 1 and several ranks.
@@ -22,16 +41,17 @@ CELLS = [
     ("local", 1),
     ("sim", 1),
     ("sim", 4),
-    ("tcp", 1),
-    ("tcp", 3),
+    ("process", 1),
+    ("process", 3),
 ]
 
 
-def launch(backend, n, fn):
+def launch(backend, n, fn, **kw):
     if backend == "local":
         assert n == 1
         return [fn(LocalComm())]
-    return spmd_launch(n, fn, timeout=FAST_JOB_TIMEOUT, comm_backend=backend)
+    kw.setdefault("timeout", FAST_JOB_TIMEOUT)
+    return spmd_launch(n, fn, comm_backend=backend, **kw)
 
 
 @pytest.mark.parametrize("backend,n", CELLS)
@@ -168,7 +188,7 @@ class TestContract:
         assert launch(backend, n, body) == ["raised"] * n
 
 
-@pytest.mark.parametrize("backend", ["sim", "tcp"])
+@pytest.mark.parametrize("backend", ["sim", "process"])
 class TestSpmdOnly:
     """Contracts that need real peers (size > 1 SPMD backends only)."""
 
@@ -200,3 +220,211 @@ class TestSpmdOnly:
             return got
 
         assert launch(backend, 2, body) == ["from-1", "from-0"]
+
+    def test_deadline_error_is_structured(self, backend):
+        """A starved recv raises CommTimeoutError with source / tag /
+        deadline_seconds attributes."""
+
+        def body(c):
+            if c.rank == 0:
+                c.recv(source=1, tag=9)  # nobody sends
+
+        with pytest.raises(SpmdError) as exc_info:
+            launch(backend, 2, body, deadline=0.3, timeout=STALL_TIMEOUT)
+        failure = exc_info.value.first_failure
+        assert isinstance(failure, CommTimeoutError)
+        assert failure.source == 1
+        assert failure.tag == 9
+        assert failure.deadline_seconds == pytest.approx(0.3)
+
+    def test_abort_carries_origin(self, backend):
+        """Peers blocked when a rank dies abort, and the launch error
+        points at the rank that failed first, with its exception."""
+
+        def body(c):
+            if c.rank == 1:
+                raise ValueError("injected failure")
+            c.recv(source=1, tag=0)
+
+        with pytest.raises(SpmdError) as exc_info:
+            launch(backend, 2, body)
+        assert exc_info.value.first_rank == 1
+        assert isinstance(exc_info.value.first_failure, ValueError)
+        assert list(exc_info.value.failures) == [1]
+
+    def test_comm_crash_reads_the_same_in_the_parent(self, backend):
+        """comm:crash kills the same rank at the same call, and the
+        launching plan counts the firing whichever process it was in."""
+        plan = FaultPlan([FaultSpec("comm", "crash", at_call=0, target=1)], seed=7)
+        with pytest.raises(SpmdError) as exc_info:
+            launch(backend, 2, lambda c: c.allreduce(c.rank), fault_plan=plan,
+                   timeout=STALL_TIMEOUT)
+        failure = exc_info.value.first_failure
+        assert isinstance(failure, InjectedRankCrash)
+        assert (failure.rank, failure.call_index, failure.op) == (1, 0, "allgather")
+        assert plan.injected("comm") == 1
+
+    def test_many_parallel_streams(self, backend):
+        """Concurrent streams from several threads of one rank, one tag
+        each, do not corrupt each other."""
+
+        def body(c):
+            out = {}
+            errs = []
+
+            def pump(tag):
+                try:
+                    peer = 1 - c.rank
+                    for i in range(20):
+                        c.send(np.arange(i + 1), dest=peer, tag=tag)
+                    got = [c.recv(source=peer, tag=tag) for _ in range(20)]
+                    out[tag] = sum(int(a.sum()) for a in got)
+                except Exception as exc:  # pragma: no cover - failure detail
+                    errs.append(exc)
+
+            threads = [threading.Thread(target=pump, args=(t,))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errs
+            return out
+
+        results = launch(backend, 2, body)
+        expect = sum(i * (i + 1) // 2 for i in range(20))
+        for per_rank in results:
+            assert per_rank == {t: expect for t in range(4)}
+
+    def test_two_way_8mib_exchange(self, backend):
+        """Two ranks send each other 8 MiB at once, twice the pipe's
+        buffer: buffered sends must not deadlock."""
+
+        def body(c):
+            mine = np.full(1 << 20, float(c.rank + 1))  # 8 MiB of float64
+            peer = 1 - c.rank
+            swapped = c.sendrecv(mine, dest=peer, source=peer)
+            exchanged = c.alltoall([mine, mine])
+            return float(swapped[-1]), float(exchanged[peer][0]), swapped.nbytes
+
+        assert launch(backend, 2, body) == [(2.0, 2.0, 8 << 20), (1.0, 1.0, 8 << 20)]
+
+
+def _every_call(c):
+    """One of every communicator call, at 3 ranks."""
+    c.barrier()
+    c.bcast({"v": 1} if c.is_master else None)
+    c.gather(c.rank)
+    c.allgather(np.arange(c.rank + 1))
+    c.scatter([10, 20, 30] if c.is_master else None)
+    c.alltoall([c.rank] * c.size)
+    c.reduce(c.rank)
+    c.allreduce(c.rank)
+    recv = np.empty(2)
+    c.Allreduce(np.ones(2), recv)
+    c.Bcast(recv)
+    c.sendrecv(c.rank, dest=(c.rank + 1) % c.size, source=(c.rank - 1) % c.size)
+    c.isend("x", dest=c.rank, tag=3).wait()
+    assert c.irecv(source=c.rank, tag=3).wait() == "x"
+    c.dup().barrier()
+    return float(recv.sum())
+
+
+def test_sim_and_process_see_the_same_calls():
+    """Per rank, the fault plan counts the same calls on both backends,
+    and the profiler records the same ops and bytes: a FaultSpec(at_call=k)
+    hits the same call on either."""
+    seen = {}
+    for backend in ("sim", "process"):
+        plan, profiler = FaultPlan(), TrafficProfiler()
+        results = spmd_launch(3, _every_call, profiler=profiler, fault_plan=plan,
+                              timeout=FAST_JOB_TIMEOUT, comm_backend=backend)
+        assert results == [6.0] * 3
+        seen[backend] = ([plan.call_count("comm", r) for r in range(3)],
+                         profiler.snapshot())
+    assert seen["sim"] == seen["process"]
+
+
+class SawAbort(Exception):
+    """A peer's CommAborted, re-raised so the launch error reports it."""
+
+
+def test_a_dead_process_rank_aborts_its_peers():
+    """A rank process that dies (no exception, no reply) is reported with
+    its exit code, and its peer's receive aborts at once on the EOF."""
+
+    def body(c):
+        if c.rank == 1:
+            os._exit(3)
+        try:
+            return c.recv(source=1, tag=0)
+        except CommAborted as exc:
+            raise SawAbort(f"origin rank {exc.origin_rank}") from None
+
+    with pytest.raises(SpmdError) as exc_info:
+        launch("process", 2, body)
+    failures = exc_info.value.failures
+    assert "exit code 3" in str(failures[1])
+    assert isinstance(failures[0], SawAbort) and "origin rank 1" in str(failures[0])
+
+
+class TestProcessNetworkFaults:
+    """Each ``network`` fault kind on process ranks, applied per message
+    sent (``network_fault(rank, op="send")``)."""
+
+    def test_truncate_raises_frame_corruption(self):
+        plan = FaultPlan([FaultSpec("network", "truncate", target=0, op="send")], seed=7)
+
+        def body(c):
+            if c.rank == 0:
+                c.send("garbled in transit", dest=1, tag=1)
+                return None
+            return c.recv(source=0, tag=1)
+
+        with pytest.raises(SpmdError) as exc_info:
+            launch("process", 2, body, fault_plan=plan, timeout=STALL_TIMEOUT)
+        failure = exc_info.value.first_failure
+        assert isinstance(failure, FrameCorruptionError)
+        assert "rank 0" in str(failure) and "tag 1" in str(failure)
+        assert plan.injected("network") == 1
+
+    def test_disconnect_aborts_peers_and_the_retry_is_exact(self):
+        """The disconnected rank fails with a CommError, its peer aborts at
+        once, and a relaunch on the same plan (the spec has fired) returns
+        the fault-free result bit-exactly."""
+        plan = FaultPlan([FaultSpec("network", "disconnect", at_call=1, target=1,
+                                    op="send")], seed=7)
+
+        def body(c):
+            try:
+                return [c.allreduce(np.full(3, c.rank + k / 3)) for k in range(4)]
+            except CommAborted as exc:
+                raise SawAbort(f"origin rank {exc.origin_rank}") from None
+
+        with pytest.raises(SpmdError) as exc_info:
+            launch("process", 2, body, fault_plan=plan)
+        failures = exc_info.value.failures
+        assert type(failures[1]) is CommError
+        assert "injected network disconnect" in str(failures[1])
+        assert isinstance(failures[0], SawAbort) and "origin rank 1" in str(failures[0])
+        assert plan.injected("network") == 1
+
+        retried = launch("process", 2, body, fault_plan=plan)
+        clean = launch("sim", 2, body)
+        for got, want in zip(retried, clean):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert plan.injected("network") == 1
+
+    @pytest.mark.parametrize("kind", ["slowlink", "partition"])
+    def test_slow_or_partitioned_link_delivers(self, kind):
+        plan = FaultPlan([FaultSpec("network", kind, target=0, op="send",
+                                    seconds=0.05)], seed=7)
+
+        def body(c):
+            if c.rank == 0:
+                c.send("slow boat", dest=1, tag=2)
+                return None
+            return c.recv(source=0, tag=2)
+
+        assert launch("process", 2, body, fault_plan=plan) == [None, "slow boat"]
+        assert plan.injected("network") == 1

@@ -1,5 +1,7 @@
 """Fault injection in the comm layer: crashes, drops, delays, deadlines."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.faults import (
     FaultPolicy,
     FaultSpec,
     InjectedRankCrash,
+    seeded_backoff,
 )
 from repro.telemetry import Recorder
 
@@ -104,6 +107,18 @@ class TestInjectedCrash:
         with pytest.raises(SpmdError) as exc_info:
             spmd_launch(2, body, timeout=2.0, fault_plan=plan)
         assert exc_info.value.first_failure.op == "barrier"
+
+
+    def test_crash_survives_a_pickle_round_trip(self):
+        """A crash raised in a rank process reaches the parent whole."""
+        crash = InjectedRankCrash(1, 3, "send")
+        crash.add_note("worker traceback: ...")
+        back = pickle.loads(pickle.dumps(crash))
+        assert type(back) is InjectedRankCrash
+        assert (back.rank, back.call_index, back.op) == (1, 3, "send")
+        assert back.fault_context == crash.fault_context
+        assert str(back) == str(crash)
+        assert back.__notes__ == crash.__notes__
 
 
 class TestDelayAndDrop:
@@ -247,3 +262,18 @@ class TestFaultPlanDeterminism:
             FaultPolicy.parse("never_fail")
         with pytest.raises(TypeError):
             FaultPolicy.parse(42)
+
+
+class TestBackoff:
+    def test_seeded_backoff_is_deterministic(self):
+        a = [seeded_backoff(i, base=0.02, cap=0.5, jitter=0.25, seed=3)
+             for i in range(1, 6)]
+        b = [seeded_backoff(i, base=0.02, cap=0.5, jitter=0.25, seed=3)
+             for i in range(1, 6)]
+        assert a == b
+
+    def test_backoff_caps(self):
+        delays = [seeded_backoff(i, base=0.02, cap=0.1, jitter=0.0, seed=0)
+                  for i in range(1, 12)]
+        assert max(delays) <= 0.1
+        assert delays[0] == pytest.approx(0.02)

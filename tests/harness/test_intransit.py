@@ -7,7 +7,7 @@ class TestIntransitHarness:
     def test_quick_run_end_to_end(self):
         results = intransit.run(quick=True)
 
-        assert set(results) == {"staging", "elastic_scale", "tcp_overhead"}
+        assert set(results) == {"staging", "elastic_scale"}
         # retry is bit-exact for every way a staging worker can die
         # (asserted inside run too — restated here so a silent harness
         # edit cannot drop the check)
@@ -21,8 +21,3 @@ class TestIntransitHarness:
         assert degrade["elements_lost"] > 0
         # pool scaling does not change the result
         assert results["elastic_scale"]["bit_exact"]
-        # the wire path's overhead is measured and reported against its
-        # bound; whether the wall-clock ratio is within it is not a
-        # tier-1 assertion
-        assert results["tcp_overhead"]["overhead_ratio"] > 0
-        assert results["tcp_overhead"]["bound"] == intransit.TCP_OVERHEAD_BOUND

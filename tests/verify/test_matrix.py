@@ -95,6 +95,14 @@ class TestMatrixGeneration:
         assert {c.engine for c in configs} == {"serial", "thread", "process"}
         assert {c.wire_format for c in configs} == {"pickle", "columnar"}
 
+    def test_smoke_matrix_gates_process_ranks(self):
+        head = build_matrix(smoke=True, max_configs=20)
+        assert sum(c.comm == "process" for c in head) >= 2, (
+            "conform --smoke must run ranks as processes")
+        assert axis_values()["comm"] == ("inproc", "process")
+        assert not is_valid(Config(workload="histogram", comm="process",
+                                   engine="process"))
+
     def test_matrix_is_deterministic(self):
         a = build_matrix(SMOKE_NAMES, smoke=True)
         b = build_matrix(SMOKE_NAMES, smoke=True)

@@ -40,7 +40,7 @@ class TestAxisWiring:
         assert is_valid(Config(**base))
         assert not is_valid(Config(**base, ranks=2))
         assert not is_valid(Config(**base, driver="space"))
-        assert not is_valid(Config(**base, comm="tcp"))
+        assert not is_valid(Config(**base, comm="process"))
         assert not is_valid(Config(**base, fault="engine-kill"))
 
     def test_smoke_matrix_gates_shared_configs(self):
