@@ -12,13 +12,15 @@ Paper outcomes to reproduce:
   compute hides under the simulation, which scales poorly past ~30
   threads).
 
-The sweep is modeled (Phi machine description + calibrated kernels).  A
+The sweep is modeled (Phi machine description, a fixed Lulesh step
+cost and the calibrated kernels' state and sync payloads).  A
 functional micro-run of the real :class:`SpaceSharingDriver` (threads,
 circular buffer, blocking) is executed first to validate the machinery.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 from ..analytics import Histogram
 from ..core import CoreSplit, ExecutionPolicy, SpaceSharingDriver
@@ -49,6 +51,15 @@ SPLITS = [CoreSplit(50, 10), CoreSplit(40, 20), CoreSplit(30, 30),
 #: rival the simulation itself).  Saturation classes follow profiles.py.
 APP_RATIOS = {"histogram": 0.027, "kmeans": 0.063, "moving_median": 0.77}
 
+#: Single-core seconds per element-step of the simulation, fixed rather
+#: than timed.  The crossovers weigh compute against the modeled network
+#: and buffer-copy terms, so timing our Lulesh proxy let the winner follow
+#: host load and every proxy speed-up (k-means flipped sign from run to
+#: run once the sliced Laplacian made the proxy ~2.4x faster).  The value
+#: is the proxy's cost with its original concatenate-based Laplacian, the
+#: cost APP_RATIOS were fitted against; stated in EXPERIMENTS.md.
+LULESH_SECONDS_PER_ELEMENT = 3.8e-8
+
 #: The paper ran ~1.3 GB/node steps on 8 GB Phi nodes without reporting
 #: pressure effects; keep the curve out of the way for this figure.
 FIG10_MEMORY = MemoryModel(threshold=0.93, severity=2.0)
@@ -78,7 +89,9 @@ def _functional_check() -> dict:
 def run() -> dict:
     functional = _functional_check()
     machine = XEON_PHI_CLUSTER
-    lulesh = sim_model("lulesh")
+    lulesh = replace(
+        sim_model("lulesh"), seconds_per_element=LULESH_SECONDS_PER_ELEMENT
+    )
     workload = NodeWorkload.from_total(TOTAL_BYTES, NUM_STEPS, NODES)
     sim_only = model_simulation_only(
         machine, NODES, 60, workload, lulesh, memory=FIG10_MEMORY
