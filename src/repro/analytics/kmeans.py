@@ -6,10 +6,19 @@ assigns each point to its nearest centroid; ``post_combine`` recomputes
 centroids (Lloyd iteration) once per Smart iteration.  Initial centroids
 arrive via ``ExecutionPolicy.extra_data`` (a ``k × dims`` array, ``k ≥ 1``).
 
-The batch kernel (:meth:`KMeans.batch_reduce`) costs a split one GEMM and
-``dims + 1`` ``bincount`` scatters: nearest centroids as the ``argmin`` of
-``‖c‖² − 2 p·c`` and per-cluster sums added in input order, with the one
-``(n, k)`` temporary in per-thread scratch.
+The batch kernel (:meth:`KMeans.batch_reduce`) makes every pass stream
+rows n points long: one GEMM into a centroid-major ``(k, n)`` score matrix
+of ``‖c‖² − 2 c·p``, a running minimum over its ``k`` rows for the nearest
+centroid, and one ``bincount`` over interleaved ``(cluster, dim)`` bins for
+every per-cluster sum, each bin adding its points in input order.  Passes
+only ``k`` wide, or one scatter per dimension, cost twice as much: in a
+scatter, neighbouring grid points share a cluster, so each add would wait
+on the one before.  A 32 768-point split (k = 8, dims = 4) takes
+≈1.3–1.5 ms on a 2-core x86-64 host; its split-sized arrays all live in
+per-thread scratch.
+
+A point with no finite distance to any centroid (a NaN or infinite
+coordinate) is rejected with the same ``ValueError`` on both map paths.
 """
 
 from __future__ import annotations
@@ -25,8 +34,16 @@ from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
 from .objects import ClusterObj
 
-#: The kernel's ``(n, k)`` score matrix (per thread, reused across calls and schedulers).
+#: The kernel's ``(k, n)`` scores, running-minimum mask, assignment and
+#: ``(cluster, dim)`` bins (per thread, reused across calls and schedulers).
 _SCRATCH = Scratch()
+
+
+def _no_finite_distance(offset: int, point: np.ndarray) -> ValueError:
+    return ValueError(
+        f"k-means point at element offset {offset} has no finite distance "
+        f"to any centroid: {point}"
+    )
 
 
 class KMeans(Scheduler):
@@ -77,6 +94,8 @@ class KMeans(Scheduler):
                 f"initial centroids must be (k, {self.dims}) with k >= 1, "
                 f"got {centroids.shape}"
             )
+        if not np.isfinite(centroids).all():
+            raise ValueError("initial centroids must be finite")
         for key, centroid in enumerate(centroids):
             combination_map[key] = ClusterObj(centroid)
 
@@ -93,7 +112,7 @@ class KMeans(Scheduler):
             if dist < best_dist or (dist == best_dist and key < best_key):
                 best_key, best_dist = key, dist
         if best_key < 0:
-            raise RuntimeError("gen_key called with an empty combination map")
+            raise _no_finite_distance(chunk.start, point)
         return best_key
 
     def accumulate(
@@ -144,20 +163,50 @@ class KMeans(Scheduler):
     def batch_reduce(
         self, data: np.ndarray, start: int, stop: int, acc: ColumnarAccumulator
     ) -> None:
-        points = data[start:stop].reshape(-1, self.dims)
-        n, k = len(points), len(acc)
+        flat = data[start:stop]
+        points = flat.reshape(-1, self.dims)
+        n, k, dims = len(points), len(acc), self.dims
         centroids = acc.column("centroid")
-        # argmin over c of |p - c|^2 = |c|^2 - 2 p.c (+ |p|^2, constant
-        # along that axis): one GEMM into reused scratch.  Ties resolve to
-        # the lowest index, matching gen_key's tie-break on sorted keys.
-        score = _SCRATCH.array("score", n * k, np.float64).reshape(n, k)
-        np.matmul(points, (-2.0 * centroids).T, out=score)
-        score += np.sum(centroids**2, axis=1)
-        assign = score.argmin(axis=1)
-        # bincount adds in input order, as the scalar loop does.
+        # Per 32 768-point split (k = 8, dims = 4, 2-core x86-64): GEMM
+        # ≈0.15 ms, norm adds + running minimum ≈0.5, bins ≈0.07, the
+        # interleaved bincount ≈0.28, the counts ≈0.13.
+        #
+        # Nearest centroid = argmin over c of |c|^2 - 2 c.p (|p|^2 is the
+        # same for every c): one GEMM into centroid-major scratch, so the
+        # norm add and the running minimum below stream rows n long.  A
+        # non-finite point may trip FP flags here; it is rejected below.
+        score = _SCRATCH.array("score", k * n, np.float64).reshape(k, n)
+        norms = np.sum(centroids**2, axis=1)
+        best, mask = score[0], _SCRATCH.array("mask", n, np.bool_)
+        assign = _SCRATCH.array("assign", n, np.intp)
+        assign.fill(0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.matmul(-2.0 * centroids, points.T, out=score)
+            # Running minimum in place over row 0, each row's norm added
+            # while it is in cache.  The strict < keeps the lowest key on
+            # ties, as argmin and gen_key do.
+            best += norms[0]
+            for j in range(1, k):
+                row = score[j]
+                row += norms[j]
+                np.less(row, best, out=mask)
+                np.copyto(best, row, where=mask)
+                np.copyto(assign, j, where=mask)
+        if not np.isfinite(best, out=mask).all():
+            i = int(np.argmin(mask))
+            raise _no_finite_distance(start + i * dims, points[i])
+        # Every per-cluster sum from one bincount over (cluster, dim) bins:
+        # each bin adds its points in input order, as the scalar loop does,
+        # while neighbouring elements land in different bins, so no add
+        # waits on the one before.  (``take`` with ``out`` buffers a copy
+        # unless told how to treat out-of-range indices; there are none.)
+        bins = _SCRATCH.array("bins", n * dims, np.intp).reshape(n, dims)
+        table = np.arange(k * dims).reshape(k, dims)
+        np.take(table, assign, axis=0, out=bins, mode="clip")
         vec_sum = acc.column("vec_sum")
-        for d in range(self.dims):
-            vec_sum[:, d] += np.bincount(assign, weights=points[:, d], minlength=k)
+        vec_sum += np.bincount(
+            bins.reshape(-1), weights=flat, minlength=k * dims
+        ).reshape(k, dims)
         counts = np.bincount(assign, minlength=k)
         size = acc.column("size")
         size += counts

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analytics import KMeans, make_blobs, reference_kmeans
 from repro.comm import spmd_launch
@@ -155,8 +157,8 @@ class TestBatchKernel:
         assert not np.array_equal(kernel, init)
 
     def test_kernels_of_different_shape_share_scratch(self):
-        """Two schedulers alternate on one thread: the shared score array
-        grows for the larger ``(n, k)`` and is resliced for the smaller."""
+        """Two schedulers alternate on one thread: the shared scratch arrays
+        grow for the larger ``(k, n)`` and are resliced for the smaller."""
         small, large = lattice(120, 2, seed=1), lattice(400, 3, seed=2)
         cases = [(small, small.reshape(-1, 2)[:3].copy()),
                  (large, large.reshape(-1, 3)[:7].copy())] * 2
@@ -164,7 +166,37 @@ class TestBatchKernel:
             scalar, kernel = self.both(flat, init)
             assert np.array_equal(scalar, kernel)
 
+    @given(
+        k=st.integers(1, 9),  # k = 1: the running minimum has no row to scan
+        dims=st.integers(1, 5),
+        n=st.integers(1, 80),
+        duplicate=st.booleans(),
+        threads=st.sampled_from([1, 3]),
+        block_size=st.sampled_from([None, 96]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_scalar_loop_on_lattices(
+        self, k, dims, n, duplicate, threads, block_size, seed
+    ):
+        """One Lloyd step from lattice centroids: every distance and sum is
+        exact, so the kernel must equal the scalar loop bit for bit."""
+        flat = lattice(n, dims, seed)
+        init = lattice(k, dims, seed + 1).reshape(k, dims)
+        if duplicate:
+            init[-1] = init[0]  # an exact tie, resolved to the lower key
+        if block_size is not None:  # whole points, as conform rounds blocks
+            block_size -= block_size % dims
+        scalar, kernel = self.both(
+            flat, init, iters=1, threads=threads, block_size=block_size
+        )
+        assert np.array_equal(scalar, kernel)
+
     def test_no_split_sized_float_temporary(self):
+        """Outside the module scratch a split allocates only the
+        accumulator and ``k × dims`` temporaries: 5.5–7 KB measured for
+        n = 32 768, k = 8, dims = 4.  The 16 KiB bound is half the split's
+        smallest array, its n-byte running-minimum mask."""
         n, k, dims = 32768, 8, 4
         flat = np.random.default_rng(0).uniform(0.0, 100.0, n * dims)
         app = build(flat.reshape(-1, dims)[:k].copy(), kernel=True)
@@ -186,7 +218,37 @@ class TestBatchKernel:
         finally:
             tracemalloc.stop()
         assert int(acc.column("size").sum()) == n
-        assert peak - before < n * k * 8  # one (n, k) float64 array
+        assert peak - before < 16 * 1024
+
+
+class TestNonFinitePoints:
+    """A point with no finite distance to any centroid is rejected alike
+    on every map path and engine, before any arithmetic on it warns."""
+
+    POINTS = np.array([0.0, 0.0, 1.0, 1.0, np.nan, 2.0, 5.0, 5.0])
+    INIT = np.array([[0.0, 0.0], [5.0, 5.0]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("args", [
+        dict(kernel=False),
+        dict(kernel=True),
+        dict(kernel=False, engine="process", threads=2),
+        dict(kernel=True, engine="process", threads=2),
+    ], ids=["scalar", "batch", "scalar-process", "batch-process"])
+    def test_rejected_with_its_offset(self, args, bad):
+        points = self.POINTS.copy()
+        points[4] = bad
+        with build(self.INIT, iters=1, **args) as app:
+            with pytest.raises(ValueError, match="element offset 4 has no finite"):
+                app.run(points)
+
+    def test_rejected_at_its_global_offset_in_a_later_block(self):
+        points = np.tile(self.POINTS[:4], 50)
+        points[150] = np.nan
+        with build(self.INIT, iters=1, kernel=True, block_size=64) as app:
+            with pytest.raises(ValueError, match="element offset 150 "):
+                app.run(points)
 
 
 class TestValidation:
@@ -208,4 +270,10 @@ class TestValidation:
     def test_no_centroids_rejected_on_both_map_paths(self, kernel):
         app = build(np.empty((0, 2)), kernel=kernel)
         with pytest.raises(ValueError, match=r"k >= 1.*\(0, 2\)"):
+            app.run(np.zeros(4))
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_non_finite_centroid_rejected_on_both_map_paths(self, kernel):
+        app = build(np.array([[0.0, 0.0], [np.inf, 5.0]]), kernel=kernel)
+        with pytest.raises(ValueError, match="centroids must be finite"):
             app.run(np.zeros(4))
