@@ -4,8 +4,9 @@ The per-split reduction loop — the paper's intra-rank OpenMP region —
 is pluggable: ``EnginePolicy(backend=...)`` selects ``"serial"`` (default,
 deterministic), ``"thread"`` (persistent thread pool; profitable when
 the batch kernel hands the GIL to numpy), or ``"process"``
-(persistent process pool over a shared-memory copy of the partition;
-the GIL-free path for scalar chunk loops).  All three produce
+(the calling thread as thread 0 plus a persistent process pool over a
+shared-memory copy of the partition; the GIL-free path for scalar chunk
+loops).  All three produce
 bit-identical results; this example demonstrates that, shows the pooled
 engines creating exactly one pool per scheduler lifetime, and reads the
 unified telemetry snapshot that replaced ad-hoc statistics.
@@ -48,9 +49,9 @@ def main() -> None:
         splits = snap["counters"].get("engine.splits", 0)
         pools = snap["counters"].get("engine.pools_created", 0)
         # In-process engines time each split; the process engine times
-        # whole blocks on the parent side (workers keep their own clocks).
+        # whole blocks (its workers keep their own per-split clocks).
         timers = snap["timers"]
-        timed = timers.get("engine.split_seconds") or timers.get("engine.block_seconds", {})
+        timed = timers.get("engine.block_seconds") or timers.get("engine.split_seconds", {})
         print(
             f"  engine={engine:<8} counts {agree} to serial | "
             f"splits={splits} pools={pools} reduce_time={timed.get('seconds', 0.0) * 1e3:.2f} ms"

@@ -3,8 +3,10 @@
 * :class:`SerialEngine` — deterministic in-order loop (the reference).
 * :class:`ThreadEngine` — persistent thread pool, one per scheduler
   lifetime (the paper's OpenMP thread-team analogue).
-* :class:`ProcessEngine` — owned worker processes, one pipe each, over
-  a shared-memory view of the partition (GIL-free).
+* :class:`ProcessEngine` — the calling thread is thread 0 and reduces
+  its splits in-process; worker ``i`` (an owned process, one pipe
+  each) serves thread ``i + 1`` over a shared-memory view of the
+  partition (GIL-free).
 
 All three produce bit-identical combination maps and outputs; the
 equivalence matrix in ``tests/core/test_engines.py`` asserts it for

@@ -44,7 +44,8 @@ class ExecutionEngine:
     Per-engine telemetry (written into the scheduler's recorder):
 
     * ``engine.pools_created`` — worker pools created over the engine's
-      lifetime (1 for the pooled engines, 0 for serial).
+      lifetime (1 for the pooled engines, 0 for serial and for a
+      one-thread process engine).
     * ``engine.splits`` — splits executed.
     * ``engine.split_seconds`` timer — per-split wall-clock.
     """
@@ -106,8 +107,8 @@ class ExecutionEngine:
         Each split is reduced against ``red_maps[split.thread_id]``
         (mutated in place).  This default reduces the splits in order on
         the calling thread; the thread engine spreads the same calls over
-        its pool, and the process engine runs the same reduction in its
-        workers and folds their replies back, raising
+        its pool, and the process engine reduces thread 0's here and the
+        others' in its workers and folds their replies back, raising
         :class:`~repro.faults.EngineFaultError` when a worker was lost.
         A list first handed in must be an iteration's fresh maps
         (``Scheduler._make_reduction_maps``): the process engine's

@@ -1,9 +1,11 @@
 """Process engine: GIL-free reduction over resident shared-memory input.
 
-The engine owns a :class:`~repro.core.worker.Pool` of ``num_workers``
-worker processes for as long as its scheduler lives (the paper's fixed
-thread team, PAPER.md §3.2), each on its own duplex pipe.  Two things
-move between parent and workers:
+The calling thread is thread 0 of the team, as the thread reaching an
+OpenMP parallel region is (PAPER.md §3.2), and reduces its splits
+through the read pointer; a :class:`~repro.core.worker.Pool` of
+``num_workers - 1`` processes, kept while the scheduler lives, reduces
+the rest, each on its own duplex pipe (a team of one has no pool, no
+segment, no copy).  Two things move between parent and workers:
 
 * **Input** — ``begin_run`` copies the partition into the pool's one
   input segment (created on first use, replaced only when a larger
@@ -16,7 +18,7 @@ move between parent and workers:
   shared memory.
 * **State and results** — everything else travels as bytes on the
   worker's pipe, and a worker keeps what it is sent.  Worker ``i``
-  serves thread ``i`` and holds a *session* of four versioned parts: the
+  serves thread ``i + 1`` and holds a *session* of four versioned parts: the
   scheduler *core* (callbacks, policy, constants; one per engine), the
   run *header* (segment name, dtype, length, layout context,
   ``multi_key``, whether there is an output array; one per ``begin_run``,
@@ -39,14 +41,15 @@ move between parent and workers:
   re-raised in the parent with its type.
 
 ``map_splits`` is the one dispatch loop, for every fault policy and with
-or without a :class:`~repro.faults.FaultPlan`: send each split to its
-thread's worker (one found dead while idle is replaced first and costs
-nothing), then :func:`~repro.core.worker.wait` on the busy workers.  A
-reply is a reply; a death is *that* worker's task lost;
-``FaultPolicy.task_deadline`` passing with no reply at all is a hang of
-every busy worker.  A dead or hung worker is replaced
-(``engine.residency.invalidations``) and once the block has drained the
-outcome follows the policy: ``retry`` raises
+or without a :class:`~repro.faults.FaultPlan` (drawn for worker tasks
+only): send each worker its thread's split (one found dead while idle is
+replaced first and costs nothing), reduce thread 0's, then
+:func:`~repro.core.worker.wait` on the busy workers.  An exception,
+thread 0's too, is raised once the block has drained; a death is *that*
+worker's task lost; ``FaultPolicy.task_deadline`` passing with no reply
+at all is a hang of every busy worker.  A dead or hung worker is
+replaced (``engine.residency.invalidations``) and once the block has
+drained the outcome follows the policy: ``retry`` raises
 :class:`~repro.faults.EngineFaultError` so the scheduler replays the
 iteration from the last consistent combination map, ``degrade`` folds
 the completed splits and records the dropped ones, ``fail_fast`` raises.
@@ -101,14 +104,11 @@ class _Session:
             sched.load_state(state)
         if "map" in parts:  # None: this iteration's seed, derived here
             payload = parts["map"]
-            self.red_map = (
-                sched._make_reduction_maps(1)[0] if payload is None
-                else deserialize_map(payload)
-            )
+            self.red_map = (sched._make_reduction_maps(1)[0] if payload is None
+                            else deserialize_map(payload))
         emitted = KeyedMap()
-        sched._reduce_split(
-            split, self.red_map, sched.data_, None, self.multi_key, capture=emitted
-        )
+        sched._reduce_split(split, self.red_map, sched.data_, None, self.multi_key,
+                            capture=emitted)
         counters = sched.telemetry.counters()
         sched.telemetry.reset()
         return (
@@ -149,8 +149,8 @@ class ProcessEngine(ExecutionEngine):
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        if self._pool is None:
-            self._pool = Pool(_Session, self.num_workers, name="smart-engine",
+        if self._pool is None and self.num_workers > 1:  # thread 0 is the caller
+            self._pool = Pool(_Session, self.num_workers - 1, name="smart-engine",
                               telemetry=self.telemetry, replaced="engine.residency.invalidations")
             self.telemetry.inc("engine.pools_created")
 
@@ -161,12 +161,12 @@ class ProcessEngine(ExecutionEngine):
             self.telemetry.set_gauge("engine.residency.resident_bytes", 0)
 
     def begin_run(self, scheduler, data, out, multi_key) -> None:
-        if scheduler.policy.engine.num_threads > len(self._pool.workers):  # thread i -> worker i
-            raise RuntimeError(
-                f"policy.engine.num_threads raised past this engine's {len(self._pool.workers)} "
-                "workers; close() the scheduler first so the team is rebuilt"
-            )
+        if scheduler.policy.engine.num_threads > self.num_workers:  # thread i -> worker i - 1
+            raise RuntimeError(f"policy.engine.num_threads raised past this engine's team of "
+                               f"{self.num_workers}; close() the scheduler first so it is rebuilt")
         super().begin_run(scheduler, data, out, multi_key)
+        if self._pool is None:
+            return
         nbytes = int(data.nbytes)
         segment = self._pool.segment(nbytes)
         self.telemetry.set_gauge("engine.residency.resident_bytes", segment.size)
@@ -196,14 +196,11 @@ class ProcessEngine(ExecutionEngine):
         self._parts[name] = (next(self._versions), payload)
 
     def _ensure_core(self, sched) -> None:
-        """Pickle the immutable scheduler core, once per engine.
-
-        The core is the scheduler minus everything workers must not
-        share (arrays, communicator, engine, telemetry, fault plan)
-        *and* minus what the header and the delta carry (the layout
-        context, the combination map; ``mutable_state()`` attributes are
-        simply overwritten worker-side).
-        """
+        """Pickle the immutable scheduler core, once per engine: the
+        scheduler minus everything workers must not share (arrays,
+        communicator, engine, telemetry, fault plan) *and* minus what the
+        header and the delta carry (the layout context, the combination
+        map; ``mutable_state()`` attributes are overwritten worker-side)."""
         if "core" in self._parts:
             return
         clone = copy.copy(sched)
@@ -241,12 +238,13 @@ class ProcessEngine(ExecutionEngine):
         self.telemetry.record_op("engine.dispatch", len(message) - len(core))
         worker.send(message)
 
-    def _dispatch(
-        self, splits: list[Split], so_far: list[KeyedMap | None], policy: FaultPolicy
-    ) -> list[tuple | None]:
-        """Run every split on its thread's worker; ``None`` marks a
-        dropped one (degrade mode).  One task is in flight per worker, so
-        neither side can block writing to a pipe nobody reads."""
+    def _dispatch(self, splits: list[Split], red_maps: list[KeyedMap], fresh: bool,
+                  policy: FaultPolicy) -> tuple[list[np.ndarray], list[tuple | None]]:
+        """Send the workers their splits, reduce thread 0's here, collect
+        the replies: thread 0's emitted keys, and a reply per split
+        (``None``: thread 0's, or dropped in degrade mode).  One task is
+        in flight per worker, so neither side can block writing to a
+        pipe nobody reads."""
         pool = self._pool
         results: list[tuple | None] = [None] * len(splits)
         busy: dict[Worker, int] = {}
@@ -254,9 +252,14 @@ class ProcessEngine(ExecutionEngine):
         lost, kind = 0, "dead"
         try:
             for index, split in enumerate(splits):
-                worker = pool.worker(split.thread_id)
-                busy[worker] = index
-                self._send_task(worker, split, so_far[split.thread_id])
+                if split.thread_id:
+                    worker = pool.worker(split.thread_id - 1)
+                    busy[worker] = index
+                    self._send_task(worker, split, None if fresh else red_maps[split.thread_id])
+            try:
+                own = [self._reduce(s, red_maps[0]) for s in splits if not s.thread_id]
+            except Exception as exc:  # raised once the workers have replied
+                error = exc
             while busy:
                 ready = wait(busy, policy.task_deadline)
                 # Nothing at all within the deadline: every busy worker hangs.
@@ -267,7 +270,7 @@ class ProcessEngine(ExecutionEngine):
                         lost, kind = lost + 1, "dead" if ready else "hung"
                         self.telemetry.inc(f"faults.detected.worker_{kind}")
                         with self.telemetry.span("faults.recovery_seconds"):
-                            pool.replace(splits[index].thread_id)
+                            pool.replace(splits[index].thread_id - 1)
                     elif isinstance(reply, BaseException):
                         error = error or reply
                         worker.holds.clear()  # whatever it installed, send it all again
@@ -278,22 +281,21 @@ class ProcessEngine(ExecutionEngine):
             # must neither answer the next block with this one's reply
             # nor still be reading a segment the next run rewrites.
             for index in busy.values():
-                pool.replace(splits[index].thread_id)
+                pool.replace(splits[index].thread_id - 1)
             raise
         if error is not None:
             raise error
         if lost and policy.mode == "degrade":
             self.telemetry.inc("faults.dropped_splits", lost)
         elif lost:
-            raise EngineFaultError(
-                f"{lost} split task(s) lost to a {kind} worker (worker replaced)"
-            )
-        return results
+            raise EngineFaultError(f"{lost} split task(s) lost to a {kind} worker "
+                                   "(worker replaced)")
+        return own, results
 
     def map_splits(self, splits: Iterable[Split], red_maps: list[KeyedMap]) -> np.ndarray:
         splits = list(splits)
-        if not splits:
-            return join_keys([])
+        if self._pool is None:  # a team of one: the caller is all of it
+            return super().map_splits(splits, red_maps)
         sched = self._sched
         assert sched is not None and "header" in self._parts, "map_splits outside a run"
         if "delta" not in self._parts:  # first block since the combination phase
@@ -304,16 +306,14 @@ class ProcessEngine(ExecutionEngine):
         # A list not handed in last time is fresh (an iteration's, or its
         # replay's): whatever a worker kept, it derives the seed.  After that
         # block, a worker lacking its thread's map is sent it so far.
-        so_far: list[KeyedMap | None] = red_maps
-        if red_maps is not self._red_maps:
+        fresh = red_maps is not self._red_maps
+        if fresh:
             self._red_maps = red_maps
             self._publish("map", None)
-            so_far = [None] * len(red_maps)
         with self.telemetry.span("engine.block_seconds"):
-            results = self._dispatch(splits, so_far, sched.policy.fault)
-        emitted: list[np.ndarray] = []
+            emitted, results = self._dispatch(splits, red_maps, fresh, sched.policy.fault)
         for split, result in zip(splits, results):
-            if result is None:  # dropped under degrade
+            if result is None:  # thread 0's, or dropped under degrade
                 continue
             map_bytes, emitted_bytes, counters = result
             red_maps[split.thread_id].replace_contents(

@@ -127,7 +127,9 @@ class EnginePolicy:
         ``"thread"`` (persistent thread pool), or ``"process"``
         (owned worker processes over resident shared-memory input).
     num_threads:
-        Workers per pool — the reduction phase's split count.
+        Threads in the team — the reduction phase's split count (the
+        process engine's calling thread is thread 0 and owns
+        ``num_threads - 1`` worker processes).
     map_path:
         Which map-phase implementation reduces a split: ``"auto"``
         (the default — the application's batch kernel when it has one
@@ -226,7 +228,8 @@ class ExecutionPolicy:
     num_iters:
         Iterations of an iterative analytics (k-means, regression).
     block_size:
-        Elements per scheduler block; ``None`` is one block per partition.
+        Elements per scheduler block, a whole number of chunks; ``None``
+        is one block per partition.
     extra_data:
         Handed to ``process_extra_data`` (e.g. initial centroids).
     buffer_capacity:
@@ -280,6 +283,13 @@ class ExecutionPolicy:
         if self.block_size is not None and self.block_size < 1:
             raise ValueError(
                 f"block_size must be >= 1 or None, got {self.block_size}"
+            )
+        if self.block_size is not None and self.block_size % self.chunk_size:
+            # Blocks are cut at raw element counts: a ragged one would
+            # split a chunk (a k-means point) between two blocks.
+            raise ValueError(
+                f"block_size={self.block_size} is not a whole number of "
+                f"chunk_size={self.chunk_size} chunks"
             )
         if self.buffer_capacity < 1:
             raise ValueError(

@@ -177,8 +177,10 @@ def _engine_scenarios(n_points: int) -> dict:
         ("kill", FaultPolicy.retry(backoff=0.01)),
         ("hang", FaultPolicy.retry(backoff=0.01, task_deadline=0.5)),
     ):
+        # Worker task 1 of 3: thread 1's split in iteration 2 (thread 0
+        # is the driver and draws no faults).
         plan = FaultPlan(
-            [FaultSpec("engine", kind, at_call=3, seconds=30.0)], seed=SEED
+            [FaultSpec("engine", kind, at_call=1, seconds=30.0)], seed=SEED
         )
         cents, snap = run_kmeans(plan, policy)
         bit_exact = np.array_equal(clean, cents)
@@ -195,7 +197,7 @@ def _engine_scenarios(n_points: int) -> dict:
         }
         assert bit_exact, f"worker {kind} + retry must be bit-exact"
 
-    plan = FaultPlan([FaultSpec("engine", "kill", at_call=3)], seed=SEED)
+    plan = FaultPlan([FaultSpec("engine", "kill", at_call=1)], seed=SEED)
     cents, snap = run_kmeans(plan, "degrade")
     scenarios["kmeans_worker_kill_degrade"] = {
         "dropped_splits": snap["counters"].get("faults.dropped_splits", 0),
@@ -203,7 +205,7 @@ def _engine_scenarios(n_points: int) -> dict:
     }
     assert snap["counters"].get("faults.dropped_splits", 0) >= 1
 
-    plan = FaultPlan([FaultSpec("engine", "kill", at_call=3)], seed=SEED)
+    plan = FaultPlan([FaultSpec("engine", "kill", at_call=1)], seed=SEED)
     try:
         run_kmeans(plan, "fail_fast")
     except EngineFaultError as err:

@@ -94,10 +94,10 @@ def run_measured(
                 app.run(data)
                 snap = app.telemetry_snapshot()
             # In-process engines time each split; the process engine
-            # times whole blocks on the parent side of the pool.
+            # times whole blocks (its workers' splits and thread 0's).
             timers = snap["timers"]
-            reduce_timer = timers.get("engine.split_seconds") or timers.get(
-                "engine.block_seconds", {}
+            reduce_timer = timers.get("engine.block_seconds") or timers.get(
+                "engine.split_seconds", {}
             )
             counters = snap["counters"]
             cell = {

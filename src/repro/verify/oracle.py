@@ -170,7 +170,9 @@ def _fault_setup(config: Config):
     if config.fault == "none":
         return None, None, "fail_fast"
     if config.fault == "engine-kill":
-        plan = FaultPlan([FaultSpec("engine", "kill", at_call=1)],
+        # The first worker task: thread 1's first split (thread 0 is
+        # the driver and draws no faults).
+        plan = FaultPlan([FaultSpec("engine", "kill", at_call=0)],
                          seed=config.seed)
         return plan, None, FaultPolicy.retry(max_attempts=3, backoff=0.005)
     if config.fault == "comm-delay":

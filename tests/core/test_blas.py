@@ -47,7 +47,7 @@ def histogram(backend="serial", threads=1):
 
 
 def test_process_engine_workers(reports):
-    with histogram("process", 2) as app:
+    with histogram("process", 3) as app:  # the driver and two workers
         app.run(np.linspace(-3.0, 3.0, 1000))
     assert reports() == [1, 1]
     assert blas.blas_threads() == 2  # the parent keeps its own pool

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -17,6 +18,9 @@ from repro.core import EnginePolicy, ExecutionPolicy
 from repro.faults import EngineFaultError, FaultPlan, FaultPolicy, FaultSpec
 
 DIMS = 3
+#: The test process: a self-destructing callback that finds itself
+#: running here (thread 0 is the driver) must not kill the test run.
+TEST_PID = os.getpid()
 
 
 def shm_segments() -> set[str]:
@@ -32,6 +36,9 @@ def kmeans_inputs(rng):
 
 
 def kmeans_policy(centroids, fault="fail_fast"):
+    """Thread 0 is the driver, so a 2-thread team has one worker and one
+    worker task per iteration: ``at_call=1`` is thread 1's split in
+    iteration 2 of 3."""
     return ExecutionPolicy(
         engine=EnginePolicy(backend="process", num_threads=2),
         chunk_size=DIMS,
@@ -58,7 +65,7 @@ class TestWorkerKill:
     def test_retry_is_bit_exact(self, kmeans_inputs):
         points, centroids = kmeans_inputs
         clean, _, _ = run_kmeans(points, centroids)
-        plan = FaultPlan([FaultSpec("engine", "kill", at_call=3)])
+        plan = FaultPlan([FaultSpec("engine", "kill", at_call=1)])
         cents, counters, timers = run_kmeans(
             points, centroids, plan, FaultPolicy.retry(backoff=0.01)
         )
@@ -70,14 +77,14 @@ class TestWorkerKill:
 
     def test_degrade_drops_and_completes(self, kmeans_inputs):
         points, centroids = kmeans_inputs
-        plan = FaultPlan([FaultSpec("engine", "kill", at_call=3)])
+        plan = FaultPlan([FaultSpec("engine", "kill", at_call=1)])
         _, counters, _ = run_kmeans(points, centroids, plan, "degrade")
         assert counters["faults.dropped_splits"] >= 1
         assert counters["faults.detected.worker_dead"] == 1
 
     def test_fail_fast_raises_engine_fault(self, kmeans_inputs):
         points, centroids = kmeans_inputs
-        plan = FaultPlan([FaultSpec("engine", "kill", at_call=3)])
+        plan = FaultPlan([FaultSpec("engine", "kill", at_call=1)])
         with pytest.raises(EngineFaultError):
             run_kmeans(points, centroids, plan)
 
@@ -98,7 +105,7 @@ class TestWorkerHang:
     def test_hang_detected_and_replayed(self, kmeans_inputs):
         points, centroids = kmeans_inputs
         clean, _, _ = run_kmeans(points, centroids)
-        plan = FaultPlan([FaultSpec("engine", "hang", at_call=3, seconds=30.0)])
+        plan = FaultPlan([FaultSpec("engine", "hang", at_call=1, seconds=30.0)])
         cents, counters, _ = run_kmeans(
             points,
             centroids,
@@ -135,7 +142,7 @@ class TestShmHygiene:
     children are its workers; every way a block can end releases both."""
 
     def kill(self):
-        return FaultPlan([FaultSpec("engine", "kill", at_call=3)])
+        return FaultPlan([FaultSpec("engine", "kill", at_call=1)])
 
     def test_worker_crash_leaks_no_segments(self, kmeans_inputs):
         assert_leaves_nothing_behind(
@@ -149,7 +156,7 @@ class TestShmHygiene:
             *kmeans_inputs, self.kill(), "fail_fast", raises=EngineFaultError)
 
     def test_hang_leaks_no_segments(self, kmeans_inputs):
-        plan = FaultPlan([FaultSpec("engine", "hang", at_call=3, seconds=30.0)])
+        plan = FaultPlan([FaultSpec("engine", "hang", at_call=1, seconds=30.0)])
         assert_leaves_nothing_behind(
             *kmeans_inputs, plan,
             FaultPolicy.retry(backoff=0.01, task_deadline=0.5))
@@ -178,7 +185,7 @@ class SelfDestructHistogram(Histogram):
     flag = None
 
     def batch_reduce(self, data, start, stop, acc):
-        if start > 0 and self.flag.exists():
+        if start > 0 and self.flag.exists() and os.getpid() != TEST_PID:
             os.kill(os.getpid(), signal.SIGKILL)
         super().batch_reduce(data, start, stop, acc)
 
@@ -269,7 +276,7 @@ class SelfDestructKMeans(KMeans):
             self.hits += 1
             if self.hits == 2 and self.skip:
                 return
-            if self.hits == 2 and self.flag.exists():
+            if self.hits == 2 and self.flag.exists() and os.getpid() != TEST_PID:
                 self.flag.unlink()
                 os.kill(os.getpid(), signal.SIGKILL)
         super().batch_reduce(data, start, stop, acc)
@@ -277,14 +284,15 @@ class SelfDestructKMeans(KMeans):
 
 class TestReplacementSession:
     """A worker SIGKILLed in block 2 of 3 of iteration 2 of 3: its
-    replacement holds nothing, so its first task carries everything."""
+    replacement holds nothing, so its first task carries everything.
+    Three threads: the driver and two workers, so one survives."""
 
-    BLOCK = 3000  # elements: 1000 points, 500 per worker
-    DOOMED = 3000 + 1500  # thread 1's split of block 2
+    BLOCK = 3000  # elements: 1000 points, 334 + 333 + 333 per thread
+    DOOMED = 3000 + 1002  # thread 1's split of block 2
 
     def make(self, centroids, backend, fault, tmp_path, skip=False, doomed=DOOMED):
         policy = ExecutionPolicy(
-            engine=EnginePolicy(backend=backend, num_threads=2),
+            engine=EnginePolicy(backend=backend, num_threads=3),
             chunk_size=DIMS, extra_data=centroids, num_iters=3,
             block_size=self.BLOCK, fault=fault,
         )
@@ -293,7 +301,7 @@ class TestReplacementSession:
         sched.doomed_start, sched.skip = doomed, skip
         return sched
 
-    def run_with_kill(self, points, centroids, fault, tmp_path, sent, doomed=DOOMED, thread=1):
+    def run_with_kill(self, points, centroids, fault, tmp_path, sent, doomed=DOOMED):
         sched = self.make(centroids, "process", fault, tmp_path, doomed=doomed)
         sched.flag.touch()
         with sched:
@@ -305,9 +313,9 @@ class TestReplacementSession:
             # The replacement's first task carries all four parts: under
             # degrade its thread's map so far, under retry (a replayed
             # iteration starts over) the order to derive the seed.
-            fresh = sched.engine._pool.workers[thread]
-            survivor = original[1 - thread]
-            assert fresh not in original and sched.engine._pool.workers[1 - thread] is survivor
+            fresh = sched.engine._pool.workers[0]  # thread 1's, the doomed split's
+            survivor = original[1]  # thread 2's
+            assert fresh not in original and sched.engine._pool.workers[1] is survivor
             parts = next(parts for worker, _, parts in sent if worker is fresh)
             assert sorted(parts) == ["core", "delta", "header", "map"]
             assert isinstance(parts["map"], bytes if fault == "degrade" else type(None))
@@ -334,16 +342,16 @@ class TestReplacementSession:
     def test_retry_replay_restarts_a_worker_that_sat_the_lost_block_out(
         self, kmeans_inputs, tmp_path, sent
     ):
-        """The last block holds one chunk, so only thread 0 has a split
-        in it; thread 0's worker dies there.  Thread 1's worker still
-        holds its map of blocks 1-2 and must not go on from it in the
-        replay (it would count those blocks twice)."""
+        """The last block holds two chunks, so thread 2 has no split in
+        it; thread 1's worker dies there.  Thread 2's worker still holds
+        its map of blocks 1-2 and must not go on from it in the replay
+        (it would count those blocks twice)."""
         points, centroids = kmeans_inputs
-        points = points[: 2 * self.BLOCK + DIMS]
+        points = points[: 2 * self.BLOCK + 2 * DIMS]
         clean = self.oracle(points, centroids, tmp_path)
         first, second, counters = self.run_with_kill(
             points, centroids, FaultPolicy.retry(backoff=0.01), tmp_path, sent,
-            doomed=2 * self.BLOCK, thread=0)
+            doomed=2 * self.BLOCK + DIMS)
         assert counters["faults.replays"] == 1
         assert np.array_equal(first, clean) and np.array_equal(second, clean)
         # The replay's first block: both workers are told to derive the seed.
@@ -376,10 +384,78 @@ class TestWorkerException:
         with sched:
             with pytest.raises(TypeError, match=r"accumulate\(\) returned None"):
                 sched.run(rng.uniform(0, 1, 64))
-            # Both workers replied (one reply per message): the engine
-            # is still usable, and fails the same way again.
+            # Thread 0 raised here and the worker replied (one reply
+            # per message): the engine is still usable, and fails the
+            # same way again.
             with pytest.raises(TypeError, match=r"accumulate\(\) returned None"):
                 sched.run(rng.uniform(0, 1, 64))
+
+
+class ThreadZeroRaises(Histogram):
+    """Raises on the split that starts the partition, thread 0's, which
+    the driving process reduces itself, while ``armed``."""
+
+    armed = True
+
+    def batch_reduce(self, data, start, stop, acc):
+        if start == 0 and self.armed:
+            raise ValueError("thread 0's callback failed")
+        super().batch_reduce(data, start, stop, acc)
+
+
+class TestThreadZero:
+    def test_its_exception_waits_for_the_worker_reply(self, rng, monkeypatch):
+        """Thread 0's ``ValueError`` comes out with its type once the
+        in-flight worker reply has been read: the worker is neither
+        replaced nor left with an unread reply, and the next run is
+        bit-exact with the serial engine."""
+        from repro.core import worker as runtime
+
+        received, real_receive = [], runtime.Worker.receive
+
+        def receive(worker):
+            received.append(real_receive(worker))
+            return received[-1]
+
+        monkeypatch.setattr(runtime.Worker, "receive", receive)
+        data = rng.uniform(0, 1, 8000)
+        policy = ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2))
+        out = np.zeros(8)
+        with ThreadZeroRaises(policy, lo=0.0, hi=1.0, num_buckets=8) as sched:
+            with pytest.raises(ValueError, match="thread 0's callback failed"):
+                sched.run(data, out)
+            worker = sched.engine._pool.workers[0]
+            assert len(received) == 1 and isinstance(received[0], tuple)
+            assert not worker.conn.poll()
+            sched.armed = False
+            sched.reset()
+            out[:] = 0
+            sched.run(data, out)
+            assert sched.engine._pool.workers[0] is worker
+            counters = sched.telemetry_snapshot()["counters"]
+        assert counters.get("engine.residency.invalidations", 0) == 0
+        expected = np.zeros(8)
+        serial = ExecutionPolicy(engine=EnginePolicy(num_threads=2))
+        Histogram(serial, lo=0.0, hi=1.0, num_buckets=8).run(data, expected)
+        assert np.array_equal(out, expected)
+
+    def test_only_worker_tasks_draw_faults(self, kmeans_inputs, sent):
+        """Three threads, three blocks, three iterations: every worker
+        task draws one (harmless) fault and thread 0's splits none."""
+        points, centroids = kmeans_inputs
+        plan = FaultPlan([FaultSpec("engine", "hang", at_call=0, times=1000, seconds=0.0)])
+        policy = kmeans_policy(centroids).evolve(
+            engine=EnginePolicy(backend="process", num_threads=3), block_size=3000)
+        sched = KMeans(policy, dims=DIMS)
+        sched.fault_plan = plan
+        with sched:
+            sched.run(points)
+            counters = sched.telemetry_snapshot()["counters"]
+        worker_tasks = 2 * 3 * 3
+        assert len(sent) == worker_tasks
+        assert all(pickle.loads(message)[2] is not None for _, message, _ in sent)
+        assert counters["faults.injected.engine.hang"] == plan.injected() == worker_tasks
+        assert counters["engine.splits"] == 3 * 3 * 3
 
 
 class TestQuietStderr:
@@ -415,7 +491,8 @@ class TestHistogramDegrade:
             fault="degrade",
         )
         sched = Histogram(args, lo=0.0, hi=1.0, num_buckets=8)
-        sched.fault_plan = FaultPlan([FaultSpec("engine", "kill", at_call=1)])
+        # The block's one worker task: thread 1's split.
+        sched.fault_plan = FaultPlan([FaultSpec("engine", "kill", at_call=0)])
         out = np.zeros(8)
         with sched:
             sched.run(data, out)

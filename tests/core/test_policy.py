@@ -28,6 +28,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExecutionPolicy(**kwargs)
 
+    def test_rejects_a_block_that_cuts_a_chunk(self):
+        """Blocks are cut at element counts, so one that is not a whole
+        number of chunks would split a point between two blocks."""
+        match = r"block_size=10 .*chunk_size=4"
+        with pytest.raises(ValueError, match=match):
+            ExecutionPolicy(chunk_size=4, block_size=10)
+        with pytest.raises(ValueError, match=match):
+            ExecutionPolicy.parse("chunk=4,block=10")
+        assert ExecutionPolicy(chunk_size=4, block_size=12).block_size == 12
+
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="engine must be one of"):
             EnginePolicy(backend="cuda")
@@ -123,7 +133,7 @@ class TestFingerprint:
             fault=FaultPolicy.retry(max_attempts=5, backoff=0.25),
             chunk_size=3,
             num_iters=7,
-            block_size=128,
+            block_size=129,
             buffer_capacity=2,
             copy_input=True,
             disable_early_emission=True,

@@ -88,10 +88,11 @@ class TestStateDeltas:
             app.run(data)
             app.run(data)
             snap = app.telemetry_snapshot()
-        # Once per worker for the scheduler's lifetime, not once per run.
-        assert snap["ops"]["engine.state.core"]["calls"] == 2
+        # Once per worker (thread 0 is the driver) for the scheduler's
+        # lifetime, not once per run.
+        assert snap["ops"]["engine.state.core"]["calls"] == 1
         # Every dispatched task shipped a delta, not the core.
-        assert snap["ops"]["engine.dispatch"]["calls"] == 4
+        assert snap["ops"]["engine.dispatch"]["calls"] == 2
         assert snap["ops"]["engine.state.delta"]["calls"] == 2
 
     def test_delta_rebuilt_per_iteration(self):
@@ -109,7 +110,7 @@ class TestStateDeltas:
         with app:
             app.run(flat)
             snap = app.telemetry_snapshot()
-        assert snap["ops"]["engine.state.core"]["calls"] == 2  # one per worker
+        assert snap["ops"]["engine.state.core"]["calls"] == 1  # one per worker
         assert snap["ops"]["engine.state.delta"]["calls"] == 4
         # The per-iteration payload is far smaller than the one-time core.
         core = snap["ops"]["engine.state.core"]
@@ -137,11 +138,11 @@ class TestStateDeltas:
         assert np.array_equal(run("process"), run("serial"))
 
 
-def kmeans_app(backend, flat, dims=3, k=4, **policy):
+def kmeans_app(backend, flat, dims=3, k=4, threads=2, **policy):
     init = flat.reshape(-1, dims)[:k].copy()
     return KMeans(
         ExecutionPolicy(
-            engine=EnginePolicy(backend=backend, num_threads=2),
+            engine=EnginePolicy(backend=backend, num_threads=threads),
             chunk_size=dims, extra_data=init, **policy,
         ),
         dims=dims,
@@ -155,12 +156,13 @@ def run_counters(app):
 
 class TestSessionAccounting:
     def test_a_task_carries_only_what_its_worker_lacks(self, sent):
-        """4 Lloyd iterations, one block each, 2 workers: the core and
-        the header cross once per worker, the delta once per iteration
-        per worker, no reduction map ever leaves the parent, and the
-        byte counters add up to what was written to the pipes."""
+        """4 Lloyd iterations, one block each, 3 threads (the driver and
+        2 workers): the core and the header cross once per worker, the
+        delta once per iteration per worker, no reduction map ever
+        leaves the parent, and the byte counters add up to what was
+        written to the pipes."""
         flat, _ = make_blobs(600, 3, 4, seed=11)
-        with kmeans_app("process", flat, num_iters=4) as app:
+        with kmeans_app("process", flat, threads=3, num_iters=4) as app:
             app.run(flat)
             ops = app.telemetry_snapshot()["ops"]
         assert len(sent) == 8 and len({worker for worker, _, _ in sent}) == 2
@@ -186,22 +188,24 @@ class TestSessionAccounting:
 
     @pytest.mark.parametrize("seeded", [True, False])
     def test_later_blocks_go_on_from_the_map_the_worker_kept(self, sent, seeded, rng):
-        """``block_size < n``: only a worker's first task of an iteration
-        names a map at all; results, ``peak_red_objects`` and the
-        ``run.*`` counters equal the serial engine's bit for bit."""
+        """``block_size < n``, 3 threads (2 workers): only a worker's
+        first task of an iteration names a map at all; results,
+        ``peak_red_objects`` and the ``run.*`` counters equal the serial
+        engine's bit for bit."""
         if seeded:
             data, _ = make_blobs(600, 3, 4, seed=3)
             iterations, block = 3, 420
 
             def make(backend):
-                return kmeans_app(backend, data, num_iters=iterations, block_size=block)
+                return kmeans_app(backend, data, threads=3, num_iters=iterations,
+                                  block_size=block)
         else:
             data = rng.normal(size=2000)
             iterations, block = 1, 300
 
             def make(backend):
                 policy = ExecutionPolicy(
-                    engine=EnginePolicy(backend=backend, num_threads=2), block_size=block)
+                    engine=EnginePolicy(backend=backend, num_threads=3), block_size=block)
                 return Histogram(policy, lo=-4, hi=4, num_buckets=16)
 
         with make("serial") as ref, make("process") as app:
@@ -316,7 +320,8 @@ class TestSessionIsolation:
             for worker in engine._pool.workers:
                 assert worker.holds.keys() >= {"core", "header", "delta", "map"}
                 assert {v for k, v in worker.holds.items() if k != "core"}.isdisjoint(current)
-            # replace: a fresh worker holds nothing, so it is sent everything.
+            # replace: a fresh worker 0 (thread 1) holds nothing, so it is
+            # sent everything.
             engine._pool.replace(0)
             assert engine._pool.workers[0].holds == {}
             ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
@@ -346,8 +351,8 @@ class TestSessionIsolation:
         assert multiprocessing.active_children() == []
 
     def test_more_threads_than_workers_is_refused_by_name(self, data):
-        """Thread ``i``'s splits go to worker ``i``: a policy swapped in
-        between runs cannot ask for threads the team does not have."""
+        """Thread ``i``'s splits go to worker ``i - 1``: a policy swapped
+        in between runs cannot ask for threads the team does not have."""
         with make_hist() as app:
             app.run(data)
             app.policy = app.policy.evolve(engine=EnginePolicy(backend="process", num_threads=3))
@@ -355,7 +360,34 @@ class TestSessionIsolation:
                 app.run(data)
             app.close()
             app.run(data)
-            assert len(app.engine._pool.workers) == 3
+            assert len(app.engine._pool.workers) == 2  # and the driver
+
+
+class TestTeamSize:
+    def test_two_threads_start_one_worker(self, data):
+        """The driver is thread 0: a 2-thread team is one child process."""
+        with make_hist() as app:
+            app.run(data)
+            names = [child.name for child in multiprocessing.active_children()]
+            assert names == ["smart-engine-0"]
+        assert multiprocessing.active_children() == []
+
+    def test_one_thread_starts_no_process_and_copies_nothing(self):
+        """``num_threads=1``: the caller is the whole team, so there is
+        no pool, no segment and no copy, and the result is the serial
+        engine's bit for bit."""
+        flat, _ = make_blobs(600, 3, 4, seed=11)
+        before = shm_segments()
+        with kmeans_app("serial", flat, threads=1, num_iters=3) as ref, \
+                kmeans_app("process", flat, threads=1, num_iters=3) as app:
+            ref.run(flat)
+            app.run(flat)
+            assert multiprocessing.active_children() == []
+            assert shm_segments() == before
+            assert np.array_equal(app.centroids(), ref.centroids())
+            counters = app.telemetry_snapshot()["counters"]
+        assert counters.get("engine.pools_created", 0) == 0
+        assert counters.get("engine.residency.copied_bytes", 0) == 0
 
 
 class TestHygiene:

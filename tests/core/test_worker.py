@@ -140,7 +140,7 @@ from repro.analytics import Histogram
 from repro.core import ElasticTier, EnginePolicy, ExecutionPolicy
 from repro.service import AnalyticsService, JobSpec
 
-app = Histogram(ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2)),
+app = Histogram(ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=3)),
                 lo=-4.0, hi=4.0, num_buckets=8)
 app.run(np.linspace(-3.0, 3.0, 1000))
 tier = ElasticTier(lambda: Histogram(ExecutionPolicy(), lo=-4.0, hi=4.0, num_buckets=8), 1)

@@ -150,7 +150,8 @@ def test_a_killed_seat_fails_only_its_job_in_flight():
 def test_a_seat_killed_under_a_process_engine_job_fails_it_without_a_hang():
     # The engine's workers inherit the seat's pipe and sentinel; they must
     # see their owner die and exit, or the service would wait on them.
-    policy = ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2,
+    # Three threads: the seat drives thread 0 and owns two engine workers.
+    policy = ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=3,
                                                  map_path="scalar"),
                              chunk_size=1, num_iters=1).fingerprint()
     small = np.random.default_rng(5).normal(size=4096)
