@@ -60,11 +60,11 @@ class CommTimeoutError(CommError):
     Attributes
     ----------
     source:
-        Peer rank the stalled call was waiting on (``None`` for
-        collectives, which wait on every rank at once).
+        Peer rank the stalled call was waiting on (for a collective, the
+        peer whose message it was waiting for).
     tag:
-        Message tag of the stalled point-to-point call (``None`` for
-        collectives).
+        Message tag of the stalled call (for a collective, the internal
+        collective tag).
     deadline_seconds:
         The per-call deadline that expired.  Supervised recovery and the
         chaos reports read these attributes instead of parsing the
@@ -104,7 +104,11 @@ class FrameCorruptionError(CommError):
 
 
 class RankMismatchError(CommError):
-    """A collective was invoked with inconsistent arguments across ranks."""
+    """Ranks called different collectives at the same point.
+
+    Raised on the rank that received another call's collective message;
+    the message names both calls and both ranks.
+    """
 
 
 class InvalidRankError(CommError, ValueError):

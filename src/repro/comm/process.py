@@ -2,11 +2,11 @@
 
 :func:`run_ranks` makes a socketpair per pair of ranks and a reply pipe
 per rank and forks the ranks (:func:`~repro.core.worker.start_process`);
-each closes every end not its own.  :class:`ProcessComm` does
-point-to-point and ``dup``; collectives come from
-:class:`~repro.comm.subgroup.RootedComm`.  One drain thread per rank
-reads every pipe into per-``(source, context, tag)`` mailboxes, so no
-send waits on its receiver's code, however large.
+each closes every end not its own.  :class:`ProcessComm` moves one
+message and names ``dup`` contexts; ``send``/``recv`` and every
+collective come from :class:`~repro.comm.subgroup.RootedComm`.  One
+drain thread per rank reads every pipe into per-``(source, context,
+tag)`` mailboxes, so no send waits on its receiver's code, however large.
 
 A rank that finishes says goodbye on each pipe; one that fails or dies
 leaves EOF, and a receive from it raises
@@ -164,17 +164,6 @@ class ProcessComm(RootedComm):
 
     def _get(self, source: int, tag: int) -> Any:
         return self._mesh.get(source, self._ctx, tag)
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_rank(dest, "dest")
-        if not self._enter("send", record=False):  # dropped: it vanishes in transit
-            self._record("send", obj)
-            self._put(obj, dest, tag)
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        self._check_rank(source, "source")
-        self._enter("recv", record=False)
-        return self._get(source, tag)
 
     def dup(self) -> "ProcessComm":
         # Named by this context and its dup count: ranks dup in one order.

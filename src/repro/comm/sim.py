@@ -1,33 +1,37 @@
 """Threaded SPMD communicator: N ranks as real threads, one process.
 
 This is the stand-in for MPI in this reproduction (see DESIGN.md section 1).
-Each rank of the SPMD program runs on its own thread; collectives are
-implemented with shared slots guarded by a pair of alternating barriers, and
-point-to-point messages go through tag-addressed mailboxes.  Synchronization
-is *real* (threads genuinely block at barriers and on receives), so the
+Each rank of the SPMD program runs on its own thread.  A message is a
+private copy (:func:`_isolate`) appended to its receiver's mailbox, keyed
+by ``(context, source, tag)``; every collective is
+:class:`~repro.comm.subgroup.RootedComm`'s over those messages, the same
+code process ranks run, so the two backends differ in transport alone.
+Synchronization is *real* (threads genuinely block on receives), so the
 ordering, deadlock, and semantics properties of the code under test match a
-genuine MPI execution; only the transport differs.
+genuine MPI execution.
 
 Concurrency contract (same as MPI): all ranks of a communicator must call
-collectives in the same order.  Code that needs concurrent communication
-from multiple threads of the same rank (space-sharing mode, Listing 2 of
-the paper) must :meth:`~SimComm.dup` the communicator, exactly as one would
-duplicate an MPI communicator.
+collectives in the same order; a rank that receives another collective's
+message raises :class:`~repro.comm.errors.RankMismatchError`.  Code that
+needs concurrent communication from multiple threads of the same rank
+(space-sharing mode, Listing 2 of the paper) must :meth:`~SimComm.dup` the
+communicator, exactly as one would duplicate an MPI communicator.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import threading
 import time
 from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .errors import CommAborted, CommTimeoutError, RankMismatchError
-from .interface import Communicator
+from .errors import CommAborted, CommTimeoutError
 from .profiler import TrafficProfiler
+from .subgroup import RootedComm
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults import FaultPlan
@@ -54,75 +58,6 @@ def _isolate(obj: Any) -> Any:
     if type(obj) is tuple:
         return tuple(_isolate(v) for v in obj)
     return copy.deepcopy(obj)
-
-
-class _Context:
-    """Shared state for one communicator context (one 'MPI communicator')."""
-
-    def __init__(self, size: int, timeout: float, deadline: float | None = None):
-        self.size = size
-        self.timeout = timeout
-        self.deadline = deadline
-        self.slots: list[Any] = [None] * size
-        self.root_slot: Any = None
-        self.tag_slot: Any = None  # collective-consistency checking
-        self.enter = threading.Barrier(size)
-        self.leave = threading.Barrier(size)
-        self.mail: dict[tuple[int, int, int], deque[Any]] = defaultdict(deque)
-        self.mail_cond = threading.Condition()
-        self.aborted = False
-        self.abort_reason: str | None = None
-        self.abort_origin_rank: int | None = None
-        self.abort_origin_exc_type: str | None = None
-
-    def abort(
-        self,
-        reason: str,
-        *,
-        origin_rank: int | None = None,
-        origin_exc_type: str | None = None,
-    ) -> None:
-        self.aborted = True
-        if self.abort_reason is None:
-            self.abort_reason = reason
-            self.abort_origin_rank = origin_rank
-            self.abort_origin_exc_type = origin_exc_type
-        self.enter.abort()
-        self.leave.abort()
-        with self.mail_cond:
-            self.mail_cond.notify_all()
-
-    def check_abort(self) -> None:
-        if self.aborted:
-            raise CommAborted(
-                self.abort_reason or "SPMD job aborted",
-                origin_rank=self.abort_origin_rank,
-                origin_exc_type=self.abort_origin_exc_type,
-            )
-
-    def wait(self, barrier: threading.Barrier) -> None:
-        self.check_abort()
-        effective = self.timeout if self.deadline is None else min(self.timeout, self.deadline)
-        try:
-            barrier.wait(timeout=effective)
-        except threading.BrokenBarrierError:
-            if not self.aborted and effective < self.timeout:
-                # The per-call deadline, not the job timeout, expired on
-                # this rank: surface the precise stall signal (the abort
-                # still tears the context down so peers unblock).
-                self.abort(f"collective exceeded the {effective}s call deadline")
-                raise CommTimeoutError(
-                    f"collective exceeded the {effective}s call deadline",
-                    deadline_seconds=effective,
-                ) from None
-            if not self.aborted:
-                self.abort(f"collective timed out after {self.timeout}s")
-            raise CommAborted(
-                self.abort_reason or "barrier broken",
-                origin_rank=self.abort_origin_rank,
-                origin_exc_type=self.abort_origin_exc_type,
-            ) from None
-        self.check_abort()
 
 
 class InterleaveSchedule:
@@ -192,8 +127,8 @@ class SimCluster:
         Optional shared :class:`TrafficProfiler`; when set, every rank's
         communication is accounted into it.
     timeout:
-        Seconds a rank may block in a collective before the whole job is
-        aborted (deadlock detection for tests).
+        Seconds a rank may block in a receive (and so in a collective)
+        before the whole job is aborted (deadlock detection for tests).
     deadline:
         Optional per-call deadline in seconds.  A ``recv`` or collective
         blocked longer than this raises
@@ -209,7 +144,7 @@ class SimCluster:
     interleave:
         Optional :class:`InterleaveSchedule`.  When set, every rank
         sleeps a seed-derived jitter before each communication call,
-        deterministically perturbing barrier arrival order (the
+        deterministically perturbing message arrival order (the
         conformance schedule fuzzer's hook).  ``None`` costs nothing.
     """
 
@@ -232,25 +167,22 @@ class SimCluster:
         self.deadline = deadline
         self.fault_plan = fault_plan
         self.interleave = interleave
-        self._world = _Context(size, timeout, deadline)
-        self._contexts: list[_Context] = [self._world]
-        self._ctx_lock = threading.Lock()
+        # One mailbox set and one condition per receiving rank: a sender
+        # wakes only its receiver's threads.
+        self._mail: list[dict[tuple, deque]] = [defaultdict(deque) for _ in range(size)]
+        self._conds = [threading.Condition() for _ in range(size)]
+        self._aborted: tuple[str, int | None, str | None] | None = None
+        self._abort_lock = threading.Lock()
 
     def comm(self, rank: int) -> "SimComm":
         """The world-communicator handle for ``rank``."""
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
-        return SimComm(self, self._world, rank)
+        return SimComm(self, rank)
 
     def comms(self) -> list["SimComm"]:
         """World-communicator handles for every rank, rank order."""
         return [self.comm(r) for r in range(self.size)]
-
-    def new_context(self) -> _Context:
-        ctx = _Context(self.size, self.timeout, self.deadline)
-        with self._ctx_lock:
-            self._contexts.append(ctx)
-        return ctx
 
     def abort(
         self,
@@ -259,26 +191,61 @@ class SimCluster:
         origin_rank: int | None = None,
         origin_exc_type: str | None = None,
     ) -> None:
-        """Abort every context: all blocked ranks raise :class:`CommAborted`.
+        """Abort the job: every blocked rank raises :class:`CommAborted`.
 
         ``origin_rank``/``origin_exc_type`` identify the failure that
         initiated the abort; peers' :class:`CommAborted` carry them so
         :class:`~repro.comm.errors.SpmdError` aggregation points at the
         root cause instead of a wall of secondary aborts.
         """
-        with self._ctx_lock:
-            contexts = list(self._contexts)
-        for ctx in contexts:
-            ctx.abort(reason, origin_rank=origin_rank, origin_exc_type=origin_exc_type)
+        with self._abort_lock:  # the first abort names the origin
+            if self._aborted is None:
+                self._aborted = (reason, origin_rank, origin_exc_type)
+        for cond in self._conds:
+            with cond:
+                cond.notify_all()
+
+    def _check_abort(self) -> None:
+        if self._aborted is not None:
+            reason, origin_rank, origin_exc_type = self._aborted
+            raise CommAborted(reason, origin_rank=origin_rank,
+                              origin_exc_type=origin_exc_type)
+
+    def _put(self, obj: Any, dest: int, key: tuple) -> None:
+        """Deliver a private copy of ``obj`` to ``dest``'s mailbox ``key``."""
+        payload = _isolate(obj)
+        with self._conds[dest]:
+            self._check_abort()
+            self._mail[dest][key].append(payload)
+            self._conds[dest].notify_all()
+
+    def _get(self, rank: int, key: tuple) -> Any:
+        """Take the next message from ``rank``'s mailbox ``key`` (context, source, tag)."""
+        deadline = self.deadline
+        limit = self.timeout if deadline is None else min(self.timeout, deadline)
+        with self._conds[rank]:  # guards the rank's mailboxes too
+            box = self._mail[rank][key]
+            self._conds[rank].wait_for(lambda: box or self._aborted is not None, limit)
+            if box:
+                return box.popleft()
+        self._check_abort()
+        _ctx, source, tag = key
+        where = f"recv(source={source}, tag={tag}) on rank {rank}"
+        if deadline is not None and deadline <= self.timeout:
+            reason = f"{where} exceeded the {deadline}s call deadline"
+            self.abort(reason)
+            raise CommTimeoutError(reason, source=source, tag=tag, deadline_seconds=deadline)
+        reason = f"{where} timed out after {self.timeout}s"
+        self.abort(reason)
+        raise CommAborted(reason)
 
 
-class SimComm(Communicator):
-    """One rank's handle onto a :class:`SimCluster` context."""
+class SimComm(RootedComm):
+    """One rank's handle onto a :class:`SimCluster` communicator context."""
 
-    def __init__(self, cluster: SimCluster, context: _Context, rank: int):
-        self._cluster = cluster
-        self._ctx = context
-        self._rank = rank
+    def __init__(self, cluster: SimCluster, rank: int, ctx: tuple = ()):
+        self._cluster, self._rank, self._ctx = cluster, rank, ctx
+        self._dups = itertools.count(1)
         self.profiler = cluster.profiler
 
     @property
@@ -287,194 +254,31 @@ class SimComm(Communicator):
 
     @property
     def size(self) -> int:
-        return self._ctx.size
+        return self._cluster.size
 
-    def _fault(self, op: str) -> bool:
-        """Consult the cluster's fault plan before a communication call
-        (:meth:`~repro.faults.FaultPlan.comm_call`); True when the call's
-        message is to be dropped."""
-        schedule = self._cluster.interleave
-        if schedule is not None:
-            jitter = schedule.delay(self._rank)
+    def _enter(self, op: str, payload: Any = None, *, nbytes: int | None = None,
+               record: bool = True) -> bool:
+        cluster = self._cluster
+        if cluster.interleave is not None:
+            jitter = cluster.interleave.delay(self._rank)
             if jitter > 0.0:
                 time.sleep(jitter)
-        plan = self._cluster.fault_plan
-        return plan is not None and plan.comm_call(self._rank, op)
+        plan = cluster.fault_plan
+        dropped = plan is not None and plan.comm_call(self._rank, op)
+        if record:
+            self._record(op, payload, nbytes)
+        return dropped
 
-    # -- point to point ---------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_rank(dest, "dest")
-        if self._fault("send"):
-            return  # the message vanishes in transit
-        self._record("send", obj)
-        ctx = self._ctx
-        payload = _isolate(obj)
-        with ctx.mail_cond:
-            ctx.check_abort()
-            ctx.mail[(dest, self._rank, tag)].append(payload)
-            ctx.mail_cond.notify_all()
+    def _put(self, obj: Any, dest: int, tag: int) -> None:
+        self._cluster._put(obj, dest, (self._ctx, self._rank, tag))
 
-    def recv(self, source: int, tag: int = 0) -> Any:
-        self._check_rank(source, "source")
-        self._fault("recv")
-        ctx = self._ctx
-        key = (self._rank, source, tag)
-        deadline = ctx.deadline
-        start = time.monotonic()
-        with ctx.mail_cond:
-            while not ctx.mail.get(key):
-                ctx.check_abort()
-                remaining = ctx.timeout - (time.monotonic() - start)
-                if deadline is not None:
-                    remaining = min(
-                        remaining, deadline - (time.monotonic() - start)
-                    )
-                if not ctx.mail_cond.wait(timeout=max(remaining, 0.001)):
-                    elapsed = time.monotonic() - start
-                    if deadline is not None and elapsed >= deadline:
-                        reason = (
-                            f"recv(source={source}, tag={tag}) exceeded the "
-                            f"{deadline}s call deadline on rank {self._rank}"
-                        )
-                        ctx.abort(reason)
-                        raise CommTimeoutError(
-                            reason,
-                            source=source,
-                            tag=tag,
-                            deadline_seconds=deadline,
-                        )
-                    if elapsed >= ctx.timeout:
-                        ctx.abort(
-                            f"recv(source={source}, tag={tag}) timed out on rank {self._rank}"
-                        )
-                        ctx.check_abort()
-            return ctx.mail[key].popleft()
+    def _get(self, source: int, tag: int) -> Any:
+        return self._cluster._get(self._rank, (self._ctx, source, tag))
 
-    # -- collectives ------------------------------------------------------
-    def _collective_check(self, name: str) -> None:
-        """Detect mismatched collective calls across ranks (cheap guard)."""
-        ctx = self._ctx
-        if self._rank == 0:
-            ctx.tag_slot = name
-        ctx.wait(ctx.enter)
-        if ctx.tag_slot != name:
-            ctx.abort(
-                f"collective mismatch: rank {self._rank} called {name!r} while "
-                f"rank 0 called {ctx.tag_slot!r}"
-            )
-            ctx.check_abort()
-
-    def barrier(self) -> None:
-        self._fault("barrier")
-        self._record("barrier", nbytes=0)
-        ctx = self._ctx
-        self._collective_check("barrier")
-        ctx.wait(ctx.leave)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        self._check_rank(root, "root")
-        self._fault("bcast")
-        ctx = self._ctx
-        if self._rank == root:
-            self._record("bcast", obj)
-            ctx.root_slot = obj
-        self._collective_check("bcast")
-        ctx.wait(ctx.leave)  # root_slot published
-        result = ctx.root_slot if self._rank == root else _isolate(ctx.root_slot)
-        ctx.wait(ctx.enter)  # everyone done reading
-        if self._rank == root:
-            ctx.root_slot = None
-        ctx.wait(ctx.leave)
-        return result
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        self._check_rank(root, "root")
-        self._fault("gather")
-        self._record("gather", obj)
-        ctx = self._ctx
-        ctx.slots[self._rank] = obj
-        self._collective_check("gather")
-        ctx.wait(ctx.leave)  # slots published
-        result = [_isolate(v) for v in ctx.slots] if self._rank == root else None
-        ctx.wait(ctx.enter)
-        ctx.slots[self._rank] = None
-        ctx.wait(ctx.leave)
-        return result
-
-    def allgather(self, obj: Any) -> list[Any]:
-        self._fault("allgather")
-        self._record("allgather", obj)
-        ctx = self._ctx
-        ctx.slots[self._rank] = obj
-        self._collective_check("allgather")
-        ctx.wait(ctx.leave)
-        result = [v if i == self._rank else _isolate(v) for i, v in enumerate(ctx.slots)]
-        ctx.wait(ctx.enter)
-        ctx.slots[self._rank] = None
-        ctx.wait(ctx.leave)
-        return result
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        self._check_rank(root, "root")
-        self._fault("scatter")
-        ctx = self._ctx
-        if self._rank == root:
-            if objs is None:
-                ctx.abort(f"scatter root {root} passed None")
-            elif len(objs) != self.size:
-                ctx.abort(
-                    f"scatter needs exactly {self.size} values, got {len(objs)}"
-                )
-            else:
-                self._record("scatter", objs)
-                ctx.root_slot = list(objs)
-        self._collective_check("scatter")
-        ctx.wait(ctx.leave)
-        ctx.check_abort()
-        value = ctx.root_slot[self._rank]
-        if self._rank != root:
-            value = _isolate(value)
-        ctx.wait(ctx.enter)
-        if self._rank == root:
-            ctx.root_slot = None
-        ctx.wait(ctx.leave)
-        return value
-
-    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        self._fault("alltoall")
-        ctx = self._ctx
-        if len(objs) != self.size:
-            ctx.abort(
-                f"alltoall on rank {self._rank} needs {self.size} values, got {len(objs)}"
-            )
-            ctx.check_abort()
-        self._record("alltoall", list(objs))
-        ctx.slots[self._rank] = list(objs)
-        self._collective_check("alltoall")
-        ctx.wait(ctx.leave)
-        result = [_isolate(ctx.slots[src][self._rank]) for src in range(self.size)]
-        ctx.wait(ctx.enter)
-        ctx.slots[self._rank] = None
-        ctx.wait(ctx.leave)
-        return result
-
-    # -- structure --------------------------------------------------------
     def dup(self) -> "SimComm":
-        """Collectively duplicate into an independent context.
+        """Duplicate into an independent context (same rank ids).
 
-        All ranks must call :meth:`dup` together; the new communicator's
-        collectives are fully independent from the parent's (same rank ids).
+        Named by this context and its dup count: every rank dups in the
+        same order, so the ranks' handles name the same context.
         """
-        ctx = self._ctx
-        if self._rank == 0:
-            ctx.root_slot = self._cluster.new_context()
-        self._collective_check("dup")
-        ctx.wait(ctx.leave)
-        new_ctx = ctx.root_slot  # shared by reference on purpose
-        ctx.wait(ctx.enter)
-        if self._rank == 0:
-            ctx.root_slot = None
-        ctx.wait(ctx.leave)
-        if not isinstance(new_ctx, _Context):  # pragma: no cover - defensive
-            raise RankMismatchError("dup lost the new context")
-        return SimComm(self._cluster, new_ctx, self._rank)
+        return SimComm(self._cluster, self._rank, (*self._ctx, next(self._dups)))

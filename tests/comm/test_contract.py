@@ -21,6 +21,7 @@ from repro.comm import (
     FrameCorruptionError,
     InvalidRankError,
     LocalComm,
+    RankMismatchError,
     SpmdError,
     TrafficProfiler,
     spmd_launch,
@@ -44,6 +45,31 @@ CELLS = [
     ("process", 1),
     ("process", 3),
 ]
+
+
+def _rank_0_calls(own, others):
+    """A 3-rank body: rank 0 calls ``own(c)``, every other rank ``others(c)``."""
+    return lambda c: own(c) if c.rank == 0 else others(c)
+
+
+def _in_group(c):
+    """Rank 0 bcasts and rank 2 gathers inside the group {0, 2}."""
+    group = split_comm(c, color=c.rank % 2, key=c.rank)
+    if c.rank == 0:
+        return group.bcast("x")
+    return group.gather("y") if group.size > 1 else None
+
+
+#: Mismatched programs: (rank 0's call, the other call, the 3-rank body).
+MISMATCHES = {
+    "bcast_vs_gather": ("bcast", "gather", _rank_0_calls(
+        lambda c: c.bcast("x"), lambda c: c.gather("y"))),
+    "barrier_vs_allgather": ("barrier", "allgather", _rank_0_calls(
+        lambda c: c.barrier(), lambda c: c.allgather(1))),
+    "alltoall_vs_allgather": ("alltoall", "allgather", _rank_0_calls(
+        lambda c: c.alltoall([0, 1, 2]), lambda c: c.allgather(1))),
+    "in_a_split_group": ("bcast", "gather", _in_group),
+}
 
 
 def launch(backend, n, fn, **kw):
@@ -223,7 +249,7 @@ class TestSpmdOnly:
 
     def test_deadline_error_is_structured(self, backend):
         """A starved recv raises CommTimeoutError with source / tag /
-        deadline_seconds attributes."""
+        deadline_seconds attributes; so does a starved collective."""
 
         def body(c):
             if c.rank == 0:
@@ -236,6 +262,27 @@ class TestSpmdOnly:
         assert failure.source == 1
         assert failure.tag == 9
         assert failure.deadline_seconds == pytest.approx(0.3)
+
+        def lonely_barrier(c):
+            if c.rank == 0:
+                c.barrier()  # rank 1 returns without entering it
+
+        with pytest.raises(SpmdError) as exc_info:
+            launch(backend, 2, lonely_barrier, deadline=0.3, timeout=STALL_TIMEOUT)
+        failure = exc_info.value.first_failure
+        assert isinstance(failure, CommTimeoutError)
+        assert failure.deadline_seconds == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("program", sorted(MISMATCHES))
+    def test_mismatched_collectives_raise(self, backend, program):
+        """Ranks that call different collectives fail with a
+        RankMismatchError naming both calls, not a hang or a wrong value."""
+        first, second, body = MISMATCHES[program]
+        with pytest.raises(SpmdError) as exc_info:
+            launch(backend, 3, body, timeout=STALL_TIMEOUT)
+        failure = exc_info.value.first_failure
+        assert isinstance(failure, RankMismatchError)
+        assert repr(first) in str(failure) and repr(second) in str(failure)
 
     def test_abort_carries_origin(self, backend):
         """Peers blocked when a rank dies abort, and the launch error

@@ -1,9 +1,9 @@
 """Fuzz the collective layer: random operation sequences, executed SPMD.
 
 Every rank runs the same randomly generated program of collectives; the
-substrate must neither deadlock nor disagree across ranks.  This is the
-closest thing to a model checker for the alternating-barrier protocol in
-``repro.comm.sim``.
+substrate must neither deadlock nor disagree across ranks.  On sim ranks
+this checks ``RootedComm``'s collectives: rooted fan-in/fan-out and the
+direct exchange, all on one tag, must not cross messages between calls.
 """
 
 import numpy as np
