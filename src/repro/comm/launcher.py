@@ -11,6 +11,7 @@ failure on any rank aborts the job (peers blocked in communication raise
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -174,8 +175,8 @@ def supervised_launch(
     ``faults.launch_failures``, ``faults.retries``,
     ``faults.ranks_dropped`` counters and the ``faults.recovery_seconds``
     and ``faults.backoff_seconds`` timers (failure detection to
-    successful relaunch, and the seeded backoff delays actually slept —
-    see :func:`~repro.faults.seeded_backoff`).
+    successful relaunch, and the backoff slept before each retry — see
+    :meth:`~repro.faults.FaultPolicy.retry_step`).
 
     Returns the per-rank results of the first successful launch (under
     ``degrade``, results of the surviving ranks in their original rank
@@ -199,11 +200,10 @@ def supervised_launch(
     if policy.mode == "fail_fast":
         return launch(n_ranks, args_per_rank)
 
-    attempt = 1
     ranks = n_ranks
     rank_args = list(args_per_rank) if args_per_rank is not None else None
     recovering_since: float | None = None
-    while True:
+    for attempt in itertools.count(1):
         try:
             results = launch(ranks, rank_args)
             if recovering_since is not None and telemetry is not None:
@@ -218,15 +218,8 @@ def supervised_launch(
             if telemetry is not None:
                 telemetry.inc("faults.launch_failures")
             if policy.mode == "retry":
-                if attempt >= policy.max_attempts:
+                if not policy.retry_step(attempt, telemetry):
                     raise
-                if telemetry is not None:
-                    telemetry.inc("faults.retries")
-                delay = policy.backoff_for(attempt)
-                if telemetry is not None:
-                    telemetry.add_time("faults.backoff_seconds", delay)
-                time.sleep(delay)
-                attempt += 1
                 continue
             # degrade: drop the failed ranks' partitions and relaunch (a
             # further failure degrades again; ranks strictly decrease, so

@@ -1,23 +1,23 @@
 """Single-rank communicator.
 
 Used for offline analytics, single-node examples, and anywhere the runtime
-needs a communicator but no peers exist.  Point-to-point self-sends are
-supported (buffered, FIFO per tag) because a 1-rank SPMD program may still
-legitimately send to itself.
+needs a communicator but no peers exist.  Its collectives are
+:class:`~repro.comm.subgroup.RootedComm`'s over a self-mailbox (buffered,
+FIFO per tag), which is also what a 1-rank SPMD program's self-sends use.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import defaultdict, deque
-from typing import Any, Sequence
+from typing import Any
 
 from .errors import CommError
-from .interface import Communicator
 from .profiler import TrafficProfiler
+from .subgroup import RootedComm
 
 
-class LocalComm(Communicator):
+class LocalComm(RootedComm):
     """A communicator with exactly one rank (rank 0)."""
 
     def __init__(self, profiler: TrafficProfiler | None = None):
@@ -32,16 +32,18 @@ class LocalComm(Communicator):
     def size(self) -> int:
         return 1
 
-    # -- point to point ---------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_rank(dest, "dest")
-        self._record("send", obj)
+    def _enter(self, op: str, payload: Any = None, *, nbytes: int | None = None,
+               record: bool = True) -> bool:
+        if record:
+            self._record(op, payload, nbytes)
+        return False
+
+    def _put(self, obj: Any, dest: int, tag: int) -> None:
         # Copy so a later mutation by the sender is not observed by recv,
-        # matching the buffered-send semantics of the threaded backend.
+        # matching the buffered-send semantics of the other backends.
         self._self_mailbox[tag].append(copy.deepcopy(obj))
 
-    def recv(self, source: int, tag: int = 0) -> Any:
-        self._check_rank(source, "source")
+    def _get(self, source: int, tag: int) -> Any:
         box = self._self_mailbox[tag]
         if not box:
             raise CommError(
@@ -49,39 +51,6 @@ class LocalComm(Communicator):
                 f"{tag} (single-rank communicator cannot block on a peer)"
             )
         return box.popleft()
-
-    # -- collectives ------------------------------------------------------
-    def barrier(self) -> None:
-        self._record("barrier", nbytes=0)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        self._check_rank(root, "root")
-        self._record("bcast", obj)
-        return obj
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        self._check_rank(root, "root")
-        self._record("gather", obj)
-        return [obj]
-
-    def allgather(self, obj: Any) -> list[Any]:
-        self._record("allgather", obj)
-        return [obj]
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        self._check_rank(root, "root")
-        if objs is None:
-            raise ValueError("scatter on the root rank requires a sequence")
-        if len(objs) != 1:
-            raise ValueError(f"scatter needs exactly 1 value on a 1-rank comm, got {len(objs)}")
-        self._record("scatter", objs[0])
-        return objs[0]
-
-    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        if len(objs) != 1:
-            raise ValueError(f"alltoall needs exactly 1 value on a 1-rank comm, got {len(objs)}")
-        self._record("alltoall", objs[0])
-        return [objs[0]]
 
     def dup(self) -> "LocalComm":
         return LocalComm(profiler=self.profiler)

@@ -1,8 +1,8 @@
 """Sub-communicators (``MPI_Comm_split``) and collectives over point-to-point.
 
 :class:`RootedComm` builds every collective from messages over a
-subclass's point-to-point layer; sim ranks, process ranks and
-:class:`GroupComm` all take their collectives from it.
+subclass's point-to-point layer; ``LocalComm``, sim ranks, process
+ranks and :class:`GroupComm` all take their collectives from it.
 
 :func:`split_comm` partitions a communicator by color (collective over
 every rank) and returns each rank's sub-communicator, ordered by key then

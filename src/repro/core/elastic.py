@@ -357,26 +357,6 @@ class ElasticTier:
         self.telemetry.inc("faults.launch_failures")
         self._stop(worker)
         worker.deaths += 1
-        if self.policy.mode == "retry":
-            # The attempt budget is per worker across its whole lifetime,
-            # not per recovery call: a worker that keeps dying between
-            # recoveries must exhaust max_attempts, not loop forever.
-            while True:
-                if worker.deaths >= self.policy.max_attempts:
-                    raise StagingWorkerError(
-                        f"staging worker {worker.id} failed and "
-                        f"{self.policy.max_attempts} attempts are exhausted"
-                    ) from worker.error
-                self.telemetry.inc("faults.retries")
-                delay = self.policy.backoff_for(worker.deaths)
-                self.telemetry.add_time("faults.backoff_seconds", delay)
-                time.sleep(delay)
-                if self._respawn_and_replay(worker):
-                    break
-                self._stop(worker)
-                worker.deaths += 1
-            self.telemetry.add_time("faults.recovery_seconds", time.perf_counter() - started)
-            return
         if self.policy.mode == "degrade":
             with self._cond:
                 worker.state = _EXCLUDED
@@ -391,8 +371,18 @@ class ElasticTier:
             if not self._routable():
                 raise StagingWorkerError("every staging worker has been excluded")
             return
+        # The attempt budget is per worker across its whole lifetime, not
+        # per recovery call: a worker that keeps dying between recoveries
+        # must exhaust max_attempts, not loop forever.
+        while self.policy.retry_step(worker.deaths, self.telemetry):
+            if self._respawn_and_replay(worker):
+                self.telemetry.add_time("faults.recovery_seconds", time.perf_counter() - started)
+                return
+            self._stop(worker)
+            worker.deaths += 1
         raise StagingWorkerError(
-            f"staging worker {worker.id} died or hung (policy: fail_fast)"
+            f"staging worker {worker.id} died or hung "
+            f"(policy: {self.policy.mode}, attempt {worker.deaths})"
         ) from worker.error
 
     def _respawn_and_replay(self, worker: _Staging) -> bool:

@@ -70,24 +70,17 @@ def fault_fingerprint(policy: FaultPolicy) -> str:
     """Compact text form of a :class:`~repro.faults.FaultPolicy`.
 
     ``mode`` alone when every knob is default, else
-    ``mode:attempts=N:backoff=F:factor=F:deadline=F`` with
-    default-valued parts omitted.  ``parse_fault`` round-trips it.
+    ``mode:attempts=N:backoff=F:deadline=F`` with default-valued parts
+    omitted; floats are written exactly (``repr``), so ``parse_fault``
+    round-trips it.
     """
     parts = [policy.mode]
     if policy.max_attempts != _FAULT_DEFAULT.max_attempts:
         parts.append(f"attempts={policy.max_attempts}")
     if policy.backoff != _FAULT_DEFAULT.backoff:
-        parts.append(f"backoff={policy.backoff:g}")
-    if policy.backoff_factor != _FAULT_DEFAULT.backoff_factor:
-        parts.append(f"factor={policy.backoff_factor:g}")
-    if policy.backoff_cap != _FAULT_DEFAULT.backoff_cap:
-        parts.append(f"cap={policy.backoff_cap:g}")
-    if policy.backoff_jitter != _FAULT_DEFAULT.backoff_jitter:
-        parts.append(f"jitter={policy.backoff_jitter:g}")
-    if policy.backoff_seed != _FAULT_DEFAULT.backoff_seed:
-        parts.append(f"bseed={policy.backoff_seed}")
+        parts.append(f"backoff={policy.backoff!r}")
     if policy.task_deadline is not None:
-        parts.append(f"deadline={policy.task_deadline:g}")
+        parts.append(f"deadline={policy.task_deadline!r}")
     return ":".join(parts)
 
 
@@ -98,10 +91,6 @@ def parse_fault(token: str) -> FaultPolicy:
     names = {
         "attempts": ("max_attempts", int),
         "backoff": ("backoff", float),
-        "factor": ("backoff_factor", float),
-        "cap": ("backoff_cap", float),
-        "jitter": ("backoff_jitter", float),
-        "bseed": ("backoff_seed", int),
         "deadline": ("task_deadline", float),
     }
     for part in rest:

@@ -33,7 +33,7 @@ output array plus the key instead of ``out[key]``.
 
 from __future__ import annotations
 
-import time
+import itertools
 from typing import Any, Sequence
 
 import numpy as np
@@ -607,8 +607,7 @@ class Scheduler:
                 # every block completes, so restarting the iteration from
                 # fresh reduction maps is consistent (and, reduction being
                 # deterministic, bit-exact with a fault-free run).
-                attempt = 1
-                while True:
+                for attempt in itertools.count(1):
                     emitted = []
                     red_maps = self._make_reduction_maps()
                     try:
@@ -621,18 +620,11 @@ class Scheduler:
                                 sum(len(m) for m in red_maps)
                                 + len(self.combination_map_)
                             )
+                        break
                     except EngineFaultError:
                         self.telemetry.inc("faults.engine_failures")
-                        if (
-                            fault_policy.mode != "retry"
-                            or attempt >= fault_policy.max_attempts
-                        ):
+                        if not fault_policy.retry_step(attempt, self.telemetry):
                             raise
-                        self.telemetry.inc("faults.replays")
-                        time.sleep(fault_policy.backoff_for(attempt))
-                        attempt += 1
-                        continue
-                    break
                 # Local combination: per-thread reduction maps fold into the
                 # local combination map (Algorithm 1 lines 11-17).
                 for red_map in red_maps:

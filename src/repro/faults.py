@@ -32,13 +32,16 @@ Recovery behaviour is selected independently of the plan by
 * ``fail_fast`` — today's behaviour and the default: the first failure
   aborts the job (``SpmdError`` / ``CommAborted`` /
   :class:`EngineFaultError`).
-* ``retry`` — exponential backoff and replay: the process engine
-  replaces the lost worker and the scheduler replays the current
+* ``retry`` — back off and run the failed step again: the process
+  engine replaces the lost worker and the scheduler replays the current
   iteration from the last consistent combination map (safe because the
   combination map is only mutated *after* every block of an iteration
-  completes); ``supervised_launch`` relaunches the whole SPMD job.
-  Because reduction is deterministic, results are bit-exact with the
-  fault-free run.
+  completes); ``supervised_launch`` relaunches the whole SPMD job; the
+  staging tier respawns the worker and replays its log.  All three take
+  each retry through :meth:`FaultPolicy.retry_step`, so they report it
+  under the same names (``faults.retries``, ``faults.backoff_seconds``)
+  and wait ``backoff``, doubled per retry up to 2 s.  Because reduction
+  is deterministic, results are bit-exact with the fault-free run.
 * ``degrade`` — drop the failed worker's/rank's contribution for that
   iteration, record the drop in ``faults.*`` telemetry, and continue.
 """
@@ -49,10 +52,13 @@ import re
 import threading
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .telemetry import Recorder
 
 #: Layers a :class:`FaultSpec` may target.
 FAULT_LAYERS = ("comm", "engine", "storage", "network")
@@ -409,45 +415,6 @@ class FaultPlan:
         raise ValueError(f"unknown storage corruption {kind!r}")
 
 
-def _mix64(*parts: int) -> int:
-    """splitmix64-style avalanche over the concatenated inputs."""
-    mask = (1 << 64) - 1
-    x = 0x9E3779B97F4A7C15
-    for part in parts:
-        x = (x + (int(part) & mask) + 0x9E3779B97F4A7C15) & mask
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-        x ^= x >> 31
-    return x
-
-
-def seeded_backoff(
-    attempt: int,
-    *,
-    base: float,
-    factor: float = 2.0,
-    cap: float = float("inf"),
-    jitter: float = 0.0,
-    seed: int = 0,
-) -> float:
-    """Backoff seconds before retry ``attempt`` (1-based), deterministic.
-
-    Capped exponential (``min(base * factor**(attempt-1), cap)``) with
-    seeded jitter: the delay is scaled by a factor in ``[1-jitter,
-    1+jitter)`` drawn from a pure integer mix of ``(seed, attempt)`` —
-    no global RNG state, so the same seed replays the exact same
-    schedule.  :meth:`FaultPolicy.backoff_for` paces every policy's
-    retries with it.
-    """
-    if attempt < 1:
-        raise ValueError(f"attempt must be >= 1, got {attempt}")
-    delay = min(base * factor ** (attempt - 1), cap)
-    if jitter:
-        unit = (_mix64(seed, attempt) & 0xFFFFFF) / float(1 << 24)  # [0, 1)
-        delay *= 1.0 + jitter * (2.0 * unit - 1.0)
-    return max(delay, 0.0)
-
-
 @dataclass(frozen=True)
 class FaultPolicy:
     """How the runtime reacts to a detected fault.
@@ -460,23 +427,13 @@ class FaultPolicy:
     mode: str = "fail_fast"
     #: Total attempts for ``retry`` (the first run counts as attempt 1).
     max_attempts: int = 3
-    #: Base backoff in seconds before the first retry.
+    #: Seconds before the first retry; each later retry waits twice as
+    #: long as the one before, up to 2 seconds.
     backoff: float = 0.05
-    #: Multiplier applied per subsequent retry (exponential backoff).
-    backoff_factor: float = 2.0
-    #: Ceiling on any single backoff delay (seconds).
-    backoff_cap: float = 2.0
-    #: Jitter fraction in ``[0, 1]``: each delay is scaled by a
-    #: seed-deterministic factor in ``[1-jitter, 1+jitter)``.  0 (the
-    #: default) keeps the schedule exactly exponential.
-    backoff_jitter: float = 0.0
-    #: Seed for the jitter draws (pure function of ``(seed, attempt)``).
-    backoff_seed: int = 0
     #: Seconds the process engine waits for *any* in-flight task to
     #: reply before it declares the busy workers hung.  ``None``
     #: disables hang detection.
     task_deadline: float | None = None
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in POLICY_MODES:
@@ -485,12 +442,6 @@ class FaultPolicy:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.backoff < 0:
             raise ValueError(f"backoff must be >= 0, got {self.backoff}")
-        if self.backoff_cap < 0:
-            raise ValueError(f"backoff_cap must be >= 0, got {self.backoff_cap}")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
-            )
         if self.task_deadline is not None and self.task_deadline <= 0:
             raise ValueError(f"task_deadline must be positive, got {self.task_deadline}")
 
@@ -500,26 +451,10 @@ class FaultPolicy:
         return cls(mode="fail_fast")
 
     @classmethod
-    def retry(
-        cls,
-        max_attempts: int = 3,
-        backoff: float = 0.05,
-        backoff_factor: float = 2.0,
-        task_deadline: float | None = None,
-        backoff_cap: float = 2.0,
-        backoff_jitter: float = 0.0,
-        backoff_seed: int = 0,
-    ) -> "FaultPolicy":
-        return cls(
-            mode="retry",
-            max_attempts=max_attempts,
-            backoff=backoff,
-            backoff_factor=backoff_factor,
-            backoff_cap=backoff_cap,
-            backoff_jitter=backoff_jitter,
-            backoff_seed=backoff_seed,
-            task_deadline=task_deadline,
-        )
+    def retry(cls, max_attempts: int = 3, backoff: float = 0.05,
+              task_deadline: float | None = None) -> "FaultPolicy":
+        return cls(mode="retry", max_attempts=max_attempts, backoff=backoff,
+                   task_deadline=task_deadline)
 
     @classmethod
     def degrade(cls, task_deadline: float | None = None) -> "FaultPolicy":
@@ -540,20 +475,23 @@ class FaultPolicy:
         raise TypeError(f"fault_policy must be a str or FaultPolicy, got {type(value).__name__}")
 
     def backoff_for(self, attempt: int) -> float:
-        """Backoff seconds before retry number ``attempt`` (1-based).
+        """Seconds before retry number ``attempt`` (1-based)."""
+        return min(self.backoff * 2.0 ** (attempt - 1), 2.0)
 
-        Capped exponential with seed-deterministic jitter (see
-        :func:`seeded_backoff`); the schedule is a pure function of the
-        policy fields, so recovery runs replay identically.
-        """
-        return seeded_backoff(
-            max(attempt, 1),
-            base=self.backoff,
-            factor=self.backoff_factor,
-            cap=self.backoff_cap,
-            jitter=self.backoff_jitter,
-            seed=self.backoff_seed,
-        )
+    def retry_step(self, attempt: int, telemetry: Recorder | None = None) -> bool:
+        """Whether a site whose attempt ``attempt`` (1-based) failed may run
+        it again.  If so, count ``faults.retries``, record the backoff in
+        ``faults.backoff_seconds`` and sleep it; if not, the site raises
+        its own error.  The scheduler, ``supervised_launch`` and the
+        staging tier all retry through here."""
+        if self.mode != "retry" or attempt >= self.max_attempts:
+            return False
+        delay = self.backoff_for(attempt)
+        if telemetry is not None:
+            telemetry.inc("faults.retries")
+            telemetry.add_time("faults.backoff_seconds", delay)
+        time.sleep(delay)
+        return True
 
 
 __all__ = [
@@ -567,5 +505,4 @@ __all__ = [
     "FaultSpec",
     "Injection",
     "InjectedRankCrash",
-    "seeded_backoff",
 ]

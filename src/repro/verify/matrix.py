@@ -271,12 +271,11 @@ def is_valid(config: Config, smoke: bool = True) -> bool:
         return False
     if config.combine_algorithm != "gather" and config.ranks < 2:
         return False
-    if config.comm == "process":
-        # Rank processes compose with in-rank engines but are not given
-        # a process pool each, and not the space-sharing driver (which
-        # is single-rank in-process by construction).
-        if config.engine == "process" or config.driver != "direct":
-            return False
+    if config.comm == "process" and config.driver != "direct":
+        # The space-sharing driver is single-rank in-process by
+        # construction.  Rank processes each own their engine's pool:
+        # the paper's MPI ranks x OpenMP team.
+        return False
     if config.sharing == "shared":
         # The service front-end is single-rank, direct-driver, in-proc
         # by construction (jobs are dispatched onto local engines); the

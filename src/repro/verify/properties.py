@@ -212,10 +212,10 @@ def check_fault_replay(
         found.append(_note(
             w, cfg, "fault_replay",
             "the fault plan never fired — the run was not actually faulted"))
-    elif candidate.counters.get("faults.replays", 0) < 1:
+    elif candidate.counters.get("faults.retries", 0) < 1:
         found.append(_note(
             w, cfg, "fault_replay",
-            "a fault fired but no iteration replay was recorded"))
+            "a fault fired but no retry was recorded"))
     return found
 
 

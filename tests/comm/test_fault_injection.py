@@ -18,7 +18,6 @@ from repro.faults import (
     FaultPolicy,
     FaultSpec,
     InjectedRankCrash,
-    seeded_backoff,
 )
 from repro.telemetry import Recorder
 
@@ -265,15 +264,8 @@ class TestFaultPlanDeterminism:
 
 
 class TestBackoff:
-    def test_seeded_backoff_is_deterministic(self):
-        a = [seeded_backoff(i, base=0.02, cap=0.5, jitter=0.25, seed=3)
-             for i in range(1, 6)]
-        b = [seeded_backoff(i, base=0.02, cap=0.5, jitter=0.25, seed=3)
-             for i in range(1, 6)]
-        assert a == b
-
     def test_backoff_caps(self):
-        delays = [seeded_backoff(i, base=0.02, cap=0.1, jitter=0.0, seed=0)
-                  for i in range(1, 12)]
-        assert max(delays) <= 0.1
-        assert delays[0] == pytest.approx(0.02)
+        policy = FaultPolicy.retry(backoff=0.02)
+        delays = [policy.backoff_for(i) for i in range(1, 12)]
+        assert max(delays) == 2.0
+        assert delays[:3] == [0.02, 0.04, 0.08]

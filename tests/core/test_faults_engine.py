@@ -72,7 +72,7 @@ class TestWorkerKill:
         assert np.array_equal(clean, cents)
         assert counters["faults.injected.engine.kill"] == 1
         assert counters["faults.detected.worker_dead"] == 1
-        assert counters["faults.replays"] == 1
+        assert counters["faults.retries"] == 1
         assert timers["faults.recovery_seconds"]["calls"] >= 1
 
     def test_degrade_drops_and_completes(self, kmeans_inputs):
@@ -256,7 +256,7 @@ class TestIdleWorkerDeath:
             app.run(data, out)  # raised EngineFaultError before idle deaths were replaced
             counters = app.telemetry_snapshot()["counters"]
         assert np.array_equal(out, expected)
-        assert not {"faults.dropped_splits", "faults.replays"} & counters.keys()
+        assert not {"faults.dropped_splits", "faults.retries"} & counters.keys()
         assert counters["engine.residency.invalidations"] == 1
 
 
@@ -336,7 +336,7 @@ class TestReplacementSession:
         clean = self.oracle(points, centroids, tmp_path)
         first, second, counters = self.run_with_kill(
             points, centroids, FaultPolicy.retry(backoff=0.01), tmp_path, sent)
-        assert counters["faults.replays"] == 1
+        assert counters["faults.retries"] == 1
         assert np.array_equal(first, clean) and np.array_equal(second, clean)
 
     def test_retry_replay_restarts_a_worker_that_sat_the_lost_block_out(
@@ -352,7 +352,7 @@ class TestReplacementSession:
         first, second, counters = self.run_with_kill(
             points, centroids, FaultPolicy.retry(backoff=0.01), tmp_path, sent,
             doomed=2 * self.BLOCK + DIMS)
-        assert counters["faults.replays"] == 1
+        assert counters["faults.retries"] == 1
         assert np.array_equal(first, clean) and np.array_equal(second, clean)
         # The replay's first block: both workers are told to derive the seed.
         at = max(i for i, (_, _, parts) in enumerate(sent) if "core" in parts)

@@ -145,13 +145,17 @@ class TestFingerprint:
             FaultPolicy(),
             FaultPolicy.retry(),
             FaultPolicy.retry(max_attempts=7, backoff=0.5),
-            FaultPolicy(mode="retry", backoff_factor=3.0, task_deadline=1.5),
+            FaultPolicy.retry(task_deadline=1.5),
+            FaultPolicy.degrade(task_deadline=0.25),
+            # Past the 6 significant digits a "%g" token would keep.
+            FaultPolicy.retry(backoff=0.0123456789, task_deadline=1.23456789),
         ):
             token = fault_fingerprint(policy)
             parsed = parse_fault(token)
+            assert parsed == policy
             assert fault_fingerprint(parsed) == token
-            assert parsed.mode == policy.mode
-            assert parsed.max_attempts == policy.max_attempts
+            p = ExecutionPolicy(fault=policy)
+            assert ExecutionPolicy.parse(p.fingerprint()) == p
 
     def test_parse_rejects_unknown_axis(self):
         for text, message in [
@@ -162,6 +166,11 @@ class TestFingerprint:
             ("hold=no", "policy axis 'hold' in 'hold=no'.*got 'no'"),
             ("engine=thread,engine=serial",
              "policy axis 'engine' given twice in 'engine=thread,engine=serial'"),
+            # The backoff schedule has one knob, the base delay.
+            ("fault=retry:factor=3", "unknown fault-policy knob 'factor'"),
+            ("fault=retry:cap=0.5", "unknown fault-policy knob 'cap'"),
+            ("fault=retry:jitter=0.25", "unknown fault-policy knob 'jitter'"),
+            ("fault=retry:bseed=7", "unknown fault-policy knob 'bseed'"),
         ]:
             with pytest.raises(ValueError, match=message):
                 ExecutionPolicy.parse(text)

@@ -100,8 +100,12 @@ class TestMatrixGeneration:
         assert sum(c.comm == "process" for c in head) >= 2, (
             "conform --smoke must run ranks as processes")
         assert axis_values()["comm"] == ("inproc", "process")
-        assert not is_valid(Config(workload="histogram", comm="process",
-                                   engine="process"))
+        # Rank processes each own an engine pool (MPI ranks x a team);
+        # the smoke matrix skips a pool per rank beyond one rank.
+        team = dict(workload="histogram", comm="process", engine="process")
+        assert is_valid(Config(**team))
+        assert not is_valid(Config(**team, ranks=2))
+        assert is_valid(Config(**team, ranks=3), smoke=False)
 
     def test_matrix_is_deterministic(self):
         a = build_matrix(SMOKE_NAMES, smoke=True)
