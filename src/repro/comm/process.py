@@ -36,7 +36,8 @@ from contextlib import suppress
 from multiprocessing.connection import Connection, wait
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from ..core.worker import _STOP_SECONDS, _pipe, _portable, start_process, stop_process
+from ..core.worker import (_STOP_SECONDS, _pipe, _portable, pack, recv_frames, send_frames,
+                           start_process, stop_process, unpack)
 from .errors import CommAborted, CommError, CommTimeoutError, FrameCorruptionError
 from .profiler import TrafficProfiler
 from .subgroup import RootedComm
@@ -64,19 +65,17 @@ class _Mesh:
         while peers:
             for conn in wait(list(peers)):
                 try:
-                    head = conn.recv_bytes()
-                    if head:
-                        ctx, tag, corrupt = pickle.loads(head)
-                        item = (corrupt, conn.recv_bytes())
+                    frames = recv_frames(conn)  # [header, *message]
                 except (EOFError, OSError):
-                    head = None
+                    frames = None
                 peer = peers[conn]
                 with self._cond:
-                    if head:
-                        self._mail[peer, ctx, tag].append(item)
-                    else:  # b"": a goodbye; None: EOF without one
+                    if frames:
+                        ctx, tag, corrupt = pickle.loads(frames[0])
+                        self._mail[peer, ctx, tag].append((corrupt, frames[1:]))
+                    else:  # []: a goodbye; None: EOF without one
                         del peers[conn]
-                        if head is None:
+                        if frames is None:
                             self._gone.add(peer)
                     self._cond.notify_all()
 
@@ -88,16 +87,14 @@ class _Mesh:
         if spec is not None and spec.kind in ("slowlink", "partition"):
             time.sleep(spec.seconds)
         corrupt = spec is not None and spec.kind == "truncate"
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        if dest == self.rank:
+        if dest == self.rank:  # pickled in-band: the sender keeps copy semantics
             with self._cond:
-                self._mail[dest, ctx, tag].append((corrupt, payload))
+                self._mail[dest, ctx, tag].append((corrupt, [pickle.dumps(obj, protocol=5)]))
                 self._cond.notify_all()
             return
         try:
             with self._locks[dest]:
-                self.pipes[dest].send_bytes(pickle.dumps((ctx, tag, corrupt)))
-                self.pipes[dest].send_bytes(payload)
+                send_frames(self.pipes[dest], [pickle.dumps((ctx, tag, corrupt)), *pack(obj)])
         except OSError:
             raise CommAborted(f"rank {dest} is gone", origin_rank=dest) from None
 
@@ -115,16 +112,16 @@ class _Mesh:
                 raise CommTimeoutError(f"{where} exceeded the {self.deadline}s call deadline",
                                        source=source, tag=tag, deadline_seconds=self.deadline)
             raise CommAborted(f"{where} timed out after {self.timeout}s")
-        corrupt, payload = item
+        corrupt, frames = item
         if corrupt:
             raise FrameCorruptionError(f"message from rank {source} (tag {tag}) arrived corrupt")
-        return pickle.loads(payload)
+        return unpack(frames)
 
     def goodbye(self) -> None:
         """Tell every peer this rank sends nothing more."""
         for peer, conn in self.pipes.items():
             with suppress(OSError), self._locks[peer]:  # OSError: it is gone already
-                conn.send_bytes(b"")
+                send_frames(conn, [])
 
     def shut(self) -> None:
         """Shut every pipe down: peers read EOF now, whoever holds the sockets."""
@@ -183,9 +180,10 @@ def _rank_main(reply: Connection, fn: Callable, args: tuple, mesh_args: tuple,
     report = (mesh.profiler.snapshot() if profiled else None,
               plan.since(mark) if plan is not None else None)
     try:
-        reply.send((*outcome, *report))
+        message = pack((*outcome, *report))
     except Exception as exc:  # an unpicklable result
-        reply.send((False, _portable(exc), *report))
+        message = pack((False, _portable(exc), *report))
+    send_frames(reply, message)
 
 
 def run_ranks(n_ranks: int, fn: Callable, args_per_rank: Sequence[tuple] | None,
@@ -217,7 +215,7 @@ def run_ranks(n_ranks: int, fn: Callable, args_per_rank: Sequence[tuple] | None,
             for conn in wait(list(waiting)):
                 r = waiting.pop(conn)
                 try:
-                    outcomes[r] = conn.recv()
+                    outcomes[r] = unpack(recv_frames(conn))
                 except (EOFError, OSError):  # it died without replying
                     stop_process(procs[r])
                     died = CommError(f"rank {r} died with exit code {procs[r].exitcode}")

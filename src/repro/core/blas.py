@@ -5,9 +5,9 @@ when numpy first loads it, and a forked process inherits that size.  The
 process-engine workers, the service's seat processes and the elastic
 staging workers are each one of several processes sharing the host's
 cores, so each asks the loaded library for a single thread when it
-starts: left at one thread per core, a 2-worker ``KMeans`` run on a
-2-core host took 30-53 ms instead of 9.3 ms, its BLAS threads contending
-with the other worker's.
+starts (the process engine's calling thread, for each run): left at one
+thread per core, a 2-worker ``KMeans`` run on a 2-core host took 30-53 ms
+instead of 9.3 ms, its BLAS threads contending with the other worker's.
 
 The entry points are looked up through numpy's core extension module
 with ``ctypes``: a symbol lookup on a loaded library also searches the
@@ -19,8 +19,9 @@ dependencies, nothing happens.
 from __future__ import annotations
 
 import ctypes
+import functools
 
-__all__ = ["blas_threads", "one_blas_thread"]
+__all__ = ["blas_threads", "one_blas_thread", "set_blas_threads"]
 
 #: (setter, getter) entry points: numpy's wheels bundle scipy-openblas
 #: (ILP64, suffixed names), a system build links plain OpenBLAS.
@@ -30,6 +31,7 @@ _ENTRY_POINTS = (
 )
 
 
+@functools.cache  # a CDLL lookup costs tens of microseconds
 def _openblas():
     """The linked OpenBLAS's (setter, getter) pair, or ``None``."""
     try:
@@ -49,11 +51,18 @@ def _openblas():
     return None
 
 
-def one_blas_thread() -> None:
-    """Run this process's BLAS calls on one thread (no-op without OpenBLAS)."""
+def set_blas_threads(n: int | None) -> int | None:
+    """Run this process's BLAS calls on ``n`` threads; the count before.
+    Without OpenBLAS, or given ``None``, nothing is done: ``None``."""
     entry = _openblas()
-    if entry is not None:
-        entry[0](1)
+    if entry is None or n is None:
+        return None
+    before = entry[1]()
+    entry[0](n)
+    return before
+
+
+one_blas_thread = functools.partial(set_blas_threads, 1)
 
 
 def blas_threads() -> int | None:

@@ -12,7 +12,8 @@ The simulation side holds an :class:`ElasticTier` and calls
 :meth:`~ElasticTier.submit` once per partition.  Partitions route
 round-robin over the live workers, each as one ``DATA`` message on the
 worker's pipe: the array is a pickle protocol-5 out-of-band buffer,
-written from the caller's memory and viewed in place by the worker.
+written from the caller's memory into the socket and read out of it into
+a fresh writable array in the worker, one copy each way.
 **Credit-based backpressure** bounds each worker's unacknowledged
 partitions (``credits``): ``submit`` blocks until the target worker
 acknowledges, so a slow tier throttles the simulation instead of
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import os
-import pickle
 import threading
 import time
 import zlib
@@ -76,7 +76,7 @@ from ..faults import FaultError, FaultPlan, FaultPolicy
 from ..telemetry import Recorder
 from .maps import KeyedMap
 from .serialization import deserialize_map, serialize_map
-from .worker import Worker, halt, stop_process, wait
+from .worker import Worker, halt, pack, stop_process, wait
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import Scheduler
@@ -392,9 +392,9 @@ class ElasticTier:
         worker.acked = worker.snap_frames
         worker.sent = worker.snap_frames + len(replay)
         self._spawn(worker)
-        sent = worker.proc.send(pickle.dumps((_LOAD, (worker.snap_frames, worker.snap_bytes))))
+        sent = worker.proc.send(pack((_LOAD, (worker.snap_frames, worker.snap_bytes))))
         for _seq, kept, _n in replay:
-            sent = sent and worker.proc.send(kept[0], kept[1:])
+            sent = sent and worker.proc.send(kept)
         if sent:
             self.telemetry.inc("elastic.replays")
             self.telemetry.inc("elastic.frames_replayed", len(replay))
@@ -410,9 +410,7 @@ class ElasticTier:
         arr = np.asarray(partition)
         if arr.dtype.hasobject:
             raise TypeError(f"cannot forward dtype {arr.dtype}: partitions travel as raw bytes")
-        buffers = []
-        message = pickle.dumps((_DATA, arr), protocol=5, buffer_callback=buffers.append)
-        payload = (message, *(buffer.raw() for buffer in buffers))
+        payload = pack((_DATA, arr))
         seq = self._seq
         self._seq += 1
         while True:
@@ -429,7 +427,7 @@ class ElasticTier:
             except _WorkerDown:
                 self._recover(worker)  # then re-route this partition
 
-    def _send_with_credits(self, worker: _Staging, payload: tuple, n_elems: int) -> None:
+    def _send_with_credits(self, worker: _Staging, payload: list, n_elems: int) -> None:
         # What recovery can use: a private copy under retry (the caller's buffer is its
         # own again once submit returns), the loss account under degrade, else nothing.
         kept = tuple(map(bytes, payload)) if self.policy.mode == "retry" else ()
@@ -443,7 +441,7 @@ class ElasticTier:
         if waited:
             self.telemetry.add_time("elastic.credit_wait_seconds", waited)
         started = time.perf_counter()
-        if not worker.proc.send(payload[0], payload[1:]):
+        if not worker.proc.send(payload):
             with self._cond:
                 if worker.state == _LIVE:
                     worker.state = _SUSPECT
@@ -475,7 +473,7 @@ class ElasticTier:
             if worker.state != _EXCLUDED:  # degrade: its snapshot stands as its contribution
                 with self._cond:
                     worker.state = _RETIRED
-                worker.proc.send(b"")
+                worker.proc.send([])
         self._gauge()
 
     def _collect(self, worker: _Staging) -> None:
@@ -484,7 +482,7 @@ class ElasticTier:
         while True:
             worker.final = None
             try:
-                if not worker.proc.send(pickle.dumps((_DRAIN, None))):
+                if not worker.proc.send(pack((_DRAIN, None))):
                     raise _WorkerDown(worker.id)
                 with self._cond:
                     self._await(worker, lambda: worker.final is not None)
@@ -519,7 +517,7 @@ class ElasticTier:
     def close(self) -> None:
         """Shut the pool down (idempotent)."""
         for worker in self._workers.values():
-            worker.proc.send(b"")
+            worker.proc.send([])
         for worker in self._workers.values():
             self._stop(worker, timeout=2.0)
         self._halt()

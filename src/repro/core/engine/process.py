@@ -70,10 +70,11 @@ import numpy as np
 
 from ...faults import EngineFaultError, FaultPolicy
 from ...telemetry import Recorder
+from ..blas import one_blas_thread, set_blas_threads
 from ..chunk import Split
 from ..maps import KeyedMap
 from ..serialization import deserialize_map, serialize_map, wire_format_of
-from ..worker import Pool, Worker, detach, view, wait
+from ..worker import Pool, Worker, detach, pack, view, wait
 from .base import ExecutionEngine, join_keys
 
 
@@ -161,6 +162,7 @@ class ProcessEngine(ExecutionEngine):
             self.telemetry.set_gauge("engine.residency.resident_bytes", 0)
 
     def begin_run(self, scheduler, data, out, multi_key) -> None:
+        self._blas = one_blas_thread() if self._pool else None  # thread 0 shares the cores
         if scheduler.policy.engine.num_threads > self.num_workers:  # thread i -> worker i - 1
             raise RuntimeError(f"policy.engine.num_threads raised past this engine's team of "
                                f"{self.num_workers}; close() the scheduler first so it is rebuilt")
@@ -180,6 +182,7 @@ class ProcessEngine(ExecutionEngine):
         ))
 
     def end_run(self) -> None:
+        set_blas_threads(self._blas)  # the count before the run
         self._parts.pop("header", None)
         self.invalidate_state()
         super().end_run()
@@ -231,12 +234,12 @@ class ProcessEngine(ExecutionEngine):
         fault = plan.engine_fault() if plan is not None else None
         if fault is not None:
             self.telemetry.inc(f"faults.injected.engine.{fault.kind}")
-        message = pickle.dumps((parts, split, fault), pickle.HIGHEST_PROTOCOL)
+        frames = pack((parts, split, fault))
         core = parts.get("core", b"")
         if core:
             self.telemetry.record_op("engine.state.core", len(core))
-        self.telemetry.record_op("engine.dispatch", len(message) - len(core))
-        worker.send(message)
+        self.telemetry.record_op("engine.dispatch", sum(map(len, frames)) - len(core))
+        worker.send(frames)
 
     def _dispatch(self, splits: list[Split], red_maps: list[KeyedMap], fresh: bool,
                   policy: FaultPolicy) -> tuple[list[np.ndarray], list[tuple | None]]:
@@ -245,7 +248,6 @@ class ProcessEngine(ExecutionEngine):
         (``None``: thread 0's, or dropped in degrade mode).  One task is
         in flight per worker, so neither side can block writing to a
         pipe nobody reads."""
-        pool = self._pool
         results: list[tuple | None] = [None] * len(splits)
         busy: dict[Worker, int] = {}
         error: BaseException | None = None
@@ -253,7 +255,7 @@ class ProcessEngine(ExecutionEngine):
         try:
             for index, split in enumerate(splits):
                 if split.thread_id:
-                    worker = pool.worker(split.thread_id - 1)
+                    worker = self._pool.worker(split.thread_id - 1)
                     busy[worker] = index
                     self._send_task(worker, split, None if fresh else red_maps[split.thread_id])
             try:
@@ -270,7 +272,7 @@ class ProcessEngine(ExecutionEngine):
                         lost, kind = lost + 1, "dead" if ready else "hung"
                         self.telemetry.inc(f"faults.detected.worker_{kind}")
                         with self.telemetry.span("faults.recovery_seconds"):
-                            pool.replace(splits[index].thread_id - 1)
+                            self._pool.replace(splits[index].thread_id - 1)
                     elif isinstance(reply, BaseException):
                         error = error or reply
                         worker.holds.clear()  # whatever it installed, send it all again
@@ -281,7 +283,7 @@ class ProcessEngine(ExecutionEngine):
             # must neither answer the next block with this one's reply
             # nor still be reading a segment the next run rewrites.
             for index in busy.values():
-                pool.replace(splits[index].thread_id - 1)
+                self._pool.replace(splits[index].thread_id - 1)
             raise
         if error is not None:
             raise error
@@ -316,9 +318,7 @@ class ProcessEngine(ExecutionEngine):
             if result is None:  # thread 0's, or dropped under degrade
                 continue
             map_bytes, emitted_bytes, counters = result
-            red_maps[split.thread_id].replace_contents(
-                deserialize_map(self._tally_wire(map_bytes))
-            )
+            red_maps[split.thread_id].replace_contents(deserialize_map(self._tally_wire(map_bytes)))
             self.telemetry.merge_counters(counters)
             self.telemetry.inc("engine.splits")
             if emitted_bytes:

@@ -11,9 +11,11 @@ elastic tier's staging workers are the clients.
   BLAS to one thread: it shares the host's cores with its siblings.
 * **One message, one reply** — a worker calls its client's *handler* (a
   callable building the per-process state, called in the child) on each
-  message and replies with the result or the exception.  A message is a
-  pickle followed by its protocol-5 out-of-band buffers, each written
-  from where it lies, so an array crosses with no pickle copy.  An empty
+  message and replies with the result or the exception.  A message
+  (:func:`pack`; process ranks' too) is a protocol-5 pickle and its
+  out-of-band buffers, each written from where it lies and read, all
+  before unpickling, straight into fresh writable memory, so an array
+  crosses with one socket copy each way and no pickle copy.  An empty
   message or EOF ends it.
 * **Death and hang** — :func:`wait` on pipes and sentinels, with an
   optional deadline: a readable pipe is a reply, a ready sentinel with
@@ -38,6 +40,7 @@ import os
 import pickle
 import secrets
 import socket
+import struct
 import threading
 import traceback
 from multiprocessing import resource_tracker, shared_memory
@@ -50,18 +53,19 @@ import numpy as np
 
 from .blas import one_blas_thread
 
-__all__ = ["Pool", "Worker", "create_segment", "detach", "halt", "start_process",
-           "stop_process", "unlink_segment", "view", "wait"]
+__all__ = ["Pool", "Worker", "create_segment", "detach", "halt", "pack", "recv_frames",
+           "send_frames", "start_process", "stop_process", "unlink_segment", "unpack", "view",
+           "wait"]
 
 _FORK = mp.get_context("fork")
 #: How long a halt waits for a worker asked to stop before killing it.
 _STOP_SECONDS = 30.0
 _SHM = Path("/dev/shm")
 #: Socket buffer size of both ends of every pipe.  At the default (~208 KiB)
-#: a 2 MiB message crosses in many small writes, each waking the reader;
-#: at 4 MiB the ``intransit_histogram`` benchmark moves 1.4x the elements
-#: per second at a quarter of the median latency (2-core x86-64 host).
-#: The kernel caps the request at ``net.core.[rw]mem_max``.
+#: a 2 MiB buffer crosses in many small writes, each waking the reader; at
+#: 4 MiB it takes one ``writev``, and ``intransit_histogram`` moved 1.4x the
+#: elements per second at a quarter of the median latency (2-core x86-64
+#: host).  The kernel caps the request at ``net.core.[rw]mem_max``.
 _PIPE_BYTES = 4 << 20
 
 
@@ -95,7 +99,7 @@ def stop_process(process, timeout: float | None = 0.0) -> int | None:
     return process.exitcode
 
 
-# -- the serve loop ---------------------------------------------------------------
+# -- the serve loop and its messages ----------------------------------------------
 
 
 def _portable(exc: Exception) -> Exception:
@@ -115,19 +119,70 @@ def _portable(exc: Exception) -> Exception:
 
 def _serve(conn, handler) -> None:
     handle = handler()
-    buffers = iter(conn.recv_bytes, None)  # a message's out-of-band buffers follow it
     while True:
         try:
-            message = conn.recv_bytes()
-        except EOFError:  # the parent is gone
+            frames = recv_frames(conn)
+        except (EOFError, OSError):  # the parent is gone
             return
-        if not message:
+        if not frames:
             return
         try:
-            reply = handle(pickle.loads(message, buffers=buffers))
+            reply = handle(unpack(frames))
         except Exception as exc:
             reply = _portable(exc)
-        conn.send(reply)
+        send_frames(conn, pack(reply))
+
+
+def pack(obj) -> list:
+    """``obj`` as a message's frames: its protocol-5 pickle, then its arrays' own memory."""
+    buffers: list = []
+    head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    return [head, *(buffer.raw() for buffer in buffers)]
+
+
+def unpack(frames):
+    """The object a message's frames carry."""
+    return pickle.loads(frames[0], buffers=frames[1:])
+
+
+def send_frames(conn, frames) -> None:
+    """Write one message (``[]``: a goodbye): its buffer count and frame
+    lengths, then each frame from where it lies.  OSError: the peer is gone."""
+    frames = frames or [b""]  # an empty pickle: no object is one
+    sizes = struct.pack(f"!{len(frames) + 1}Q", len(frames) - 1, *map(len, frames))
+    _transfer(os.writev, conn.fileno(), [sizes, *frames])
+
+
+def recv_frames(conn) -> list:
+    """Read all of one message (``[]``: a goodbye), each out-of-band buffer into
+    fresh writable ``np.empty`` memory.  EOFError: the peer is gone, maybe mid-message."""
+    fd = conn.fileno()
+    count, head = struct.unpack("!QQ", _read(fd, 16))
+    sizes = _read(fd, 8 * count + head)
+    buffers = [np.empty(n, np.uint8) for n in struct.unpack_from(f"!{count}Q", sizes)]
+    return [memoryview(sizes)[8 * count:], *_transfer(os.readv, fd, buffers)] if head else []
+
+
+def _read(fd: int, nbytes: int) -> bytes:
+    """``nbytes`` off ``fd``, in one ``read`` when they are all there."""
+    data = os.read(fd, nbytes)
+    if len(data) < nbytes:
+        data += _transfer(os.readv, fd, [np.empty(nbytes - len(data), np.uint8)])[0].tobytes()
+    return data
+
+
+def _transfer(io, fd: int, buffers: list) -> list:
+    """``buffers``, once ``io`` (``os.readv`` / ``os.writev``) has moved all of them."""
+    views = [memoryview(buffer) for buffer in buffers if len(buffer)]
+    while views:
+        moved = io(fd, views[:1024])  # IOV_MAX
+        if not moved:
+            raise EOFError
+        while views and moved >= len(views[0]):
+            moved -= len(views.pop(0))
+        if moved:
+            views[0] = views[0][moved:]
+    return buffers
 
 
 # -- the parent side ----------------------------------------------------------------
@@ -146,15 +201,11 @@ class Worker:
         child_conn.close()  # the worker's end lives in the worker only
         self.holds: dict = {}
 
-    def send(self, message: bytes, buffers=()) -> bool:
-        """Send one pickled message (``b""``: stop) and the out-of-band
-        buffers it was pickled with, as bytes-like objects
-        (``PickleBuffer.raw()``); False if the worker is already dead (its
-        sentinel reports the loss)."""
+    def send(self, frames) -> bool:
+        """Send one message's frames (:func:`pack`; ``[]``: stop); False if
+        the worker is already dead (its sentinel reports the loss)."""
         try:
-            self.conn.send_bytes(message)
-            for buffer in buffers:
-                self.conn.send_bytes(buffer)
+            send_frames(self.conn, frames)
         except OSError:
             return False
         return True
@@ -163,13 +214,13 @@ class Worker:
         """The reply waiting on the pipe, or ``None`` if the worker died
         without (or while) sending one."""
         try:
-            return self.conn.recv() if self.conn.poll() else None
+            return unpack(recv_frames(self.conn)) if self.conn.poll() else None
         except (EOFError, OSError):
             return None
 
-    def call(self, message: bytes):
+    def call(self, message):
         """Send one message and wait for its reply (``None``: the worker died)."""
-        self.send(message)
+        self.send(pack(message))
         wait([self])
         return self.receive()
 
@@ -201,7 +252,7 @@ def halt(workers, segments: list, lock: threading.Lock) -> None:
     after ``_STOP_SECONDS``), unlink ``segments``."""
     with lock:
         for worker in workers:
-            worker.send(b"")
+            worker.send([])
         for worker in workers:
             worker.stop(_STOP_SECONDS)
         while segments:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import pickle
 import threading
 import time
 
@@ -337,7 +336,7 @@ class AnalyticsService:
                 del seat.holds[name]
             seat.holds[lease.segment[0]] = True
             job = (spec.tenant, spec.workload, spec.policy, lease.segment)
-            reply = seat.call(pickle.dumps((evicted, job), pickle.HIGHEST_PROTOCOL))
+            reply = seat.call((evicted, job))
         if reply is None:
             raise SeatLostError(handle.job_id, spec.tenant, spec.workload,
                                 self._pool.replace(index))

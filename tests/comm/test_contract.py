@@ -415,6 +415,70 @@ def test_a_dead_process_rank_aborts_its_peers():
     assert isinstance(failures[0], SawAbort) and "origin rank 1" in str(failures[0])
 
 
+class TestProcessMessages:
+    """Process ranks move a message as the owned-worker runtime does
+    (``repro.core.worker``): a small pickle, then each array's bytes
+    written from where they lie and read into fresh writable memory."""
+
+    def test_an_array_crosses_out_of_band_into_fresh_writable_memory(self):
+        big = np.arange(1 << 18, dtype=np.float64)  # 2 MiB
+
+        def body(c):
+            if c.rank == 0:
+                writes, real = [], os.writev
+
+                def writev(fd, buffers):
+                    moved = real(fd, buffers)
+                    writes.append((list(buffers), moved))
+                    return moved
+
+                os.writev = writev  # this rank process's own
+                try:
+                    c.send(big, dest=1, tag=5)
+                finally:
+                    os.writev = real
+                c.recv(source=1, tag=6)
+                in_place = any(np.shares_memory(np.frombuffer(buf, np.uint8), big)
+                               for buffers, _ in writes for buf in buffers)
+                return sum(moved for _, moved in writes) - big.nbytes, in_place
+            got = c.recv(source=0, tag=5)
+            c.send(b"", dest=0, tag=6)
+            c.send(got, dest=1, tag=7)  # a self-send: pickled in-band, a copy
+            own = c.recv(source=1, tag=7)
+            return (np.array_equal(got, big), got.flags.writeable, got.flags.aligned,
+                    np.array_equal(own, big), own.flags.writeable, np.shares_memory(own, got))
+
+        (header, in_place), received = launch("process", 2, body)
+        assert header < 1024 and in_place
+        assert received == (True, True, True, True, True, False)
+
+    def test_a_rank_killed_mid_buffer_aborts_its_peer(self):
+        """Rank 1 dies half-way through writing a 2 MiB message: rank 0's
+        receive aborts on the EOF, naming rank 1, instead of waiting."""
+
+        def body(c):
+            if c.rank == 1:
+                real = os.writev
+
+                def half(fd, buffers):
+                    stream = b"".join(buffers)
+                    real(fd, [stream[: len(stream) // 2]])
+                    os._exit(3)
+
+                os.writev = half
+                c.send(np.zeros(1 << 18), dest=0, tag=0)
+            try:
+                return c.recv(source=1, tag=0)
+            except CommAborted as exc:
+                raise SawAbort(f"origin rank {exc.origin_rank}") from None
+
+        with pytest.raises(SpmdError) as exc_info:
+            launch("process", 2, body)
+        failures = exc_info.value.failures
+        assert "exit code 3" in str(failures[1])
+        assert isinstance(failures[0], SawAbort) and "origin rank 1" in str(failures[0])
+
+
 class TestProcessNetworkFaults:
     """Each ``network`` fault kind on process ranks, applied per message
     sent (``network_fault(rank, op="send")``)."""

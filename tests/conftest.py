@@ -5,7 +5,6 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
-import pickle
 import threading
 import time
 from pathlib import Path
@@ -72,10 +71,10 @@ def sent(monkeypatch):
     log = []
     real_send = runtime.Worker.send
 
-    def send(worker, message, buffers=()):
-        if message:  # b"" is the stop message
-            log.append((worker, message, pickle.loads(message)[0]))
-        return real_send(worker, message, buffers)
+    def send(worker, frames):
+        if frames:  # [] is the stop message
+            log.append((worker, b"".join(frames), runtime.unpack(frames)[0]))
+        return real_send(worker, frames)
 
     monkeypatch.setattr(runtime.Worker, "send", send)
     return log

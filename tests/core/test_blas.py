@@ -5,7 +5,8 @@ owned-worker runtime sets it to one in every process it starts: the
 process-engine workers, the service's seat processes and the elastic
 staging workers.  Each test raises
 this process's count to two first, so a worker that skipped the call
-would report two.
+would report two.  The process engine's calling thread, thread 0 of
+its team, runs on one BLAS thread for the run and gets its two back.
 """
 
 import os
@@ -51,6 +52,27 @@ def test_process_engine_workers(reports):
         app.run(np.linspace(-3.0, 3.0, 1000))
     assert reports() == [1, 1]
     assert blas.blas_threads() == 2  # the parent keeps its own pool
+
+
+class SeesBlas(Histogram):
+    """Records the BLAS thread count its batch kernel runs under, in the
+    process it runs in."""
+
+    seen: list = []
+
+    def batch_reduce(self, data, start, stop, acc):
+        self.seen.append(blas.blas_threads())
+        super().batch_reduce(data, start, stop, acc)
+
+
+def test_process_engine_thread_0(reports):
+    policy = ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=3))
+    with SeesBlas(policy, None, lo=-4.0, hi=4.0, num_buckets=8) as app:
+        SeesBlas.seen.clear()
+        app.run(np.linspace(-3.0, 3.0, 1000))
+        assert SeesBlas.seen == [1]  # thread 0's split; the workers' splits are theirs
+        assert blas.blas_threads() == 2  # back once the run is over
+    assert reports() == [1, 1]
 
 
 def test_service_seat_processes(reports):

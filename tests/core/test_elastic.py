@@ -7,7 +7,10 @@ disconnects; degrade conserves mass with exact loss accounting;
 corrupted snapshot falls back to the previous CRC-good one.
 """
 
+import functools
+import os
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -349,6 +352,35 @@ class TestRetry:
                     seed=SEED,
                 ),
             )
+
+
+def _dies_mid_partition(parent_pid):
+    """``factory()``; in a staging worker, also make its process die
+    half-way through reading the first large message it is sent."""
+    if os.getpid() != parent_pid:
+        real = os.readv
+
+        def readv(fd, buffers):
+            if sum(map(len, buffers)) >= 1 << 20:
+                real(fd, [*buffers[:-1], buffers[-1][: len(buffers[-1]) // 2]])
+                os._exit(1)
+            return real(fd, buffers)
+
+        os.readv = readv
+    return factory()
+
+
+def test_a_worker_dying_mid_partition_is_a_death_not_a_hang():
+    """A staging worker killed while a 2 MiB partition is half read is
+    found dead at once (no ack stall: the hang timeout is a minute)."""
+    started = time.monotonic()
+    with ElasticTier(functools.partial(_dies_mid_partition, os.getpid()), 1,
+                     policy="fail_fast", worker_timeout=HANG_SECONDS) as tier:
+        tier.submit(np.random.default_rng(SEED).normal(size=1 << 18))
+        with pytest.raises(StagingWorkerError):
+            tier.drain()
+        assert tier._workers[0].proc.process.exitcode == 1
+    assert time.monotonic() - started < HANG_SECONDS / 2
 
 
 class TestDegrade:

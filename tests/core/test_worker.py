@@ -1,30 +1,52 @@
-"""The owned-worker runtime: one reply per message, replacement, exit halt.
+"""The owned-worker runtime: messages, one reply each, replacement, exit halt.
 
 The process engine's workers, the service's seat processes and the
 elastic tier's staging workers are clients of :mod:`repro.core.worker`;
 these tests drive the runtime directly, and the interpreter-exit halt
-through all three clients at once.
+through all three clients at once.  The process-rank mesh's use of the
+same message helper is tested in ``tests/comm/test_contract.py``.
 """
 
 import multiprocessing
 import os
-import pickle
 import signal
 import subprocess
 import sys
-from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.worker import Pool, create_segment, wait
+from repro.core.worker import Pool, create_segment, pack, wait
 from repro.telemetry import Recorder
 
 
 class NeedsTwoArguments(Exception):
     def __init__(self, code, reason):
         super().__init__(f"{code}: {reason}")
+
+
+def explode():
+    raise ValueError("cannot unpickle this")
+
+
+class Unpicklable:
+    """Pickles fine; unpickling it raises."""
+
+    def __reduce__(self):
+        return explode, ()
+
+
+def die_mid_write():
+    """From now on, this process writes half of its next write and dies."""
+    real = os.writev
+
+    def half(fd, buffers):
+        stream = b"".join(buffers)
+        real(fd, [stream[: len(stream) // 2]])
+        os._exit(1)
+
+    os.writev = half
 
 
 class Echo:
@@ -35,6 +57,11 @@ class Echo:
         self.segments = []
 
     def __call__(self, message):
+        if isinstance(message, np.ndarray):  # as received: writable, aligned?
+            return message, message.flags.writeable, message.flags.aligned
+        if message == "die mid-reply":
+            die_mid_write()
+            return np.arange(1 << 18, dtype=np.float64)
         if message == "plain":
             raise ValueError("plain")
         if message == "needy":
@@ -46,7 +73,7 @@ class Echo:
 
 
 def call(pool, index, message):
-    return pool.worker(index).call(pickle.dumps(message))
+    return pool.worker(index).call(message)
 
 
 @pytest.fixture
@@ -62,31 +89,78 @@ def test_one_reply_per_message(pool):
                                                                          "test-echo-1"]
 
 
+def spy_on_writes(monkeypatch) -> list:
+    """Record what each ``os.writev`` in this process is given and moves."""
+    writes = []
+    real = os.writev
+
+    def writev(fd, buffers):
+        moved = real(fd, buffers)
+        writes.append((list(buffers), moved))
+        return moved
+
+    monkeypatch.setattr(os, "writev", writev)
+    return writes
+
+
 def test_out_of_band_buffers_are_sent_from_where_they_lie(pool, monkeypatch):
-    """A contiguous array pickled with protocol 5 crosses as an
-    out-of-band buffer written from the sender's own memory; a
+    """A contiguous array crosses as an out-of-band buffer written from
+    the sender's own memory, after a header frame of under 1 KiB; a
     non-contiguous one travels inside the pickle.  Both arrive equal."""
-    written = []
-    real = Connection.send_bytes
-
-    def send_bytes(conn, buf, *args):
-        written.append(buf)
-        return real(conn, buf, *args)
-
     big = np.arange(1 << 18, dtype=np.float64)  # 2 MiB
     strided = np.arange(40.0)[3::4]
-    buffers = []
-    message = pickle.dumps((big, strided), protocol=5, buffer_callback=buffers.append)
+    frames = pack((big, strided))
+    assert len(frames) == 2 and len(frames[0]) < 1024  # the 2 MiB are not in the pickle
     worker = pool.worker(0)
-    monkeypatch.setattr(Connection, "send_bytes", send_bytes)
-    assert worker.send(message, [buffer.raw() for buffer in buffers])
+    writes = spy_on_writes(monkeypatch)
+    assert worker.send(frames)
     monkeypatch.undo()
+    assert sum(moved for _, moved in writes) - big.nbytes < 1024
+    assert any(np.shares_memory(np.frombuffer(buf, np.uint8), big)  # not copied to be sent
+               for buffers, _ in writes for buf in buffers)
     assert wait([worker]) == [worker]
     got_big, got_strided = worker.receive()
     assert np.array_equal(got_big, big) and np.array_equal(got_strided, strided)
-    assert [len(buf) for buf in written] == [len(message), big.nbytes]
-    assert len(message) < 1024  # the 2 MiB are not in the pickle
-    assert np.shares_memory(np.frombuffer(written[1], np.uint8), big)  # nor copied to be sent
+
+
+def test_arrays_arrive_in_fresh_writable_memory(pool):
+    """Both ways, a received array is equal to the one sent, writable,
+    aligned and the receiver's own."""
+    big = np.arange(1 << 18, dtype=np.float64)
+    echoed, writable, aligned = call(pool, 0, big)
+    assert writable and aligned  # in the worker
+    assert np.array_equal(echoed, big) and echoed.flags.writeable and echoed.flags.aligned
+    assert not np.shares_memory(echoed, big)
+    echoed[0] = -1.0
+    assert big[0] == 0.0
+
+
+def test_a_message_that_fails_to_unpickle_leaves_the_next_one_intact(pool):
+    """Every frame of a message is read before it is unpickled, so one
+    that raises part-way (its array buffer not yet asked for) does not
+    leave that buffer to be read as the next message."""
+    big = np.arange(1 << 18, dtype=np.float64)
+    worker = pool.worker(0)
+    assert worker.send(pack((Unpicklable(), big)))
+    assert worker.send(pack(("after", big[:4])))
+    wait([worker])
+    failed = worker.receive()
+    assert type(failed) is ValueError and str(failed) == "cannot unpickle this"
+    wait([worker])
+    after, head = worker.receive()
+    assert after == "after" and np.array_equal(head, big[:4])
+    assert call(pool, 0, "still serving") == "still serving"
+
+
+def test_a_worker_killed_mid_reply_is_a_death_not_a_hang(pool):
+    """A worker that dies half-way through writing a 2 MiB reply reads as
+    dead (no reply), and is replaced before its next message."""
+    dead = pool.workers[0].process
+    assert call(pool, 0, "die mid-reply") is None
+    dead.join(timeout=30)
+    assert dead.exitcode == 1
+    assert call(pool, 0, "after") == "after"
+    assert pool._telemetry.counter("replaced") == 1
 
 
 def test_exceptions_come_back_with_their_type_or_as_runtime_error(pool):
