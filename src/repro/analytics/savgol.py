@@ -2,11 +2,10 @@
 
 For interior positions the filter is a fixed convolution: the output at
 ``i`` is the dot product of the window's elements with least-squares
-polynomial-fit coefficients (obtained from
-``scipy.signal.savgol_coeffs``).  Each element's contribution is its
-value times the coefficient for its offset from the window centre — a
-key-dependent weight, accumulated into a Θ(1) reduction object that
-triggers at full coverage.
+polynomial-fit weights (``savgol_weights``, solved with numpy, checked
+against scipy in tests).  Each element contributes its value times the
+weight for its offset from the window centre — a key-dependent weight,
+accumulated into a Θ(1) reduction object that triggers at full coverage.
 
 Positions within ``win_size // 2`` of the global array boundary have a
 truncated window; there the reduction object keeps its raw samples and
@@ -16,8 +15,9 @@ truncated window; there the reduction object keeps its raw samples and
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.signal import savgol_coeffs
 
 from ..core.chunk import Chunk
 from ..core.red_obj import RedObj
@@ -43,7 +43,7 @@ class SavitzkyGolay(WindowScheduler):
             )
         self.polyorder = int(polyorder)
         # Coefficients ordered for offsets -half..+half relative to centre.
-        self.coeffs = savgol_coeffs(win_size, polyorder, use="dot")[::-1].copy()
+        self.coeffs = savgol_weights(win_size, polyorder)[::-1].copy()
 
     def _is_boundary(self, key: int) -> bool:
         half = self.win_size // 2
@@ -81,6 +81,17 @@ class SavitzkyGolay(WindowScheduler):
             out[key] = red_obj.acc
 
 
+@lru_cache(maxsize=None)
+def savgol_weights(win_size: int, polyorder: int) -> np.ndarray:
+    """Read-only ``savgol_coeffs(win_size, polyorder, use="dot")`` for an odd window."""
+    x = np.arange(-(win_size // 2), win_size - win_size // 2, dtype=np.float64)
+    design = x ** np.arange(polyorder + 1.0)[:, None]
+    rcond = np.finfo(np.float64).eps * max(design.shape)  # scipy's default
+    weights = np.linalg.lstsq(design, np.eye(polyorder + 1)[0], rcond=rcond)[0]
+    weights.flags.writeable = False
+    return weights
+
+
 def _truncated_fit(offsets: np.ndarray, values: np.ndarray, polyorder: int) -> float:
     """Least-squares polynomial fit on a truncated window, evaluated at 0.
 
@@ -103,9 +114,10 @@ def reference_savgol(data: np.ndarray, win_size: int, polyorder: int = 2) -> np.
     different but equally standard convention — tests compare interiors to
     scipy and boundaries to this definition).
     """
+    coeffs = savgol_weights(win_size, polyorder)[::-1]
+
     def fit(window: np.ndarray, center: int) -> float:
         if window.shape[0] == win_size:
-            coeffs = savgol_coeffs(win_size, polyorder, use="dot")[::-1]
             return float(coeffs @ window)
         offsets = np.arange(window.shape[0]) - center
         return _truncated_fit(offsets, window, polyorder)

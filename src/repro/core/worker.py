@@ -7,8 +7,10 @@ the process engine's workers, the service's seat processes and the
 elastic tier's staging workers are the clients.
 
 * **Start** — :func:`start_process` forks.  The child closes its copy of
-  the parent's pipe end, so the parent's death reads as EOF, and pins
-  BLAS to one thread: it shares the host's cores with its siblings.
+  the parent's pipe end, so the parent's death reads as EOF, pins BLAS
+  to one thread (it shares the host's cores with its siblings) and fixes
+  malloc's limits, so a task's temporaries are not faulted back in on
+  every task.
 * **One message, one reply** — a worker calls its client's *handler* (a
   callable building the per-process state, called in the child) on each
   message and replies with the result or the exception.  A message
@@ -35,6 +37,7 @@ elastic tier's staging workers are the clients.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import os
 import pickle
@@ -67,6 +70,12 @@ _SHM = Path("/dev/shm")
 #: elements per second at a quarter of the median latency (2-core x86-64
 #: host).  The kernel caps the request at ``net.core.[rw]mem_max``.
 _PIPE_BYTES = 4 << 20
+#: glibc's ``(M_MMAP_THRESHOLD, value), (M_TRIM_THRESHOLD, value)``.  The
+#: default limits move with what the process has freed, so whether a task's
+#: freed temporaries were faulted back in by the next task hung on the heap's
+#: layout (a ``moving_average`` job in a seat: 64-112 page faults, or none).
+#: Workers start at the limits glibc's own raising stops at (64-bit).
+_MALLOC_LIMITS = ((-3, 32 << 20), (-1, 64 << 20))
 
 
 # -- one process ----------------------------------------------------------------
@@ -76,6 +85,9 @@ def _main(target, args: tuple, inherited: tuple) -> None:
     for conn in inherited:
         conn.close()  # this fork's copy of the parent's end: open, it would hide the parent's death
     one_blas_thread()
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc; elsewhere nothing
+    for param, value in _MALLOC_LIMITS if mallopt else ():
+        mallopt(param, value)
     target(*args)
 
 
