@@ -7,15 +7,10 @@ through the read pointer; a :class:`~repro.core.worker.Pool` of
 the rest, each on its own duplex pipe (a team of one has no pool, no
 segment, no copy).  Two things move between parent and workers:
 
-* **Input** — ``begin_run`` copies the partition into the pool's one
-  input segment (created on first use, replaced only when a larger
-  partition arrives, released with the pool) and workers reduce
-  zero-copy numpy views of it.  One copy per run, always: a simulation's
-  output is a view of its own state (``Heat3D.interior``,
-  ``LuleshProxy.e``) that the next step rewrites in place, so there is
-  no buffer the engine could share with it and no cheap way to know the
-  bytes are the ones copied last time.  This is the engine's only
-  shared memory.
+* **Input** — the partition stays behind the read pointer: a worker
+  split is copied into the pool's one segment, at its own offset, when a
+  run first sends it (a retry reuses it; thread 0's is never copied), so
+  a split's callbacks read only its chunks (Table 1).
 * **State and results** — everything else travels as bytes on the
   worker's pipe, and a worker keeps what it is sent.  Worker ``i``
   serves thread ``i + 1`` and holds a *session* of four versioned parts: the
@@ -169,11 +164,10 @@ class ProcessEngine(ExecutionEngine):
         super().begin_run(scheduler, data, out, multi_key)
         if self._pool is None:
             return
-        nbytes = int(data.nbytes)
-        segment = self._pool.segment(nbytes)
+        segment = self._pool.segment(int(data.nbytes))
         self.telemetry.set_gauge("engine.residency.resident_bytes", segment.size)
-        np.copyto(np.ndarray(data.shape, dtype=data.dtype, buffer=segment.buf), data)
-        self.telemetry.inc("engine.residency.copied_bytes", nbytes)
+        self._staged = np.ndarray(data.shape, dtype=data.dtype, buffer=segment.buf)
+        self._copied = set()  # worker splits copied in as first sent (_send_task)
         self._ensure_core(scheduler)
         self.invalidate_state()
         self._publish("header", (
@@ -184,6 +178,7 @@ class ProcessEngine(ExecutionEngine):
     def end_run(self) -> None:
         set_blas_threads(self._blas)  # the count before the run
         self._parts.pop("header", None)
+        self._staged = None  # this run's view of the segment
         self.invalidate_state()
         super().end_run()
 
@@ -223,6 +218,11 @@ class ProcessEngine(ExecutionEngine):
     def _send_task(self, worker: Worker, split: Split, red_map: KeyedMap | None) -> None:
         """Send ``split`` with the session parts ``worker`` lacks;
         ``red_map`` is its thread's map so far (``None``: still the seed)."""
+        span = (split.start, split.stop)
+        if span not in self._copied:  # first sent this run: copy it in
+            self._copied.add(span)
+            self._staged[split.start:split.stop] = self._data[split.start:split.stop]
+            self.telemetry.inc("engine.residency.copied_bytes", len(split) * self._data.itemsize)
         parts: dict[str, object] = {}
         for name, (version, payload) in self._parts.items():
             if worker.holds.get(name) != version:

@@ -205,6 +205,13 @@ class Scheduler:
     ) -> int:
         """Generate the single key for a unit chunk.
 
+        Read only ``chunk``'s elements, ``data[chunk.start:chunk.start +
+        chunk.size]`` (Table 1).  The process engine's workers see only
+        their own splits' bytes: a read past them gets bytes the engine
+        never copied, and a silently wrong result (the ``residency`` property
+        of :mod:`repro.verify` catches it).  This holds for every
+        callback that takes ``data``.
+
         Default: key 0 — single-reduction-object applications (e.g.
         logistic regression) need not override.
         """
@@ -217,7 +224,8 @@ class Scheduler:
         keys: list[int],
         combination_map: KeyedMap,
     ) -> None:
-        """Generate multiple keys for a unit chunk (``run2`` path).
+        """Generate multiple keys for a unit chunk (``run2`` path),
+        reading only ``chunk``'s elements, as :meth:`gen_key` does.
 
         Default: delegates to :meth:`gen_key`, so ``run2`` degrades to
         ``run`` for single-key applications.
@@ -227,7 +235,8 @@ class Scheduler:
     def accumulate(
         self, chunk: Chunk, data: np.ndarray, red_obj: RedObj | None, key: int
     ) -> RedObj:
-        """Accumulate the unit chunk onto a reduction object.
+        """Accumulate the unit chunk onto a reduction object, reading only
+        ``chunk``'s elements, as :meth:`gen_key` does.
 
         ``red_obj`` is ``None`` when the key has no object yet (and the
         application does not seed reduction maps); implementations must
@@ -307,7 +316,8 @@ class Scheduler:
     ) -> None:
         """Batch fast path over ``[start, stop)``: scatter the whole split
         into preallocated columns — zero per-element ``gen_key`` /
-        ``accumulate`` calls, zero reduction-map dict writes.
+        ``accumulate`` calls, zero reduction-map dict writes.  It reads
+        only ``data[start:stop]``, as :meth:`gen_key` does.
 
         Kernels update ``acc.column(name)`` with ``np.bincount`` /
         ``np.add.at``-style scatters and must record every touched key in

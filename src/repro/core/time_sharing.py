@@ -2,10 +2,10 @@
 
 Simulation and analytics run *in turns* on the same cores.  When a
 time-step's output partition is ready, Smart sets a read pointer on that
-memory (here: the numpy array view is handed to ``run`` as it is — the
-in-process engines reduce it in place, the process engine copies it once
-into its shared-memory segment) and the analytics must finish before the
-simulation resumes and overwrites it.
+memory (here: the numpy array view is handed to ``run`` as it is; the
+engines reduce it in place, but the process engine's workers read copies
+of their own splits) and the analytics must finish before the simulation
+resumes and overwrites it.
 
 :class:`TimeSharingDriver` wires a simulation and a scheduler into that
 loop and records the per-phase timings the evaluation figures need.

@@ -13,7 +13,9 @@ bit-equality where the analytic's reduction guarantees it:
   combination maps (``exact_merge`` workloads);
 * **residency idempotence** — the process engine run on the same array
   twice, then again after the array was rewritten in place, equals the
-  serial engine every time (it copies the partition in on every run);
+  serial engine every time (it copies its workers' splits on every run);
+  three threads over several blocks also catch a callback that reads
+  across its split's edge, into bytes the engine never copied;
 * **fault replay** — an injected worker kill under ``retry`` replays to
   a bit-exact result and really fired.
 
@@ -163,18 +165,23 @@ def check_residency_idempotence(
     workload: Workload | str, seed: int, *, elements: int | None = None,
 ) -> list[Mismatch]:
     """The same array run twice, then once more after an unannounced
-    in-place rewrite, must equal the serial engine on the process engine."""
+    in-place rewrite, must equal the serial engine on the process engine.
+    Blocks of about a quarter of the partition, split three ways, put a
+    worker split beside thread 0's and beside another worker's, so a
+    callback reading past its own chunks (Table 1's read rule) differs."""
     w = _as_workload(workload)
     if w.multi_key:
         return []
+    block = w.chunk_size * max(1, len(w.make_data(seed, elements)) // w.chunk_size // 4)
 
     def repeat_run(engine: str):
         data = w.make_data(seed, elements)
         args = ExecutionPolicy(
-            engine=EnginePolicy(backend=engine, num_threads=2),
+            engine=EnginePolicy(backend=engine, num_threads=3),
             chunk_size=w.chunk_size,
             num_iters=w.num_iters,
             extra_data=w.extra(data),
+            block_size=block,
         )
         app = w.build(args, None)
         results = []
@@ -187,7 +194,8 @@ def check_residency_idempotence(
             results.append(dict(w.extract(app, None)))
         return results
 
-    cfg = Config(workload=w.name, engine="process", num_threads=2, seed=seed)
+    cfg = Config(workload=w.name, engine="process", num_threads=3, block_size=block,
+                 seed=seed)
     found: list[Mismatch] = []
     for reference, resident in zip(repeat_run("serial"), repeat_run("process")):
         found += _tag(diff_results(w.name, cfg, reference, resident), "residency")

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tests.shm import own_segments
+
 
 def _sockets() -> set[str]:
     """This process's open sockets (worker pipes included), by inode."""
@@ -26,13 +28,11 @@ def _sockets() -> set[str]:
 
 
 def _resources() -> tuple[set, set, set, set]:
-    """This process's children, the framework's shared-memory segments,
-    the live non-daemon threads and the open sockets."""
-    shm = Path("/dev/shm")
-    segments = {p.name for p in shm.iterdir() if p.name.startswith(("psm_", "smart"))} \
-        if shm.is_dir() else set()
+    """This process's children, the shared-memory segments it answers for
+    (:func:`tests.shm.own_segments`), the live non-daemon threads and the
+    open sockets."""
     threads = {t for t in threading.enumerate() if t.is_alive() and not t.daemon}
-    return set(multiprocessing.active_children()), segments, threads, _sockets()
+    return set(multiprocessing.active_children()), own_segments(), threads, _sockets()
 
 
 @pytest.fixture(autouse=True)

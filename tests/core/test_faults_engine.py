@@ -16,16 +16,12 @@ from repro.analytics.histogram import Histogram
 from repro.analytics.kmeans import KMeans
 from repro.core import EnginePolicy, ExecutionPolicy
 from repro.faults import EngineFaultError, FaultPlan, FaultPolicy, FaultSpec
+from tests.shm import own_segments
 
 DIMS = 3
 #: The test process: a self-destructing callback that finds itself
 #: running here (thread 0 is the driver) must not kill the test run.
 TEST_PID = os.getpid()
-
-
-def shm_segments() -> set[str]:
-    shm_dir = Path("/dev/shm")
-    return {p.name for p in shm_dir.iterdir()} if shm_dir.is_dir() else set()
 
 
 @pytest.fixture
@@ -121,7 +117,7 @@ def assert_leaves_nothing_behind(points, centroids, plan, policy, raises=None):
     entry appears, no child process outlives ``close()``, and the second
     (fault-free) run is bit-exact with a scheduler that never failed."""
     clean, _, _ = run_kmeans(points, centroids)
-    before = shm_segments()
+    before = own_segments()
     sched = KMeans(kmeans_policy(centroids, policy), dims=DIMS)
     sched.fault_plan = plan
     with sched:
@@ -132,7 +128,7 @@ def assert_leaves_nothing_behind(points, centroids, plan, policy, raises=None):
             sched.run(points)
         sched.reset()
         again = sched.run(points)
-    assert shm_segments() == before
+    assert own_segments() == before
     assert multiprocessing.active_children() == []
     assert np.array_equal(clean, centroids_of(again))
 

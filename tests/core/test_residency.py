@@ -1,28 +1,24 @@
-"""Process-engine residency: the one input segment and the
-run-resident worker sessions.
+"""Process-engine residency: what the workers read through shared
+memory, and the run-resident worker sessions.
 
-Covers the input rule (every run copies its partition in, so a buffer
-rewritten in place can never be read stale), what a task message
-carries (only the session parts its worker lacks), and shared-memory
-hygiene.
+Covers the input rule — each worker split is copied into the engine's
+segment before the run first sends it (thread 0's never, retries reuse
+it, every run copies again, so a buffer rewritten in place is never
+read stale) — what a task message carries (only the session parts its
+worker lacks), and shared-memory hygiene.
 """
 
 import multiprocessing
 import pickle
-
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analytics import Histogram, KMeans, make_blobs
 from repro.core import EnginePolicy, ExecutionPolicy, RedObj, Scheduler, TimeSharingDriver
+from repro.faults import FaultPlan, FaultPolicy, FaultSpec
 from repro.sim import Simulation
-
-
-def shm_segments() -> set[str]:
-    shm_dir = Path("/dev/shm")
-    return {p.name for p in shm_dir.iterdir()} if shm_dir.is_dir() else set()
+from tests.shm import own_segments
 
 
 def make_hist(cls=Histogram):
@@ -40,16 +36,19 @@ def data(rng):
 
 
 class OneBufferSim(Simulation):
-    """Rewrites and returns one buffer; from step to step only element 1
-    of 4 096 changes — same array object, same length, and a rewrite no
-    sampled content check short of a full compare would see."""
+    """Rewrites and returns one buffer; from step to step only element
+    ``index`` of 4 096 changes — same array object, same length, and a
+    rewrite no sampled content check short of a full compare would see.
+    On two threads, element 1 lies in thread 0's split and element 4 094
+    in the worker's."""
 
-    def __init__(self, elements=4096):
+    def __init__(self, elements=4096, index=1):
         self._buf = np.full(elements, 0.5)
+        self._index = index
         self._step = 0
 
     def advance(self):
-        self._buf[1] = -3.5 + self._step  # a different bucket every step
+        self._buf[self._index] = -3.5 + self._step  # a different bucket every step
         self._step += 1
         return self._buf
 
@@ -58,28 +57,79 @@ class OneBufferSim(Simulation):
     memory_nbytes = property(lambda self: self._buf.nbytes)
 
 
+def driver_steps_agree(index):
+    """Three driver steps of :class:`OneBufferSim` rewriting ``index``:
+    the process engine's counts equal the serial engine's at every step."""
+    seen = {"serial": [], "process": []}
+    for backend, steps in seen.items():
+        policy = ExecutionPolicy(engine=EnginePolicy(backend=backend, num_threads=2))
+        with Histogram(policy, lo=-4, hi=4, num_buckets=16) as app:
+            TimeSharingDriver(
+                OneBufferSim(index=index), app,
+                per_step=lambda step, sched, out, steps=steps: steps.append(counts_of(sched)),
+            ).run(3)
+    assert seen["process"] == seen["serial"] and len(seen["serial"]) == 3
+
+
+def bare_runs_agree(index):
+    """Three bare runs on the rewritten buffer: each equals the serial
+    engine's, and each copies the worker's half of the partition in."""
+    ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
+    ref_sim, sim = OneBufferSim(index=index), OneBufferSim(index=index)
+    with make_hist() as app:
+        for _ in range(3):
+            ref.run(ref_sim.advance())
+            app.run(sim.advance())
+            assert counts_of(app) == counts_of(ref)
+        counters = app.telemetry_snapshot()["counters"]
+    # Thread 1's split is elements 2 048-4 095: half of every run.
+    assert counters["engine.residency.copied_bytes"] == 3 * sim.partition_nbytes // 2
+
+
 class TestEveryRunCopies:
     def test_inplace_rewrite_is_never_read_stale_through_the_driver(self):
-        seen = {"serial": [], "process": []}
-        for backend, steps in seen.items():
-            policy = ExecutionPolicy(engine=EnginePolicy(backend=backend, num_threads=2))
-            with Histogram(policy, lo=-4, hi=4, num_buckets=16) as app:
-                TimeSharingDriver(
-                    OneBufferSim(), app,
-                    per_step=lambda step, sched, out, steps=steps: steps.append(counts_of(sched)),
-                ).run(3)
-        assert seen["process"] == seen["serial"] and len(seen["serial"]) == 3
+        driver_steps_agree(index=1)
 
     def test_inplace_rewrite_is_never_read_stale_through_bare_run(self):
-        ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
-        ref_sim, sim = OneBufferSim(), OneBufferSim()
-        with make_hist() as app:
-            for _ in range(3):
-                ref.run(ref_sim.advance())
-                app.run(sim.advance())
-                assert counts_of(app) == counts_of(ref)
+        bare_runs_agree(index=1)
+
+    def test_a_worker_split_rewritten_in_place_is_never_read_stale_through_the_driver(self):
+        driver_steps_agree(index=4094)
+
+    def test_a_worker_split_rewritten_in_place_is_never_read_stale_through_bare_run(self):
+        bare_runs_agree(index=4094)
+
+    def test_each_run_copies_the_worker_splits_of_every_block_once(self):
+        """3 threads, blocks of 420 elements over 1 800 (140 k-means
+        points of 3 per block), 2 Lloyd iterations, 2 runs: 4 blocks split
+        141 / 141 / 138 and a last one 42 / 39 / 39, so a run copies the
+        workers' 4 x (141 + 138) + 39 + 39 = 1 194 elements, once however
+        many iterations read them, and equals the serial engine bit for bit."""
+        flat, _ = make_blobs(600, 3, 4, seed=11)
+        with kmeans_app("serial", flat, threads=3, num_iters=2, block_size=420) as ref, \
+                kmeans_app("process", flat, threads=3, num_iters=2, block_size=420) as app:
+            for run in (1, 2):
+                ref.run(flat)
+                app.run(flat)
+                assert np.array_equal(app.centroids(), ref.centroids())
+                copied = app.telemetry.counter("engine.residency.copied_bytes")
+                assert copied == run * 1194 * flat.itemsize
+
+    def test_a_worker_killed_in_the_first_iteration_is_replayed_on_the_copy(self):
+        """Worker 1 dies on its first task of a 3-iteration retry run: the
+        iteration replays on a fresh worker, which reads the split already
+        copied in — bit-exact, and the copy is counted once."""
+        flat, _ = make_blobs(600, 3, 4, seed=11)
+        fault = FaultPolicy.retry(backoff=0.01)
+        with kmeans_app("serial", flat, num_iters=3) as ref, \
+                kmeans_app("process", flat, num_iters=3, fault=fault) as app:
+            app.fault_plan = FaultPlan([FaultSpec("engine", "kill", at_call=0)])
+            ref.run(flat)
+            app.run(flat)
+            assert np.array_equal(app.centroids(), ref.centroids())
             counters = app.telemetry_snapshot()["counters"]
-        assert counters["engine.residency.copied_bytes"] == 3 * sim.partition_nbytes
+        assert counters["faults.detected.worker_dead"] == counters["faults.retries"] == 1
+        assert counters["engine.residency.copied_bytes"] == flat.nbytes // 2
 
 
 class TestStateDeltas:
@@ -334,7 +384,7 @@ class TestSessionIsolation:
         """The core cannot be pickled while the scheduler holds a lambda:
         ``run`` raises, the engine keeps no reference to the scheduler,
         and the same scheduler runs once the lambda is gone."""
-        before = shm_segments()
+        before = own_segments()
         app = make_hist()
         app.fn = lambda x: x
         with app:
@@ -347,7 +397,7 @@ class TestSessionIsolation:
             ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
             ref.run(data)
             assert counts_of(app) == counts_of(ref)
-        assert shm_segments() == before
+        assert own_segments() == before
         assert multiprocessing.active_children() == []
 
     def test_more_threads_than_workers_is_refused_by_name(self, data):
@@ -377,13 +427,13 @@ class TestTeamSize:
         no pool, no segment and no copy, and the result is the serial
         engine's bit for bit."""
         flat, _ = make_blobs(600, 3, 4, seed=11)
-        before = shm_segments()
+        before = own_segments()
         with kmeans_app("serial", flat, threads=1, num_iters=3) as ref, \
                 kmeans_app("process", flat, threads=1, num_iters=3) as app:
             ref.run(flat)
             app.run(flat)
             assert multiprocessing.active_children() == []
-            assert shm_segments() == before
+            assert own_segments() == before
             assert np.array_equal(app.centroids(), ref.centroids())
             counters = app.telemetry_snapshot()["counters"]
         assert counters.get("engine.pools_created", 0) == 0
@@ -392,11 +442,11 @@ class TestTeamSize:
 
 class TestHygiene:
     def test_resident_segments_released_on_close(self, data):
-        before = shm_segments()
+        before = own_segments()
         with make_hist() as app:
             app.run(data)
             app.run(data)
-        leaked = shm_segments() - before
+        leaked = own_segments() - before
         assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
     def test_gauge_reports_resident_footprint(self, data):
@@ -408,17 +458,18 @@ class TestHygiene:
     def test_one_segment_whatever_the_partition_sizes(self, rng):
         """Small, large, small: one ``psm_*`` segment at every point,
         grown once, and nothing left after ``close()``."""
-        before = shm_segments()
+        before = own_segments()
         ref = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=16)
         parts = [rng.normal(size=n) for n in (512, 4096, 256)]
         with make_hist() as app:
             for part in parts:
                 ref.run(part)
                 app.run(part)
-                assert len(shm_segments() - before) == 1
+                assert len(own_segments() - before) == 1
                 assert counts_of(app) == counts_of(ref)
             assert app.telemetry.gauge("engine.residency.resident_bytes") == parts[1].nbytes
             counters = app.telemetry_snapshot()["counters"]
-            assert counters["engine.residency.copied_bytes"] == sum(p.nbytes for p in parts)
-        assert shm_segments() == before
+            # Each run copies thread 1's half: the worker reads nothing else.
+            assert counters["engine.residency.copied_bytes"] == sum(p.nbytes for p in parts) // 2
+        assert own_segments() == before
         assert multiprocessing.active_children() == []

@@ -27,11 +27,7 @@ from repro.service import (
     job_policy,
 )
 from repro.verify.workloads import get_workload
-
-
-def shm_segments() -> set[str]:
-    shm_dir = Path("/dev/shm")
-    return {p.name for p in shm_dir.iterdir()} if shm_dir.is_dir() else set()
+from tests.shm import own_segments
 
 
 def assert_matches_solo(handle, data, policy=None):
@@ -86,7 +82,7 @@ def test_process_engine_policy_runs_inside_a_seat(workload):
     data = w.make_data(7)
     policy = ExecutionPolicy(engine=EnginePolicy(backend="process", num_threads=2),
                              chunk_size=w.chunk_size, num_iters=w.num_iters)
-    before = shm_segments()
+    before = own_segments()
     with AnalyticsService(workers=1) as svc:
         svc.register_step("s", data)
         handles = [svc.submit(JobSpec(tenant="a", workload=workload, step="s",
@@ -97,7 +93,7 @@ def test_process_engine_policy_runs_inside_a_seat(workload):
         # The engine's workers are the seat's children, not this process's.
         assert [p.name for p in mp.active_children()] == ["svc-seat-0"]
     assert mp.active_children() == []
-    assert shm_segments() == before
+    assert own_segments() == before
 
 
 def test_a_killed_seat_fails_only_its_job_in_flight():
@@ -107,7 +103,7 @@ def test_a_killed_seat_fails_only_its_job_in_flight():
     # far longer than the poll below takes to see it dispatched.
     slow = ExecutionPolicy(engine=EnginePolicy(map_path="scalar"), chunk_size=1,
                            num_iters=1).fingerprint()
-    before = shm_segments()
+    before = own_segments()
     with AnalyticsService(workers=1) as svc:
         svc.register_step("big", big)
         svc.register_step("small", small)
@@ -143,7 +139,7 @@ def test_a_killed_seat_fails_only_its_job_in_flight():
         assert svc.telemetry.counter("service.seat_processes_lost") == 2
         assert svc.telemetry.gauge("engine.residency.shared_readers") == 0
     assert mp.active_children() == []
-    assert shm_segments() == before
+    assert own_segments() == before
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
@@ -155,7 +151,7 @@ def test_a_seat_killed_under_a_process_engine_job_fails_it_without_a_hang():
                                                  map_path="scalar"),
                              chunk_size=1, num_iters=1).fingerprint()
     small = np.random.default_rng(5).normal(size=4096)
-    before = shm_segments()
+    before = own_segments()
     with AnalyticsService(workers=1) as svc:
         svc.register_step("big", np.random.default_rng(4).normal(size=1 << 21))
         svc.register_step("small", small)
@@ -174,4 +170,4 @@ def test_a_seat_killed_under_a_process_engine_job_fails_it_without_a_hang():
     assert mp.active_children() == []
     # The killed seat never unlinked its engine's input segment: reaping
     # the seat did.
-    assert shm_segments() == before
+    assert own_segments() == before

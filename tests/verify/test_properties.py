@@ -5,10 +5,13 @@ each check runs full scheduler executions.  ``elements`` is shrunk from
 the workload defaults so the whole module stays fast.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analytics import Histogram
 from repro.telemetry import Recorder
 from repro.verify import (
     applicable_properties,
@@ -20,12 +23,21 @@ from repro.verify import (
     check_workload,
     get_workload,
 )
+from repro.verify.workloads import WORKLOADS
 
 SEEDS = st.integers(min_value=0, max_value=2**16)
 
 
 def _assert_clean(mismatches):
     assert not mismatches, "\n".join(m.describe() for m in mismatches)
+
+
+class LeftNeighbourHistogram(Histogram):
+    """Buckets each element by its left neighbour: ``gen_key`` reads one
+    element before its chunk, which Table 1's read rule forbids."""
+
+    def gen_key(self, chunk, data, combination_map):
+        return self.bucket_of(data[max(chunk.start - 1, 0)])
 
 
 class TestApplicability:
@@ -80,6 +92,19 @@ class TestRuntimeInvariants:
     def test_repeat_and_rewritten_runs_equal_serial(self):
         _assert_clean(check_residency_idempotence(
             "histogram", 2015, elements=512))
+
+    def test_a_read_across_a_split_edge_is_caught(self, monkeypatch):
+        """The serial and thread engines give such a scheduler its
+        neighbour's byte; the process engine's worker reads bytes it
+        never copied, and the residency check reports the difference."""
+        w = dataclasses.replace(
+            get_workload("histogram"), name="left_neighbour_histogram",
+            factory=lambda args, comm: LeftNeighbourHistogram(
+                args, comm, lo=-4.0, hi=4.0, num_buckets=32),
+            has_batch_path=False)
+        monkeypatch.setitem(WORKLOADS, w.name, w)
+        found = check_residency_idempotence(w, 2015, elements=512)
+        assert found and all(m.kind.startswith("property:residency:") for m in found)
 
     def test_fault_replay_is_bit_exact_and_fired(self):
         _assert_clean(check_fault_replay("kmeans", 2015, elements=360))
