@@ -22,7 +22,14 @@ Python reproduction of Wang, Agrawal, Bicer & Jiang (SC 2015 / OSU TR
 
 __version__ = "1.2.0"
 
-from . import analytics, baselines, comm, core, faults, sim, telemetry  # noqa: F401
+from ._lazy import lazy_exports
+
+# Each subpackage loads on first use (``repro.core`` brings the runtime's
+# spine with it).
+__getattr__, __dir__ = lazy_exports(__name__, {
+    f".{name}": (name,)
+    for name in ("analytics", "baselines", "comm", "core", "faults", "sim", "telemetry")
+})
 
 __all__ = [
     "analytics",

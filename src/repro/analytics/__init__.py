@@ -20,51 +20,29 @@ algebraic; :class:`MovingAverage` and :class:`GaussianKernelSmoother`
 share one, ``WindowScheduler.scatter_window``.
 """
 
-from .grid_aggregation import GridAggregation, reference_grid_aggregation
-from .histogram import Histogram, reference_histogram
-from .kernel_density import (
-    GaussianKernelSmoother,
-    ValueGridKDE,
-    reference_gaussian_smoother,
-    reference_value_grid_kde,
-)
-from .kmeans import KMeans, make_blobs, reference_kmeans
-from .logistic_regression import (
-    LogisticRegression,
-    make_logreg_samples,
-    reference_logreg,
-)
-from .minmax import MinMax, MinMaxObj
-from .moving_average import MovingAverage, reference_moving_average
-from .moving_median import MovingMedian, reference_moving_median
-from .mutual_information import (
-    MutualInformation,
-    mutual_information_from_counts,
-    reference_mutual_information,
-)
-from .objects import (
-    ClusterObj,
-    CountObj,
-    GradientObj,
-    HoldAllObj,
-    SavGolObj,
-    SumCountObj,
-    WeightedWindowObj,
-    WindowSumObj,
-)
-from .savgol import SavitzkyGolay, reference_savgol
-from .structured import (
-    MovingAverage3D,
-    TileAggregation3D,
-    reference_moving_average_3d,
-    reference_tile_aggregation_3d,
-)
-from .window import (
-    WindowScheduler,
-    sliding_window_apply,
-    window_bounds,
-    window_coverage,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".grid_aggregation": ("GridAggregation", "reference_grid_aggregation"),
+    ".histogram": ("Histogram", "reference_histogram"),
+    ".kernel_density": ("GaussianKernelSmoother", "ValueGridKDE",
+                        "reference_gaussian_smoother", "reference_value_grid_kde"),
+    ".kmeans": ("KMeans", "make_blobs", "reference_kmeans"),
+    ".logistic_regression": ("LogisticRegression", "make_logreg_samples",
+                             "reference_logreg"),
+    ".minmax": ("MinMax", "MinMaxObj"),
+    ".moving_average": ("MovingAverage", "reference_moving_average"),
+    ".moving_median": ("MovingMedian", "reference_moving_median"),
+    ".mutual_information": ("MutualInformation", "mutual_information_from_counts",
+                            "reference_mutual_information"),
+    ".objects": ("ClusterObj", "CountObj", "GradientObj", "HoldAllObj", "SavGolObj",
+                 "SumCountObj", "WeightedWindowObj", "WindowSumObj"),
+    ".savgol": ("SavitzkyGolay", "reference_savgol"),
+    ".structured": ("MovingAverage3D", "TileAggregation3D", "reference_moving_average_3d",
+                    "reference_tile_aggregation_3d"),
+    ".window": ("WindowScheduler", "sliding_window_apply", "window_bounds",
+                "window_coverage"),
+})
 
 __all__ = [
     "ClusterObj",

@@ -6,13 +6,13 @@
 * :mod:`repro.baselines.offline` — store-first-analyze-after (Fig. 1).
 """
 
-from .lowlevel import (
-    lowlevel_histogram,
-    lowlevel_kmeans,
-    lowlevel_logreg,
-    lowlevel_mutual_information,
-)
-from .offline import OfflineDriver, OfflineResult
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".lowlevel": ("lowlevel_histogram", "lowlevel_kmeans", "lowlevel_logreg",
+                  "lowlevel_mutual_information"),
+    ".offline": ("OfflineDriver", "OfflineResult"),
+})
 
 __all__ = [
     "OfflineDriver",

@@ -15,23 +15,21 @@ Public surface:
 * Reduce operators: ``SUM``, ``MAX``, ``MIN``, ``PROD``, ``CONCAT``, ...
 """
 
-from .errors import (
-    CommAborted,
-    CommError,
-    CommTimeoutError,
-    FrameCorruptionError,
-    InvalidRankError,
-    RankMismatchError,
-    SpmdError,
-)
-from .interface import Communicator, Request
-from .launcher import spmd_launch, supervised_launch
-from .local import LocalComm
-from .process import ProcessComm
-from .profiler import OpStats, TrafficProfiler, payload_nbytes
-from .reduce_ops import CONCAT, LAND, LOR, MAX, MIN, PROD, SUM, ReduceOp, as_reduce_op
-from .sim import InterleaveSchedule, SimCluster, SimComm
-from .subgroup import UNDEFINED, GroupComm, split_comm
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".errors": ("CommAborted", "CommError", "CommTimeoutError", "FrameCorruptionError",
+                "InvalidRankError", "RankMismatchError", "SpmdError"),
+    ".interface": ("Communicator", "Request"),
+    ".launcher": ("spmd_launch", "supervised_launch"),
+    ".local": ("LocalComm",),
+    ".process": ("ProcessComm",),
+    ".profiler": ("OpStats", "TrafficProfiler", "payload_nbytes"),
+    ".reduce_ops": ("CONCAT", "LAND", "LOR", "MAX", "MIN", "PROD", "SUM", "ReduceOp",
+                    "as_reduce_op"),
+    ".sim": ("InterleaveSchedule", "SimCluster", "SimComm"),
+    ".subgroup": ("UNDEFINED", "GroupComm", "split_comm"),
+})
 
 __all__ = [
     "CommAborted",

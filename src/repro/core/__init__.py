@@ -15,46 +15,32 @@ Public surface:
 * :class:`SmartPipeline` — chained Smart jobs with local-only stages.
 """
 
-from .batch import ColumnarAccumulator
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .chunk import Chunk, Split, iter_blocks, make_splits
-from .engine import (
-    ExecutionEngine,
-    ProcessEngine,
-    SerialEngine,
-    ThreadEngine,
-    create_engine,
-)
-from .elastic import ElasticTier, StagingWorkerError
-from .circular_buffer import BufferClosed, CircularBuffer
-from .maps import KeyedMap
-from .pipeline import PipelineStage, SmartPipeline
-from .policy import (
-    COMBINE_ALGORITHMS,
-    ENGINE_BACKENDS,
-    MAP_PATHS,
-    CombinePolicy,
-    EnginePolicy,
-    ExecutionPolicy,
-)
-from .red_obj import Field, RedObj, ensure_red_obj
-from .scheduler import RunStats, Scheduler, merge_distributed_output
-from .serialization import (
-    WIRE_FORMATS,
-    WIRE_VERSION,
-    PackedMap,
-    deserialize_map,
-    global_combine,
-    pack_map,
-    serialize_map,
-)
-from .space_sharing import CoreSplit, SpaceSharingDriver, SpaceSharingResult
-from .time_sharing import StepTiming, TimeSharingDriver, TimeSharingResult
+from .._lazy import lazy_exports
 
-# Imported last: autotune reaches into repro.perfmodel, whose package
-# init imports analytics (and, through it, names bound above in this
-# partially initialized package).
-from .autotune import PolicyAdvisor  # noqa: E402
+# The runtime's spine loads with the package (forked workers run it and
+# import nothing after the fork); every other name loads on first use.
+from . import engine, policy, scheduler, serialization, worker  # noqa: F401
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".autotune": ("PolicyAdvisor",),
+    ".batch": ("ColumnarAccumulator",),
+    ".checkpoint": ("CheckpointError", "load_checkpoint", "save_checkpoint"),
+    ".chunk": ("Chunk", "Split", "iter_blocks", "make_splits"),
+    ".circular_buffer": ("BufferClosed", "CircularBuffer"),
+    ".elastic": ("ElasticTier", "StagingWorkerError"),
+    ".engine": ("ExecutionEngine", "ProcessEngine", "SerialEngine", "ThreadEngine",
+                "create_engine"),
+    ".maps": ("KeyedMap",),
+    ".pipeline": ("PipelineStage", "SmartPipeline"),
+    ".policy": ("COMBINE_ALGORITHMS", "ENGINE_BACKENDS", "MAP_PATHS", "CombinePolicy",
+                "EnginePolicy", "ExecutionPolicy"),
+    ".red_obj": ("Field", "RedObj", "ensure_red_obj"),
+    ".scheduler": ("RunStats", "Scheduler", "merge_distributed_output"),
+    ".serialization": ("WIRE_FORMATS", "WIRE_VERSION", "PackedMap", "deserialize_map",
+                       "global_combine", "pack_map", "serialize_map"),
+    ".space_sharing": ("CoreSplit", "SpaceSharingDriver", "SpaceSharingResult"),
+    ".time_sharing": ("StepTiming", "TimeSharingDriver", "TimeSharingResult"),
+})
 
 __all__ = [
     "BufferClosed",

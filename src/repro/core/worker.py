@@ -10,7 +10,10 @@ elastic tier's staging workers are the clients.
   the parent's pipe end, so the parent's death reads as EOF, pins BLAS
   to one thread (it shares the host's cores with its siblings) and fixes
   malloc's limits, so a task's temporaries are not faulted back in on
-  every task.
+  every task.  A worker imports no ``repro`` module after the fork: it
+  runs what its parent loaded (the spine with :mod:`repro.core`; the
+  rest before the pool starts), since a child that imports compiles the
+  module again, and a fork mid-import can leave its import lock held.
 * **One message, one reply** — a worker calls its client's *handler* (a
   callable building the per-process state, called in the child) on each
   message and replies with the result or the exception.  A message

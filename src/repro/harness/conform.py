@@ -36,6 +36,11 @@ SMOKE_WORKLOADS = ("histogram", "minmax", "kmeans", "moving_average")
 
 DEFAULT_REPORT = "CONFORM_report.json"
 
+#: The ``--policy`` axes a matrix :class:`Config` carries.  The rest —
+#: ``chunk``/``iters`` (the registry fixes them), ``copy``, ``capacity``,
+#: ``hold`` and ``fault`` — would not reach the run, so they are refused.
+CARRIED_AXES = ("engine", "threads", "map", "algo", "wire", "block")
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -83,9 +88,9 @@ def _policy_configs(tokens: list[str], seed: int) -> list[Config]:
     """``WORKLOAD@POLICY[@ranks=N]`` tokens → matrix configs.
 
     ``POLICY`` is an (optionally partial) :meth:`ExecutionPolicy.parse`
-    token string; the workload's chunk/iteration shape is fixed by the
-    registry, and ``ranks`` — not a policy axis — rides in its own
-    ``@``-separated part.
+    token string over :data:`CARRIED_AXES`; the workload's chunk/iteration
+    shape is fixed by the registry, and ``ranks`` — not a policy axis —
+    rides in its own ``@``-separated part.
     """
     configs = []
     for token in tokens:
@@ -100,6 +105,12 @@ def _policy_configs(tokens: list[str], seed: int) -> list[Config]:
             else:
                 policy_text = part
         policy = ExecutionPolicy.parse(policy_text)
+        axes = {t.partition("=")[0].strip() for t in policy_text.replace(";", ",").split(",")}
+        dropped = sorted(axes - set(CARRIED_AXES) - {""})
+        if dropped:
+            raise SystemExit(
+                f"--policy {token!r}: conform cannot run axis {', '.join(dropped)} "
+                f"(a config carries only {', '.join(CARRIED_AXES)})")
         get_workload(workload)  # fail fast on unknown names
         configs.append(Config(
             workload=workload,

@@ -9,20 +9,16 @@ is bit-exact against running it alone — enforced by the conformance
 ``sharing`` axis and the ``tests/service`` stress suite.
 """
 
-from .admission import AdmissionController
-from .dispatch import DeficitRoundRobin
-from .residency import SharedStepStore, StepLease
-from .service import AnalyticsService, execute_workload, job_policy
-from .spec import (
-    AdmissionError,
-    BudgetExhaustedError,
-    JobHandle,
-    JobSpec,
-    QueueFullError,
-    QuotaExceededError,
-    SeatLostError,
-    TenantQuota,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".admission": ("AdmissionController",),
+    ".dispatch": ("DeficitRoundRobin",),
+    ".residency": ("SharedStepStore", "StepLease"),
+    ".service": ("AnalyticsService", "execute_workload", "job_policy"),
+    ".spec": ("AdmissionError", "BudgetExhaustedError", "JobHandle", "JobSpec",
+              "QueueFullError", "QuotaExceededError", "SeatLostError", "TenantQuota"),
+})
 
 __all__ = [
     "AdmissionController",

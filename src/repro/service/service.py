@@ -39,7 +39,7 @@ import numpy as np
 from ..core import ExecutionPolicy
 from ..core.worker import Pool, detach, view
 from ..telemetry import Recorder
-from ..verify.workloads import Workload, get_workload
+from ..verify.workloads import Workload, get_workload, load_analytics
 from .admission import AdmissionController
 from .dispatch import DeficitRoundRobin
 from .residency import SharedStepStore
@@ -269,7 +269,8 @@ class AnalyticsService:
         with self._lock:
             if self._pool is not None or self._closed:
                 return self
-            # Every seat is forked before any dispatcher thread exists.
+            # Seats import nothing after the fork, and fork before any dispatcher thread exists.
+            load_analytics()
             self._pool = Pool(_Seats, self._workers_wanted, name="svc-seat",
                               telemetry=self.telemetry, replaced="service.seat_processes_lost")
             for i in range(self._workers_wanted):

@@ -1,10 +1,14 @@
 """Simulation substrates: Heat3D, a LULESH-like proxy, and the emulator."""
 
-from .base import Simulation
-from .decomposition import Slab, decompose_1d, partition_offsets
-from .emulator import GaussianEmulator
-from .heat3d import Heat3D, reference_heat3d_sequential
-from .lulesh import LuleshProxy
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Simulation",),
+    ".decomposition": ("Slab", "decompose_1d", "partition_offsets"),
+    ".emulator": ("GaussianEmulator",),
+    ".heat3d": ("Heat3D", "reference_heat3d_sequential"),
+    ".lulesh": ("LuleshProxy",),
+})
 
 __all__ = [
     "GaussianEmulator",

@@ -16,41 +16,22 @@ modes are invisible to the analytics programmer) is checked three ways:
 CLI: ``python -m repro.harness conform --smoke``.
 """
 
-from .fuzz import FuzzCase, derive_case, fuzz_schedule, replay, run_fuzz
-from .matrix import (
-    STRUCTURE_AXES,
-    TRANSPARENT_AXES,
-    Config,
-    axis_values,
-    build_matrix,
-    enumerate_configs,
-    pairwise_prune,
-)
-from .oracle import (
-    ConformanceError,
-    ConformanceReport,
-    Mismatch,
-    OracleCache,
-    RunInfo,
-    SlicedArraySim,
-    diff_results,
-    execute,
-    repro_command,
-    run_config,
-    run_matrix,
-    ulp_distance,
-)
-from .policy_check import advised_config, run_autotune
-from .properties import (
-    applicable_properties,
-    check_fault_replay,
-    check_merge_associativity,
-    check_partition_invariance,
-    check_permutation_invariance,
-    check_residency_idempotence,
-    check_workload,
-)
-from .workloads import WORKLOADS, Workload, get_workload, workload_names
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".fuzz": ("FuzzCase", "derive_case", "fuzz_schedule", "replay", "run_fuzz"),
+    ".matrix": ("STRUCTURE_AXES", "TRANSPARENT_AXES", "Config", "axis_values",
+                "build_matrix", "enumerate_configs", "pairwise_prune"),
+    ".oracle": ("ConformanceError", "ConformanceReport", "Mismatch", "OracleCache",
+                "RunInfo", "SlicedArraySim", "diff_results", "execute", "repro_command",
+                "run_config", "run_matrix", "ulp_distance"),
+    ".policy_check": ("advised_config", "run_autotune"),
+    ".properties": ("applicable_properties", "check_fault_replay",
+                    "check_merge_associativity", "check_partition_invariance",
+                    "check_permutation_invariance", "check_residency_idempotence",
+                    "check_workload"),
+    ".workloads": ("WORKLOADS", "Workload", "get_workload", "workload_names"),
+})
 
 __all__ = [
     "Config",

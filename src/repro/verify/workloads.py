@@ -19,25 +19,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..analytics import (
-    GaussianKernelSmoother,
-    GridAggregation,
-    Histogram,
-    KMeans,
-    LogisticRegression,
-    MinMax,
-    MovingAverage,
-    MovingMedian,
-    MutualInformation,
-    SavitzkyGolay,
-    TileAggregation3D,
-    ValueGridKDE,
-    make_blobs,
-    make_logreg_samples,
-)
+from .. import analytics
 from ..core.serialization import pack_map
 
-__all__ = ["Workload", "WORKLOADS", "get_workload", "workload_names"]
+__all__ = ["Workload", "WORKLOADS", "get_workload", "load_analytics", "workload_names"]
 
 KDE_GRID_POINTS = 41
 
@@ -88,12 +73,12 @@ class Workload:
         n -= n % max(self.chunk_size, 1)
         rng = np.random.default_rng(10_000 + seed)
         if self.name == "kmeans":
-            flat, _ = make_blobs(n // self.chunk_size, self.chunk_size,
-                                 4, seed=seed)
+            flat, _ = analytics.make_blobs(n // self.chunk_size, self.chunk_size,
+                                           4, seed=seed)
             return flat
         if self.name == "logreg":
-            flat, _ = make_logreg_samples(n // self.chunk_size,
-                                          self.chunk_size - 1, seed=seed)
+            flat, _ = analytics.make_logreg_samples(n // self.chunk_size,
+                                                    self.chunk_size - 1, seed=seed)
             return flat
         return rng.normal(size=n)
 
@@ -164,8 +149,8 @@ def _register(w: Workload) -> Workload:
 
 _register(Workload(
     name="histogram",
-    factory=lambda args, comm: Histogram(args, comm, lo=-4.0, hi=4.0,
-                                         num_buckets=32),
+    factory=lambda args, comm: analytics.Histogram(args, comm, lo=-4.0, hi=4.0,
+                                                   num_buckets=32),
     extract=_extract_histogram,
     description="32-bucket histogram over N(0,1) samples (integer counts)",
     default_elements=2048,
@@ -179,7 +164,7 @@ _register(Workload(
 
 _register(Workload(
     name="grid_aggregation",
-    factory=lambda args, comm: GridAggregation(args, comm, grid_size=64),
+    factory=lambda args, comm: analytics.GridAggregation(args, comm, grid_size=64),
     extract=_extract_grid_aggregation,
     description="mean of every 64 consecutive positions (raw sums compared)",
     default_elements=2048,
@@ -189,7 +174,7 @@ _register(Workload(
 
 _register(Workload(
     name="minmax",
-    factory=lambda args, comm: MinMax(args, comm),
+    factory=lambda args, comm: analytics.MinMax(args, comm),
     extract=_extract_minmax,
     description="global value range (single reduction key)",
     default_elements=2048,
@@ -203,7 +188,7 @@ _register(Workload(
 
 _register(Workload(
     name="kmeans",
-    factory=lambda args, comm: KMeans(args, comm, dims=3),
+    factory=lambda args, comm: analytics.KMeans(args, comm, dims=3),
     extract=_extract_kmeans,
     description="3-d k-means, k=4, 3 Lloyd iterations",
     chunk_size=3,
@@ -222,7 +207,7 @@ _register(Workload(
 
 _register(Workload(
     name="logreg",
-    factory=lambda args, comm: LogisticRegression(args, comm, dims=4),
+    factory=lambda args, comm: analytics.LogisticRegression(args, comm, dims=4),
     extract=_extract_logreg,
     description="4-d logistic regression, 3 gradient steps",
     chunk_size=5,
@@ -238,7 +223,7 @@ _register(Workload(
 
 _register(Workload(
     name="mutual_information",
-    factory=lambda args, comm: MutualInformation(
+    factory=lambda args, comm: analytics.MutualInformation(
         args, comm, x_range=(-4.0, 4.0), y_range=(-4.0, 4.0), bins=8),
     extract=_extract_joint_counts,
     description="8x8 joint histogram of (x, y) pairs (integer counts)",
@@ -253,7 +238,7 @@ _register(Workload(
 
 _register(Workload(
     name="tile_aggregation",
-    factory=lambda args, comm: TileAggregation3D(
+    factory=lambda args, comm: analytics.TileAggregation3D(
         args, comm, shape=(8, 16, 16), tile=(3, 4, 5)),
     extract=_extract_grid_aggregation,
     description="mean over (3,4,5) tiles of an 8x16x16 field (raw sums compared)",
@@ -264,7 +249,7 @@ _register(Workload(
 
 _register(Workload(
     name="moving_average",
-    factory=lambda args, comm: MovingAverage(args, comm, win_size=7),
+    factory=lambda args, comm: analytics.MovingAverage(args, comm, win_size=7),
     extract=_extract_out,
     description="centered moving average, window 7",
     multi_key=True,
@@ -275,7 +260,7 @@ _register(Workload(
 
 _register(Workload(
     name="moving_median",
-    factory=lambda args, comm: MovingMedian(args, comm, win_size=7),
+    factory=lambda args, comm: analytics.MovingMedian(args, comm, win_size=7),
     extract=_extract_out,
     description="centered moving median, window 7 (multiset-exact)",
     multi_key=True,
@@ -288,8 +273,8 @@ _register(Workload(
 
 _register(Workload(
     name="savgol",
-    factory=lambda args, comm: SavitzkyGolay(args, comm, win_size=7,
-                                             polyorder=2),
+    factory=lambda args, comm: analytics.SavitzkyGolay(args, comm, win_size=7,
+                                                       polyorder=2),
     extract=_extract_out,
     description="Savitzky-Golay smoothing, window 7, order 2",
     multi_key=True,
@@ -299,7 +284,7 @@ _register(Workload(
 
 _register(Workload(
     name="kernel_smoother",
-    factory=lambda args, comm: GaussianKernelSmoother(args, comm, win_size=9),
+    factory=lambda args, comm: analytics.GaussianKernelSmoother(args, comm, win_size=9),
     extract=_extract_out,
     description="Gaussian kernel smoother, window 9",
     multi_key=True,
@@ -310,7 +295,7 @@ _register(Workload(
 
 _register(Workload(
     name="kde_grid",
-    factory=lambda args, comm: ValueGridKDE(
+    factory=lambda args, comm: analytics.ValueGridKDE(
         args, comm, grid=np.linspace(-3.0, 3.0, KDE_GRID_POINTS),
         bandwidth=0.35),
     extract=_extract_out,
@@ -338,3 +323,11 @@ def get_workload(name: str) -> Workload:
 
 def workload_names() -> tuple[str, ...]:
     return tuple(WORKLOADS)
+
+
+def load_analytics() -> None:
+    """Import every analytics module the registry builds from.  A parent
+    that forks workers which build workloads (the service's seats) calls
+    this first, since a forked worker imports nothing (``repro._lazy``)."""
+    for name in analytics.__all__:
+        getattr(analytics, name)

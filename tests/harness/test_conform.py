@@ -28,6 +28,24 @@ class TestConformCli:
         with pytest.raises(ValueError):
             main(["--config", "engine=thread"])
 
+    def test_policy_token_with_an_uncarried_axis_is_refused(self):
+        # A matrix config has no copy_input field: the run would silently
+        # go without the copy the token asks for.
+        with pytest.raises(SystemExit) as exc:
+            main(["--policy", "histogram@engine=process,threads=2,copy=1"])
+        assert exc.value.code != 0
+        assert "copy" in str(exc.value.code)
+        for axis in ("capacity=4", "hold=1", "fault=retry", "chunk=2"):
+            with pytest.raises(SystemExit, match=axis.partition("=")[0]):
+                main(["--policy", f"histogram@engine=thread,{axis}"])
+
+    def test_policy_token_with_carried_axes_runs(self, capsys):
+        rc = main(["--policy", "histogram@engine=process,threads=2,map=batch,block=512"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "1 configs" in out
+        assert "0 mismatches" in out
+
     def test_workload_restriction_and_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         rc = main(["--workload", "minmax", "--max-configs", "4",
