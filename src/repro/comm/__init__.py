@@ -2,7 +2,10 @@
 
 Public surface:
 
-* :class:`Communicator` — the interface the Smart runtime targets.
+* :class:`Communicator` — the communicator the Smart runtime targets:
+  ``send``/``recv``, ``barrier``, ``bcast``, ``gather``, ``allgather``,
+  ``reduce``/``allreduce`` and ``Allreduce``, every collective built over
+  a subclass's point-to-point messages.
 * :class:`LocalComm` — single-rank communicator.
 * :class:`SimCluster` / :class:`SimComm` — N SPMD ranks as threads.
 * :class:`ProcessComm` — one rank of ``spmd_launch(...,
@@ -12,7 +15,8 @@ Public surface:
 * :func:`supervised_launch` — the launcher under a recovery policy
   (retry with backoff / degrade by dropping failed ranks).
 * :class:`TrafficProfiler` — byte/message accounting for the perf model.
-* Reduce operators: ``SUM``, ``MAX``, ``MIN``, ``PROD``, ``CONCAT``, ...
+* Reduce operators: ``SUM`` (the default), :class:`ReduceOp` and
+  :func:`as_reduce_op`, which also takes any binary callable.
 """
 
 from .._lazy import lazy_exports
@@ -20,15 +24,13 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".errors": ("CommAborted", "CommError", "CommTimeoutError", "FrameCorruptionError",
                 "InvalidRankError", "RankMismatchError", "SpmdError"),
-    ".interface": ("Communicator", "Request"),
+    ".interface": ("Communicator",),
     ".launcher": ("spmd_launch", "supervised_launch"),
     ".local": ("LocalComm",),
     ".process": ("ProcessComm",),
     ".profiler": ("OpStats", "TrafficProfiler", "payload_nbytes"),
-    ".reduce_ops": ("CONCAT", "LAND", "LOR", "MAX", "MIN", "PROD", "SUM", "ReduceOp",
-                    "as_reduce_op"),
+    ".reduce_ops": ("SUM", "ReduceOp", "as_reduce_op"),
     ".sim": ("InterleaveSchedule", "SimCluster", "SimComm"),
-    ".subgroup": ("UNDEFINED", "GroupComm", "split_comm"),
 })
 
 __all__ = [
@@ -37,14 +39,12 @@ __all__ = [
     "CommTimeoutError",
     "FrameCorruptionError",
     "Communicator",
-    "Request",
     "InvalidRankError",
     "LocalComm",
     "OpStats",
     "ProcessComm",
     "RankMismatchError",
     "ReduceOp",
-    "GroupComm",
     "InterleaveSchedule",
     "SimCluster",
     "SimComm",
@@ -52,15 +52,7 @@ __all__ = [
     "TrafficProfiler",
     "as_reduce_op",
     "payload_nbytes",
-    "split_comm",
     "spmd_launch",
     "supervised_launch",
-    "UNDEFINED",
     "SUM",
-    "PROD",
-    "MAX",
-    "MIN",
-    "LAND",
-    "LOR",
-    "CONCAT",
 ]

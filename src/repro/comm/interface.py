@@ -1,10 +1,15 @@
-"""The communicator interface the Smart runtime is written against.
+"""The communicator the Smart runtime is written against.
 
-This plays the role MPI plays for the original C++ Smart: the runtime and
-the simulations call only methods defined here, so the same analytics code
-runs unchanged on :class:`~repro.comm.local.LocalComm` (one rank, zero
-overhead), :class:`~repro.comm.sim.SimComm` (N SPMD ranks as threads) and
-:class:`~repro.comm.process.ProcessComm` (N SPMD ranks as processes).
+This plays the role MPI plays for the original C++ Smart, with only the
+calls Smart makes: tagged ``send``/``recv`` (the simulations' halo
+exchange), ``barrier``, ``bcast``, ``gather``, ``allgather`` and
+``reduce``/``allreduce`` (global combination and
+``merge_distributed_output``).  The same analytics code runs unchanged
+on :class:`~repro.comm.local.LocalComm` (one rank),
+:class:`~repro.comm.sim.SimComm` (N SPMD ranks as threads) and
+:class:`~repro.comm.process.ProcessComm` (N SPMD ranks as processes);
+each moves one message, and every collective is built here from those
+messages, so the backends differ in transport alone.
 
 Naming follows mpi4py conventions: lowercase methods move generic Python
 objects; the capitalized ``Allreduce`` moves numpy buffers elementwise and
@@ -15,58 +20,35 @@ is what the low-level baseline analytics use (mirroring the paper's
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import InvalidRankError
+from .errors import InvalidRankError, RankMismatchError
 from .profiler import TrafficProfiler
 from .reduce_ops import ReduceOp, as_reduce_op
 
-
-class Request:
-    """Handle for a nonblocking operation (mpi4py ``Request`` analog).
-
-    ``wait()`` blocks until completion and returns the received object
-    (``None`` for sends); ``test()`` polls without blocking.
-    """
-
-    __slots__ = ("_resolve", "_done", "_value")
-
-    def __init__(self, resolve: Callable[[], Any] | None, value: Any = None):
-        self._resolve = resolve
-        self._done = resolve is None
-        self._value = value
-
-    @classmethod
-    def _completed(cls, value: Any) -> "Request":
-        return cls(None, value)
-
-    @classmethod
-    def _deferred(cls, resolve: Callable[[], Any]) -> "Request":
-        return cls(resolve)
-
-    def wait(self) -> Any:
-        """Block until the operation completes; return its result."""
-        if not self._done:
-            assert self._resolve is not None
-            self._value = self._resolve()
-            self._resolve = None
-            self._done = True
-        return self._value
-
-    def test(self) -> tuple[bool, Any]:
-        """(completed, result-or-None) without blocking on a receive."""
-        return (self._done, self._value if self._done else None)
+#: Tag of every collective message.  Each pair of ranks receives its
+#: collective messages in the order it sent them, and every rank calls
+#: collectives in the same order, so one tag serves them all.
+_COLL_TAG = (1 << 19) + 7
 
 
 class Communicator(ABC):
-    """Abstract SPMD communicator.
+    """One SPMD rank's communicator, every collective over point-to-point.
 
-    Every method with a ``root`` argument follows MPI rooted-collective
-    semantics: non-root ranks pass their contribution and receive ``None``
-    (for :meth:`gather` / :meth:`reduce`) or the broadcast value (for
-    :meth:`bcast` / :meth:`scatter`).
+    A subclass supplies ``rank``, ``size`` and moves one message with
+    :meth:`_put` / :meth:`_get`; ``send``/``recv`` are those behind one
+    :meth:`_enter`, which also runs once at the top of every public
+    collective, so a subclass can account a collective as one call
+    however many messages it takes.
+
+    Each collective message is ``(op, payload)``: a rank that receives
+    another call's message raises :class:`RankMismatchError` naming both.
+    Rooted calls follow MPI semantics (non-root ranks of :meth:`gather` /
+    :meth:`reduce` receive ``None``) and fan in to the root before they
+    fan out, so the root hears from every rank; ``allgather`` is one
+    direct exchange.
     """
 
     #: Optional traffic profiler; ``None`` disables accounting.
@@ -88,63 +70,60 @@ class Communicator(ABC):
         """True on rank 0 (the paper's 'master node' for global combination)."""
         return self.rank == 0
 
-    # -- point to point ---------------------------------------------------
+    # -- transport --------------------------------------------------------
     @abstractmethod
+    def _put(self, obj: Any, dest: int, tag: int) -> None:
+        """Move one message to ``dest``."""
+
+    @abstractmethod
+    def _get(self, source: int, tag: int) -> Any:
+        """Take the next message from ``source`` on ``tag``."""
+
+    def _enter(self, op: str, payload: Any = None, *, nbytes: int | None = None,
+               record: bool = True) -> bool:
+        """Hook: one public call ``op`` starts; True drops a ``send``'s message."""
+        return False
+
+    # -- point to point ---------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Send a Python object to ``dest`` (blocking, buffered)."""
+        self._check_rank(dest, "dest")
+        if not self._enter("send", record=False):  # dropped: it vanishes in transit
+            self._record("send", obj)
+            self._put(obj, dest, tag)
 
-    @abstractmethod
     def recv(self, source: int, tag: int = 0) -> Any:
-        """Receive a Python object from ``source`` (blocking)."""
-
-    # -- nonblocking point to point (mpi4py-style isend/irecv) -------------
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> "Request":
-        """Nonblocking send; returns a :class:`Request`.
-
-        All sends in this substrate are buffered, so the send completes
-        immediately; the request exists for API parity with MPI code.
-        """
-        self.send(obj, dest, tag)
-        return Request._completed(None)
-
-    def irecv(self, source: int, tag: int = 0) -> "Request":
-        """Nonblocking receive; ``Request.wait()`` blocks and returns the
-        message.  Lets halo-exchange code post receives before sends, as
-        MPI programs do."""
-        return Request._deferred(lambda: self.recv(source, tag))
-
-    def sendrecv(
-        self, obj: Any, dest: int, source: int, sendtag: int = 0, recvtag: int = 0
-    ) -> Any:
-        """Combined send+receive (``MPI_Sendrecv``): deadlock-free pairwise
-        exchange — the idiom halo exchanges are written in."""
-        self.send(obj, dest, tag=sendtag)
-        return self.recv(source, tag=recvtag)
+        """Receive the next Python object from ``source`` on ``tag`` (blocking)."""
+        self._check_rank(source, "source")
+        self._enter("recv", record=False)
+        return self._get(source, tag)
 
     # -- collectives ------------------------------------------------------
-    @abstractmethod
     def barrier(self) -> None:
         """Block until every rank has entered the barrier."""
+        self._enter("barrier", nbytes=0)
+        self._fan_out("barrier", None, 0)
 
-    @abstractmethod
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; returns the value on all ranks."""
+        self._check_rank(root, "root")
+        self._enter("bcast", obj, record=self.rank == root)
+        return self._fan_out("bcast", obj, root)
 
-    @abstractmethod
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank to ``root`` (rank order)."""
+        self._check_rank(root, "root")
+        self._enter("gather", obj)
+        return self._fan_in("gather", obj, root)
 
-    @abstractmethod
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one value per rank to every rank (rank order)."""
-
-    @abstractmethod
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter ``objs[i]`` from ``root`` to rank ``i``."""
-
-    @abstractmethod
-    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        """Exchange ``objs[j]`` from each rank ``i`` to each rank ``j``."""
+        self._enter("allgather", obj)
+        for r in range(self.size):
+            if r != self.rank:
+                self._put(("allgather", obj), r, _COLL_TAG)
+        return [obj if r == self.rank else self._take("allgather", r)
+                for r in range(self.size)]
 
     def reduce(
         self, obj: Any, op: ReduceOp | Callable[[Any, Any], Any] | str = "sum", root: int = 0
@@ -161,7 +140,6 @@ class Communicator(ABC):
         rop = as_reduce_op(op)
         return rop.reduce(self.allgather(obj))
 
-    # -- numpy buffer collectives (the 'fast path') -----------------------
     def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: str = "sum") -> None:
         """Elementwise allreduce of numpy buffers into ``recvbuf``.
 
@@ -175,21 +153,30 @@ class Communicator(ABC):
         result = self.allreduce(sendbuf, op=op)
         np.copyto(recvbuf, result)
 
-    def Bcast(self, buf: np.ndarray, root: int = 0) -> None:
-        """In-place broadcast of a numpy buffer."""
-        result = self.bcast(buf if self.rank == root else None, root=root)
+    # -- collective messages ----------------------------------------------
+    def _take(self, op: str, source: int) -> Any:
+        called, obj = self._get(source, _COLL_TAG)
+        if called != op:
+            raise RankMismatchError(
+                f"collective mismatch: rank {self.rank} called {op!r} while "
+                f"rank {source} called {called!r}")
+        return obj
+
+    def _fan_in(self, op: str, obj: Any, root: int) -> list[Any] | None:
         if self.rank != root:
-            np.copyto(buf, result)
+            self._put((op, obj), root, _COLL_TAG)
+            return None
+        return [obj if r == root else self._take(op, r) for r in range(self.size)]
 
-    # -- structure --------------------------------------------------------
-    @abstractmethod
-    def dup(self) -> "Communicator":
-        """Duplicate the communicator into an independent context.
-
-        Space-sharing mode gives the simulation and the analytics tasks
-        separate contexts so their collectives never interleave (the
-        ``MPI_THREAD_MULTIPLE`` concern of Listing 2).
-        """
+    def _fan_out(self, op: str, obj: Any, root: int) -> Any:
+        """Every rank gets ``root``'s ``obj``, after a fan-in to ``root``."""
+        self._fan_in(op, None, root)
+        if self.rank != root:
+            return self._take(op, root)
+        for r in range(self.size):
+            if r != root:
+                self._put((op, obj), r, _COLL_TAG)
+        return obj
 
     def _check_rank(self, r: int, what: str = "rank") -> None:
         if not 0 <= r < self.size:

@@ -2,7 +2,7 @@
 
 Used for offline analytics, single-node examples, and anywhere the runtime
 needs a communicator but no peers exist.  Its collectives are
-:class:`~repro.comm.subgroup.RootedComm`'s over a self-mailbox (buffered,
+:class:`~repro.comm.interface.Communicator`'s over a self-mailbox (buffered,
 FIFO per tag), which is also what a 1-rank SPMD program's self-sends use.
 """
 
@@ -13,11 +13,11 @@ from collections import defaultdict, deque
 from typing import Any
 
 from .errors import CommError
+from .interface import Communicator
 from .profiler import TrafficProfiler
-from .subgroup import RootedComm
 
 
-class LocalComm(RootedComm):
+class LocalComm(Communicator):
     """A communicator with exactly one rank (rank 0)."""
 
     def __init__(self, profiler: TrafficProfiler | None = None):
@@ -51,6 +51,3 @@ class LocalComm(RootedComm):
                 f"{tag} (single-rank communicator cannot block on a peer)"
             )
         return box.popleft()
-
-    def dup(self) -> "LocalComm":
-        return LocalComm(profiler=self.profiler)

@@ -3,10 +3,10 @@
 :func:`run_ranks` makes a socketpair per pair of ranks and a reply pipe
 per rank and forks the ranks (:func:`~repro.core.worker.start_process`);
 each closes every end not its own.  :class:`ProcessComm` moves one
-message and names ``dup`` contexts; ``send``/``recv`` and every
-collective come from :class:`~repro.comm.subgroup.RootedComm`.  One
-drain thread per rank reads every pipe into per-``(source, context,
-tag)`` mailboxes, so no send waits on its receiver's code, however large.
+message; ``send``/``recv`` and every collective come from
+:class:`~repro.comm.interface.Communicator`.  One drain thread per rank
+reads every pipe into per-``(source, tag)`` mailboxes, so no send waits
+on its receiver's code, however large.
 
 A rank that finishes says goodbye on each pipe; one that fails or dies
 leaves EOF, and a receive from it raises
@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from ..core.worker import (_STOP_SECONDS, _pipe, _portable, pack, recv_frames, send_frames,
                            start_process, stop_process, unpack)
 from .errors import CommAborted, CommError, CommTimeoutError, FrameCorruptionError
+from .interface import Communicator
 from .profiler import TrafficProfiler
-from .subgroup import RootedComm
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults import FaultPlan
@@ -71,15 +71,15 @@ class _Mesh:
                 peer = peers[conn]
                 with self._cond:
                     if frames:
-                        ctx, tag, corrupt = pickle.loads(frames[0])
-                        self._mail[peer, ctx, tag].append((corrupt, frames[1:]))
+                        tag, corrupt = pickle.loads(frames[0])
+                        self._mail[peer, tag].append((corrupt, frames[1:]))
                     else:  # []: a goodbye; None: EOF without one
                         del peers[conn]
                         if frames is None:
                             self._gone.add(peer)
                     self._cond.notify_all()
 
-    def put(self, obj: Any, dest: int, ctx: tuple, tag: int) -> None:
+    def put(self, obj: Any, dest: int, tag: int) -> None:
         spec = self.plan.network_fault(self.rank, op="send") if self.plan else None
         if spec is not None and spec.kind == "disconnect":
             self.shut()
@@ -89,19 +89,19 @@ class _Mesh:
         corrupt = spec is not None and spec.kind == "truncate"
         if dest == self.rank:  # pickled in-band: the sender keeps copy semantics
             with self._cond:
-                self._mail[dest, ctx, tag].append((corrupt, [pickle.dumps(obj, protocol=5)]))
+                self._mail[dest, tag].append((corrupt, [pickle.dumps(obj, protocol=5)]))
                 self._cond.notify_all()
             return
         try:
             with self._locks[dest]:
-                send_frames(self.pipes[dest], [pickle.dumps((ctx, tag, corrupt)), *pack(obj)])
+                send_frames(self.pipes[dest], [pickle.dumps((tag, corrupt)), *pack(obj)])
         except OSError:
             raise CommAborted(f"rank {dest} is gone", origin_rank=dest) from None
 
-    def get(self, source: int, ctx: tuple, tag: int) -> Any:
+    def get(self, source: int, tag: int) -> Any:
         limit = self.timeout if self.deadline is None else min(self.timeout, self.deadline)
         with self._cond:
-            box = self._mail[source, ctx, tag]
+            box = self._mail[source, tag]
             ready = self._cond.wait_for(lambda: box or source in self._gone, limit)
             item = box.popleft() if box else None
         if item is None:
@@ -132,12 +132,11 @@ class _Mesh:
             sock.detach()  # the fd stays the connection's
 
 
-class ProcessComm(RootedComm):
+class ProcessComm(Communicator):
     """One rank process's communicator over its :class:`_Mesh`."""
 
-    def __init__(self, mesh: _Mesh, ctx: tuple = ()):
-        self._mesh, self._ctx = mesh, ctx
-        self._dups = itertools.count(1)
+    def __init__(self, mesh: _Mesh):
+        self._mesh = mesh
         self.profiler = mesh.profiler
 
     @property
@@ -157,14 +156,10 @@ class ProcessComm(RootedComm):
         return dropped
 
     def _put(self, obj: Any, dest: int, tag: int) -> None:
-        self._mesh.put(obj, dest, self._ctx, tag)
+        self._mesh.put(obj, dest, tag)
 
     def _get(self, source: int, tag: int) -> Any:
-        return self._mesh.get(source, self._ctx, tag)
-
-    def dup(self) -> "ProcessComm":
-        # Named by this context and its dup count: ranks dup in one order.
-        return ProcessComm(self._mesh, (*self._ctx, next(self._dups)))
+        return self._mesh.get(source, tag)
 
 
 def _rank_main(reply: Connection, fn: Callable, args: tuple, mesh_args: tuple,

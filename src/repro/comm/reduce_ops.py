@@ -14,13 +14,6 @@ import numpy as np
 Combiner = Callable[[Any, Any], Any]
 
 
-def _np_pairwise(ufunc: np.ufunc) -> Combiner:
-    def combine(a: Any, b: Any) -> Any:
-        return ufunc(a, b)
-
-    return combine
-
-
 class ReduceOp:
     """A named, associative, commutative reduction operator.
 
@@ -138,41 +131,23 @@ def _nan_overlay(acc: Any, value: Any) -> Any:
     return acc
 
 
-SUM = ReduceOp("sum", _np_pairwise(np.add))
-PROD = ReduceOp("prod", _np_pairwise(np.multiply))
-MAX = ReduceOp("max", _np_pairwise(np.maximum))
-MIN = ReduceOp("min", _np_pairwise(np.minimum))
-LAND = ReduceOp("land", lambda a, b: np.logical_and(a, b))
-LOR = ReduceOp("lor", lambda a, b: np.logical_or(a, b))
-CONCAT = ReduceOp("concat", lambda a, b: list(a) + list(b))
+SUM = ReduceOp("sum", np.add)
 NANOVERLAY = ReduceOp("nanoverlay", _nan_overlay)
 
 
 def as_reduce_op(op: ReduceOp | Combiner | str) -> ReduceOp:
     """Coerce ``op`` to a :class:`ReduceOp`.
 
-    Accepts a ``ReduceOp``, one of the builtin names (``"sum"``, ``"max"``,
-    ...), or a bare binary callable.
+    Accepts a ``ReduceOp``, the name ``"sum"`` (the default of every
+    reducing call), or a bare binary callable.
     """
     if isinstance(op, ReduceOp):
         return op
     if isinstance(op, str):
-        try:
-            return _BUILTIN[op]
-        except KeyError:
-            raise ValueError(f"unknown reduce op name: {op!r}") from None
+        if op != "sum":
+            raise ValueError(f"unknown reduce op name: {op!r} (pass a ReduceOp or a callable)")
+        return SUM
     if callable(op):
         return ReduceOp(getattr(op, "__name__", "custom"), op)
     raise TypeError(f"cannot interpret {op!r} as a reduce op")
 
-
-_BUILTIN = {
-    "sum": SUM,
-    "prod": PROD,
-    "max": MAX,
-    "min": MIN,
-    "land": LAND,
-    "lor": LOR,
-    "concat": CONCAT,
-    "nanoverlay": NANOVERLAY,
-}

@@ -3,8 +3,8 @@
 This is the stand-in for MPI in this reproduction (see DESIGN.md section 1).
 Each rank of the SPMD program runs on its own thread.  A message is a
 private copy (:func:`_isolate`) appended to its receiver's mailbox, keyed
-by ``(context, source, tag)``; every collective is
-:class:`~repro.comm.subgroup.RootedComm`'s over those messages, the same
+by ``(source, tag)``; every collective is
+:class:`~repro.comm.interface.Communicator`'s over those messages, the same
 code process ranks run, so the two backends differ in transport alone.
 Synchronization is *real* (threads genuinely block on receives), so the
 ordering, deadlock, and semantics properties of the code under test match a
@@ -12,16 +12,16 @@ genuine MPI execution.
 
 Concurrency contract (same as MPI): all ranks of a communicator must call
 collectives in the same order; a rank that receives another collective's
-message raises :class:`~repro.comm.errors.RankMismatchError`.  Code that
-needs concurrent communication from multiple threads of the same rank
-(space-sharing mode, Listing 2 of the paper) must :meth:`~SimComm.dup` the
-communicator, exactly as one would duplicate an MPI communicator.
+message raises :class:`~repro.comm.errors.RankMismatchError`.  Several
+threads of one rank may use it at once as long as at most one of them
+calls collectives and the others keep to their own ``send``/``recv``
+tags: in space-sharing mode (Listing 2 of the paper) the simulation
+thread exchanges halos on its tags while the analytics thread combines.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 import threading
 import time
 from collections import defaultdict, deque
@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .errors import CommAborted, CommTimeoutError
+from .interface import Communicator
 from .profiler import TrafficProfiler
-from .subgroup import RootedComm
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults import FaultPlan
@@ -220,7 +220,7 @@ class SimCluster:
             self._conds[dest].notify_all()
 
     def _get(self, rank: int, key: tuple) -> Any:
-        """Take the next message from ``rank``'s mailbox ``key`` (context, source, tag)."""
+        """Take the next message from ``rank``'s mailbox ``key`` (source, tag)."""
         deadline = self.deadline
         limit = self.timeout if deadline is None else min(self.timeout, deadline)
         with self._conds[rank]:  # guards the rank's mailboxes too
@@ -229,7 +229,7 @@ class SimCluster:
             if box:
                 return box.popleft()
         self._check_abort()
-        _ctx, source, tag = key
+        source, tag = key
         where = f"recv(source={source}, tag={tag}) on rank {rank}"
         if deadline is not None and deadline <= self.timeout:
             reason = f"{where} exceeded the {deadline}s call deadline"
@@ -240,12 +240,11 @@ class SimCluster:
         raise CommAborted(reason)
 
 
-class SimComm(RootedComm):
-    """One rank's handle onto a :class:`SimCluster` communicator context."""
+class SimComm(Communicator):
+    """One rank's handle onto a :class:`SimCluster`."""
 
-    def __init__(self, cluster: SimCluster, rank: int, ctx: tuple = ()):
-        self._cluster, self._rank, self._ctx = cluster, rank, ctx
-        self._dups = itertools.count(1)
+    def __init__(self, cluster: SimCluster, rank: int):
+        self._cluster, self._rank = cluster, rank
         self.profiler = cluster.profiler
 
     @property
@@ -270,15 +269,7 @@ class SimComm(RootedComm):
         return dropped
 
     def _put(self, obj: Any, dest: int, tag: int) -> None:
-        self._cluster._put(obj, dest, (self._ctx, self._rank, tag))
+        self._cluster._put(obj, dest, (self._rank, tag))
 
     def _get(self, source: int, tag: int) -> Any:
-        return self._cluster._get(self._rank, (self._ctx, source, tag))
-
-    def dup(self) -> "SimComm":
-        """Duplicate into an independent context (same rank ids).
-
-        Named by this context and its dup count: every rank dups in the
-        same order, so the ranks' handles name the same context.
-        """
-        return SimComm(self._cluster, self._rank, (*self._ctx, next(self._dups)))
+        return self._cluster._get(self._rank, (source, tag))

@@ -9,7 +9,6 @@ from repro.comm import (
     CommAborted,
     CommTimeoutError,
     SpmdError,
-    split_comm,
     spmd_launch,
     supervised_launch,
 )
@@ -79,22 +78,6 @@ class TestInjectedCrash:
         with pytest.raises(SpmdError) as exc_info:
             spmd_launch(2, body, timeout=5.0, fault_plan=crash_plan(rank=1))
         assert isinstance(exc_info.value.failures[1], InjectedRankCrash)
-
-    def test_groupcomm_collective_under_rank_crash(self):
-        """Satellite: subcommunicator collectives ride on parent pt2pt,
-        so a crashed member aborts the group's collective cleanly."""
-
-        def body(comm):
-            group = split_comm(comm, "all")
-            comm.barrier()  # everyone past the split before the crash site
-            return group.allgather(comm.rank)
-
-        # rank 2's calls: split_comm (0), barrier (1), group allgather
-        # pt2pt (2-3) — crash inside the group collective
-        plan = crash_plan(rank=2, at_call=3)
-        with pytest.raises(SpmdError) as exc_info:
-            spmd_launch(3, body, timeout=5.0, fault_plan=plan)
-        assert isinstance(exc_info.value.failures[2], InjectedRankCrash)
 
     def test_crash_targets_specific_op(self):
         def body(comm):

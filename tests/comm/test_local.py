@@ -32,29 +32,11 @@ class TestCollectives:
     def test_allgather(self, comm):
         assert comm.allgather("x") == ["x"]
 
-    def test_scatter_single(self, comm):
-        assert comm.scatter([7]) == 7
-
-    def test_scatter_wrong_length_rejected(self, comm):
-        with pytest.raises(ValueError):
-            comm.scatter([1, 2])
-
-    def test_scatter_none_rejected(self, comm):
-        with pytest.raises(ValueError):
-            comm.scatter(None)
-
-    def test_alltoall(self, comm):
-        assert comm.alltoall(["v"]) == ["v"]
-
-    def test_alltoall_wrong_length(self, comm):
-        with pytest.raises(ValueError):
-            comm.alltoall([1, 2, 3])
-
     def test_reduce(self, comm):
         assert comm.reduce(5) == 5
 
     def test_allreduce(self, comm):
-        assert comm.allreduce(5, op="max") == 5
+        assert comm.allreduce(5, op=max) == 5
 
     def test_barrier_is_noop(self, comm):
         comm.barrier()  # must not raise or block
@@ -68,11 +50,6 @@ class TestCollectives:
     def test_Allreduce_shape_mismatch(self, comm):
         with pytest.raises(ValueError):
             comm.Allreduce(np.zeros(3), np.zeros(4))
-
-    def test_Bcast_numpy(self, comm):
-        buf = np.arange(5.0)
-        comm.Bcast(buf)
-        assert np.array_equal(buf, np.arange(5.0))
 
     def test_invalid_root(self, comm):
         with pytest.raises(InvalidRankError):
@@ -119,10 +96,3 @@ class TestProfilerIntegration:
         assert snapshot["bcast"][1] == 80
         assert snapshot["gather"][0] == 1
         assert snapshot["barrier"] == (1, 0)
-
-    def test_dup_shares_profiler(self):
-        prof = TrafficProfiler()
-        comm = LocalComm(profiler=prof)
-        dup = comm.dup()
-        dup.bcast(1)
-        assert prof.calls_for("bcast") == 1

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import spmd_launch
-from repro.comm.reduce_ops import MAX, SUM
+from repro.comm.reduce_ops import SUM, ReduceOp
+
+MAX = ReduceOp("max", np.maximum)
 
 # Keep the rank count small: each example spins up real threads.
 ranks = st.integers(min_value=1, max_value=4)
@@ -42,20 +44,6 @@ def test_allgather_preserves_order_and_content(n, seed):
             assert np.array_equal(result[r], payloads[r])
 
 
-@settings(max_examples=20, deadline=None)
-@given(n=ranks, seed=st.integers(min_value=0, max_value=2**16))
-def test_alltoall_is_transpose(n, seed):
-    rng = np.random.default_rng(seed)
-    matrix = rng.integers(0, 1000, size=(n, n))
-
-    def body(comm):
-        return comm.alltoall(list(matrix[comm.rank]))
-
-    results = spmd_launch(n, body, timeout=30)
-    for dest in range(n):
-        assert results[dest] == list(matrix[:, dest])
-
-
 @settings(max_examples=15, deadline=None)
 @given(n=ranks, seed=st.integers(min_value=0, max_value=2**16))
 def test_reduce_max_matches_numpy(n, seed):
@@ -63,7 +51,7 @@ def test_reduce_max_matches_numpy(n, seed):
     data = rng.normal(size=n)
 
     def body(comm):
-        return comm.allreduce(float(data[comm.rank]), op="max")
+        return comm.allreduce(float(data[comm.rank]), op=MAX)
 
     expected = float(np.max(data))
     assert spmd_launch(n, body, timeout=30) == [expected] * n

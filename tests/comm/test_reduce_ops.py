@@ -3,22 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.comm import CONCAT, MAX, MIN, PROD, SUM, ReduceOp, as_reduce_op
+from repro.comm import SUM, ReduceOp, as_reduce_op
 
 
 class TestBuiltins:
     def test_sum_scalars(self):
         assert SUM.reduce([1, 2, 3]) == 6
-
-    def test_prod(self):
-        assert PROD.reduce([2, 3, 4]) == 24
-
-    def test_max_min(self):
-        assert MAX.reduce([3, 1, 2]) == 3
-        assert MIN.reduce([3, 1, 2]) == 1
-
-    def test_concat(self):
-        assert CONCAT.reduce([[1], [2, 3], []]) == [1, 2, 3]
 
     def test_sum_arrays_elementwise(self):
         out = SUM.reduce([np.array([1.0, 2.0]), np.array([10.0, 20.0])])
@@ -32,7 +22,7 @@ class TestBuiltins:
         assert np.array_equal(b, [2.0, 2.0])
 
     def test_single_value(self):
-        assert MAX.reduce([7]) == 7
+        assert SUM.reduce([7]) == 7
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -42,11 +32,11 @@ class TestBuiltins:
 class TestCoercion:
     def test_by_name(self):
         assert as_reduce_op("sum") is SUM
-        assert as_reduce_op("max") is MAX
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            as_reduce_op("median")
+        for name in ("median", "max", "prod", "concat"):  # only "sum" has a name
+            with pytest.raises(ValueError):
+                as_reduce_op(name)
 
     def test_passthrough(self):
         assert as_reduce_op(SUM) is SUM

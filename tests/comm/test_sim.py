@@ -20,7 +20,7 @@ class TestCollectives:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_allreduce_max(self, n):
-        results = launch(n, lambda c: c.allreduce(c.rank, op="max"))
+        results = launch(n, lambda c: c.allreduce(c.rank, op=max))
         assert results == [n - 1] * n
 
     @pytest.mark.parametrize("n", SIZES)
@@ -57,24 +57,6 @@ class TestCollectives:
         results = launch(3, body)
         assert results == [0.0, 3.0, 6.0]
 
-    @pytest.mark.parametrize("n", SIZES)
-    def test_scatter(self, n):
-        def body(c):
-            values = [i * i for i in range(n)] if c.is_master else None
-            return c.scatter(values)
-
-        assert launch(n, body) == [i * i for i in range(n)]
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_alltoall_transpose(self, n):
-        def body(c):
-            out = c.alltoall([c.rank * 100 + j for j in range(n)])
-            return out
-
-        results = launch(n, body)
-        for dest, got in enumerate(results):
-            assert got == [src * 100 + dest for src in range(n)]
-
     def test_allgather_numpy_payloads(self):
         def body(c):
             parts = c.allgather(np.full(2, float(c.rank)))
@@ -96,7 +78,7 @@ class TestCollectives:
 
     def test_reduce_custom_op(self):
         def body(c):
-            return c.reduce([c.rank], op="concat")
+            return c.reduce([c.rank], op=lambda a, b: a + b)
 
         results = launch(3, body)
         assert results[0] == [0, 1, 2]
@@ -157,24 +139,6 @@ class TestPointToPoint:
         assert got_dtype is dtype and cls is SimCluster
 
 
-class TestDupAndContexts:
-    def test_dup_is_independent(self):
-        def body(c):
-            d = c.dup()
-            # Interleave operations on both communicators.
-            a = c.allreduce(1)
-            b = d.allreduce(2)
-            return (a, b)
-
-        assert launch(3, body) == [(3, 6)] * 3
-
-    def test_dup_preserves_rank(self):
-        def body(c):
-            return c.dup().rank
-
-        assert launch(4, body) == [0, 1, 2, 3]
-
-
 class TestFailureHandling:
     def test_exception_on_one_rank_propagates(self):
         def body(c):
@@ -205,13 +169,6 @@ class TestFailureHandling:
 
         with pytest.raises(SpmdError):
             launch(2, body)
-
-    def test_scatter_wrong_length_aborts_everyone(self):
-        def body(c):
-            return c.scatter([1] if c.is_master else None)  # needs 3 values
-
-        with pytest.raises(SpmdError):
-            launch(3, body)
 
     def test_results_in_rank_order_on_success(self):
         assert launch(5, lambda c: c.rank) == [0, 1, 2, 3, 4]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import Histogram, reference_histogram
+from repro.comm import spmd_launch
 from repro.core import (
     CoreSplit,
     EnginePolicy,
@@ -92,6 +93,28 @@ class TestSpaceSharing:
             result = driver.run(steps)
             assert np.array_equal(ss_app.counts(), ts_app.counts())
         assert result.steps == steps
+
+    @pytest.mark.parametrize("backend", ["sim", "process"])
+    def test_multi_rank_run_matches_time_sharing_bit_for_bit(self, backend):
+        """On each of 3 ranks, the simulation thread exchanges Heat3D halos
+        on its tags while the analytics thread runs the global combination
+        on the same communicator: one context is enough."""
+
+        def body(comm):
+            counts = []
+            for drive in (lambda sim, app: TimeSharingDriver(sim, app),
+                          lambda sim, app: SpaceSharingDriver(sim, app, CoreSplit(1, 1))):
+                app = Histogram(ExecutionPolicy(buffer_capacity=2), comm,
+                                lo=0.0, hi=100.0, num_buckets=16)
+                drive(Heat3D((12, 10, 10), comm), app).run(5)
+                counts.append(app.counts())
+            return counts
+
+        results = spmd_launch(3, body, comm_backend=backend, timeout=60)
+        for time_counts, space_counts in results:
+            assert time_counts.sum() > 0
+            assert np.array_equal(space_counts, time_counts)
+        assert all(np.array_equal(ts, results[0][0]) for ts, _ in results)
 
     def test_small_buffer_blocks_producer(self):
         class SlowConsumerHistogram(Histogram):

@@ -22,7 +22,7 @@ from repro.analytics import (
     WeightedWindowObj,
     WindowSumObj,
 )
-from repro.comm import TrafficProfiler, spmd_launch, split_comm
+from repro.comm import TrafficProfiler, spmd_launch
 from repro.core import (
     CombinePolicy,
     ExecutionPolicy,
@@ -540,28 +540,6 @@ class TestCombineOnCluster:
 
         results = spmd_launch(3, body, timeout=30)
         assert all(r == [1, 2, 1000] for r in results)
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_subcommunicator_combine(self, algorithm):
-        """Combination over GroupComm subcommunicators (split by parity)
-        must stay within each group and agree with a local reference."""
-
-        def body(comm):
-            group = split_comm(comm, color=comm.rank % 2, key=comm.rank)
-            local = KeyedMap({0: SumCountObj(comm.rank + 1.0, 1)})
-            merged = global_combine(
-                comm=group, local_map=local, merge=merge_sumcount,
-                combine=CombinePolicy(algorithm=algorithm, wire_format="columnar"),
-            )
-            return comm.rank % 2, _map_state(merged)
-
-        results = spmd_launch(6, body, timeout=30)
-        for color, state in results:
-            members = [r for r in range(6) if r % 2 == color]
-            assert state[0] == {
-                "total": float(sum(r + 1 for r in members)),
-                "count": len(members),
-            }
 
     def test_columnar_reduces_wire_bytes(self):
         """The acceptance tally: a map the vote cannot combine moves

@@ -124,7 +124,8 @@ def test_a_start_up_loads_only_what_it_runs():
 
 
 #: Every package's public names (``__all__``), as they stood before the
-#: packages exported them lazily.
+#: packages exported them lazily; ``repro.comm`` without the MPI calls the
+#: runtime never makes (nonblocking requests, sub-communicators, unused ops).
 PUBLIC = {
     "repro": (
         "__version__ analytics baselines comm core faults sim telemetry "
@@ -145,11 +146,10 @@ PUBLIC = {
         "lowlevel_mutual_information "
     ),
     "repro.comm": (
-        "CONCAT CommAborted CommError CommTimeoutError Communicator FrameCorruptionError "
-        "GroupComm InterleaveSchedule InvalidRankError LAND LOR LocalComm MAX MIN OpStats "
-        "PROD ProcessComm RankMismatchError ReduceOp Request SUM SimCluster SimComm SpmdError "
-        "TrafficProfiler UNDEFINED as_reduce_op payload_nbytes split_comm spmd_launch "
-        "supervised_launch "
+        "CommAborted CommError CommTimeoutError Communicator FrameCorruptionError "
+        "InterleaveSchedule InvalidRankError LocalComm OpStats ProcessComm RankMismatchError "
+        "ReduceOp SUM SimCluster SimComm SpmdError TrafficProfiler as_reduce_op "
+        "payload_nbytes spmd_launch supervised_launch "
     ),
     "repro.core": (
         "BufferClosed COMBINE_ALGORITHMS CheckpointError Chunk CircularBuffer "
