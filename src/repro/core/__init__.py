@@ -22,7 +22,6 @@ from .._lazy import lazy_exports
 from . import engine, policy, scheduler, serialization, worker  # noqa: F401
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".autotune": ("PolicyAdvisor",),
     ".batch": ("ColumnarAccumulator",),
     ".checkpoint": ("CheckpointError", "load_checkpoint", "save_checkpoint"),
     ".chunk": ("Chunk", "Split", "iter_blocks", "make_splits"),
@@ -60,7 +59,6 @@ __all__ = [
     "Field",
     "KeyedMap",
     "MAP_PATHS",
-    "PolicyAdvisor",
     "PackedMap",
     "WIRE_FORMATS",
     "WIRE_VERSION",

@@ -23,11 +23,6 @@ vocabulary as the conformance matrix (``engine=``, ``threads=``,
 ``ExecutionPolicy.parse(policy.fingerprint())`` round-trips exactly
 (``extra_data`` is the one field a fingerprint cannot carry — it is an
 arbitrary application object and is excluded by contract).
-
-:meth:`ExecutionPolicy.auto` asks
-:class:`repro.core.autotune.PolicyAdvisor` to choose the engine and the
-wire format for a described workload instead of the user hand-picking
-them.
 """
 
 from __future__ import annotations
@@ -354,19 +349,6 @@ class ExecutionPolicy:
         )
 
     # -- construction helpers ------------------------------------------
-    @classmethod
-    def auto(cls, **hints: Any) -> "ExecutionPolicy":
-        """Let the advisor pick the engine and wire knobs.
-
-        Delegates to :class:`repro.core.autotune.PolicyAdvisor` — see
-        its ``advise()`` for the accepted workload hints (``elements``,
-        ``threads``, ``schema_mergeable``, ``has_batch_path``, ...).
-        """
-        from .autotune import PolicyAdvisor  # deferred: autotune imports this module
-
-        telemetry = hints.pop("telemetry", None)
-        return PolicyAdvisor(telemetry=telemetry).advise(**hints)
-
     def evolve(self, **changes: Any) -> "ExecutionPolicy":
         """A copy with ``changes`` applied (validated on construction)."""
         return replace(self, **changes)

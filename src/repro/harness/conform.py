@@ -23,7 +23,6 @@ from ..verify import (
     check_workload,
     fuzz_schedule,
     get_workload,
-    run_autotune,
     run_fuzz,
     run_matrix,
     workload_names,
@@ -67,9 +66,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="run a workload under an ExecutionPolicy "
                              "fingerprint (repeatable; e.g. "
                              "'histogram@engine=thread,threads=2')")
-    parser.add_argument("--autotune", action="store_true",
-                        help="also run every workload under "
-                             "ExecutionPolicy.auto() advice")
     parser.add_argument("--properties", action="store_true",
                         help="also run the metamorphic property checks")
     parser.add_argument("--fuzz", type=int, default=0, metavar="N",
@@ -183,12 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             report.mismatches.extend(run_fuzz(
                 name, args.fuzz, cache=cache, telemetry=telemetry))
-    if args.autotune:
-        auto_report = run_autotune(seed=args.seed, telemetry=telemetry,
-                                   cache=cache)
-        report.configs.extend(auto_report.configs)
-        report.policies.extend(auto_report.policies)
-        report.mismatches.extend(auto_report.mismatches)
     report.counters = telemetry.counters("verify.")
 
     if report.configs:

@@ -12,9 +12,10 @@ Lifetime is refcounted.  :meth:`release` (or the :class:`StepLease`
 context manager) drops a reader; :meth:`retire` marks a step evictable,
 but the segment is only closed and unlinked once the last reader has
 released — eviction can never fire under a live reader.  Leases live in
-the process that holds the store: the service takes and releases each
-job's lease around the job, whatever becomes of the seat process that
-reads the segment, so no lease outlives its job.
+the process that holds the store: the service takes each job's lease when
+it admits the job and releases it when the job ends, whatever becomes of
+the seat process that reads the segment, so a queued job keeps its step
+and no lease outlives its job.
 
 Telemetry lands in the ``engine.residency.shared_*`` namespace next to
 the process engine's per-run residency counters:
@@ -110,8 +111,8 @@ class SharedStepStore:
     def register(self, step_id: str, data: np.ndarray) -> None:
         """Publish ``data`` as resident step ``step_id`` (one copy).
 
-        Idempotent registration of a different array under a taken id is
-        an error — a step is immutable once published.
+        A step is immutable once published: any second ``register`` of a
+        taken id raises, whatever array it passes.
         """
         data = np.ascontiguousarray(data)
         with self._lock:

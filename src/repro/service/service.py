@@ -12,9 +12,9 @@ shared in-situ data plane:
   one quantum rotation) and sends each to its process: jobs run off the
   service's GIL, one core each;
 * **shared residency** — every job leases its sim step from the
-  refcounted :class:`SharedStepStore` for as long as its seat process
-  runs it: N jobs against one step read one resident copy, which each
-  seat process maps once, by name;
+  refcounted :class:`SharedStepStore` from its admission until it ends,
+  so a queued job's step outlives ``retire_step``: N jobs against one
+  step read one resident copy, which each seat process maps once, by name;
 * **seats** — inside a seat process, per-(tenant, workload, policy)
   schedulers are kept warm between jobs (``service.seats.created`` vs
   ``service.seats.reused``);
@@ -42,7 +42,7 @@ from ..telemetry import Recorder
 from ..verify.workloads import Workload, get_workload, load_analytics
 from .admission import AdmissionController
 from .dispatch import DeficitRoundRobin
-from .residency import SharedStepStore
+from .residency import SharedStepStore, StepLease
 from .spec import AdmissionError, JobHandle, JobSpec, SeatLostError, TenantQuota
 
 __all__ = ["AnalyticsService", "execute_workload", "job_policy"]
@@ -204,8 +204,9 @@ class AnalyticsService:
         self._dispatchers: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        self._outstanding = 0
         self._job_ids = itertools.count(1)
+        #: every outstanding job's step lease, held from admission to its end
+        self._leases: dict[int, StepLease] = {}
         self._tenant_scopes: dict[str, Recorder] = {}
         self._closed = False
 
@@ -242,20 +243,21 @@ class AnalyticsService:
         :class:`~repro.service.AdmissionError`."""
         if self._closed:
             raise RuntimeError("service is closed")
-        elements = self.store.elements(spec.step)  # fail fast: step must
-        get_workload(spec.workload)                # be resident, workload known
+        get_workload(spec.workload)           # fail fast: workload known, and the
+        lease = self.store.attach(spec.step)  # step resident and held from here
         scope = self.tenant_scope(spec.tenant)
         try:
             self.admission.admit(spec)
         except AdmissionError as exc:
+            lease.release()
             scope.inc(f"rejected.{exc.kind}")
             self.telemetry.inc("service.rejected")
             raise
         cost = (spec.cost_hint if spec.cost_hint is not None
-                else float(elements))
+                else float(lease.data.size))
         handle = JobHandle(job_id=next(self._job_ids), spec=spec)
         with self._lock:
-            self._outstanding += 1
+            self._leases[handle.job_id] = lease
         self._drr.push(handle, cost)
         scope.inc("submitted")
         self.telemetry.inc("service.submitted")
@@ -319,25 +321,23 @@ class AnalyticsService:
             handle._finish(result, counters, seconds)
         finally:
             with self._lock:
-                self._outstanding -= 1
-                if self._outstanding == 0:
+                self._leases.pop(handle.job_id).release()
+                if not self._leases:
                     self._idle.notify_all()
 
     def _run_job(self, index: int, handle: JobHandle) -> tuple:
         """Run one job on seat process ``index``: the job's identity goes
         down the pipe, (result, ``run.*`` counters, seat seconds, seat
-        created/reused) comes back.  The lease is taken and released
-        here, whatever becomes of the seat."""
+        created/reused) comes back."""
         spec = handle.spec
         seat = self._pool.worker(index)
-        with self.store.attach(spec.step) as lease:
-            resident = self.store.segment_names()
-            evicted = [name for name in seat.holds if name not in resident]
-            for name in evicted:
-                del seat.holds[name]
-            seat.holds[lease.segment[0]] = True
-            job = (spec.tenant, spec.workload, spec.policy, lease.segment)
-            reply = seat.call((evicted, job))
+        segment = self._leases[handle.job_id].segment
+        resident = self.store.segment_names()
+        evicted = [name for name in seat.holds if name not in resident]
+        for name in evicted:
+            del seat.holds[name]
+        seat.holds[segment[0]] = True
+        reply = seat.call((evicted, (spec.tenant, spec.workload, spec.policy, segment)))
         if reply is None:
             raise SeatLostError(handle.job_id, spec.tenant, spec.workload,
                                 self._pool.replace(index))
@@ -351,7 +351,7 @@ class AnalyticsService:
         deadline = (None if timeout is None
                     else time.perf_counter() + timeout)
         with self._idle:
-            while self._outstanding:
+            while self._leases:
                 remaining = (None if deadline is None
                              else deadline - time.perf_counter())
                 if remaining is not None and remaining <= 0:

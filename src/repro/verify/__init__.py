@@ -25,7 +25,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".oracle": ("ConformanceError", "ConformanceReport", "Mismatch", "OracleCache",
                 "RunInfo", "SlicedArraySim", "diff_results", "execute", "repro_command",
                 "run_config", "run_matrix", "ulp_distance"),
-    ".policy_check": ("advised_config", "run_autotune"),
     ".properties": ("applicable_properties", "check_fault_replay",
                     "check_merge_associativity", "check_partition_invariance",
                     "check_permutation_invariance", "check_residency_idempotence",
@@ -46,7 +45,6 @@ __all__ = [
     "TRANSPARENT_AXES",
     "WORKLOADS",
     "Workload",
-    "advised_config",
     "applicable_properties",
     "axis_values",
     "build_matrix",
@@ -65,7 +63,6 @@ __all__ = [
     "pairwise_prune",
     "replay",
     "repro_command",
-    "run_autotune",
     "run_config",
     "run_fuzz",
     "run_matrix",

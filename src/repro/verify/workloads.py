@@ -62,10 +62,6 @@ class Workload:
     exact_partition: bool = False
     exact_permutation: bool = False
     exact_merge: bool = False
-    #: Whether the reduction object declares a columnar schema — the
-    #: :class:`PolicyAdvisor`'s wire input (``ExecutionPolicy.auto``;
-    #: optimistic hints are safe — the runtime falls back collectively).
-    schema_mergeable: bool = False
     build_kwargs: dict = field(default_factory=dict)
 
     def make_data(self, seed: int, elements: int | None = None) -> np.ndarray:
@@ -158,7 +154,6 @@ _register(Workload(
     exact_partition=True,
     exact_permutation=True,
     exact_merge=True,
-    schema_mergeable=True,
     has_batch_path=True,
 ))
 
@@ -169,7 +164,6 @@ _register(Workload(
     description="mean of every 64 consecutive positions (raw sums compared)",
     default_elements=2048,
     has_batch_path=True,
-    schema_mergeable=True,
 ))
 
 _register(Workload(
@@ -182,7 +176,6 @@ _register(Workload(
     exact_partition=True,
     exact_permutation=True,
     exact_merge=True,
-    schema_mergeable=True,
     has_batch_path=True,
 ))
 
@@ -195,7 +188,6 @@ _register(Workload(
     num_iters=3,
     default_elements=720,
     make_extra=_kmeans_init,
-    schema_mergeable=False,
     has_batch_path=True,
     # ``bincount`` adds a block's points in input order (0 ulp with one
     # block), but each later block's subtotal is then added to the seeded
@@ -213,7 +205,6 @@ _register(Workload(
     chunk_size=5,
     num_iters=3,
     default_elements=800,
-    schema_mergeable=False,
     has_batch_path=True,
     # ``X.T @ (p - y)`` (BLAS) regroups the per-sample gradient sum; a
     # weight that lands near zero (|w| ~ 6e-4 here) turns that
@@ -232,7 +223,6 @@ _register(Workload(
     exact_partition=True,
     exact_permutation=True,
     exact_merge=True,
-    schema_mergeable=True,
     has_batch_path=True,
 ))
 
@@ -243,7 +233,6 @@ _register(Workload(
     extract=_extract_grid_aggregation,
     description="mean over (3,4,5) tiles of an 8x16x16 field (raw sums compared)",
     default_elements=2048,
-    schema_mergeable=True,
     has_batch_path=True,
 ))
 
@@ -255,7 +244,6 @@ _register(Workload(
     multi_key=True,
     default_elements=512,
     has_batch_path=True,
-    schema_mergeable=True,
 ))
 
 _register(Workload(
@@ -268,7 +256,6 @@ _register(Workload(
     # np.median over the held multiset does not depend on how samples
     # were split across partitions, only on which samples arrived.
     exact_partition=True,
-    schema_mergeable=False,
 ))
 
 _register(Workload(
@@ -279,7 +266,6 @@ _register(Workload(
     description="Savitzky-Golay smoothing, window 7, order 2",
     multi_key=True,
     default_elements=384,
-    schema_mergeable=False,
 ))
 
 _register(Workload(
@@ -290,7 +276,6 @@ _register(Workload(
     multi_key=True,
     default_elements=384,
     has_batch_path=True,
-    schema_mergeable=True,
 ))
 
 _register(Workload(
@@ -303,7 +288,6 @@ _register(Workload(
     multi_key=True,
     default_elements=512,
     out_len=lambda n: KDE_GRID_POINTS,
-    schema_mergeable=True,
     has_batch_path=True,
     # np.exp (batch) vs math.exp (scalar) differ in the last ulp on some
     # kernel terms; over ~500 samples per grid point the drift mostly

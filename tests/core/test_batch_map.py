@@ -24,7 +24,6 @@ from repro.core import (
     EnginePolicy,
     ExecutionPolicy,
     KeyedMap,
-    PolicyAdvisor,
     Scheduler,
 )
 from repro.core.batch import Scratch
@@ -259,13 +258,11 @@ class TestMapPathPolicy:
         with pytest.raises(TypeError, match="vectorized"):
             ExecutionPolicy(vectorized=True)
 
-    def test_advisor_picks_batch(self):
-        # The advised policy reaches the kernel through `auto`: the
-        # has_batch_path hint only steers the engine choice, so an
-        # optimistic one falls back to the scalar loop instead of
-        # raising the forced-batch error.
-        policy = PolicyAdvisor().advise(
-            elements=1000, threads=2, has_batch_path=True)
+    def test_auto_map_path_picks_batch(self):
+        # The default map path reaches the kernel when the app has one,
+        # and falls back to the scalar loop instead of raising the
+        # forced-batch error when it has none.
+        policy = ExecutionPolicy(engine=EnginePolicy(backend="thread", num_threads=2))
         assert policy.engine.map_path == "auto"
         with Histogram(policy, lo=-4, hi=4, num_buckets=8) as app:
             app.run(np.linspace(-3, 3, 64))
@@ -275,10 +272,6 @@ class TestMapPathPolicy:
             app.run(np.arange(8.0))
             assert app.telemetry_snapshot()["counters"][
                 "run.accumulate_calls"] == 8
-
-    def test_advised_config_carries_map_path(self):
-        from repro.verify.policy_check import advised_config
-        assert advised_config("histogram").map_path == "auto"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.core.policy import fault_fingerprint, parse_fault
 from repro.faults import FaultPolicy
-from repro.verify import Config
+from repro.verify import Config, Workload
 
 
 class TestValidation:
@@ -207,3 +207,18 @@ class TestEvolveAndCoerce:
     def test_constants_cover_engine_registry(self):
         assert set(ENGINE_BACKENDS) == {"serial", "thread", "process"}
         assert COMBINE_ALGORITHMS == ("gather", "tree")
+
+
+@pytest.mark.parametrize("statement,error", [
+    ("from repro.core import PolicyAdvisor", ImportError),
+    ("from repro.verify import advised_config", ImportError),
+    ("from repro.verify import run_autotune", ImportError),
+    ("import repro.core.autotune", ImportError),
+    ("import repro.verify.policy_check", ImportError),
+    ("ExecutionPolicy.auto", AttributeError),
+    ("Workload.schema_mergeable", AttributeError),
+])
+def test_removed_names_stay_removed(statement, error):
+    # A policy is built from its fields alone: no advisor picks them.
+    with pytest.raises(error):
+        exec(statement)

@@ -171,3 +171,52 @@ def test_a_seat_killed_under_a_process_engine_job_fails_it_without_a_hang():
     # The killed seat never unlinked its engine's input segment: reaping
     # the seat did.
     assert own_segments() == before
+
+
+def test_a_queued_job_keeps_its_step_past_retire():
+    # A job holds its step from admission, not from dispatch: retiring the
+    # step under three queued jobs defers the eviction to the last of them.
+    data = np.random.default_rng(6).normal(size=2048)
+    before = own_segments()
+    svc = AnalyticsService(workers=1)
+    try:
+        svc.register_step("c", data)
+        handles = [svc.submit(JobSpec(tenant=f"t{i}", workload="histogram", step="c"))
+                   for i in range(3)]
+        (segment,) = svc.store.segment_names()
+        assert svc.retire_step("c") is False
+        assert svc.telemetry.counter("engine.residency.shared_evict_deferred") == 1
+        assert segment in own_segments()
+        svc.start()
+        for handle in handles:
+            assert_matches_solo(handle, data)
+        assert svc.drain(timeout=60)
+        assert svc.store.resident_steps() == []
+        assert segment not in own_segments()
+    finally:
+        svc.close()
+    assert own_segments() == before
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc")
+def test_a_seat_unmaps_a_retired_step_before_its_next_job():
+    a, b = (np.random.default_rng(seed).normal(size=2048) for seed in (8, 9))
+    with AnalyticsService(workers=1) as svc:
+        svc.register_step("a", a)
+        (segment_a,) = svc.store.segment_names()
+        assert_matches_solo(svc.submit(JobSpec(tenant="t", workload="histogram", step="a")), a)
+        assert svc.drain(timeout=60)  # the job's lease is released
+        seat = svc._pool.worker(0)
+        maps = Path(f"/proc/{seat.process.pid}/maps")
+        assert segment_a in maps.read_text()
+        assert svc.retire_step("a") is True
+
+        svc.register_step("b", b)
+        (segment_b,) = svc.store.segment_names()
+        assert_matches_solo(svc.submit(JobSpec(tenant="t", workload="histogram", step="b")), b)
+        assert svc._pool.worker(0) is seat
+        assert segment_a not in maps.read_text()
+        assert list(seat.holds) == [segment_b]
+        # The warm seat let go of step `a` and served step `b`.
+        assert svc.telemetry.counter("service.seats.reused") == 1
+    assert own_segments() == set()

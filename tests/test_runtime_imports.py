@@ -95,11 +95,10 @@ def run_fresh(script: str, *args: str) -> str:
 #: start-up which runs none of them must not load.
 UNUSED = (
     "repro.verify.oracle", "repro.verify.matrix", "repro.verify.fuzz",
-    "repro.verify.properties", "repro.verify.policy_check",
+    "repro.verify.properties",
     "repro.baselines.", "repro.harness.", "repro.perfmodel.",
     "repro.sim.lulesh", "repro.sim.emulator",
     "repro.core.checkpoint", "repro.core.pipeline", "repro.core.space_sharing",
-    "repro.core.autotune",
     "repro.analytics.logistic_regression", "repro.analytics.mutual_information",
     "repro.analytics.kernel_density", "repro.analytics.structured",
     "repro.analytics.savgol", "repro.analytics.moving_median",
@@ -125,7 +124,8 @@ def test_a_start_up_loads_only_what_it_runs():
 
 #: Every package's public names (``__all__``), as they stood before the
 #: packages exported them lazily; ``repro.comm`` without the MPI calls the
-#: runtime never makes (nonblocking requests, sub-communicators, unused ops).
+#: runtime never makes (nonblocking requests, sub-communicators, unused ops),
+#: ``repro.core`` and ``repro.verify`` without the launch-policy advisor.
 PUBLIC = {
     "repro": (
         "__version__ analytics baselines comm core faults sim telemetry "
@@ -155,7 +155,7 @@ PUBLIC = {
         "BufferClosed COMBINE_ALGORITHMS CheckpointError Chunk CircularBuffer "
         "ColumnarAccumulator CombinePolicy CoreSplit ENGINE_BACKENDS ElasticTier EnginePolicy "
         "ExecutionEngine ExecutionPolicy Field KeyedMap MAP_PATHS PackedMap PipelineStage "
-        "PolicyAdvisor ProcessEngine RedObj RunStats Scheduler SerialEngine SmartPipeline "
+        "ProcessEngine RedObj RunStats Scheduler SerialEngine SmartPipeline "
         "SpaceSharingDriver SpaceSharingResult Split StagingWorkerError StepTiming "
         "ThreadEngine TimeSharingDriver TimeSharingResult WIRE_FORMATS WIRE_VERSION "
         "create_engine deserialize_map ensure_red_obj global_combine iter_blocks "
@@ -173,12 +173,12 @@ PUBLIC = {
     ),
     "repro.verify": (
         "Config ConformanceError ConformanceReport FuzzCase Mismatch OracleCache RunInfo "
-        "STRUCTURE_AXES SlicedArraySim TRANSPARENT_AXES WORKLOADS Workload advised_config "
+        "STRUCTURE_AXES SlicedArraySim TRANSPARENT_AXES WORKLOADS Workload "
         "applicable_properties axis_values build_matrix check_fault_replay "
         "check_merge_associativity check_partition_invariance check_permutation_invariance "
         "check_residency_idempotence check_workload derive_case diff_results "
         "enumerate_configs execute fuzz_schedule get_workload pairwise_prune replay "
-        "repro_command run_autotune run_config run_fuzz run_matrix ulp_distance "
+        "repro_command run_config run_fuzz run_matrix ulp_distance "
         "workload_names "
     ),
 }
