@@ -14,7 +14,7 @@ the whole surface:
   catch the structured rejection;
 * flood from one tenant and observe the victim's bounded dispatch
   delay;
-* read per-tenant scoped telemetry and compute the Jain fairness index.
+* read per-tenant telemetry by name and compute the Jain fairness index.
 
 Run:  python examples/multi_tenant.py
 """
@@ -66,11 +66,12 @@ def serve_mixed_jobs(data: np.ndarray) -> None:
               f"attaches={tel.counter('engine.residency.shared_attaches')} "
               f"hit_rate={svc.store.hit_rate():.3f}")
 
-        # Per-tenant scoped telemetry: engine time charged per tenant.
-        seconds = [svc.tenant_scope(t).timer("engine_seconds").seconds
+        # Per-tenant telemetry (service.tenant.<id>.*): engine time
+        # charged per tenant.
+        seconds = [tel.timer(f"service.tenant.{t}.engine_seconds").seconds
                    for t in TENANTS]
         for tenant, secs in zip(TENANTS, seconds):
-            done = svc.tenant_scope(tenant).counter("jobs_completed")
+            done = tel.counter(f"service.tenant.{tenant}.jobs_completed")
             print(f"   {tenant:>8}: {done} jobs, {secs * 1e3:.1f} ms "
                   "engine time")
         print(f"   Jain index over engine time: "

@@ -75,7 +75,7 @@ def main() -> None:
     print(f"analyzed {out.sum():,} elements over 10 time-steps")
     print(f"simulation time: {result.simulate_seconds * 1e3:.1f} ms, "
           f"analytics time: {result.analyze_seconds * 1e3:.1f} ms")
-    peak = histogram.stats.peak_red_objects
+    peak = histogram.telemetry.counter("run.peak_red_objects")
     print(f"peak reduction objects: {peak} (vs {out.sum():,} input elements)")
     width = (Histogram.HI - Histogram.LO) / Histogram.BUCKETS
     print("\nhistogram:")

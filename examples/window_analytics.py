@@ -53,8 +53,9 @@ def main() -> None:
         out = np.full(n, np.nan)
         app.run2(signal, out)
         residual = np.std(signal - out)
-        print(f"{name:18s} {residual:12.3f} {app.stats.peak_red_objects:13d} "
-              f"{app.stats.early_emissions:16d}")
+        peak = app.telemetry.counter("run.peak_red_objects")
+        emitted = app.telemetry.counter("run.early_emissions")
+        print(f"{name:18s} {residual:12.3f} {peak:13d} {emitted:16d}")
 
     # The comparison the paper's Fig. 11 makes: disable the trigger and
     # watch the live reduction-object count jump from O(W) to O(N).
@@ -63,11 +64,12 @@ def main() -> None:
     )
     out = np.full(n, np.nan)
     no_trigger.run2(signal, out)
-    with_trigger = apps["moving average"].stats.peak_red_objects
+    with_trigger = apps["moving average"].telemetry.counter("run.peak_red_objects")
+    without = no_trigger.telemetry.counter("run.peak_red_objects")
     print(f"\nearly emission effect (moving average): "
-          f"{no_trigger.stats.peak_red_objects} live objects without the "
+          f"{without} live objects without the "
           f"trigger vs {with_trigger} with it "
-          f"({no_trigger.stats.peak_red_objects / with_trigger:.0f}x reduction)")
+          f"({without / with_trigger:.0f}x reduction)")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ Python reproduction of Wang, Agrawal, Bicer & Jiang (SC 2015 / OSU TR
 * :mod:`repro.perfmodel` — calibrated cluster performance model.
 * :mod:`repro.harness` — per-figure experiment runners
   (``python -m repro.harness fig7``).
-* :mod:`repro.telemetry` — the unified runtime-statistics recorder
-  behind ``RunStats``, ``TrafficProfiler``, and the execution engines.
+* :mod:`repro.telemetry` — the one runtime-statistics recorder: the
+  scheduler's ``run.*`` counters, ``TrafficProfiler``, the execution
+  engines and the service's tenants, each read by its full name.
 * :mod:`repro.faults` — deterministic seeded fault injection
   (:class:`~repro.faults.FaultPlan`) and recovery policies
   (:class:`~repro.faults.FaultPolicy`) for chaos testing the runtime.

@@ -124,13 +124,6 @@ class WindowScheduler(Scheduler):
             counts[k0:k1] += 1
             contrib[k0:k1] += 1
 
-    def make_output(self, total_len: int | None = None) -> np.ndarray:
-        """NaN-initialized output array (NaN marks 'not written locally',
-        which :func:`~repro.core.scheduler.merge_distributed_output` uses
-        to overlay per-rank partials)."""
-        n = self.total_len_ if total_len is None else total_len
-        return np.full(n, np.nan)
-
 
 def sliding_window_apply(data: np.ndarray, win_size: int, fn) -> np.ndarray:
     """Reference evaluator: ``out[i] = fn(window_values, center_rel_index)``.

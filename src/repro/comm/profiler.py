@@ -7,12 +7,12 @@ these counters with an alpha-beta network model to predict synchronization
 cost at cluster scale, so the counters must reflect what an MPI
 implementation would actually put on the wire.
 
-Since the telemetry unification the profiler is a thin facade over a
-:class:`repro.telemetry.Recorder` (the same primitive the scheduler's
-``RunStats`` and the execution engines write into): each operation kind
-is one recorder op tally.  The public API is unchanged; a profiler can
-also be constructed over an existing recorder to merge communication
-traffic into a scheduler's unified snapshot.
+The profiler is a thin facade over a :class:`repro.telemetry.Recorder`
+(the same primitive the scheduler's ``run.*`` counters and the execution
+engines write into): each operation kind is one recorder op tally, read
+by :meth:`TrafficProfiler.snapshot` or by name.  A profiler can also be
+constructed over an existing recorder to merge communication traffic
+into a scheduler's unified snapshot.
 """
 
 from __future__ import annotations
@@ -127,12 +127,6 @@ class TrafficProfiler:
         """Return ``{op: (calls, bytes)}`` at this instant."""
         ops = self.recorder.snapshot()["ops"]
         return {op: (s["calls"], s["bytes"]) for op, s in ops.items()}
-
-    @property
-    def stats(self) -> dict[str, OpStats]:
-        """Back-compat view: per-op :class:`OpStats` copies."""
-        ops = self.recorder.snapshot()["ops"]
-        return {op: OpStats(s["calls"], s["bytes"]) for op, s in ops.items()}
 
     def bytes_for(self, op: str) -> int:
         return self.recorder.op(op).bytes

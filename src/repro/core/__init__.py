@@ -34,7 +34,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".policy": ("COMBINE_ALGORITHMS", "ENGINE_BACKENDS", "MAP_PATHS", "CombinePolicy",
                 "EnginePolicy", "ExecutionPolicy"),
     ".red_obj": ("Field", "RedObj", "ensure_red_obj"),
-    ".scheduler": ("RunStats", "Scheduler", "merge_distributed_output"),
+    ".scheduler": ("Scheduler", "merge_distributed_output"),
     ".serialization": ("WIRE_FORMATS", "WIRE_VERSION", "PackedMap", "deserialize_map",
                        "global_combine", "pack_map", "serialize_map"),
     ".space_sharing": ("CoreSplit", "SpaceSharingDriver", "SpaceSharingResult"),
@@ -69,7 +69,6 @@ __all__ = [
     "create_engine",
     "PipelineStage",
     "RedObj",
-    "RunStats",
     "Scheduler",
     "SmartPipeline",
     "SpaceSharingDriver",

@@ -99,9 +99,8 @@ def save_checkpoint(
         "payload_crc32": zlib.crc32(payload) & 0xFFFFFFFF,
         "metadata": metadata or {},
         "stats": {
-            "runs": scheduler.stats.runs,
-            "iterations_run": scheduler.stats.iterations_run,
-            "early_emissions": scheduler.stats.early_emissions,
+            name: scheduler.telemetry.counter(f"run.{name}")
+            for name in ("runs", "iterations_run", "early_emissions")
         },
     }
     header_bytes = json.dumps(header).encode()

@@ -18,7 +18,7 @@ segment, no copy).  Two things move between parent and workers:
   run *header* (segment name, dtype, length, layout context,
   ``multi_key``, whether there is an output array; one per ``begin_run``,
   on which the worker binds its data view and builds its scheduler
-  instance, ``Recorder`` and ``RunStats``), the iteration *delta*
+  instance and its ``Recorder``), the iteration *delta*
   (combination map and ``mutable_state()``; one per combination phase)
   and the thread's reduction *map* (one per list handed to
   ``map_splits``, so a replayed iteration starts over).  A task carries
@@ -116,12 +116,9 @@ class _Session:
     def _bind_run(self, header: tuple) -> None:
         """A new run: a scheduler instance over the resident core, with its
         own telemetry, viewing the run's partition."""
-        from ..scheduler import RunStats  # deferred: scheduler imports this module's package
-
         self.sched = None  # drops the last run's view before its segment can close
         sched = copy.copy(self.core)
         sched.telemetry = Recorder()
-        sched.stats = RunStats(sched.telemetry)
         (name, dtype, n_elems, sched.global_offset_,
          sched.total_len_, self.multi_key, self.wants_emitted) = header
         detach(self.segments, [held for held in self.segments if held != name])

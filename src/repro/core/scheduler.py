@@ -54,65 +54,6 @@ from .red_obj import RedObj, ensure_red_obj
 from .serialization import PackedMap, global_combine, pack_map
 
 
-def _run_counter(name: str) -> property:
-    """A RunStats attribute backed by the ``run.<name>`` telemetry counter."""
-    key = f"run.{name}"
-
-    def getter(self: "RunStats") -> int:
-        return self.recorder.counter(key)
-
-    def setter(self: "RunStats", value: int) -> None:
-        self.recorder.set_counter(key, value)
-
-    return property(getter, setter)
-
-
-class RunStats:
-    """Counters maintained by the scheduler across :meth:`Scheduler.run` calls.
-
-    Back-compat view over the scheduler's unified telemetry
-    :class:`~repro.telemetry.Recorder`: every attribute reads and writes
-    the ``run.*`` counter of the same name, so ``scheduler.stats`` and
-    ``scheduler.telemetry_snapshot()`` can never disagree.
-
-    ``peak_red_objects`` is the memory-efficiency headline number: the
-    maximum simultaneous count of reduction objects held across all
-    thread-local reduction maps plus the combination map (paper Sections
-    4.1-4.2 reason entirely in these units).
-    """
-
-    __slots__ = ("recorder", "extra")
-
-    chunks_processed = _run_counter("chunks_processed")
-    accumulate_calls = _run_counter("accumulate_calls")
-    batch_reduce_calls = _run_counter("batch_reduce_calls")
-    early_emissions = _run_counter("early_emissions")
-    iterations_run = _run_counter("iterations_run")
-    runs = _run_counter("runs")
-    peak_red_objects = _run_counter("peak_red_objects")
-    global_combinations = _run_counter("global_combinations")
-
-    def __init__(self, recorder: Recorder | None = None, **initial: int):
-        self.recorder = recorder if recorder is not None else Recorder()
-        self.extra: dict[str, Any] = {}
-        for name, value in initial.items():
-            setattr(self, name, value)
-
-    def observe_objects(self, count: int) -> None:
-        self.recorder.observe_max("run.peak_red_objects", count)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = ", ".join(
-            f"{name}={getattr(self, name)}"
-            for name in (
-                "chunks_processed", "accumulate_calls", "batch_reduce_calls",
-                "early_emissions", "iterations_run", "runs", "peak_red_objects",
-                "global_combinations",
-            )
-        )
-        return f"RunStats({fields})"
-
-
 #: The paper's Table-1 map callbacks a batch kernel stands in for.
 _MAP_CALLBACKS = frozenset({"gen_key", "gen_keys", "accumulate"})
 
@@ -127,7 +68,6 @@ _ENGINE_LOCAL_ATTRS = frozenset(
         "comm",
         "combination_map_",
         "telemetry",
-        "stats",
         "fault_plan",
         "data_",
         "out_",
@@ -181,7 +121,6 @@ class Scheduler:
         self.comm: Communicator = comm if comm is not None else LocalComm()
         self.combination_map_ = KeyedMap()
         self.telemetry = Recorder()
-        self.stats = RunStats(self.telemetry)
         #: Optional :class:`~repro.faults.FaultPlan` consulted by the
         #: execution engine (worker kill/hang injection).  ``None`` — the
         #: default — keeps every injection hook a no-op.
@@ -503,24 +442,6 @@ class Scheduler:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def use_telemetry(self, recorder: Recorder) -> None:
-        """Rebind this scheduler's telemetry to ``recorder``.
-
-        The multi-tenant service hands each job a scoped child recorder
-        (:meth:`repro.telemetry.Recorder.scoped`) so concurrent jobs
-        sharing one root recorder cannot collide on ``run.*`` names.
-        Must be called before the execution engine exists — the engine
-        captures the recorder at creation, and a half-rebound scheduler
-        would split its counters across two sinks.
-        """
-        if self._engine is not None:
-            raise RuntimeError(
-                "use_telemetry() after the engine was created; close() "
-                "the scheduler first so the engine rebinds too"
-            )
-        self.telemetry = recorder
-        self.stats = RunStats(recorder)
-
     def telemetry_snapshot(self) -> dict:
         """One structured snapshot of every runtime statistic.
 
@@ -528,6 +449,9 @@ class Scheduler:
         ``engine.*`` counters and timers) with the communicator's
         traffic profiler (as ``comm.*`` ops) and live state gauges, so
         harnesses, calibration, and benchmarks read a single view.
+        ``run.peak_red_objects`` is the memory-efficiency headline: the
+        most reduction objects held at once across the thread-local maps
+        and the combination map (paper Sections 4.1-4.2).
         """
         snap = self.telemetry.snapshot()
         snap["engine"] = (
@@ -596,7 +520,7 @@ class Scheduler:
         self.out_ = out
         self.global_offset_ = offset
         self.total_len_ = total
-        self.stats.runs += 1
+        self.telemetry.inc("run.runs")
 
         policy = self.policy
         self.process_extra_data(policy.extra_data, self.combination_map_)
@@ -626,9 +550,10 @@ class Scheduler:
                                 bstart, bstop, policy.engine.num_threads, policy.chunk_size
                             )
                             emitted.append(engine.map_splits(splits, red_maps))
-                            self.stats.observe_objects(
+                            self.telemetry.observe_max(
+                                "run.peak_red_objects",
                                 sum(len(m) for m in red_maps)
-                                + len(self.combination_map_)
+                                + len(self.combination_map_),
                             )
                         break
                     except EngineFaultError:
@@ -649,7 +574,8 @@ class Scheduler:
                     self.telemetry.inc("run.global_combinations")
                 self.post_combine(self.combination_map_)
                 engine.invalidate_state()
-                self.stats.observe_objects(len(self.combination_map_))
+                self.telemetry.observe_max(
+                    "run.peak_red_objects", len(self.combination_map_))
                 if self.converged(self.combination_map_, iteration):
                     # The map is identical on all ranks after global
                     # combination, so every rank breaks together.

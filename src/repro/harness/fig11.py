@@ -64,7 +64,7 @@ def _measured(win_size: int = 7, steps: int = 4) -> dict:
             per_step=lambda i, s, o: s.reset(),
         )
         result = driver.run(steps)
-        return result.total_seconds, ma.stats.peak_red_objects, result.output
+        return result.total_seconds, ma.telemetry.counter("run.peak_red_objects"), result.output
 
     t_off, peak_off, out_off = one(disable=True)
     t_on, peak_on, out_on = one(disable=False)

@@ -83,10 +83,6 @@ class ProgrammabilityRow:
             / self.lowlevel_parallel
         )
 
-    @property
-    def smart_sequential(self) -> int:
-        return self.smart_total - self.smart_parallel
-
 
 def compare(app_name: str, lowlevel_fn: Callable, smart_cls: type) -> ProgrammabilityRow:
     low = effective_lines(lowlevel_fn)

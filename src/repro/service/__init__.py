@@ -17,7 +17,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".residency": ("SharedStepStore", "StepLease"),
     ".service": ("AnalyticsService", "execute_workload", "job_policy"),
     ".spec": ("AdmissionError", "BudgetExhaustedError", "JobHandle", "JobSpec",
-              "QueueFullError", "QuotaExceededError", "SeatLostError", "TenantQuota"),
+              "QueueFullError", "QuotaExceededError", "SeatLostError", "ServiceClosedError",
+              "TenantQuota"),
 })
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "QueueFullError",
     "QuotaExceededError",
     "SeatLostError",
+    "ServiceClosedError",
     "SharedStepStore",
     "StepLease",
     "TenantQuota",

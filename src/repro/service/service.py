@@ -18,8 +18,8 @@ shared in-situ data plane:
 * **seats** — inside a seat process, per-(tenant, workload, policy)
   schedulers are kept warm between jobs (``service.seats.created`` vs
   ``service.seats.reused``);
-* **telemetry** — each job's reply lands in its tenant's scoped
-  namespace (``service.tenant.<id>.*``) of one root :class:`Recorder`.
+* **telemetry** — each job's reply lands under its tenant's names
+  (``service.tenant.<id>.*``) in the service's one :class:`Recorder`.
 
 :func:`execute_workload` and the warm seats run a job through one code
 path, :func:`_run_app`, which the conformance solo oracle
@@ -43,7 +43,8 @@ from ..verify.workloads import Workload, get_workload, load_analytics
 from .admission import AdmissionController
 from .dispatch import DeficitRoundRobin
 from .residency import SharedStepStore, StepLease
-from .spec import AdmissionError, JobHandle, JobSpec, SeatLostError, TenantQuota
+from .spec import (AdmissionError, JobHandle, JobSpec, SeatLostError, ServiceClosedError,
+                   TenantQuota)
 
 __all__ = ["AnalyticsService", "execute_workload", "job_policy"]
 
@@ -91,21 +92,16 @@ def execute_workload(
     workload: Workload | str,
     policy: ExecutionPolicy,
     data: np.ndarray,
-    *,
-    telemetry: Recorder | None = None,
 ) -> tuple[dict, dict[str, int]]:
     """Build, run once, close: (extracted result, recorded counters).
 
     The one shared execution path for a service job and its solo
-    oracle.  ``telemetry`` (typically a scoped child recorder) rebinds
-    the scheduler before the engine exists.  The counters are what the
-    recorder counted — not ``telemetry_snapshot()``'s end-of-run
-    ``run.state_*`` gauges, which would measure the map object by object.
+    oracle.  The counters are what the scheduler's recorder counted —
+    not ``telemetry_snapshot()``'s end-of-run ``run.state_*`` gauges,
+    which would measure the map object by object.
     """
     w = workload if isinstance(workload, Workload) else get_workload(workload)
     app = w.build(policy, None)
-    if telemetry is not None:
-        app.use_telemetry(telemetry)
     with app:
         result = _run_app(app, w, data)
         counters = app.telemetry.counters()
@@ -115,11 +111,9 @@ def execute_workload(
 class _Seat:
     """A warm scheduler bound to one (tenant, workload, policy) shape."""
 
-    def __init__(self, workload: Workload, policy: ExecutionPolicy,
-                 recorder: Recorder):
+    def __init__(self, workload: Workload, policy: ExecutionPolicy):
         self.workload = workload
         self.app = workload.build(policy, None)
-        self.app.use_telemetry(recorder)
 
     def run(self, data: np.ndarray) -> tuple[dict, dict[str, int]]:
         self.app.reset()
@@ -167,7 +161,7 @@ class _Seats:
             seat = self.seats.get(key)
             used = "created" if seat is None else "reused"
             if seat is None:
-                seat = self.seats[key] = _Seat(w, policy, Recorder())
+                seat = self.seats[key] = _Seat(w, policy)
             result, counters = seat.run(data)
         run = {name: value for name, value in counters.items()
                if name.startswith("run.")}
@@ -207,20 +201,9 @@ class AnalyticsService:
         self._job_ids = itertools.count(1)
         #: every outstanding job's step lease, held from admission to its end
         self._leases: dict[int, StepLease] = {}
-        self._tenant_scopes: dict[str, Recorder] = {}
         self._closed = False
 
     # -- tenants -------------------------------------------------------
-    def tenant_scope(self, tenant: str) -> Recorder:
-        """The tenant's scoped telemetry namespace
-        (``service.tenant.<id>.*``)."""
-        with self._lock:
-            scope = self._tenant_scopes.get(tenant)
-            if scope is None:
-                scope = self.telemetry.scoped(f"service.tenant.{tenant}")
-                self._tenant_scopes[tenant] = scope
-            return scope
-
     def set_quota(self, tenant: str, quota: TenantQuota) -> None:
         self.admission.set_quota(tenant, quota)
 
@@ -245,12 +228,12 @@ class AnalyticsService:
             raise RuntimeError("service is closed")
         get_workload(spec.workload)           # fail fast: workload known, and the
         lease = self.store.attach(spec.step)  # step resident and held from here
-        scope = self.tenant_scope(spec.tenant)
+        tenant = f"service.tenant.{spec.tenant}."
         try:
             self.admission.admit(spec)
         except AdmissionError as exc:
             lease.release()
-            scope.inc(f"rejected.{exc.kind}")
+            self.telemetry.inc(f"{tenant}rejected.{exc.kind}")
             self.telemetry.inc("service.rejected")
             raise
         cost = (spec.cost_hint if spec.cost_hint is not None
@@ -259,7 +242,7 @@ class AnalyticsService:
         with self._lock:
             self._leases[handle.job_id] = lease
         self._drr.push(handle, cost)
-        scope.inc("submitted")
+        self.telemetry.inc(tenant + "submitted")
         self.telemetry.inc("service.submitted")
         self.telemetry.set_gauge("service.queue_depth",
                                  self.admission.queued())
@@ -291,10 +274,10 @@ class AnalyticsService:
 
     def _execute(self, index: int, handle: JobHandle) -> None:
         spec = handle.spec
-        scope = self.tenant_scope(spec.tenant)
+        tenant = f"service.tenant.{spec.tenant}."
         self.admission.on_dispatch(spec.tenant)
         handle._mark_running()
-        scope.inc("dispatched")
+        self.telemetry.inc(tenant + "dispatched")
         self.telemetry.set_gauge("service.queue_depth",
                                  self.admission.queued())
         t0 = time.perf_counter()
@@ -303,27 +286,35 @@ class AnalyticsService:
         except BaseException as exc:  # noqa: BLE001 - delivered via handle
             seconds = time.perf_counter() - t0
             self.admission.on_complete(spec.tenant, seconds)
-            scope.add_time("engine_seconds", seconds)
-            scope.inc("jobs_failed")
-            self.telemetry.inc("service.failed")
-            handle._fail(exc, seconds)
+            self.telemetry.add_time(tenant + "engine_seconds", seconds)
+            self._fail(handle, exc, seconds)
         else:
             self.admission.on_complete(spec.tenant, seconds)
-            scope.add_time("engine_seconds", seconds)
-            scope.inc("jobs_completed")
+            self.telemetry.add_time(tenant + "engine_seconds", seconds)
+            self.telemetry.inc(tenant + "jobs_completed")
             self.telemetry.inc("service.completed")
             if seat is not None:
                 self.telemetry.inc(f"service.seats.{seat}")
-            # Aggregate the job's run.* stats into the tenant namespace
-            # (service.tenant.<id>.run.*) — per-tenant accounting without
-            # per-job root-recorder growth.
-            scope.merge_counters(counters)
+            # Add the job's run.* counters under its tenant's names
+            # (service.tenant.<id>.run.*): per-tenant accounting without
+            # per-job recorder growth.
+            self.telemetry.merge_counters(
+                {tenant + name: value for name, value in counters.items()})
             handle._finish(result, counters, seconds)
         finally:
-            with self._lock:
-                self._leases.pop(handle.job_id).release()
-                if not self._leases:
-                    self._idle.notify_all()
+            self._release(handle)
+
+    def _fail(self, handle: JobHandle, exc: BaseException, seconds: float = 0.0) -> None:
+        self.telemetry.inc(f"service.tenant.{handle.spec.tenant}.jobs_failed")
+        self.telemetry.inc("service.failed")
+        handle._fail(exc, seconds)
+
+    def _release(self, handle: JobHandle) -> None:
+        """Release an ended job's lease; wake ``drain`` after the last."""
+        with self._lock:
+            self._leases.pop(handle.job_id).release()
+            if not self._leases:
+                self._idle.notify_all()
 
     def _run_job(self, index: int, handle: JobHandle) -> tuple:
         """Run one job on seat process ``index``: the job's identity goes
@@ -360,7 +351,8 @@ class AnalyticsService:
         return True
 
     def close(self, timeout: float = 30.0) -> None:
-        """Drain queued jobs, stop the seat processes, free segments."""
+        """Drain queued jobs, stop the seat processes, free segments.  A
+        service that never started fails its queued jobs instead."""
         with self._lock:
             if self._closed:
                 return
@@ -370,6 +362,13 @@ class AnalyticsService:
             t.join(timeout)
         if self._pool is not None:
             self._pool.close()
+        else:  # no dispatcher ever pops these: fail them, and free their steps
+            while (handle := self._drr.pop()) is not None:
+                spec = handle.spec
+                self.admission.on_dispatch(spec.tenant)
+                self.telemetry.set_gauge("service.queue_depth", self.admission.queued())
+                self._fail(handle, ServiceClosedError(handle.job_id, spec.tenant, spec.workload))
+                self._release(handle)
         self.store.close()
 
     def __enter__(self) -> "AnalyticsService":

@@ -27,6 +27,7 @@ __all__ = [
     "QueueFullError",
     "QuotaExceededError",
     "SeatLostError",
+    "ServiceClosedError",
     "TenantQuota",
 ]
 
@@ -166,6 +167,19 @@ class SeatLostError(RuntimeError):
         self.tenant = tenant
         self.workload = workload
         self.exitcode = exitcode
+
+
+class ServiceClosedError(RuntimeError):
+    """The service closed before it started, with the job still queued:
+    no seat ever ran it, and its step lease is released."""
+
+    def __init__(self, job_id: int, tenant: str, workload: str):
+        super().__init__(
+            f"job {job_id} ({workload} for tenant {tenant!r}) never ran: the "
+            "service was closed before it started")
+        self.job_id = job_id
+        self.tenant = tenant
+        self.workload = workload
 
 
 #: Job lifecycle states (``REJECTED`` never reaches a handle — admission

@@ -1,12 +1,13 @@
 """Unified runtime telemetry.
 
 One :class:`Recorder` backs every runtime statistic in the system: the
-scheduler's :class:`~repro.core.scheduler.RunStats`, the communication
-layer's :class:`~repro.comm.profiler.TrafficProfiler`, and the execution
-engines' per-split timings all write into the same primitive — named
-counters, timers, and per-operation (calls, bytes) tallies — so the
+scheduler's ``run.*`` counters, the communication layer's
+:class:`~repro.comm.profiler.TrafficProfiler`, the execution engines'
+per-split timings and the service's per-tenant accounting all write
+into the same primitive — named counters, timers, and per-operation
+(calls, bytes) tallies — and every reader reads a name in full, so the
 harness, the perfmodel calibration, and the benchmarks read a single
-structured snapshot instead of three ad-hoc ones.
+structured snapshot.
 
 Four primitives:
 
@@ -23,15 +24,8 @@ Four primitives:
 
 All mutation is serialized by one internal lock, so a recorder may be
 shared by the scheduler, a thread engine's workers, and a communicator.
-
-When several independent producers (e.g. concurrent analytics jobs in
-the multi-tenant service) must share one recorder without their names
-colliding, :meth:`Recorder.scoped` hands out a :class:`ScopedRecorder`
-child: a drop-in recorder whose every name is transparently prefixed
-with a dotted namespace (``service.tenant.a.job.3.``) in the parent.
-Scope prefixes always end with a ``.`` so neighbouring namespaces can
-never prefix-match each other (``job.1.`` does not capture
-``job.11.*`` — the collision a bare ``counters("job.1")`` query has).
+A prefix read (``counters("service.tenant.t1.")``) ends its prefix with
+a ``.`` so that it cannot capture a sibling's names (``t11``).
 """
 
 from __future__ import annotations
@@ -172,18 +166,6 @@ class Recorder:
         with self._lock:
             return list(self._ops)
 
-    # -- scoping -----------------------------------------------------------
-    def scoped(self, prefix: str) -> "ScopedRecorder":
-        """A child recorder writing through to this one under ``prefix``.
-
-        The prefix is normalized to end with a ``.`` (namespace
-        boundary), so sibling scopes can never capture each other's
-        names the way a raw ``counters(prefix)`` substring query can
-        (``"job.1"`` matches ``job.11.*``; ``"job.1."`` does not).
-        Scopes nest: ``rec.scoped("a").scoped("b")`` writes ``a.b.*``.
-        """
-        return ScopedRecorder(self, prefix)
-
     # -- lifecycle ---------------------------------------------------------
     def reset(self, prefix: str | None = None) -> None:
         """Clear recorded state; with ``prefix``, only names starting with it."""
@@ -224,103 +206,3 @@ class Recorder:
                 },
             }
 
-
-class ScopedRecorder(Recorder):
-    """A namespaced view of a parent :class:`Recorder`.
-
-    Every write delegates to the *root* recorder with the scope prefix
-    prepended; every read filters the root's state down to the scope and
-    strips the prefix, so scope-local code sees plain names
-    (``run.chunks_processed``) while the parent aggregates the fully
-    qualified ones (``service.tenant.a.job.3.run.chunks_processed``).
-
-    Drop-in: a scheduler, an execution engine, or a communicator handed
-    a scoped recorder behaves identically to one handed the root —
-    including :meth:`span` and :meth:`merge_counters` (the process
-    engine's worker-snapshot merge lands inside the scope).  All state
-    and locking live in the root; the scope itself is immutable and
-    thread-safe by construction.
-    """
-
-    def __init__(self, parent: Recorder, prefix: str):
-        if not prefix:
-            raise ValueError("scope prefix must be non-empty")
-        if not prefix.endswith("."):
-            prefix += "."
-        if isinstance(parent, ScopedRecorder):
-            # Flatten nesting: one hop to the root, combined prefix.
-            self._root: Recorder = parent._root
-            self._scope = parent._scope + prefix
-        else:
-            self._root = parent
-            self._scope = prefix
-
-    @property
-    def root(self) -> Recorder:
-        """The underlying unscoped recorder all writes land in."""
-        return self._root
-
-    @property
-    def scope(self) -> str:
-        """This recorder's full dotted prefix (always ``.``-terminated)."""
-        return self._scope
-
-    def _strip(self, table: dict) -> dict:
-        n = len(self._scope)
-        return {name[n:]: value for name, value in table.items()
-                if name.startswith(self._scope)}
-
-    # -- counters ----------------------------------------------------------
-    def inc(self, name: str, value: int = 1) -> int:
-        return self._root.inc(self._scope + name, value)
-
-    def set_counter(self, name: str, value: int) -> None:
-        self._root.set_counter(self._scope + name, value)
-
-    def observe_max(self, name: str, value: int) -> None:
-        self._root.observe_max(self._scope + name, value)
-
-    def counter(self, name: str, default: int = 0) -> int:
-        return self._root.counter(self._scope + name, default)
-
-    def counters(self, prefix: str | None = None) -> dict[str, int]:
-        return self._strip(self._root.counters(self._scope + (prefix or "")))
-
-    def merge_counters(self, counters: dict[str, int]) -> None:
-        self._root.merge_counters(
-            {self._scope + name: value for name, value in counters.items()})
-
-    # -- timers ------------------------------------------------------------
-    def add_time(self, name: str, seconds: float) -> None:
-        self._root.add_time(self._scope + name, seconds)
-
-    def timer(self, name: str) -> TimerStats:
-        return self._root.timer(self._scope + name)
-
-    # -- gauges ------------------------------------------------------------
-    def set_gauge(self, name: str, value: float) -> None:
-        self._root.set_gauge(self._scope + name, value)
-
-    def gauge(self, name: str, default: float = 0) -> float:
-        return self._root.gauge(self._scope + name, default)
-
-    # -- ops ---------------------------------------------------------------
-    def record_op(self, op: str, nbytes: int = 0, calls: int = 1) -> None:
-        self._root.record_op(self._scope + op, nbytes, calls)
-
-    def op(self, name: str) -> OpStats:
-        return self._root.op(self._scope + name)
-
-    def op_names(self) -> list[str]:
-        n = len(self._scope)
-        return [name[n:] for name in self._root.op_names()
-                if name.startswith(self._scope)]
-
-    # -- lifecycle ---------------------------------------------------------
-    def reset(self, prefix: str | None = None) -> None:
-        self._root.reset(self._scope + (prefix or ""))
-
-    def snapshot(self) -> dict:
-        snap = self._root.snapshot()
-        return {table: self._strip(snap[table])
-                for table in ("counters", "gauges", "timers", "ops")}

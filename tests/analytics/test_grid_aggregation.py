@@ -76,7 +76,8 @@ class TestCorrectness:
         runs = [run_app(data, grid_size, kernel, threads, block_size, offset)[0]
                 for kernel in (False, True)]
         scalar, kernel = (columns(app.get_combination_map()) for app in runs)
-        assert runs[1].stats.batch_reduce_calls and not runs[0].stats.batch_reduce_calls
+        assert runs[1].telemetry.counter("run.batch_reduce_calls")
+        assert not runs[0].telemetry.counter("run.batch_reduce_calls")
         for want, got in zip(scalar, kernel):
             assert np.array_equal(want, got)
 

@@ -40,7 +40,8 @@ class TestCorrectness:
         scalar.run(data)
         vector.run(data)
         assert np.array_equal(scalar.counts(), vector.counts())
-        assert vector.stats.batch_reduce_calls and not scalar.stats.batch_reduce_calls
+        assert vector.telemetry.counter("run.batch_reduce_calls")
+        assert not scalar.telemetry.counter("run.batch_reduce_calls")
 
     def test_values_past_int64_bucket_like_scalar(self):
         # Clamped as floats before the cast: a value past the int64 range
@@ -70,7 +71,7 @@ class TestCorrectness:
                     scalar.run(data)
                     kernel.run(data)
                     assert np.array_equal(kernel.counts(), scalar.counts()), run
-                assert kernel.stats.batch_reduce_calls >= 4 * 50 - 50
+                assert kernel.telemetry.counter("run.batch_reduce_calls") >= 4 * 50 - 50
         finally:
             sys.setswitchinterval(interval)
 

@@ -123,7 +123,7 @@ class TestBatchKernel:
         for kernel in (False, True):
             with build(init, iters=iters, kernel=kernel, **args) as app:
                 app.run(flat)
-                assert bool(app.stats.batch_reduce_calls) is kernel
+                assert bool(app.telemetry.counter("run.batch_reduce_calls")) is kernel
                 results.append(app.centroids())
         return results
 

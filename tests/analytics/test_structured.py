@@ -45,7 +45,8 @@ class TestTileAggregation:
         scalar.run(field.reshape(-1))
         vector.run(field.reshape(-1))
         assert np.array_equal(scalar.means(), vector.means())
-        assert vector.stats.batch_reduce_calls and not scalar.stats.batch_reduce_calls
+        assert vector.telemetry.counter("run.batch_reduce_calls")
+        assert not scalar.telemetry.counter("run.batch_reduce_calls")
 
     def test_partial_edge_tiles(self, field):
         # 5 and 4 are not multiples of 3: edge tiles must average only the
@@ -104,7 +105,7 @@ class TestMovingAverage3D:
         out = np.full(field.size, np.nan)
         app.run2(field.reshape(-1), out)
         interior = (SHAPE[0] - 2) * (SHAPE[1] - 2) * (SHAPE[2] - 2)
-        assert app.stats.early_emissions == interior
+        assert app.telemetry.counter("run.early_emissions") == interior
 
     def test_trigger_disabled_same_results(self, field):
         on = MovingAverage3D(ExecutionPolicy(), shape=SHAPE, win_size=3)
@@ -116,7 +117,8 @@ class TestMovingAverage3D:
         on.run2(field.reshape(-1), out_on)
         off.run2(field.reshape(-1), out_off)
         assert np.allclose(out_on, out_off)
-        assert off.stats.peak_red_objects > on.stats.peak_red_objects
+        assert (off.telemetry.counter("run.peak_red_objects")
+                > on.telemetry.counter("run.peak_red_objects"))
 
     def test_constant_field_unchanged(self):
         field = np.full(SHAPE, 2.5)

@@ -65,7 +65,7 @@ class TestRecorderBackedProfiler:
         prof.record("bcast", nbytes=128)
         assert rec.op("bcast").bytes == 128
         assert prof.snapshot() == {"bcast": (1, 128)}
-        assert prof.stats["bcast"].calls == 1
+        assert prof.calls_for("bcast") == rec.op("bcast").calls == 1
 
 
 class TestCounters:

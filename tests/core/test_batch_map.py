@@ -422,7 +422,7 @@ def test_seeded_kmeans_stays_on_objects(engine):
     policy = config.execution_policy().evolve(extra_data=workload.extra(data))
     with workload.build(policy) as app:
         app.run(data)
-        assert app.stats.iterations_run == 3
+        assert app.telemetry.counter("run.iterations_run") == 3
         assert app.get_combination_map().packed is None
 
 
@@ -457,7 +457,8 @@ def _run_window(cls, spec, comm=None, data=WINDOW_DATA, **layout):
     out = np.full(len(WINDOW_DATA), np.nan)
     with cls(ExecutionPolicy.parse(spec), comm, win_size=7) as app:
         app.run2(data, out, **layout)
-        return (out, app.stats.early_emissions, app.stats.peak_red_objects,
+        return (out, app.telemetry.counter("run.early_emissions"),
+                app.telemetry.counter("run.peak_red_objects"),
                 app.get_combination_map().packed is not None)
 
 
@@ -582,8 +583,8 @@ def test_scalar_counts_accumulate_calls():
 def test_default_policy_runs_batch_kernel():
     app = Histogram(ExecutionPolicy(), lo=-4, hi=4, num_buckets=8)
     app.run(np.random.default_rng(0).normal(size=256))
-    assert app.stats.batch_reduce_calls > 0
-    assert app.stats.accumulate_calls == 0
+    assert app.telemetry.counter("run.batch_reduce_calls") > 0
+    assert app.telemetry.counter("run.accumulate_calls") == 0
 
 
 @pytest.mark.parametrize("name", BATCH_WORKLOADS)
@@ -596,8 +597,8 @@ def test_every_kernel_is_reached_by_default(name):
 def test_auto_without_kernel_runs_scalar():
     app = ScalarOnly(ExecutionPolicy())
     app.run(np.ones(8))
-    assert app.stats.accumulate_calls == 8
-    assert app.stats.batch_reduce_calls == 0
+    assert app.telemetry.counter("run.accumulate_calls") == 8
+    assert app.telemetry.counter("run.batch_reduce_calls") == 0
 
 
 def test_auto_falls_back_when_subclass_overrides_accumulate():
@@ -612,8 +613,8 @@ def test_auto_falls_back_when_subclass_overrides_accumulate():
     data = np.random.default_rng(1).normal(size=64)
     app = DoubleCount(ExecutionPolicy(), lo=-4, hi=4, num_buckets=8)
     app.run(data)
-    assert app.stats.batch_reduce_calls == 0
-    assert app.stats.accumulate_calls == 64
+    assert app.telemetry.counter("run.batch_reduce_calls") == 0
+    assert app.telemetry.counter("run.accumulate_calls") == 64
     assert app.counts().sum() == 128
     # Forcing the inherited kernel stays possible (and ignores the override).
     forced = DoubleCount(
@@ -631,7 +632,7 @@ def test_subclass_that_keeps_the_map_callbacks_keeps_the_kernel():
 
     app = Renamed(ExecutionPolicy(), lo=-4, hi=4, num_buckets=8)
     app.run(np.zeros(16))
-    assert app.stats.batch_reduce_calls > 0
+    assert app.telemetry.counter("run.batch_reduce_calls") > 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ class TestKMeansTolerance:
             dims=2, tolerance=1e-9,
         )
         app.run(flat)
-        assert app.stats.iterations_run < 100
+        assert app.telemetry.counter("run.iterations_run") < 100
         assert app.last_shift <= 1e-9
 
     def test_converged_result_is_a_lloyd_fixed_point(self, blobs):
@@ -33,7 +33,7 @@ class TestKMeansTolerance:
             dims=2, tolerance=1e-12,
         )
         app.run(flat)
-        iters = app.stats.iterations_run
+        iters = app.telemetry.counter("run.iterations_run")
         # One more reference iteration from the converged state changes
         # nothing (within float tolerance).
         assert np.allclose(
@@ -47,7 +47,7 @@ class TestKMeansTolerance:
             dims=2,
         )
         app.run(flat)
-        assert app.stats.iterations_run == 7
+        assert app.telemetry.counter("run.iterations_run") == 7
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
@@ -66,7 +66,7 @@ class TestKMeansTolerance:
                 comm, dims=2, tolerance=1e-9,
             )
             app.run(part)
-            return app.stats.iterations_run, app.centroids()
+            return app.telemetry.counter("run.iterations_run"), app.centroids()
 
         results = spmd_launch(3, body, timeout=60)
         iteration_counts = {r[0] for r in results}

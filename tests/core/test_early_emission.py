@@ -37,18 +37,18 @@ class TestMemoryEffect:
     def test_peak_objects_bounded_by_window_not_input(self):
         app_on, _, _ = run_moving_average(500, 7)
         app_off, _, _ = run_moving_average(500, 7, disable_early_emission=True)
-        assert app_off.stats.peak_red_objects >= 500
+        assert app_off.telemetry.counter("run.peak_red_objects") >= 500
         # With the trigger, only in-flight windows are held: O(W), not O(N).
-        assert app_on.stats.peak_red_objects <= 3 * 7
+        assert app_on.telemetry.counter("run.peak_red_objects") <= 3 * 7
 
     def test_emission_counter(self):
         app, _, _ = run_moving_average(100, 5)
         # Boundary windows (2 on each side) never reach full coverage.
-        assert app.stats.early_emissions == 100 - 4
+        assert app.telemetry.counter("run.early_emissions") == 100 - 4
 
     def test_no_emissions_when_disabled(self):
         app, out, data = run_moving_average(100, 5, disable_early_emission=True)
-        assert app.stats.early_emissions == 0
+        assert app.telemetry.counter("run.early_emissions") == 0
         # ...and the final sweep converted the columns: no object was built.
         assert app.get_combination_map().packed is not None
         assert np.allclose(out, reference_moving_average(data, 5))
@@ -92,9 +92,9 @@ class TestArrayForms:
         out = np.full(100, np.nan)
         app = HoldingMA(ExecutionPolicy.parse("map=batch"), win_size=5)
         app.run2(data, out)
-        assert app.stats.batch_reduce_calls == 1
-        assert app.stats.early_emissions == 0
-        assert app.stats.peak_red_objects == 100
+        assert app.telemetry.counter("run.batch_reduce_calls") == 1
+        assert app.telemetry.counter("run.early_emissions") == 0
+        assert app.telemetry.counter("run.peak_red_objects") == 100
         assert np.array_equal(out, run_moving_average(
             100, 5, engine=EnginePolicy(map_path="scalar"))[1])
 
@@ -149,7 +149,8 @@ class TestArrayForms:
             out = np.full(51, np.nan)
             app = PairMeans(ExecutionPolicy.parse(spec))
             app.run(data, out)
-            return out, app.stats.early_emissions, app.stats.peak_red_objects
+            return (out, app.telemetry.counter("run.early_emissions"),
+                    app.telemetry.counter("run.peak_red_objects"))
 
         for layout in ("", ",block=25", ",engine=thread,threads=3"):
             batch, scalar = run("map=batch" + layout), run("map=scalar" + layout)
@@ -163,7 +164,7 @@ class TestHolisticObjects:
         app = MovingMedian(ExecutionPolicy(), win_size=9)
         out = np.full(120, np.nan)
         app.run2(data, out)
-        assert app.stats.early_emissions == 120 - 8
+        assert app.telemetry.counter("run.early_emissions") == 120 - 8
         assert not np.isnan(out).any()
 
 

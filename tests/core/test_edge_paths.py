@@ -24,7 +24,7 @@ class TestVectorPathAcrossBlocks:
         app = MovingAverage(ExecutionPolicy(block_size=block), win_size=9)
         out = np.full(300, np.nan)
         app.run2(data, out)
-        assert app.stats.batch_reduce_calls > 0
+        assert app.telemetry.counter("run.batch_reduce_calls") > 0
         assert np.allclose(out, reference_moving_average(data, 9), atol=1e-9)
 
     @pytest.mark.parametrize("block", [7, 100])

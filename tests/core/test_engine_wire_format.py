@@ -117,7 +117,8 @@ class TestProcessEngineWireAccounting:
             )
             with MovingAverage(args, win_size=7) as app:
                 app.run2(scalars, out)
-                return out, app.telemetry_snapshot()["ops"], app.stats.early_emissions
+                return (out, app.telemetry_snapshot()["ops"],
+                        app.telemetry.counter("run.early_emissions"))
 
         out, ops, emissions = run("process")
         serial_out, _, serial_emissions = run("serial")

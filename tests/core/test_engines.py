@@ -218,7 +218,7 @@ class TestEmittedScopedPerIteration:
         # (disarmed) adds 5 more without emitting.  The sweep must
         # overwrite the stale early-emitted 3 with the final 7.
         assert out[0] == 7
-        assert app.stats.early_emissions == 1
+        assert app.telemetry.counter("run.early_emissions") == 1
         app.close()
 
     def test_single_iteration_emission_still_skipped_by_sweep(self):

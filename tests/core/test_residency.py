@@ -266,7 +266,8 @@ class TestSessionAccounting:
             else:
                 assert counts_of(app) == counts_of(ref)
             assert run_counters(app) == run_counters(ref)
-            assert app.stats.peak_red_objects == ref.stats.peak_red_objects
+            assert (app.telemetry.counter("run.peak_red_objects")
+                    == ref.telemetry.counter("run.peak_red_objects"))
         blocks = -(-len(data) // block)
         assert len(sent) == 2 * blocks * iterations
         map_parts = [parts.get("map", "kept") for _, _, parts in sent]

@@ -151,7 +151,7 @@ class TestIterativeSeeding:
         data = np.array([1.0, 2.0, 3.0])
         app = IterativeMean(ExecutionPolicy(num_iters=4))
         app.run(data)
-        assert app.stats.iterations_run == 4
+        assert app.telemetry.counter("run.iterations_run") == 4
         assert app.last_mean == 2.0
 
     def test_seeded_maps_do_not_double_count(self):
@@ -216,7 +216,7 @@ class TestGlobalCombination:
         def body(comm):
             app = ParityCount(ExecutionPolicy(num_iters=3), comm)
             app.run(np.arange(4, dtype=float))
-            return app.stats.global_combinations
+            return app.telemetry.counter("run.global_combinations")
 
         assert spmd_launch(2, body, timeout=30) == [3, 3]
 
@@ -225,20 +225,20 @@ class TestStats:
     def test_chunk_and_accumulate_counting(self):
         app = ParityCount(ExecutionPolicy())
         app.run(np.arange(10, dtype=float))
-        assert app.stats.chunks_processed == 10
-        assert app.stats.accumulate_calls == 10
-        assert app.stats.runs == 1
+        assert app.telemetry.counter("run.chunks_processed") == 10
+        assert app.telemetry.counter("run.accumulate_calls") == 10
+        assert app.telemetry.counter("run.runs") == 1
 
     def test_peak_objects_tracked(self):
         app = ParityCount(ExecutionPolicy())
         app.run(np.arange(10, dtype=float))
-        assert app.stats.peak_red_objects >= 2
+        assert app.telemetry.counter("run.peak_red_objects") >= 2
 
     def test_reset_stats(self):
         app = ParityCount(ExecutionPolicy())
         app.run(np.arange(4, dtype=float))
         app.reset_stats()
-        assert app.stats.runs == 0
+        assert app.telemetry.counter("run.runs") == 0
 
 
 class TestRun2Fallback:

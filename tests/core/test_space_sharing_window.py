@@ -46,7 +46,7 @@ class TestSpaceSharingRun2:
             out_factory=lambda part: np.full(part.shape[0], np.nan),
         )
         driver.run(3)
-        assert app.stats.early_emissions == 3 * (300 - 4)
+        assert app.telemetry.counter("run.early_emissions") == 3 * (300 - 4)
 
     def test_run2_pulls_from_buffer_when_data_none(self):
         app = MovingAverage(ExecutionPolicy(buffer_capacity=2), win_size=3)

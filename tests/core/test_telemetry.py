@@ -1,4 +1,5 @@
-"""Recorder unit tests: counters, timers, ops, reset, snapshot shape."""
+"""Recorder unit tests: counters, timers, ops, reset, snapshot shape; and the
+names the one-recorder design removed."""
 
 import pickle
 import threading
@@ -150,85 +151,60 @@ class TestResetAndSnapshot:
 
 
 class TestScopedRecorder:
+    """A scope is a dotted name prefix on the one recorder, written and read in full."""
+
     def test_writes_land_in_parent_under_prefix(self):
         root = Recorder()
-        job = root.scoped("service.tenant.a.job.1")
-        job.inc("run.chunks", 3)
-        job.add_time("engine_seconds", 0.5)
-        job.set_gauge("depth", 2)
-        job.record_op("send", 64)
-        assert root.counter("service.tenant.a.job.1.run.chunks") == 3
+        scope = "service.tenant.a.job.1."
+        root.inc(scope + "run.chunks", 3)
+        root.add_time(scope + "engine_seconds", 0.5)
+        root.set_gauge(scope + "depth", 2)
+        root.record_op(scope + "send", 64)
+        root.inc("service.tenant.a.job.2.run.chunks", 9)
+        assert root.counters(scope) == {"service.tenant.a.job.1.run.chunks": 3}
         assert root.timer("service.tenant.a.job.1.engine_seconds").calls == 1
         assert root.gauge("service.tenant.a.job.1.depth") == 2
         assert root.op("service.tenant.a.job.1.send").bytes == 64
 
-    def test_scope_reads_are_prefix_stripped(self):
-        root = Recorder()
-        job = root.scoped("t.job.1.")
-        job.inc("run.chunks", 3)
-        root.inc("t.job.2.run.chunks", 9)
-        assert job.counter("run.chunks") == 3
-        assert job.counters() == {"run.chunks": 3}
-        snap = job.snapshot()
-        assert snap["counters"] == {"run.chunks": 3}
-
     def test_counters_prefix_collision_regression(self):
         # Regression: two jobs sharing one Recorder with bare prefixes
-        # "job.1" and "job.11" collide under a substring counters()
-        # query — the scoped child's dot-terminated namespace does not.
+        # "job.1" and "job.11" collide under a bare-prefix counters()
+        # query — a dot-terminated prefix does not.
         root = Recorder()
-        job1 = root.scoped("job.1")
-        job11 = root.scoped("job.11")
-        job1.inc("run.chunks", 5)
-        job11.inc("run.chunks", 7)
-        # The raw substring query exhibits the old collision...
-        raw = root.counters("job.1")
-        assert "job.11.run.chunks" in raw
-        # ...the scoped views do not bleed into each other.
-        assert job1.counters() == {"run.chunks": 5}
-        assert job11.counters() == {"run.chunks": 7}
+        root.inc("job.1.run.chunks", 5)
+        root.inc("job.11.run.chunks", 7)
+        # The bare prefix exhibits the old collision...
+        assert "job.11.run.chunks" in root.counters("job.1")
+        # ...the dot-terminated reads do not bleed into each other.
+        assert root.counters("job.1.") == {"job.1.run.chunks": 5}
+        assert root.counters("job.11.") == {"job.11.run.chunks": 7}
 
     def test_sibling_tenant_scopes_do_not_collide(self):
         root = Recorder()
-        a = root.scoped("service.tenant.a")
-        ab = root.scoped("service.tenant.ab")
-        a.inc("completed")
-        ab.inc("completed", 4)
-        assert a.counters() == {"completed": 1}
-        assert ab.counters() == {"completed": 4}
+        root.inc("service.tenant.a.completed")
+        root.inc("service.tenant.ab.completed", 4)
+        assert root.counters("service.tenant.a.") == {"service.tenant.a.completed": 1}
+        assert root.counters("service.tenant.ab.") == {"service.tenant.ab.completed": 4}
+        root.reset("service.tenant.a.")
+        assert root.counters("service.tenant.a.") == {}
+        assert root.counter("service.tenant.ab.completed") == 4
 
-    def test_nested_scopes_flatten_to_root(self):
-        root = Recorder()
-        tenant = root.scoped("service.tenant.a")
-        job = tenant.scoped("job.3")
-        assert job.root is root
-        assert job.scope == "service.tenant.a.job.3."
-        job.inc("run.chunks")
-        assert root.counter("service.tenant.a.job.3.run.chunks") == 1
-        assert tenant.counters("job.3.") == {"job.3.run.chunks": 1}
 
-    def test_span_merge_and_reset_work_in_scope(self):
-        root = Recorder()
-        job = root.scoped("job.1")
-        with job.span("wall"):
-            pass
-        assert root.timer("job.1.wall").calls == 1
-        job.merge_counters({"run.chunks": 4})
-        assert root.counter("job.1.run.chunks") == 4
-        root.inc("job.11.survives")
-        job.reset()
-        assert root.counters("job.1.") == {}
-        assert root.counter("job.11.survives") == 1
+@pytest.mark.parametrize("statement,error", [
+    ("from repro.core import RunStats", ImportError),
+    ("from repro.core.scheduler import RunStats", ImportError),
+    ("from repro.telemetry import ScopedRecorder", ImportError),
+    ("Recorder.scoped", AttributeError),
+    ("Scheduler(ExecutionPolicy()).stats", AttributeError),
+    ("Scheduler.use_telemetry", AttributeError),
+    ("AnalyticsService.tenant_scope", AttributeError),
+    ("TrafficProfiler().stats", AttributeError),
+])
+def test_removed_names_stay_removed(statement, error):
+    # One recorder, read by full name: no scoped view, no stats facade.
+    from repro.comm import TrafficProfiler  # noqa: F401
+    from repro.core import ExecutionPolicy, Scheduler  # noqa: F401
+    from repro.service import AnalyticsService  # noqa: F401
 
-    def test_observe_max_and_set_counter_scoped(self):
-        root = Recorder()
-        job = root.scoped("job.1")
-        job.observe_max("peak", 5)
-        job.observe_max("peak", 2)
-        job.set_counter("fixed", 3)
-        assert job.counter("peak") == 5
-        assert root.counter("job.1.fixed") == 3
-
-    def test_empty_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            Recorder().scoped("")
+    with pytest.raises(error):
+        exec(statement)

@@ -112,9 +112,9 @@ class TestAdmission:
             for _ in range(3):
                 with pytest.raises(QuotaExceededError):
                     svc.submit(_spec())
-            scope = svc.tenant_scope("a")
-            assert scope.counter("rejected.tenant-quota") == 3
-            assert scope.counter("submitted") == 1
+            tel = svc.telemetry
+            assert tel.counter("service.tenant.a.rejected.tenant-quota") == 3
+            assert tel.counter("service.tenant.a.submitted") == 1
             assert svc.telemetry.counter("service.rejected") == 3
         finally:
             svc.close()
@@ -136,20 +136,27 @@ class TestTenantTelemetry:
         svc = _service()
         try:
             svc.start()
-            ha = svc.submit(_spec(tenant="t1"))
-            hb = svc.submit(_spec(tenant="t11"))
-            assert ha.wait(timeout=30) and hb.wait(timeout=30)
-            svc.drain(timeout=30)
-            # Sibling prefixes (t1 vs t11): the scoped namespaces must
-            # not bleed into each other.
-            a = svc.tenant_scope("t1").counters()
-            b = svc.tenant_scope("t11").counters()
-            assert a["jobs_completed"] == 1
-            assert b["jobs_completed"] == 1
-            assert a["run.chunks_processed"] == b["run.chunks_processed"]
-            # The tenant aggregate equals the job's own run counters.
-            assert a["run.chunks_processed"] == ha.counters[
-                "run.chunks_processed"]
+            t1 = [svc.submit(_spec(tenant="t1", workload=w))
+                  for w in ("histogram", "moving_average")]
+            t11 = svc.submit(_spec(tenant="t11"))
+            assert svc.drain(timeout=30)
+            # Sibling prefixes (t1 vs t11): a dot-terminated prefix read
+            # holds only its own tenant's names.
+            a = svc.telemetry.counters("service.tenant.t1.")
+            b = svc.telemetry.counters("service.tenant.t11.")
+            assert a and b
+            assert not any(name.startswith("service.tenant.t11.") for name in a)
+            assert a["service.tenant.t1.jobs_completed"] == 2
+            assert b["service.tenant.t11.jobs_completed"] == 1
+            # Each job's run.* counters are added under its tenant's prefix.
+            for tenant, handles, got in (("t1", t1, a), ("t11", [t11], b)):
+                want: dict[str, int] = {}
+                for h in handles:
+                    assert h.counters and all(k.startswith("run.") for k in h.counters)
+                    for name, value in h.counters.items():
+                        key = f"service.tenant.{tenant}.{name}"
+                        want[key] = want.get(key, 0) + value
+                assert {k: v for k, v in got.items() if ".run." in k} == want
         finally:
             svc.close()
 

@@ -15,7 +15,6 @@ import pytest
 from repro.core.serialization import PackedMap
 from repro.service import execute_workload, job_policy
 from repro.service.service import _Seat
-from repro.telemetry import Recorder
 from repro.verify.workloads import get_workload
 
 MIX = ("histogram", "minmax", "grid_aggregation", "moving_average")
@@ -67,7 +66,7 @@ def test_default_job_builds_no_objects(name, monkeypatch):
                         lambda self: pytest.fail("materialised objects"))
     w = get_workload(name)
     policy = job_policy(w, None, DATA)
-    seat = _Seat(w, policy, Recorder())
+    seat = _Seat(w, policy)
     try:
         jobs = [execute_workload(w, policy, DATA), seat.run(DATA), seat.run(DATA)]
     finally:

@@ -23,6 +23,7 @@ from repro.service import (
     AnalyticsService,
     JobSpec,
     SeatLostError,
+    ServiceClosedError,
     execute_workload,
     job_policy,
 )
@@ -119,7 +120,7 @@ def test_a_killed_seat_fails_only_its_job_in_flight():
         assert (lost.value.job_id, lost.value.tenant, lost.value.workload) == (
             doomed.job_id, "a", "histogram")
         assert lost.value.exitcode == -signal.SIGKILL
-        assert svc.tenant_scope("a").counter("jobs_failed") == 1
+        assert svc.telemetry.counter("service.tenant.a.jobs_failed") == 1
 
         # The tenant's next job runs on the replacement, bit-exact.
         after_crash = svc.submit(JobSpec(tenant="a", workload="histogram", step="small"))
@@ -135,7 +136,7 @@ def test_a_killed_seat_fails_only_its_job_in_flight():
             assert_matches_solo(svc.submit(JobSpec(tenant="a", workload=workload,
                                                    step="small")), small)
         assert svc.drain(timeout=60)
-        assert svc.tenant_scope("a").counter("jobs_failed") == 1
+        assert svc.telemetry.counter("service.tenant.a.jobs_failed") == 1
         assert svc.telemetry.counter("service.seat_processes_lost") == 2
         assert svc.telemetry.gauge("engine.residency.shared_readers") == 0
     assert mp.active_children() == []
@@ -195,6 +196,31 @@ def test_a_queued_job_keeps_its_step_past_retire():
         assert segment not in own_segments()
     finally:
         svc.close()
+    assert own_segments() == before
+
+
+def test_a_service_closed_before_it_starts_fails_its_queued_jobs():
+    # No seat ever pops these jobs: close() fails each one by name and
+    # releases its step lease before the store unlinks the segment.
+    before = own_segments()
+    svc = AnalyticsService(workers=1)
+    svc.register_step("s", np.arange(64.0))
+    handles = [svc.submit(JobSpec(tenant=tenant, workload=workload, step="s"))
+               for tenant, workload in (("a", "histogram"), ("a", "minmax"), ("b", "histogram"))]
+    svc.close()
+    for handle in handles:
+        assert handle.wait(0.5) and handle.status == "failed"
+        with pytest.raises(ServiceClosedError) as closed:
+            handle.result(timeout=0)
+        assert (closed.value.job_id, closed.value.tenant, closed.value.workload) == (
+            handle.job_id, handle.spec.tenant, handle.spec.workload)
+    assert svc.drain(timeout=0.5)
+    assert svc.telemetry.counter("service.failed") == 3
+    assert svc.telemetry.counter("service.tenant.a.jobs_failed") == 2
+    assert svc.telemetry.counter("service.tenant.b.jobs_failed") == 1
+    assert svc.telemetry.gauge("engine.residency.shared_readers") == 0
+    assert svc.admission.queued() == 0
+    assert mp.active_children() == []
     assert own_segments() == before
 
 

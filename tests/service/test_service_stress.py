@@ -96,8 +96,8 @@ class TestConcurrencyStress:
 
             # Every tenant completed its share.
             for t in range(TENANTS):
-                assert svc.tenant_scope(f"t{t}").counter(
-                    "jobs_completed") == JOBS_PER_TENANT
+                assert svc.telemetry.counter(
+                    f"service.tenant.t{t}.jobs_completed") == JOBS_PER_TENANT
 
     def test_two_steps_two_segments(self):
         # Segments scale with steps, not with tenants or jobs.
@@ -131,8 +131,8 @@ class TestConcurrencyStress:
                 bad.result(timeout=30)
             assert bad.status == "failed"
             assert good.result(timeout=30)
-            assert svc.tenant_scope("a").counter("jobs_failed") == 1
-            assert svc.tenant_scope("a").counter("jobs_completed") == 1
+            assert svc.telemetry.counter("service.tenant.a.jobs_failed") == 1
+            assert svc.telemetry.counter("service.tenant.a.jobs_completed") == 1
 
 
 class TestStarvation:

@@ -155,7 +155,7 @@ PUBLIC = {
         "BufferClosed COMBINE_ALGORITHMS CheckpointError Chunk CircularBuffer "
         "ColumnarAccumulator CombinePolicy CoreSplit ENGINE_BACKENDS ElasticTier EnginePolicy "
         "ExecutionEngine ExecutionPolicy Field KeyedMap MAP_PATHS PackedMap PipelineStage "
-        "ProcessEngine RedObj RunStats Scheduler SerialEngine SmartPipeline "
+        "ProcessEngine RedObj Scheduler SerialEngine SmartPipeline "
         "SpaceSharingDriver SpaceSharingResult Split StagingWorkerError StepTiming "
         "ThreadEngine TimeSharingDriver TimeSharingResult WIRE_FORMATS WIRE_VERSION "
         "create_engine deserialize_map ensure_red_obj global_combine iter_blocks "
@@ -165,7 +165,7 @@ PUBLIC = {
     "repro.service": (
         "AdmissionController AdmissionError AnalyticsService BudgetExhaustedError "
         "DeficitRoundRobin JobHandle JobSpec QueueFullError QuotaExceededError SeatLostError "
-        "SharedStepStore StepLease TenantQuota execute_workload job_policy "
+        "ServiceClosedError SharedStepStore StepLease TenantQuota execute_workload job_policy "
     ),
     "repro.sim": (
         "GaussianEmulator Heat3D LuleshProxy Simulation Slab decompose_1d partition_offsets "
