@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.batch import ColumnarAccumulator
+from ..core.batch import ColumnarAccumulator, Scratch
 from ..core.chunk import Chunk
 from ..core.maps import KeyedMap
 from ..core.policy import ExecutionPolicy
 from ..core.scheduler import Scheduler
+
+
+_SCRATCH = Scratch()
 
 
 def window_bounds(center: int, win_size: int, total_len: int) -> tuple[int, int]:
@@ -99,30 +102,39 @@ class WindowScheduler(Scheduler):
         sums into column ``weight``, when one is named — and count it.
         """
         block = np.asarray(data[start:stop], dtype=np.float64)
-        half = self.win_size // 2
-        g0 = self.global_offset_ + start
-        g1 = self.global_offset_ + stop
-        values, counts, contrib = acc.column(value), acc.column("count"), acc.contrib
+        half, n = self.win_size // 2, len(acc)
+        g0, g1 = self.global_offset_ + start, self.global_offset_ + stop
+        # Sums add in a contiguous copy of their column: same order, no stride.
+        values = _SCRATCH.array("values", n, np.float64)
+        values[:] = acc.column(value)
         # Offsets run DESCENDING (+half .. -half) so every key receives
         # its contributing elements in ascending element order, matching
         # the scalar loop's float grouping bit-for-bit: element g lands
         # on key g + o, so for a fixed key k the contributing element is
         # g = k - o — descending o gives ascending g.
         for offset in range(half, -half - 1, -1):
-            lo = max(g0, -offset)
-            hi = min(g1, self.total_len_ - offset)
+            lo, hi = max(g0, -offset), min(g1, self.total_len_ - offset)
             if hi <= lo:
                 continue
-            k0 = lo + offset - acc.key_lo
-            k1 = hi + offset - acc.key_lo
+            k0, k1 = lo + offset - acc.key_lo, hi + offset - acc.key_lo
             seg = block[lo - g0 : hi - g0]
             if weight is not None:
                 w = self.kernel(-offset)
                 seg = w * seg
                 acc.column(weight)[k0:k1] += w
             values[k0:k1] += seg
-            counts[k0:k1] += 1
-            contrib[k0:k1] += 1
+        acc.column(value)[:] = values
+        # Each count in closed form, for keys in [0, total_len_): min(key - g0 +
+        # half + 1, g1 + half - key) clipped to [0, min(win_size, g1 - g0)].
+        hits = _SCRATCH.array("hits", n, np.int64)
+        hits[:] = 0
+        a, b = max(acc.key_lo, 0), min(acc.key_hi, self.total_len_)
+        rise = np.arange(a - g0 + half + 1, b - g0 + half + 1)
+        fall = hits[a - acc.key_lo : max(b, a) - acc.key_lo]
+        np.minimum(np.subtract(g1 - g0 + 2 * half + 1, rise, out=fall), rise, out=fall)
+        np.clip(fall, 0, min(self.win_size, g1 - g0), out=fall)
+        acc.column("count")[:] += hits
+        acc.contrib += hits
 
 
 def sliding_window_apply(data: np.ndarray, win_size: int, fn) -> np.ndarray:

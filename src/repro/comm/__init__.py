@@ -28,7 +28,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".launcher": ("spmd_launch", "supervised_launch"),
     ".local": ("LocalComm",),
     ".process": ("ProcessComm",),
-    ".profiler": ("OpStats", "TrafficProfiler", "payload_nbytes"),
+    ".profiler": ("TrafficProfiler", "payload_nbytes"),
     ".reduce_ops": ("SUM", "ReduceOp", "as_reduce_op"),
     ".sim": ("InterleaveSchedule", "SimCluster", "SimComm"),
 })
@@ -41,7 +41,6 @@ __all__ = [
     "Communicator",
     "InvalidRankError",
     "LocalComm",
-    "OpStats",
     "ProcessComm",
     "RankMismatchError",
     "ReduceOp",

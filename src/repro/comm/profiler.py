@@ -24,9 +24,9 @@ from typing import Any
 
 import numpy as np
 
-from ..telemetry import OpStats, Recorder
+from ..telemetry import Recorder
 
-__all__ = ["OpStats", "TrafficProfiler", "payload_nbytes"]
+__all__ = ["TrafficProfiler", "payload_nbytes"]
 
 _pickle_fallback_warned = False
 

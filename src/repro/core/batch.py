@@ -1,13 +1,10 @@
 """Batch-map execution path: preallocated columnar accumulators.
 
 The paper's Algorithm 2 map loop calls ``gen_key``/``accumulate`` once
-per unit chunk.  Reproduced literally in Python, every element pays an
-interpreter round-trip plus a ``KeyedMap`` dict write — orders of
-magnitude more than the arithmetic itself.  PR 2 already vectorized the
-*merge* side (:class:`~repro.core.serialization.PackedMap`); this module
-finishes the job on the *map* side, following the shape of "Optimizing
-the MapReduce Framework on Intel Xeon Phi" (PAPERS.md): eliminate the
-intermediate per-element key-value emission entirely and scatter whole
+per unit chunk; reproduced literally in Python, every element pays an
+interpreter round-trip plus a ``KeyedMap`` dict write.  Following
+"Optimizing the MapReduce Framework on Intel Xeon Phi" (PAPERS.md), this
+module drops the per-element key-value emission and scatters whole
 splits into preallocated, SIMD-friendly columns.
 
 Applications provide a kernel by implementing
@@ -15,12 +12,11 @@ Applications provide a kernel by implementing
 :class:`ColumnarAccumulator` — one dense row per key in a declared key
 window, one numpy column per :class:`~repro.core.red_obj.Field` of the
 application's reduction-object schema — and updates it with
-``np.bincount`` / ``np.add.at``-style scatter kernels.  Zero per-element
-``gen_key``/``accumulate`` calls, zero ``KeyedMap`` dict writes on the
-hot path.  Afterwards :meth:`ColumnarAccumulator.fold_into` hands the
-rows to the reduction map as its ``PackedMap`` backing whenever they are
-its whole state (see :class:`~repro.core.maps.KeyedMap`), so combination
-and the columnar wire stay on arrays and build no reduction object.
+``np.bincount`` / ``np.add.at``-style scatter kernels.  Afterwards
+:meth:`ColumnarAccumulator.fold_into` hands the rows to the reduction
+map as its ``PackedMap`` backing whenever they are its whole state (see
+:class:`~repro.core.maps.KeyedMap`), so combination and the columnar
+wire stay on arrays and build no reduction object.
 
 Early emission (Algorithm 2) is one sweep over the same columns:
 :meth:`ColumnarAccumulator.take_fired` asks ``trigger_rows`` which touched
@@ -29,15 +25,19 @@ rows are final and returns them as a ``PackedMap`` for
 are optional (without one, each row's object is built and asked through
 the scalar callback); :func:`array_form_stands` says when that applies.
 
+An accumulator lives for one split: its rows, ``contrib`` and row masks
+are one byte buffer the thread reuses from split to split (a
+:class:`Scratch`), so a warm service seat or engine worker allocates
+none of them, and nothing that outlives the split views it.
+
 Bit-exactness contract: ``np.bincount`` and ``np.add.at`` apply their
 updates sequentially in input order, so per-key floating-point sums are
 bit-identical to the scalar element-order loop as long as the kernel
-presents elements to each key in ascending element order.  Rows are
-initialized from a freshly constructed reduction object (exactly what
-the scalar loop's ``accumulate(..., existing=None, ...)`` starts from)
-and seeded from the incoming reduction map, so accumulation continues
-from prior totals with the same float grouping as scalar in-place
-mutation.
+presents elements to each key in ascending element order.  Rows start
+as a freshly constructed reduction object (what the scalar loop's
+``accumulate(..., existing=None, ...)`` starts from) and are seeded from
+the incoming reduction map, so accumulation continues from prior totals
+with the same float grouping as scalar in-place mutation.
 """
 
 from __future__ import annotations
@@ -57,18 +57,12 @@ __all__ = [
 
 
 class Scratch(threading.local):
-    """Work arrays a batch kernel reuses from call to call.
-
-    A kernel's temporaries are as large as its split; allocated fresh per
-    call, megabyte-sized ones come from ``mmap`` and are faulted in page
-    by page every time, which can cost more than the arithmetic.
-    :meth:`array` hands out the same memory again instead.  Arrays are
-    **per thread** — the thread engine runs the splits of one scheduler
-    concurrently.  A kernel's module owns one instance for the life of
-    the process, not each scheduler its own: the service builds a
-    scheduler per job, and a scratch that was allocated and dropped with
-    each measurably cost it CPU.  So a thread keeps, per kernel, arrays
-    the size of the largest split it has reduced.
+    """Work arrays reused from call to call, **per thread** (the thread
+    engine runs one scheduler's splits concurrently): split-sized
+    temporaries allocated per call come from ``mmap`` and are faulted in
+    page by page every time.  A module owns one instance for the life of
+    the process (the service builds a scheduler per job), so a thread
+    keeps, per name, an array the size of the largest split it reduced.
     """
 
     def array(self, name: str, n: int, dtype) -> np.ndarray:
@@ -79,6 +73,10 @@ class Scratch(threading.local):
         if arr is None or len(arr) < n or arr.dtype != dtype:
             arr = arrays[name] = np.empty(n, dtype)
         return arr[:n]
+
+
+_ROWS = Scratch()  # the rows of each thread's current accumulator
+_NO_KEYS = np.empty(0, np.int64)
 
 
 def array_form_stands(cls: type, array: str, scalar: str) -> bool:
@@ -108,25 +106,15 @@ class ColumnarAccumulator:
     bincount add) — the fold-back and the early-emission sweep only
     visit rows with ``contrib > 0``.
 
-    Every row starts as a freshly constructed reduction object (the
-    ``prototype``), which is exactly the state the scalar loop's
-    ``accumulate(..., existing=None, ...)`` call begins from; ``"keep"``
-    fields (e.g. a window size) thereby carry the prototype's value in
-    every row.  :meth:`load_from` then overwrites rows for keys already
-    present in the reduction map, so scatters continue from prior totals
-    with scalar-identical float grouping.
+    Every row starts as the freshly constructed ``prototype`` (where the
+    scalar loop's ``accumulate(..., existing=None, ...)`` begins, ``"keep"``
+    fields included): zeroed, then each field whose prototype bytes are not
+    zero written as a column; :meth:`load_from` overwrites keys already in
+    the map.  The memory is the calling thread's, as a kernel's
+    :class:`Scratch` is: building the thread's next accumulator reuses it.
     """
 
-    __slots__ = (
-        "cls",
-        "fields",
-        "key_lo",
-        "key_hi",
-        "records",
-        "contrib",
-        "_seeded",
-        "_fired",
-    )
+    __slots__ = ("cls", "merges", "key_lo", "key_hi", "records", "contrib", "_seeded", "_fired")
 
     def __init__(self, prototype: RedObj, key_lo: int, key_hi: int):
         fields = prototype.fields()
@@ -138,32 +126,27 @@ class ColumnarAccumulator:
         if key_hi < key_lo:
             raise ValueError(f"empty key window [{key_lo}, {key_hi})")
         self.cls = type(prototype)
-        self.fields = tuple(fields)
-        self.key_lo = int(key_lo)
-        self.key_hi = int(key_hi)
+        self.merges = tuple(f.merge for f in fields)
+        self.key_lo, self.key_hi = int(key_lo), int(key_hi)
         n = self.key_hi - self.key_lo
-        proto = np.empty(1, dtype=_schema_dtype(fields))
+        proto = np.zeros(1, dtype=_schema_dtype(fields))
         prototype.pack_into(proto[0])
-        self.records = np.empty(n, dtype=proto.dtype)
-        self.records[:] = proto[0]
+        at = -(-n * proto.itemsize // 8) * 8  # contrib's offset, 8-byte aligned
+        raw = _ROWS.array("rows", at + 10 * n, np.uint8)
+        raw[:] = 0
+        self.records = np.ndarray(n, proto.dtype, raw)
+        for name in proto.dtype.names:
+            if proto[name].tobytes().strip(b"\0"):  # bytes: a -0.0 is not zero
+                self.records[name] = proto[name]
         #: Contributions scattered into each row by ``batch_reduce``.
-        self.contrib = np.zeros(n, dtype=np.int64)
-        self._seeded = np.zeros(n, dtype=bool)
-        self._fired = np.zeros(n, dtype=bool)
+        self.contrib = np.ndarray(n, np.int64, raw, at)
+        self._seeded, self._fired = (np.ndarray(n, bool, raw, at + k * n) for k in (8, 9))
 
     def __len__(self) -> int:
         return self.key_hi - self.key_lo
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ColumnarAccumulator({self.cls.__name__}, "
-            f"[{self.key_lo}, {self.key_hi}), "
-            f"{int(np.count_nonzero(self.contrib))} touched)"
-        )
-
     def column(self, name: str) -> np.ndarray:
-        """Writable column view for schema field ``name`` (row ``i`` is
-        key ``key_lo + i``)."""
+        """Writable column view of field ``name`` (row ``i``: key ``key_lo + i``)."""
         return self.records[name]
 
     # -- seeding --------------------------------------------------------
@@ -191,55 +174,53 @@ class ColumnarAccumulator:
                 self._seeded[key - lo] = True
 
     # -- fold-back ------------------------------------------------------
-    def _pack_rows(self, rows: np.ndarray) -> PackedMap:
-        merges = [f.merge for f in self.fields]
+    def _rows(self, mask: np.ndarray, copy: bool = True) -> PackedMap:
+        """The rows under ``mask``: a copy, or (``copy=False``, one run) a view."""
+        if not copy:
+            count, first = np.count_nonzero(mask), int(mask.argmax())
+            if mask[first : first + count].all():  # one run
+                keys = np.arange(first + self.key_lo, first + count + self.key_lo)
+                return PackedMap(self.cls, keys, self.records[first : first + count], self.merges)
+        rows = mask.nonzero()[0]
         # ndarray.take: ~6x faster than fancy-indexing a structured array.
-        return PackedMap(self.cls, rows + self.key_lo, self.records.take(rows), merges)
+        return PackedMap(self.cls, rows + self.key_lo, self.records.take(rows), self.merges)
 
     def take_fired(self) -> PackedMap:
         """The early-emission sweep (Algorithm 2 lines 5-7): the touched
         rows whose ``trigger`` holds — the keys the scalar loop would have
-        emitted during this split — as columns; :meth:`fold_into` then
-        leaves them out of the map."""
-        # Only touched rows are asked: the others hold prototype state the
-        # scalar loop would not have built an object for.
-        rows = np.nonzero(self.contrib)[0]
-        if array_form_stands(self.cls, "trigger_rows", "trigger"):
-            records = self.records if len(rows) == len(self) else self.records.take(rows)
-            rows = rows[self.cls.trigger_rows(records)]
+        emitted during this split — as columns, viewing the rows when they
+        are one run (valid until the thread builds its next accumulator);
+        :meth:`fold_into` then leaves them out of the map."""
+        # Only touched rows are asked: the scalar loop built no object for the rest.
+        stands = array_form_stands(self.cls, "trigger_rows", "trigger")
+        if stands and self.cls.trigger_rows.__func__ is RedObj.trigger_rows.__func__:
+            return PackedMap(self.cls, _NO_KEYS, self.records[:0], self.merges)  # never fires
+        touched = self.contrib != 0
+        if not stands:
+            self._fired[touched] = [obj.trigger() for obj in self._rows(touched).objects()]
+        elif touched.all():
+            self._fired[:] = self.cls.trigger_rows(self.records)
         else:
-            rows = rows[[obj.trigger() for obj in self._pack_rows(rows).objects()]]
-        self._fired[rows] = True
-        return self._pack_rows(rows)
+            self._fired[touched] = self.cls.trigger_rows(self.records[touched])
+        return self._rows(self._fired, copy=False)
 
-    def fold_into(self, red_map) -> np.ndarray:
+    def fold_into(self, red_map) -> None:
         """Replace ``red_map`` entries for every touched key; keys that
         fired (:meth:`take_fired`) leave the map instead.
 
-        Replacement — not merging — is deliberate: the row accumulated
-        *from* the seeded prior value in element order, so it already
-        holds exactly what scalar in-place mutation would; merging a
-        subtotal instead would regroup the float additions.  Returns the
-        touched keys (sorted).
-
-        When the map is empty, or backed with every key seeded (inside
-        the window), the touched and seeded rows *are* the post-fold map
-        and become its backing — no objects.  Otherwise the touched rows
-        materialize and replace their entries.
-        """
+        Replacement, not merging: the row accumulated *from* the seeded
+        prior value in element order, as scalar in-place mutation does.
+        When the map is empty, or backed with every key seeded, a copy of
+        the touched and seeded rows becomes its backing; otherwise the
+        touched rows replace their entries as objects."""
         touched = self.contrib != 0
-        keys = np.nonzero(touched)[0] + self.key_lo
-        if not len(keys):
-            return keys
+        if not touched.any():
+            return
         n = len(red_map)
         if not n or (red_map.packed is not None and np.count_nonzero(self._seeded) == n):
-            rows = np.nonzero((touched | self._seeded) & ~self._fired)[0]
-            red_map.replace_contents(self._pack_rows(rows).to_map())
+            red_map.replace_contents(self._rows((touched | self._seeded) & ~self._fired).to_map())
         else:
-            for key in (np.nonzero(self._fired & self._seeded)[0] + self.key_lo).tolist():
+            for key in ((self._fired & self._seeded).nonzero()[0] + self.key_lo).tolist():
                 del red_map[key]
-            rows = np.nonzero(touched & ~self._fired)[0]
-            red_map.replace_items(
-                (rows + self.key_lo).tolist(), self._pack_rows(rows).objects()
-            )
-        return keys
+            rows = self._rows(touched & ~self._fired)
+            red_map.replace_items(rows.keys.tolist(), rows.objects())

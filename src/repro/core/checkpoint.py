@@ -62,7 +62,7 @@ def save_checkpoint(
     keep: int = 1,
     fault_plan: "FaultPlan | None" = None,
 ) -> Path:
-    """Write the scheduler's combination map (and stats counters) to ``path``.
+    """Write the scheduler's combination map to ``path``.
 
     The write is atomic: a temp file in the same directory is fsync'ed
     and renamed over the destination, so a crash mid-save never corrupts
@@ -98,10 +98,6 @@ def save_checkpoint(
         "wire_version": WIRE_VERSION,
         "payload_crc32": zlib.crc32(payload) & 0xFFFFFFFF,
         "metadata": metadata or {},
-        "stats": {
-            name: scheduler.telemetry.counter(f"run.{name}")
-            for name in ("runs", "iterations_run", "early_emissions")
-        },
     }
     header_bytes = json.dumps(header).encode()
 

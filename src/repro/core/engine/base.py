@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def join_keys(parts: list[np.ndarray]) -> np.ndarray:
     """The early-emitted keys of several splits or blocks as one ``int64`` array."""
-    return np.concatenate(parts) if parts else np.empty(0, np.int64)
+    return np.concatenate(parts) if len(parts) > 1 else parts[0] if parts else np.empty(0, np.int64)
 
 
 class ExecutionEngine:

@@ -200,7 +200,7 @@ class ProcessEngine(ExecutionEngine):
             return
         clone = copy.copy(sched)
         for name in (
-            "data_", "out_", "comm", "_fed", "_engine", "telemetry", "stats",
+            "data_", "out_", "comm", "_fed", "_engine", "telemetry",
             "fault_plan", "combination_map_",  # the map travels in the delta
         ):
             setattr(clone, name, None)

@@ -150,7 +150,8 @@ class KeyedMap:
         self._d.clear()
 
     def sorted_items(self) -> list[tuple[int, RedObj]]:
-        return sorted(self._objects().items())
+        # A backing builds its objects in ascending key order: no sort needed.
+        return (list if self._packed is not None else sorted)(self._objects().items())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KeyedMap({len(self)} keys)"

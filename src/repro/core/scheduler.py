@@ -588,10 +588,15 @@ class Scheduler:
             written = join_keys(emitted)  # by early emission, already
             packed = self.combination_map_.packed
             if packed is not None:  # the same selection, on columns
-                keep = (packed.keys >= 0) & (packed.keys < out_len)
-                if len(written):
-                    keep &= np.isin(packed.keys, written, invert=True)
-                rest = PackedMap(packed.cls, packed.keys[keep], packed.records[keep], ())
+                keys = packed.keys
+                keep = (keys >= 0) & (keys < out_len)
+                # Searched, not isin: few keys, most outside the emitted range.
+                lo, hi = (written.min(), written.max()) if len(written) else (0, -1)
+                if (keep & (keys >= lo) & (keys <= hi)).any():
+                    written = np.sort(written, kind="stable")  # one pass when sorted
+                    at = np.searchsorted(written, keys).clip(max=len(written) - 1)
+                    keep &= written[at] != keys
+                rest = PackedMap(packed.cls, keys[keep], packed.records[keep], ())
                 self._convert_entries(rest.to_map(), out)
                 return out
             done = set(written.tolist())
@@ -703,34 +708,21 @@ class Scheduler:
         self, split: Split, red_map: KeyedMap, data: np.ndarray,
         out: np.ndarray | None, capture: KeyedMap | None,
     ) -> np.ndarray:
-        """Batch kernel: scatter the whole split into a preallocated
-        columnar accumulator, then fold touched rows back into the map.
-
-        Bit-exactness: the accumulator is seeded from ``red_map`` before
-        the kernel runs, so in-order scatters continue from prior totals
-        exactly like scalar in-place mutation, and the fold *replaces*
-        touched entries rather than merging subtotals (merging would
-        regroup the float additions).  Early emission is one sweep over
-        the touched rows — the same keys the scalar loop could newly
-        trigger — that hands the fired rows on as columns.
-        """
+        """Batch kernel: seed the thread's accumulator from ``red_map``, scatter the
+        split into it, emit the fired rows, fold the rest back (bit-exact: see batch)."""
         acc = self.make_accumulator(split.start, split.stop)
         acc.load_from(red_map)
         self.batch_reduce(data, split.start, split.stop, acc)
-        self.telemetry.inc("run.batch_reduce_calls")
-        self.telemetry.inc("run.batch_elements", len(split))
-        # Published at 0 so telemetry consumers can tell "no scalar
-        # accumulate() ran" from "counter never recorded".
-        self.telemetry.inc("run.accumulate_calls", 0)
+        # accumulate_calls at 0: "no scalar accumulate() ran", not "never recorded".
+        self.telemetry.merge_counters({"run.batch_reduce_calls": 1, "run.accumulate_calls": 0,
+                                       "run.batch_elements": len(split)})
         fired = None if self.policy.disable_early_emission else acc.take_fired()
         acc.fold_into(red_map)
-        if not fired:
-            return join_keys([])
-        if capture is not None:
-            capture.replace_contents(fired.to_map())
-        elif out is not None:
+        if fired and capture is not None:  # it outlives the split: a copy
+            capture.replace_contents(fired.copy().to_map())
+        elif fired and out is not None:  # consumed while the rows are this split's
             self._convert_entries(fired.to_map(), out)
-        return fired.keys
+        return fired.keys if fired else join_keys([])
 
 
 def merge_distributed_output(comm: Communicator, out: np.ndarray) -> np.ndarray:

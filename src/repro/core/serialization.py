@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import pickle
 import struct
+from collections import deque
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -150,7 +152,7 @@ class PackedMap:
         a_keys = self.keys
         if not len(a_keys):
             self.keys = b_keys.copy()
-            self.records = other.records.copy()
+            self.records = _concat_records([other.records])
             return
         idx = np.searchsorted(a_keys, b_keys)
         safe = np.minimum(idx, len(a_keys) - 1)
@@ -166,7 +168,7 @@ class PackedMap:
         fresh = ~matched
         if fresh.any():
             keys = np.concatenate([a_keys, b_keys[fresh]])
-            records = np.concatenate([self.records, other.records[fresh]])
+            records = _concat_records([self.records, other.records[fresh]])
             order = np.argsort(keys, kind="stable")
             self.keys = keys[order]
             self.records = records[order]
@@ -181,7 +183,7 @@ class PackedMap:
 
     # -- object materialization ----------------------------------------
     def copy(self) -> "PackedMap":
-        return PackedMap(self.cls, self.keys.copy(), self.records.copy(), self.merges)
+        return PackedMap(self.cls, self.keys.copy(), _concat_records([self.records]), self.merges)
 
     def to_map(self) -> KeyedMap:
         """A :class:`KeyedMap` backed by (and now owning) this packed map."""
@@ -189,25 +191,15 @@ class PackedMap:
 
     def objects(self) -> list[RedObj]:
         """One object per record: the runtime's only columns-to-objects step."""
-        cls = self.cls
-        records = self.records
-        n = len(records)
+        cls, records, n = self.cls, self.records, len(self.records)
         if cls.unpack_from.__func__ is not RedObj.unpack_from.__func__:
             return [cls.unpack_from(records[i]) for i in range(n)]
-        # Default attribute-mapped unpacking: extract each column once
-        # (C-speed) instead of introspecting per record.
-        names = records.dtype.names
-        columns = []
-        for name in names:
+        # Attribute-mapped unpacking: each column set on every object by one C-level map.
+        objs = list(map(cls.__new__, repeat(cls, n)))
+        for name in records.dtype.names:
             col = records[name]
-            columns.append(col.tolist() if col.ndim == 1 else list(col.copy()))
-        objs = []
-        new = cls.__new__
-        for i in range(n):
-            obj = new(cls)
-            for name, col in zip(names, columns):
-                setattr(obj, name, col[i])
-            objs.append(obj)
+            deque(map(setattr, objs, repeat(name),
+                      col.tolist() if col.ndim == 1 else list(col.copy())), maxlen=0)
         return objs
 
     # -- wire encoding --------------------------------------------------
@@ -237,15 +229,12 @@ class PackedMap:
         offset += keys.nbytes
         records = np.frombuffer(payload, dtype=dtype, count=n, offset=offset)
         # frombuffer views over bytes are read-only; merging needs writable.
-        return cls(red_cls, keys.copy(), records.copy(), merges)
+        return cls(red_cls, keys.copy(), _concat_records([records]), merges)
 
 
 def _concat_records(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """``np.concatenate`` of same-dtype record arrays, copied as bytes:
-    numpy copies structured arrays field by field, an order slower."""
-    return np.concatenate(
-        [np.ascontiguousarray(p).view(np.uint8) for p in parts]
-    ).view(parts[0].dtype)
+    """Same-dtype record arrays joined (or copied) as bytes, not field by field."""
+    return np.frombuffer(bytearray().join(map(np.ascontiguousarray, parts)), parts[0].dtype)
 
 
 def _identity_records(dtype: np.dtype, merges, n: int) -> np.ndarray:

@@ -487,7 +487,7 @@ class TestProcessNetworkFaults:
         assert plan.injected("network") == 1
 
 
-@pytest.mark.parametrize("name", ["split_comm", "GroupComm", "Request"])
+@pytest.mark.parametrize("name", ["split_comm", "GroupComm", "Request", "OpStats"])
 def test_removed_names_stay_removed(name):
     with pytest.raises(ImportError):
         exec(f"from repro.comm import {name}")

@@ -99,7 +99,7 @@ class TestColumnarAccumulator:
         acc.column("total")[2] += 4.0
         acc.column("count")[2] += 1
         acc.contrib[2] += 1
-        assert acc.fold_into(red_map).tolist() == [2]
+        acc.fold_into(red_map)
         assert red_map.packed is None
         assert sorted(red_map.keys()) == [2, 100]
         assert (red_map[2].total, red_map[100].total) == (4.0, 1.0)
@@ -114,8 +114,7 @@ class TestColumnarAccumulator:
         acc.column("total")[3] += 2.0
         acc.column("count")[3] += 1
         acc.contrib[3] += 1
-        touched = acc.fold_into(red_map)
-        assert touched.tolist() == [3]
+        acc.fold_into(red_map)
         # Touched rows land the accumulated (seed + scatter) value...
         assert red_map[3].total == 3.5 and red_map[3].count == 3
         # ...and untouched entries keep their identity.
@@ -176,7 +175,7 @@ class TestColumnarAccumulator:
         fired = acc.take_fired()
         assert fired.keys.tolist() == [4]
         assert fired.records["total"].tolist() == [3.5]
-        assert acc.fold_into(red_map).tolist() == [4, 5]
+        acc.fold_into(red_map)
         assert (red_map.packed is not None) == backed
         assert sorted(red_map.keys()) == [5, 6]
         assert (red_map[5].total, red_map[5].count) == (2.0, 1)

@@ -128,6 +128,24 @@ class TestValidation:
         path = save_checkpoint(app, tmp_path / "deep" / "nested" / "h.ckpt")
         assert path.exists()
 
+    def test_header_stats_block_is_ignored(self, rng, tmp_path):
+        """Files written before the header lost its unread ``stats`` block
+        still load: loaders ignore header keys they do not know."""
+        app = make_histogram()
+        app.run(rng.normal(size=200))
+        path = save_checkpoint(app, tmp_path / "h.ckpt", metadata={"step": 3})
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[:8], "little")
+        header = json.loads(raw[8 : 8 + header_len].decode())
+        assert "stats" not in header
+        header["stats"] = {"runs": 1, "iterations_run": 1, "early_emissions": 0}
+        new_header = json.dumps(header).encode()
+        path.write_bytes(len(new_header).to_bytes(8, "little") + new_header
+                         + raw[8 + header_len :])
+        restored = make_histogram()
+        assert load_checkpoint(restored, path, fallback=False) == {"step": 3}
+        assert np.array_equal(restored.counts(), app.counts())
+
     def test_wire_version_mismatch_rejected(self, rng, tmp_path):
         """A checkpoint from an incompatible map wire-format layout must
         fail loudly, not deserialize garbage."""

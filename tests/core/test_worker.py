@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import platform
 import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.worker import Pool, create_segment, pack, wait
+from repro.core.worker import Pool, create_segment, pack, unpack, wait
 from repro.telemetry import Recorder
 
 
@@ -70,6 +71,20 @@ class Echo:
         if message == "segment":
             self.segments.append(create_segment(64))
             return self.segments[-1].name
+        if message == "hold my pipe":  # a child that keeps this worker's pipe open
+            child = os.fork()
+            if not child:
+                for fd in map(int, os.listdir("/proc/self/fd")):
+                    try:  # every inherited fd but the sockets: its sentinel's too
+                        if not stat.S_ISSOCK(os.fstat(fd).st_mode) and fd > 2:
+                            os.close(fd)
+                    except OSError:
+                        pass
+                signal.pause()  # until killed
+                os._exit(0)
+            return child
+        if message == "die":
+            os._exit(1)
         return message
 
 
@@ -199,6 +214,24 @@ def test_a_workers_task_temporaries_stay_on_its_heap():
     assert first > 1000 and max(later) < 20, (first, later)
 
 
+def test_a_death_found_by_the_sentinel_alone_is_not_read(pool):
+    """A worker that dies without replying while a child of its own still
+    holds its pipe open is found by its sentinel alone: the pipe is not
+    readable, so ``receive()`` returns None at once instead of reading a
+    pipe that would block until that child exits."""
+    worker = pool.worker(0)
+    holder = worker.call("hold my pipe")
+    try:
+        assert worker.send(pack("die"))
+        worker.process.join(timeout=30)
+        assert wait([worker], timeout=30) == [worker]
+        assert not worker.readable
+        assert worker.receive() is None
+    finally:
+        os.kill(holder, signal.SIGKILL)
+    assert call(pool, 0, "after") == "after"  # replaced before its next message
+
+
 def test_exceptions_come_back_with_their_type_or_as_runtime_error(pool):
     plain = call(pool, 0, "plain")
     assert type(plain) is ValueError and str(plain) == "plain"
@@ -289,3 +322,21 @@ def test_exit_halts_an_open_engine_and_an_open_service():
     assert all(gone(pid) for pid in children)
     shm = Path("/dev/shm")
     assert [p.name for pid in (parent, *children) for p in shm.glob(f"smart_{pid}_*")] == []
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(12.0), np.arange(12, dtype=">i4").reshape(3, 4), np.array(3.5),
+    np.zeros((0, 4)), np.asfortranarray(np.arange(6.0).reshape(2, 3)), np.arange(20)[::3],
+    np.array([True, False]), np.array([0, 1, 2], dtype="datetime64[ns]"), np.array([1 + 2j]),
+    np.zeros(3, dtype=[("total", "f8"), ("sums", "f8", (2,)), ("count", "i8")]),
+    np.array([None, "x"], dtype=object), np.array(["ab", "c"]),
+], ids=lambda a: f"{a.dtype}{a.shape}")
+def test_every_array_crosses_a_message_whole(array):
+    """Dtype, shape, order-independent contents and a writable copy arrive,
+    whatever the layout (a C-contiguous one out of band, as bytes)."""
+    frames = pack({"a": array})
+    got = unpack([frames[0], *(np.frombuffer(bytes(f), np.uint8).copy() for f in frames[1:])])["a"]
+    assert type(got) is np.ndarray and got.dtype == array.dtype and got.shape == array.shape
+    assert np.array_equal(got, array) and got.flags.writeable
+    if array.flags.c_contiguous and not array.dtype.hasobject:
+        assert len(frames) == 2

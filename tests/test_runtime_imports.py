@@ -147,7 +147,7 @@ PUBLIC = {
     ),
     "repro.comm": (
         "CommAborted CommError CommTimeoutError Communicator FrameCorruptionError "
-        "InterleaveSchedule InvalidRankError LocalComm OpStats ProcessComm RankMismatchError "
+        "InterleaveSchedule InvalidRankError LocalComm ProcessComm RankMismatchError "
         "ReduceOp SUM SimCluster SimComm SpmdError TrafficProfiler as_reduce_op "
         "payload_nbytes spmd_launch supervised_launch "
     ),
