@@ -12,7 +12,6 @@ Public surface:
 * :class:`TimeSharingDriver` / :class:`SpaceSharingDriver` — the
   paper's two in-situ modes: in turns through a read pointer, or
   concurrently through the circular buffer.
-* :class:`SmartPipeline` — chained Smart jobs with local-only stages.
 """
 
 from .._lazy import lazy_exports
@@ -30,7 +29,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".engine": ("ExecutionEngine", "ProcessEngine", "SerialEngine", "ThreadEngine",
                 "create_engine"),
     ".maps": ("KeyedMap",),
-    ".pipeline": ("PipelineStage", "SmartPipeline"),
     ".policy": ("COMBINE_ALGORITHMS", "ENGINE_BACKENDS", "MAP_PATHS", "CombinePolicy",
                 "EnginePolicy", "ExecutionPolicy"),
     ".red_obj": ("Field", "RedObj", "ensure_red_obj"),
@@ -67,10 +65,8 @@ __all__ = [
     "SerialEngine",
     "ThreadEngine",
     "create_engine",
-    "PipelineStage",
     "RedObj",
     "Scheduler",
-    "SmartPipeline",
     "SpaceSharingDriver",
     "SpaceSharingResult",
     "Split",

@@ -1,10 +1,10 @@
 """Multi-tenant job service over the resident in-situ data plane.
 
 ``AnalyticsService`` is the front-end ROADMAP item 1 asks for: many
-tenants submit :class:`JobSpec` s, admission control enforces per-tenant
-quotas and engine budgets, a deficit-round-robin dispatcher shares the
-service's seat processes fairly, and every job against the same sim
-step reads one refcounted resident copy (:class:`SharedStepStore`).  Each job's result
+tenants submit :class:`JobSpec` s; one deficit-round-robin queue admits
+them (queue bound, per-tenant quotas, engine budgets) and shares the
+service's seat processes fairly; and every job against the same sim step
+reads one refcounted resident copy (:class:`SharedStepStore`).  Each job's result
 is bit-exact against running it alone — enforced by the conformance
 ``sharing`` axis and the ``tests/service`` stress suite.
 """
@@ -12,7 +12,6 @@ is bit-exact against running it alone — enforced by the conformance
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".admission": ("AdmissionController",),
     ".dispatch": ("DeficitRoundRobin",),
     ".residency": ("SharedStepStore", "StepLease"),
     ".service": ("AnalyticsService", "execute_workload", "job_policy"),
@@ -22,7 +21,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "AdmissionController",
     "AdmissionError",
     "AnalyticsService",
     "BudgetExhaustedError",

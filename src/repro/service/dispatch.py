@@ -1,13 +1,28 @@
-"""Deficit-round-robin fair dispatch across tenant queues.
+"""The service's one job queue: admission and deficit-round-robin dispatch.
 
-Classic DRR (Shreedhar & Varghese): each tenant owns a FIFO queue and a
-deficit counter.  The dispatcher visits tenants in a fixed rotation;
-each visit grants the tenant one ``quantum`` of credit, then serves jobs
-from the head of its queue while their *cost* fits the accumulated
-deficit.  A tenant flooding the service with cheap jobs therefore gets
-at most one quantum of service per rotation — every other tenant's head
-job is reached within one full rotation, which is the bounded-delay
-property the starvation test asserts.
+Every submission passes three gates, cheapest first, under the queue's
+one lock and against its own counts:
+
+1. **Service queue bound** — at most ``max_queue_depth`` jobs wait in
+   the queue (:class:`~repro.service.QueueFullError`).
+2. **Per-tenant queue quota** — a tenant's FIFO holds at most
+   ``TenantQuota.max_queued`` jobs
+   (:class:`~repro.service.QuotaExceededError`).
+3. **Engine-seconds budget** — the seconds :meth:`charge`\\ d to the
+   tenant must be below ``TenantQuota.max_engine_seconds``
+   (:class:`~repro.service.BudgetExhaustedError`).
+
+A job leaves the counts when it is popped, so a dispatched job frees its
+slot.  Only an admitted job gets a job id, and ids are consecutive.
+
+Dispatch is classic DRR (Shreedhar & Varghese): each tenant owns a FIFO
+queue and a deficit counter.  The dispatcher visits tenants in a fixed
+rotation; each visit grants the tenant one ``quantum`` of credit, then
+serves jobs from the head of its queue while their *cost* fits the
+accumulated deficit.  A tenant flooding the service with cheap jobs
+therefore gets at most one quantum of service per rotation — every other
+tenant's head job is reached within one full rotation, which is the
+bounded-delay property the starvation test asserts.
 
 Cost is the job's step element count (work is linear in elements for
 every registry workload), overridable per job via
@@ -20,19 +35,27 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-from .spec import JobHandle
+from .spec import (BudgetExhaustedError, JobHandle, QueueFullError, QuotaExceededError,
+                   TenantQuota)
 
 __all__ = ["DeficitRoundRobin"]
 
 
 class DeficitRoundRobin:
-    """Thread-safe DRR queue of :class:`JobHandle` s keyed by tenant."""
+    """Thread-safe admitting DRR queue of :class:`JobHandle` s keyed by tenant."""
 
-    def __init__(self, quantum: float = 4096.0):
+    def __init__(self, quantum: float = 4096.0, *, max_queue_depth: int = 256,
+                 default_quota: TenantQuota | None = None):
         if quantum <= 0:
             raise ValueError(f"quantum must be > 0, got {quantum}")
+        if max_queue_depth < 1:
+            raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         self.quantum = float(quantum)
+        self.max_queue_depth = max_queue_depth
+        self.default_quota = default_quota or TenantQuota()
         self._lock = threading.Condition()
+        self._quotas: dict[str, TenantQuota] = {}
+        self._spent: dict[str, float] = {}
         self._queues: dict[str, deque] = {}
         self._deficits: dict[str, float] = {}
         #: Rotation ring of tenant ids; _cursor indexes the next visit.
@@ -43,6 +66,7 @@ class DeficitRoundRobin:
         #: keep fitting the deficit; the grant must fire once).
         self._visit_granted = False
         self._size = 0
+        self._admitted = 0
         self._released = 0
         self._closed = False
 
@@ -50,22 +74,47 @@ class DeficitRoundRobin:
         with self._lock:
             return self._size
 
-    def pending(self, tenant: str) -> int:
+    def set_quota(self, tenant: str, quota: TenantQuota) -> None:
         with self._lock:
-            queue = self._queues.get(tenant)
-            return len(queue) if queue else 0
+            self._quotas[tenant] = quota
+
+    def charge(self, tenant: str, seconds: float) -> None:
+        """Charge measured execution time against the tenant's budget."""
+        with self._lock:
+            self._spent[tenant] = self._spent.get(tenant, 0.0) + float(seconds)
 
     def push(self, handle: JobHandle, cost: float) -> None:
-        """Enqueue a job for its tenant (cost in DRR credit units)."""
+        """Admit a job for its tenant (cost in DRR credit units) and give
+        it the next job id; raises an AdmissionError, or RuntimeError once
+        closed."""
         tenant = handle.spec.tenant
         with self._lock:
             if self._closed:
                 raise RuntimeError("dispatcher is closed")
+            if self._size >= self.max_queue_depth:
+                raise QueueFullError(
+                    tenant, self.max_queue_depth, self._size,
+                    f"service queue is full ({self._size}/{self.max_queue_depth} jobs queued)")
+            quota = self._quotas.get(tenant, self.default_quota)
             queue = self._queues.get(tenant)
+            queued = len(queue) if queue is not None else 0
+            if queued >= quota.max_queued:
+                raise QuotaExceededError(
+                    tenant, quota.max_queued, queued,
+                    f"tenant {tenant!r} already has {queued} jobs queued "
+                    f"(quota {quota.max_queued})")
+            spent = self._spent.get(tenant, 0.0)
+            if spent >= quota.max_engine_seconds:
+                raise BudgetExhaustedError(
+                    tenant, quota.max_engine_seconds, spent,
+                    f"tenant {tenant!r} spent {spent:.3f}s of its "
+                    f"{quota.max_engine_seconds:.3f}s engine budget")
             if queue is None:
                 queue = self._queues[tenant] = deque()
                 self._deficits[tenant] = 0.0
                 self._ring.append(tenant)
+            self._admitted += 1
+            handle.job_id = self._admitted
             queue.append((handle, float(cost)))
             self._size += 1
             self._lock.notify()
@@ -133,7 +182,8 @@ class DeficitRoundRobin:
         return None
 
     def close(self) -> None:
-        """Wake all poppers; pending jobs still drain before None."""
+        """Refuse further pushes and wake all poppers; queued jobs still
+        drain before None."""
         with self._lock:
             self._closed = True
             self._lock.notify_all()

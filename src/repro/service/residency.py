@@ -22,17 +22,17 @@ the process engine's per-run residency counters:
 
 * ``engine.residency.shared_copies`` / ``shared_copied_bytes`` — one
   per registered step (the single upload).
-* ``engine.residency.shared_attaches`` / ``shared_bytes_saved`` — one
-  per reader that did *not* need its own copy.
+* ``engine.residency.shared_attaches`` — one per reader that did *not*
+  need its own copy.
 * ``engine.residency.shared_evict_deferred`` — retire() under readers.
-* gauges ``engine.residency.shared_segments`` / ``shared_readers`` /
-  ``shared_resident_bytes`` — live state.
+* gauges ``engine.residency.shared_segments`` / ``shared_readers`` —
+  live state, written where a count changes.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from multiprocessing.util import Finalize
 
@@ -49,9 +49,8 @@ class _Step:
     shm: shared_memory.SharedMemory
     shape: tuple
     dtype: np.dtype
-    nbytes: int
-    #: lease ids
-    readers: set[int] = field(default_factory=set)
+    #: live leases
+    readers: int = 0
     retired: bool = False
 
 
@@ -65,12 +64,10 @@ class StepLease:
     manager (releases on exit).
     """
 
-    def __init__(self, store: "SharedStepStore", step_id: str,
-                 lease_id: int, data: np.ndarray,
+    def __init__(self, store: "SharedStepStore", step_id: str, data: np.ndarray,
                  segment: tuple[str, tuple, str]):
         self._store = store
         self.step_id = step_id
-        self.lease_id = lease_id
         self.data = data
         self.segment = segment
         self._released = False
@@ -80,7 +77,7 @@ class StepLease:
             return
         self._released = True
         self.data = None
-        self._store._release(self.step_id, self.lease_id)
+        self._store._release(self.step_id)
 
     def __enter__(self) -> "StepLease":
         return self
@@ -101,7 +98,8 @@ class SharedStepStore:
     def __init__(self, telemetry: Recorder | None = None):
         self._lock = threading.Lock()
         self._steps: dict[str, _Step] = {}
-        self._next_lease = 0
+        #: live leases over every step (the ``shared_readers`` gauge)
+        self._readers = 0
         self.telemetry = telemetry if telemetry is not None else Recorder()
         # A store never closed frees its segments when collected or at
         # interpreter exit, like a worker pool's halt (and beside it).
@@ -120,11 +118,10 @@ class SharedStepStore:
                 raise ValueError(f"step {step_id!r} is already resident")
             shm = create_segment(data.nbytes)
             np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)[...] = data
-            self._steps[step_id] = _Step(
-                shm=shm, shape=data.shape, dtype=data.dtype, nbytes=data.nbytes)
+            self._steps[step_id] = _Step(shm=shm, shape=data.shape, dtype=data.dtype)
             self.telemetry.inc("engine.residency.shared_copies")
             self.telemetry.inc("engine.residency.shared_copied_bytes", data.nbytes)
-            self._update_gauges_locked()
+            self.telemetry.set_gauge("engine.residency.shared_segments", len(self._steps))
 
     # -- leases --------------------------------------------------------
     def attach(self, step_id: str) -> StepLease:
@@ -136,26 +133,24 @@ class SharedStepStore:
             if step.retired:
                 # Deferred eviction: the step accepts no new readers.
                 raise KeyError(f"step {step_id!r} is retired")
-            lease_id = self._next_lease
-            self._next_lease += 1
-            step.readers.add(lease_id)
+            step.readers += 1
+            self._readers += 1
             view = np.ndarray(step.shape, dtype=step.dtype, buffer=step.shm.buf)
             view.flags.writeable = False
             self.telemetry.inc("engine.residency.shared_attaches")
-            self.telemetry.inc("engine.residency.shared_bytes_saved", step.nbytes)
-            self._update_gauges_locked()
-            return StepLease(self, step_id, lease_id, view,
-                             (step.shm.name, step.shape, step.dtype.str))
+            self.telemetry.set_gauge("engine.residency.shared_readers", self._readers)
+            return StepLease(self, step_id, view, (step.shm.name, step.shape, step.dtype.str))
 
-    def _release(self, step_id: str, lease_id: int) -> None:
+    def _release(self, step_id: str) -> None:
         with self._lock:
             step = self._steps.get(step_id)
             if step is None:
                 return
-            step.readers.discard(lease_id)
+            step.readers -= 1
+            self._readers -= 1
+            self.telemetry.set_gauge("engine.residency.shared_readers", self._readers)
             if step.retired and not step.readers:
                 self._evict_locked(step_id)
-            self._update_gauges_locked()
 
     # -- eviction ------------------------------------------------------
     def retire(self, step_id: str) -> bool:
@@ -173,13 +168,13 @@ class SharedStepStore:
                 self.telemetry.inc("engine.residency.shared_evict_deferred")
                 return False
             self._evict_locked(step_id)
-            self._update_gauges_locked()
             return True
 
     def _evict_locked(self, step_id: str) -> None:
         step = self._steps.pop(step_id)
         assert not step.readers, "eviction under a live reader"
         unlink_segment(step.shm)
+        self.telemetry.set_gauge("engine.residency.shared_segments", len(self._steps))
 
     # -- introspection -------------------------------------------------
     def elements(self, step_id: str) -> int:
@@ -193,7 +188,7 @@ class SharedStepStore:
     def readers(self, step_id: str) -> int:
         with self._lock:
             step = self._steps.get(step_id)
-            return len(step.readers) if step else 0
+            return step.readers if step else 0
 
     def resident_steps(self) -> list[str]:
         with self._lock:
@@ -211,22 +206,14 @@ class SharedStepStore:
         total = hits + copies
         return hits / total if total else 0.0
 
-    def _update_gauges_locked(self) -> None:
-        self.telemetry.set_gauge(
-            "engine.residency.shared_segments", len(self._steps))
-        self.telemetry.set_gauge(
-            "engine.residency.shared_readers",
-            sum(len(s.readers) for s in self._steps.values()))
-        self.telemetry.set_gauge(
-            "engine.residency.shared_resident_bytes",
-            sum(s.nbytes for s in self._steps.values()))
-
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Force-free every segment (shutdown path; ignores refcounts)."""
         _unlink_all(self._steps, self._lock)
         with self._lock:
-            self._update_gauges_locked()
+            self._readers = 0
+            self.telemetry.set_gauge("engine.residency.shared_segments", 0)
+            self.telemetry.set_gauge("engine.residency.shared_readers", 0)
 
     def __enter__(self) -> "SharedStepStore":
         return self

@@ -3,9 +3,9 @@
 ``AnalyticsService`` multiplexes many tenants' analytics jobs over the
 shared in-situ data plane:
 
-* **queue** — submissions pass :class:`AdmissionController` (bounded
-  queue, per-tenant quotas, engine-second budgets) and enter a
-  :class:`DeficitRoundRobin` dispatcher;
+* **queue** — one :class:`DeficitRoundRobin` admits each submission
+  (bounded queue, per-tenant quotas, engine-second budgets) and orders
+  dispatch;
 * **seat processes** — the service owns a :class:`~repro.core.worker.Pool`
   of ``workers`` processes, and one dispatcher thread per process pops jobs
   in DRR order (so no tenant's flood can starve another's head job past
@@ -30,7 +30,6 @@ never drift from the oracle by construction of the comparison.
 from __future__ import annotations
 
 import functools
-import itertools
 import threading
 import time
 
@@ -40,9 +39,8 @@ from ..core import ExecutionPolicy
 from ..core.worker import Pool, detach, view
 from ..telemetry import Recorder
 from ..verify.workloads import Workload, get_workload, load_analytics
-from .admission import AdmissionController
 from .dispatch import DeficitRoundRobin
-from .residency import SharedStepStore, StepLease
+from .residency import SharedStepStore
 from .spec import (AdmissionError, JobHandle, JobSpec, SeatLostError, ServiceClosedError,
                    TenantQuota)
 
@@ -169,7 +167,7 @@ class _Seats:
 
 
 class AnalyticsService:
-    """Bounded queue → admission → DRR fair dispatch → seat processes.
+    """Admitting DRR queue → seat processes.
 
     Submissions are accepted before :meth:`start` — queues simply
     accumulate until the seat processes spin up, which the starvation
@@ -188,24 +186,22 @@ class AnalyticsService:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.telemetry = telemetry if telemetry is not None else Recorder()
-        self.admission = AdmissionController(
-            max_queue_depth=max_queue_depth, default_quota=default_quota)
         self.store = SharedStepStore(self.telemetry)
-        self._drr = DeficitRoundRobin(quantum=quantum)
+        self._drr = DeficitRoundRobin(quantum, max_queue_depth=max_queue_depth,
+                                      default_quota=default_quota)
         self._workers_wanted = workers
         #: seat process ``i`` and the dispatcher thread that feeds it
         self._pool: Pool | None = None
         self._dispatchers: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        self._job_ids = itertools.count(1)
-        #: every outstanding job's step lease, held from admission to its end
-        self._leases: dict[int, StepLease] = {}
+        #: jobs submitted and not yet ended (``drain`` waits for 0)
+        self._outstanding = 0
         self._closed = False
 
     # -- tenants -------------------------------------------------------
     def set_quota(self, tenant: str, quota: TenantQuota) -> None:
-        self.admission.set_quota(tenant, quota)
+        self._drr.set_quota(tenant, quota)
 
     # -- data plane ----------------------------------------------------
     def register_step(self, step_id: str, data: np.ndarray) -> None:
@@ -228,24 +224,23 @@ class AnalyticsService:
             raise RuntimeError("service is closed")
         get_workload(spec.workload)           # fail fast: workload known, and the
         lease = self.store.attach(spec.step)  # step resident and held from here
+        handle = JobHandle(job_id=0, spec=spec, _lease=lease)  # the queue numbers it
+        cost = spec.cost_hint if spec.cost_hint is not None else float(lease.data.size)
+        with self._lock:
+            self._outstanding += 1
         tenant = f"service.tenant.{spec.tenant}."
         try:
-            self.admission.admit(spec)
+            self._drr.push(handle, cost)
         except AdmissionError as exc:
-            lease.release()
+            self._release(handle)
             self.telemetry.inc(f"{tenant}rejected.{exc.kind}")
             self.telemetry.inc("service.rejected")
             raise
-        cost = (spec.cost_hint if spec.cost_hint is not None
-                else float(lease.data.size))
-        handle = JobHandle(job_id=next(self._job_ids), spec=spec)
-        with self._lock:
-            self._leases[handle.job_id] = lease
-        self._drr.push(handle, cost)
+        except RuntimeError:  # close() closed the queue after the check above
+            self._release(handle)
+            raise RuntimeError("service is closed") from None
         self.telemetry.inc(tenant + "submitted")
         self.telemetry.inc("service.submitted")
-        self.telemetry.set_gauge("service.queue_depth",
-                                 self.admission.queued())
         return handle
 
     # -- seat processes ----------------------------------------------
@@ -275,24 +270,21 @@ class AnalyticsService:
     def _execute(self, index: int, handle: JobHandle) -> None:
         spec = handle.spec
         tenant = f"service.tenant.{spec.tenant}."
-        self.admission.on_dispatch(spec.tenant)
         handle._mark_running()
         self.telemetry.inc(tenant + "dispatched")
-        self.telemetry.set_gauge("service.queue_depth",
-                                 self.admission.queued())
         t0 = time.perf_counter()
+        error = None
         try:
             result, counters, seconds, seat = self._run_job(index, handle)
         except BaseException as exc:  # noqa: BLE001 - delivered via handle
-            seconds = time.perf_counter() - t0
-            self.admission.on_complete(spec.tenant, seconds)
+            error, seconds = exc, time.perf_counter() - t0
+        try:
+            self._drr.charge(spec.tenant, seconds)
             self.telemetry.add_time(tenant + "engine_seconds", seconds)
-            self._fail(handle, exc, seconds)
-        else:
-            self.admission.on_complete(spec.tenant, seconds)
-            self.telemetry.add_time(tenant + "engine_seconds", seconds)
+            if error is not None:
+                self._fail(handle, error, seconds)
+                return
             self.telemetry.inc(tenant + "jobs_completed")
-            self.telemetry.inc("service.completed")
             if seat is not None:
                 self.telemetry.inc(f"service.seats.{seat}")
             # Add the job's run.* counters under its tenant's names
@@ -310,10 +302,12 @@ class AnalyticsService:
         handle._fail(exc, seconds)
 
     def _release(self, handle: JobHandle) -> None:
-        """Release an ended job's lease; wake ``drain`` after the last."""
+        """Release an ended job's lease, taken off its handle; wake ``drain`` after the last."""
+        lease, handle._lease = handle._lease, None
+        lease.release()
         with self._lock:
-            self._leases.pop(handle.job_id).release()
-            if not self._leases:
+            self._outstanding -= 1
+            if not self._outstanding:
                 self._idle.notify_all()
 
     def _run_job(self, index: int, handle: JobHandle) -> tuple:
@@ -322,7 +316,7 @@ class AnalyticsService:
         created/reused) comes back."""
         spec = handle.spec
         seat = self._pool.worker(index)
-        segment = self._leases[handle.job_id].segment
+        segment = handle._lease.segment
         resident = self.store.segment_names()
         evicted = [name for name in seat.holds if name not in resident]
         for name in evicted:
@@ -342,7 +336,7 @@ class AnalyticsService:
         deadline = (None if timeout is None
                     else time.perf_counter() + timeout)
         with self._idle:
-            while self._leases:
+            while self._outstanding:
                 remaining = (None if deadline is None
                              else deadline - time.perf_counter())
                 if remaining is not None and remaining <= 0:
@@ -365,8 +359,6 @@ class AnalyticsService:
         else:  # no dispatcher ever pops these: fail them, and free their steps
             while (handle := self._drr.pop()) is not None:
                 spec = handle.spec
-                self.admission.on_dispatch(spec.tenant)
-                self.telemetry.set_gauge("service.queue_depth", self.admission.queued())
                 self._fail(handle, ServiceClosedError(handle.job_id, spec.tenant, spec.workload))
                 self._release(handle)
         self.store.close()

@@ -214,6 +214,9 @@ class JobHandle:
     error: BaseException | None = None
     _result: Any = None
     _done: threading.Event = field(default_factory=threading.Event)
+    #: The job's step lease, held by the service from admission to the
+    #: job's end.
+    _lease: Any = field(default=None, repr=False)
 
     @property
     def done(self) -> bool:

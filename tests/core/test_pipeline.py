@@ -1,34 +1,11 @@
-"""Smart pipelines: local-only stages feeding downstream jobs."""
+"""The paper's pipeline case, chained by hand: one Smart job's output
+configures the next (Sections 3.1 and 3.5)."""
 
 import numpy as np
-import pytest
 
 from repro.analytics import Histogram, MinMax, reference_histogram
 from repro.comm import spmd_launch
-from repro.core import ExecutionPolicy, PipelineStage, SmartPipeline
-
-
-class TestConstruction:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            SmartPipeline([])
-
-    def test_intermediate_stage_needs_emit(self):
-        stages = [
-            PipelineStage(MinMax(ExecutionPolicy())),  # no emit, not last
-            PipelineStage(MinMax(ExecutionPolicy())),
-        ]
-        with pytest.raises(ValueError, match="emit"):
-            SmartPipeline(stages)
-
-    def test_last_stage_keeps_global_combination(self):
-        first = MinMax(ExecutionPolicy())
-        last = MinMax(ExecutionPolicy())
-        SmartPipeline(
-            [PipelineStage(first, emit=lambda s, d: d), PipelineStage(last)]
-        )
-        assert first._global_combination is False
-        assert last._global_combination is True
+from repro.core import ExecutionPolicy
 
 
 class TestRangeThenHistogram:
@@ -66,24 +43,3 @@ class TestRangeThenHistogram:
         assert counts.sum() == 1200
         for other in results[1:]:
             assert np.array_equal(other[2], counts)
-
-    def test_pipeline_runner_local_stage(self):
-        """A local-only preprocessing stage (scaling) feeding a histogram."""
-
-        data = np.random.default_rng(2).normal(size=500)
-
-        class Scale(MinMax):
-            # Reuse MinMax state but emit scaled data: a stand-in for the
-            # paper's smoothing/filtering preprocessing stages.
-            pass
-
-        scale_stage = PipelineStage(
-            Scale(ExecutionPolicy()),
-            emit=lambda sched, d: (d - sched.combination_map_[0].lo),
-            local_only=True,
-        )
-        hist = Histogram(ExecutionPolicy(), lo=0.0, hi=10.0, num_buckets=10)
-        pipe = SmartPipeline([scale_stage, PipelineStage(hist)])
-        pipe.run(data)
-        assert hist.counts().sum() == 500
-        assert pipe.final_map is hist.get_combination_map()

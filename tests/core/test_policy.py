@@ -215,10 +215,17 @@ class TestEvolveAndCoerce:
     ("from repro.verify import run_autotune", ImportError),
     ("import repro.core.autotune", ImportError),
     ("import repro.verify.policy_check", ImportError),
+    ("from repro.service import AdmissionController", ImportError),
+    ("import repro.service.admission", ImportError),
+    ("from repro.core import SmartPipeline", ImportError),
+    ("from repro.core import PipelineStage", ImportError),
+    ("import repro.core.pipeline", ImportError),
     ("ExecutionPolicy.auto", AttributeError),
     ("Workload.schema_mergeable", AttributeError),
 ])
 def test_removed_names_stay_removed(statement, error):
-    # A policy is built from its fields alone: no advisor picks them.
+    # No alias or shim brings back a deleted name: a policy is built from
+    # its fields alone, the service's queue admits its jobs, and no
+    # pipeline object chains jobs.
     with pytest.raises(error):
         exec(statement)

@@ -1,9 +1,13 @@
 """Admission control, structured rejections, DRR order, tenant telemetry."""
 
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.service import (
+    AdmissionError,
     AnalyticsService,
     BudgetExhaustedError,
     DeficitRoundRobin,
@@ -130,6 +134,53 @@ class TestAdmission:
         finally:
             svc.close()
 
+    def test_a_submit_that_races_close_holds_nothing(self):
+        # close() marks the service closed, then closes its queue: a submit
+        # that passed the mark before close() set it meets the closed queue.
+        svc = _service()
+        try:
+            svc._drr.close()
+            with pytest.raises(RuntimeError, match="service is closed"):
+                svc.submit(_spec())
+            assert svc.store.readers("s") == 0
+            assert svc.drain(timeout=0.2)
+        finally:
+            svc.close()
+
+    def test_concurrent_submits_keep_every_bound(self):
+        # 8 threads submit 8 jobs each, spread over 8 tenants, before the
+        # service starts: nothing leaves the queue, so its bounds are exact.
+        svc = _service(max_queue_depth=16, default_quota=TenantQuota(max_queued=3))
+        admitted, rejected = [], []
+
+        def submitter(i):
+            for j in range(8):
+                try:
+                    admitted.append(svc.submit(_spec(tenant=f"t{(i + j) % 8}")))
+                except AdmissionError as exc:
+                    rejected.append(exc)
+
+        threads = [threading.Thread(target=submitter, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        try:
+            assert len(admitted) + len(rejected) == 64
+            assert max(Counter(h.spec.tenant for h in admitted).values()) <= 3
+            # 8 tenants x 3 slots > 16: the service bound is what fills.
+            assert len(admitted) == 16 == len(svc._drr) == svc.store.readers("s")
+            assert sorted(h.job_id for h in admitted) == list(range(1, 17))
+            tel = svc.telemetry
+            assert tel.counter("service.rejected") == len(rejected) == 48
+            for (tenant, kind), n in Counter((e.tenant, e.kind) for e in rejected).items():
+                assert tel.counter(f"service.tenant.{tenant}.rejected.{kind}") == n
+            for k in range(8):
+                counts = tel.counters(f"service.tenant.t{k}.")
+                assert sum(counts.values()) == 8  # submitted + rejected.<kind>
+        finally:
+            svc.close()
+
 
 class TestTenantTelemetry:
     def test_per_tenant_namespaces_do_not_collide(self):
@@ -173,8 +224,9 @@ class TestTenantTelemetry:
             svc.close()
 
 
-def _handle(tenant, job_id=0):
-    return JobHandle(job_id=job_id,
+def _handle(tenant):
+    """An unnumbered handle: the queue gives it its job id when it admits it."""
+    return JobHandle(job_id=0,
                      spec=JobSpec(tenant=tenant, workload="histogram",
                                   step="s"))
 
@@ -182,7 +234,7 @@ def _handle(tenant, job_id=0):
 class TestDeficitRoundRobin:
     def test_single_tenant_is_fifo(self):
         drr = DeficitRoundRobin(quantum=10)
-        handles = [_handle("a", i) for i in range(5)]
+        handles = [_handle("a") for _ in range(5)]
         for h in handles:
             drr.push(h, cost=3)
         assert [drr.pop(timeout=0).job_id for _ in range(5)] == [
@@ -191,19 +243,19 @@ class TestDeficitRoundRobin:
     def test_equal_cost_tenants_alternate(self):
         drr = DeficitRoundRobin(quantum=4)
         for i in range(3):
-            drr.push(_handle("a", i), cost=4)
+            drr.push(_handle("a"), cost=4)
         for i in range(3):
-            drr.push(_handle("b", 10 + i), cost=4)
+            drr.push(_handle("b"), cost=4)
         order = [drr.pop(timeout=0).spec.tenant for _ in range(6)]
         assert order == ["a", "b", "a", "b", "a", "b"]
 
     def test_flood_cannot_starve_other_tenant(self):
         # Tenant a floods 50 unit-cost jobs; b's single job must be
         # served within one quantum's worth of a's jobs + 1.
-        drr = DeficitRoundRobin(quantum=4)
+        drr = DeficitRoundRobin(quantum=4, default_quota=TenantQuota(max_queued=64))
         for i in range(50):
-            drr.push(_handle("a", i), cost=1)
-        drr.push(_handle("b", 99), cost=1)
+            drr.push(_handle("a"), cost=1)
+        drr.push(_handle("b"), cost=1)
         order = [drr.pop(timeout=0).spec.tenant for _ in range(10)]
         assert "b" in order[:5], order
 
@@ -211,8 +263,8 @@ class TestDeficitRoundRobin:
         # A job costlier than one quantum still runs after enough
         # rotations — no job waits forever.
         drr = DeficitRoundRobin(quantum=2)
-        drr.push(_handle("a", 1), cost=7)
-        drr.push(_handle("b", 2), cost=1)
+        drr.push(_handle("a"), cost=7)
+        drr.push(_handle("b"), cost=1)
         got = [drr.pop(timeout=0).job_id for _ in range(2)]
         assert sorted(got) == [1, 2]
 
@@ -220,9 +272,45 @@ class TestDeficitRoundRobin:
         drr = DeficitRoundRobin()
         assert drr.pop(timeout=0.01) is None
 
+    def test_push_admits_against_the_queues_own_counts(self):
+        drr = DeficitRoundRobin(max_queue_depth=3, default_quota=TenantQuota(max_queued=2))
+        first = _handle("a")
+        drr.push(first, cost=1)
+        drr.push(_handle("a"), cost=1)
+        with pytest.raises(QuotaExceededError) as err:
+            drr.push(_handle("a"), cost=1)
+        assert (err.value.tenant, err.value.limit, err.value.current) == ("a", 2, 2)
+        drr.push(_handle("b"), cost=1)
+        with pytest.raises(QueueFullError) as err:
+            drr.push(_handle("c"), cost=1)
+        assert (err.value.limit, err.value.current) == (3, 3)
+        # A popped job frees its slot; only admitted jobs take an id.
+        assert drr.pop(timeout=0) is first
+        late = _handle("a")
+        drr.push(late, cost=1)
+        assert (first.job_id, late.job_id, len(drr)) == (1, 4, 3)
+
+    def test_charged_seconds_exhaust_a_budget(self):
+        drr = DeficitRoundRobin()
+        drr.set_quota("a", TenantQuota(max_engine_seconds=1.0))
+        drr.charge("a", 0.75)
+        drr.push(_handle("a"), cost=1)
+        drr.charge("a", 0.5)
+        with pytest.raises(BudgetExhaustedError) as err:
+            drr.push(_handle("a"), cost=1)
+        assert (err.value.limit, err.value.current) == (1.0, 1.25)
+        drr.push(_handle("b"), cost=1)  # the default quota has no budget
+
+    def test_a_closed_queue_admits_nothing(self):
+        drr = DeficitRoundRobin()
+        drr.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            drr.push(_handle("a"), cost=1)
+        assert len(drr) == 0
+
     def test_close_drains_then_returns_none(self):
         drr = DeficitRoundRobin()
-        drr.push(_handle("a", 1), cost=1)
+        drr.push(_handle("a"), cost=1)
         drr.close()
         assert drr.pop().job_id == 1
         assert drr.pop() is None

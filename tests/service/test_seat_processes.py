@@ -219,7 +219,7 @@ def test_a_service_closed_before_it_starts_fails_its_queued_jobs():
     assert svc.telemetry.counter("service.tenant.a.jobs_failed") == 2
     assert svc.telemetry.counter("service.tenant.b.jobs_failed") == 1
     assert svc.telemetry.gauge("engine.residency.shared_readers") == 0
-    assert svc.admission.queued() == 0
+    assert len(svc._drr) == 0
     assert mp.active_children() == []
     assert own_segments() == before
 

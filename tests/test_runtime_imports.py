@@ -98,7 +98,7 @@ UNUSED = (
     "repro.verify.properties",
     "repro.baselines.", "repro.harness.", "repro.perfmodel.",
     "repro.sim.lulesh", "repro.sim.emulator",
-    "repro.core.checkpoint", "repro.core.pipeline", "repro.core.space_sharing",
+    "repro.core.checkpoint", "repro.core.space_sharing",
     "repro.analytics.logistic_regression", "repro.analytics.mutual_information",
     "repro.analytics.kernel_density", "repro.analytics.structured",
     "repro.analytics.savgol", "repro.analytics.moving_median",
@@ -125,7 +125,9 @@ def test_a_start_up_loads_only_what_it_runs():
 #: Every package's public names (``__all__``), as they stood before the
 #: packages exported them lazily; ``repro.comm`` without the MPI calls the
 #: runtime never makes (nonblocking requests, sub-communicators, unused ops),
-#: ``repro.core`` and ``repro.verify`` without the launch-policy advisor.
+#: ``repro.core`` and ``repro.verify`` without the launch-policy advisor,
+#: ``repro.core`` without the pipeline object, and ``repro.service`` without
+#: the admission controller its queue absorbed.
 PUBLIC = {
     "repro": (
         "__version__ analytics baselines comm core faults sim telemetry "
@@ -154,8 +156,8 @@ PUBLIC = {
     "repro.core": (
         "BufferClosed COMBINE_ALGORITHMS CheckpointError Chunk CircularBuffer "
         "ColumnarAccumulator CombinePolicy CoreSplit ENGINE_BACKENDS ElasticTier EnginePolicy "
-        "ExecutionEngine ExecutionPolicy Field KeyedMap MAP_PATHS PackedMap PipelineStage "
-        "ProcessEngine RedObj Scheduler SerialEngine SmartPipeline "
+        "ExecutionEngine ExecutionPolicy Field KeyedMap MAP_PATHS PackedMap "
+        "ProcessEngine RedObj Scheduler SerialEngine "
         "SpaceSharingDriver SpaceSharingResult Split StagingWorkerError StepTiming "
         "ThreadEngine TimeSharingDriver TimeSharingResult WIRE_FORMATS WIRE_VERSION "
         "create_engine deserialize_map ensure_red_obj global_combine iter_blocks "
@@ -163,7 +165,7 @@ PUBLIC = {
         "serialize_map "
     ),
     "repro.service": (
-        "AdmissionController AdmissionError AnalyticsService BudgetExhaustedError "
+        "AdmissionError AnalyticsService BudgetExhaustedError "
         "DeficitRoundRobin JobHandle JobSpec QueueFullError QuotaExceededError SeatLostError "
         "ServiceClosedError SharedStepStore StepLease TenantQuota execute_workload job_policy "
     ),
