@@ -10,14 +10,16 @@ Data path
 ---------
 The simulation side holds an :class:`ElasticTier` and calls
 :meth:`~ElasticTier.submit` once per partition.  Partitions route
-round-robin over the live workers, each as one ``DATA`` message on the
-worker's pipe: the array is a pickle protocol-5 out-of-band buffer,
-written from the caller's memory into the socket and read out of it into
-a fresh writable array in the worker, one copy each way.
+round-robin over the live workers.  Each worker has a shared-memory
+**ring** of ``credits`` slots, each as large as the largest partition it
+was sent (64 B aligned): frame ``seq`` is written into slot ``seq %
+credits`` through the segment's file descriptor (the coordinator never
+maps it in) and its ``DATA`` message carries only the slot's offset, dtype
+and shape, so the worker reduces the slot in place: one copy per partition.
 **Credit-based backpressure** bounds each worker's unacknowledged
 partitions (``credits``): ``submit`` blocks until the target worker
 acknowledges, so a slow tier throttles the simulation instead of
-buffering unboundedly.
+buffering unboundedly, and a slot is rewritten only once acknowledged.
 
 Each worker owns a rank-local :class:`~repro.core.scheduler.Scheduler`
 (global combination off) and accumulates every partition into its
@@ -76,15 +78,17 @@ from ..faults import FaultError, FaultPlan, FaultPolicy
 from ..telemetry import Recorder
 from .maps import KeyedMap
 from .serialization import deserialize_map, serialize_map
-from .worker import Worker, halt, pack, stop_process, wait
+from .worker import (Worker, create_segment, detach, halt, pack, stop_process, unlink_segment,
+                     view, wait, write_segment)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import Scheduler
 
 # Message kinds.  A message is ``(kind, body)``; its reply ``(kind, frames
 # processed, state)``, where ``state`` is ``None`` or ``(map bytes, CRC32)``.
-_LOAD = "load"  #: body ``(frames, snapshot map or None)``: install it
-_DATA = "data"  #: body: one partition to reduce; every snapshot_every-th reply has state
+_LOAD = "load"  #: body ``(frames, snapshot map or None, ring name or None)``: install them
+_DATA = "data"  #: body: a ring slot's shape, dtype, offset; every snapshot_every-th reply has state
+_RING = "ring"  #: body: the name of the ring to read from now on
 _DRAIN = "drain"  #: body ``None``: reply with the final map as state
 
 #: Default bound on unacknowledged in-flight frames per worker.
@@ -122,6 +126,7 @@ class _Stage:
         prior_faults: int,
     ):
         self.id, self.snapshot_every = worker_id, snapshot_every
+        self.ring, self.held = None, {}  # the ring's name; its mapping, once read
         self.plan = FaultPlan.parse(plan_fingerprint) if plan_fingerprint else None
         if self.plan is not None and prior_faults:
             # A respawned incarnation starts with fresh plan counters;
@@ -138,12 +143,15 @@ class _Stage:
         kind, body = message
         state = None
         if kind == _LOAD:
-            self.frames, snapshot = body
+            self.frames, snapshot, self.ring = body
             restored = deserialize_map(snapshot) if snapshot else KeyedMap()
             self.sched.combination_map_.replace_contents(restored)
+        elif kind == _RING:
+            detach(self.held, [self.ring])
+            self.ring = body
         elif kind == _DATA:
             self._consult_plan()
-            self.sched.run(body)
+            self.sched.run(view(self.held, self.ring, *body, writable=True))
             self.frames += 1
             if self.snapshot_every and self.frames % self.snapshot_every == 0:
                 state = self._state()
@@ -190,7 +198,8 @@ class _Staging:
         self.state = _LIVE
         self.sent = 0  # frames handed to this worker (its local seq)
         self.acked = 0  # frames it has acknowledged
-        self.log: deque[tuple[int, tuple, int]] = deque()  # (seq, replay message, n_elems)
+        self.log: deque[tuple[int, tuple, int]] = deque()  # (seq, kept partition, n_elems)
+        self.ring, self.slot = None, 0  # its ring segment (once sent a partition), slot bytes
         self.snap_bytes: bytes | None = None  # latest CRC-good snapshot map
         self.snap_frames = 0  # frames covered by that snapshot
         self.final: bytes | None = None
@@ -260,8 +269,9 @@ class ElasticTier:
         # Ids ascend in insertion order, so iterating is iterating by id.
         self._workers: dict[int, _Staging] = {}
         self._procs: dict[int, Worker] = {}  # every worker's current process
-        self._halt = Finalize(self, halt, args=(self._procs.values(), [], threading.Lock()),
-                              exitpriority=10)
+        self._rings: list = []  # every worker's ring
+        self._halt = Finalize(self, halt, exitpriority=10,
+                              args=(self._procs.values(), self._rings, threading.Lock()))
         self._seq = 0  # global submit counter (routing)
         self._log_bytes = 0  # payload bytes the replay logs retain
         for wid in range(num_workers):
@@ -321,27 +331,45 @@ class ElasticTier:
         else:
             worker.snap_bytes, worker.snap_frames = wire, frames
             while worker.log and worker.log[0][0] < frames:
-                self._log_bytes -= sum(map(len, worker.log.popleft()[1]))
+                self._log_bytes -= sum(k.nbytes for k in worker.log.popleft()[1])
             self.telemetry.inc("elastic.snapshots")
 
     def _await(self, worker: _Staging, ready: Callable[[], bool]) -> float:
-        """Wait, holding ``self._cond``, until ``ready()``; raise
+        """Wait, under ``self._cond``, until ``ready()``; raise
         ``_WorkerDown`` once ``worker`` is not live or has acknowledged
         nothing for ``worker_timeout`` seconds.  The seconds waited."""
-        waited, progress, acked = 0.0, time.monotonic(), worker.acked
-        while worker.state == _LIVE and not ready():
-            t0 = time.monotonic()
-            self._cond.wait(CREDIT_POLL)
-            waited += time.monotonic() - t0
-            if worker.acked != acked:
-                # Ack progress is the liveness signal that matters: a hung
-                # worker is alive, but it acknowledges nothing.
-                acked, progress = worker.acked, time.monotonic()
-            elif time.monotonic() - progress > self.worker_timeout:
-                worker.state = _SUSPECT
-        if worker.state != _LIVE:
+        with self._cond:
+            waited, progress, acked = 0.0, time.monotonic(), worker.acked
+            while worker.state == _LIVE and not ready():
+                t0 = time.monotonic()
+                self._cond.wait(CREDIT_POLL)
+                waited += time.monotonic() - t0
+                if worker.acked != acked:
+                    # Ack progress is the liveness signal that matters: a hung
+                    # worker is alive, but it acknowledges nothing.
+                    acked, progress = worker.acked, time.monotonic()
+                elif time.monotonic() - progress > self.worker_timeout:
+                    worker.state = _SUSPECT
+            if worker.state != _LIVE:
+                raise _WorkerDown(worker.id)
+            return waited
+
+    def _send(self, worker: _Staging, frames: list) -> None:
+        """Send ``worker`` one message; ``_WorkerDown`` if its pipe is closed."""
+        if not worker.proc.send(frames):
             raise _WorkerDown(worker.id)
-        return waited
+
+    def _ring(self, worker: _Staging, nbytes: int | None = None) -> None:
+        """Unlink ``worker``'s ring; given ``nbytes``, make a new one with slots that large."""
+        if worker.ring is not None:
+            self._rings.remove(worker.ring)
+            unlink_segment(worker.ring)
+            worker.ring, worker.slot = None, 0
+        if nbytes is not None:
+            worker.slot = -(-max(nbytes, 1) // 64) * 64
+            worker.ring = create_segment(self.credits * worker.slot)
+            self._rings.append(worker.ring)
+        self.telemetry.set_gauge("elastic.ring_bytes", sum(ring.size for ring in self._rings))
 
     def _stop(self, worker: _Staging, timeout: float = 0.0) -> None:
         """Reap ``worker``'s process (killed unless it exits within
@@ -364,6 +392,7 @@ class ElasticTier:
                 lost_elems = sum(n for _seq, _kept, n in worker.log)
                 worker.log.clear()
                 worker.sent = worker.acked = worker.snap_frames
+            self._ring(worker)
             self.telemetry.inc("elastic.workers_dropped")
             self.telemetry.inc("elastic.frames_lost", lost_frames)
             self.telemetry.inc("elastic.elements_lost", lost_elems)
@@ -389,28 +418,32 @@ class ElasticTier:
         """Respawn ``worker``, restore its snapshot, replay its log; False
         if it died again on the way."""
         replay = list(worker.log)  # its reader prunes the log as snapshots arrive
-        worker.acked = worker.snap_frames
-        worker.sent = worker.snap_frames + len(replay)
+        worker.acked = worker.snap_frames  # and ``sent`` is that plus ``len(replay)``
         self._spawn(worker)
-        sent = worker.proc.send(pack((_LOAD, (worker.snap_frames, worker.snap_bytes))))
-        for _seq, kept, _n in replay:
-            sent = sent and worker.proc.send(kept)
-        if sent:
-            self.telemetry.inc("elastic.replays")
-            self.telemetry.inc("elastic.frames_replayed", len(replay))
-        return sent
+        try:
+            ring = worker.ring and worker.ring.name  # it outlives the process
+            self._send(worker, pack((_LOAD, (worker.snap_frames, worker.snap_bytes, ring))))
+            for seq, (kept,), _n in replay:  # through the ring, behind the credit gate
+                self._stage(worker, seq, kept)
+        except _WorkerDown:
+            return False
+        self.telemetry.inc("elastic.replays")
+        self.telemetry.inc("elastic.frames_replayed", len(replay))
+        return True
 
     # -- data path ---------------------------------------------------------
     def submit(self, partition: np.ndarray) -> None:
         """Forward one partition to the tier (blocks on credits).
 
-        Any array but an object-dtype one (``TypeError``).  Its bytes go out from the
-        caller's buffer and are in the kernel on return: the buffer is then free to reuse.
+        Any array but an object-dtype one (``TypeError``).  Its bytes are in the
+        worker's ring on return: the caller's buffer is then free to reuse.
         """
-        arr = np.asarray(partition)
+        arr = np.asarray(partition, order="C")
         if arr.dtype.hasobject:
             raise TypeError(f"cannot forward dtype {arr.dtype}: partitions travel as raw bytes")
-        payload = pack((_DATA, arr))
+        # What recovery can use: a private copy under retry (the caller's buffer is its
+        # own again once submit returns), the loss account under degrade, else nothing.
+        kept = (arr.copy(),) if self.policy.mode == "retry" else ()
         seq = self._seq
         self._seq += 1
         while True:
@@ -418,38 +451,40 @@ class ElasticTier:
             if not routable:
                 raise StagingWorkerError("no staging workers left to route to")
             worker = routable[seq % len(routable)]
+            frame = worker.sent
             try:
-                self._send_with_credits(worker, payload, int(arr.size))
-                self.telemetry.inc("elastic.frames_forwarded")
-                self.telemetry.inc("elastic.bytes_forwarded", sum(map(len, payload)))
-                self.telemetry.set_gauge("elastic.log_bytes", self._log_bytes)
-                return
+                moved = self._stage(worker, frame, arr)
             except _WorkerDown:
                 self._recover(worker)  # then re-route this partition
+                continue
+            worker.sent += 1  # once sent: a failed ring write leaves the count as it was
+            with self._cond:  # logged once sent, unless a snapshot already covers it
+                if self.policy.mode != "fail_fast" and frame >= worker.snap_frames:
+                    worker.log.append((frame, kept, int(arr.size)))
+                    self._log_bytes += sum(k.nbytes for k in kept)
+            self.telemetry.inc("elastic.frames_forwarded")
+            self.telemetry.inc("elastic.bytes_forwarded", moved)
+            self.telemetry.set_gauge("elastic.log_bytes", self._log_bytes)
+            return
 
-    def _send_with_credits(self, worker: _Staging, payload: list, n_elems: int) -> None:
-        # What recovery can use: a private copy under retry (the caller's buffer is its
-        # own again once submit returns), the loss account under degrade, else nothing.
-        kept = tuple(map(bytes, payload)) if self.policy.mode == "retry" else ()
-        with self._cond:
-            waited = self._await(worker, lambda: worker.sent - worker.acked < self.credits)
-            seq = worker.sent
-            worker.sent += 1
-            if self.policy.mode != "fail_fast":
-                worker.log.append((seq, kept, n_elems))
-                self._log_bytes += sum(map(len, kept))
+    def _stage(self, worker: _Staging, seq: int, arr: np.ndarray) -> int:
+        """Write frame ``seq`` into its slot once frame ``seq - credits`` is acked (every
+        earlier frame, if the ring must grow first) and send its ``DATA``; the bytes moved."""
+        waited = self._await(worker, lambda: seq - worker.acked < (
+            self.credits if arr.nbytes <= worker.slot else 1))
         if waited:
             self.telemetry.add_time("elastic.credit_wait_seconds", waited)
         started = time.perf_counter()
-        if not worker.proc.send(payload):
-            with self._cond:
-                if worker.state == _LIVE:
-                    worker.state = _SUSPECT
-                # submit re-routes this partition: neither replay it nor count it lost
-                if worker.log and worker.log[-1][0] == seq:
-                    self._log_bytes -= sum(map(len, worker.log.pop()[1]))
-            raise _WorkerDown(worker.id)
+        if worker.ring is None or arr.nbytes > worker.slot:
+            self._ring(worker, arr.nbytes)
+            self._send(worker, pack((_RING, worker.ring.name)))
+        offset = seq % self.credits * worker.slot
+        write_segment(worker.ring, offset, arr)
+        message = pack((_DATA, (arr.shape, arr.dtype if arr.dtype.fields else arr.dtype.str,
+                                offset)))
+        self._send(worker, message)
         self.telemetry.add_time("elastic.send_seconds", time.perf_counter() - started)
+        return arr.nbytes + sum(map(len, message))
 
     # -- elasticity --------------------------------------------------------
     def scale_to(self, n: int) -> None:
@@ -474,6 +509,7 @@ class ElasticTier:
                 with self._cond:
                     worker.state = _RETIRED
                 worker.proc.send([])
+                self._ring(worker)
         self._gauge()
 
     def _collect(self, worker: _Staging) -> None:
@@ -482,10 +518,8 @@ class ElasticTier:
         while True:
             worker.final = None
             try:
-                if not worker.proc.send(pack((_DRAIN, None))):
-                    raise _WorkerDown(worker.id)
-                with self._cond:
-                    self._await(worker, lambda: worker.final is not None)
+                self._send(worker, pack((_DRAIN, None)))
+                self._await(worker, lambda: worker.final is not None)
                 return
             except _WorkerDown:
                 self._recover(worker)

@@ -300,7 +300,9 @@ def serialize_map(com_map: KeyedMap, wire_format: str = "pickle") -> bytes:
         packed = pack_map(com_map)
         if packed is not None:
             return packed.to_bytes()
-    return pickle.dumps(list(com_map.items()), protocol=pickle.HIGHEST_PROTOCOL)
+    packed = com_map.packed  # pickled from its columns, a backed map stays backed
+    items = com_map.items() if packed is None else zip(packed.keys.tolist(), packed.objects())
+    return pickle.dumps(list(items), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def wire_format_of(payload: bytes) -> str:

@@ -32,9 +32,9 @@ elastic tier's staging workers are the clients.
   ``Finalize`` per pool, stops them when the pool is closed, collected,
   or still open at interpreter exit, before ``multiprocessing`` joins its
   children.
-* **Segments** — :func:`create_segment` names a segment
-  ``smart_<pid>_<token>``; reaping a process unlinks what it left.  A
-  worker maps another process's segment with :func:`view`.
+* **Segments** — :func:`create_segment` names one ``smart_<pid>_<token>``;
+  reaping a process unlinks what it left.  A worker maps another's with
+  :func:`view`; a writer that must not map one in fills it by :func:`write_segment`.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .blas import one_blas_thread
 
 __all__ = ["Pool", "Worker", "create_segment", "detach", "halt", "pack", "recv_frames",
            "send_frames", "start_process", "stop_process", "unlink_segment", "unpack", "view",
-           "wait"]
+           "wait", "write_segment"]
 
 _FORK = mp.get_context("fork")
 #: How long a halt waits for a worker asked to stop before killing it.
@@ -71,8 +71,8 @@ _STOP_SECONDS = 30.0
 _SHM = Path("/dev/shm")
 #: Socket buffer size of both ends of every pipe.  At the default (~208 KiB)
 #: a 2 MiB buffer crosses in many small writes, each waking the reader; at
-#: 4 MiB it takes one ``writev``, and ``intransit_histogram`` moved 1.4x the
-#: elements per second at a quarter of the median latency (2-core x86-64
+#: 4 MiB it takes one ``writev`` (a 2 MiB array per message moved 1.4x the
+#: elements per second at a quarter of the median latency, 2-core x86-64
 #: host).  The kernel caps the request at ``net.core.[rw]mem_max``.
 _PIPE_BYTES = 4 << 20
 #: glibc's ``(M_MMAP_THRESHOLD, value), (M_TRIM_THRESHOLD, value)``.  The
@@ -377,10 +377,18 @@ def unlink_segment(segment: shared_memory.SharedMemory) -> None:
         pass
 
 
-def view(held: dict, name: str, shape, dtype) -> np.ndarray:
-    """Worker side: a read-only array over segment ``name``, which another
-    process created and unlinks.  The segment is mapped on first use and
-    kept in ``held`` until :func:`detach`."""
+def write_segment(segment: shared_memory.SharedMemory, offset: int, array: np.ndarray) -> None:
+    """Write C-contiguous ``array`` into ``segment`` at ``offset`` by its fd, not a mapping."""
+    data = memoryview(array.reshape(-1).view(np.uint8))
+    while data:
+        written = os.pwritev(segment._fd, [data], offset)
+        data, offset = data[written:], offset + written
+
+
+def view(held: dict, name: str, shape, dtype, offset=0, writable=False) -> np.ndarray:
+    """Worker side: an array at ``offset`` in segment ``name``, which another
+    process created and unlinks, read-only unless ``writable``.  The segment
+    is mapped on first use and kept in ``held`` until :func:`detach`."""
     segment = held.get(name)
     if segment is None:
         # Untracked: on Python < 3.13 attaching registers the segment, and
@@ -391,8 +399,8 @@ def view(held: dict, name: str, shape, dtype) -> np.ndarray:
             segment = held[name] = shared_memory.SharedMemory(name=name)
         finally:
             resource_tracker.register = register
-    array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-    array.flags.writeable = False
+    array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset)
+    array.flags.writeable = writable
     return array
 
 

@@ -7,8 +7,10 @@ disconnects; degrade conserves mass with exact loss accounting;
 corrupted snapshot falls back to the previous CRC-good one.
 """
 
+import errno
 import functools
 import os
+import signal
 import socket
 import time
 
@@ -19,6 +21,7 @@ from repro.analytics.histogram import Histogram
 from repro.core import ElasticTier, EnginePolicy, ExecutionPolicy, StagingWorkerError
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
 from repro.telemetry import Recorder
+from tests.shm import own_segments
 
 SEED = 2015
 BUCKETS = 16
@@ -227,10 +230,9 @@ class TestReplayLog:
             for sent, part in enumerate(partitions, start=1):
                 tier.submit(part)
                 held = _retained(tier)
-                assert len(held) == 2 * sent  # message + data per frame
-                assert not any(np.shares_memory(np.frombuffer(b, np.uint8), part)
-                               for b in held if len(b))
-                assert telemetry.gauge("elastic.log_bytes") == sum(map(len, held))
+                assert len(held) == sent  # one private copy of each frame
+                assert not any(np.shares_memory(b, part) for b in held)
+                assert telemetry.gauge("elastic.log_bytes") == sum(b.nbytes for b in held)
         telemetry = Recorder()
         with ElasticTier(factory, 1, policy="retry", telemetry=telemetry,
                          snapshot_every=1) as tier:
@@ -239,7 +241,7 @@ class TestReplayLog:
             tier.drain()  # quiescent: every snapshot has arrived
             assert _retained(tier) == []
             tier.submit(partitions[0])
-            assert telemetry.gauge("elastic.log_bytes") == sum(map(len, _retained(tier)))
+            assert telemetry.gauge("elastic.log_bytes") == sum(b.nbytes for b in _retained(tier))
 
     @pytest.mark.parametrize("mode", ["fail_fast", "degrade"])
     def test_no_partition_bytes_kept_unless_retry(self, partitions, mode):
@@ -356,23 +358,25 @@ class TestRetry:
 
 def _dies_mid_partition(parent_pid):
     """``factory()``; in a staging worker, also make its process die
-    half-way through reading the first large message it is sent."""
+    half-way through reading the first large partition out of its ring."""
+    sched = factory()
     if os.getpid() != parent_pid:
-        real = os.readv
+        run = sched.run
 
-        def readv(fd, buffers):
-            if sum(map(len, buffers)) >= 1 << 20:
-                real(fd, [*buffers[:-1], buffers[-1][: len(buffers[-1]) // 2]])
+        def dying(data, out=None):
+            if data.nbytes >= 1 << 20:
+                run(data[: len(data) // 2])
                 os._exit(1)
-            return real(fd, buffers)
+            return run(data, out)
 
-        os.readv = readv
-    return factory()
+        sched.run = dying
+    return sched
 
 
 def test_a_worker_dying_mid_partition_is_a_death_not_a_hang():
-    """A staging worker killed while a 2 MiB partition is half read is
-    found dead at once (no ack stall: the hang timeout is a minute)."""
+    """A staging worker killed while a 2 MiB partition is half read from
+    its ring is found dead at once (no ack stall: the hang timeout is a
+    minute)."""
     started = time.monotonic()
     with ElasticTier(functools.partial(_dies_mid_partition, os.getpid()), 1,
                      policy="fail_fast", worker_timeout=HANG_SECONDS) as tier:
@@ -474,6 +478,117 @@ class TestSnapshots:
             snapshot_every=0,
         )
         assert np.array_equal(result, baseline)
+
+
+def _ring_rss_kb(tier) -> list[int]:
+    """The coordinator's resident kB in each of its workers' ring mappings."""
+    names = {w.ring.name for w in tier._workers.values() if w.ring is not None}
+    rss, mapping = [], None
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            fields = line.split()
+            if not fields[0].endswith(":"):  # a mapping's header: range, perms, ..., path
+                mapping = fields[5].rsplit("/", 1)[-1] if len(fields) >= 6 else None
+            elif fields[0] == "Rss:" and mapping in names:
+                rss.append(int(fields[1]))
+    assert len(rss) == len(names)
+    return rss
+
+
+class TestRing:
+    """Each worker's partitions cross in its shared-memory ring: ``credits``
+    slots reused behind the credit gate, grown with nothing in flight."""
+
+    def test_slots_are_reused_behind_the_credit_gate(self, partitions, baseline):
+        telemetry = Recorder()
+        slow = FaultSpec("network", "slowlink", target=0, times=N_PARTS, seconds=0.02)
+        with ElasticTier(factory, 1, credits=2, telemetry=telemetry,
+                         fault_plan=FaultPlan([slow], seed=SEED)) as tier:
+            for part in partitions:
+                tier.submit(part)
+            slot = tier._workers[0].slot
+            assert slot % 64 == 0 and slot >= max(p.nbytes for p in partitions)
+            assert telemetry.gauge("elastic.ring_bytes") == 2 * slot
+            assert np.array_equal(counts(tier.drain()), baseline)
+        assert "elastic.credit_wait_seconds" in telemetry.snapshot()["timers"]
+
+    def test_a_larger_partition_grows_the_ring(self, partitions, baseline):
+        telemetry = Recorder()
+        small, large = partitions[:6], np.concatenate(partitions[6:])
+        with ElasticTier(factory, 1, credits=2, telemetry=telemetry) as tier:
+            for part in small:
+                tier.submit(part)
+            before = telemetry.gauge("elastic.ring_bytes")
+            tier.submit(large)
+            assert telemetry.gauge("elastic.ring_bytes") >= 2 * large.nbytes > before
+            assert np.array_equal(counts(tier.drain()), baseline)
+
+    def test_retry_replays_more_frames_than_slots(self, partitions, baseline):
+        telemetry = Recorder()
+        crash = FaultSpec("comm", "crash", at_call=7, target=0)
+        assert np.array_equal(run_tier(
+            partitions, workers=1, credits=2, snapshot_every=0, telemetry=telemetry,
+            policy=FaultPolicy.retry(backoff=0.01, max_attempts=5),
+            fault_plan=FaultPlan([crash], seed=SEED)), baseline)
+        assert telemetry.snapshot()["counters"]["elastic.frames_replayed"] > 2
+
+    def test_scaling_makes_and_unlinks_rings(self, partitions, baseline):
+        telemetry = Recorder()
+        with ElasticTier(factory, 2, telemetry=telemetry) as tier:
+            for part in partitions[:4]:
+                tier.submit(part)
+            tier.scale_to(4)
+            for part in partitions[4:8]:
+                tier.submit(part)
+            assert len(own_segments()) == 4
+            tier.scale_to(1)
+            assert len(own_segments()) == 1
+            for part in partitions[8:]:
+                tier.submit(part)
+            assert np.array_equal(counts(tier.drain()), baseline)
+            ring = tier._workers[0]
+            assert telemetry.gauge("elastic.ring_bytes") == tier.credits * ring.slot
+
+    def test_no_ring_outlives_the_tier_or_a_killed_worker(self, partitions, baseline):
+        with ElasticTier(factory, 2, policy=FaultPolicy.retry(backoff=0.01),
+                         worker_timeout=SUSPECT_TIMEOUT) as tier:
+            for part in partitions[:6]:
+                tier.submit(part)
+            rings = own_segments()
+            assert len(rings) == 2
+            os.kill(tier._workers[1].proc.process.pid, signal.SIGKILL)
+            for part in partitions[6:]:
+                tier.submit(part)
+            assert np.array_equal(counts(tier.drain()), baseline)
+            assert own_segments() == rings  # the respawned worker maps its ring by name
+        assert own_segments() == set()
+
+    def test_a_failed_ring_write_sends_nothing(self, partitions, baseline, monkeypatch):
+        """A ring write that fails (``/dev/shm`` full) raises from ``submit``
+        and leaves the tier as if that partition had never been submitted."""
+        def full(segment, offset, array):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with ElasticTier(factory, 1, policy=FaultPolicy.retry(backoff=0.01),
+                         snapshot_every=0, worker_timeout=SUSPECT_TIMEOUT) as tier:
+            tier.submit(partitions[0])
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.core.elastic.write_segment", full)
+                with pytest.raises(OSError):
+                    tier.submit(partitions[1])
+            staging = tier._workers[0]
+            assert staging.sent == len(staging.log) == 1
+            os.kill(staging.proc.process.pid, signal.SIGKILL)  # replays what was sent
+            for part in partitions[1:]:
+                tier.submit(part)
+            assert np.array_equal(counts(tier.drain()), baseline)
+
+    def test_the_coordinator_never_maps_ring_pages_in(self, partitions):
+        with ElasticTier(factory, 2) as tier:
+            for index in range(50):
+                tier.submit(partitions[index % N_PARTS])
+            tier.drain()
+            assert _ring_rss_kb(tier) == [0, 0]
 
 
 class TestBackpressure:

@@ -4,7 +4,8 @@ import numpy as np
 
 from repro.analytics import ClusterObj, CountObj
 from repro.comm import TrafficProfiler, spmd_launch
-from repro.core import KeyedMap, RedObj, deserialize_map, global_combine, serialize_map
+from repro.core import (KeyedMap, RedObj, deserialize_map, global_combine, pack_map,
+                        serialize_map)
 
 
 class Tally(RedObj):
@@ -39,6 +40,18 @@ class TestRoundTrip:
         small = serialize_map(KeyedMap({0: CountObj(1)}))
         big = serialize_map(KeyedMap({k: CountObj(1) for k in range(100)}))
         assert len(big) > len(small)
+
+    def test_pickling_a_backed_map_leaves_it_backed(self):
+        """A map backed by columns pickles from its columns: it stays
+        backed, and the bytes are those of its object form."""
+        objects = KeyedMap({k: CountObj(3 * k + 1) for k in (2, 5, 7, 40)})
+        backed = KeyedMap.from_packed(pack_map(objects))
+        payload = serialize_map(backed, "pickle")
+        assert backed.packed is not None
+        materialised = backed.clone()
+        materialised.items()  # builds its objects
+        assert materialised.packed is None
+        assert payload == serialize_map(materialised, "pickle")
 
 
 class TestGlobalCombine:
