@@ -11,11 +11,11 @@ Data path
 The simulation side holds an :class:`ElasticTier` and calls
 :meth:`~ElasticTier.submit` once per partition.  Partitions route
 round-robin over the live workers.  Each worker has a shared-memory
-**ring** of ``credits`` slots, each as large as the largest partition it
-was sent (64 B aligned): frame ``seq`` is written into slot ``seq %
-credits`` through the segment's file descriptor (the coordinator never
-maps it in) and its ``DATA`` message carries only the slot's offset, dtype
-and shape, so the worker reduces the slot in place: one copy per partition.
+:class:`~repro.core.worker.Ring` of ``credits`` slots sized to its recent
+partitions: frame ``seq`` is written into slot ``seq % credits`` through
+the segment's file descriptor (the coordinator never maps it in) and its
+``DATA`` message carries only the slot's offset, dtype and shape, so the
+worker reduces the slot in place: one copy per partition.
 **Credit-based backpressure** bounds each worker's unacknowledged
 partitions (``credits``): ``submit`` blocks until the target worker
 acknowledges, so a slow tier throttles the simulation instead of
@@ -78,8 +78,7 @@ from ..faults import FaultError, FaultPlan, FaultPolicy
 from ..telemetry import Recorder
 from .maps import KeyedMap
 from .serialization import deserialize_map, serialize_map
-from .worker import (Worker, create_segment, detach, halt, pack, stop_process, unlink_segment,
-                     view, wait, write_segment)
+from .worker import Ring, Worker, detach, halt, pack, stop_process, view, wait, write_segment
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import Scheduler
@@ -191,15 +190,14 @@ class _Stage:
 class _Staging:
     """Coordinator-side state for one staging worker."""
 
-    def __init__(self, worker_id: int):
-        self.id = worker_id
+    def __init__(self, worker_id: int, credits: int):
+        self.id, self.ring = worker_id, Ring(credits)  # the ring outlives its processes
         self.proc: Worker | None = None  # its current process
         self.reader: threading.Thread | None = None  # the thread reading its replies
         self.state = _LIVE
         self.sent = 0  # frames handed to this worker (its local seq)
         self.acked = 0  # frames it has acknowledged
         self.log: deque[tuple[int, tuple, int]] = deque()  # (seq, kept partition, n_elems)
-        self.ring, self.slot = None, 0  # its ring segment (once sent a partition), slot bytes
         self.snap_bytes: bytes | None = None  # latest CRC-good snapshot map
         self.snap_frames = 0  # frames covered by that snapshot
         self.final: bytes | None = None
@@ -269,19 +267,21 @@ class ElasticTier:
         # Ids ascend in insertion order, so iterating is iterating by id.
         self._workers: dict[int, _Staging] = {}
         self._procs: dict[int, Worker] = {}  # every worker's current process
-        self._rings: list = []  # every worker's ring
+        self._rings: dict[int, Ring] = {}  # every worker's ring
         self._halt = Finalize(self, halt, exitpriority=10,
-                              args=(self._procs.values(), self._rings, threading.Lock()))
+                              args=(self._procs.values(), self._rings.values(), threading.Lock()))
         self._seq = 0  # global submit counter (routing)
         self._log_bytes = 0  # payload bytes the replay logs retain
         for wid in range(num_workers):
-            self._workers[wid] = _Staging(wid)
+            self._workers[wid] = _Staging(wid, credits)
             self._spawn(self._workers[wid])
         self._gauge()
 
     # -- pool wiring -------------------------------------------------------
     def _gauge(self) -> None:
         self.telemetry.set_gauge("elastic.workers", len(self._routable()))
+        self.telemetry.set_gauge("elastic.ring_bytes",
+                                 sum(r.slots * r.slot for r in self._rings.values()))
 
     def _routable(self) -> list[_Staging]:
         return [w for w in self._workers.values() if w.state in (_LIVE, _SUSPECT)]
@@ -291,6 +291,7 @@ class ElasticTier:
         handler = functools.partial(_Stage, worker.id, self.scheduler_factory, plan_fp,
                                     self.snapshot_every, worker.deaths)
         proc = self._procs[worker.id] = Worker(handler, f"elastic-worker-{worker.id}")
+        self._rings[worker.id] = worker.ring
         with self._cond:
             worker.proc, worker.state = proc, _LIVE
         worker.reader = threading.Thread(target=self._read, args=(worker, proc),
@@ -359,18 +360,6 @@ class ElasticTier:
         if not worker.proc.send(frames):
             raise _WorkerDown(worker.id)
 
-    def _ring(self, worker: _Staging, nbytes: int | None = None) -> None:
-        """Unlink ``worker``'s ring; given ``nbytes``, make a new one with slots that large."""
-        if worker.ring is not None:
-            self._rings.remove(worker.ring)
-            unlink_segment(worker.ring)
-            worker.ring, worker.slot = None, 0
-        if nbytes is not None:
-            worker.slot = -(-max(nbytes, 1) // 64) * 64
-            worker.ring = create_segment(self.credits * worker.slot)
-            self._rings.append(worker.ring)
-        self.telemetry.set_gauge("elastic.ring_bytes", sum(ring.size for ring in self._rings))
-
     def _stop(self, worker: _Staging, timeout: float = 0.0) -> None:
         """Reap ``worker``'s process (killed unless it exits within
         ``timeout`` seconds), then close its pipe once its reader is done."""
@@ -392,7 +381,7 @@ class ElasticTier:
                 lost_elems = sum(n for _seq, _kept, n in worker.log)
                 worker.log.clear()
                 worker.sent = worker.acked = worker.snap_frames
-            self._ring(worker)
+            worker.ring.close()
             self.telemetry.inc("elastic.workers_dropped")
             self.telemetry.inc("elastic.frames_lost", lost_frames)
             self.telemetry.inc("elastic.elements_lost", lost_elems)
@@ -421,7 +410,7 @@ class ElasticTier:
         worker.acked = worker.snap_frames  # and ``sent`` is that plus ``len(replay)``
         self._spawn(worker)
         try:
-            ring = worker.ring and worker.ring.name  # it outlives the process
+            ring = worker.ring.segment and worker.ring.segment.name  # it outlives the process
             self._send(worker, pack((_LOAD, (worker.snap_frames, worker.snap_bytes, ring))))
             for seq, (kept,), _n in replay:  # through the ring, behind the credit gate
                 self._stage(worker, seq, kept)
@@ -469,17 +458,18 @@ class ElasticTier:
 
     def _stage(self, worker: _Staging, seq: int, arr: np.ndarray) -> int:
         """Write frame ``seq`` into its slot once frame ``seq - credits`` is acked (every
-        earlier frame, if the ring must grow first) and send its ``DATA``; the bytes moved."""
-        waited = self._await(worker, lambda: seq - worker.acked < (
-            self.credits if arr.nbytes <= worker.slot else 1))
+        earlier frame, if the ring is remade first) and send its ``DATA``; the bytes moved."""
+        ring = worker.ring
+        waited = self._await(worker, lambda: seq - worker.acked < ring.bound(arr.nbytes))
         if waited:
             self.telemetry.add_time("elastic.credit_wait_seconds", waited)
         started = time.perf_counter()
-        if worker.ring is None or arr.nbytes > worker.slot:
-            self._ring(worker, arr.nbytes)
-            self._send(worker, pack((_RING, worker.ring.name)))
-        offset = seq % self.credits * worker.slot
-        write_segment(worker.ring, offset, arr)
+        segment = ring.segment
+        offset = ring.place(seq, arr.nbytes)
+        if ring.segment is not segment:
+            self._gauge()
+            self._send(worker, pack((_RING, ring.segment.name)))
+        write_segment(ring.segment, offset, arr)
         message = pack((_DATA, (arr.shape, arr.dtype if arr.dtype.fields else arr.dtype.str,
                                 offset)))
         self._send(worker, message)
@@ -501,7 +491,7 @@ class ElasticTier:
         current = self._routable()
         next_id = max(self._workers) + 1
         for wid in range(next_id, next_id + n - len(current)):
-            self._workers[wid] = _Staging(wid)
+            self._workers[wid] = _Staging(wid, self.credits)
             self._spawn(self._workers[wid])
         for worker in current[n:]:
             self._collect(worker)
@@ -509,7 +499,7 @@ class ElasticTier:
                 with self._cond:
                     worker.state = _RETIRED
                 worker.proc.send([])
-                self._ring(worker)
+                worker.ring.close()
         self._gauge()
 
     def _collect(self, worker: _Staging) -> None:
@@ -565,8 +555,4 @@ class ElasticTier:
 
 
 class _WorkerDown(Exception):
-    """Internal: the targeted worker is not live (triggers recovery)."""
-
-    def __init__(self, worker_id: int):
-        self.worker_id = worker_id
-        super().__init__(f"worker {worker_id} down")
+    """Internal: the targeted worker (its id, the one argument) is not live (triggers recovery)."""

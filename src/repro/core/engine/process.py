@@ -8,9 +8,9 @@ the rest, each on its own duplex pipe (a team of one has no pool, no
 segment, no copy).  Two things move between parent and workers:
 
 * **Input** — the partition stays behind the read pointer: a worker
-  split is copied into the pool's one segment, at its own offset, when a
-  run first sends it (a retry reuses it; thread 0's is never copied), so
-  a split's callbacks read only its chunks (Table 1).
+  split is written into the pool's one-slot :class:`~repro.core.worker.Ring`,
+  at its own offset, when a run first sends it (a retry reuses it; thread
+  0's is never copied), so a split's callbacks read only its chunks (Table 1).
 * **State and results** — everything else travels as bytes on the
   worker's pipe, and a worker keeps what it is sent.  Worker ``i``
   serves thread ``i + 1`` and holds a *session* of four versioned parts: the
@@ -69,7 +69,7 @@ from ..blas import one_blas_thread, set_blas_threads
 from ..chunk import Split
 from ..maps import KeyedMap
 from ..serialization import deserialize_map, serialize_map, wire_format_of
-from ..worker import Pool, Worker, detach, pack, view, wait
+from ..worker import Pool, Worker, detach, pack, view, wait, write_segment
 from .base import ExecutionEngine, join_keys
 
 
@@ -161,21 +161,20 @@ class ProcessEngine(ExecutionEngine):
         super().begin_run(scheduler, data, out, multi_key)
         if self._pool is None:
             return
-        segment = self._pool.segment(int(data.nbytes))
-        self.telemetry.set_gauge("engine.residency.resident_bytes", segment.size)
-        self._staged = np.ndarray(data.shape, dtype=data.dtype, buffer=segment.buf)
+        ring = self._pool.ring
+        ring.place(0, int(data.nbytes))
+        self.telemetry.set_gauge("engine.residency.resident_bytes", ring.slot)  # its one slot
         self._copied = set()  # worker splits copied in as first sent (_send_task)
         self._ensure_core(scheduler)
         self.invalidate_state()
         self._publish("header", (
-            segment.name, data.dtype.str, int(data.shape[0]),
+            ring.segment.name, data.dtype.str, int(data.shape[0]),
             scheduler.global_offset_, scheduler.total_len_, multi_key, out is not None,
         ))
 
     def end_run(self) -> None:
         set_blas_threads(self._blas)  # the count before the run
         self._parts.pop("header", None)
-        self._staged = None  # this run's view of the segment
         self.invalidate_state()
         super().end_run()
 
@@ -218,7 +217,8 @@ class ProcessEngine(ExecutionEngine):
         span = (split.start, split.stop)
         if span not in self._copied:  # first sent this run: copy it in
             self._copied.add(span)
-            self._staged[split.start:split.stop] = self._data[split.start:split.stop]
+            write_segment(self._pool.ring.segment, split.start * self._data.itemsize,
+                          self._data[split.start:split.stop])
             self.telemetry.inc("engine.residency.copied_bytes", len(split) * self._data.itemsize)
         parts: dict[str, object] = {}
         for name, (version, payload) in self._parts.items():

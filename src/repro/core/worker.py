@@ -33,8 +33,8 @@ elastic tier's staging workers are the clients.
   or still open at interpreter exit, before ``multiprocessing`` joins its
   children.
 * **Segments** — :func:`create_segment` names one ``smart_<pid>_<token>``;
-  reaping a process unlinks what it left.  A worker maps another's with
-  :func:`view`; a writer that must not map one in fills it by :func:`write_segment`.
+  reaping a process unlinks what it left.  Bulk input crosses in a :class:`Ring`,
+  written by :func:`write_segment` (never mapped in) and read by :func:`view`.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import socket
 import struct
 import threading
 import traceback
+from collections import deque
 from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.connection import Connection
 from multiprocessing.util import Finalize
@@ -61,7 +62,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 
-__all__ = ["Pool", "Worker", "create_segment", "detach", "halt", "pack", "recv_frames",
+__all__ = ["Pool", "Ring", "Worker", "create_segment", "detach", "halt", "pack", "recv_frames",
            "send_frames", "start_process", "stop_process", "unlink_segment", "unpack", "view",
            "wait", "write_segment"]
 
@@ -81,6 +82,10 @@ _PIPE_BYTES = 4 << 20
 #: layout (a ``moving_average`` job in a seat: 64-112 page faults, or none).
 #: Workers start at the limits glibc's own raising stops at (64-bit).
 _MALLOC_LIMITS = ((-3, 32 << 20), (-1, 64 << 20))
+#: A ring remade is sized to the largest of its last this many frames.
+RING_WINDOW = 8
+#: A slot more than this many times that largest frame is remade smaller.
+RING_SLACK = 4
 
 
 # -- one process ----------------------------------------------------------------
@@ -291,16 +296,16 @@ def _pipe() -> tuple[Connection, Connection]:
     return Connection(ends[0].detach()), Connection(ends[1].detach())
 
 
-def halt(workers, segments: list, lock: threading.Lock) -> None:
+def halt(workers, rings, lock: threading.Lock) -> None:
     """A pool's exit halt: ask every worker to stop, stop each (killed
-    after ``_STOP_SECONDS``), unlink ``segments``."""
+    after ``_STOP_SECONDS``), close ``rings``."""
     with lock:
         for worker in workers:
             worker.send([])
         for worker in workers:
             worker.stop(_STOP_SECONDS)
-        while segments:
-            unlink_segment(segments.pop())
+        for ring in rings:
+            ring.close()
 
 
 class Pool:
@@ -314,8 +319,8 @@ class Pool:
         self._telemetry, self._replaced = telemetry, replaced
         self._lock = threading.Lock()
         self.workers = [Worker(handler, f"{name}-{i}") for i in range(size)]
-        self._segments: list[shared_memory.SharedMemory] = []  # at most one
-        self._halt = Finalize(self, halt, args=(self.workers, self._segments, self._lock),
+        self.ring = Ring(1)  # the pool's input, closed with it
+        self._halt = Finalize(self, halt, args=(self.workers, [self.ring], self._lock),
                               exitpriority=10)
 
     @property
@@ -339,17 +344,6 @@ class Pool:
             if not self.closed:
                 self.workers[index] = Worker(self._handler, f"{self._name}-{index}")
         return code
-
-    def segment(self, nbytes: int) -> shared_memory.SharedMemory:
-        """The pool's one input segment, at least ``nbytes`` long: kept
-        while it fits, otherwise replaced (the old one unlinked at once);
-        unlinked when the pool closes."""
-        held = self._segments
-        if not held or held[0].size < nbytes:
-            while held:
-                unlink_segment(held.pop())
-            held.append(create_segment(nbytes))
-        return held[0]
 
     def close(self) -> None:
         """Stop every worker (asked, then killed after ``_STOP_SECONDS``)."""
@@ -377,9 +371,44 @@ def unlink_segment(segment: shared_memory.SharedMemory) -> None:
         pass
 
 
+class Ring:
+    """One segment of ``slots`` equal 64 B-aligned slots, frame ``seq`` in slot ``seq %
+    slots``.  A frame that does not fit, or a slot more than ``RING_SLACK`` x the largest of
+    the last ``RING_WINDOW`` frames (this one counted), remakes it at that largest size."""
+
+    def __init__(self, slots: int):
+        self.slots, self.slot, self.segment = slots, 0, None
+        self._recent: deque[int] = deque(maxlen=RING_WINDOW - 1)  # earlier frames' bytes
+
+    def _slot_for(self, nbytes: int) -> int:
+        nbytes = max(nbytes, 1)  # an empty frame still gets a slot
+        largest = -(-max([nbytes, *self._recent]) // 64) * 64
+        return self.slot if nbytes <= self.slot <= RING_SLACK * largest else largest
+
+    def bound(self, nbytes: int) -> int:
+        """Frame ``seq`` of ``nbytes`` waits for the ack of frame ``seq - bound``: ``slots``
+        back, or every earlier one if it remakes the segment (a reader may lack the old one)."""
+        return self.slots if self._slot_for(nbytes) == self.slot else 1
+
+    def place(self, seq: int, nbytes: int) -> int:
+        """Frame ``seq``'s offset, once the segment fits it (a new one, if remade)."""
+        slot = self._slot_for(nbytes)
+        self._recent.append(nbytes)
+        if slot != self.slot:
+            self.close()
+            self.segment, self.slot = create_segment(self.slots * slot), slot
+        return seq % self.slots * slot
+
+    def close(self) -> None:
+        """Unlink the segment (idempotent); a later frame makes a new one."""
+        if self.segment is not None:
+            unlink_segment(self.segment)
+        self.segment, self.slot = None, 0
+
+
 def write_segment(segment: shared_memory.SharedMemory, offset: int, array: np.ndarray) -> None:
-    """Write C-contiguous ``array`` into ``segment`` at ``offset`` by its fd, not a mapping."""
-    data = memoryview(array.reshape(-1).view(np.uint8))
+    """Write ``array``'s C-order bytes into ``segment`` at ``offset`` by its fd, not a mapping."""
+    data = memoryview(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
     while data:
         written = os.pwritev(segment._fd, [data], offset)
         data, offset = data[written:], offset + written

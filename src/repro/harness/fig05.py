@@ -24,8 +24,6 @@ What is measured here vs. modeled:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..analytics import Histogram, KMeans, LogisticRegression
@@ -36,6 +34,7 @@ from ..baselines.minispark import (
     spark_logistic_regression,
 )
 from ..core import EnginePolicy, ExecutionPolicy
+from ..perfmodel.calibrate import best_time
 from ..sim import GaussianEmulator
 from .reporting import format_bytes, format_ratio, format_seconds, print_table
 
@@ -48,15 +47,6 @@ def _amdahl(threads: float, fraction: float) -> float:
     return 1.0 / ((1.0 - fraction) + fraction / max(threads, 1e-9))
 
 
-def _measure(fn, repeats: int = 1) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def run(elements: int = 60_000, threads: tuple[int, ...] = (1, 2, 4, 8)) -> dict:
     emulator = GaussianEmulator(elements, seed=123)
     stream = emulator.advance().copy()
@@ -64,12 +54,12 @@ def run(elements: int = 60_000, threads: tuple[int, ...] = (1, 2, 4, 8)) -> dict
 
     # ---------------- histogram (100 buckets) ----------------
     smart_hist = Histogram(ExecutionPolicy(), lo=-4.0, hi=4.0, num_buckets=100)
-    t_smart = _measure(lambda: (smart_hist.reset(), smart_hist.run(stream)))
+    t_smart = best_time(lambda: (smart_hist.reset(), smart_hist.run(stream)), 1)
     scalar_policy = ExecutionPolicy(engine=EnginePolicy(map_path="scalar"))
     smart_scalar = Histogram(scalar_policy, lo=-4.0, hi=4.0, num_buckets=100)
-    t_scalar = _measure(lambda: (smart_scalar.reset(), smart_scalar.run(stream)))
+    t_scalar = best_time(lambda: (smart_scalar.reset(), smart_scalar.run(stream)), 1)
     with MiniSparkContext(1) as ctx:
-        t_spark = _measure(lambda: spark_histogram(ctx, stream, -4.0, 4.0, 100))
+        t_spark = best_time(lambda: spark_histogram(ctx, stream, -4.0, 4.0, 100), 1)
         spark_mem = ctx.serializer.bytes_serialized + 80 * ctx.peak_partition_elements
     results["histogram"] = dict(
         smart=t_smart, smart_scalar=t_scalar, spark=t_spark,
@@ -87,9 +77,9 @@ def run(elements: int = 60_000, threads: tuple[int, ...] = (1, 2, 4, 8)) -> dict
         ExecutionPolicy(chunk_size=dims, num_iters=iters, extra_data=init),
         dims=dims,
     )
-    t_smart = _measure(lambda: (km.reset(), km.run(flat)))
+    t_smart = best_time(lambda: (km.reset(), km.run(flat)), 1)
     with MiniSparkContext(1) as ctx:
-        t_spark = _measure(lambda: spark_kmeans(ctx, flat, init, iters))
+        t_spark = best_time(lambda: spark_kmeans(ctx, flat, init, iters), 1)
         spark_mem = ctx.serializer.bytes_serialized + 80 * ctx.peak_partition_elements
     results["kmeans"] = dict(
         smart=t_smart, smart_scalar=None, spark=t_spark,
@@ -105,9 +95,9 @@ def run(elements: int = 60_000, threads: tuple[int, ...] = (1, 2, 4, 8)) -> dict
     lr = LogisticRegression(
         ExecutionPolicy(chunk_size=dims + 1, num_iters=iters), dims=dims
     )
-    t_smart = _measure(lambda: (lr.reset(), lr.run(flat)))
+    t_smart = best_time(lambda: (lr.reset(), lr.run(flat)), 1)
     with MiniSparkContext(1) as ctx:
-        t_spark = _measure(lambda: spark_logistic_regression(ctx, flat, dims, iters))
+        t_spark = best_time(lambda: spark_logistic_regression(ctx, flat, dims, iters), 1)
         spark_mem = ctx.serializer.bytes_serialized + 80 * ctx.peak_partition_elements
     results["logistic_regression"] = dict(
         smart=t_smart, smart_scalar=None, spark=t_spark,

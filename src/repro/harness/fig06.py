@@ -15,8 +15,6 @@ programmability table is computed from this repository's own sources.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..analytics import KMeans, LogisticRegression
@@ -24,17 +22,9 @@ from ..baselines.lowlevel import lowlevel_kmeans, lowlevel_logreg
 from ..core import ExecutionPolicy
 from ..core.serialization import WIRE_FORMATS, pack_map, serialize_map
 from ..perfmodel import MULTICORE_CLUSTER, collective_seconds
+from ..perfmodel.calibrate import best_time
 from .programmability import default_rows
 from .reporting import format_seconds, print_table
-
-
-def _measure(fn, repeats: int = 2) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _payloads(com_map) -> dict:
@@ -75,8 +65,8 @@ def run(
         ExecutionPolicy(chunk_size=dims, num_iters=iters, extra_data=init),
         dims=dims,
     )
-    t_smart = _measure(lambda: (km.reset(), km.run(flat)))
-    t_low = _measure(lambda: lowlevel_kmeans(flat, init, iters))
+    t_smart = best_time(lambda: (km.reset(), km.run(flat)), 2)
+    t_low = best_time(lambda: lowlevel_kmeans(flat, init, iters), 2)
     km_payloads = _payloads(km.get_combination_map())
     low_payload = float((k * dims + k) * 8)
     results["kmeans"] = dict(
@@ -96,8 +86,8 @@ def run(
     lr = LogisticRegression(
         ExecutionPolicy(chunk_size=dims + 1, num_iters=iters), dims=dims
     )
-    t_smart = _measure(lambda: (lr.reset(), lr.run(flat)))
-    t_low = _measure(lambda: lowlevel_logreg(flat, dims, iters))
+    t_smart = best_time(lambda: (lr.reset(), lr.run(flat)), 2)
+    t_low = best_time(lambda: lowlevel_logreg(flat, dims, iters), 2)
     lr_payloads = _payloads(lr.get_combination_map())
     results["logistic_regression"] = dict(
         smart_compute=t_smart, low_compute=t_low,

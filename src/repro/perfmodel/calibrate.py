@@ -53,7 +53,7 @@ class KernelCost:
         )
 
 
-def _time(fn: Callable[[], None], repeats: int = 3) -> float:
+def best_time(fn: Callable[[], None], repeats: int = 3) -> float:
     """Best-of-N wall time of ``fn`` (per the guides: measure, min of runs)."""
     best = float("inf")
     for _ in range(repeats):
@@ -93,8 +93,8 @@ def _app_cost(name: str, scheduler, data: np.ndarray, multi_key: bool,
 
         return run
 
-    t_full = _time(body(data))
-    t_small = _time(body(small))
+    t_full = best_time(body(data))
+    t_small = best_time(body(small))
     state = scheduler.telemetry_snapshot()["counters"]["run.state_nbytes"]
     from ..core.serialization import serialize_map
 
@@ -181,24 +181,24 @@ def calibrate_window_kernels(
     costs: dict[str, KernelCost] = {}
 
     kernel = np.ones(win_size) / win_size
-    t = _time(lambda: np.convolve(data, kernel, mode="same"))
+    t = best_time(lambda: np.convolve(data, kernel, mode="same"))
     state, sync = state_probe(MovingAverage(ExecutionPolicy(), win_size=win_size))
     costs["moving_average"] = KernelCost("moving_average", t / scale, state, sync)
 
-    t = _time(lambda: np.median(windows, axis=1))
+    t = best_time(lambda: np.median(windows, axis=1))
     state, sync = state_probe(MovingMedian(ExecutionPolicy(), win_size=win_size))
     costs["moving_median"] = KernelCost("moving_median", t / scale, state, sync)
 
     offsets = np.arange(-half, half + 1)
     weights = np.exp(-0.5 * (offsets / (win_size / 5.0)) ** 2)
-    t = _time(
+    t = best_time(
         lambda: np.convolve(data, weights, mode="same")
         / np.convolve(np.ones_like(data), weights, mode="same")
     )
     state, sync = state_probe(GaussianKernelSmoother(ExecutionPolicy(), win_size=win_size))
     costs["kernel_density"] = KernelCost("kernel_density", t / scale, state, sync)
 
-    t = _time(lambda: scipy.signal.savgol_filter(data, win_size, 2))
+    t = best_time(lambda: scipy.signal.savgol_filter(data, win_size, 2))
     state, sync = state_probe(SavitzkyGolay(ExecutionPolicy(), win_size=win_size, polyorder=2))
     costs["savgol"] = KernelCost("savgol", t / scale, state, sync)
     return costs
@@ -211,18 +211,18 @@ def calibrate_simulations() -> dict[str, KernelCost]:
     heat = Heat3D((24, 48, 48))
     elements = heat.partition_elements
     costs["heat3d"] = KernelCost(
-        "heat3d", _time(lambda: heat.advance()) / elements, 0.0, 0.0
+        "heat3d", best_time(lambda: heat.advance()) / elements, 0.0, 0.0
     )
 
     lulesh = LuleshProxy(32)
     costs["lulesh"] = KernelCost(
-        "lulesh", _time(lambda: lulesh.advance()) / lulesh.partition_elements, 0.0, 0.0
+        "lulesh", best_time(lambda: lulesh.advance()) / lulesh.partition_elements, 0.0, 0.0
     )
 
     emulator = GaussianEmulator(200_000)
     costs["emulator"] = KernelCost(
         "emulator",
-        _time(lambda: emulator.advance()) / emulator.partition_elements,
+        best_time(lambda: emulator.advance()) / emulator.partition_elements,
         0.0,
         0.0,
     )

@@ -482,7 +482,7 @@ class TestSnapshots:
 
 def _ring_rss_kb(tier) -> list[int]:
     """The coordinator's resident kB in each of its workers' ring mappings."""
-    names = {w.ring.name for w in tier._workers.values() if w.ring is not None}
+    names = {w.ring.segment.name for w in tier._workers.values() if w.ring.segment is not None}
     rss, mapping = [], None
     with open("/proc/self/smaps") as smaps:
         for line in smaps:
@@ -506,7 +506,7 @@ class TestRing:
                          fault_plan=FaultPlan([slow], seed=SEED)) as tier:
             for part in partitions:
                 tier.submit(part)
-            slot = tier._workers[0].slot
+            slot = tier._workers[0].ring.slot
             assert slot % 64 == 0 and slot >= max(p.nbytes for p in partitions)
             assert telemetry.gauge("elastic.ring_bytes") == 2 * slot
             assert np.array_equal(counts(tier.drain()), baseline)
@@ -547,7 +547,7 @@ class TestRing:
                 tier.submit(part)
             assert np.array_equal(counts(tier.drain()), baseline)
             ring = tier._workers[0]
-            assert telemetry.gauge("elastic.ring_bytes") == tier.credits * ring.slot
+            assert telemetry.gauge("elastic.ring_bytes") == tier.credits * ring.ring.slot
 
     def test_no_ring_outlives_the_tier_or_a_killed_worker(self, partitions, baseline):
         with ElasticTier(factory, 2, policy=FaultPolicy.retry(backoff=0.01),
@@ -582,6 +582,25 @@ class TestRing:
             for part in partitions[1:]:
                 tier.submit(part)
             assert np.array_equal(counts(tier.drain()), baseline)
+
+    def test_the_ring_shrinks_back_after_one_large_partition(self):
+        """One 8 MiB partition, then 100 of 2 KiB: the ring follows the
+        small ones down instead of staying ``credits`` x 8 MiB."""
+        rng = np.random.default_rng(SEED)
+        parts = [rng.normal(size=1 << 20)] + [rng.normal(size=256) for _ in range(100)]
+        sched = factory()
+        sched.set_global_combination(False)
+        with sched:
+            for part in parts:
+                sched.run(part)
+            expected = counts(sched.get_combination_map())
+        telemetry = Recorder()
+        with ElasticTier(factory, 1, credits=8, telemetry=telemetry) as tier:
+            for part in parts:
+                tier.submit(part)
+            assert np.array_equal(counts(tier.drain()), expected)
+            assert telemetry.gauge("elastic.ring_bytes") <= 2 * 8 * 2048
+            assert len(own_segments()) == 1
 
     def test_the_coordinator_never_maps_ring_pages_in(self, partitions):
         with ElasticTier(factory, 2) as tier:

@@ -19,8 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.worker import Pool, create_segment, pack, unpack, wait
+from repro.core.worker import (RING_SLACK, RING_WINDOW, Pool, Ring, create_segment, detach,
+                               pack, unpack, view, wait, write_segment)
 from repro.telemetry import Recorder
+from tests.shm import own_segments
 
 
 class NeedsTwoArguments(Exception):
@@ -273,6 +275,66 @@ def test_replace_after_close_forks_nothing(pool):
     assert [worker.process.pid for worker in pool.workers] == pids
     with pytest.raises(RuntimeError, match="closed"):
         pool.worker(1)
+
+
+@pytest.fixture
+def ring():
+    before = own_segments()
+    ring = Ring(3)
+    yield ring
+    ring.close()
+    assert own_segments() == before
+
+
+class TestRing:
+    """The one ring: slot placement, remaking to fit, shrinking back, closing."""
+
+    def test_frames_land_at_64_byte_aligned_slot_offsets(self, ring):
+        assert ring.bound(100) == 1  # no segment yet: the first frame makes it
+        assert [ring.place(seq, 100) for seq in range(5)] == [0, 128, 256, 0, 128]
+        assert ring.slot == 128 and ring.segment.size == 3 * 128
+        assert ring.bound(100) == ring.bound(128) == 3 and ring.bound(129) == 1
+        frame = np.arange(12, dtype=np.float64)[::-1]  # strided: written as a C-order copy
+        write_segment(ring.segment, ring.place(5, frame.nbytes), frame)
+        held = {}
+        assert np.array_equal(view(held, ring.segment.name, (12,), np.float64, 256), frame)
+        detach(held, list(held))
+
+    def test_a_frame_that_does_not_fit_remakes_the_segment(self, ring):
+        ring.place(0, 64)
+        old = ring.segment.name
+        assert ring.place(1, 65) == 128
+        assert ring.segment.name != old and ring.slot == 128
+        assert old not in own_segments() and ring.segment.name in own_segments()
+
+    def test_alternating_sizes_remake_once_then_never(self, ring):
+        """1x, 3x, 1x, ...: made for the first, remade for the second, then
+        kept (a 3x slot is within ``RING_SLACK`` of the 3x frames)."""
+        names = []
+        for seq in range(4 * RING_WINDOW):
+            ring.place(seq, 3072 if seq % 2 else 1024)
+            names.append(ring.segment.name)
+        assert names[0] != names[1] and set(names[1:]) == {names[1]} and ring.slot == 3072
+
+    def test_a_run_of_small_frames_shrinks_the_slot(self, ring):
+        large, small = 64 * 1024, 1000
+        assert large > RING_SLACK * 1024
+        ring.place(0, large)
+        for seq in range(1, RING_WINDOW):  # the large frame is still among the last 8
+            ring.place(seq, small)
+            assert ring.slot == large
+        assert ring.bound(small) == 1  # the 8th small frame remakes the segment
+        ring.place(RING_WINDOW, small)
+        assert ring.slot == 1024 and ring.segment.size == 3 * 1024
+
+    def test_close_is_idempotent_and_unlinks(self, ring):
+        before = own_segments()
+        assert ring.place(0, 0) == 0 and ring.slot == 64  # an empty frame has a slot too
+        name = ring.segment.name
+        assert own_segments() == before | {name}
+        ring.close()
+        ring.close()
+        assert own_segments() == before and ring.segment is None and ring.slot == 0
 
 
 EXIT_WITH_EVERYTHING_OPEN = """
