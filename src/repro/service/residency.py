@@ -3,14 +3,16 @@
 The in-situ contract is that a sim step is written once and read by
 many analytics jobs.  :class:`SharedStepStore` makes that sharing
 explicit at the service layer: the first :meth:`register` of a step
-copies it once into a :class:`multiprocessing.shared_memory` segment,
-and every job that names the step :meth:`attach`\\ es a read-only numpy
-view over the *same* segment — N concurrent readers, one resident copy,
-so dispatch bytes stay flat as tenants grow.
+writes it once, by its file descriptor, into a one-slot
+:class:`~repro.core.worker.Ring`, and every job that names the step
+:meth:`attach`\\ es a lease naming the *same* segment, which a reader
+maps by name (:func:`~repro.core.worker.view`) — N concurrent readers,
+one resident copy, so dispatch bytes stay flat as tenants grow.  The
+store never maps a step's pages itself.
 
 Lifetime is refcounted.  :meth:`release` (or the :class:`StepLease`
 context manager) drops a reader; :meth:`retire` marks a step evictable,
-but the segment is only closed and unlinked once the last reader has
+but the ring is only closed once the last reader has
 released — eviction can never fire under a live reader.  Leases live in
 the process that holds the store: the service takes each job's lease when
 it admits the job and releases it when the job ends, whatever becomes of
@@ -31,44 +33,39 @@ the process engine's per-run residency counters:
 
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 from multiprocessing.util import Finalize
 
 import numpy as np
 
-from ..core.worker import create_segment, unlink_segment
+from ..core.worker import Ring, halt, write_segment
 from ..telemetry import Recorder
 
 __all__ = ["SharedStepStore", "StepLease"]
 
 
-@dataclass
-class _Step:
-    shm: shared_memory.SharedMemory
-    shape: tuple
-    dtype: np.dtype
-    #: live leases
-    readers: int = 0
-    retired: bool = False
+class _Step(Ring):
+    """A resident step: its one frame in a one-slot ring, and its leases."""
+
+    def __init__(self, shape: tuple, dtype: np.dtype):
+        super().__init__(1)
+        self.shape, self.dtype = shape, dtype
+        self.readers = 0  # live leases
+        self.retired = False  # evictable: freed when the last lease ends
 
 
 class StepLease:
     """One reader's refcounted handle on a resident step.
 
-    ``lease.data`` is a zero-copy **read-only** view over the shared
-    segment; it must not be used after :meth:`release`.  ``lease.segment``
-    is what another process needs to map the same bytes: the segment's
-    name, the step's shape and its dtype string.  Usable as a context
-    manager (releases on exit).
+    ``lease.segment`` is what a reader needs to map the step's bytes
+    (:func:`~repro.core.worker.view`): the segment's name, the step's shape
+    and its dtype string.  Usable as a context manager (releases on exit).
     """
 
-    def __init__(self, store: "SharedStepStore", step_id: str, data: np.ndarray,
-                 segment: tuple[str, tuple, str]):
+    def __init__(self, store: "SharedStepStore", step_id: str, segment: tuple[str, tuple, str]):
         self._store = store
         self.step_id = step_id
-        self.data = data
         self.segment = segment
         self._released = False
 
@@ -76,7 +73,6 @@ class StepLease:
         if self._released:
             return
         self._released = True
-        self.data = None
         self._store._release(self.step_id)
 
     def __enter__(self) -> "StepLease":
@@ -86,24 +82,18 @@ class StepLease:
         self.release()
 
 
-def _unlink_all(steps: dict[str, _Step], lock: threading.Lock) -> None:
-    with lock:
-        while steps:
-            unlink_segment(steps.popitem()[1].shm)
-
-
 class SharedStepStore:
-    """Refcounted shared-memory segments, one per registered sim step."""
+    """Refcounted shared-memory rings, one per registered sim step."""
 
     def __init__(self, telemetry: Recorder | None = None):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # close() runs the exit halt under it
         self._steps: dict[str, _Step] = {}
         #: live leases over every step (the ``shared_readers`` gauge)
         self._readers = 0
         self.telemetry = telemetry if telemetry is not None else Recorder()
-        # A store never closed frees its segments when collected or at
-        # interpreter exit, like a worker pool's halt (and beside it).
-        Finalize(self, _unlink_all, args=(self._steps, self._lock), exitpriority=10)
+        # A store never closed frees its rings when collected or at
+        # interpreter exit, by a worker pool's halt (and beside it).
+        Finalize(self, halt, args=((), self._steps.values(), self._lock), exitpriority=10)
 
     # -- registration --------------------------------------------------
     def register(self, step_id: str, data: np.ndarray) -> None:
@@ -116,16 +106,21 @@ class SharedStepStore:
         with self._lock:
             if step_id in self._steps:
                 raise ValueError(f"step {step_id!r} is already resident")
-            shm = create_segment(data.nbytes)
-            np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)[...] = data
-            self._steps[step_id] = _Step(shm=shm, shape=data.shape, dtype=data.dtype)
+            step = _Step(data.shape, data.dtype)
+            try:
+                offset = step.place(0, data.nbytes)  # makes the segment
+                write_segment(step.segment, offset, data)
+            except BaseException:
+                step.close()  # a full /dev/shm: nothing stays resident
+                raise
+            self._steps[step_id] = step
             self.telemetry.inc("engine.residency.shared_copies")
             self.telemetry.inc("engine.residency.shared_copied_bytes", data.nbytes)
             self.telemetry.set_gauge("engine.residency.shared_segments", len(self._steps))
 
     # -- leases --------------------------------------------------------
     def attach(self, step_id: str) -> StepLease:
-        """Take a refcounted read-only view of a resident step."""
+        """Take a refcounted lease on a resident step's segment."""
         with self._lock:
             step = self._steps.get(step_id)
             if step is None:
@@ -135,11 +130,9 @@ class SharedStepStore:
                 raise KeyError(f"step {step_id!r} is retired")
             step.readers += 1
             self._readers += 1
-            view = np.ndarray(step.shape, dtype=step.dtype, buffer=step.shm.buf)
-            view.flags.writeable = False
             self.telemetry.inc("engine.residency.shared_attaches")
             self.telemetry.set_gauge("engine.residency.shared_readers", self._readers)
-            return StepLease(self, step_id, view, (step.shm.name, step.shape, step.dtype.str))
+            return StepLease(self, step_id, (step.segment.name, step.shape, step.dtype.str))
 
     def _release(self, step_id: str) -> None:
         with self._lock:
@@ -173,7 +166,7 @@ class SharedStepStore:
     def _evict_locked(self, step_id: str) -> None:
         step = self._steps.pop(step_id)
         assert not step.readers, "eviction under a live reader"
-        unlink_segment(step.shm)
+        step.close()
         self.telemetry.set_gauge("engine.residency.shared_segments", len(self._steps))
 
     # -- introspection -------------------------------------------------
@@ -183,7 +176,7 @@ class SharedStepStore:
             step = self._steps.get(step_id)
             if step is None:
                 raise KeyError(f"step {step_id!r} is not resident")
-            return int(np.prod(step.shape, dtype=np.int64))
+            return math.prod(step.shape)
 
     def readers(self, step_id: str) -> int:
         with self._lock:
@@ -197,7 +190,7 @@ class SharedStepStore:
     def segment_names(self) -> set[str]:
         """Names of the shared-memory segments still resident."""
         with self._lock:
-            return {step.shm.name for step in self._steps.values()}
+            return {step.segment.name for step in self._steps.values()}
 
     def hit_rate(self) -> float:
         """Fraction of reads served by an existing resident copy."""
@@ -209,8 +202,9 @@ class SharedStepStore:
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Force-free every segment (shutdown path; ignores refcounts)."""
-        _unlink_all(self._steps, self._lock)
         with self._lock:
+            halt((), self._steps.values(), self._lock)
+            self._steps.clear()
             self._readers = 0
             self.telemetry.set_gauge("engine.residency.shared_segments", 0)
             self.telemetry.set_gauge("engine.residency.shared_readers", 0)

@@ -13,8 +13,8 @@ shared in-situ data plane:
   service's GIL, one core each;
 * **shared residency** — every job leases its sim step from the
   refcounted :class:`SharedStepStore` from its admission until it ends,
-  so a queued job's step outlives ``retire_step``: N jobs against one
-  step read one resident copy, which each seat process maps once, by name;
+  so a queued job's step outlives ``retire_step``: N jobs read one
+  resident ring, written unmapped, that each seat maps once, by name;
 * **seats** — inside a seat process, per-(tenant, workload, policy)
   schedulers are kept warm between jobs (``service.seats.created`` vs
   ``service.seats.reused``);
@@ -225,7 +225,7 @@ class AnalyticsService:
         get_workload(spec.workload)           # fail fast: workload known, and the
         lease = self.store.attach(spec.step)  # step resident and held from here
         handle = JobHandle(job_id=0, spec=spec, _lease=lease)  # the queue numbers it
-        cost = spec.cost_hint if spec.cost_hint is not None else float(lease.data.size)
+        cost = spec.cost_hint if spec.cost_hint is not None else self.store.elements(spec.step)
         with self._lock:
             self._outstanding += 1
         tenant = f"service.tenant.{spec.tenant}."

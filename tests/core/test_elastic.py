@@ -21,7 +21,7 @@ from repro.analytics.histogram import Histogram
 from repro.core import ElasticTier, EnginePolicy, ExecutionPolicy, StagingWorkerError
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
 from repro.telemetry import Recorder
-from tests.shm import own_segments
+from tests.shm import own_segments, segment_rss_kb
 
 SEED = 2015
 BUCKETS = 16
@@ -480,21 +480,6 @@ class TestSnapshots:
         assert np.array_equal(result, baseline)
 
 
-def _ring_rss_kb(tier) -> list[int]:
-    """The coordinator's resident kB in each of its workers' ring mappings."""
-    names = {w.ring.segment.name for w in tier._workers.values() if w.ring.segment is not None}
-    rss, mapping = [], None
-    with open("/proc/self/smaps") as smaps:
-        for line in smaps:
-            fields = line.split()
-            if not fields[0].endswith(":"):  # a mapping's header: range, perms, ..., path
-                mapping = fields[5].rsplit("/", 1)[-1] if len(fields) >= 6 else None
-            elif fields[0] == "Rss:" and mapping in names:
-                rss.append(int(fields[1]))
-    assert len(rss) == len(names)
-    return rss
-
-
 class TestRing:
     """Each worker's partitions cross in its shared-memory ring: ``credits``
     slots reused behind the credit gate, grown with nothing in flight."""
@@ -607,7 +592,9 @@ class TestRing:
             for index in range(50):
                 tier.submit(partitions[index % N_PARTS])
             tier.drain()
-            assert _ring_rss_kb(tier) == [0, 0]
+            rings = [w.ring.segment.name for w in tier._workers.values()
+                     if w.ring.segment is not None]
+            assert segment_rss_kb(rings) == [0, 0]
 
 
 class TestBackpressure:

@@ -18,7 +18,7 @@ from repro.analytics import Histogram, KMeans, make_blobs
 from repro.core import EnginePolicy, ExecutionPolicy, RedObj, Scheduler, TimeSharingDriver
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
 from repro.sim import Simulation
-from tests.shm import own_segments
+from tests.shm import own_segments, segment_rss_kb
 
 
 def make_hist(cls=Histogram):
@@ -441,20 +441,6 @@ class TestTeamSize:
         assert counters.get("engine.residency.copied_bytes", 0) == 0
 
 
-def _engine_segment_rss_kb(app) -> int:
-    """The calling process's resident kB in the engine's input segment."""
-    name, mapping, rss = app.engine._pool.ring.segment.name, None, []
-    with open("/proc/self/smaps") as smaps:
-        for line in smaps:
-            fields = line.split()
-            if not fields[0].endswith(":"):  # a mapping's header: range, perms, ..., path
-                mapping = fields[5].rsplit("/", 1)[-1] if len(fields) >= 6 else None
-            elif fields[0] == "Rss:" and mapping == name:
-                rss.append(int(fields[1]))
-    assert len(rss) == 1
-    return rss[0]
-
-
 class TestHygiene:
     def test_a_strided_partition_matches_the_serial_engine(self, rng):
         """A worker split of a strided partition is written as a C-order copy."""
@@ -469,7 +455,7 @@ class TestHygiene:
         with make_hist() as app:
             for _ in range(5):
                 app.run(rng.normal(size=1 << 17))
-            assert _engine_segment_rss_kb(app) == 0
+            assert segment_rss_kb([app.engine._pool.ring.segment.name]) == [0]
 
     def test_resident_segments_released_on_close(self, data):
         before = own_segments()

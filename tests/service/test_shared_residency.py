@@ -6,6 +6,8 @@ N concurrent readers of one step see exactly one shm segment
 reader holds a ref.
 """
 
+import errno
+import os
 import threading
 
 import numpy as np
@@ -13,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.worker import detach, view
 from repro.service import AnalyticsService, JobSpec, SharedStepStore
 from repro.telemetry import Recorder
+from tests.shm import own_segments, segment_rss_kb
 
 
 def _store():
@@ -33,10 +37,14 @@ class TestLeases:
         store.register("s", data)
         try:
             with store.attach("s") as lease:
-                assert np.array_equal(lease.data, data)
-                assert not lease.data.flags.writeable
+                held = {}  # mapped as a seat maps it, by name
+                step = view(held, *lease.segment)
+                assert np.array_equal(step, data)
+                assert not step.flags.writeable
                 with pytest.raises(ValueError):
-                    lease.data[0] = 0.0
+                    step[0] = 0.0
+                del step
+                detach(held, [lease.segment[0]])
         finally:
             store.close()
 
@@ -50,11 +58,8 @@ class TestLeases:
             assert tel.gauge("engine.residency.shared_readers") == 10
             assert tel.counter("engine.residency.shared_copies") == 1
             assert tel.counter("engine.residency.shared_attaches") == 10
-            # All views alias one buffer.
-            base = leases[0].data.__array_interface__["data"][0]
-            assert all(
-                lease.data.__array_interface__["data"][0] == base
-                for lease in leases)
+            # Every lease names the same segment, shape and dtype.
+            assert len({lease.segment for lease in leases}) == 1
             for lease in leases:
                 lease.release()
             assert tel.gauge("engine.residency.shared_readers") == 0
@@ -85,7 +90,8 @@ class TestLeases:
 class TestEviction:
     def test_eviction_deferred_while_reader_holds_ref(self):
         store = _store()
-        store.register("s", _data())
+        data = _data()
+        store.register("s", data)
         try:
             lease = store.attach("s")
             assert store.retire("s") is False  # deferred, not evicted
@@ -93,8 +99,10 @@ class TestEviction:
             assert tel.counter(
                 "engine.residency.shared_evict_deferred") == 1
             assert tel.gauge("engine.residency.shared_segments") == 1
-            # The live reader's view stays intact after retire().
-            assert lease.data.sum() == lease.data.sum()
+            # The live reader's step stays intact after retire().
+            held = {}
+            assert np.array_equal(view(held, *lease.segment), data)
+            detach(held, [lease.segment[0]])
             # A retired step accepts no new readers.
             with pytest.raises(KeyError, match="retired"):
                 store.attach("s")
@@ -160,7 +168,7 @@ class TestEviction:
             try:
                 for _ in range(50):
                     with store.attach("s") as lease:
-                        assert lease.data.shape == (64,)
+                        assert lease.segment[1] == (64,)
                         assert store.telemetry.gauge(
                             "engine.residency.shared_segments") == 1
             except Exception as exc:  # noqa: BLE001
@@ -176,6 +184,52 @@ class TestEviction:
             assert store.telemetry.counter(
                 "engine.residency.shared_copies") == 1
             assert store.readers("s") == 0
+        finally:
+            store.close()
+
+
+class TestNoMapping:
+    """The store writes a step by its file descriptor: the registering
+    process never maps the step's pages in, and a failed write (a full
+    ``/dev/shm``) raises and leaves nothing resident."""
+
+    def test_register_never_maps_the_step_in(self):
+        store = _store()
+        try:
+            store.register("s", _data(n=1 << 17))
+            assert segment_rss_kb(store.segment_names()) == [0]
+        finally:
+            store.close()
+
+    def test_register_step_never_maps_the_step_in(self):
+        svc = AnalyticsService(workers=1)
+        try:
+            svc.register_step("s", _data(n=1 << 17))
+            assert segment_rss_kb(svc.store.segment_names()) == [0]
+        finally:
+            svc.close()
+
+    def test_a_failed_step_write_leaves_nothing_behind(self, monkeypatch):
+        def full(segment, offset, array):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        store, data = _store(), _data()
+        before = own_segments()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.service.residency.write_segment", full)
+                with pytest.raises(OSError):
+                    store.register("s", data)
+            tel = store.telemetry
+            assert store.resident_steps() == []
+            assert own_segments() == before
+            assert tel.counter("engine.residency.shared_copies") == 0
+            assert tel.gauge("engine.residency.shared_segments") != 1
+            store.register("s", data)  # the id was never taken
+            with store.attach("s") as lease:
+                held = {}
+                assert np.array_equal(view(held, *lease.segment), data)
+                detach(held, [lease.segment[0]])
         finally:
             store.close()
 

@@ -1,5 +1,6 @@
 """The one shared-memory leak check: which ``/dev/shm`` entries are this
-test process's to clean up.
+test process's to clean up; and how much of a segment this process has
+mapped in.
 
 Tests run beside other users of ``/dev/shm`` (a benchmark, another test
 run), so a leak check compares only the segments the code under test can
@@ -54,3 +55,19 @@ def own_segments() -> set[str]:
             if not pid.isdigit() or _ours(int(pid), me):
                 owned.add(name)
     return owned
+
+
+def segment_rss_kb(names) -> list[int]:
+    """This process's resident kB in its mapping of each segment in ``names``
+    (``/proc/self/smaps``), one entry per segment: 0 for a segment it has
+    mapped but never touched."""
+    names, rss, mapping = set(names), [], None
+    with open(PROC / "self" / "smaps") as smaps:
+        for line in smaps:
+            fields = line.split()
+            if not fields[0].endswith(":"):  # a mapping's header: range, perms, ..., path
+                mapping = fields[5].rsplit("/", 1)[-1] if len(fields) >= 6 else None
+            elif fields[0] == "Rss:" and mapping in names:
+                rss.append(int(fields[1]))
+    assert len(rss) == len(names)
+    return rss
